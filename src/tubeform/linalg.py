@@ -116,5 +116,5 @@ def rk4_step(f, x: np.ndarray, t: float, h: float) -> np.ndarray:
     k4 = f(x + h * k3, t + h)
     out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"non-finite state after RK4 step at t={t}")
+        raise NonFiniteState(f"non-finite state after RK4 step at t={t + h:.6g}")
     return out

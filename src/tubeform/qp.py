@@ -5,15 +5,15 @@ Problems here have at most ~10 decision variables and ~60 inequality rows
 (Goldfarb-Idnani) is entirely adequate: it starts from the unconstrained
 minimizer, adds one violated row at a time while keeping dual feasibility,
 and certifies infeasibility exactly through a Farkas-type unbounded dual
-step. Equality rows are eliminated by a nullspace change of variables.
+step.
 
     minimize 0.5 z' H z + g' z + const
-    s.t.     A_in z >= b_in,  A_eq z = b_eq
+    s.t.     A_in z >= b_in
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class QpProblem:
     linear: np.ndarray
     a_in: np.ndarray
     b_in: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
     constant: float = 0.0
 
     def __post_init__(self):
@@ -55,7 +53,6 @@ class QpSolution:
     stationarity: float = np.inf
     feasibility: float = np.inf
     complementarity: float = np.inf
-    duals_eq: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[float, float, float]:
@@ -129,18 +126,6 @@ def _dual_active_set(h_inv, g, a, b, tol, max_iter):
     return z, duals, MAX_ITER, iterations
 
 
-def _eliminate_equalities(qp: QpProblem):
-    """Reduce A_eq z = b_eq by a nullspace change of variables."""
-    a_eq = np.atleast_2d(qp.a_eq)
-    b_eq = np.atleast_1d(qp.b_eq)
-    z_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    if np.max(np.abs(a_eq @ z_part - b_eq)) > 1e-9 * max(1.0, float(np.max(np.abs(b_eq)))):
-        return None
-    _, s, vt = np.linalg.svd(a_eq)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 1.0)))
-    return z_part, vt[rank:].T
-
-
 def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 400) -> QpSolution:
     """Solve a strictly convex QP by the dual active-set method.
 
@@ -149,55 +134,6 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 400) -> QpSoluti
     INFEASIBLE is certified by an unbounded dual step (no primal point can
     satisfy the incoming row given the active set).
     """
-    if qp.a_eq is not None and np.size(qp.a_eq):
-        reduced = _eliminate_equalities(qp)
-        if reduced is None:
-            return QpSolution(
-                z=np.zeros_like(qp.linear),
-                duals=np.zeros(qp.a_in.shape[0]),
-                status=INFEASIBLE,
-                iterations=0,
-                objective=np.inf,
-            )
-        z_part, basis = reduced
-        if basis.shape[1] == 0:
-            feas_ok = not qp.a_in.size or np.min(qp.a_in @ z_part - qp.b_in) >= -1e-8
-            return QpSolution(
-                z=z_part,
-                duals=np.zeros(qp.a_in.shape[0]),
-                status=OPTIMAL if feas_ok else INFEASIBLE,
-                iterations=0,
-                objective=qp.objective(z_part),
-            )
-        inner = QpProblem(
-            hessian=basis.T @ qp.hessian @ basis,
-            linear=basis.T @ (qp.hessian @ z_part + qp.linear),
-            a_in=qp.a_in @ basis if qp.a_in.size else np.zeros((0, basis.shape[1])),
-            b_in=qp.b_in - (qp.a_in @ z_part if qp.a_in.size else 0.0),
-            constant=qp.objective(z_part),
-        )
-        sol = solve_qp(inner, tol=tol, max_iter=max_iter)
-        z = z_part + basis @ sol.z
-        out = QpSolution(
-            z=z,
-            duals=sol.duals,
-            status=sol.status,
-            iterations=sol.iterations,
-            objective=qp.objective(z),
-        )
-        if sol.status == OPTIMAL:
-            res = qp.hessian @ z + qp.linear
-            if qp.a_in.size:
-                res = res - qp.a_in.T @ sol.duals
-            out.duals_eq = np.linalg.lstsq(np.atleast_2d(qp.a_eq).T, -res, rcond=None)[0]
-            out.stationarity = float(
-                np.max(np.abs(res + np.atleast_2d(qp.a_eq).T @ out.duals_eq))
-            )
-            _, out.feasibility, out.complementarity = kkt_residuals(
-                QpProblem(qp.hessian, qp.linear, qp.a_in, qp.b_in), z, sol.duals
-            )
-        return out
-
     a = qp.a_in if qp.a_in.size else np.zeros((0, qp.linear.shape[0]))
     b = qp.b_in if qp.a_in.size else np.zeros(0)
     h_inv = np.linalg.inv(qp.hessian)

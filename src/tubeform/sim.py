@@ -16,8 +16,6 @@ free leader model within the interval.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +30,18 @@ from .barrier import (
 )
 from .errors import CascadedInfeasibility, DegenerateGradient, ScenarioError
 from .graph import sync_error
+from .linalg import rk4_step
 from .models import chain_derivative
 from .ocp import OcpSpec, discretize_error_dynamics, rollout_errors, solve_ocp, terminal_ingredients
 from .pipeline import CertificationResult
-from .protocol import MessageBoard, PlanMessage, initial_broadcast, relay_leader, shift_plan
-from .qp import INFEASIBLE
+from .protocol import (
+    MessageBoard,
+    PlanMessage,
+    initial_broadcast,
+    relay_leader,
+    rollout_neighbor,
+    shift_plan,
+)
 from .scenario import ScenarioConfig, build_formation, build_graph, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
@@ -202,12 +207,21 @@ class SimWorld:
                 )
             )
 
+        # The world ODE state, one row per chain: the leader, its nominal
+        # (re-anchored each step), then per follower its true state, nominal
+        # state and feedforward anchor. The named arrays are views into it.
+        self.state = np.empty((2 + 3 * self.n, self.nd))
+        self.x_leader = self.state[0]
+        self.x_canon = self.state[1]
+        self.x_true = self.state[2::3]
+        self.x_nom = self.state[3::3]
+        self.anchors = self.state[4::3]
         states = initial_states(cfg)
-        self.x_leader = states[0].copy()
-        self.x_canon = states[0].copy()  # leader nominal, re-anchored each step
-        self.x_true = states[1:].copy()  # (N, nd)
-        self.x_nom = states[1:].copy()  # nominal initialized at measurement
-        self.anchors = np.tile(states[0], (self.n, 1))
+        self.x_leader[:] = states[0]
+        self.x_canon[:] = states[0]
+        self.x_true[:] = states[1:]
+        self.x_nom[:] = states[1:]  # nominal initialized at measurement
+        self.anchors[:] = states[0]
         self.board = MessageBoard()
         self.estimates = None
         self.v_applied = np.zeros((self.n, self.d))
@@ -215,7 +229,6 @@ class SimWorld:
         self.prev_predictions: dict[tuple[int, int], np.ndarray] = {}
         self.infeasible_streak = [0] * self.n
         self.violations: list[SafetyViolation] = []
-        self.workers = max(1, int(os.environ.get("TUBEFORM_THREADS", "1")))
 
         self.n_steps = int(round(sim.t_end / sim.ts))
         if abs(self.n_steps * sim.ts - sim.t_end) > 1e-9:
@@ -232,24 +245,18 @@ class SimWorld:
         """Feedforward samples over the horizon from a propagated anchor."""
         h = self.sim.ts / self.sim.fine_substeps
         samples = np.zeros((self.horizon, self.d))
-        state = anchor.copy()
+        state = anchor
         t = t0
+
+        def nominal(x, time):
+            return chain_derivative(self.dims, x, self._leader_drift(x, time))
+
         for l in range(self.horizon):
             samples[l] = self._leader_drift(state, t)
             for _ in range(self.sim.fine_substeps):
-                state = self._rk4_leader_nominal(state, t, h)
+                state = rk4_step(nominal, state, t, h)
                 t += h
         return samples
-
-    def _rk4_leader_nominal(self, x: np.ndarray, t: float, h: float) -> np.ndarray:
-        def f(state, time):
-            return chain_derivative(self.dims, state, self._leader_drift(state, time))
-
-        k1 = f(x, t)
-        k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(x + h * k3, t + h)
-        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     # --- per-step phases ---
 
@@ -267,13 +274,7 @@ class SimWorld:
                 else:
                     msg = self.board.read(j + 1, k)
                     v_hat = shift_plan(msg, self.specs[j].terminal_gain)
-                    states = [self.x_true[j].copy()]
-                    for l in range(h):
-                        states.append(
-                            self.specs[j].ad @ states[-1]
-                            + self.specs[j].bd @ (v_hat[l] + ff_samples[i, l])
-                        )
-                    x_hat = np.asarray(states)
+                    x_hat = rollout_neighbor(self.specs[j], self.x_true[j], v_hat, ff_samples[i])
                 v_hats[i][j] = v_hat
                 x_hats[i][j] = x_hat
                 s_seqs[i] += self.graph.nu1 * self.graph.adjacency[i, j] * v_hat
@@ -355,7 +356,7 @@ class SimWorld:
         )
         for i in range(self.n):
             self.anchors[i] = self.estimates[i + 1].value
-        self.x_canon = self.x_leader.copy()
+        self.x_canon[:] = self.x_leader
 
         ff_samples = np.stack(
             [self._leader_ff_samples(self.anchors[i], t_k) for i in range(self.n)]
@@ -380,16 +381,12 @@ class SimWorld:
             else:
                 warms.append(shift_plan(self.prev_plans[i], self.specs[i].terminal_gain))
 
-        def solve(i: int):
-            return self._solve_agent(
+        solutions = [
+            self._solve_agent(
                 i, k, e0s[i], s_seqs[i], ff_samples[i], warms[i], x_hats[i], v_hats[i]
             )
-
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                solutions = list(pool.map(solve, range(self.n)))
-        else:
-            solutions = [solve(i) for i in range(self.n)]
+            for i in range(self.n)
+        ]
 
         stats = {"status": [], "iters": [], "passes": [], "obj": [], "pred_err": pred_err}
         plans = np.zeros((self.n, self.horizon, self.d))
@@ -434,20 +431,15 @@ class SimWorld:
     # --- fine integration ---
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
-        """RHS of the concatenated world ODE during one sampling interval."""
-        nd, d, n = self.nd, self.d, self.n
+        """RHS of the world ODE (rows as in ``self.state``) during one sampling interval."""
         out = np.empty_like(state)
-        xl = state[:nd]
-        canon = state[nd : 2 * nd]
+        xl, canon = state[0], state[1]
         w0 = self.models[0].disturbance(t)
-        out[:nd] = chain_derivative(self.dims, xl, self._leader_drift(xl, t) + w0)
-        out[nd : 2 * nd] = chain_derivative(self.dims, canon, self._leader_drift(canon, t))
-        base = 2 * nd
-        for i in range(n):
-            xo = base + i * (3 * nd)
-            x = state[xo : xo + nd]
-            xb = state[xo + nd : xo + 2 * nd]
-            anchor = state[xo + 2 * nd : xo + 3 * nd]
+        out[0] = chain_derivative(self.dims, xl, self._leader_drift(xl, t) + w0)
+        out[1] = chain_derivative(self.dims, canon, self._leader_drift(canon, t))
+        for i in range(self.n):
+            row = 2 + 3 * i
+            x, xb, anchor = state[row], state[row + 1], state[row + 2]
             pinned = self.graph.b0[i] > 0.0
             ff_state = xl if (pinned and self.sim.feedforward_on) else anchor
             leader_val = self._leader_drift(ff_state, t) if self.sim.feedforward_on else None
@@ -456,51 +448,26 @@ class SimWorld:
                 self.gain, v0[i], x, xb, leader_val, own_val, self.sim.feedforward_on
             )
             w = self.models[i + 1].disturbance(t)
-            out[xo : xo + nd] = chain_derivative(
-                self.dims, x, self.models[i + 1].drift(x, t) + u + w
-            )
+            out[row] = chain_derivative(self.dims, x, self.models[i + 1].drift(x, t) + u + w)
             nominal_top = v0[i] + (
                 self._leader_drift(anchor, t) if self.sim.feedforward_on else 0.0
             )
-            out[xo + nd : xo + 2 * nd] = chain_derivative(self.dims, xb, nominal_top)
-            out[xo + 2 * nd : xo + 3 * nd] = chain_derivative(
-                self.dims, anchor, self._leader_drift(anchor, t)
-            )
+            out[row + 1] = chain_derivative(self.dims, xb, nominal_top)
+            out[row + 2] = chain_derivative(self.dims, anchor, self._leader_drift(anchor, t))
         return out
-
-    def _pack(self) -> np.ndarray:
-        parts = [self.x_leader, self.x_canon]
-        for i in range(self.n):
-            parts.extend([self.x_true[i], self.x_nom[i], self.anchors[i]])
-        return np.concatenate(parts)
-
-    def _unpack(self, state: np.ndarray) -> None:
-        nd = self.nd
-        self.x_leader = state[:nd].copy()
-        self.x_canon = state[nd : 2 * nd].copy()
-        base = 2 * nd
-        for i in range(self.n):
-            xo = base + i * (3 * nd)
-            self.x_true[i] = state[xo : xo + nd].copy()
-            self.x_nom[i] = state[xo + nd : xo + 2 * nd].copy()
-            self.anchors[i] = state[xo + 2 * nd : xo + 3 * nd].copy()
 
     def _integrate_interval(self, k: int, stats: dict) -> None:
         h = self.sim.ts / self.sim.fine_substeps
         v0 = self.v_applied.copy()
-        state = self._pack()
         t = k * self.sim.ts
+
+        def rhs(state, time):
+            return self._world_derivative(state, time, v0)
+
         for m in range(self.sim.fine_substeps):
             self._log_row(k, k * self.sim.fine_substeps + m, t, stats, v0)
-            k1 = self._world_derivative(state, t, v0)
-            k2 = self._world_derivative(state + 0.5 * h * k1, t + 0.5 * h, v0)
-            k3 = self._world_derivative(state + 0.5 * h * k2, t + 0.5 * h, v0)
-            k4 = self._world_derivative(state + h * k3, t + h, v0)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(state)):
-                raise ScenarioError(f"non-finite world state at t={t + h:.3f}")
+            self.state[:] = rk4_step(rhs, self.state, t, h)
             t += h
-            self._unpack(state)
             self._check_safety(k, k * self.sim.fine_substeps + m + 1, t)
         if k == self.n_steps - 1:
             self._log_row(k, self.n_steps * self.sim.fine_substeps, t, stats, v0)

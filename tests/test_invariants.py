@@ -1,8 +1,7 @@
 """Cross-module invariants: communication accounting, broadcast pass-through,
-prediction quality, threaded determinism, and the remaining CLI exit codes."""
+prediction quality, and the remaining CLI exit codes."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -80,19 +79,6 @@ class TestTraceCompleteness:
         finite = data[:, [i for i, c in enumerate(result.trace.columns)
                           if not c.endswith("_obj")]]
         assert np.all(np.isfinite(finite))
-
-
-class TestThreadedDeterminism:
-    def test_worker_pool_matches_serial(self):
-        cfg = load_scenario(SMOKE)
-        cert = certify_scenario(cfg, spot_checks=False)
-        serial = run_simulation(cfg, cert)
-        os.environ["TUBEFORM_THREADS"] = "3"
-        try:
-            threaded = run_simulation(cfg, cert)
-        finally:
-            del os.environ["TUBEFORM_THREADS"]
-        assert np.array_equal(serial.trace.data, threaded.trace.data)
 
 
 class TestRunExitCodes:

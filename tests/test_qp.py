@@ -8,15 +8,13 @@ from tubeform.qp import INFEASIBLE, MAX_ITER, OPTIMAL, QpProblem, solve_qp
 from oracles import dual_projected_gradient_qp, random_feasible_qp
 
 
-def make_qp(h, g, a=None, b=None, a_eq=None, b_eq=None):
+def make_qp(h, g, a=None, b=None):
     n = len(g)
     return QpProblem(
         hessian=np.asarray(h, float),
         linear=np.asarray(g, float),
         a_in=np.asarray(a, float) if a is not None else np.zeros((0, n)),
         b_in=np.asarray(b, float) if b is not None else np.zeros(0),
-        a_eq=None if a_eq is None else np.asarray(a_eq, float),
-        b_eq=None if b_eq is None else np.asarray(b_eq, float),
     )
 
 
@@ -44,23 +42,6 @@ class TestBasics:
     def test_infeasible_certified(self):
         qp = make_qp(np.eye(1), [0.0], a=[[1.0], [-1.0]], b=[1.0, 0.0])
         assert solve_qp(qp).status == INFEASIBLE
-
-    def test_equality_constraints(self):
-        # min |z|^2 s.t. z_0 + z_1 = 2 -> (1, 1)
-        qp = make_qp(2.0 * np.eye(2), [0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[2.0])
-        sol = solve_qp(qp)
-        assert sol.status == OPTIMAL
-        assert np.allclose(sol.z, [1.0, 1.0], atol=1e-10)
-
-    def test_equality_plus_inequality(self):
-        qp = make_qp(
-            2.0 * np.eye(2), [0.0, 0.0],
-            a=[[1.0, 0.0]], b=[1.5],
-            a_eq=[[1.0, 1.0]], b_eq=[2.0],
-        )
-        sol = solve_qp(qp)
-        assert np.allclose(sol.z, [1.5, 0.5], atol=1e-9)
-        assert sol.stationarity < 1e-8
 
     def test_objective_includes_constant(self):
         qp = make_qp(np.eye(1), [0.0])

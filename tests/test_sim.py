@@ -111,9 +111,9 @@ class TestDeviationDynamics:
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         for k in range(3):
             world.step(k)
-        state = world._pack()
+        state = world.state.ravel()
         t = 3 * cfg.sim.ts
-        deriv = world._world_derivative(state, t, world.v_applied)
+        deriv = world._world_derivative(world.state, t, world.v_applied).ravel()
         nd = world.nd
         a0 = np.zeros((nd, nd))
         a0[: nd - 2, 2:] = np.eye(nd - 2)
