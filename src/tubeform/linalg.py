@@ -1,7 +1,7 @@
 """Small dense linear-algebra kernel: symmetric eigensolver, Lyapunov solve, RK4.
 
 Everything here operates on matrices of size <= ~12, so simple dense
-algorithms (cyclic Jacobi, Kronecker vectorization) are used throughout.
+algorithms (numpy's symmetric eigensolver, Kronecker vectorization) suffice.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def is_hurwitz(a: np.ndarray, margin: float = 0.0) -> bool:
 
 
 def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (``np.linalg.eigh``).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     Raises NotSymmetric if ``m`` deviates from symmetry beyond 1e-10
@@ -31,44 +31,7 @@ def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetric(f"expected square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > SYM_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
-
-    n = m.shape[0]
-    a = 0.5 * (m + m.T)
-    v = np.eye(n)
-    if n == 1:
-        return a.reshape(1).copy(), v
-
-    tol = 1e-15 * max(np.linalg.norm(a, "fro"), 1e-300)
-    for _ in range(60):  # cyclic sweeps; quadratic convergence, ~6 needed
-        off = np.linalg.norm(a - np.diag(np.diag(a)), "fro")
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(0.5 * (m + m.T))
 
 
 def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
