@@ -7,6 +7,7 @@ Exit codes: 0 success; 1 parse/IO/hash errors; 2 certification infeasibility;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -42,7 +43,12 @@ def cmd_certify(scenario_path: str, out_path: str) -> int:
     except TubeformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_certificate(out_path, result)
+    try:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        write_certificate(out_path, result)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(
         f"certified {cfg.name}: sv_min={result.bound_cert.sv_min:.6g} "
         f"bound={result.bound_cert.bound:.6g}"
@@ -74,11 +80,12 @@ def cmd_run(
     if cert_doc.get("scenario_sha256") != scenario_hash(cfg):
         print("error: certificate does not match scenario (hash mismatch)", file=sys.stderr)
         return 1
+    if seed is not None:
+        # the disturbance models are built from the scenario's seed
+        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
     result = certify_scenario(cfg, spot_checks=False)
 
     overrides: dict = {}
-    if seed is not None:
-        overrides["seed"] = seed
     if t_end is not None:
         overrides["t_end"] = t_end
     if toggle_feedforward:

@@ -637,6 +637,9 @@ def trace_metrics(trace: SimTrace, final_window: float = 5.0) -> dict:
     followers = sum(1 for c in trace.columns if c.startswith("u") and c.endswith("_0"))
     occ_cols = [c for c in trace.columns if c.startswith("occ")]
     status_cols = [c for c in trace.columns if c.endswith("_status")]
+    # solver stats repeat on every fine row of a sampling step: count each once
+    k = trace.col("k")
+    step_rows = np.concatenate(([True], k[1:] != k[:-1]))
     iters_cols = [c for c in trace.columns if c.endswith("_iters")]
     metrics = {
         "t_end": float(t[-1]),
@@ -649,7 +652,7 @@ def trace_metrics(trace: SimTrace, final_window: float = 5.0) -> dict:
             c: float(np.max(trace.col(c))) for c in occ_cols
         },
         "relaxed_steps": int(
-            sum(np.sum(trace.col(c) == 2.0) for c in status_cols)
+            sum(np.sum(trace.col(c)[step_rows] == 2.0) for c in status_cols)
         ),
         "mean_qp_iterations": float(
             np.mean([np.mean(trace.col(c)) for c in iters_cols]) if iters_cols else 0.0

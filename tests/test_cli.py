@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 from tubeform.cli import main
+from tubeform.sim import SimTrace
 
 SMOKE = Path("scenarios/smoke_scenario.json")
 
@@ -51,6 +53,11 @@ class TestCertify:
         assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 2
         assert "InfeasibleLeaderTube" in capsys.readouterr().err
 
+    def test_creates_missing_output_directory(self, tmp_path):
+        cert = tmp_path / "out" / "nested" / "cert.json"
+        assert main(["certify", str(SMOKE), "-o", str(cert)]) == 0
+        assert json.loads(cert.read_text())["scenario_sha256"]
+
     def test_parse_error_exit_1(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{ nope")
@@ -82,6 +89,29 @@ class TestRun:
             ["run", str(changed), "--cert", str(certified), "-o", str(tmp_path / "o")]
         ) == 1
         assert "hash" in capsys.readouterr().err
+
+    def test_seed_reaches_disturbances(self, tmp_path):
+        doc = json.loads(SMOKE.read_text())
+        for section in [doc["leader"], *doc["agents"]]:
+            section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
+        scen = tmp_path / "ball.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+
+        def run(name, *flags):
+            out = tmp_path / name
+            argv = ["run", str(scen), "--cert", str(cert), "-o", str(out), "--t-end", "0.5"]
+            assert main(argv + list(flags)) == 0
+            return out / "trace.csv"
+
+        own_seed = str(doc["sim"]["seed"])
+        plain = run("plain")
+        assert run("own", "--seed", own_seed).read_bytes() == plain.read_bytes()
+        seeded = run("a", "--seed", "7")
+        assert run("b", "--seed", "7").read_bytes() == seeded.read_bytes()
+        other = SimTrace.from_csv(run("c", "--seed", "8"))
+        assert not np.array_equal(SimTrace.from_csv(seeded).data, other.data)
 
     def test_determinism_byte_identical(self, certified, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -94,6 +94,28 @@ class TestRunExitCodes:
         assert code == 3
         assert "margin_radius" in capsys.readouterr().err
 
+    def test_nonfinite_world_state_exit_1(self, tmp_path, capsys):
+        # with the feedforward off nothing cancels agent 1's own drift, and a
+        # huge unstable drift term overflows the world state within 0.5 s
+        doc = json.loads(open(SMOKE).read())
+        agent = doc["agents"][0]
+        agent["dynamics"]["axes"][0].append(
+            {"form": "state", "coeff": 1e9, "order": 3, "axis": 0}
+        )
+        agent["lipschitz"] = 2.1e7
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        argv = ["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o"),
+                "--t-end", "0.5", "--toggle-feedforward"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "t=0.16" in err
+
     def test_cascaded_infeasibility_exit_4(self, tmp_path):
         # an error-state box far too tight stays hard even in relaxed solves,
         # so every solve fails and the fallback plan is exhausted

@@ -6,7 +6,14 @@ import pytest
 
 from tubeform.pipeline import certify_scenario
 from tubeform.scenario import load_scenario, parse_scenario
-from tubeform.sim import SimConfig, SimWorld, apply_control, run_simulation, trace_metrics
+from tubeform.sim import (
+    SimConfig,
+    SimTrace,
+    SimWorld,
+    apply_control,
+    run_simulation,
+    trace_metrics,
+)
 
 SMOKE = "scenarios/smoke_scenario.json"
 
@@ -161,6 +168,22 @@ class TestTubeMonitoring:
         cert = certify_scenario(cfg, spot_checks=False)
         result = run_simulation(cfg, cert)
         assert any(v.kind == "margin_radius" for v in result.violations)
+
+
+class TestTraceMetrics:
+    def test_relaxed_steps_counted_once_per_sampling_step(self):
+        # two followers, three sampling steps of two fine rows plus the final
+        # row; agent 1 is relaxed at step 0, agent 2 at steps 0 and 2
+        columns = ["t", "k", "ferr_stacked", "clr_obs", "clr_pair", "u1_0", "u2_0",
+                   "ocp1_status", "ocp1_iters", "ocp2_status", "ocp2_iters"]
+        k = np.array([0, 0, 1, 1, 2, 2, 2], dtype=float)
+        data = np.zeros((k.size, len(columns)))
+        data[:, 0] = 0.05 * np.arange(k.size)
+        data[:, 1] = k
+        data[:, columns.index("ocp1_status")] = np.where(k == 0, 2.0, 0.0)
+        data[:, columns.index("ocp2_status")] = np.where(k == 1, 1.0, 2.0)
+        trace = SimTrace(columns=columns, data=data, metadata={})
+        assert trace_metrics(trace)["relaxed_steps"] == 3
 
 
 class TestTraceRoundTrip:
