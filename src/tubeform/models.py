@@ -37,8 +37,8 @@ class BrunovskyDims:
         return self.n * self.d
 
     def block(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Block p (1-based) of a chain state laid out as (x_1, ..., x_n)."""
-        return x[(order - 1) * self.d : order * self.d]
+        """Block p (1-based) of a chain state (or a stack of them) laid out as (x_1, ..., x_n)."""
+        return x[..., (order - 1) * self.d : order * self.d]
 
 
 def chain_matrices(dims: BrunovskyDims) -> tuple[np.ndarray, np.ndarray]:
@@ -53,17 +53,19 @@ def chain_matrices(dims: BrunovskyDims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chain_derivative(dims: BrunovskyDims, x: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """dx/dt for the chain with the given top-order block derivative."""
+    """dx/dt for the chain (or a stack of chains) with the given top-order block derivative."""
     d = dims.d
     out = np.empty_like(x)
-    out[:-d] = x[d:]
-    out[-d:] = top
+    out[..., :-d] = x[..., d:]
+    out[..., -d:] = top
     return out
 
 
 @dataclass(frozen=True)
 class DriftTerm:
     """One additive term of a drift axis expression.
+
+    ``value`` evaluates one ``(nd,)`` state or a ``(..., nd)`` stack of them.
 
     form "state":   coeff * x[order, axis]
     form "cubic":   coeff * (sum_a weights[a] * x[order, a])^3
@@ -86,18 +88,18 @@ class DriftTerm:
         if self.form not in TERM_FORMS:
             raise ScenarioError(f"unknown drift term form {self.form!r}")
 
-    def value(self, dims: BrunovskyDims, x: np.ndarray, t: float) -> float:
+    def value(self, dims: BrunovskyDims, x: np.ndarray, t: float) -> np.ndarray | float:
         blk = dims.block(x, self.order)
         if self.form == "state":
-            return self.coeff * blk[self.axis]
+            return self.coeff * blk[..., self.axis]
         if self.form == "cubic":
-            return self.coeff * float(np.dot(self.weights, blk)) ** 3
+            return self.coeff * (blk @ np.asarray(self.weights)) ** 3
         if self.form == "tanh":
-            return self.coeff * math.tanh(self.scale * blk[self.axis])
+            return self.coeff * np.tanh(self.scale * blk[..., self.axis])
         if self.form == "sin_t":
             return self.coeff * math.sin(self.freq * t + self.phase)
         # sq_tanh
-        return self.coeff * blk[self.sq_axis] ** 2 * math.tanh(self.scale * blk[self.axis])
+        return self.coeff * blk[..., self.sq_axis] ** 2 * np.tanh(self.scale * blk[..., self.axis])
 
     def gradient(self, dims: BrunovskyDims, x: np.ndarray) -> np.ndarray:
         """d(term)/dx over the full chain state."""
@@ -123,7 +125,7 @@ class DriftTerm:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift f(x, t) = -outer_gain * sum(terms) per axis."""
+    """Drift f(x, t) = -outer_gain * sum(terms) per axis, for one state or a stack."""
 
     dims: BrunovskyDims
     outer_gain: float
@@ -134,9 +136,9 @@ class DriftSpec:
             raise DimensionMismatch("drift needs one term list per spatial axis")
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty(self.dims.d)
+        out = np.empty(x.shape[:-1] + (self.dims.d,))
         for k, terms in enumerate(self.axes):
-            out[k] = -self.outer_gain * sum(term.value(self.dims, x, t) for term in terms)
+            out[..., k] = -self.outer_gain * sum(term.value(self.dims, x, t) for term in terms)
         return out
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -230,9 +232,15 @@ class AgentModel:
     operating_box: Box
 
     def check_disturbance_bound(self, t_end: float, samples: int = 2000) -> None:
-        ts = np.linspace(0.0, t_end, samples)
-        worst = max(float(np.linalg.norm(self.disturbance(t))) for t in ts)
-        if worst > self.disturbance_bound + 1e-12:
+        """Declared bound >= sup |w|: exact for a ball, sampled for sinusoids."""
+        if isinstance(self.disturbance, BallDisturbance):
+            # the draws come arbitrarily close to the radius
+            worst, slack = self.disturbance.bound, 0.0
+        else:
+            ts = np.linspace(0.0, t_end, samples)
+            worst = max(float(np.linalg.norm(self.disturbance(t))) for t in ts)
+            slack = 1e-12
+        if worst > self.disturbance_bound + slack:
             raise ScenarioError(
                 f"agent {self.id}: disturbance reaches {worst:.6g}, "
                 f"declared bound {self.disturbance_bound:.6g}"
@@ -242,16 +250,15 @@ class AgentModel:
         """Spot-check |f(a) - f(b)| <= L |a - b| on sampled box pairs."""
         a = self.operating_box.sample(rng, pairs)
         b = self.operating_box.sample(rng, pairs)
-        for xa, xb in zip(a, b):
-            gap = np.linalg.norm(xa - xb)
-            if gap < 1e-12:
-                continue
-            diff = np.linalg.norm(self.drift(xa, 0.0) - self.drift(xb, 0.0))
-            if diff > self.drift_lipschitz * gap * (1.0 + 1e-9) + 1e-12:
-                raise ScenarioError(
-                    f"agent {self.id}: drift violates declared Lipschitz bound "
-                    f"({diff / gap:.6g} > {self.drift_lipschitz:.6g})"
-                )
+        gap = np.linalg.norm(a - b, axis=1)
+        diff = np.linalg.norm(self.drift(a, 0.0) - self.drift(b, 0.0), axis=1)
+        bad = (gap >= 1e-12) & (diff > self.drift_lipschitz * gap * (1.0 + 1e-9) + 1e-12)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ScenarioError(
+                f"agent {self.id}: drift violates declared Lipschitz bound "
+                f"({diff[i] / gap[i]:.6g} > {self.drift_lipschitz:.6g})"
+            )
 
 
 def estimate_lipschitz(

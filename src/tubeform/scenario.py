@@ -469,8 +469,9 @@ def build_agent_model(cfg: ScenarioConfig, agent_id: int) -> AgentModel:
         outer_gain=section.dynamics.outer_gain,
         axes=section.dynamics.axes,
     )
-    # the declared bound is verified against sampled disturbance norms at
-    # certify time; equal-frequency axes can stay below the amplitude hypot
+    # the declared bound is verified at certify time: exactly for a ball, on
+    # sampled norms for a sinusoid (equal-frequency axes can stay below the
+    # amplitude hypot)
     disturbance, _ = _build_disturbance(section.disturbance, cfg, agent_id)
     if lipschitz == "estimate":
         lipschitz = estimate_lipschitz(drift, section.operating_box)

@@ -29,7 +29,7 @@ from .barrier import (
     margin_pairwise,
 )
 from .errors import CascadedInfeasibility, DegenerateGradient, ScenarioError
-from .graph import sync_error
+from .graph import sync_error_stacked
 from .linalg import rk4_step
 from .models import chain_derivative
 from .ocp import OcpSpec, discretize_error_dynamics, rollout_errors, solve_ocp, terminal_ingredients
@@ -127,8 +127,11 @@ def apply_control(
     own_drift_value: np.ndarray | None,
     feedforward_on: bool = True,
 ) -> np.ndarray:
-    """Held nominal input, continuous ancillary feedback, feedforward cancellation."""
-    u = v_nominal - gain @ (x_true - x_nominal)
+    """Held nominal input, continuous ancillary feedback, feedforward cancellation.
+
+    The states and drift values are one agent's vectors or row-stacked agents.
+    """
+    u = v_nominal - (x_true - x_nominal) @ gain.T
     if feedforward_on:
         u = u + leader_drift_value - own_drift_value
     return u
@@ -216,12 +219,21 @@ class SimWorld:
         self.x_true = self.state[2::3]
         self.x_nom = self.state[3::3]
         self.anchors = self.state[4::3]
+        # rows of the leader-model chains (leader, its nominal, the anchors)
+        # and of the true states per agent, leader first, each followed by its nominal
+        self._leader_rows = np.r_[0, 1, 4 : len(self.state) : 3]
+        self._agent_rows = np.r_[0, 2 : len(self.state) : 3]
         states = initial_states(cfg)
-        self.x_leader[:] = states[0]
-        self.x_canon[:] = states[0]
-        self.x_true[:] = states[1:]
-        self.x_nom[:] = states[1:]  # nominal initialized at measurement
+        self.state[self._agent_rows] = states
+        self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
         self.anchors[:] = states[0]
+        self._pinned = (self.graph.b0 > 0.0)[:, None]
+        self._pairs = np.triu_indices(self.n, 1)
+        tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
+        self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
+        self._tube_limits = tube_r2 * (1.0 + 1e-6)
+        margins = np.array([self.margin_radii[i + 1] for i in range(self.n)])
+        self._margin_limits = margins * (1.0 + 1e-6)
         self.board = MessageBoard()
         self.estimates = None
         self.v_applied = np.zeros((self.n, self.d))
@@ -236,23 +248,21 @@ class SimWorld:
 
         self._init_trace()
 
-    # --- drift helpers ---
+    # --- leader feedforward ---
 
-    def _leader_drift(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.models[0].drift(x, t)
-
-    def _leader_ff_samples(self, anchor: np.ndarray, t0: float) -> np.ndarray:
-        """Feedforward samples over the horizon from a propagated anchor."""
+    def _leader_ff_samples(self, anchors: np.ndarray, t0: float) -> np.ndarray:
+        """(N, horizon, d) feedforward samples from the (N, nd) anchors, propagated as one stack."""
+        drift = self.models[0].drift
         h = self.sim.ts / self.sim.fine_substeps
-        samples = np.zeros((self.horizon, self.d))
-        state = anchor
+        samples = np.zeros((len(anchors), self.horizon, self.d))
+        state = anchors
         t = t0
 
         def nominal(x, time):
-            return chain_derivative(self.dims, x, self._leader_drift(x, time))
+            return chain_derivative(self.dims, x, drift(x, time))
 
         for l in range(self.horizon):
-            samples[l] = self._leader_drift(state, t)
+            samples[:, l] = drift(state, t)
             for _ in range(self.sim.fine_substeps):
                 state = rk4_step(nominal, state, t, h)
                 t += h
@@ -279,17 +289,6 @@ class SimWorld:
                 x_hats[i][j] = x_hat
                 s_seqs[i] += self.graph.nu1 * self.graph.adjacency[i, j] * v_hat
         return v_hats, x_hats, s_seqs
-
-    def _sync_error_stacked(self, i: int) -> np.ndarray:
-        out = np.zeros(self.nd)
-        for p in range(1, self.dims.n + 1):
-            table = {0: self.dims.block(self.x_leader, p)}
-            for a in range(self.n):
-                table[a + 1] = self.dims.block(self.x_true[a], p)
-            out[(p - 1) * self.d : p * self.d] = sync_error(
-                i, table, self.graph, self.formation, p
-            )
-        return out
 
     def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, x_hats: dict[int, np.ndarray], v_hats: dict[int, np.ndarray]):
         margin_i = self.margin_radii[i + 1]
@@ -354,13 +353,10 @@ class SimWorld:
         self.estimates = relay_leader(
             self.graph, self.x_leader, self.estimates if k > 0 else None
         )
-        for i in range(self.n):
-            self.anchors[i] = self.estimates[i + 1].value
+        self.anchors[:] = [self.estimates[i + 1].value for i in range(self.n)]
         self.x_canon[:] = self.x_leader
 
-        ff_samples = np.stack(
-            [self._leader_ff_samples(self.anchors[i], t_k) for i in range(self.n)]
-        )
+        ff_samples = self._leader_ff_samples(self.anchors, t_k)
         v_hats, x_hats, s_seqs = self._neighbor_data(k, ff_samples)
 
         pred_err = 0.0
@@ -373,7 +369,15 @@ class SimWorld:
             (i, j): x_hats[i][j][1].copy() for i in range(self.n) for j in x_hats[i]
         }
 
-        e0s = [self._sync_error_stacked(i) for i in range(self.n)]
+        # stacked synchronization errors (e^i_1, ..., e^i_n), one row per follower
+        chains = self.state[self._agent_rows]
+        e0s = np.concatenate(
+            [
+                sync_error_stacked(self.dims.block(chains, p), self.graph, self.formation, p)
+                for p in range(1, self.dims.n + 1)
+            ],
+            axis=1,
+        )
         warms = []
         for i in range(self.n):
             if self.prev_plans[i] is None:
@@ -388,8 +392,8 @@ class SimWorld:
             for i in range(self.n)
         ]
 
-        stats = {"status": [], "iters": [], "passes": [], "obj": [], "pred_err": pred_err}
         plans = np.zeros((self.n, self.horizon, self.d))
+        solver = np.zeros((self.n, 4))  # status, QP iterations, SQP passes, objective
         for i, sol in enumerate(solutions):
             if sol is None or not math.isfinite(sol.slack):
                 # no usable plan at all: ride the shifted previous plan
@@ -401,20 +405,14 @@ class SimWorld:
                     )
                 inputs = warms[i]
                 errors = rollout_errors(self.specs[i], e0s[i], s_seqs[i], inputs)
-                stats["status"].append(2.0)
-                stats["iters"].append(0.0)
-                stats["passes"].append(0.0)
-                stats["obj"].append(math.inf)
+                solver[i] = (2.0, 0.0, 0.0, math.inf)
             else:
                 # a relaxed (nonzero-slack) solve still yields the minimally
                 # violating plan, strictly better than blind plan shifting
                 self.infeasible_streak[i] = 0
                 inputs = sol.inputs
                 errors = sol.errors
-                stats["status"].append(STATUS_CODE[sol.status])
-                stats["iters"].append(float(sol.iterations))
-                stats["passes"].append(float(sol.sqp_passes))
-                stats["obj"].append(sol.objective)
+                solver[i] = (STATUS_CODE[sol.status], sol.iterations, sol.sqp_passes, sol.objective)
             plans[i] = inputs
             msg = PlanMessage(
                 sender=i + 1, stamp=k, inputs=inputs.copy(), terminal_error=errors[-1].copy()
@@ -423,8 +421,7 @@ class SimWorld:
             self.prev_plans[i] = msg
             self.v_applied[i] = inputs[0]
 
-        stats["plans"] = plans
-        stats["e0"] = np.asarray(e0s)
+        stats = {"plans": plans, "e0": e0s, "solver": solver, "pred_err": pred_err}
         self._integrate_interval(k, stats)
         return stats
 
@@ -432,29 +429,22 @@ class SimWorld:
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
         """RHS of the world ODE (rows as in ``self.state``) during one sampling interval."""
-        out = np.empty_like(state)
-        xl, canon = state[0], state[1]
-        w0 = self.models[0].disturbance(t)
-        out[0] = chain_derivative(self.dims, xl, self._leader_drift(xl, t) + w0)
-        out[1] = chain_derivative(self.dims, canon, self._leader_drift(canon, t))
-        for i in range(self.n):
-            row = 2 + 3 * i
-            x, xb, anchor = state[row], state[row + 1], state[row + 2]
-            pinned = self.graph.b0[i] > 0.0
-            ff_state = xl if (pinned and self.sim.feedforward_on) else anchor
-            leader_val = self._leader_drift(ff_state, t) if self.sim.feedforward_on else None
-            own_val = self.models[i + 1].drift(x, t) if self.sim.feedforward_on else None
-            u = apply_control(
-                self.gain, v0[i], x, xb, leader_val, own_val, self.sim.feedforward_on
-            )
-            w = self.models[i + 1].disturbance(t)
-            out[row] = chain_derivative(self.dims, x, self.models[i + 1].drift(x, t) + u + w)
-            nominal_top = v0[i] + (
-                self._leader_drift(anchor, t) if self.sim.feedforward_on else 0.0
-            )
-            out[row + 1] = chain_derivative(self.dims, xb, nominal_top)
-            out[row + 2] = chain_derivative(self.dims, anchor, self._leader_drift(anchor, t))
-        return out
+        followers = self.models[1:]
+        x, xb = state[2::3], state[3::3]
+        lead = self.models[0].drift(state[self._leader_rows], t)
+        f_anchor = lead[2:]
+        own = np.stack([m.drift(xi, t) for m, xi in zip(followers, x)])
+        w = np.stack([m.disturbance(t) for m in followers])
+        # pinned followers cancel toward the true leader, the others toward their anchor
+        ff = np.where(self._pinned, lead[0], f_anchor)
+        u = apply_control(self.gain, v0, x, xb, ff, own, self.sim.feedforward_on)
+        top = np.empty((len(state), self.d))
+        top[0] = lead[0] + self.models[0].disturbance(t)
+        top[1] = lead[1]
+        top[2::3] = own + u + w
+        top[3::3] = v0 + f_anchor if self.sim.feedforward_on else v0
+        top[4::3] = f_anchor
+        return chain_derivative(self.dims, state, top)
 
     def _integrate_interval(self, k: int, stats: dict) -> None:
         h = self.sim.ts / self.sim.fine_substeps
@@ -480,12 +470,19 @@ class SimWorld:
         for obs in self.cfg.obstacles:
             dist = np.linalg.norm(positions - np.asarray(obs.center), axis=1)
             clr_obs = min(clr_obs, float(np.min(dist) - obs.radius))
-        clr_pair = math.inf
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                dist = float(np.linalg.norm(positions[i] - positions[j]))
-                clr_pair = min(clr_pair, dist - self.cfg.barriers.d_safe)
+        first, second = self._pairs
+        gaps = np.linalg.norm(positions[first] - positions[second], axis=1)
+        clr_pair = float(np.min(gaps)) - self.cfg.barriers.d_safe if gaps.size else math.inf
         return clr_obs, clr_pair
+
+    def _deviations(self) -> tuple[np.ndarray, np.ndarray]:
+        """True-minus-nominal deviations (N+1, nd), leader first, and V: |dev|^2, dev' P dev."""
+        rows = self._agent_rows
+        dev = self.state[rows] - self.state[rows + 1]
+        v_vals = np.empty(self.n + 1)
+        v_vals[0] = dev[0] @ dev[0]
+        v_vals[1:] = np.sum((dev[1:] @ self.p_mat) * dev[1:], axis=1)
+        return dev, v_vals
 
     def _check_safety(self, k: int, fine_idx: int, t: float) -> None:
         clr_obs, clr_pair = self._clearances()
@@ -493,16 +490,17 @@ class SimWorld:
             self._record("obstacle_clearance", k, fine_idx, t, -1, clr_obs)
         if clr_pair <= 0.0:
             self._record("pairwise_clearance", k, fine_idx, t, -1, clr_pair)
-        dev0 = float(np.linalg.norm(self.x_leader - self.x_canon))
-        if dev0 > self.cert.leader.r_ball0 * (1.0 + 1e-6):
-            self._record("leader_tube", k, fine_idx, t, 0, dev0)
-        for i in range(self.n):
-            dx = self.x_true[i] - self.x_nom[i]
-            v_val = float(dx @ self.p_mat @ dx)
-            if v_val > self.cert.tubes[i].r ** 2 * (1.0 + 1e-6):
-                self._record("tube", k, fine_idx, t, i + 1, v_val)
-            if float(np.linalg.norm(dx)) > self.margin_radii[i + 1] * (1.0 + 1e-6):
-                self._record("margin_radius", k, fine_idx, t, i + 1, float(np.linalg.norm(dx)))
+        dev, v_vals = self._deviations()
+        norms = np.linalg.norm(dev, axis=1)
+        if norms[0] > self.cert.leader.r_ball0 * (1.0 + 1e-6):
+            self._record("leader_tube", k, fine_idx, t, 0, float(norms[0]))
+        tube_bad = v_vals[1:] > self._tube_limits
+        margin_bad = norms[1:] > self._margin_limits
+        for i in np.flatnonzero(tube_bad | margin_bad).tolist():
+            if tube_bad[i]:
+                self._record("tube", k, fine_idx, t, i + 1, float(v_vals[i + 1]))
+            if margin_bad[i]:
+                self._record("margin_radius", k, fine_idx, t, i + 1, float(norms[i + 1]))
 
     def _record(self, kind: str, k: int, fine_idx: int, t: float, agent: int, value: float):
         self.violations.append(
@@ -539,9 +537,7 @@ class SimWorld:
     def _formation_errors(self) -> tuple[np.ndarray, float]:
         """Per-agent position offset error and the stacked norm."""
         leader_pos = self.x_leader[: self.d] - self.formation.offset(0, 1)
-        errs = np.zeros((self.n, self.d))
-        for i in range(self.n):
-            errs[i] = self.x_true[i][: self.d] - self.formation.offset(i + 1, 1) - leader_pos
+        errs = self.x_true[:, : self.d] - self.formation.offsets[1:, 0] - leader_pos
         return errs, float(np.sqrt(np.sum(errs**2)))
 
     def _log_row(self, k: int, fine_idx: int, t: float, stats: dict, v0: np.ndarray):
@@ -555,34 +551,19 @@ class SimWorld:
             pos += arr.size
 
         put([t, float(k)])
-        dev0 = self.x_leader - self.x_canon
-        put(self.x_leader)
-        put(self.x_canon)
-        put(dev0)
-        devs = []
-        for i in range(self.n):
-            dx = self.x_true[i] - self.x_nom[i]
-            devs.append(dx)
-            put(self.x_true[i])
-            put(self.x_nom[i])
-            put(dx)
+        dev, v_vals = self._deviations()
+        rows = self._agent_rows
+        put(np.stack([self.state[rows], self.state[rows + 1], dev], axis=1))
         put(v0)
-        v0_leader = float(dev0 @ dev0)
-        v_vals = [v0_leader] + [float(dx @ self.p_mat @ dx) for dx in devs]
         put(v_vals)
-        r0 = max(self.cert.leader.r_ball0, 1e-300)
-        occ = [v0_leader / r0**2] + [
-            v_vals[i + 1] / max(self.cert.tubes[i].r ** 2, 1e-300) for i in range(self.n)
-        ]
-        put(occ)
+        put(v_vals / self._occ_scale)
         put(self._clearances())
         errs, stacked = self._formation_errors()
         put(errs)
         put([stacked])
         put(stats["e0"])
         put(stats["plans"])
-        for i in range(self.n):
-            put([stats["status"][i], stats["iters"][i], stats["passes"][i], stats["obj"][i]])
+        put(stats["solver"])
         put([stats["pred_err"]])
         self.trace_data[fine_idx] = row
 
@@ -655,7 +636,7 @@ def trace_metrics(trace: SimTrace, final_window: float = 5.0) -> dict:
             sum(np.sum(trace.col(c)[step_rows] == 2.0) for c in status_cols)
         ),
         "mean_qp_iterations": float(
-            np.mean([np.mean(trace.col(c)) for c in iters_cols]) if iters_cols else 0.0
+            np.mean([np.mean(trace.col(c)[step_rows]) for c in iters_cols]) if iters_cols else 0.0
         ),
         "followers": followers,
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from tubeform.errors import ScenarioError
 from tubeform.models import (
     AgentModel,
+    BallDisturbance,
     Box,
     BrunovskyDims,
     DriftSpec,
@@ -70,6 +72,34 @@ class TestDrift:
         x = np.array([0.5, 2.0, 0, 0, 0, 0.0])
         assert term.value(DIMS, x, 0.0) == pytest.approx(-0.15 * 4.0 * math.tanh(0.5))
 
+    def test_stack_matches_row_by_row(self):
+        """One call on an (M, nd) or (K, M, nd) stack equals M single-state calls,
+        for every term form."""
+        axes = (
+            (
+                DriftTerm(form="state", coeff=0.7, order=2, axis=1),
+                DriftTerm(form="cubic", coeff=0.12, order=1, weights=(0.6, -0.8)),
+                DriftTerm(form="tanh", coeff=-0.25, scale=0.6, order=3, axis=0),
+            ),
+            (
+                DriftTerm(form="sin_t", coeff=-0.4, freq=0.8, phase=0.5),
+                DriftTerm(form="sq_tanh", coeff=-0.15, order=1, sq_axis=1, axis=0, scale=1.3),
+            ),
+        )
+        drift = DriftSpec(dims=DIMS, outer_gain=1.7, axes=axes)
+        xs = np.random.default_rng(4).normal(size=(2, 7, 6))
+        stacked = drift(xs, 1.3)
+        assert stacked.shape == (2, 7, 2)
+        rows = np.array([[drift(x, 1.3) for x in block] for block in xs])
+        np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
+        for form_terms in axes:
+            for term in form_terms:
+                values = term.value(DIMS, xs[0], 1.3)
+                singles = [term.value(DIMS, x, 1.3) for x in xs[0]]
+                np.testing.assert_allclose(
+                    np.broadcast_to(values, (7,)), singles, rtol=1e-14, atol=1e-15
+                )
+
     def test_jacobian_matches_finite_differences(self):
         drift = cubic_damped_drift()
         rng = np.random.default_rng(2)
@@ -127,6 +157,20 @@ class TestAgentModel:
     def test_disturbance_bound_violated(self):
         with pytest.raises(ScenarioError):
             self.make(bound=0.1).check_disturbance_bound(30.0)
+
+    def test_ball_disturbance_bound_is_exact(self):
+        """A bound just below the ball radius fails; sampling draws cannot tell."""
+        ball = BallDisturbance(bound=0.2, seed=0, agent_id=1, step_duration=0.01)
+        model = dataclasses.replace(self.make(bound=0.2), disturbance=ball)
+        model.check_disturbance_bound(30.0)
+        for seed in range(5):
+            tight = dataclasses.replace(
+                model,
+                disturbance=dataclasses.replace(ball, seed=seed),
+                disturbance_bound=0.2 * (1.0 - 1e-6),
+            )
+            with pytest.raises(ScenarioError, match="agent 1"):
+                tight.check_disturbance_bound(30.0)
 
     def test_lipschitz_spot_check(self):
         rng = np.random.default_rng(0)

@@ -110,35 +110,73 @@ class TestSingleAgentObstacle:
 
 
 class TestDeviationDynamics:
+    @staticmethod
+    def stepped_world(feedforward_on):
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, feedforward_on=feedforward_on))
+        for k in range(3):
+            world.step(k)
+        return world, cert.tubes[0].lyap.acl, 3 * cfg.sim.ts
+
+    @staticmethod
+    def deviation_rates(world, t):
+        """Per follower: (state, dx, d(dx)/dt, anchor) read off the world ODE."""
+        state = world.state.ravel()
+        deriv = world._world_derivative(world.state, t, world.v_applied).ravel()
+        nd = world.nd
+        for i in range(world.n):
+            xo = 2 * nd + i * 3 * nd
+            x = state[xo : xo + nd]
+            dx = x - state[xo + nd : xo + 2 * nd]
+            ddx = deriv[xo : xo + nd] - deriv[xo + nd : xo + 2 * nd]
+            yield i, x, dx, ddx, state[xo + 2 * nd : xo + 3 * nd]
+
     def test_closed_loop_matches_linear_form(self):
         """Fine-integrated deviation dynamics match the certified linear form:
         d(dx)/dt = Acl dx + G (leader-drift mismatch + w)."""
-        cfg = load_scenario(SMOKE)
-        cert = certify_scenario(cfg, spot_checks=False)
-        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
-        for k in range(3):
-            world.step(k)
-        state = world.state.ravel()
-        t = 3 * cfg.sim.ts
-        deriv = world._world_derivative(world.state, t, world.v_applied).ravel()
+        world, acl, t = self.stepped_world(True)
         nd = world.nd
-        a0 = np.zeros((nd, nd))
-        a0[: nd - 2, 2:] = np.eye(nd - 2)
         g_sel = np.zeros((nd, 2))
         g_sel[-2:] = np.eye(2)
-        acl = cert.tubes[0].lyap.acl
-        base = 2 * nd
-        for i in range(world.n):
-            xo = base + i * 3 * nd
-            dx = state[xo : xo + nd] - state[xo + nd : xo + 2 * nd]
-            ddx = deriv[xo : xo + nd] - deriv[xo + nd : xo + 2 * nd]
-            anchor = state[xo + 2 * nd : xo + 3 * nd]
+        for i, _, dx, ddx, anchor in self.deviation_rates(world, t):
             pinned = world.graph.b0[i] > 0
-            ff_state = state[:nd] if pinned else anchor
+            ff_state = world.state[0] if pinned else anchor
             mismatch = world.models[0].drift(ff_state, t) - world.models[0].drift(anchor, t)
             w = world.models[i + 1].disturbance(t)
             expected = acl @ dx + g_sel @ (mismatch + w)
             assert np.max(np.abs(ddx - expected)) < 1e-9
+
+    def test_feedforward_off_matches_linear_form(self):
+        """Without feedforward the own drift is not cancelled and the nominal
+        ignores the leader: d(dx)/dt = Acl dx + G (f_i(x) + w)."""
+        world, acl, t = self.stepped_world(False)
+        nd = world.nd
+        g_sel = np.zeros((nd, 2))
+        g_sel[-2:] = np.eye(2)
+        for i, x, dx, ddx, _ in self.deviation_rates(world, t):
+            drive = world.models[i + 1].drift(x, t) + world.models[i + 1].disturbance(t)
+            assert np.max(np.abs(drive)) > 1e-3  # the uncancelled term is really there
+            expected = acl @ dx + g_sel @ drive
+            assert np.max(np.abs(ddx - expected)) < 1e-9
+
+
+class TestLeaderFeedforward:
+    def test_stacked_anchors_match_per_anchor_calls(self):
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        rng = np.random.default_rng(3)
+        anchors = world.x_leader + 0.3 * rng.normal(size=(4, world.nd))
+        stacked = world._leader_ff_samples(anchors, 0.7)
+        assert stacked.shape == (4, world.horizon, world.d)
+        for i, anchor in enumerate(anchors):
+            single = world._leader_ff_samples(anchor[None], 0.7)[0]
+            np.testing.assert_allclose(stacked[i], single, rtol=1e-13, atol=1e-13)
+        # the first sample is the leader drift at the anchor itself
+        np.testing.assert_allclose(
+            stacked[:, 0], world.models[0].drift(anchors, 0.7), rtol=0, atol=0
+        )
 
 
 class TestDeterminism:
@@ -171,9 +209,11 @@ class TestTubeMonitoring:
 
 
 class TestTraceMetrics:
-    def test_relaxed_steps_counted_once_per_sampling_step(self):
+    @staticmethod
+    def synthetic_trace():
         # two followers, three sampling steps of two fine rows plus the final
-        # row; agent 1 is relaxed at step 0, agent 2 at steps 0 and 2
+        # row; agent 1 is relaxed at step 0, agent 2 at steps 0 and 2; agent 1
+        # takes 10/20/30 QP iterations per step, agent 2 always 4
         columns = ["t", "k", "ferr_stacked", "clr_obs", "clr_pair", "u1_0", "u2_0",
                    "ocp1_status", "ocp1_iters", "ocp2_status", "ocp2_iters"]
         k = np.array([0, 0, 1, 1, 2, 2, 2], dtype=float)
@@ -182,8 +222,17 @@ class TestTraceMetrics:
         data[:, 1] = k
         data[:, columns.index("ocp1_status")] = np.where(k == 0, 2.0, 0.0)
         data[:, columns.index("ocp2_status")] = np.where(k == 1, 1.0, 2.0)
-        trace = SimTrace(columns=columns, data=data, metadata={})
-        assert trace_metrics(trace)["relaxed_steps"] == 3
+        data[:, columns.index("ocp1_iters")] = 10.0 * (k + 1.0)
+        data[:, columns.index("ocp2_iters")] = 4.0
+        return SimTrace(columns=columns, data=data, metadata={})
+
+    def test_relaxed_steps_counted_once_per_sampling_step(self):
+        assert trace_metrics(self.synthetic_trace())["relaxed_steps"] == 3
+
+    def test_mean_qp_iterations_counted_once_per_sampling_step(self):
+        # per fine row, the final step's extra row would give agent 1 150/7
+        mean = trace_metrics(self.synthetic_trace())["mean_qp_iterations"]
+        assert mean == pytest.approx((20.0 + 4.0) / 2, abs=1e-12)
 
 
 class TestTraceRoundTrip:
