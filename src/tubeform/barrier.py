@@ -13,6 +13,7 @@ Only the k = n derivative contains the input, entering through 2 <D^0, v>.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,12 +27,17 @@ DEGENERATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuadraticBarrier:
-    """Obstacle barrier ||p - c||^2 - R^2 or pairwise ||p_i - p_j||^2 - d^2."""
+    """Obstacle barrier ||p - c||^2 - R^2 or pairwise ||p_i - p_j||^2 - d^2.
+
+    An obstacle barrier may stand for a stack of obstacles: ``center`` is
+    then ``(..., d)`` and ``eff_radius`` ``(...)``, broadcast against the
+    states' stack axes (see ``for_obstacles``).
+    """
 
     kind: str  # "obstacle" or "pairwise"
     dims: BrunovskyDims
-    center: tuple[float, ...] | None = None
-    eff_radius: float = 0.0
+    center: tuple | None = None
+    eff_radius: float | tuple = 0.0
     safe_dist: float = 0.0
 
     def __post_init__(self):
@@ -50,6 +56,16 @@ class QuadraticBarrier:
         )
 
     @classmethod
+    def for_obstacles(cls, dims: BrunovskyDims, obstacles) -> QuadraticBarrier:
+        """One barrier over the obstacle stack; states broadcast as ``(..., n_obs, nd)``."""
+        return cls(
+            kind="obstacle",
+            dims=dims,
+            center=tuple(tuple(o.center) for o in obstacles),
+            eff_radius=tuple(o.effective_radius for o in obstacles),
+        )
+
+    @classmethod
     def for_pair(cls, dims: BrunovskyDims, safe_dist: float) -> QuadraticBarrier:
         return cls(kind="pairwise", dims=dims, safe_dist=safe_dist)
 
@@ -57,39 +73,45 @@ class QuadraticBarrier:
     def relative_degree(self) -> int:
         return self.dims.n
 
-    def offset_chain(
-        self, x_self: np.ndarray, x_other: np.ndarray | None
-    ) -> list[np.ndarray]:
-        """D^0 .. D^{n-1}: position offset then derivative blocks."""
-        d, n = self.dims.d, self.dims.n
-        if self.kind == "obstacle":
-            blocks = [x_self[p * d : (p + 1) * d].copy() for p in range(n)]
-            blocks[0] = blocks[0] - np.asarray(self.center)
-        else:
-            if x_other is None:
-                raise DimensionMismatch("pairwise barrier needs both agents' states")
-            blocks = [
-                x_self[p * d : (p + 1) * d] - x_other[p * d : (p + 1) * d]
-                for p in range(n)
-            ]
-        return blocks
+    @functools.cached_property
+    def _center_chain(self) -> np.ndarray:
+        """(..., n, d) chain of the obstacle center(s): the center, then zero derivatives."""
+        center = np.asarray(self.center, dtype=float)
+        chain = np.zeros(center.shape[:-1] + (self.dims.n, self.dims.d))
+        chain[..., 0, :] = center
+        return chain
 
-    def value(self, x_self: np.ndarray, x_other: np.ndarray | None = None) -> float:
-        d0 = self.offset_chain(x_self, x_other)[0]
-        ref = self.eff_radius if self.kind == "obstacle" else self.safe_dist
-        return float(d0 @ d0) - ref * ref
+    @property
+    def reference(self) -> float | np.ndarray:
+        """Keep-out radius R (per obstacle of a stack) or the safe distance d."""
+        return np.asarray(self.eff_radius) if self.kind == "obstacle" else self.safe_dist
+
+    def offset_chain(self, x_self: np.ndarray, x_other: np.ndarray | None) -> np.ndarray:
+        """(..., n, d) stack of D^0 .. D^{n-1}: position offset then derivative blocks."""
+        d, n = self.dims.d, self.dims.n
+        x_self = np.asarray(x_self)
+        chain = x_self.reshape(x_self.shape[:-1] + (n, d))
+        if self.kind == "obstacle":
+            return chain - self._center_chain
+        if x_other is None:
+            raise DimensionMismatch("pairwise barrier needs both agents' states")
+        x_other = np.asarray(x_other)
+        return chain - x_other.reshape(x_other.shape[:-1] + (n, d))
+
+    def value(self, x_self: np.ndarray, x_other: np.ndarray | None = None) -> float | np.ndarray:
+        d0 = self.offset_chain(x_self, x_other)[..., 0, :]
+        ref = self.reference
+        return np.sum(d0 * d0, axis=-1) - ref * ref
 
     def gradient_self(self, x_self: np.ndarray, x_other: np.ndarray | None = None) -> np.ndarray:
         """Gradient over agent i's full chain state (position block only)."""
-        d0 = self.offset_chain(x_self, x_other)[0]
-        grad = np.zeros(self.dims.nd)
-        grad[: self.dims.d] = 2.0 * d0
+        d0 = self.offset_chain(x_self, x_other)[..., 0, :]
+        grad = np.zeros(d0.shape[:-1] + (self.dims.nd,))
+        grad[..., : self.dims.d] = 2.0 * d0
         return grad
 
     def gradient_other(self, x_self: np.ndarray, x_other: np.ndarray) -> np.ndarray:
-        grad = np.zeros(self.dims.nd)
-        grad[: self.dims.d] = -2.0 * self.offset_chain(x_self, x_other)[0]
-        return grad
+        return -self.gradient_self(x_self, x_other)
 
 
 @dataclass(frozen=True)
@@ -117,11 +139,30 @@ class EcbfCoefficients:
 
 @dataclass(frozen=True)
 class LieDerivatives:
-    """Orders 0..r-1 plus the split top derivative L^r h = drift + row . v."""
+    """Orders 0..r-1 plus the split top derivative L^r h = drift + row . v.
 
-    values: tuple[float, ...]  # h, Lh, ..., L^{r-1} h
-    input_row: np.ndarray  # (d,): coefficient of the own nominal input
-    drift_term: float  # input-free part of L^r h
+    For a stack of states every field carries the stack's leading axes.
+    """
+
+    values: tuple  # h, Lh, ..., L^{r-1} h: floats, or (...) arrays for a stack
+    input_row: np.ndarray  # (..., d): coefficient of the own nominal input
+    drift_term: float | np.ndarray  # input-free part of L^r h
+
+
+@functools.lru_cache(maxsize=None)
+def _leibniz_weights(n: int) -> np.ndarray:
+    """(n*n, n+1) Leibniz weights on the flattened Gram matrix G[m, j] = <D^m, D^j>.
+
+    Column k < n sums binom(k, m) G[m, k-m] (L^k h before subtracting the
+    squared radius); column n holds the terms m = 1 .. n-1 of L^n h, the
+    part with neither the input nor the exogenous drift.
+    """
+    w = np.zeros((n, n, n + 1))
+    for k in range(n + 1):
+        for m in range(k + 1) if k < n else range(1, n):
+            w[m, k - m, k] = math.comb(k, m)
+    w.setflags(write=False)
+    return w.reshape(n * n, n + 1)
 
 
 def lie_derivatives(
@@ -133,65 +174,60 @@ def lie_derivatives(
 ) -> LieDerivatives:
     """Closed-form Lie derivatives of a quadratic barrier along the chain flow.
 
+    The states are one ``(nd,)`` vector each or ``(..., nd)`` stacks that
+    broadcast together (as do ``(..., d)`` top derivatives); the result then
+    holds one set of derivatives per stacked state.
     ``drift_top_self`` is the exogenous part of agent i's top-order
     derivative (the held leader feedforward sample); ``top_other`` is the
     neighbor's full predicted top derivative for pairwise barriers.
-    Raises DegenerateGradient when the position offset is numerically zero.
+    Raises DegenerateGradient when a position offset is numerically zero.
     """
-    dims = barrier.dims
-    n = dims.n
+    n = barrier.dims.n
     blocks = barrier.offset_chain(x_self, x_other)
-    if float(np.linalg.norm(blocks[0])) < DEGENERATE_TOL:
+    gram = blocks @ blocks.swapaxes(-1, -2)  # G[m, j] = <D^m, D^j>
+    if (gram[..., 0, 0] < DEGENERATE_TOL**2).any():
         raise DegenerateGradient("barrier gradient undefined at zero offset")
+    orders = gram.reshape(gram.shape[:-2] + (n * n,)) @ _leibniz_weights(n)
 
-    ref = barrier.eff_radius if barrier.kind == "obstacle" else barrier.safe_dist
-    values = []
-    for k in range(n):
-        total = sum(
-            math.comb(k, m) * float(blocks[m] @ blocks[k - m]) for m in range(k + 1)
-        )
-        values.append(total)
-    values[0] -= ref * ref
+    ref = barrier.reference
+    values = [orders[..., k] for k in range(n)]
+    values[0] = values[0] - ref * ref
 
-    drift_self = np.zeros(dims.d) if drift_top_self is None else np.asarray(drift_top_self)
-    if barrier.kind == "pairwise":
-        other_top = np.zeros(dims.d) if top_other is None else np.asarray(top_other)
-        d_n_exo = drift_self - other_top
-    else:
-        d_n_exo = drift_self
-
-    drift = 2.0 * float(blocks[0] @ d_n_exo)
-    drift += sum(
-        math.comb(n, m) * float(blocks[m] @ blocks[n - m]) for m in range(1, n)
-    )
-    return LieDerivatives(
-        values=tuple(values),
-        input_row=2.0 * blocks[0],
-        drift_term=drift,
-    )
+    d_n_exo = np.zeros(barrier.dims.d) if drift_top_self is None else np.asarray(drift_top_self)
+    if barrier.kind == "pairwise" and top_other is not None:
+        d_n_exo = d_n_exo - np.asarray(top_other)
+    d0 = blocks[..., 0, :]
+    drift = 2.0 * np.einsum("...i,...i->...", d0, d_n_exo) + orders[..., n]
+    return LieDerivatives(values=tuple(values), input_row=2.0 * d0, drift_term=drift)
 
 
-def margin_obstacle(r_ball: float, grad: np.ndarray) -> float:
-    """Tightening margin r_ball * ||grad h|| for one obstacle constraint."""
-    return r_ball * float(np.linalg.norm(grad))
+def margin_obstacle(r_ball: float, grad: np.ndarray) -> float | np.ndarray:
+    """Tightening margin r_ball * ||grad h|| for one obstacle constraint (or a stack)."""
+    return r_ball * np.linalg.norm(grad, axis=-1)
 
 
 def margin_pairwise(
-    r_ball_i: float, r_ball_j: float, grad_i: np.ndarray, grad_j: np.ndarray
-) -> float:
+    r_ball_i: float | np.ndarray,
+    r_ball_j: float | np.ndarray,
+    grad_i: np.ndarray,
+    grad_j: np.ndarray,
+) -> float | np.ndarray:
     """Sum of both agents' support terms along the pairwise barrier gradients."""
-    return r_ball_i * float(np.linalg.norm(grad_i)) + r_ball_j * float(
-        np.linalg.norm(grad_j)
+    return r_ball_i * np.linalg.norm(grad_i, axis=-1) + r_ball_j * np.linalg.norm(
+        grad_j, axis=-1
     )
 
 
 @dataclass(frozen=True)
 class TightenedConstraintRow:
-    """Affine constraint a . v + b >= 0 on the nominal input at one step."""
+    """Affine constraint a . v + b >= 0 on the nominal input at one step.
 
-    a: np.ndarray  # (d,)
-    b: float
-    margin: float
+    Rows assembled on a stack of states carry its leading axes in every field.
+    """
+
+    a: np.ndarray  # (..., d)
+    b: float | np.ndarray
+    margin: float | np.ndarray
 
 
 def assemble_row(
@@ -199,16 +235,18 @@ def assemble_row(
     kappa: EcbfCoefficients,
     x_self: np.ndarray,
     x_other: np.ndarray | None,
-    margin: float,
+    margin: float | np.ndarray,
     drift_top_self: np.ndarray | None = None,
     top_other: np.ndarray | None = None,
 ) -> TightenedConstraintRow:
-    """Tightened eCBF row at the given nominal linearization states."""
+    """Tightened eCBF row(s) at the given nominal linearization state(s)."""
     lie = lie_derivatives(barrier, x_self, x_other, drift_top_self, top_other)
     if len(kappa.kappa) != barrier.relative_degree:
         raise DimensionMismatch("kappa length must equal the relative degree")
     b = lie.drift_term
     for q in range(1, barrier.relative_degree):
-        b += kappa.kappa[q] * lie.values[q]
-    b += kappa.kappa[0] * (lie.values[0] - margin)
-    return TightenedConstraintRow(a=lie.input_row, b=float(b), margin=margin)
+        b = b + kappa.kappa[q] * lie.values[q]
+    b = b + kappa.kappa[0] * (lie.values[0] - margin)
+    if np.ndim(b) == 0:
+        b = float(b)
+    return TightenedConstraintRow(a=lie.input_row, b=b, margin=margin)

@@ -11,10 +11,19 @@ The QP is condensed onto the input sequence; the terminal control law is
 substituted directly, the terminal ellipsoid enters as one supporting
 hyperplane per linearization pass, and barrier rows are affine in the
 per-step input at a frozen linearization trajectory.
+
+What depends only on the ``OcpSpec`` is built once per spec and terminal-law
+choice (``OcpSpec.condensing``): the stacked error response to e0, to the
+drive and to the inputs, the terminal-law substitution map, the cost and
+input-rate matrices, the full and reduced Hessians, and the input-box rows.
+Each ``build_qp`` call then computes only what moves with e0, the drive
+sequence and the previous input: the error and input offsets, the linear
+and constant cost terms, and the barrier, error-box and terminal-cut rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +100,11 @@ def terminal_ingredients(
 
 @dataclass(frozen=True)
 class OcpSpec:
-    """Weights, horizon, and terminal ingredients for one agent's OCP."""
+    """Weights, horizon, and terminal ingredients for one agent's OCP.
+
+    The spec is immutable: the condensing structure derived from it is
+    built on first use and kept (``condensing``).
+    """
 
     dims: BrunovskyDims
     horizon: int
@@ -111,6 +124,17 @@ class OcpSpec:
     @property
     def n_inputs(self) -> int:
         return self.horizon * self.dims.d
+
+    @functools.cached_property
+    def _condensings(self) -> dict[bool, _Condensing]:
+        return {}
+
+    def condensing(self, use_terminal_law: bool) -> _Condensing:
+        """The spec-only part of the condensed QP, built once per terminal-law choice."""
+        cache = self._condensings
+        if use_terminal_law not in cache:
+            cache[use_terminal_law] = _Condensing.build(self, use_terminal_law)
+        return cache[use_terminal_law]
 
 
 @dataclass
@@ -138,21 +162,104 @@ class _CondensedMaps:
     n_slack: int = 0  # trailing slack variables appended to the QP decision
 
 
-def _stacked_error_maps(spec: OcpSpec, e0: np.ndarray, s_seq: np.ndarray):
-    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
-    powers = [np.eye(nd)]
-    for _ in range(h):
-        powers.append(spec.ad @ powers[-1])
-    bz = np.zeros((h * nd, h * d))
-    f_off = np.zeros(h * nd)
-    for step in range(1, h + 1):
-        row = (step - 1) * nd
-        f_off[row : row + nd] = powers[step] @ e0
-        for m in range(step):
-            bz[row : row + nd, m * d : (m + 1) * d] = powers[step - 1 - m] @ spec.bd
-    e_map = -spec.coupling * bz
-    e_off = f_off + bz @ s_seq.reshape(-1)
-    return e_map, e_off
+@dataclass(frozen=True)
+class _Condensing:
+    """Everything in the condensed QP that depends only on the spec.
+
+    The arrays are read-only: ``build_qp`` hands some of them out in the
+    problems it returns.
+    """
+
+    free_map: np.ndarray  # (H nd, nd): Ad^1 .. Ad^H, the stacked errors' response to e0
+    bz: np.ndarray  # (H nd, H d): their response to the per-step drive
+    e_map: np.ndarray  # -coupling * bz: their response to the inputs
+    t_map: np.ndarray  # (H d, n_free): the full inputs from the free ones
+    w_mat: np.ndarray | None  # terminal law v_{H-1} = w_mat ebar_{H-1} + w_drive s_{H-1}
+    w_drive: np.ndarray | None
+    c_e: np.ndarray  # block-diagonal error cost (Qr, ..., Qr, Pr)
+    rd_full: np.ndarray  # block-diagonal input-rate cost
+    lin_e: np.ndarray  # linear cost term per unit e_off: 2 e_map' C_e
+    lin_d: np.ndarray  # linear cost term per unit d_off: 2 D' Rd
+    hess: np.ndarray  # Hessian on the full input stack
+    hess_f: np.ndarray  # reduced onto the free inputs, symmetrized
+    box_a: np.ndarray  # hard input-box rows on the full inputs (rhs -input_bound)
+    box_a_f: np.ndarray  # box_a @ t_map
+
+    @classmethod
+    def build(cls, spec: OcpSpec, use_terminal_law: bool) -> _Condensing:
+        h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
+        n_z = h * d
+        powers = [np.eye(nd)]
+        for _ in range(h):
+            powers.append(spec.ad @ powers[-1])
+        bz = np.zeros((h * nd, n_z))
+        for step in range(1, h + 1):
+            row = (step - 1) * nd
+            for m in range(step):
+                bz[row : row + nd, m * d : (m + 1) * d] = powers[step - 1 - m] @ spec.bd
+        e_map = -spec.coupling * bz
+
+        # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0
+        w_mat = w_drive = None
+        if use_terminal_law:
+            if spec.terminal_gain is None:
+                raise ScenarioError("terminal law requested without a terminal gain")
+            if h < 2:
+                raise ScenarioError("terminal-law substitution needs horizon >= 2")
+            khat = spec.terminal_gain
+            lhs = np.eye(d) - spec.coupling * (khat @ spec.bd)
+            w_mat = -np.linalg.solve(lhs, khat @ spec.ad)
+            w_drive = -np.linalg.solve(lhs, khat @ spec.bd)
+            row = (h - 2) * nd
+            n_free = (h - 1) * d
+            t_map = np.zeros((n_z, n_free))
+            t_map[:n_free, :] = np.eye(n_free)
+            t_map[n_free:, :] = w_mat @ e_map[row : row + nd, :n_free]
+        else:
+            t_map = np.eye(n_z)
+
+        # cost: sum_{l=1}^{H-1} |e_l|_Qr^2 + |e_H|_Pr^2 + sum |v_l|_R^2 + |dv_l|_Rd^2
+        cost_blocks = [spec.qr] * (h - 1) + [spec.pr]
+        c_e = np.zeros((h * nd, h * nd))
+        for idx, blk in enumerate(cost_blocks):
+            c_e[idx * nd : (idx + 1) * nd, idx * nd : (idx + 1) * nd] = blk
+        hess = 2.0 * (e_map.T @ c_e @ e_map)
+        for step in range(h):
+            sl = slice(step * d, (step + 1) * d)
+            hess[sl, sl] += 2.0 * spec.r
+        d_mat = np.eye(n_z)
+        for step in range(1, h):
+            d_mat[step * d : (step + 1) * d, (step - 1) * d : step * d] = -np.eye(d)
+        rd_full = np.kron(np.eye(h), spec.rdelta)
+        hess += 2.0 * d_mat.T @ rd_full @ d_mat
+        hess_f = t_map.T @ hess @ t_map
+        hess_f = 0.5 * (hess_f + hess_f.T)
+
+        box_a = np.zeros((0, n_z))
+        if np.isfinite(spec.input_bound):
+            # per step and axis: v >= -bound, then -v >= -bound
+            box_a = np.kron(np.eye(n_z), [[1.0], [-1.0]])
+
+        parts = dict(
+            free_map=np.vstack(powers[1:]),
+            bz=bz,
+            e_map=e_map,
+            t_map=t_map,
+            w_mat=w_mat,
+            w_drive=w_drive,
+            c_e=c_e,
+            rd_full=rd_full,
+            lin_e=2.0 * (e_map.T @ c_e),
+            lin_d=2.0 * d_mat.T @ rd_full,
+            hess=hess,
+            hess_f=hess_f,
+            box_a=box_a,
+            box_a_f=box_a @ t_map,
+        )
+        for arr in parts.values():
+            if arr is not None:
+                arr.setflags(write=False)
+        return cls(**parts)
 
 
 def build_qp(
@@ -184,89 +291,43 @@ def build_qp(
     if e0.shape != (nd,) or s_seq.shape != (h, d):
         raise DimensionMismatch("bad e0 or exogenous sequence shape")
     n_z = h * d
-    e_map, e_off = _stacked_error_maps(spec, e0, s_seq)
-
-    # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0
+    cond = spec.condensing(use_terminal_law)
+    e_map, t_map = cond.e_map, cond.t_map
+    e_off = cond.free_map @ e0 + cond.bz @ s_seq.reshape(-1)
+    t_off = np.zeros(n_z)
     if use_terminal_law:
-        if spec.terminal_gain is None:
-            raise ScenarioError("terminal law requested without a terminal gain")
-        if h < 2:
-            raise ScenarioError("terminal-law substitution needs horizon >= 2")
-        khat = spec.terminal_gain
-        lhs = np.eye(d) - spec.coupling * (khat @ spec.bd)
-        w_mat = -np.linalg.solve(lhs, khat @ spec.ad)
-        w_off = -np.linalg.solve(lhs, khat @ spec.bd @ s_seq[h - 1])
         row = (h - 2) * nd
-        eh1_map = e_map[row : row + nd, : (h - 1) * d]
-        eh1_off = e_off[row : row + nd]
-        n_free = (h - 1) * d
-        t_map = np.zeros((n_z, n_free))
-        t_map[:n_free, :] = np.eye(n_free)
-        t_map[n_free:, :] = w_mat @ eh1_map
-        t_off = np.zeros(n_z)
-        t_off[n_free:] = w_mat @ eh1_off + w_off
-    else:
-        t_map = np.eye(n_z)
-        t_off = np.zeros(n_z)
+        t_off[(h - 1) * d :] = cond.w_mat @ e_off[row : row + nd] + cond.w_drive @ s_seq[h - 1]
 
-    # cost: sum_{l=1}^{H-1} |e_l|_Qr^2 + |e_H|_Pr^2 + sum |v_l|_R^2 + |dv_l|_Rd^2
-    cost_blocks = [spec.qr] * (h - 1) + [spec.pr]
-    c_e = np.zeros((h * nd, h * nd))
-    for idx, blk in enumerate(cost_blocks):
-        c_e[idx * nd : (idx + 1) * nd, idx * nd : (idx + 1) * nd] = blk
-    hess = 2.0 * (e_map.T @ c_e @ e_map)
-    lin = 2.0 * (e_map.T @ c_e @ e_off)
-    const = float(e_off @ c_e @ e_off) + float(e0 @ spec.qr @ e0)
-
-    for step in range(h):
-        sl = slice(step * d, (step + 1) * d)
-        hess[sl, sl] += 2.0 * spec.r
-
-    d_mat = np.eye(n_z)
-    for step in range(1, h):
-        d_mat[step * d : (step + 1) * d, (step - 1) * d : step * d] = -np.eye(d)
     d_off = np.zeros(n_z)
     d_off[:d] = -v_prev
-    rd_full = np.kron(np.eye(h), spec.rdelta)
-    hess += 2.0 * d_mat.T @ rd_full @ d_mat
-    lin += 2.0 * d_mat.T @ rd_full @ d_off
-    const += float(d_off @ rd_full @ d_off)
+    lin = cond.lin_e @ e_off + cond.lin_d @ d_off
+    const = (
+        float(e_off @ cond.c_e @ e_off)
+        + float(e0 @ spec.qr @ e0)
+        + float(d_off @ cond.rd_full @ d_off)
+    )
 
     if slack_penalty is not None and np.isscalar(slack_penalty):
         slack_penalty = (float(slack_penalty),)
-    rows_a: list[np.ndarray] = []
-    rows_b: list[float] = []
-    soft: list[int] = []  # -1 hard, otherwise slack-group index
-    if np.isfinite(spec.input_bound):
-        for step in range(h):
-            for axis in range(d):
-                unit = np.zeros(n_z)
-                unit[step * d + axis] = 1.0
-                rows_a.append(unit)
-                rows_b.append(-spec.input_bound)
-                rows_a.append(-unit)
-                rows_b.append(-spec.input_bound)
-                soft += [-1, -1]
-    for entry in barrier_rows:
-        step, a_vec, b_val = entry[0], entry[1], entry[2]
-        group = entry[3] if len(entry) > 3 else 0
-        row = np.zeros(n_z)
-        row[step * d : (step + 1) * d] = a_vec
-        rows_a.append(row)
-        rows_b.append(-b_val)
-        soft.append(group)
+    # rows a . z + b' >= 0 on the full inputs after the box rows, as (a, -b', group)
+    # with group -1 hard, otherwise the slack group
+    a_rows = np.zeros((len(barrier_rows), n_z))
+    for idx, entry in enumerate(barrier_rows):
+        a_rows[idx, entry[0] * d : (entry[0] + 1) * d] = entry[1]
+    b_rows = [-entry[2] for entry in barrier_rows]
+    soft = [entry[3] if len(entry) > 3 else 0 for entry in barrier_rows]
     if spec.error_box is not None:
-        for step in range(1, h + 1):
-            blk = slice((step - 1) * nd, step * nd)
-            for comp in range(nd):
-                bound = spec.error_box[comp]
-                if not np.isfinite(bound):
-                    continue
-                rows_a.append(-e_map[blk][comp])
-                rows_b.append(e_off[blk][comp] - bound)
-                rows_a.append(e_map[blk][comp])
-                rows_b.append(-e_off[blk][comp] - bound)
-                soft += [-1, -1]
+        bound = np.tile(spec.error_box, h)
+        keep = np.flatnonzero(np.isfinite(bound))
+        box = np.empty((2 * keep.size, n_z))
+        box[0::2], box[1::2] = -e_map[keep], e_map[keep]
+        box_b = np.empty(2 * keep.size)
+        box_b[0::2] = e_off[keep] - bound[keep]
+        box_b[1::2] = -e_off[keep] - bound[keep]
+        a_rows = np.vstack([a_rows, box])
+        b_rows += box_b.tolist()
+        soft += [-1] * box_b.size
     if (
         use_terminal_law
         and terminal_e_ref is not None
@@ -277,40 +338,35 @@ def build_qp(
             y = terminal_e_ref * math.sqrt(spec.terminal_level / level)
             py = spec.pr @ y
             blk = slice((h - 1) * nd, h * nd)
-            rows_a.append(-e_map[blk].T @ py)
-            rows_b.append(float(py @ e_off[blk]) - spec.terminal_level)
+            a_rows = np.vstack([a_rows, -e_map[blk].T @ py])
+            b_rows.append(float(py @ e_off[blk]) - spec.terminal_level)
             soft.append(len(slack_penalty) - 1 if slack_penalty is not None else 0)
 
-    a_in = np.asarray(rows_a) if rows_a else np.zeros((0, n_z))
-    b_in = np.asarray(rows_b) if rows_b else np.zeros(0)
-
     # reduce everything onto the free inputs
-    hess_f = t_map.T @ hess @ t_map
+    hess, hess_f = cond.hess, cond.hess_f
     lin_f = t_map.T @ (hess @ t_off + lin)
     const_f = const + float(0.5 * t_off @ hess @ t_off + lin @ t_off)
-    a_f = a_in @ t_map if a_in.size else np.zeros((0, t_map.shape[1]))
-    b_f = b_in - (a_in @ t_off if a_in.size else 0.0)
-    hess_f = 0.5 * (hess_f + hess_f.T)
+    a_f = np.vstack([cond.box_a_f, a_rows @ t_map])
+    b_f = np.concatenate(
+        [-spec.input_bound - cond.box_a @ t_off, np.asarray(b_rows) - a_rows @ t_off]
+    )
+    soft = [-1] * cond.box_a.shape[0] + soft
 
     used_groups = sorted({g for g in soft if g >= 0}) if slack_penalty is not None else []
     if used_groups:
         n_free = hess_f.shape[0]
         n_sig = len(used_groups)
-        col_of = {g: n_free + idx for idx, g in enumerate(used_groups)}
-        hess_s = np.zeros((n_free + n_sig, n_free + n_sig))
+        hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
         hess_s[:n_free, :n_free] = hess_f
-        for idx in range(n_sig):
-            hess_s[n_free + idx, n_free + idx] = 1.0  # keeps the Hessian SPD
         lin_s = np.concatenate(
             [lin_f, [slack_penalty[min(g, len(slack_penalty) - 1)] for g in used_groups]]
         )
+        soft_arr = np.asarray(soft)
         a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
         a_s[: a_f.shape[0], :n_free] = a_f
-        for ridx, g in enumerate(soft):
-            if g >= 0:
-                a_s[ridx, col_of[g]] = 1.0
-        for idx in range(n_sig):  # slack nonnegativity
-            a_s[a_f.shape[0] + idx, n_free + idx] = 1.0
+        for idx, g in enumerate(used_groups):
+            a_s[: a_f.shape[0], n_free + idx] = soft_arr == g
+        a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
         b_s = np.concatenate([b_f, np.zeros(n_sig)])
         qp = QpProblem(hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f)
     else:

@@ -156,9 +156,10 @@ class SimWorld:
         self.gain = cert.tubes[0].lyap.gain
         self.p_mat = cert.tubes[0].lyap.p
         self.kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)
-        self.obstacle_barriers = [
-            QuadraticBarrier.for_obstacle(cfg.dims, o) for o in cfg.obstacles
-        ]
+        self.obstacle_barrier = (
+            QuadraticBarrier.for_obstacles(cfg.dims, cfg.obstacles) if cfg.obstacles else None
+        )
+        self._obstacle_centers = np.array([o.center for o in cfg.obstacles], dtype=float)
         self.pair_barrier = QuadraticBarrier.for_pair(cfg.dims, cfg.barriers.d_safe)
 
         if sim.baseline_margins:
@@ -261,11 +262,12 @@ class SimWorld:
         def nominal(x, time):
             return chain_derivative(self.dims, x, drift(x, time))
 
-        for l in range(self.horizon):
-            samples[:, l] = drift(state, t)
+        samples[:, 0] = drift(state, t)
+        for l in range(1, self.horizon):
             for _ in range(self.sim.fine_substeps):
                 state = rk4_step(nominal, state, t, h)
                 t += h
+            samples[:, l] = drift(state, t)
         return samples
 
     # --- per-step phases ---
@@ -291,43 +293,40 @@ class SimWorld:
         return v_hats, x_hats, s_seqs
 
     def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, x_hats: dict[int, np.ndarray], v_hats: dict[int, np.ndarray]):
+        """Barrier rows (step, a, b, group) on the steps before the terminal law.
+
+        One stacked row call per barrier kind: obstacles within the activation
+        range (group 0), then neighbors (group 1), ordered by step.
+        """
+        steps = self.horizon - 1  # the last input follows the terminal law
         margin_i = self.margin_radii[i + 1]
         activation = self.cfg.barriers.activation_range
+        ff = ff_seq[:steps, None]
+        nbrs = list(x_hats) if k > 0 else []  # inter-agent rows removed at deployment
+        if nbrs:
+            x_other = np.stack([x_hats[j][:steps] for j in nbrs], axis=1)
+            top_other = np.stack([v_hats[j][:steps] for j in nbrs], axis=1) + ff
+            r_other = np.array([self.radius_tables[i + 1][j + 1] for j in nbrs])
 
         def rows(states: np.ndarray):
+            xs = states[:steps, None]
             out = []
-            for l in range(self.horizon):
-                xl = states[l]
-                pos = xl[: self.d]
-                for barrier in self.obstacle_barriers:
-                    if np.linalg.norm(pos - np.asarray(barrier.center)) > activation:
-                        continue
-                    grad = barrier.gradient_self(xl)
-                    margin = margin_obstacle(margin_i, grad)
-                    row = assemble_row(
-                        barrier, self.kappa, xl, None, margin, drift_top_self=ff_seq[l]
-                    )
-                    out.append((l, row.a, row.b, 0))
-                if k == 0:
-                    continue  # inter-agent rows removed at deployment
-                for j, x_hat in x_hats.items():
-                    xjl = x_hat[l]
-                    grad_i = self.pair_barrier.gradient_self(xl, xjl)
-                    grad_j = self.pair_barrier.gradient_other(xl, xjl)
-                    margin = margin_pairwise(
-                        margin_i, self.radius_tables[i + 1][j + 1], grad_i, grad_j
-                    )
-                    row = assemble_row(
-                        self.pair_barrier,
-                        self.kappa,
-                        xl,
-                        xjl,
-                        margin,
-                        drift_top_self=ff_seq[l],
-                        top_other=v_hats[j][l] + ff_seq[l],
-                    )
-                    out.append((l, row.a, row.b, 1))
-            return out
+            barrier = self.obstacle_barrier
+            if barrier is not None:
+                dist = np.linalg.norm(xs[..., : self.d] - self._obstacle_centers, axis=-1)
+                margin = margin_obstacle(margin_i, barrier.gradient_self(xs))
+                row = assemble_row(barrier, self.kappa, xs, None, margin, drift_top_self=ff)
+                active = np.argwhere(dist <= activation).tolist()
+                out += [(l, row.a[l, o], row.b[l, o], 0) for l, o in active]
+            if nbrs:
+                pair = self.pair_barrier
+                grad = pair.gradient_self(xs, x_other)  # the other agent's gradient is -grad
+                margin = margin_pairwise(margin_i, r_other, grad, -grad)
+                row = assemble_row(
+                    pair, self.kappa, xs, x_other, margin, drift_top_self=ff, top_other=top_other
+                )
+                out += [(l, row.a[l, j], row.b[l, j], 1) for l, j in np.ndindex(row.b.shape)]
+            return sorted(out, key=lambda r: r[0])  # stable: obstacles first within a step
 
         return rows
 

@@ -139,6 +139,99 @@ class TestLieDerivatives:
                 assert grad[comp] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
+class TestStackedRows:
+    """Stacked states give the same rows as one call per state."""
+
+    @staticmethod
+    def assert_same_rows(lie, row, single_lie, single_row, idx):
+        for value, single in zip(lie.values, single_lie.values):
+            assert value[idx] == pytest.approx(single, rel=1e-13, abs=1e-13)
+        np.testing.assert_allclose(lie.input_row[idx], single_lie.input_row, rtol=1e-13, atol=1e-13)
+        assert lie.drift_term[idx] == pytest.approx(single_lie.drift_term, rel=1e-13, abs=1e-13)
+        np.testing.assert_allclose(row.a[idx], single_row.a, rtol=1e-13, atol=1e-13)
+        assert row.b[idx] == pytest.approx(single_row.b, rel=1e-13, abs=1e-13)
+
+    def test_obstacle_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(21)
+        barrier = obstacle_barrier(center=(0.5, -0.5), radius=0.7)
+        xs = rng.normal(size=(2, 4, 6))
+        ff = rng.normal(size=(2, 4, 2))
+        margins = rng.uniform(0.0, 0.3, size=(2, 4))
+        lie = lie_derivatives(barrier, xs, drift_top_self=ff)
+        row = assemble_row(barrier, KAPPA, xs, None, margins, drift_top_self=ff)
+        assert row.a.shape == (2, 4, 2) and row.b.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            single_lie = lie_derivatives(barrier, xs[idx], drift_top_self=ff[idx])
+            single_row = assemble_row(
+                barrier, KAPPA, xs[idx], None, margins[idx], drift_top_self=ff[idx]
+            )
+            self.assert_same_rows(lie, row, single_lie, single_row, idx)
+
+    def test_obstacle_set_broadcasts_against_states(self):
+        """One barrier over several obstacles: (steps, 1, nd) states give (steps, n_obs) rows."""
+        rng = np.random.default_rng(22)
+        obstacles = [
+            Obstacle(center=(1.0, 0.5), radius=0.4, inflation=0.1),
+            Obstacle(center=(-2.0, 0.0), radius=0.6),
+        ]
+        stacked = QuadraticBarrier.for_obstacles(DIMS, obstacles)
+        xs = rng.normal(size=(4, 1, 6))
+        ff = rng.normal(size=(4, 1, 2))
+        margins = margin_obstacle(0.2, stacked.gradient_self(xs))
+        lie = lie_derivatives(stacked, xs, drift_top_self=ff)
+        row = assemble_row(stacked, KAPPA, xs, None, margins, drift_top_self=ff)
+        assert row.b.shape == (4, 2)
+        for (l, o) in np.ndindex(4, 2):
+            barrier = QuadraticBarrier.for_obstacle(DIMS, obstacles[o])
+            margin = margin_obstacle(0.2, barrier.gradient_self(xs[l, 0]))
+            assert margins[l, o] == pytest.approx(margin, rel=1e-13)
+            single_lie = lie_derivatives(barrier, xs[l, 0], drift_top_self=ff[l, 0])
+            single_row = assemble_row(
+                barrier, KAPPA, xs[l, 0], None, margin, drift_top_self=ff[l, 0]
+            )
+            self.assert_same_rows(lie, row, single_lie, single_row, (l, o))
+
+    def test_pairwise_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(23)
+        barrier = QuadraticBarrier.for_pair(DIMS, safe_dist=0.3)
+        xi = rng.normal(size=(2, 4, 6))
+        xj = rng.normal(size=(2, 4, 6))
+        ff = rng.normal(size=(2, 4, 2))
+        top_other = rng.normal(size=(2, 4, 2))
+        grad_i = barrier.gradient_self(xi, xj)
+        grad_j = barrier.gradient_other(xi, xj)
+        margins = margin_pairwise(0.1, 0.2, grad_i, grad_j)
+        lie = lie_derivatives(barrier, xi, xj, drift_top_self=ff, top_other=top_other)
+        row = assemble_row(
+            barrier, KAPPA, xi, xj, margins, drift_top_self=ff, top_other=top_other
+        )
+        for idx in np.ndindex(2, 4):
+            margin = margin_pairwise(
+                0.1,
+                0.2,
+                barrier.gradient_self(xi[idx], xj[idx]),
+                barrier.gradient_other(xi[idx], xj[idx]),
+            )
+            assert margins[idx] == pytest.approx(margin, rel=1e-13)
+            single_lie = lie_derivatives(
+                barrier, xi[idx], xj[idx], drift_top_self=ff[idx], top_other=top_other[idx]
+            )
+            single_row = assemble_row(
+                barrier, KAPPA, xi[idx], xj[idx], margin,
+                drift_top_self=ff[idx], top_other=top_other[idx],
+            )
+            self.assert_same_rows(lie, row, single_lie, single_row, idx)
+
+    def test_one_degenerate_row_raises(self):
+        barrier = obstacle_barrier(center=(1.0, 1.0))
+        xs = np.random.default_rng(24).normal(size=(2, 4, 6))
+        xs[1, 2, :2] = (1.0, 1.0)  # this state sits on the center
+        with pytest.raises(DegenerateGradient):
+            lie_derivatives(barrier, xs)
+        with pytest.raises(DegenerateGradient):
+            assemble_row(barrier, KAPPA, xs, None, 0.0)
+
+
 class TestMargins:
     def test_zero_radius(self):
         assert margin_obstacle(0.0, np.ones(6)) == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,48 @@ class TestBuildQp:
         inputs = z.reshape(5, 2)
         errors = rollout_errors(spec, e0, s_seq, inputs)
         assert np.allclose(inputs[-1], -spec.terminal_gain @ errors[-1], atol=1e-9)
+
+
+class TestCondensingCache:
+    """build_qp on a spec whose structure is cached equals a build from scratch."""
+
+    ERROR_BOX = np.array([2.0, 2.5, np.inf, 3.0, np.inf, 1.5])
+
+    @pytest.mark.parametrize("use_terminal_law", [True, False])
+    @pytest.mark.parametrize("with_error_box", [False, True])
+    def test_cached_build_matches_fresh_spec(self, use_terminal_law, with_error_box):
+        spec = make_spec()
+        if with_error_box:
+            spec = dataclasses.replace(spec, error_box=self.ERROR_BOX)
+        rng = np.random.default_rng(7)
+        for _ in range(2):  # the second call reuses the first call's structure
+            e0 = rng.normal(size=6)
+            s_seq = rng.normal(size=(5, 2)) * 0.3
+            v_prev = rng.normal(size=2) * 0.1
+            rows = [
+                (int(rng.integers(0, 4)), rng.normal(size=2), float(rng.normal()), int(g))
+                for g in rng.integers(0, 2, size=5)
+            ]
+            args = (e0, s_seq, v_prev, rows)
+            kwargs = dict(
+                terminal_e_ref=rng.normal(size=6),
+                use_terminal_law=use_terminal_law,
+                slack_penalty=(1e6, 3e4, 1e4),
+            )
+            qp, maps = build_qp(spec, *args, **kwargs)
+            fresh_qp, fresh_maps = build_qp(dataclasses.replace(spec), *args, **kwargs)
+            for field in ("hessian", "linear", "a_in", "b_in"):
+                np.testing.assert_array_equal(getattr(qp, field), getattr(fresh_qp, field))
+            assert qp.constant == fresh_qp.constant
+            for field in ("t_map", "t_off", "e_map", "e_off"):
+                np.testing.assert_array_equal(getattr(maps, field), getattr(fresh_maps, field))
+            assert maps.n_slack == fresh_maps.n_slack
+        assert spec.condensing(use_terminal_law) is spec.condensing(use_terminal_law)
+        # input box 2 H d, five barrier rows, the finite error-box entries
+        # twice per step, and the terminal cut with the terminal law
+        n_box = 2 * 4 * 5 if with_error_box else 0
+        n_rows = 2 * 5 * 2 + 5 + n_box + int(use_terminal_law)
+        assert qp.a_in.shape[0] == n_rows + maps.n_slack
 
 
 class TestSolveOcp:

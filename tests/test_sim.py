@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from tubeform.barrier import QuadraticBarrier, assemble_row, margin_obstacle, margin_pairwise
+from tubeform.ocp import rollout_states
 from tubeform.pipeline import certify_scenario
+from tubeform.protocol import shift_plan
 from tubeform.scenario import load_scenario, parse_scenario
 from tubeform.sim import (
     SimConfig,
@@ -16,6 +19,7 @@ from tubeform.sim import (
 )
 
 SMOKE = "scenarios/smoke_scenario.json"
+PAPER = "scenarios/paper_scenario.json"
 
 
 def equilibrium_doc():
@@ -177,6 +181,64 @@ class TestLeaderFeedforward:
         np.testing.assert_allclose(
             stacked[:, 0], world.models[0].drift(anchors, 0.7), rtol=0, atol=0
         )
+
+
+def oracle_rows(world, i, k, ff_seq, x_hats, v_hats, states):
+    """One assemble_row call per (step, obstacle) and (step, neighbor) row."""
+    margin_i = world.margin_radii[i + 1]
+    out = []
+    for l in range(world.horizon - 1):
+        xl = states[l]
+        for obstacle in world.cfg.obstacles:
+            dist = np.linalg.norm(xl[: world.d] - np.asarray(obstacle.center))
+            if dist > world.cfg.barriers.activation_range:
+                continue
+            barrier = QuadraticBarrier.for_obstacle(world.dims, obstacle)
+            margin = margin_obstacle(margin_i, barrier.gradient_self(xl))
+            row = assemble_row(barrier, world.kappa, xl, None, margin, drift_top_self=ff_seq[l])
+            out.append((l, row.a, row.b, 0))
+        for j, x_hat in x_hats.items():
+            pair = world.pair_barrier
+            margin = margin_pairwise(
+                margin_i,
+                world.radius_tables[i + 1][j + 1],
+                pair.gradient_self(xl, x_hat[l]),
+                pair.gradient_other(xl, x_hat[l]),
+            )
+            row = assemble_row(
+                pair, world.kappa, xl, x_hat[l], margin,
+                drift_top_self=ff_seq[l], top_other=v_hats[j][l] + ff_seq[l],
+            )
+            out.append((l, row.a, row.b, 1))
+    return out
+
+
+class TestRowBuilder:
+    def test_stacked_rows_match_per_row_oracle(self):
+        """Mid-run paper state: agent 1 has one obstacle in range and one out."""
+        cfg = load_scenario(PAPER)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        k = 20
+        for step in range(k):
+            world.step(step)
+        ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
+        v_hats, x_hats, _ = world._neighbor_data(k, ff)
+        kept = filtered = 0
+        for i in range(world.n):
+            warm = shift_plan(world.prev_plans[i], world.specs[i].terminal_gain)
+            states = rollout_states(world.specs[i], world.x_nom[i], ff[i], warm)
+            rows = world._row_builder(i, k, ff[i], x_hats[i], v_hats[i])(states)
+            expected = oracle_rows(world, i, k, ff[i], x_hats[i], v_hats[i], states)
+            assert [(r[0], r[3]) for r in rows] == [(r[0], r[3]) for r in expected]
+            assert all(r[0] < world.horizon - 1 for r in rows)
+            for row, ref in zip(rows, expected):
+                np.testing.assert_allclose(row[1], ref[1], rtol=1e-12, atol=1e-12)
+                assert row[2] == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
+            n_obstacle = sum(r[3] == 0 for r in rows)
+            kept += n_obstacle
+            filtered += (world.horizon - 1) * len(cfg.obstacles) - n_obstacle
+        assert kept > 0 and filtered > 0  # the activation range really selects
 
 
 class TestDeterminism:
