@@ -341,6 +341,3 @@ class LyapunovPair:
 
     def residual(self) -> float:
         return float(np.linalg.norm(self.acl.T @ self.p + self.p @ self.acl + self.q, "fro"))
-
-    def lyapunov_value(self, deviation: np.ndarray) -> float:
-        return float(deviation @ self.p @ deviation)

@@ -7,18 +7,22 @@ polynomial chain, the one-step RK4 map coincides with the exact matrix
 exponential for n <= 4, so the discretization below uses the truncated
 series, which is exact.
 
-The QP is condensed onto the input sequence; the terminal control law is
-substituted directly, the terminal ellipsoid enters as one supporting
-hyperplane per linearization pass, and barrier rows are affine in the
-per-step input at a frozen linearization trajectory.
+The QP is condensed onto the input sequence. The terminal control law is
+always substituted for the last input, so the free inputs are steps
+0..H-2; the terminal ellipsoid enters as one supporting hyperplane per
+linearization pass, and barrier rows are affine in the per-step input at a
+frozen linearization trajectory.
 
-What depends only on the ``OcpSpec`` is built once per spec and terminal-law
-choice (``OcpSpec.condensing``): the stacked error response to e0, to the
-drive and to the inputs, the terminal-law substitution map, the cost and
+What depends only on the ``OcpSpec`` is built once per spec
+(``OcpSpec.condensing``): the stacked error response to e0, to the drive
+and to the inputs, the terminal-law substitution map, the cost and
 input-rate matrices, the full and reduced Hessians, and the input-box rows.
 Each ``build_qp`` call then computes only what moves with e0, the drive
 sequence and the previous input: the error and input offsets, the linear
 and constant cost terms, and the barrier, error-box and terminal-cut rows.
+
+The nominal states and the synchronization errors follow the same chain
+recurrence under different drives, so one ``rollout`` serves both.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
 SQP_TOL = 1e-5
 SQP_MAX_PASSES = 5
 SQP_DAMPING = 0.5  # relaxation applied after the first pass to stop zigzag
+QP_TOL = 1e-8
 
 
 def discretize_error_dynamics(dims: BrunovskyDims, ts: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,27 +126,16 @@ class OcpSpec:
     bd: np.ndarray
     error_box: np.ndarray | None = None  # (nd,) tightened symmetric bounds
 
-    @property
-    def n_inputs(self) -> int:
-        return self.horizon * self.dims.d
-
     @functools.cached_property
-    def _condensings(self) -> dict[bool, _Condensing]:
-        return {}
-
-    def condensing(self, use_terminal_law: bool) -> _Condensing:
-        """The spec-only part of the condensed QP, built once per terminal-law choice."""
-        cache = self._condensings
-        if use_terminal_law not in cache:
-            cache[use_terminal_law] = _Condensing.build(self, use_terminal_law)
-        return cache[use_terminal_law]
+    def condensing(self) -> _Condensing:
+        """The spec-only part of the condensed QP, built on first use."""
+        return _Condensing.build(self)
 
 
 @dataclass
 class OcpSolution:
     inputs: np.ndarray  # (H, d)
     errors: np.ndarray  # (H+1, nd)
-    states: np.ndarray  # (H+1, nd)
     objective: float
     iterations: int
     sqp_passes: int
@@ -174,8 +168,8 @@ class _Condensing:
     bz: np.ndarray  # (H nd, H d): their response to the per-step drive
     e_map: np.ndarray  # -coupling * bz: their response to the inputs
     t_map: np.ndarray  # (H d, n_free): the full inputs from the free ones
-    w_mat: np.ndarray | None  # terminal law v_{H-1} = w_mat ebar_{H-1} + w_drive s_{H-1}
-    w_drive: np.ndarray | None
+    w_mat: np.ndarray  # terminal law v_{H-1} = w_mat ebar_{H-1} + w_drive s_{H-1}
+    w_drive: np.ndarray
     c_e: np.ndarray  # block-diagonal error cost (Qr, ..., Qr, Pr)
     rd_full: np.ndarray  # block-diagonal input-rate cost
     lin_e: np.ndarray  # linear cost term per unit e_off: 2 e_map' C_e
@@ -186,7 +180,7 @@ class _Condensing:
     box_a_f: np.ndarray  # box_a @ t_map
 
     @classmethod
-    def build(cls, spec: OcpSpec, use_terminal_law: bool) -> _Condensing:
+    def build(cls, spec: OcpSpec) -> _Condensing:
         h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
         n_z = h * d
         powers = [np.eye(nd)]
@@ -200,23 +194,19 @@ class _Condensing:
         e_map = -spec.coupling * bz
 
         # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0
-        w_mat = w_drive = None
-        if use_terminal_law:
-            if spec.terminal_gain is None:
-                raise ScenarioError("terminal law requested without a terminal gain")
-            if h < 2:
-                raise ScenarioError("terminal-law substitution needs horizon >= 2")
-            khat = spec.terminal_gain
-            lhs = np.eye(d) - spec.coupling * (khat @ spec.bd)
-            w_mat = -np.linalg.solve(lhs, khat @ spec.ad)
-            w_drive = -np.linalg.solve(lhs, khat @ spec.bd)
-            row = (h - 2) * nd
-            n_free = (h - 1) * d
-            t_map = np.zeros((n_z, n_free))
-            t_map[:n_free, :] = np.eye(n_free)
-            t_map[n_free:, :] = w_mat @ e_map[row : row + nd, :n_free]
-        else:
-            t_map = np.eye(n_z)
+        if spec.terminal_gain is None:
+            raise ScenarioError("the OCP spec has no terminal gain for its terminal law")
+        if h < 2:
+            raise ScenarioError("terminal-law substitution needs horizon >= 2")
+        khat = spec.terminal_gain
+        lhs = np.eye(d) - spec.coupling * (khat @ spec.bd)
+        w_mat = -np.linalg.solve(lhs, khat @ spec.ad)
+        w_drive = -np.linalg.solve(lhs, khat @ spec.bd)
+        row = (h - 2) * nd
+        n_free = (h - 1) * d
+        t_map = np.zeros((n_z, n_free))
+        t_map[:n_free, :] = np.eye(n_free)
+        t_map[n_free:, :] = w_mat @ e_map[row : row + nd, :n_free]
 
         # cost: sum_{l=1}^{H-1} |e_l|_Qr^2 + |e_H|_Pr^2 + sum |v_l|_R^2 + |dv_l|_Rd^2
         cost_blocks = [spec.qr] * (h - 1) + [spec.pr]
@@ -257,8 +247,7 @@ class _Condensing:
             box_a_f=box_a @ t_map,
         )
         for arr in parts.values():
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
         return cls(**parts)
 
 
@@ -269,7 +258,6 @@ def build_qp(
     v_prev: np.ndarray,
     barrier_rows: list[tuple[int, np.ndarray, float]],
     terminal_e_ref: np.ndarray | None = None,
-    use_terminal_law: bool = True,
     slack_penalty: float | None = None,
 ) -> tuple[QpProblem, _CondensedMaps]:
     """Condense the OCP into an inequality-constrained QP on the inputs.
@@ -291,13 +279,12 @@ def build_qp(
     if e0.shape != (nd,) or s_seq.shape != (h, d):
         raise DimensionMismatch("bad e0 or exogenous sequence shape")
     n_z = h * d
-    cond = spec.condensing(use_terminal_law)
+    cond = spec.condensing
     e_map, t_map = cond.e_map, cond.t_map
     e_off = cond.free_map @ e0 + cond.bz @ s_seq.reshape(-1)
     t_off = np.zeros(n_z)
-    if use_terminal_law:
-        row = (h - 2) * nd
-        t_off[(h - 1) * d :] = cond.w_mat @ e_off[row : row + nd] + cond.w_drive @ s_seq[h - 1]
+    row = (h - 2) * nd
+    t_off[(h - 1) * d :] = cond.w_mat @ e_off[row : row + nd] + cond.w_drive @ s_seq[h - 1]
 
     d_off = np.zeros(n_z)
     d_off[:d] = -v_prev
@@ -328,11 +315,7 @@ def build_qp(
         a_rows = np.vstack([a_rows, box])
         b_rows += box_b.tolist()
         soft += [-1] * box_b.size
-    if (
-        use_terminal_law
-        and terminal_e_ref is not None
-        and np.isfinite(spec.terminal_level)
-    ):
+    if terminal_e_ref is not None and np.isfinite(spec.terminal_level):
         level = float(terminal_e_ref @ spec.pr @ terminal_e_ref)
         if level > 1e-12:
             y = terminal_e_ref * math.sqrt(spec.terminal_level / level)
@@ -376,22 +359,16 @@ def build_qp(
     )
 
 
-def rollout_errors(spec: OcpSpec, e0: np.ndarray, s_seq: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Propagate the error chain through the given input sequence."""
-    out = np.zeros((spec.horizon + 1, spec.dims.nd))
-    out[0] = e0
-    for step in range(spec.horizon):
-        q = -spec.coupling * inputs[step] + s_seq[step]
-        out[step + 1] = spec.ad @ out[step] + spec.bd @ q
-    return out
+def rollout(spec: OcpSpec, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """(H+1, nd) chain trajectory from ``x0`` under the (H, d) per-step drive.
 
-
-def rollout_states(spec: OcpSpec, x0: np.ndarray, ff_seq: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Propagate the nominal chain state through inputs plus feedforward."""
+    Nominal states take ``inputs + ff_seq`` as the drive; synchronization
+    errors take ``s_seq - coupling * inputs``.
+    """
     out = np.zeros((spec.horizon + 1, spec.dims.nd))
     out[0] = x0
     for step in range(spec.horizon):
-        out[step + 1] = spec.ad @ out[step] + spec.bd @ (inputs[step] + ff_seq[step])
+        out[step + 1] = spec.ad @ out[step] + spec.bd @ drive[step]
     return out
 
 
@@ -403,7 +380,7 @@ def rollout_objective(
     inputs: np.ndarray,
 ) -> float:
     """Objective of an input sequence evaluated by explicit rollout."""
-    errors = rollout_errors(spec, e0, s_seq, inputs)
+    errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
     total = 0.0
     prev = v_prev
     for step in range(spec.horizon):
@@ -425,23 +402,22 @@ def solve_ocp(
     v_prev: np.ndarray,
     warm_inputs: np.ndarray,
     row_builder=None,
-    use_terminal_law: bool = True,
-    qp_tol: float = 1e-8,
     slack_penalty: float | None = None,
 ) -> OcpSolution:
     """Successive linearization around the predicted nominal trajectory.
 
-    Each pass rolls the nominal states from the current input iterate,
-    assembles barrier rows there through ``row_builder(states)``, solves the
-    condensed QP, and repeats until the input change drops below 1e-5 or
-    five passes elapse. Updates after the first pass are damped to suppress
-    linearization zigzag.
+    Each pass rolls the nominal states and the errors from the current input
+    iterate (one ``rollout`` each), assembles barrier rows at the states
+    through ``row_builder(states)``, solves the condensed QP with the
+    terminal cut at the rolled terminal error, and repeats until the input
+    change drops below 1e-5 or five passes elapse. Updates after the first
+    pass are damped to suppress linearization zigzag.
 
-    Barrier rows are enforced on the freely optimized inputs (steps
-    0..H-2); the last input is tied to the terminal law, whose barrier
-    compatibility is an offline design property, so re-imposing the row
-    there would only create artificial conflicts with far-from-terminal
-    errors.
+    The terminal law is always substituted for the last input. Barrier rows
+    are enforced on the freely optimized inputs (steps 0..H-2); the last
+    input is tied to the terminal law, whose barrier compatibility is an
+    offline design property, so re-imposing the row there would only create
+    artificial conflicts with far-from-terminal errors.
 
     With ``slack_penalty`` set the passes solve the exact-penalty softened
     QP: the method can then route around linearizations whose hard rows are
@@ -450,7 +426,6 @@ def solve_ocp(
     is still returned for the caller's fallback logic.
     """
     h, d = spec.horizon, spec.dims.d
-    free_steps = h - 1 if use_terminal_law else h
     inputs = warm_inputs.copy()
     iterations = 0
     status = OPTIMAL
@@ -460,10 +435,10 @@ def solve_ocp(
     slack_used = 0.0
     converged = False
     for passes in range(1, SQP_MAX_PASSES + 1):
-        states = rollout_states(spec, x0_nominal, ff_seq, inputs)
-        errors = rollout_errors(spec, e0, s_seq, inputs)
+        states = rollout(spec, x0_nominal, inputs + ff_seq)
+        errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
         if row_builder is not None:
-            rows = [r for r in row_builder(states) if r[0] < free_steps]
+            rows = [r for r in row_builder(states) if r[0] < h - 1]
         qp, maps = build_qp(
             spec,
             e0,
@@ -471,16 +446,14 @@ def solve_ocp(
             v_prev,
             rows,
             terminal_e_ref=errors[-1],
-            use_terminal_law=use_terminal_law,
             slack_penalty=slack_penalty,
         )
-        sol = solve_qp(qp, tol=qp_tol)
+        sol = solve_qp(qp, tol=QP_TOL)
         iterations += sol.iterations
         if sol.status == INFEASIBLE:
             return OcpSolution(
                 inputs=inputs,
-                errors=rollout_errors(spec, e0, s_seq, inputs),
-                states=rollout_states(spec, x0_nominal, ff_seq, inputs),
+                errors=errors,
                 objective=math.inf,
                 iterations=iterations,
                 sqp_passes=passes,
@@ -515,8 +488,7 @@ def solve_ocp(
         slack = min(slack, float(a_vec @ inputs[step] + b_val))
     return OcpSolution(
         inputs=inputs,
-        errors=rollout_errors(spec, e0, s_seq, inputs),
-        states=rollout_states(spec, x0_nominal, ff_seq, inputs),
+        errors=rollout(spec, e0, s_seq - spec.coupling * inputs),
         objective=objective,
         iterations=iterations,
         sqp_passes=passes,

@@ -189,6 +189,9 @@ def write_certificate(path: str | Path, res: CertificationResult) -> None:
 
 def load_certificate(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"certificate: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError("certificate: expected a JSON object")
+    return doc

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GraphNotRooted, NonFiniteState, ScenarioError, StalePlan
 from .graph import CommGraph, bfs_from_leader
 from .models import BrunovskyDims
-from .ocp import OcpSpec, rollout_states
+from .ocp import OcpSpec, rollout
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def rollout_neighbor(
     nominal rollout is the bare chain driven by the predicted inputs plus
     the leader feedforward samples.
     """
-    states = rollout_states(spec, x_now, ff_seq, v_hat)
+    states = rollout(spec, x_now, v_hat + ff_seq)
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("neighbor rollout produced non-finite states")
     return states

@@ -32,7 +32,7 @@ from .errors import CascadedInfeasibility, DegenerateGradient, ScenarioError
 from .graph import sync_error_stacked
 from .linalg import rk4_step
 from .models import chain_derivative
-from .ocp import OcpSpec, discretize_error_dynamics, rollout_errors, solve_ocp, terminal_ingredients
+from .ocp import OcpSpec, discretize_error_dynamics, rollout, solve_ocp, terminal_ingredients
 from .pipeline import CertificationResult
 from .protocol import (
     MessageBoard,
@@ -238,11 +238,12 @@ class SimWorld:
         self.board = MessageBoard()
         self.estimates = None
         self.v_applied = np.zeros((self.n, self.d))
-        self.prev_plans: list[PlanMessage | None] = [None] * self.n
         self.prev_predictions: dict[tuple[int, int], np.ndarray] = {}
         self.infeasible_streak = [0] * self.n
         self.violations: list[SafetyViolation] = []
 
+        if not sim.t_end > 0.0:
+            raise ScenarioError(f"t_end must be positive (got {sim.t_end!r})")
         self.n_steps = int(round(sim.t_end / sim.ts))
         if abs(self.n_steps * sim.ts - sim.t_end) > 1e-9:
             raise ScenarioError("t_end must be an integer multiple of the sampling period")
@@ -273,26 +274,31 @@ class SimWorld:
     # --- per-step phases ---
 
     def _neighbor_data(self, k: int, ff_samples: np.ndarray):
-        """Predicted neighbor inputs/states and the exogenous error drive."""
+        """Shifted plans, predicted neighbor states and the exogenous error drive.
+
+        Each agent's last broadcast is shifted once into ``shifted`` (N, H, d),
+        zeros at deployment. Row j is agent j's warm start and fallback plan and
+        every reader's prediction of agent j's inputs.
+        """
         h, d = self.horizon, self.d
-        v_hats: list[dict[int, np.ndarray]] = [dict() for _ in range(self.n)]
+        shifted = np.zeros((self.n, h, d))
+        if k > 0:
+            for j in range(self.n):
+                shifted[j] = shift_plan(self.board.read(j + 1, k), self.specs[j].terminal_gain)
         x_hats: list[dict[int, np.ndarray]] = [dict() for _ in range(self.n)]
         s_seqs = np.zeros((self.n, h, d))
         for i in range(self.n):
             for j in self.graph.neighbors(i):
                 if k == 0:
-                    v_hat = np.zeros((h, d))
-                    x_hat = np.tile(self.x_true[j], (h + 1, 1))
+                    x_hats[i][j] = np.tile(self.x_true[j], (h + 1, 1))
                 else:
-                    msg = self.board.read(j + 1, k)
-                    v_hat = shift_plan(msg, self.specs[j].terminal_gain)
-                    x_hat = rollout_neighbor(self.specs[j], self.x_true[j], v_hat, ff_samples[i])
-                v_hats[i][j] = v_hat
-                x_hats[i][j] = x_hat
-                s_seqs[i] += self.graph.nu1 * self.graph.adjacency[i, j] * v_hat
-        return v_hats, x_hats, s_seqs
+                    x_hats[i][j] = rollout_neighbor(
+                        self.specs[j], self.x_true[j], shifted[j], ff_samples[i]
+                    )
+                s_seqs[i] += self.graph.nu1 * self.graph.adjacency[i, j] * shifted[j]
+        return shifted, x_hats, s_seqs
 
-    def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, x_hats: dict[int, np.ndarray], v_hats: dict[int, np.ndarray]):
+    def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, x_hats: dict[int, np.ndarray], shifted: np.ndarray):
         """Barrier rows (step, a, b, group) on the steps before the terminal law.
 
         One stacked row call per barrier kind: obstacles within the activation
@@ -305,7 +311,7 @@ class SimWorld:
         nbrs = list(x_hats) if k > 0 else []  # inter-agent rows removed at deployment
         if nbrs:
             x_other = np.stack([x_hats[j][:steps] for j in nbrs], axis=1)
-            top_other = np.stack([v_hats[j][:steps] for j in nbrs], axis=1) + ff
+            top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
             r_other = np.array([self.radius_tables[i + 1][j + 1] for j in nbrs])
 
         def rows(states: np.ndarray):
@@ -330,7 +336,7 @@ class SimWorld:
 
         return rows
 
-    def _solve_agent(self, i: int, k: int, e0, s_seq, ff_seq, warm, x_hats, v_hats):
+    def _solve_agent(self, i: int, k: int, e0, s_seq, ff_seq, x_hats, shifted):
         try:
             return solve_ocp(
                 self.specs[i],
@@ -339,8 +345,8 @@ class SimWorld:
                 s_seq,
                 ff_seq,
                 self.v_applied[i],
-                warm,
-                row_builder=self._row_builder(i, k, ff_seq, x_hats, v_hats),
+                shifted[i],
+                row_builder=self._row_builder(i, k, ff_seq, x_hats, shifted),
                 slack_penalty=SLACK_PENALTY,
             )
         except DegenerateGradient:
@@ -356,7 +362,7 @@ class SimWorld:
         self.x_canon[:] = self.x_leader
 
         ff_samples = self._leader_ff_samples(self.anchors, t_k)
-        v_hats, x_hats, s_seqs = self._neighbor_data(k, ff_samples)
+        shifted, x_hats, s_seqs = self._neighbor_data(k, ff_samples)
 
         pred_err = 0.0
         count = 0
@@ -377,17 +383,8 @@ class SimWorld:
             ],
             axis=1,
         )
-        warms = []
-        for i in range(self.n):
-            if self.prev_plans[i] is None:
-                warms.append(np.zeros((self.horizon, self.d)))
-            else:
-                warms.append(shift_plan(self.prev_plans[i], self.specs[i].terminal_gain))
-
         solutions = [
-            self._solve_agent(
-                i, k, e0s[i], s_seqs[i], ff_samples[i], warms[i], x_hats[i], v_hats[i]
-            )
+            self._solve_agent(i, k, e0s[i], s_seqs[i], ff_samples[i], x_hats[i], shifted)
             for i in range(self.n)
         ]
 
@@ -402,8 +399,9 @@ class SimWorld:
                         f"agent {i + 1}: {self.infeasible_streak[i]} consecutive "
                         f"infeasible solves at step {k}"
                     )
-                inputs = warms[i]
-                errors = rollout_errors(self.specs[i], e0s[i], s_seqs[i], inputs)
+                inputs = shifted[i]
+                spec = self.specs[i]
+                errors = rollout(spec, e0s[i], s_seqs[i] - spec.coupling * inputs)
                 solver[i] = (2.0, 0.0, 0.0, math.inf)
             else:
                 # a relaxed (nonzero-slack) solve still yields the minimally
@@ -417,7 +415,6 @@ class SimWorld:
                 sender=i + 1, stamp=k, inputs=inputs.copy(), terminal_error=errors[-1].copy()
             )
             self.board.post(msg)
-            self.prev_plans[i] = msg
             self.v_applied[i] = inputs[0]
 
         stats = {"plans": plans, "e0": e0s, "solver": solver, "pred_err": pred_err}

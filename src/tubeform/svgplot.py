@@ -46,7 +46,6 @@ class SvgFigure:
     height: int = 480
     equal_aspect: bool = False
     margin: int = 60
-    _elements: list[str] = field(default_factory=list)
     _legend: list[tuple[str, str]] = field(default_factory=list)
     _xlim: list[float] = field(default_factory=lambda: [math.inf, -math.inf])
     _ylim: list[float] = field(default_factory=lambda: [math.inf, -math.inf])

@@ -80,6 +80,29 @@ class TestRun:
         data_lines = [l for l in lines if not l.startswith("#")][1:]
         assert len(data_lines) == 5 * 10 + 1  # five sampling steps of ten substeps
 
+    @pytest.mark.parametrize("t_end", ["-1", "0"])
+    def test_nonpositive_t_end_exit_1(self, certified, tmp_path, capsys, t_end):
+        argv = ["run", str(SMOKE), "--cert", str(certified), "-o", str(tmp_path / "o")]
+        assert main(argv + ["--t-end", t_end]) == 1
+        assert "t_end must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trace.csv").exists()
+
+    def test_nonpositive_scenario_t_end_exit_1(self, tmp_path, capsys):
+        doc = json.loads(SMOKE.read_text())
+        doc["sim"]["t_end"] = 0.0
+        scen = tmp_path / "zero.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        assert main(["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
+        assert "t_end must be positive" in capsys.readouterr().err
+
+    def test_non_object_certificate_exit_1(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[]")
+        assert main(["run", str(SMOKE), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
+        assert "certificate: expected a JSON object" in capsys.readouterr().err
+
     def test_stale_certificate_exit_1(self, certified, tmp_path, capsys):
         doc = json.loads(SMOKE.read_text())
         doc["sim"]["seed"] = 999

@@ -9,7 +9,7 @@ from tubeform.ocp import (
     OcpSpec,
     build_qp,
     discretize_error_dynamics,
-    rollout_errors,
+    rollout,
     rollout_objective,
     solve_ocp,
     terminal_ingredients,
@@ -26,16 +26,12 @@ def make_spec(
     r=0.1,
     rdelta=0.01,
     input_bound=50.0,
-    with_terminal=True,
 ):
     dims = dims or BrunovskyDims(n=3, d=2, followers=1)
     ad, bd = discretize_error_dynamics(dims, ts)
     qr_m = qr * np.eye(dims.nd)
     r_m = r * np.eye(dims.d)
-    if with_terminal:
-        khat, pr, c_f = terminal_ingredients(ad, -coupling * bd, qr_m, r_m, input_bound)
-    else:
-        khat, pr, c_f = None, qr_m, np.inf
+    khat, pr, c_f = terminal_ingredients(ad, -coupling * bd, qr_m, r_m, input_bound)
     return OcpSpec(
         dims=dims,
         horizon=horizon,
@@ -132,30 +128,13 @@ class TestTerminalIngredients:
 
 class TestBuildQp:
     def test_zero_weights_zero_input(self):
-        spec = make_spec(qr=0.0, rdelta=0.0, with_terminal=True)
+        spec = make_spec(qr=0.0, rdelta=0.0)
         e0 = np.zeros(6)
         s_seq = np.zeros((5, 2))
         qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), [])
         sol = solve_qp(qp)
         z = maps.t_map @ sol.z + maps.t_off
         assert np.allclose(z, 0.0, atol=1e-12)
-
-    def test_scalar_one_step_calculus(self):
-        dims = BrunovskyDims(n=1, d=1, followers=1)
-        ad, bd = discretize_error_dynamics(dims, 0.1)
-        spec = OcpSpec(
-            dims=dims, horizon=1, ts=0.1,
-            qr=np.eye(1), r=np.eye(1), rdelta=np.zeros((1, 1)), pr=np.eye(1),
-            input_bound=np.inf, terminal_gain=None, terminal_level=np.inf,
-            coupling=-1.0,  # e1 = e0 + 0.1 v
-            ad=ad, bd=bd,
-        )
-        qp, maps = build_qp(
-            spec, np.array([1.0]), np.zeros((1, 1)), np.zeros(1), [],
-            use_terminal_law=False,
-        )
-        sol = solve_qp(qp)
-        assert sol.z[0] == pytest.approx(-0.1 / 1.01, abs=1e-9)
 
     def test_inactive_barrier_row_no_change(self):
         spec = make_spec()
@@ -190,7 +169,7 @@ class TestBuildQp:
         sol = solve_qp(qp)
         z = maps.t_map @ sol.z + maps.t_off
         inputs = z.reshape(5, 2)
-        errors = rollout_errors(spec, e0, s_seq, inputs)
+        errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
         assert np.allclose(inputs[-1], -spec.terminal_gain @ errors[-1], atol=1e-9)
 
 
@@ -199,9 +178,8 @@ class TestCondensingCache:
 
     ERROR_BOX = np.array([2.0, 2.5, np.inf, 3.0, np.inf, 1.5])
 
-    @pytest.mark.parametrize("use_terminal_law", [True, False])
     @pytest.mark.parametrize("with_error_box", [False, True])
-    def test_cached_build_matches_fresh_spec(self, use_terminal_law, with_error_box):
+    def test_cached_build_matches_fresh_spec(self, with_error_box):
         spec = make_spec()
         if with_error_box:
             spec = dataclasses.replace(spec, error_box=self.ERROR_BOX)
@@ -215,11 +193,7 @@ class TestCondensingCache:
                 for g in rng.integers(0, 2, size=5)
             ]
             args = (e0, s_seq, v_prev, rows)
-            kwargs = dict(
-                terminal_e_ref=rng.normal(size=6),
-                use_terminal_law=use_terminal_law,
-                slack_penalty=(1e6, 3e4, 1e4),
-            )
+            kwargs = dict(terminal_e_ref=rng.normal(size=6), slack_penalty=(1e6, 3e4, 1e4))
             qp, maps = build_qp(spec, *args, **kwargs)
             fresh_qp, fresh_maps = build_qp(dataclasses.replace(spec), *args, **kwargs)
             for field in ("hessian", "linear", "a_in", "b_in"):
@@ -228,11 +202,11 @@ class TestCondensingCache:
             for field in ("t_map", "t_off", "e_map", "e_off"):
                 np.testing.assert_array_equal(getattr(maps, field), getattr(fresh_maps, field))
             assert maps.n_slack == fresh_maps.n_slack
-        assert spec.condensing(use_terminal_law) is spec.condensing(use_terminal_law)
+        assert spec.condensing is spec.condensing
         # input box 2 H d, five barrier rows, the finite error-box entries
-        # twice per step, and the terminal cut with the terminal law
+        # twice per step, and the terminal cut
         n_box = 2 * 4 * 5 if with_error_box else 0
-        n_rows = 2 * 5 * 2 + 5 + n_box + int(use_terminal_law)
+        n_rows = 2 * 5 * 2 + 5 + n_box + 1
         assert qp.a_in.shape[0] == n_rows + maps.n_slack
 
 

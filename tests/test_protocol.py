@@ -80,7 +80,7 @@ class TestShiftPlan:
     def test_replay_reproduces_prediction_tail(self):
         """Shifting then rolling out reproduces the tail of the sender's own
         error prediction exactly."""
-        from tubeform.ocp import rollout_errors, terminal_ingredients
+        from tubeform.ocp import rollout, terminal_ingredients
 
         dims = BrunovskyDims(n=2, d=1, followers=1)
         ad, bd = discretize_error_dynamics(dims, 0.1)
@@ -89,11 +89,11 @@ class TestShiftPlan:
         rng = np.random.default_rng(0)
         e0 = rng.normal(size=2)
         inputs = rng.normal(size=(4, 1))
-        errors = rollout_errors(spec, e0, np.zeros((4, 1)), inputs)
+        errors = rollout(spec, e0, -spec.coupling * inputs)
         msg = PlanMessage(sender=1, stamp=0, inputs=inputs, terminal_error=errors[-1])
         shifted = shift_plan(msg, khat)
         # tail of the prediction: errors[1] evolved under shifted inputs
-        replay = rollout_errors(spec, errors[1], np.zeros((4, 1)), shifted)
+        replay = rollout(spec, errors[1], -spec.coupling * shifted)
         assert np.allclose(replay[: 4 - 1 + 1], errors[1:], atol=1e-12)
 
 

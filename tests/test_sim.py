@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import tubeform.sim
 from tubeform.barrier import QuadraticBarrier, assemble_row, margin_obstacle, margin_pairwise
-from tubeform.ocp import rollout_states
+from tubeform.errors import DegenerateGradient
+from tubeform.ocp import rollout
 from tubeform.pipeline import certify_scenario
 from tubeform.protocol import shift_plan
 from tubeform.scenario import load_scenario, parse_scenario
@@ -183,7 +185,7 @@ class TestLeaderFeedforward:
         )
 
 
-def oracle_rows(world, i, k, ff_seq, x_hats, v_hats, states):
+def oracle_rows(world, i, k, ff_seq, x_hats, shifted, states):
     """One assemble_row call per (step, obstacle) and (step, neighbor) row."""
     margin_i = world.margin_radii[i + 1]
     out = []
@@ -207,7 +209,7 @@ def oracle_rows(world, i, k, ff_seq, x_hats, v_hats, states):
             )
             row = assemble_row(
                 pair, world.kappa, xl, x_hat[l], margin,
-                drift_top_self=ff_seq[l], top_other=v_hats[j][l] + ff_seq[l],
+                drift_top_self=ff_seq[l], top_other=shifted[j][l] + ff_seq[l],
             )
             out.append((l, row.a, row.b, 1))
     return out
@@ -223,13 +225,14 @@ class TestRowBuilder:
         for step in range(k):
             world.step(step)
         ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
-        v_hats, x_hats, _ = world._neighbor_data(k, ff)
+        shifted, x_hats, _ = world._neighbor_data(k, ff)
         kept = filtered = 0
         for i in range(world.n):
-            warm = shift_plan(world.prev_plans[i], world.specs[i].terminal_gain)
-            states = rollout_states(world.specs[i], world.x_nom[i], ff[i], warm)
-            rows = world._row_builder(i, k, ff[i], x_hats[i], v_hats[i])(states)
-            expected = oracle_rows(world, i, k, ff[i], x_hats[i], v_hats[i], states)
+            warm = shift_plan(world.board.read(i + 1, k), world.specs[i].terminal_gain)
+            np.testing.assert_array_equal(shifted[i], warm)
+            states = rollout(world.specs[i], world.x_nom[i], warm + ff[i])
+            rows = world._row_builder(i, k, ff[i], x_hats[i], shifted)(states)
+            expected = oracle_rows(world, i, k, ff[i], x_hats[i], shifted, states)
             assert [(r[0], r[3]) for r in rows] == [(r[0], r[3]) for r in expected]
             assert all(r[0] < world.horizon - 1 for r in rows)
             for row, ref in zip(rows, expected):
@@ -239,6 +242,69 @@ class TestRowBuilder:
             kept += n_obstacle
             filtered += (world.horizon - 1) * len(cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
+
+
+class TestShiftedPlans:
+    def test_one_shift_per_agent_per_step(self, monkeypatch):
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=0.5))
+        senders = []
+
+        def counting(msg, terminal_gain):
+            senders.append((msg.stamp, msg.sender))
+            return shift_plan(msg, terminal_gain)
+
+        monkeypatch.setattr(tubeform.sim, "shift_plan", counting)
+        world.run()
+        # nothing to shift at deployment, then each broadcast once
+        assert senders == [(k, i + 1) for k in range(world.n_steps - 1) for i in range(world.n)]
+
+    def test_failed_solve_falls_back_to_shifted_plan(self, monkeypatch):
+        """Agent 1's solve raises once mid-run: it posts its shifted previous plan."""
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        k_fail = 10
+        agent_one = world.specs[0]
+        real_solve = tubeform.sim.solve_ocp
+        solves = []
+
+        def flaky(spec, *args, **kwargs):
+            if spec is agent_one:
+                solves.append(spec)
+                if len(solves) == k_fail + 1:
+                    raise DegenerateGradient("injected failure")
+            return real_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(tubeform.sim, "solve_ocp", flaky)
+        for k in range(k_fail):
+            world.step(k)
+        assert world.infeasible_streak == [0, 0]
+        shifted = {
+            j: shift_plan(world.board.read(j + 1, k_fail), world.specs[j].terminal_gain)
+            for j in range(world.n)
+        }
+        s_seq = np.zeros_like(shifted[0])
+        for j in world.graph.neighbors(0):
+            s_seq += world.graph.nu1 * world.graph.adjacency[0, j] * shifted[j]
+
+        stats = world.step(k_fail)
+        msg = world.board.read(1, k_fail + 1)
+        assert msg.stamp == k_fail
+        np.testing.assert_array_equal(msg.inputs, shifted[0])
+        errors = rollout(agent_one, stats["e0"][0], s_seq - agent_one.coupling * shifted[0])
+        np.testing.assert_array_equal(msg.terminal_error, errors[-1])
+        np.testing.assert_array_equal(world.v_applied[0], shifted[0][0])
+        assert world.infeasible_streak == [1, 0]
+
+        world.step(k_fail + 1)
+        assert world.infeasible_streak == [0, 0]
+        status = world.trace_data[:, world.trace_columns.index("ocp1_status")]
+        steps = world.trace_data[:, world.trace_columns.index("k")]
+        assert np.sum(steps == k_fail) == cfg.sim.fine_substeps
+        assert np.all(status[steps == k_fail] == 2.0)
+        assert np.all(status[steps == k_fail + 1] != 2.0)
 
 
 class TestDeterminism:
