@@ -21,7 +21,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tubeform.models import Box, BrunovskyDims, DriftSpec, DriftTerm  # noqa: E402
+from tubeform.models import Box, BrunovskyDims, DriftSpec  # noqa: E402
+from tubeform.scenario import parse_terms  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 PI = math.pi
@@ -47,36 +48,13 @@ def max_jacobian_norm(dims, outer_gain, axes_terms, box):
     The term forms depend on the position block only (plus constant taps on
     higher blocks), so a dense grid over the position block suffices.
     """
-    drift = DriftSpec(
-        dims=dims,
-        outer_gain=outer_gain,
-        axes=tuple(
-            tuple(
-                DriftTerm(
-                    form=t["form"],
-                    coeff=t["coeff"],
-                    order=t.get("order", 1),
-                    axis=t.get("axis", 0),
-                    scale=t.get("scale", 1.0),
-                    freq=t.get("freq", 0.0),
-                    phase=t.get("phase", 0.0),
-                    weights=tuple(t.get("weights", ())),
-                    sq_axis=t.get("sq_axis", 0),
-                )
-                for t in axis
-            )
-            for axis in axes_terms
-        ),
-    )
+    axes = tuple(parse_terms(axis, "axes") for axis in axes_terms)
+    drift = DriftSpec(dims=dims, outer_gain=outer_gain, axes=axes)
     xs = np.linspace(box.lower[0], box.upper[0], 121)
     ys = np.linspace(box.lower[1], box.upper[1], 121)
-    worst = 0.0
-    probe = box.center.copy()
-    for x in xs:
-        for y in ys:
-            probe[0], probe[1] = x, y
-            worst = max(worst, float(np.linalg.norm(drift.jacobian(probe), 2)))
-    return worst
+    probes = np.tile(box.center, (len(xs) * len(ys), 1))
+    probes[:, 0], probes[:, 1] = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    return float(np.max(np.linalg.norm(drift.table.jacobian(probes), 2, axis=(-2, -1))))
 
 
 def write(name, doc):

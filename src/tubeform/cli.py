@@ -23,7 +23,7 @@ from .errors import (
     ScenarioError,
     TubeformError,
 )
-from .pipeline import certify_scenario, load_certificate, write_certificate
+from .pipeline import certify_scenario, check_certificate, load_certificate, write_certificate
 from .scenario import load_scenario, scenario_hash
 from .sim import SimConfig, SimTrace, run_simulation, trace_metrics
 from .svgplot import SvgFigure
@@ -84,6 +84,11 @@ def cmd_run(
         # the disturbance models are built from the scenario's seed
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
     result = certify_scenario(cfg, spot_checks=False)
+    try:
+        check_certificate(cert_doc, result)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     overrides: dict = {}
     if t_end is not None:

@@ -4,14 +4,19 @@ Drift functions are not arbitrary code. Each agent's drift is a tagged list
 of parametric terms (linear state taps, cubics of position combinations,
 tanh saturations, time sinusoids, squared-position/tanh cross couplings)
 multiplied by a common outer gain. This keeps scenario files declarative,
-serializable, and hashable, and makes closed-form Jacobians available for
-Lipschitz estimation.
+serializable, and hashable. Every form is one setting of a single product,
+so each model's terms compile to one ``DriftTable``: one value and one
+closed-form Jacobian evaluator serve the world, the feedforward, the
+Lipschitz checks and the leader linearization, and several models' tables
+stack into one table evaluated row by row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +70,6 @@ def chain_derivative(dims: BrunovskyDims, x: np.ndarray, top: np.ndarray) -> np.
 class DriftTerm:
     """One additive term of a drift axis expression.
 
-    ``value`` evaluates one ``(nd,)`` state or a ``(..., nd)`` stack of them.
-
     form "state":   coeff * x[order, axis]
     form "cubic":   coeff * (sum_a weights[a] * x[order, a])^3
     form "tanh":    coeff * tanh(scale * x[order, axis])
@@ -88,39 +91,49 @@ class DriftTerm:
         if self.form not in TERM_FORMS:
             raise ScenarioError(f"unknown drift term form {self.form!r}")
 
-    def value(self, dims: BrunovskyDims, x: np.ndarray, t: float) -> np.ndarray | float:
-        blk = dims.block(x, self.order)
-        if self.form == "state":
-            return self.coeff * blk[..., self.axis]
-        if self.form == "cubic":
-            return self.coeff * (blk @ np.asarray(self.weights)) ** 3
-        if self.form == "tanh":
-            return self.coeff * np.tanh(self.scale * blk[..., self.axis])
-        if self.form == "sin_t":
-            return self.coeff * math.sin(self.freq * t + self.phase)
-        # sq_tanh
-        return self.coeff * blk[..., self.sq_axis] ** 2 * np.tanh(self.scale * blk[..., self.axis])
 
-    def gradient(self, dims: BrunovskyDims, x: np.ndarray) -> np.ndarray:
-        """d(term)/dx over the full chain state."""
-        grad = np.zeros(dims.nd)
-        lo = (self.order - 1) * dims.d
-        blk = dims.block(x, self.order)
-        if self.form == "state":
-            grad[lo + self.axis] = self.coeff
-        elif self.form == "cubic":
-            s = float(np.dot(self.weights, blk))
-            for a, w in enumerate(self.weights):
-                grad[lo + a] = 3.0 * self.coeff * s * s * w
-        elif self.form == "tanh":
-            c = math.cosh(self.scale * blk[self.axis])
-            grad[lo + self.axis] = self.coeff * self.scale / (c * c)
-        elif self.form == "sq_tanh":
-            th = math.tanh(self.scale * blk[self.axis])
-            c = math.cosh(self.scale * blk[self.axis])
-            grad[lo + self.sq_axis] += 2.0 * self.coeff * blk[self.sq_axis] * th
-            grad[lo + self.axis] += self.coeff * blk[self.sq_axis] ** 2 * self.scale / (c * c)
-        return grad
+class DriftTable(NamedTuple):
+    """Drift terms, each one product ``coeff (u.x)^expo (offset + tanh(v.x)) sin(freq t + phase)``.
+
+    ``scatter`` adds term k, times -outer_gain, to its axis. A one-model table
+    (arrays led by K) evaluates one ``(nd,)`` state or any ``(..., nd)`` stack;
+    a ``stack`` (arrays led by R rows) evaluates ``(R, nd)`` rows, each by its model.
+    """
+
+    coeff: np.ndarray  # (..., K)
+    u: np.ndarray  # (..., K, nd)
+    expo: np.ndarray  # (..., K)
+    v: np.ndarray  # (..., K, nd), tanh scale folded in
+    offset: np.ndarray  # (..., K): 1 where the term has no tanh factor
+    freq: np.ndarray  # (..., K)
+    phase: np.ndarray  # (..., K): pi/2 (with freq 0) where it has no time factor
+    scatter: np.ndarray  # (..., K, d)
+
+    @classmethod
+    def stack(cls, tables: list["DriftTable"], rows: np.ndarray) -> "DriftTable":
+        """Row r evaluates with ``tables[rows[r]]``; all-zero terms pad the shorter tables."""
+        width = max(len(t.coeff) for t in tables)
+
+        def pad(a: np.ndarray) -> np.ndarray:
+            return np.pad(a, [(0, width - len(a))] + [(0, 0)] * (a.ndim - 1))
+
+        return cls(*(np.stack([pad(a) for a in field])[rows] for field in zip(*tables)))
+
+    def value(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Drift (..., d) at the states x (..., nd)."""
+        ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
+        terms = self.coeff * ux**self.expo * (self.offset + np.tanh(vx))
+        terms = terms * np.sin(self.freq * t + self.phase)
+        return (terms[..., None, :] @ self.scatter)[..., 0, :]
+
+    def jacobian(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """Drift Jacobian (..., d, nd) at the states x (..., nd)."""
+        ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
+        scale = self.coeff * np.sin(self.freq * t + self.phase)
+        d_power = self.expo * ux ** np.maximum(self.expo - 1.0, 0.0)
+        grad = (scale * d_power * (self.offset + np.tanh(vx)))[..., None] * self.u
+        grad += (scale * ux**self.expo / np.cosh(vx) ** 2)[..., None] * self.v
+        return self.scatter.swapaxes(-1, -2) @ grad
 
 
 @dataclass(frozen=True)
@@ -134,20 +147,39 @@ class DriftSpec:
     def __post_init__(self):
         if len(self.axes) != self.dims.d:
             raise DimensionMismatch("drift needs one term list per spatial axis")
+        self.table  # compile now, so a malformed term fails where the model is built
+
+    @functools.cached_property
+    def table(self) -> DriftTable:
+        """The terms compiled into one ``DriftTable``."""
+        n, d = self.dims.n, self.dims.d
+        terms = [(axis, term) for axis, axis_terms in enumerate(self.axes) for term in axis_terms]
+        u, v = np.zeros((2, len(terms), self.dims.nd))
+        expo, freq = np.zeros((2, len(terms)))
+        offset, phase = np.ones(len(terms)), np.full(len(terms), 0.5 * math.pi)
+        scatter = np.zeros((len(terms), d))
+        for k, (axis, term) in enumerate(terms):
+            if not (1 <= term.order <= n and 0 <= term.axis < d and 0 <= term.sq_axis < d) or (
+                term.form == "cubic" and len(term.weights) != d
+            ):
+                raise DimensionMismatch(f"drift term {term} does not fit {n} blocks of {d} axes")
+            block = slice((term.order - 1) * d, term.order * d)
+            scatter[k, axis] = -self.outer_gain
+            if term.form == "state":
+                u[k, block][term.axis], expo[k] = 1.0, 1.0
+            elif term.form == "cubic":
+                u[k, block], expo[k] = term.weights, 3.0
+            elif term.form == "sin_t":
+                freq[k], phase[k] = term.freq, term.phase
+            else:  # tanh, and sq_tanh times x[order, sq_axis]^2
+                v[k, block][term.axis], offset[k] = term.scale, 0.0
+                if term.form == "sq_tanh":
+                    u[k, block][term.sq_axis], expo[k] = 1.0, 2.0
+        coeff = np.array([term.coeff for _, term in terms], dtype=float)
+        return DriftTable(coeff, u, expo, v, offset, freq, phase, scatter)
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty(x.shape[:-1] + (self.dims.d,))
-        for k, terms in enumerate(self.axes):
-            out[..., k] = -self.outer_gain * sum(term.value(self.dims, x, t) for term in terms)
-        return out
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """d x d*n Jacobian of the drift with respect to the chain state."""
-        jac = np.zeros((self.dims.d, self.dims.nd))
-        for k, terms in enumerate(self.axes):
-            for term in terms:
-                jac[k] -= self.outer_gain * term.gradient(self.dims, x)
-        return jac
+        return self.table.value(x, t)
 
 
 @dataclass(frozen=True)
@@ -282,11 +314,9 @@ def estimate_lipschitz(
     ]
     grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     worst = 0.0
-    for chunk in np.array_split(grid, max(1, len(grid) // 200_000)):
-        for x in chunk:
-            s = np.linalg.norm(drift.jacobian(x), 2)
-            if s > worst:
-                worst = s
+    for chunk in np.array_split(grid, max(1, len(grid) // 20_000)):
+        norms = np.linalg.norm(drift.table.jacobian(chunk), 2, axis=(-2, -1))
+        worst = max(worst, float(np.max(norms)))
     return worst * safety
 
 

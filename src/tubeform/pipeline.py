@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .certify import (
 )
 from .errors import GraphNotRooted, NotHurwitz, ScenarioError
 from .graph import GlobalBoundCertificate, global_bound, has_leader_spanning_tree, zbar
-from .models import AgentModel, chain_matrices
+from .models import AgentModel
 from .protocol import relay_parents
 from .scenario import ScenarioConfig, build_all_models, build_graph, scenario_hash
 
@@ -51,9 +52,8 @@ def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
     stabilizing component). The shipped leaders carry their own stabilizing
     linear terms.
     """
-    a0, g = chain_matrices(cfg.dims)
     center = leader_model.operating_box.center
-    jac = leader_model.drift.jacobian(center)
+    jac = leader_model.drift.table.jacobian(center)
     gain = -jac
     if cfg.leader.tube.stabilizer is not None:
         gain = gain + np.asarray(cfg.leader.tube.stabilizer, dtype=float)
@@ -195,3 +195,28 @@ def load_certificate(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioError("certificate: expected a JSON object")
     return doc
+
+
+def check_certificate(doc: dict, res: CertificationResult) -> None:
+    """Raise ``ScenarioError`` naming the first field the run consumes that ``res`` does not match.
+
+    The run uses the recertified values, so the file must agree with them
+    (within 1e-9 relative).
+    """
+    want = certificate_to_dict(res)
+    paths = [("formation_error_bound",), ("leader", "r_ball")] + [
+        ("agents", i, key)
+        for i in range(len(res.tubes))
+        for key in ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball")
+    ]
+    for path in paths:
+        name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+        got, expected = doc, want
+        try:
+            for key in path:
+                got, expected = got[key], expected[key]
+        except (KeyError, IndexError, TypeError):
+            raise ScenarioError(f"certificate: missing {name}") from None
+        numeric = type(got) in (int, float) and expected is not None  # JSON numbers, not bools
+        if not (got is expected or numeric and math.isclose(got, expected, rel_tol=1e-9)):
+            raise ScenarioError(f"certificate: {name} is {got!r}, recertified {expected!r}")

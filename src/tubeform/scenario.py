@@ -138,7 +138,8 @@ def _req(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _terms(raw, path: str) -> tuple[DriftTerm, ...]:
+def parse_terms(raw, path: str) -> tuple[DriftTerm, ...]:
+    """The drift terms of one axis from their JSON list; errors name ``path[index]``."""
     out = []
     for idx, item in enumerate(raw):
         here = f"{path}[{idx}]"
@@ -164,7 +165,7 @@ def _terms(raw, path: str) -> tuple[DriftTerm, ...]:
 def _dynamics(raw: dict, path: str) -> DynamicsConfig:
     return DynamicsConfig(
         outer_gain=float(_req(raw, "outer_gain", path)),
-        axes=tuple(_terms(axis, f"{path}.axes") for axis in _req(raw, "axes", path)),
+        axes=tuple(parse_terms(axis, f"{path}.axes") for axis in _req(raw, "axes", path)),
     )
 
 

@@ -31,7 +31,7 @@ from .barrier import (
 from .errors import CascadedInfeasibility, DegenerateGradient, ScenarioError
 from .graph import sync_error_stacked
 from .linalg import rk4_step
-from .models import chain_derivative
+from .models import DriftTable, chain_derivative
 from .ocp import OcpSpec, discretize_error_dynamics, rollout, solve_ocp, terminal_ingredients
 from .pipeline import CertificationResult
 from .protocol import (
@@ -220,10 +220,13 @@ class SimWorld:
         self.x_true = self.state[2::3]
         self.x_nom = self.state[3::3]
         self.anchors = self.state[4::3]
-        # rows of the leader-model chains (leader, its nominal, the anchors)
-        # and of the true states per agent, leader first, each followed by its nominal
-        self._leader_rows = np.r_[0, 1, 4 : len(self.state) : 3]
+        # rows of the true states per agent, leader first, each followed by its nominal
         self._agent_rows = np.r_[0, 2 : len(self.state) : 3]
+        # each row's drift model: the leader's for the leader, its nominal and
+        # the anchors, each follower's own for its true and nominal states
+        model_of_row = np.zeros(len(self.state), dtype=int)
+        model_of_row[2::3] = model_of_row[3::3] = np.arange(1, self.n + 1)
+        self._drift = DriftTable.stack([m.drift.table for m in self.models], model_of_row)
         states = initial_states(cfg)
         self.state[self._agent_rows] = states
         self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
@@ -425,18 +428,16 @@ class SimWorld:
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
         """RHS of the world ODE (rows as in ``self.state``) during one sampling interval."""
-        followers = self.models[1:]
         x, xb = state[2::3], state[3::3]
-        lead = self.models[0].drift(state[self._leader_rows], t)
-        f_anchor = lead[2:]
-        own = np.stack([m.drift(xi, t) for m, xi in zip(followers, x)])
-        w = np.stack([m.disturbance(t) for m in followers])
+        drift = self._drift.value(state, t)
+        own, f_anchor = drift[2::3], drift[4::3]
+        w = np.stack([m.disturbance(t) for m in self.models[1:]])
         # pinned followers cancel toward the true leader, the others toward their anchor
-        ff = np.where(self._pinned, lead[0], f_anchor)
+        ff = np.where(self._pinned, drift[0], f_anchor)
         u = apply_control(self.gain, v0, x, xb, ff, own, self.sim.feedforward_on)
         top = np.empty((len(state), self.d))
-        top[0] = lead[0] + self.models[0].disturbance(t)
-        top[1] = lead[1]
+        top[0] = drift[0] + self.models[0].disturbance(t)
+        top[1] = drift[1]
         top[2::3] = own + u + w
         top[3::3] = v0 + f_anchor if self.sim.feedforward_on else v0
         top[4::3] = f_anchor
@@ -504,7 +505,7 @@ class SimWorld:
         )
 
     def _init_trace(self) -> None:
-        n, nd, d, h = self.n, self.nd, self.d, self.horizon
+        n, d, h = self.n, self.d, self.horizon
         cols = ["t", "k"]
         blocks = [f"{p}{ax}" for p in range(1, self.dims.n + 1) for ax in range(d)]
         for a in range(n + 1):

@@ -103,6 +103,25 @@ class TestRun:
         assert main(["run", str(SMOKE), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
         assert "certificate: expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["agents"][1].update(margin_radius=123.0), "agents[1].margin_radius"),
+            (lambda doc: doc.update(formation_error_bound=-5.0), "formation_error_bound"),
+            (lambda doc: doc.pop("agents"), "missing agents[0].r"),
+        ],
+        ids=["margin_radius", "formation_error_bound", "no_agents"],
+    )
+    def test_edited_certificate_exit_1(self, certified, tmp_path, capsys, edit, field):
+        doc = json.loads(certified.read_text())
+        edit(doc)
+        cert = tmp_path / "edited.json"
+        cert.write_text(json.dumps(doc))
+        assert main(["run", str(SMOKE), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert not (tmp_path / "o").exists()
+
     def test_stale_certificate_exit_1(self, certified, tmp_path, capsys):
         doc = json.loads(SMOKE.read_text())
         doc["sim"]["seed"] = 999

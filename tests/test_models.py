@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tubeform.errors import ScenarioError
+from tubeform.errors import DimensionMismatch, ScenarioError
 from tubeform.models import (
     AgentModel,
     BallDisturbance,
@@ -38,6 +38,28 @@ def cubic_damped_drift(gain=1.0):
     return DriftSpec(dims=DIMS, outer_gain=gain, axes=tuple(axes))
 
 
+def one_term(term):
+    """A drift whose axis 0 is the single term (outer gain -1) and axis 1 is zero."""
+    return DriftSpec(dims=DIMS, outer_gain=-1.0, axes=((term,), ()))
+
+
+def all_forms_drift():
+    """Every term form, with cubic weights on order 2 and sq_axis != axis."""
+    axes = (
+        (
+            DriftTerm(form="state", coeff=0.7, order=2, axis=1),
+            DriftTerm(form="cubic", coeff=0.12, order=2, weights=(0.6, -0.8)),
+            DriftTerm(form="tanh", coeff=-0.25, scale=0.6, order=3, axis=0),
+        ),
+        (
+            DriftTerm(form="sin_t", coeff=-0.4, freq=0.8, phase=0.5),
+            DriftTerm(form="sq_tanh", coeff=-0.15, order=1, sq_axis=1, axis=0, scale=1.3),
+            DriftTerm(form="cubic", coeff=0.3, order=1, weights=(1.0, 1.0)),
+        ),
+    )
+    return DriftSpec(dims=DIMS, outer_gain=1.7, axes=axes)
+
+
 class TestChainMatrices:
     def test_shapes_and_structure(self):
         a0, g = chain_matrices(DIMS)
@@ -63,55 +85,58 @@ class TestDrift:
         assert np.allclose(drift(x, 0.0), [expected0, expected1])
 
     def test_sinusoid_term_time_only(self):
-        term = DriftTerm(form="sin_t", coeff=-0.4, freq=0.8, phase=0.5)
-        assert term.value(DIMS, np.zeros(6), 2.0) == pytest.approx(-0.4 * math.sin(2.1))
-        assert np.allclose(term.gradient(DIMS, np.zeros(6)), 0.0)
+        drift = one_term(DriftTerm(form="sin_t", coeff=-0.4, freq=0.8, phase=0.5))
+        assert drift(np.zeros(6), 2.0)[0] == pytest.approx(-0.4 * math.sin(2.1))
+        assert np.allclose(drift.table.jacobian(np.ones(6)), 0.0)
 
     def test_cross_coupling_term(self):
         term = DriftTerm(form="sq_tanh", coeff=-0.15, order=1, sq_axis=1, axis=0, scale=1.0)
+        drift = one_term(term)
         x = np.array([0.5, 2.0, 0, 0, 0, 0.0])
-        assert term.value(DIMS, x, 0.0) == pytest.approx(-0.15 * 4.0 * math.tanh(0.5))
+        assert drift(x, 0.0)[0] == pytest.approx(-0.15 * 4.0 * math.tanh(0.5))
+
+    @pytest.mark.parametrize(
+        "term, expected",
+        [
+            (DriftTerm(form="state", coeff=0.7, order=2, axis=1), 0.7 * -1.5),
+            (DriftTerm(form="cubic", coeff=0.12, order=2, weights=(0.6, -0.8)), 0.12 * 1.65**3),
+            (DriftTerm(form="tanh", coeff=-0.25, scale=0.6, order=3, axis=0), -0.25 * math.tanh(1.2)),
+        ],
+        ids=["state", "cubic", "tanh"],
+    )
+    def test_single_term_hand_value(self, term, expected):
+        x = np.array([9.0, 9.0, 0.75, -1.5, 2.0, 9.0])
+        assert one_term(term)(x, 0.3)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_stack_matches_row_by_row(self):
-        """One call on an (M, nd) or (K, M, nd) stack equals M single-state calls,
-        for every term form."""
-        axes = (
-            (
-                DriftTerm(form="state", coeff=0.7, order=2, axis=1),
-                DriftTerm(form="cubic", coeff=0.12, order=1, weights=(0.6, -0.8)),
-                DriftTerm(form="tanh", coeff=-0.25, scale=0.6, order=3, axis=0),
-            ),
-            (
-                DriftTerm(form="sin_t", coeff=-0.4, freq=0.8, phase=0.5),
-                DriftTerm(form="sq_tanh", coeff=-0.15, order=1, sq_axis=1, axis=0, scale=1.3),
-            ),
-        )
-        drift = DriftSpec(dims=DIMS, outer_gain=1.7, axes=axes)
+        """One call on an (M, nd) or (K, M, nd) stack equals M single-state calls."""
+        drift = all_forms_drift()
         xs = np.random.default_rng(4).normal(size=(2, 7, 6))
         stacked = drift(xs, 1.3)
         assert stacked.shape == (2, 7, 2)
         rows = np.array([[drift(x, 1.3) for x in block] for block in xs])
         np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
-        for form_terms in axes:
-            for term in form_terms:
-                values = term.value(DIMS, xs[0], 1.3)
-                singles = [term.value(DIMS, x, 1.3) for x in xs[0]]
-                np.testing.assert_allclose(
-                    np.broadcast_to(values, (7,)), singles, rtol=1e-14, atol=1e-15
-                )
 
     def test_jacobian_matches_finite_differences(self):
-        drift = cubic_damped_drift()
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            x = rng.normal(size=6)
-            jac = drift.jacobian(x)
-            step = 1e-6
-            for col in range(6):
-                bump = np.zeros(6)
-                bump[col] = step
-                fd = (drift(x + bump, 0.0) - drift(x - bump, 0.0)) / (2 * step)
-                assert np.allclose(jac[:, col], fd, atol=1e-6)
+        """The stacked Jacobian of every form against central differences."""
+        drift = all_forms_drift()
+        xs = np.random.default_rng(2).normal(size=(2, 7, 6))
+        jac = drift.table.jacobian(xs)
+        assert jac.shape == (2, 7, 2, 6)
+        step = 1e-6
+        for col in range(6):
+            bump = np.zeros(6)
+            bump[col] = step
+            fd = (drift(xs + bump, 0.9) - drift(xs - bump, 0.9)) / (2 * step)
+            np.testing.assert_allclose(jac[..., col], fd, rtol=0, atol=1e-7)
+
+    def test_malformed_term_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            one_term(DriftTerm(form="state", coeff=1.0, order=1, axis=2))
+        with pytest.raises(DimensionMismatch):
+            one_term(DriftTerm(form="tanh", coeff=1.0, order=4, axis=0))
+        with pytest.raises(DimensionMismatch):
+            one_term(DriftTerm(form="cubic", coeff=1.0, weights=(1.0,)))
 
 
 class TestLipschitzEstimate:
