@@ -90,14 +90,12 @@ def cmd_run(
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    overrides: dict = {}
-    if t_end is not None:
-        overrides["t_end"] = t_end
-    if toggle_feedforward:
-        overrides["feedforward_on"] = not cfg.sim.feedforward_on
-    if baseline_margins:
-        overrides["baseline_margins"] = True
-    sim_cfg = SimConfig.from_scenario(cfg, **overrides)
+    sim_cfg = SimConfig.from_scenario(  # None keeps the scenario's value
+        cfg,
+        t_end=t_end,
+        feedforward_on=(not cfg.sim.feedforward_on) if toggle_feedforward else None,
+        baseline_margins=baseline_margins or None,
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,7 +142,7 @@ def _agent_ids(trace: SimTrace) -> list[int]:
     return sorted(set(ids))
 
 
-def _plot_trajectories(traces: list[SimTrace], labels: list[str], path: Path) -> None:
+def _plot_trajectories(traces: list[SimTrace], leads: list[str], path: Path) -> None:
     fig = SvgFigure("Agent trajectories", "x position", "y position", equal_aspect=True)
     for obs in traces[0].metadata.get("obstacles", "").split(";"):
         if not obs:
@@ -152,9 +150,8 @@ def _plot_trajectories(traces: list[SimTrace], labels: list[str], path: Path) ->
         cx, cy, radius, inflation = (float(v) for v in obs.split(","))
         fig.add_circle(cx, cy, radius, color="#333333", fill="#aaaaaa")
         fig.add_circle(cx, cy, radius + inflation, color="#888888", dashed=True)
-    for t_idx, (trace, label) in enumerate(zip(traces, labels)):
+    for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         ids = _agent_ids(trace)
-        lead = f"{label}: " if len(traces) > 1 else ""
         fig.add_line(
             trace.col("x0_10"), trace.col("x0_11"), label=f"{lead}leader",
             color=PALETTE_LEADER[t_idx], dashed=t_idx == 1,
@@ -172,10 +169,9 @@ def _plot_trajectories(traces: list[SimTrace], labels: list[str], path: Path) ->
 PALETTE_LEADER = ["#000000", "#777777"]
 
 
-def _plot_errors(traces: list[SimTrace], labels: list[str], path: Path) -> None:
+def _plot_errors(traces: list[SimTrace], leads: list[str], path: Path) -> None:
     fig = SvgFigure("Formation offset error components", "time [s]", "error")
-    for t_idx, (trace, label) in enumerate(zip(traces, labels)):
-        lead = f"{label}: " if len(traces) > 1 else ""
+    for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         for i in _agent_ids(trace):
             for ax in range(2):
                 fig.add_line(
@@ -187,10 +183,9 @@ def _plot_errors(traces: list[SimTrace], labels: list[str], path: Path) -> None:
     fig.write(path)
 
 
-def _plot_clearances(traces: list[SimTrace], labels: list[str], path: Path) -> None:
+def _plot_clearances(traces: list[SimTrace], leads: list[str], path: Path) -> None:
     fig = SvgFigure("Minimum safety clearances", "time [s]", "clearance")
-    for t_idx, (trace, label) in enumerate(zip(traces, labels)):
-        lead = f"{label}: " if len(traces) > 1 else ""
+    for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         fig.add_line(trace.col("t"), trace.col("clr_obs"), label=f"{lead}obstacle",
                      dashed=t_idx == 1)
         fig.add_line(trace.col("t"), trace.col("clr_pair"), label=f"{lead}pairwise",
@@ -199,10 +194,9 @@ def _plot_clearances(traces: list[SimTrace], labels: list[str], path: Path) -> N
     fig.write(path)
 
 
-def _plot_occupancy(traces: list[SimTrace], labels: list[str], path: Path) -> None:
+def _plot_occupancy(traces: list[SimTrace], leads: list[str], path: Path) -> None:
     fig = SvgFigure("Tube occupancy V_i / r_i^2", "time [s]", "occupancy")
-    for t_idx, (trace, label) in enumerate(zip(traces, labels)):
-        lead = f"{label}: " if len(traces) > 1 else ""
+    for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         for col in trace.columns:
             if col.startswith("occ"):
                 fig.add_line(trace.col("t"), trace.col(col),
@@ -228,10 +222,11 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
         labels.append(", ".join(mode) or "feedforward")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _plot_trajectories(traces, labels, out / "trajectories.svg")
-    _plot_errors(traces, labels, out / "formation_errors.svg")
-    _plot_clearances(traces, labels, out / "clearances.svg")
-    _plot_occupancy(traces, labels, out / "tube_occupancy.svg")
+    leads = [f"{label}: " for label in labels] if len(traces) > 1 else [""]  # legend prefixes
+    _plot_trajectories(traces, leads, out / "trajectories.svg")
+    _plot_errors(traces, leads, out / "formation_errors.svg")
+    _plot_clearances(traces, leads, out / "clearances.svg")
+    _plot_occupancy(traces, leads, out / "tube_occupancy.svg")
     rows = ["metric," + ",".join(labels)]
     all_metrics = [trace_metrics(t) for t in traces]
     for key in (

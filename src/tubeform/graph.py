@@ -75,10 +75,7 @@ def bfs_from_leader(g: CommGraph) -> tuple[list[int | None], list[int]]:
             parent[i] = -1
             depth[i] = 0
             queue.append(i)
-    head = 0
-    while head < len(queue):
-        j = queue[head]
-        head += 1
+    for j in queue:  # the queue grows while it is walked
         for i in range(n):
             if g.adjacency[i, j] > 0.0 and depth[i] < 0:
                 parent[i] = j

@@ -93,26 +93,26 @@ class DriftTerm:
 
 
 class DriftTable(NamedTuple):
-    """Drift terms, each one product ``coeff (u.x)^expo (offset + tanh(v.x)) sin(freq t + phase)``.
+    """K terms ``(u.x)^expo (offset + tanh(v.x)) sin(freq t + phase)``, each scattered to its axis.
 
-    ``scatter`` adds term k, times -outer_gain, to its axis. A one-model table
-    (arrays led by K) evaluates one ``(nd,)`` state or any ``(..., nd)`` stack;
-    a ``stack`` (arrays led by R rows) evaluates ``(R, nd)`` rows, each by its model.
+    ``scatter`` (K, d) holds -outer_gain * coeff; ``offset`` is 1 and ``phase`` pi/2
+    where a term lacks that factor. A one-model table evaluates one ``(nd,)`` state
+    or any ``(..., nd)`` stack; a ``stack`` (arrays led by R rows) evaluates
+    ``(R, nd)`` rows, each by its model.
     """
 
-    coeff: np.ndarray  # (..., K)
-    u: np.ndarray  # (..., K, nd)
-    expo: np.ndarray  # (..., K)
-    v: np.ndarray  # (..., K, nd), tanh scale folded in
-    offset: np.ndarray  # (..., K): 1 where the term has no tanh factor
-    freq: np.ndarray  # (..., K)
-    phase: np.ndarray  # (..., K): pi/2 (with freq 0) where it has no time factor
-    scatter: np.ndarray  # (..., K, d)
+    u: np.ndarray
+    expo: np.ndarray
+    v: np.ndarray
+    offset: np.ndarray
+    freq: np.ndarray
+    phase: np.ndarray
+    scatter: np.ndarray
 
     @classmethod
     def stack(cls, tables: list["DriftTable"], rows: np.ndarray) -> "DriftTable":
         """Row r evaluates with ``tables[rows[r]]``; all-zero terms pad the shorter tables."""
-        width = max(len(t.coeff) for t in tables)
+        width = max(len(t.expo) for t in tables)
 
         def pad(a: np.ndarray) -> np.ndarray:
             return np.pad(a, [(0, width - len(a))] + [(0, 0)] * (a.ndim - 1))
@@ -122,17 +122,15 @@ class DriftTable(NamedTuple):
     def value(self, x: np.ndarray, t: float) -> np.ndarray:
         """Drift (..., d) at the states x (..., nd)."""
         ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
-        terms = self.coeff * ux**self.expo * (self.offset + np.tanh(vx))
-        terms = terms * np.sin(self.freq * t + self.phase)
+        terms = ux**self.expo * (self.offset + np.tanh(vx)) * np.sin(self.freq * t + self.phase)
         return (terms[..., None, :] @ self.scatter)[..., 0, :]
 
-    def jacobian(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Drift Jacobian (..., d, nd) at the states x (..., nd)."""
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Drift Jacobian (..., d, nd) at the states x (..., nd); time-only terms drop out."""
         ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
-        scale = self.coeff * np.sin(self.freq * t + self.phase)
         d_power = self.expo * ux ** np.maximum(self.expo - 1.0, 0.0)
-        grad = (scale * d_power * (self.offset + np.tanh(vx)))[..., None] * self.u
-        grad += (scale * ux**self.expo / np.cosh(vx) ** 2)[..., None] * self.v
+        grad = (d_power * (self.offset + np.tanh(vx)))[..., None] * self.u
+        grad += (ux**self.expo / np.cosh(vx) ** 2)[..., None] * self.v
         return self.scatter.swapaxes(-1, -2) @ grad
 
 
@@ -164,7 +162,7 @@ class DriftSpec:
             ):
                 raise DimensionMismatch(f"drift term {term} does not fit {n} blocks of {d} axes")
             block = slice((term.order - 1) * d, term.order * d)
-            scatter[k, axis] = -self.outer_gain
+            scatter[k, axis] = -self.outer_gain * term.coeff
             if term.form == "state":
                 u[k, block][term.axis], expo[k] = 1.0, 1.0
             elif term.form == "cubic":
@@ -175,8 +173,7 @@ class DriftSpec:
                 v[k, block][term.axis], offset[k] = term.scale, 0.0
                 if term.form == "sq_tanh":
                     u[k, block][term.sq_axis], expo[k] = 1.0, 2.0
-        coeff = np.array([term.coeff for _, term in terms], dtype=float)
-        return DriftTable(coeff, u, expo, v, offset, freq, phase, scatter)
+        return DriftTable(u, expo, v, offset, freq, phase, scatter)
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.table.value(x, t)

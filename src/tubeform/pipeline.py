@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +20,8 @@ from .certify import (
     leader_radius,
     synth_gain,
 )
-from .errors import GraphNotRooted, NotHurwitz, ScenarioError
-from .graph import GlobalBoundCertificate, global_bound, has_leader_spanning_tree, zbar
+from .errors import NotHurwitz, ScenarioError
+from .graph import GlobalBoundCertificate, global_bound, zbar
 from .models import AgentModel
 from .protocol import relay_parents
 from .scenario import ScenarioConfig, build_all_models, build_graph, scenario_hash
@@ -52,9 +51,7 @@ def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
     stabilizing component). The shipped leaders carry their own stabilizing
     linear terms.
     """
-    center = leader_model.operating_box.center
-    jac = leader_model.drift.table.jacobian(center)
-    gain = -jac
+    gain = -leader_model.drift.table.jacobian(leader_model.operating_box.center)
     if cfg.leader.tube.stabilizer is not None:
         gain = gain + np.asarray(cfg.leader.tube.stabilizer, dtype=float)
     try:
@@ -70,9 +67,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     """Run the full offline design stage for a scenario."""
     models = build_all_models(cfg)
     g = build_graph(cfg)
-    if not has_leader_spanning_tree(g):
-        raise GraphNotRooted("no spanning tree rooted at the leader")
-    _, depths = relay_parents(g)
+    _, depths = relay_parents(g)  # raises GraphNotRooted
 
     if spot_checks:
         rng = np.random.default_rng(SPOT_CHECK_SEED)
@@ -197,18 +192,28 @@ def load_certificate(path: str | Path) -> dict:
     return doc
 
 
+def _matches(got, expected) -> bool:
+    """Equal-shape JSON numbers (not bools) within 1e-9 relative, or both null."""
+    if expected is None or got is None:
+        return got is expected
+    try:
+        arr = np.asarray(got)
+    except ValueError:  # ragged nested lists
+        return False
+    numeric = arr.dtype.kind in "if" and arr.shape == np.shape(expected)
+    return numeric and np.allclose(arr, expected, rtol=1e-9, atol=0.0)
+
+
 def check_certificate(doc: dict, res: CertificationResult) -> None:
     """Raise ``ScenarioError`` naming the first field the run consumes that ``res`` does not match.
 
     The run uses the recertified values, so the file must agree with them
-    (within 1e-9 relative).
+    (entrywise within 1e-9 relative).
     """
     want = certificate_to_dict(res)
-    paths = [("formation_error_bound",), ("leader", "r_ball")] + [
-        ("agents", i, key)
-        for i in range(len(res.tubes))
-        for key in ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball")
-    ]
+    keys = ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball", "gain", "p")
+    paths = [("formation_error_bound",), ("leader", "r_ball")]
+    paths += [("agents", i, key) for i in range(len(res.tubes)) for key in keys]
     for path in paths:
         name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
         got, expected = doc, want
@@ -217,6 +222,5 @@ def check_certificate(doc: dict, res: CertificationResult) -> None:
                 got, expected = got[key], expected[key]
         except (KeyError, IndexError, TypeError):
             raise ScenarioError(f"certificate: missing {name}") from None
-        numeric = type(got) in (int, float) and expected is not None  # JSON numbers, not bools
-        if not (got is expected or numeric and math.isclose(got, expected, rel_tol=1e-9)):
+        if not _matches(got, expected):
             raise ScenarioError(f"certificate: {name} is {got!r}, recertified {expected!r}")

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphNotRooted, NonFiniteState, ScenarioError, StalePlan
+from .errors import GraphNotRooted, NonFiniteState, StalePlan
 from .graph import CommGraph, bfs_from_leader
-from .models import BrunovskyDims
 from .ocp import OcpSpec, rollout
 
 
@@ -104,7 +103,6 @@ def rollout_neighbor(
 class LeaderEstimate:
     """One agent's propagated leader state estimate."""
 
-    holder: int
     hops: int
     value: np.ndarray
     age: int  # sampling steps since the source measurement
@@ -133,17 +131,10 @@ def relay_leader(
     parent, depth = relay_parents(g)
     estimates: dict[int, LeaderEstimate] = {}
     for i in range(g.n_followers):
-        if depth[i] == 0:
-            estimates[i + 1] = LeaderEstimate(
-                holder=i + 1, hops=0, value=leader_state.copy(), age=0
-            )
-        elif previous is None:
-            estimates[i + 1] = LeaderEstimate(
-                holder=i + 1, hops=depth[i], value=leader_state.copy(), age=0
-            )
+        if depth[i] == 0 or previous is None:
+            value, age = leader_state, 0
         else:
             src = previous[parent[i] + 1]
-            estimates[i + 1] = LeaderEstimate(
-                holder=i + 1, hops=depth[i], value=src.value.copy(), age=src.age + 1
-            )
+            value, age = src.value, src.age + 1
+        estimates[i + 1] = LeaderEstimate(hops=depth[i], value=value.copy(), age=age)
     return estimates

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,13 +106,20 @@ class BarrierConfig:
 
 
 @dataclass(frozen=True)
-class SimConfigSection:
+class SimConfig:
+    """The ``sim`` section, which is also a run's settings."""
+
     t_end: float = 30.0
     ts: float = 0.1
     fine_substeps: int = 10
     seed: int = 0
     feedforward_on: bool = True
     baseline_margins: bool = False
+
+    @classmethod
+    def from_scenario(cls, cfg: "ScenarioConfig", **overrides) -> "SimConfig":
+        """The scenario's sim section with the non-None ``overrides`` applied."""
+        return replace(cfg.sim, **{k: v for k, v in overrides.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class ScenarioConfig:
     gains: GainSpec
     ocp: OcpConfig
     barriers: BarrierConfig
-    sim: SimConfigSection
+    sim: SimConfig
     initial_leader: tuple[float, ...]
     initial_followers: tuple[tuple[float, ...], ...]
 
@@ -315,7 +322,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     )
 
     sim_raw = raw.get("sim", {})
-    sim = SimConfigSection(
+    sim = SimConfig(
         t_end=float(sim_raw.get("t_end", 30.0)),
         ts=float(sim_raw.get("ts", 0.1)),
         fine_substeps=int(sim_raw.get("fine_substeps", 10)),
@@ -359,10 +366,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def _validate_sampling(cfg: ScenarioConfig) -> None:
     """Fine steps must resolve the fastest disturbance (>= 20 per period)."""
-    freqs = [f for f in cfg.leader.disturbance.freq]
-    for agent in cfg.agents:
-        freqs.extend(agent.disturbance.freq)
-    freqs = [abs(f) for f in freqs if f]
+    dists = [cfg.leader.disturbance] + [agent.disturbance for agent in cfg.agents]
+    freqs = [abs(f) for dist in dists for f in dist.freq if f]
     if not freqs:
         return
     period = 2.0 * math.pi / max(freqs)
@@ -385,33 +390,12 @@ def _strip_nones(obj):
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    """The file layout: the config's fields, offsets and initial states under their file keys."""
     raw = asdict(cfg)
-    out = {
-        "name": cfg.name,
-        "dims": {"n": cfg.dims.n, "d": cfg.dims.d, "followers": cfg.dims.followers},
-        "leader": {
-            "dynamics": raw["leader"]["dynamics"],
-            "disturbance": raw["leader"]["disturbance"],
-            "disturbance_bound": cfg.leader.disturbance_bound,
-            "lipschitz": cfg.leader.lipschitz,
-            "operating_box": raw["leader"]["operating_box"],
-            "rate_bound": cfg.leader.rate_bound,
-            "tube": raw["leader"]["tube"],
-        },
-        "agents": raw["agents"],
-        "graph": raw["graph"],
-        "formation": {"offsets": raw["offsets"]},
-        "obstacles": raw["obstacles"],
-        "gains": raw["gains"],
-        "ocp": raw["ocp"],
-        "barriers": raw["barriers"],
-        "sim": raw["sim"],
-        "initial_states": {
-            "leader": list(cfg.initial_leader),
-            "followers": [list(r) for r in cfg.initial_followers],
-        },
-    }
-    return _strip_nones(out)
+    raw["formation"] = {"offsets": raw.pop("offsets")}
+    initial = {"leader": raw.pop("initial_leader"), "followers": raw.pop("initial_followers")}
+    raw["initial_states"] = initial
+    return _strip_nones(raw)
 
 
 def dumps_scenario(cfg: ScenarioConfig) -> str:
@@ -441,30 +425,22 @@ def build_formation(cfg: ScenarioConfig) -> FormationSpec:
 
 def _build_disturbance(
     dist: DisturbanceConfig, cfg: ScenarioConfig, agent_id: int
-) -> tuple[SinusoidDisturbance | BallDisturbance, float]:
+) -> SinusoidDisturbance | BallDisturbance:
     if dist.kind == "sinusoid":
-        model = SinusoidDisturbance(amp=dist.amp, freq=dist.freq, phase=dist.phase)
-        return model, model.norm_bound()
-    model = BallDisturbance(
+        return SinusoidDisturbance(amp=dist.amp, freq=dist.freq, phase=dist.phase)
+    return BallDisturbance(
         bound=dist.bound,
         seed=cfg.sim.seed,
         agent_id=agent_id,
         step_duration=cfg.sim.ts / cfg.sim.fine_substeps,
         dim=cfg.dims.d,
     )
-    return model, dist.bound
 
 
 def build_agent_model(cfg: ScenarioConfig, agent_id: int) -> AgentModel:
     """Agent 0 is the leader; 1..N are followers."""
-    if agent_id == 0:
-        section = cfg.leader
-        declared_bound = cfg.leader.disturbance_bound
-        lipschitz = cfg.leader.lipschitz
-    else:
-        section = cfg.agents[agent_id - 1]
-        declared_bound = section.disturbance_bound
-        lipschitz = section.lipschitz
+    section = cfg.leader if agent_id == 0 else cfg.agents[agent_id - 1]
+    lipschitz = section.lipschitz
     drift = DriftSpec(
         dims=cfg.dims,
         outer_gain=section.dynamics.outer_gain,
@@ -473,7 +449,7 @@ def build_agent_model(cfg: ScenarioConfig, agent_id: int) -> AgentModel:
     # the declared bound is verified at certify time: exactly for a ball, on
     # sampled norms for a sinusoid (equal-frequency axes can stay below the
     # amplitude hypot)
-    disturbance, _ = _build_disturbance(section.disturbance, cfg, agent_id)
+    disturbance = _build_disturbance(section.disturbance, cfg, agent_id)
     if lipschitz == "estimate":
         lipschitz = estimate_lipschitz(drift, section.operating_box)
     return AgentModel(
@@ -482,7 +458,7 @@ def build_agent_model(cfg: ScenarioConfig, agent_id: int) -> AgentModel:
         drift=drift,
         drift_lipschitz=float(lipschitz),
         disturbance=disturbance,
-        disturbance_bound=declared_bound,
+        disturbance_bound=section.disturbance_bound,
         operating_box=section.operating_box,
     )
 
@@ -493,5 +469,4 @@ def build_all_models(cfg: ScenarioConfig) -> list[AgentModel]:
 
 def initial_states(cfg: ScenarioConfig) -> np.ndarray:
     """(N+1, nd) array of initial chain states, leader first."""
-    rows = [list(cfg.initial_leader)] + [list(r) for r in cfg.initial_followers]
-    return np.asarray(rows, dtype=float)
+    return np.asarray((cfg.initial_leader,) + cfg.initial_followers, dtype=float)

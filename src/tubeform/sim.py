@@ -42,35 +42,12 @@ from .protocol import (
     rollout_neighbor,
     shift_plan,
 )
-from .scenario import ScenarioConfig, build_formation, build_graph, initial_states
+from .scenario import ScenarioConfig, SimConfig, build_formation, build_graph, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
 # exact-penalty weights for relaxed solves: violating an obstacle row is far
 # more expensive than an inter-agent row, which outranks the terminal cut
 SLACK_PENALTY = (1e6, 3e4, 1e4)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    t_end: float
-    ts: float
-    fine_substeps: int
-    seed: int
-    feedforward_on: bool = True
-    baseline_margins: bool = False
-
-    @classmethod
-    def from_scenario(cls, cfg: ScenarioConfig, **overrides) -> "SimConfig":
-        base = dict(
-            t_end=cfg.sim.t_end,
-            ts=cfg.sim.ts,
-            fine_substeps=cfg.sim.fine_substeps,
-            seed=cfg.sim.seed,
-            feedforward_on=cfg.sim.feedforward_on,
-            baseline_margins=cfg.sim.baseline_margins,
-        )
-        base.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**base)
 
 
 @dataclass
@@ -222,10 +199,12 @@ class SimWorld:
         self.anchors = self.state[4::3]
         # rows of the true states per agent, leader first, each followed by its nominal
         self._agent_rows = np.r_[0, 2 : len(self.state) : 3]
-        # each row's drift model: the leader's for the leader, its nominal and
-        # the anchors, each follower's own for its true and nominal states
-        model_of_row = np.zeros(len(self.state), dtype=int)
-        model_of_row[2::3] = model_of_row[3::3] = np.arange(1, self.n + 1)
+        # the world reads the drift at every row but the followers' nominal
+        # states: the leader's model at the leader, its nominal and the anchors,
+        # each follower's own at its true state (rows 2::2 of the drift rows)
+        self._drift_rows = np.delete(np.arange(len(self.state)), np.s_[3::3])
+        model_of_row = np.zeros(len(self._drift_rows), dtype=int)
+        model_of_row[2::2] = np.arange(1, self.n + 1)
         self._drift = DriftTable.stack([m.drift.table for m in self.models], model_of_row)
         states = initial_states(cfg)
         self.state[self._agent_rows] = states
@@ -429,8 +408,8 @@ class SimWorld:
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
         """RHS of the world ODE (rows as in ``self.state``) during one sampling interval."""
         x, xb = state[2::3], state[3::3]
-        drift = self._drift.value(state, t)
-        own, f_anchor = drift[2::3], drift[4::3]
+        drift = self._drift.value(state[self._drift_rows], t)
+        own, f_anchor = drift[2::2], drift[3::2]
         w = np.stack([m.disturbance(t) for m in self.models[1:]])
         # pinned followers cancel toward the true leader, the others toward their anchor
         ff = np.where(self._pinned, drift[0], f_anchor)
@@ -594,10 +573,6 @@ class SimResult:
     trace: SimTrace
     violations: list[SafetyViolation]
     world: SimWorld
-
-    @property
-    def safe(self) -> bool:
-        return not self.violations
 
 
 def run_simulation(

@@ -109,8 +109,10 @@ class TestRun:
             (lambda doc: doc["agents"][1].update(margin_radius=123.0), "agents[1].margin_radius"),
             (lambda doc: doc.update(formation_error_bound=-5.0), "formation_error_bound"),
             (lambda doc: doc.pop("agents"), "missing agents[0].r"),
+            (lambda doc: doc["agents"][0]["gain"][0].__setitem__(0, 1.5), "agents[0].gain"),
+            (lambda doc: doc["agents"][1]["p"].pop(), "agents[1].p"),
         ],
-        ids=["margin_radius", "formation_error_bound", "no_agents"],
+        ids=["margin_radius", "formation_error_bound", "no_agents", "gain", "p_shape"],
     )
     def test_edited_certificate_exit_1(self, certified, tmp_path, capsys, edit, field):
         doc = json.loads(certified.read_text())

@@ -189,21 +189,20 @@ class TestWorldDrift:
     def test_team_call_matches_per_model_calls(self):
         """The one stacked drift call of the world RHS equals one call per row's
         model: the leader's on the leader, its nominal and the anchors, each
-        follower's own on its true and nominal states."""
+        follower's own on its true state."""
         cfg = load_scenario(PAPER)
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         for step in range(10):
             world.step(step)
         t = 10.37 * cfg.sim.ts
-        team = world._drift.value(world.state, t)
+        team = world._drift.value(world.state[world._drift_rows], t)
         leader = world.models[0].drift
         expected = np.empty_like(team)
         expected[[0, 1]] = leader(world.state[[0, 1]], t)
-        expected[4::3] = leader(world.anchors, t)
+        expected[3::2] = leader(world.anchors, t)
         for i, model in enumerate(world.models[1:]):
-            expected[2 + 3 * i] = model.drift(world.x_true[i], t)
-            expected[3 + 3 * i] = model.drift(world.x_nom[i], t)
+            expected[2 + 2 * i] = model.drift(world.x_true[i], t)
         np.testing.assert_allclose(team, expected, rtol=1e-14, atol=1e-14)
 
 
