@@ -27,8 +27,6 @@ from .graph import (
     global_bound,
     has_leader_spanning_tree,
     min_singular_value,
-    sync_error,
-    zbar,
 )
 from .linalg import eig_sym, rk4_step, solve_continuous_lyapunov
 from .models import (
@@ -57,7 +55,6 @@ from .protocol import (
     PlanMessage,
     initial_broadcast,
     relay_leader,
-    rollout_neighbor,
     shift_plan,
 )
 from .qp import QpProblem, QpSolution, solve_qp

@@ -29,26 +29,28 @@ from .sim import SimConfig, SimTrace, run_simulation, trace_metrics
 from .svgplot import SvgFigure
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_certify(scenario_path: str, out_path: str) -> int:
     try:
         cfg = load_scenario(scenario_path)
     except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     try:
         result = certify_scenario(cfg)
     except (GraphNotRooted, InfeasibleLeaderTube, EmptyTightenedSet, NotHurwitz) as exc:
         print(f"infeasible: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except TubeformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     try:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         write_certificate(out_path, result)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(
         f"certified {cfg.name}: sv_min={result.bound_cert.sv_min:.6g} "
         f"bound={result.bound_cert.bound:.6g}"
@@ -75,8 +77,7 @@ def cmd_run(
         cfg = load_scenario(scenario_path)
         cert_doc = load_certificate(cert_path)
     except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     if cert_doc.get("scenario_sha256") != scenario_hash(cfg):
         print("error: certificate does not match scenario (hash mismatch)", file=sys.stderr)
         return 1
@@ -87,8 +88,7 @@ def cmd_run(
     try:
         check_certificate(cert_doc, result)
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
 
     sim_cfg = SimConfig.from_scenario(  # None keeps the scenario's value
         cfg,
@@ -98,24 +98,29 @@ def cmd_run(
     )
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _error(exc)
     try:
         sim_result = run_simulation(cfg, result, sim_cfg)
     except CascadedInfeasibility as exc:
         print(f"cascaded infeasibility: {exc}", file=sys.stderr)
         return 4
     except (ScenarioError, TubeformError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
 
     trace_path = out / "trace.csv"
-    sim_result.trace.to_csv(trace_path)
     metrics = trace_metrics(sim_result.trace)
     metrics["violations"] = [
         {"kind": v.kind, "fine_step": v.step, "t": v.t, "agent": v.agent, "value": v.value}
         for v in sim_result.violations
     ]
-    (out / "summary.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    try:
+        sim_result.trace.to_csv(trace_path)
+        (out / "summary.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    except OSError as exc:
+        return _error(exc)
     print(f"trace written to {trace_path}")
     print(
         f"min clearances: obstacle={metrics['min_obstacle_clearance']:.6g} "
@@ -210,8 +215,7 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
     try:
         traces = [SimTrace.from_csv(p) for p in trace_paths]
     except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     labels = []
     for trace in traces:
         mode = []
@@ -221,12 +225,7 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
             mode.append("no feedforward")
         labels.append(", ".join(mode) or "feedforward")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     leads = [f"{label}: " for label in labels] if len(traces) > 1 else [""]  # legend prefixes
-    _plot_trajectories(traces, leads, out / "trajectories.svg")
-    _plot_errors(traces, leads, out / "formation_errors.svg")
-    _plot_clearances(traces, leads, out / "clearances.svg")
-    _plot_occupancy(traces, leads, out / "tube_occupancy.svg")
     rows = ["metric," + ",".join(labels)]
     all_metrics = [trace_metrics(t) for t in traces]
     for key in (
@@ -238,7 +237,15 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
         "relaxed_steps",
     ):
         rows.append(key + "," + ",".join(f"{m[key]:.6g}" for m in all_metrics))
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _plot_trajectories(traces, leads, out / "trajectories.svg")
+        _plot_errors(traces, leads, out / "formation_errors.svg")
+        _plot_clearances(traces, leads, out / "clearances.svg")
+        _plot_occupancy(traces, leads, out / "tube_occupancy.svg")
+        (out / "metrics.csv").write_text("\n".join(rows) + "\n")
+    except OSError as exc:
+        return _error(exc)
     print(f"report written to {out}")
     return 0
 

@@ -21,10 +21,6 @@ class NonFiniteState(TubeformError):
     """An integration step produced NaN or Inf components."""
 
 
-class MissingNeighborState(TubeformError):
-    """A synchronization error was requested without a needed neighbor state."""
-
-
 class GraphNotRooted(TubeformError):
     """The augmented graph has no spanning tree rooted at the leader."""
 

@@ -1,4 +1,10 @@
-"""Communication topology, leader rooting, and the global formation-error bound."""
+"""Communication topology, leader rooting, and the global formation-error bound.
+
+The augmented Laplacian M = nu1 L + nu2 B0 is the one graph matrix: the
+synchronization errors are -M q on the stacked offset-corrected chain
+states, the exogenous error drive is nu1 A on the shifted plans (the
+off-diagonal of -M), and the local deviation bounds are |M| r + nu2 b0 r0.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphNotRooted, MissingNeighborState, ScenarioError
+from .errors import GraphNotRooted, ScenarioError
 from .linalg import eig_sym
-from .models import FormationSpec
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,10 @@ class CommGraph:
         """nu1 * d_i + nu2 * b_i0, the gain on agent i's own input in e^i."""
         return self.nu1 * self.degree(i) + self.nu2 * float(self.b0[i])
 
+    def sync_errors(self, q: np.ndarray) -> np.ndarray:
+        """All followers' e^i = -M (q_i - q_0) from (N+1, ...) offset-corrected states, leader first."""
+        return -self.augmented() @ (q[1:] - q[0])
+
 
 def bfs_from_leader(g: CommGraph) -> tuple[list[int | None], list[int]]:
     """BFS over the augmented digraph from the leader.
@@ -96,58 +105,6 @@ def min_singular_value(m: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, w[0])))
 
 
-def sync_error(
-    i: int,
-    states: dict[int, np.ndarray],
-    g: CommGraph,
-    formation: FormationSpec,
-    order: int,
-) -> np.ndarray:
-    """Local synchronization error e^i_p from neighbor and leader states.
-
-    ``states`` maps agent ids (0 = leader, 1..N = followers) to order-p
-    state blocks. The leader entry may be absent when b_i0 = 0.
-    """
-    if i + 1 not in states:
-        raise MissingNeighborState(f"state of agent {i + 1} missing")
-    own = states[i + 1] - formation.offset(i + 1, order)
-    err = np.zeros_like(own)
-    for j in g.neighbors(i):
-        if j + 1 not in states:
-            raise MissingNeighborState(f"state of neighbor {j + 1} missing")
-        other = states[j + 1] - formation.offset(j + 1, order)
-        err -= g.nu1 * g.adjacency[i, j] * (own - other)
-    if g.b0[i] > 0.0:
-        if 0 not in states:
-            raise MissingNeighborState("leader state missing for a pinned agent")
-        leader = states[0] - formation.offset(0, order)
-        err -= g.nu2 * g.b0[i] * (own - leader)
-    return err
-
-
-def sync_error_stacked(
-    states: np.ndarray, g: CommGraph, formation: FormationSpec, order: int
-) -> np.ndarray:
-    """All followers' e^i_p at once from an (N+1, d) state-block array."""
-    table = {idx: states[idx] for idx in range(states.shape[0])}
-    return np.stack(
-        [sync_error(i, table, g, formation, order) for i in range(g.n_followers)]
-    )
-
-
-def zbar(i: int, radii: dict[int, float], r0: float, g: CommGraph) -> float:
-    """Lemma-style deviation bound on e^i_p - ebar^i_p from local radii.
-
-    ``radii`` maps follower ids (1..N) to ball-norm deviation radii; ``r0``
-    is the leader's ball radius.
-    """
-    out = g.coupling(i) * radii[i + 1]
-    for j in g.neighbors(i):
-        out += g.nu1 * g.adjacency[i, j] * radii[j + 1]
-    out += g.nu2 * float(g.b0[i]) * r0
-    return out
-
-
 @dataclass(frozen=True)
 class GlobalBoundCertificate:
     """Minimum singular value of the augmented Laplacian and the error bound."""
@@ -158,11 +115,16 @@ class GlobalBoundCertificate:
     bound: float
 
 
-def global_bound(g: CommGraph, zbars: np.ndarray) -> GlobalBoundCertificate:
-    """Assemble the steady-state stacked formation-error bound."""
+def global_bound(g: CommGraph, radii: np.ndarray, r0: float) -> GlobalBoundCertificate:
+    """Steady-state stacked formation-error bound from the followers' and the leader's radii.
+
+    The local bounds on e^i - ebar^i are zbar = |M| r + nu2 b0 r0; the
+    stacked bound is |zbar| / sv_min(M).
+    """
     if not has_leader_spanning_tree(g):
         raise GraphNotRooted("no spanning tree rooted at the leader")
     m = g.augmented()
+    zbars = np.abs(m) @ np.asarray(radii, dtype=float) + g.nu2 * g.b0 * r0
     sv = min_singular_value(m)
     bound = float(np.linalg.norm(zbars) / sv)
-    return GlobalBoundCertificate(m=m, sv_min=sv, zbars=np.asarray(zbars, float), bound=bound)
+    return GlobalBoundCertificate(m=m, sv_min=sv, zbars=zbars, bound=bound)

@@ -41,10 +41,6 @@ class BrunovskyDims:
     def nd(self) -> int:
         return self.n * self.d
 
-    def block(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Block p (1-based) of a chain state (or a stack of them) laid out as (x_1, ..., x_n)."""
-        return x[..., (order - 1) * self.d : order * self.d]
-
 
 def chain_matrices(dims: BrunovskyDims) -> tuple[np.ndarray, np.ndarray]:
     """Block upshift matrix A0 and top-order selector G for the chain."""
@@ -296,8 +292,8 @@ def estimate_lipschitz(
     """Grid-sample the drift Jacobian spectral norm over the box.
 
     Evaluates the closed-form Jacobian on a full grid with
-    ``points_per_axis`` points per state axis and returns the largest
-    spectral norm times ``safety``.
+    ``points_per_axis`` points per state axis, built chunk by chunk, and
+    returns the largest spectral norm times ``safety``.
     """
     nd = drift.dims.nd
     if points_per_axis**nd > 5_000_000:
@@ -309,9 +305,12 @@ def estimate_lipschitz(
         np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
         for lo, hi in zip(box.lower, box.upper)
     ]
-    grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    shape = tuple(len(ax) for ax in axes)
+    n_points = math.prod(shape)
     worst = 0.0
-    for chunk in np.array_split(grid, max(1, len(grid) // 20_000)):
+    for start in range(0, n_points, 20_000):  # C-order grid points, one chunk at a time
+        idx = np.unravel_index(np.arange(start, min(start + 20_000, n_points)), shape)
+        chunk = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
         norms = np.linalg.norm(drift.table.jacobian(chunk), 2, axis=(-2, -1))
         worst = max(worst, float(np.max(norms)))
     return worst * safety

@@ -13,16 +13,19 @@ always substituted for the last input, so the free inputs are steps
 linearization pass, and barrier rows are affine in the per-step input at a
 frozen linearization trajectory.
 
-What depends only on the ``OcpSpec`` is built once per spec
-(``OcpSpec.condensing``): the stacked error response to e0, to the drive
-and to the inputs, the terminal-law substitution map, the cost and
-input-rate matrices, the full and reduced Hessians, and the input-box rows.
-Each ``build_qp`` call then computes only what moves with e0, the drive
-sequence and the previous input: the error and input offsets, the linear
-and constant cost terms, and the barrier, error-box and terminal-cut rows.
+The chain recurrence over the horizon is one linear map, built once per
+spec (``OcpSpec.horizon_maps``): the trajectory's response to its initial
+state and to the per-step drive. ``rollout`` applies it to any stack of
+initial states and drives, so nominal states, synchronization errors and
+every reader's neighbor predictions come from the same two arrays.
 
-The nominal states and the synchronization errors follow the same chain
-recurrence under different drives, so one ``rollout`` serves both.
+What else depends only on the spec is built once too (``OcpSpec.condensing``):
+the errors' response to the inputs, the terminal-law substitution map, the
+cost and input-rate matrices, the full and reduced Hessians, and the
+input-box rows. Each ``build_qp`` call then computes only what moves with
+e0, the drive sequence, the previous input and the linearization inputs:
+the error and input offsets, the linear and constant cost terms, and the
+barrier, error-box and terminal-cut rows.
 """
 
 from __future__ import annotations
@@ -127,6 +130,26 @@ class OcpSpec:
     error_box: np.ndarray | None = None  # (nd,) tightened symmetric bounds
 
     @functools.cached_property
+    def horizon_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """((H+1) nd, nd) and ((H+1) nd, H d) maps from x0 and the drive to the trajectory.
+
+        Block l of the first is Ad^l; block (l, m) of the second is
+        Ad^(l-1-m) Bd for m < l and zero otherwise.
+        """
+        h, nd, d = self.horizon, self.dims.nd, self.dims.d
+        powers = [np.eye(nd)]
+        for _ in range(h):
+            powers.append(self.ad @ powers[-1])
+        bz = np.zeros(((h + 1) * nd, h * d))
+        for step in range(1, h + 1):
+            for m in range(step):
+                bz[step * nd : (step + 1) * nd, m * d : (m + 1) * d] = powers[step - 1 - m] @ self.bd
+        free_map = np.vstack(powers)
+        for arr in (free_map, bz):
+            arr.setflags(write=False)
+        return free_map, bz
+
+    @functools.cached_property
     def condensing(self) -> _Condensing:
         """The spec-only part of the condensed QP, built on first use."""
         return _Condensing.build(self)
@@ -164,8 +187,9 @@ class _Condensing:
     problems it returns.
     """
 
-    free_map: np.ndarray  # (H nd, nd): Ad^1 .. Ad^H, the stacked errors' response to e0
-    bz: np.ndarray  # (H nd, H d): their response to the per-step drive
+    # steps 1..H of the spec's horizon maps: the stacked errors' response to e0 and the drive
+    free_map: np.ndarray  # (H nd, nd)
+    bz: np.ndarray  # (H nd, H d)
     e_map: np.ndarray  # -coupling * bz: their response to the inputs
     t_map: np.ndarray  # (H d, n_free): the full inputs from the free ones
     w_mat: np.ndarray  # terminal law v_{H-1} = w_mat ebar_{H-1} + w_drive s_{H-1}
@@ -183,14 +207,7 @@ class _Condensing:
     def build(cls, spec: OcpSpec) -> _Condensing:
         h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
         n_z = h * d
-        powers = [np.eye(nd)]
-        for _ in range(h):
-            powers.append(spec.ad @ powers[-1])
-        bz = np.zeros((h * nd, n_z))
-        for step in range(1, h + 1):
-            row = (step - 1) * nd
-            for m in range(step):
-                bz[row : row + nd, m * d : (m + 1) * d] = powers[step - 1 - m] @ spec.bd
+        free_map, bz = (arr[nd:] for arr in spec.horizon_maps)  # steps 1..H
         e_map = -spec.coupling * bz
 
         # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0
@@ -209,17 +226,10 @@ class _Condensing:
         t_map[n_free:, :] = w_mat @ e_map[row : row + nd, :n_free]
 
         # cost: sum_{l=1}^{H-1} |e_l|_Qr^2 + |e_H|_Pr^2 + sum |v_l|_R^2 + |dv_l|_Rd^2
-        cost_blocks = [spec.qr] * (h - 1) + [spec.pr]
-        c_e = np.zeros((h * nd, h * nd))
-        for idx, blk in enumerate(cost_blocks):
-            c_e[idx * nd : (idx + 1) * nd, idx * nd : (idx + 1) * nd] = blk
-        hess = 2.0 * (e_map.T @ c_e @ e_map)
-        for step in range(h):
-            sl = slice(step * d, (step + 1) * d)
-            hess[sl, sl] += 2.0 * spec.r
-        d_mat = np.eye(n_z)
-        for step in range(1, h):
-            d_mat[step * d : (step + 1) * d, (step - 1) * d : step * d] = -np.eye(d)
+        c_e = np.kron(np.eye(h), spec.qr)
+        c_e[-nd:, -nd:] = spec.pr
+        hess = 2.0 * (e_map.T @ c_e @ e_map) + 2.0 * np.kron(np.eye(h), spec.r)
+        d_mat = np.eye(n_z) - np.eye(n_z, k=-d)  # input differences v_l - v_{l-1}
         rd_full = np.kron(np.eye(h), spec.rdelta)
         hess += 2.0 * d_mat.T @ rd_full @ d_mat
         hess_f = t_map.T @ hess @ t_map
@@ -231,7 +241,7 @@ class _Condensing:
             box_a = np.kron(np.eye(n_z), [[1.0], [-1.0]])
 
         parts = dict(
-            free_map=np.vstack(powers[1:]),
+            free_map=free_map,
             bz=bz,
             e_map=e_map,
             t_map=t_map,
@@ -257,14 +267,15 @@ def build_qp(
     s_seq: np.ndarray,
     v_prev: np.ndarray,
     barrier_rows: list[tuple[int, np.ndarray, float]],
-    terminal_e_ref: np.ndarray | None = None,
+    lin_inputs: np.ndarray | None = None,
     slack_penalty: float | None = None,
 ) -> tuple[QpProblem, _CondensedMaps]:
     """Condense the OCP into an inequality-constrained QP on the inputs.
 
     ``barrier_rows`` holds (step, a, b) with the constraint a . v_step + b
     >= 0 evaluated at the caller's linearization trajectory.
-    ``terminal_e_ref`` is that trajectory's terminal error, used for the
+    ``lin_inputs`` (H, d) are that trajectory's inputs: the terminal error
+    they reach, read off ``e_off + e_map @ v``, anchors the
     supporting-hyperplane row of the terminal ellipsoid.
 
     With ``slack_penalty`` set, barrier and terminal-set rows get
@@ -315,12 +326,13 @@ def build_qp(
         a_rows = np.vstack([a_rows, box])
         b_rows += box_b.tolist()
         soft += [-1] * box_b.size
-    if terminal_e_ref is not None and np.isfinite(spec.terminal_level):
-        level = float(terminal_e_ref @ spec.pr @ terminal_e_ref)
+    if lin_inputs is not None and np.isfinite(spec.terminal_level):
+        blk = slice((h - 1) * nd, h * nd)
+        e_ref = e_off[blk] + e_map[blk] @ lin_inputs.reshape(-1)
+        level = float(e_ref @ spec.pr @ e_ref)
         if level > 1e-12:
-            y = terminal_e_ref * math.sqrt(spec.terminal_level / level)
+            y = e_ref * math.sqrt(spec.terminal_level / level)
             py = spec.pr @ y
-            blk = slice((h - 1) * nd, h * nd)
             a_rows = np.vstack([a_rows, -e_map[blk].T @ py])
             b_rows.append(float(py @ e_off[blk]) - spec.terminal_level)
             soft.append(len(slack_penalty) - 1 if slack_penalty is not None else 0)
@@ -360,37 +372,14 @@ def build_qp(
 
 
 def rollout(spec: OcpSpec, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """(H+1, nd) chain trajectory from ``x0`` under the (H, d) per-step drive.
+    """(..., H+1, nd) chain trajectories from (..., nd) ``x0`` under (..., H, d) per-step drives.
 
-    Nominal states take ``inputs + ff_seq`` as the drive; synchronization
-    errors take ``s_seq - coupling * inputs``.
+    The leading axes broadcast. Nominal states take ``inputs + ff_seq`` as
+    the drive; synchronization errors take ``s_seq - coupling * inputs``.
     """
-    out = np.zeros((spec.horizon + 1, spec.dims.nd))
-    out[0] = x0
-    for step in range(spec.horizon):
-        out[step + 1] = spec.ad @ out[step] + spec.bd @ drive[step]
-    return out
-
-
-def rollout_objective(
-    spec: OcpSpec,
-    e0: np.ndarray,
-    s_seq: np.ndarray,
-    v_prev: np.ndarray,
-    inputs: np.ndarray,
-) -> float:
-    """Objective of an input sequence evaluated by explicit rollout."""
-    errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
-    total = 0.0
-    prev = v_prev
-    for step in range(spec.horizon):
-        total += float(errors[step] @ spec.qr @ errors[step])
-        total += float(inputs[step] @ spec.r @ inputs[step])
-        dv = inputs[step] - prev
-        total += float(dv @ spec.rdelta @ dv)
-        prev = inputs[step]
-    total += float(errors[-1] @ spec.pr @ errors[-1])
-    return total
+    free_map, bz = spec.horizon_maps
+    flat = x0 @ free_map.T + drive.reshape(*drive.shape[:-2], -1) @ bz.T
+    return flat.reshape(*flat.shape[:-1], spec.horizon + 1, spec.dims.nd)
 
 
 def solve_ocp(
@@ -406,10 +395,10 @@ def solve_ocp(
 ) -> OcpSolution:
     """Successive linearization around the predicted nominal trajectory.
 
-    Each pass rolls the nominal states and the errors from the current input
-    iterate (one ``rollout`` each), assembles barrier rows at the states
-    through ``row_builder(states)``, solves the condensed QP with the
-    terminal cut at the rolled terminal error, and repeats until the input
+    Each pass rolls the nominal states from the current input iterate,
+    assembles barrier rows at the states through ``row_builder(states)``,
+    solves the condensed QP with the terminal cut at the terminal error the
+    iterate reaches (read off the condensed error map), and repeats until the input
     change drops below 1e-5 or five passes elapse. Updates after the first
     pass are damped to suppress linearization zigzag.
 
@@ -422,8 +411,8 @@ def solve_ocp(
     With ``slack_penalty`` set the passes solve the exact-penalty softened
     QP: the method can then route around linearizations whose hard rows are
     momentarily inconsistent. The returned status is Infeasible whenever
-    the final pass needed nonzero slack, and the minimally violating plan
-    is still returned for the caller's fallback logic.
+    the final pass needed nonzero slack (infinite when its QP had no
+    solution), and the last plan is still returned for the caller's fallback.
     """
     h, d = spec.horizon, spec.dims.d
     inputs = warm_inputs.copy()
@@ -436,7 +425,6 @@ def solve_ocp(
     converged = False
     for passes in range(1, SQP_MAX_PASSES + 1):
         states = rollout(spec, x0_nominal, inputs + ff_seq)
-        errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
         if row_builder is not None:
             rows = [r for r in row_builder(states) if r[0] < h - 1]
         qp, maps = build_qp(
@@ -445,22 +433,15 @@ def solve_ocp(
             s_seq,
             v_prev,
             rows,
-            terminal_e_ref=errors[-1],
+            lin_inputs=inputs,
             slack_penalty=slack_penalty,
         )
         sol = solve_qp(qp, tol=QP_TOL)
         iterations += sol.iterations
-        if sol.status == INFEASIBLE:
-            return OcpSolution(
-                inputs=inputs,
-                errors=errors,
-                objective=math.inf,
-                iterations=iterations,
-                sqp_passes=passes,
-                status=INFEASIBLE,
-                slack=math.inf,
-            )
         status = sol.status
+        if status == INFEASIBLE:  # no plan from this pass: keep the iterate
+            objective = slack_used = math.inf
+            break
         if maps.n_slack:
             slack_used = float(np.max(sol.z[-maps.n_slack :]))
             z_free = sol.z[: -maps.n_slack]

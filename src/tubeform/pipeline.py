@@ -21,7 +21,7 @@ from .certify import (
     synth_gain,
 )
 from .errors import NotHurwitz, ScenarioError
-from .graph import GlobalBoundCertificate, global_bound, zbar
+from .graph import GlobalBoundCertificate, global_bound
 from .models import AgentModel
 from .protocol import relay_parents
 from .scenario import ScenarioConfig, build_all_models, build_graph, scenario_hash
@@ -116,11 +116,8 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
             )
         )
 
-    radii = {t.agent: t.margin_radius for t in tubes}
-    zbars = np.array(
-        [zbar(i, radii, leader_cert.r_ball0, g) for i in range(g.n_followers)]
-    )
-    bound_cert = global_bound(g, zbars)
+    radii = [t.margin_radius for t in tubes]
+    bound_cert = global_bound(g, radii, leader_cert.r_ball0)
     return CertificationResult(
         scenario_name=cfg.name,
         scenario_sha256=scenario_hash(cfg),

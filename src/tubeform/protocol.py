@@ -1,5 +1,8 @@
 """Non-iterative plan exchange: radius broadcast, plan shift, leader relay.
 
+The neighbor predictions built from the shifted plans are one batched
+``ocp.rollout`` over all (reader, sender) pairs; see ``sim.SimWorld``.
+
 All communication is synchronous and lock-step: plans written during the
 broadcast phase of step k are read only at step k+1, so there is never a
 same-step circular dependency between agents.
@@ -13,7 +16,6 @@ import numpy as np
 
 from .errors import GraphNotRooted, NonFiniteState, StalePlan
 from .graph import CommGraph, bfs_from_leader
-from .ocp import OcpSpec, rollout
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,13 @@ class MessageBoard:
         return msg
 
 
-def initial_broadcast(
-    margin_radii: dict[int, float], g: CommGraph
-) -> dict[int, dict[int, float]]:
-    """One-time scalar radius exchange: tables[i][j] = r_j for j in N_i.
+def initial_broadcast(margin_radii: np.ndarray, g: CommGraph) -> np.ndarray:
+    """One-time scalar radius exchange: table[i, j] = r_j for j in N_i, else 0.
 
-    Executed once; the number of scalar messages equals the number of
-    directed edges of the follower graph.
+    ``margin_radii`` holds r_1 .. r_N. Executed once; the number of scalar
+    messages equals the number of directed edges of the follower graph.
     """
-    tables: dict[int, dict[int, float]] = {}
-    for i in range(g.n_followers):
-        tables[i + 1] = {j + 1: margin_radii[j + 1] for j in g.neighbors(i)}
-    return tables
+    return np.where(g.adjacency > 0.0, np.asarray(margin_radii, dtype=float), 0.0)
 
 
 def shift_plan(msg: PlanMessage, terminal_gain: np.ndarray) -> np.ndarray:
@@ -79,24 +76,6 @@ def shift_plan(msg: PlanMessage, terminal_gain: np.ndarray) -> np.ndarray:
     """
     tail = -terminal_gain @ msg.terminal_error
     return np.vstack([msg.inputs[1:], tail])
-
-
-def rollout_neighbor(
-    spec: OcpSpec,
-    x_now: np.ndarray,
-    v_hat: np.ndarray,
-    ff_seq: np.ndarray,
-) -> np.ndarray:
-    """Predicted nominal states of a neighbor from its measured state.
-
-    The neighbor's own nonlinearity is cancelled by its feedforward, so the
-    nominal rollout is the bare chain driven by the predicted inputs plus
-    the leader feedforward samples.
-    """
-    states = rollout(spec, x_now, v_hat + ff_seq)
-    if not np.all(np.isfinite(states)):
-        raise NonFiniteState("neighbor rollout produced non-finite states")
-    return states
 
 
 @dataclass(frozen=True)

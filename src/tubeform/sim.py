@@ -7,6 +7,11 @@ true and nominal plant over the sampling interval with RK4 substeps. The
 ancillary feedback and the feedforward cancellation are applied
 continuously; the nominal input is held.
 
+The round is array algebra over one horizon map and one graph matrix: all
+readers' predictions of all agents are one ``rollout`` call, the
+synchronization errors are -M q with the augmented Laplacian M, and the
+exogenous error drives are nu1 A applied to the shifted plans.
+
 The nominal trajectories are persistent (never reset to measurements); each
 agent's leader-feedforward signal is re-anchored to its current leader
 estimate at every sampling instant and propagated through the disturbance-
@@ -28,8 +33,7 @@ from .barrier import (
     margin_obstacle,
     margin_pairwise,
 )
-from .errors import CascadedInfeasibility, DegenerateGradient, ScenarioError
-from .graph import sync_error_stacked
+from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DriftTable, chain_derivative
 from .ocp import OcpSpec, discretize_error_dynamics, rollout, solve_ocp, terminal_ingredients
@@ -39,7 +43,6 @@ from .protocol import (
     PlanMessage,
     initial_broadcast,
     relay_leader,
-    rollout_neighbor,
     shift_plan,
 )
 from .scenario import ScenarioConfig, SimConfig, build_formation, build_graph, initial_states
@@ -149,7 +152,8 @@ class SimWorld:
             self.margin_radii = {t.agent: float(t.baseline_r_ball) for t in cert.tubes}
         else:
             self.margin_radii = dict(cert.margin_radii)
-        self.radius_tables = initial_broadcast(self.margin_radii, self.graph)
+        margins = np.array([self.margin_radii[i + 1] for i in range(self.n)])
+        self.radius_table = initial_broadcast(margins, self.graph)
 
         ad, bd = discretize_error_dynamics(cfg.dims, sim.ts)
         qr = cfg.ocp.qr * np.eye(self.nd)
@@ -215,12 +219,16 @@ class SimWorld:
         tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         self._tube_limits = tube_r2 * (1.0 + 1e-6)
-        margins = np.array([self.margin_radii[i + 1] for i in range(self.n)])
         self._margin_limits = margins * (1.0 + 1e-6)
         self.board = MessageBoard()
         self.estimates = None
         self.v_applied = np.zeros((self.n, self.d))
-        self.prev_predictions: dict[tuple[int, int], np.ndarray] = {}
+        self._drive_map = self.graph.nu1 * self.graph.adjacency
+        self._offsets = self.formation.offsets.reshape(self.n + 1, self.nd)
+        # (reader, sender) per directed edge, and the readers' one-step predictions
+        # of their senders; at deployment these are the measurements themselves
+        self._edges = np.nonzero(self.graph.adjacency > 0.0)
+        self._prev_preds = self.x_true[self._edges[1]]
         self.infeasible_streak = [0] * self.n
         self.violations: list[SafetyViolation] = []
 
@@ -256,31 +264,31 @@ class SimWorld:
     # --- per-step phases ---
 
     def _neighbor_data(self, k: int, ff_samples: np.ndarray):
-        """Shifted plans, predicted neighbor states and the exogenous error drive.
+        """Shifted plans, every reader's predictions and the exogenous error drives.
 
         Each agent's last broadcast is shifted once into ``shifted`` (N, H, d),
         zeros at deployment. Row j is agent j's warm start and fallback plan and
-        every reader's prediction of agent j's inputs.
+        every reader's prediction of agent j's inputs. ``preds[i, j]`` (H+1, nd)
+        is reader i's prediction of agent j's nominal states: the bare chain from
+        x_j under the shifted plan plus reader i's leader feedforward (agent j's
+        feedforward cancels its own nonlinearity); at deployment, x_j held.
+        ``s_seqs`` (N, H, d) is nu1 A applied to ``shifted``.
         """
-        h, d = self.horizon, self.d
-        shifted = np.zeros((self.n, h, d))
-        if k > 0:
-            for j in range(self.n):
+        h, n = self.horizon, self.n
+        shifted = np.zeros((n, h, self.d))
+        if k == 0:
+            preds = np.broadcast_to(self.x_true[None, :, None], (n, n, h + 1, self.nd))
+        else:
+            for j in range(n):
                 shifted[j] = shift_plan(self.board.read(j + 1, k), self.specs[j].terminal_gain)
-        x_hats: list[dict[int, np.ndarray]] = [dict() for _ in range(self.n)]
-        s_seqs = np.zeros((self.n, h, d))
-        for i in range(self.n):
-            for j in self.graph.neighbors(i):
-                if k == 0:
-                    x_hats[i][j] = np.tile(self.x_true[j], (h + 1, 1))
-                else:
-                    x_hats[i][j] = rollout_neighbor(
-                        self.specs[j], self.x_true[j], shifted[j], ff_samples[i]
-                    )
-                s_seqs[i] += self.graph.nu1 * self.graph.adjacency[i, j] * shifted[j]
-        return shifted, x_hats, s_seqs
+            # every spec shares the chain maps (same dims, period and horizon)
+            preds = rollout(self.specs[0], self.x_true[None], shifted[None] + ff_samples[:, None])
+            if not np.all(np.isfinite(preds)):
+                raise NonFiniteState("neighbor rollout produced non-finite states")
+        s_seqs = np.tensordot(self._drive_map, shifted, axes=1)
+        return shifted, preds, s_seqs
 
-    def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, x_hats: dict[int, np.ndarray], shifted: np.ndarray):
+    def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
         """Barrier rows (step, a, b, group) on the steps before the terminal law.
 
         One stacked row call per barrier kind: obstacles within the activation
@@ -290,11 +298,11 @@ class SimWorld:
         margin_i = self.margin_radii[i + 1]
         activation = self.cfg.barriers.activation_range
         ff = ff_seq[:steps, None]
-        nbrs = list(x_hats) if k > 0 else []  # inter-agent rows removed at deployment
+        nbrs = self.graph.neighbors(i) if k > 0 else []  # inter-agent rows removed at deployment
         if nbrs:
-            x_other = np.stack([x_hats[j][:steps] for j in nbrs], axis=1)
+            x_other = preds[i, nbrs, :steps].swapaxes(0, 1)
             top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
-            r_other = np.array([self.radius_tables[i + 1][j + 1] for j in nbrs])
+            r_other = self.radius_table[i, nbrs]
 
         def rows(states: np.ndarray):
             xs = states[:steps, None]
@@ -318,7 +326,7 @@ class SimWorld:
 
         return rows
 
-    def _solve_agent(self, i: int, k: int, e0, s_seq, ff_seq, x_hats, shifted):
+    def _solve_agent(self, i: int, k: int, e0, s_seq, ff_seq, preds, shifted):
         try:
             return solve_ocp(
                 self.specs[i],
@@ -328,7 +336,7 @@ class SimWorld:
                 ff_seq,
                 self.v_applied[i],
                 shifted[i],
-                row_builder=self._row_builder(i, k, ff_seq, x_hats, shifted),
+                row_builder=self._row_builder(i, k, ff_seq, preds, shifted),
                 slack_penalty=SLACK_PENALTY,
             )
         except DegenerateGradient:
@@ -344,29 +352,18 @@ class SimWorld:
         self.x_canon[:] = self.x_leader
 
         ff_samples = self._leader_ff_samples(self.anchors, t_k)
-        shifted, x_hats, s_seqs = self._neighbor_data(k, ff_samples)
+        shifted, preds, s_seqs = self._neighbor_data(k, ff_samples)
 
-        pred_err = 0.0
-        count = 0
-        for (i, j), pred in self.prev_predictions.items():
-            pred_err += float(np.linalg.norm(pred - self.x_true[j]))
-            count += 1
-        pred_err = pred_err / count if count else 0.0
-        self.prev_predictions = {
-            (i, j): x_hats[i][j][1].copy() for i in range(self.n) for j in x_hats[i]
-        }
+        # mean error of last step's one-step predictions over the directed edges
+        readers, senders = self._edges
+        dist = np.linalg.norm(self._prev_preds - self.x_true[senders], axis=1)
+        pred_err = float(np.sum(dist)) / max(senders.size, 1)
+        self._prev_preds = preds[readers, senders, 1]
 
-        # stacked synchronization errors (e^i_1, ..., e^i_n), one row per follower
-        chains = self.state[self._agent_rows]
-        e0s = np.concatenate(
-            [
-                sync_error_stacked(self.dims.block(chains, p), self.graph, self.formation, p)
-                for p in range(1, self.dims.n + 1)
-            ],
-            axis=1,
-        )
+        # synchronization errors (e^i_1, ..., e^i_n) of all followers
+        e0s = self.graph.sync_errors(self.state[self._agent_rows] - self._offsets)
         solutions = [
-            self._solve_agent(i, k, e0s[i], s_seqs[i], ff_samples[i], x_hats[i], shifted)
+            self._solve_agent(i, k, e0s[i], s_seqs[i], ff_samples[i], preds, shifted)
             for i in range(self.n)
         ]
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: eigenvalues via
 characteristic-polynomial roots, finite-difference stencils via Fornberg
-weights, QP optima via projected gradient ascent on the dual.
+weights, QP optima via projected gradient ascent on the dual, horizon
+trajectories and OCP objectives via the explicit step recurrence.
 """
 
 from __future__ import annotations
@@ -133,3 +134,26 @@ def random_feasible_qp(rng: np.random.Generator, n_vars: int, n_rows: int):
     z_feas = rng.normal(size=n_vars)
     b_in = a_in @ z_feas - rng.uniform(0.1, 2.0, size=n_rows)
     return hessian, linear, a_in, b_in
+
+
+def chain_recurrence(ad: np.ndarray, bd: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """(H+1, nd) trajectory x_{l+1} = Ad x_l + Bd u_l from one x0 and an (H, d) drive."""
+    out = [np.asarray(x0, dtype=float)]
+    for u in drive:
+        out.append(ad @ out[-1] + bd @ u)
+    return np.stack(out)
+
+
+def rollout_objective(spec, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarray, inputs: np.ndarray) -> float:
+    """OCP objective of an input sequence, by stepping the error recurrence explicitly."""
+    errors = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * inputs)
+    total = 0.0
+    prev = v_prev
+    for step in range(spec.horizon):
+        total += float(errors[step] @ spec.qr @ errors[step])
+        total += float(inputs[step] @ spec.r @ inputs[step])
+        dv = inputs[step] - prev
+        total += float(dv @ spec.rdelta @ dv)
+        prev = inputs[step]
+    total += float(errors[-1] @ spec.pr @ errors[-1])
+    return total

@@ -157,6 +157,17 @@ class TestRun:
         other = SimTrace.from_csv(run("c", "--seed", "8"))
         assert not np.array_equal(SimTrace.from_csv(seeded).data, other.data)
 
+    def test_unwritable_output_exit_1(self, certified, tmp_path, capsys):
+        """An output directory that cannot be made, then outputs that cannot be written."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["run", str(SMOKE), "--cert", str(certified), "--t-end", "0.5", "-o"]
+        assert main(args + [str(blocker / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        (tmp_path / "out" / "summary.json").mkdir(parents=True)
+        assert main(args + [str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_determinism_byte_identical(self, certified, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -189,6 +200,17 @@ class TestReport:
         minidom.parseString(content)
         rows = (out / "metrics.csv").read_text().splitlines()
         assert rows[0].count(",") == 2  # metric + two labelled runs
+
+    def test_unwritable_output_exit_1(self, run_dir, tmp_path, capsys):
+        """An output directory that cannot be made, then a metrics file that cannot be written."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        trace = str(run_dir / "trace.csv")
+        assert main(["report", trace, "-o", str(blocker / "report")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        (tmp_path / "report" / "metrics.csv").mkdir(parents=True)
+        assert main(["report", trace, "-o", str(tmp_path / "report")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_trace_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubeform.errors import GraphNotRooted, MissingNeighborState
+from tubeform.errors import GraphNotRooted
 from tubeform.graph import (
     CommGraph,
     bfs_from_leader,
     global_bound,
     has_leader_spanning_tree,
     min_singular_value,
-    sync_error,
-    sync_error_stacked,
-    zbar,
 )
 from tubeform.models import BrunovskyDims, FormationSpec
 
@@ -81,41 +78,44 @@ class TestMinSingularValue:
         assert min_singular_value(g.augmented()) > 0.0
 
 
+def neighbor_sum_sync_error(i, states, g, offsets):
+    """Explicit e^i = -sum_j nu1 a_ij (q_i - q_j) - nu2 b_i0 (q_i - q_0), q = x - psi."""
+    own = states[i + 1] - offsets[i + 1]
+    err = np.zeros_like(own)
+    for j in g.neighbors(i):
+        err -= g.nu1 * g.adjacency[i, j] * (own - (states[j + 1] - offsets[j + 1]))
+    if g.b0[i] > 0.0:
+        err -= g.nu2 * g.b0[i] * (own - (states[0] - offsets[0]))
+    return err
+
+
+def neighbor_sum_zbar(i, radii, r0, g):
+    """Explicit zbar_i = (nu1 d_i + nu2 b_i0) r_i + sum_j nu1 a_ij r_j + nu2 b_i0 r0."""
+    out = g.coupling(i) * radii[i]
+    for j in g.neighbors(i):
+        out += g.nu1 * g.adjacency[i, j] * radii[j]
+    return out + g.nu2 * float(g.b0[i]) * r0
+
+
 class TestSyncError:
     def test_perfect_formation_zero(self):
         dims, form = formation(3, offsets=[[0, 0], [1, 0], [2, 0], [3, 0]])
         g = chain_graph(3)
         leader = np.array([5.0, 1.0])
-        states = {0: leader}
-        for i in range(3):
-            states[i + 1] = leader + form.offset(i + 1, 1)
-        for i in range(3):
-            assert np.allclose(sync_error(i, states, g, form, 1), 0.0, atol=1e-14)
+        states = np.stack([leader + form.offset(a, 1) for a in range(4)])
+        errors = g.sync_errors(states - form.offsets[:, 0])
+        assert np.allclose(errors, 0.0, atol=1e-14)
 
     def test_single_follower_direct(self):
-        dims, form = formation(1)
         g = CommGraph(adjacency=np.zeros((1, 1)), b0=np.array([1.0]))
         delta = np.array([0.3, -0.7])
-        states = {0: np.zeros(2), 1: delta}
-        assert np.allclose(sync_error(0, states, g, form, 1), -delta)
-
-    def test_missing_neighbor_raises(self):
-        dims, form = formation(2)
-        g = chain_graph(2)
-        with pytest.raises(MissingNeighborState):
-            sync_error(0, {1: np.zeros(2)}, g, form, 1)
-
-    def test_leader_optional_when_unpinned(self):
-        dims, form = formation(2)
-        g = chain_graph(2)
-        states = {1: np.ones(2), 2: np.zeros(2)}
-        out = sync_error(1, states, g, form, 1)  # agent 2: unpinned
-        assert np.allclose(out, [1.0, 1.0])
+        states = np.stack([np.zeros(2), delta])
+        assert np.allclose(g.sync_errors(states), [-delta])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000))
     def test_stacked_identity(self, seed):
-        """sync errors equal -(nu1 L + nu2 B0) q per axis, to 1e-12."""
+        """-M q on full chain states equals the per-agent neighbor sums, to 1e-12."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         adjacency = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
@@ -126,64 +126,58 @@ class TestSyncError:
             nu1=float(rng.uniform(0.2, 2.0)),
             nu2=float(rng.uniform(0.2, 2.0)),
         )
-        dims, form = formation(n, offsets=rng.normal(size=(n + 1, 2)))
-        states = rng.normal(size=(n + 1, 2))
-        errors = sync_error_stacked(states, g, form, 1)
-        q = (states[1:] - form.offsets[1:, 0, :]) - (states[0] - form.offsets[0, 0, :])
-        expected = -(g.augmented() @ q)
+        offsets = rng.normal(size=(n + 1, 6))  # full chain states, n = 3 orders of d = 2
+        states = rng.normal(size=(n + 1, 6))
+        errors = g.sync_errors(states - offsets)
+        expected = np.stack([neighbor_sum_sync_error(i, states, g, offsets) for i in range(n)])
         assert np.max(np.abs(errors - expected)) < 1e-12
 
 
 class TestZbarAndBound:
     def test_zero_radii(self):
         g = chain_graph()
-        radii = {i: 0.0 for i in range(1, 6)}
-        assert zbar(0, radii, 0.0, g) == 0.0
+        assert np.array_equal(global_bound(g, np.zeros(5), 0.0).zbars, np.zeros(5))
 
     def test_single_neighbor_hand_value(self):
         adjacency = np.array([[0.0, 1.0], [0.0, 0.0]])
         g = CommGraph(adjacency=adjacency, b0=np.array([0.0, 1.0]), nu1=1.0, nu2=1.0)
         # nu2 = 0 is not allowed; emulate by zero pinning weight on agent 1
-        assert zbar(0, {1: 0.1, 2: 0.2}, 0.5, g) == pytest.approx(0.3)
+        assert global_bound(g, [0.1, 0.2], 0.5).zbars[0] == pytest.approx(0.3)
 
     def test_explicit_sum_oracle(self):
-        g = chain_graph()
         rng = np.random.default_rng(1)
-        radii = {i: float(rng.uniform(0.05, 0.3)) for i in range(1, 6)}
+        radii = rng.uniform(0.05, 0.3, size=5)
         r0 = 0.04
-        for i in range(5):
-            manual = (g.nu1 * g.degree(i) + g.nu2 * g.b0[i]) * radii[i + 1]
-            for j in g.neighbors(i):
-                manual += g.nu1 * g.adjacency[i, j] * radii[j + 1]
-            manual += g.nu2 * g.b0[i] * r0
-            assert abs(zbar(i, radii, r0, g) - manual) < 1e-12
+        for pinned in [(0,), (0, 2), (1, 3, 4)]:
+            g = chain_graph(pinned=pinned)
+            zbars = global_bound(g, radii, r0).zbars
+            for i in range(5):
+                assert abs(zbars[i] - neighbor_sum_zbar(i, radii, r0, g)) < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_zbar_monotone_in_radii(self, seed):
         rng = np.random.default_rng(seed)
         g = chain_graph()
-        radii = {i: float(rng.uniform(0.0, 0.5)) for i in range(1, 6)}
-        bumped = dict(radii)
-        j = int(rng.integers(1, 6))
-        bumped[j] = radii[j] + 0.1
-        for i in range(5):
-            assert zbar(i, bumped, 0.1, g) >= zbar(i, radii, 0.1, g) - 1e-15
+        radii = rng.uniform(0.0, 0.5, size=5)
+        bumped = radii.copy()
+        bumped[int(rng.integers(0, 5))] += 0.1
+        assert np.all(global_bound(g, bumped, 0.1).zbars >= global_bound(g, radii, 0.1).zbars - 1e-15)
 
     def test_single_agent_bound(self):
         g = CommGraph(adjacency=np.zeros((1, 1)), b0=np.array([1.0]))
-        cert = global_bound(g, np.array([0.5]))
+        cert = global_bound(g, np.array([0.2]), 0.3)  # zbar = r_1 + r0
         assert cert.sv_min == pytest.approx(1.0)
         assert cert.bound == pytest.approx(0.5)
 
     def test_zero_zbars(self):
         g = chain_graph()
-        assert global_bound(g, np.zeros(5)).bound == 0.0
+        assert global_bound(g, np.zeros(5), 0.0).bound == 0.0
 
     def test_unrooted_raises(self):
         g = CommGraph(adjacency=np.zeros((2, 2)), b0=np.zeros(2))
         with pytest.raises(GraphNotRooted):
-            global_bound(g, np.zeros(2))
+            global_bound(g, np.zeros(2), 0.0)
 
     def test_rooted_gram_positive(self):
         g = chain_graph()

@@ -10,11 +10,12 @@ from tubeform.ocp import (
     build_qp,
     discretize_error_dynamics,
     rollout,
-    rollout_objective,
     solve_ocp,
     terminal_ingredients,
 )
 from tubeform.qp import OPTIMAL, solve_qp
+
+from oracles import chain_recurrence, rollout_objective
 
 
 def make_spec(
@@ -172,6 +173,55 @@ class TestBuildQp:
         errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
         assert np.allclose(inputs[-1], -spec.terminal_gain @ errors[-1], atol=1e-9)
 
+    def test_terminal_row_from_inputs_matches_explicit_terminal_error(self):
+        """The terminal cut read off the condensed error map at the linearization
+        inputs equals the supporting hyperplane at the explicitly rolled terminal error."""
+        spec = make_spec()
+        rng = np.random.default_rng(8)
+        e0 = rng.normal(size=6) * 2.0
+        s_seq = rng.normal(size=(5, 2)) * 0.3
+        lin_inputs = rng.normal(size=(5, 2))
+        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), [], lin_inputs=lin_inputs)
+        e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
+        level = e_ref @ spec.pr @ e_ref
+        assert level > spec.terminal_level  # outside the terminal set: the cut binds
+        py = spec.pr @ (e_ref * np.sqrt(spec.terminal_level / level))
+        blk = slice(4 * 6, 5 * 6)
+        # the last row on the full inputs, reduced onto the free ones as build_qp does
+        a_full = -maps.e_map[blk].T @ py
+        b_full = py @ maps.e_off[blk] - spec.terminal_level
+        np.testing.assert_allclose(qp.a_in[-1], a_full @ maps.t_map, rtol=1e-12, atol=1e-12)
+        assert qp.b_in[-1] == pytest.approx(b_full - a_full @ maps.t_off, rel=1e-12, abs=1e-12)
+
+
+class TestRollout:
+    def test_batched_matches_recurrence_on_broadcast_stacks(self):
+        """(N, N) stacks as the neighbor predictions use them: one x0 per column,
+        one drive per pair; every trajectory equals the explicit recurrence."""
+        spec = make_spec(horizon=6)
+        rng = np.random.default_rng(9)
+        n = 4
+        x0 = rng.normal(size=(n, 6))
+        plans = rng.normal(size=(n, 6, 2))
+        ff = rng.normal(size=(n, 6, 2))
+        out = rollout(spec, x0[None], plans[None] + ff[:, None])
+        assert out.shape == (n, n, 7, 6)
+        for i in range(n):
+            for j in range(n):
+                ref = chain_recurrence(spec.ad, spec.bd, x0[j], plans[j] + ff[i])
+                np.testing.assert_allclose(out[i, j], ref, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(out[i, j, 0], x0[j])
+
+    def test_stationary(self):
+        states = rollout(make_spec(), np.zeros(6), np.zeros((5, 2)))
+        assert np.array_equal(states, np.zeros((6, 6)))
+
+    def test_single_integrator_constant_input(self):
+        dims = BrunovskyDims(n=1, d=1, followers=1)
+        spec = make_spec(dims=dims)
+        states = rollout(spec, np.array([1.0]), np.full((5, 1), 2.0))
+        np.testing.assert_allclose(states[:, 0], 1.0 + 2.0 * 0.1 * np.arange(6), atol=1e-14)
+
 
 class TestCondensingCache:
     """build_qp on a spec whose structure is cached equals a build from scratch."""
@@ -193,7 +243,7 @@ class TestCondensingCache:
                 for g in rng.integers(0, 2, size=5)
             ]
             args = (e0, s_seq, v_prev, rows)
-            kwargs = dict(terminal_e_ref=rng.normal(size=6), slack_penalty=(1e6, 3e4, 1e4))
+            kwargs = dict(lin_inputs=rng.normal(size=(5, 2)), slack_penalty=(1e6, 3e4, 1e4))
             qp, maps = build_qp(spec, *args, **kwargs)
             fresh_qp, fresh_maps = build_qp(dataclasses.replace(spec), *args, **kwargs)
             for field in ("hessian", "linear", "a_in", "b_in"):

@@ -10,7 +10,6 @@ from tubeform.protocol import (
     PlanMessage,
     initial_broadcast,
     relay_leader,
-    rollout_neighbor,
     shift_plan,
 )
 
@@ -38,21 +37,23 @@ def minimal_spec(dims, ts=0.1, horizon=5):
 class TestInitialBroadcast:
     def test_no_edges(self):
         g = CommGraph(adjacency=np.zeros((1, 1)), b0=np.array([1.0]))
-        assert initial_broadcast({1: 0.1}, g) == {1: {}}
+        assert np.array_equal(initial_broadcast([0.1], g), np.zeros((1, 1)))
 
     def test_complete_graph(self):
         adjacency = np.ones((3, 3)) - np.eye(3)
         g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 0.0, 0.0]))
-        tables = initial_broadcast({1: 0.1, 2: 0.2, 3: 0.3}, g)
-        assert tables[1] == {2: 0.2, 3: 0.3}
-        assert tables[2] == {1: 0.1, 3: 0.3}
-        assert len(tables[3]) == 2
+        table = initial_broadcast([0.1, 0.2, 0.3], g)
+        assert table.tolist() == [[0.0, 0.2, 0.3], [0.1, 0.0, 0.3], [0.1, 0.2, 0.0]]
 
     def test_message_count_is_edge_count(self):
+        """Row i holds r_j exactly on i's in-neighbors j, one scalar per directed edge."""
         g = chain_graph()
-        tables = initial_broadcast({i: 0.1 * i for i in range(1, 6)}, g)
-        scalars = sum(len(t) for t in tables.values())
-        assert scalars == int(np.sum(g.adjacency > 0))
+        radii = 0.1 * np.arange(1, 6)
+        table = initial_broadcast(radii, g)
+        assert np.count_nonzero(table) == int(np.sum(g.adjacency > 0))
+        for i in range(5):
+            for j in range(5):
+                assert table[i, j] == (radii[j] if j in g.neighbors(i) else 0.0)
 
 
 class TestShiftPlan:
@@ -115,24 +116,6 @@ class TestBoard:
         board.post(PlanMessage(sender=1, stamp=1, inputs=np.zeros((2, 1)), terminal_error=np.zeros(2)))
         with pytest.raises(StalePlan):
             board.post(PlanMessage(sender=1, stamp=1, inputs=np.zeros((2, 1)), terminal_error=np.zeros(2)))
-
-
-class TestRolloutNeighbor:
-    def test_stationary(self):
-        dims = BrunovskyDims(n=3, d=2, followers=1)
-        spec = minimal_spec(dims)
-        states = rollout_neighbor(spec, np.zeros(6), np.zeros((5, 2)), np.zeros((5, 2)))
-        assert np.allclose(states, 0.0)
-
-    def test_single_integrator_constant_input(self):
-        dims = BrunovskyDims(n=1, d=1, followers=1)
-        spec = minimal_spec(dims)
-        c = 2.0
-        states = rollout_neighbor(
-            spec, np.array([1.0]), np.full((5, 1), c), np.zeros((5, 1))
-        )
-        expected = 1.0 + c * 0.1 * np.arange(6)
-        assert np.allclose(states[:, 0], expected, atol=1e-14)
 
 
 class TestRelayLeader:

@@ -6,7 +6,7 @@ import pytest
 
 import tubeform.sim
 from tubeform.barrier import QuadraticBarrier, assemble_row, margin_obstacle, margin_pairwise
-from tubeform.errors import DegenerateGradient
+from tubeform.errors import DegenerateGradient, NonFiniteState
 from tubeform.ocp import rollout
 from tubeform.pipeline import certify_scenario
 from tubeform.protocol import shift_plan
@@ -19,6 +19,8 @@ from tubeform.sim import (
     run_simulation,
     trace_metrics,
 )
+
+from oracles import chain_recurrence
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
@@ -206,7 +208,7 @@ class TestWorldDrift:
         np.testing.assert_allclose(team, expected, rtol=1e-14, atol=1e-14)
 
 
-def oracle_rows(world, i, k, ff_seq, x_hats, shifted, states):
+def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
     """One assemble_row call per (step, obstacle) and (step, neighbor) row."""
     margin_i = world.margin_radii[i + 1]
     out = []
@@ -220,11 +222,12 @@ def oracle_rows(world, i, k, ff_seq, x_hats, shifted, states):
             margin = margin_obstacle(margin_i, barrier.gradient_self(xl))
             row = assemble_row(barrier, world.kappa, xl, None, margin, drift_top_self=ff_seq[l])
             out.append((l, row.a, row.b, 0))
-        for j, x_hat in x_hats.items():
+        for j in world.graph.neighbors(i):
+            x_hat = preds[i, j]
             pair = world.pair_barrier
             margin = margin_pairwise(
                 margin_i,
-                world.radius_tables[i + 1][j + 1],
+                world.radius_table[i, j],
                 pair.gradient_self(xl, x_hat[l]),
                 pair.gradient_other(xl, x_hat[l]),
             )
@@ -246,14 +249,14 @@ class TestRowBuilder:
         for step in range(k):
             world.step(step)
         ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
-        shifted, x_hats, _ = world._neighbor_data(k, ff)
+        shifted, preds, _ = world._neighbor_data(k, ff)
         kept = filtered = 0
         for i in range(world.n):
             warm = shift_plan(world.board.read(i + 1, k), world.specs[i].terminal_gain)
             np.testing.assert_array_equal(shifted[i], warm)
             states = rollout(world.specs[i], world.x_nom[i], warm + ff[i])
-            rows = world._row_builder(i, k, ff[i], x_hats[i], shifted)(states)
-            expected = oracle_rows(world, i, k, ff[i], x_hats[i], shifted, states)
+            rows = world._row_builder(i, k, ff[i], preds, shifted)(states)
+            expected = oracle_rows(world, i, k, ff[i], preds, shifted, states)
             assert [(r[0], r[3]) for r in rows] == [(r[0], r[3]) for r in expected]
             assert all(r[0] < world.horizon - 1 for r in rows)
             for row, ref in zip(rows, expected):
@@ -263,6 +266,41 @@ class TestRowBuilder:
             kept += n_obstacle
             filtered += (world.horizon - 1) * len(cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
+
+
+class TestNeighborPredictions:
+    def test_stacked_predictions_match_per_edge_oracle(self):
+        """Mid-run paper world: preds[i, j] is the chain recurrence from agent j's
+        measured state under its shifted plan plus reader i's feedforward, for
+        every directed edge; the exogenous drives are the neighbor sums."""
+        cfg = load_scenario(PAPER)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        k = 20
+        for step in range(k):
+            world.step(step)
+        ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
+        shifted, preds, s_seqs = world._neighbor_data(k, ff)
+        spec = world.specs[0]
+        edges = [(i, j) for i in range(world.n) for j in world.graph.neighbors(i)]
+        assert len(edges) == np.count_nonzero(world.graph.adjacency)
+        for i, j in edges:
+            ref = chain_recurrence(spec.ad, spec.bd, world.x_true[j], shifted[j] + ff[i])
+            np.testing.assert_allclose(preds[i, j], ref, rtol=1e-12, atol=1e-12)
+        g = world.graph
+        for i in range(world.n):
+            ref = sum(g.nu1 * g.adjacency[i, j] * shifted[j] for j in g.neighbors(i))
+            np.testing.assert_allclose(s_seqs[i], ref, rtol=1e-12, atol=1e-15)
+
+    def test_non_finite_prediction_raises(self):
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        world.step(0)
+        ff = np.zeros((world.n, world.horizon, world.d))
+        ff[1, 2, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteState):
+            world._neighbor_data(1, ff)
 
 
 class TestShiftedPlans:
@@ -302,10 +340,11 @@ class TestShiftedPlans:
         for k in range(k_fail):
             world.step(k)
         assert world.infeasible_streak == [0, 0]
-        shifted = {
-            j: shift_plan(world.board.read(j + 1, k_fail), world.specs[j].terminal_gain)
-            for j in range(world.n)
-        }
+        no_ff = np.zeros((world.n, world.horizon, world.d))
+        shifted, _, _ = world._neighbor_data(k_fail, no_ff)
+        for j in range(world.n):
+            warm = shift_plan(world.board.read(j + 1, k_fail), world.specs[j].terminal_gain)
+            np.testing.assert_array_equal(shifted[j], warm)
         s_seq = np.zeros_like(shifted[0])
         for j in world.graph.neighbors(0):
             s_seq += world.graph.nu1 * world.graph.adjacency[0, j] * shifted[j]
@@ -314,8 +353,10 @@ class TestShiftedPlans:
         msg = world.board.read(1, k_fail + 1)
         assert msg.stamp == k_fail
         np.testing.assert_array_equal(msg.inputs, shifted[0])
-        errors = rollout(agent_one, stats["e0"][0], s_seq - agent_one.coupling * shifted[0])
-        np.testing.assert_array_equal(msg.terminal_error, errors[-1])
+        errors = chain_recurrence(
+            agent_one.ad, agent_one.bd, stats["e0"][0], s_seq - agent_one.coupling * shifted[0]
+        )
+        np.testing.assert_allclose(msg.terminal_error, errors[-1], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(world.v_applied[0], shifted[0][0])
         assert world.infeasible_streak == [1, 0]
 
