@@ -3,7 +3,6 @@
 from .barrier import (
     EcbfCoefficients,
     QuadraticBarrier,
-    TightenedConstraintRow,
     assemble_row,
     lie_derivatives,
     margin_obstacle,
@@ -41,6 +40,7 @@ from .models import (
     chain_matrices,
 )
 from .ocp import (
+    BarrierRows,
     OcpSolution,
     OcpSpec,
     build_qp,
@@ -49,14 +49,7 @@ from .ocp import (
     terminal_ingredients,
 )
 from .pipeline import CertificationResult, certify_scenario, write_certificate
-from .protocol import (
-    LeaderEstimate,
-    MessageBoard,
-    PlanMessage,
-    initial_broadcast,
-    relay_leader,
-    shift_plan,
-)
+from .protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
 from .qp import QpProblem, QpSolution, solve_qp
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, scenario_hash
 from .sim import SimConfig, SimTrace, apply_control, run_simulation, trace_metrics

@@ -218,18 +218,6 @@ def margin_pairwise(
     )
 
 
-@dataclass(frozen=True)
-class TightenedConstraintRow:
-    """Affine constraint a . v + b >= 0 on the nominal input at one step.
-
-    Rows assembled on a stack of states carry its leading axes in every field.
-    """
-
-    a: np.ndarray  # (..., d)
-    b: float | np.ndarray
-    margin: float | np.ndarray
-
-
 def assemble_row(
     barrier: QuadraticBarrier,
     kappa: EcbfCoefficients,
@@ -238,8 +226,11 @@ def assemble_row(
     margin: float | np.ndarray,
     drift_top_self: np.ndarray | None = None,
     top_other: np.ndarray | None = None,
-) -> TightenedConstraintRow:
-    """Tightened eCBF row(s) at the given nominal linearization state(s)."""
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Tightened eCBF row(s) ``a . v + b >= 0`` at the given nominal linearization state(s).
+
+    Returns ``(a, b)``: ``a`` (..., d) and ``b`` carry the states' stack axes.
+    """
     lie = lie_derivatives(barrier, x_self, x_other, drift_top_self, top_other)
     if len(kappa.kappa) != barrier.relative_degree:
         raise DimensionMismatch("kappa length must equal the relative degree")
@@ -247,6 +238,4 @@ def assemble_row(
     for q in range(1, barrier.relative_degree):
         b = b + kappa.kappa[q] * lie.values[q]
     b = b + kappa.kappa[0] * (lie.values[0] - margin)
-    if np.ndim(b) == 0:
-        b = float(b)
-    return TightenedConstraintRow(a=lie.input_row, b=b, margin=margin)
+    return lie.input_row, b

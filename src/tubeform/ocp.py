@@ -25,7 +25,9 @@ cost and input-rate matrices, the full and reduced Hessians, and the
 input-box rows. Each ``build_qp`` call then computes only what moves with
 e0, the drive sequence, the previous input and the linearization inputs:
 the error and input offsets, the linear and constant cost terms, and the
-barrier, error-box and terminal-cut rows.
+barrier, error-box and terminal-cut rows. The barrier rows arrive as one
+``BarrierRows`` block (step, a, b, group) over every step and barrier kind
+and are scattered into the input stack by fancy indexing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,6 +158,22 @@ class OcpSpec:
         return _Condensing.build(self)
 
 
+class BarrierRows(NamedTuple):
+    """One block of affine barrier rows ``a[r] . v_step[r] + b[r] >= 0`` on the nominal inputs.
+
+    ``group`` tags each row with its slack penalty group (see ``build_qp``).
+    """
+
+    step: np.ndarray  # (m,) int
+    a: np.ndarray  # (m, d)
+    b: np.ndarray  # (m,)
+    group: np.ndarray  # (m,) int
+
+    @classmethod
+    def empty(cls, d: int) -> BarrierRows:
+        return cls(np.zeros(0, dtype=int), np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=int))
+
+
 @dataclass
 class OcpSolution:
     inputs: np.ndarray  # (H, d)
@@ -266,14 +285,15 @@ def build_qp(
     e0: np.ndarray,
     s_seq: np.ndarray,
     v_prev: np.ndarray,
-    barrier_rows: list[tuple[int, np.ndarray, float]],
+    barrier_rows: BarrierRows,
     lin_inputs: np.ndarray | None = None,
-    slack_penalty: float | None = None,
+    slack_penalty: tuple[float, ...] | None = None,
 ) -> tuple[QpProblem, _CondensedMaps]:
     """Condense the OCP into an inequality-constrained QP on the inputs.
 
-    ``barrier_rows`` holds (step, a, b) with the constraint a . v_step + b
-    >= 0 evaluated at the caller's linearization trajectory.
+    ``barrier_rows`` is one row block: row r is the constraint
+    ``a[r] . v_step[r] + b[r] >= 0`` evaluated at the caller's linearization
+    trajectory, scattered into the input stack by its step.
     ``lin_inputs`` (H, d) are that trajectory's inputs: the terminal error
     they reach, read off ``e_off + e_map @ v``, anchors the
     supporting-hyperplane row of the terminal ellipsoid.
@@ -281,10 +301,10 @@ def build_qp(
     With ``slack_penalty`` set, barrier and terminal-set rows get
     nonnegative slack variables penalized linearly (exact penalty): a
     feasible problem still returns zero slack, an infeasible one returns
-    the minimally violating plan. Rows may carry a group tag (4th tuple
-    element) selecting one of the penalties, so obstacle rows can be made
-    strictly more expensive to violate than inter-agent rows. Input box
-    rows always stay hard.
+    the minimally violating plan. A row's ``group`` selects its entry of
+    ``slack_penalty``, so obstacle rows can be made strictly more expensive
+    to violate than inter-agent rows; the terminal cut takes the last
+    entry. Input box rows always stay hard.
     """
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
     if e0.shape != (nd,) or s_seq.shape != (h, d):
@@ -306,15 +326,12 @@ def build_qp(
         + float(d_off @ cond.rd_full @ d_off)
     )
 
-    if slack_penalty is not None and np.isscalar(slack_penalty):
-        slack_penalty = (float(slack_penalty),)
     # rows a . z + b' >= 0 on the full inputs after the box rows, as (a, -b', group)
     # with group -1 hard, otherwise the slack group
-    a_rows = np.zeros((len(barrier_rows), n_z))
-    for idx, entry in enumerate(barrier_rows):
-        a_rows[idx, entry[0] * d : (entry[0] + 1) * d] = entry[1]
-    b_rows = [-entry[2] for entry in barrier_rows]
-    soft = [entry[3] if len(entry) > 3 else 0 for entry in barrier_rows]
+    m = barrier_rows.b.size
+    a_barrier = np.zeros((m, n_z))
+    a_barrier[np.arange(m)[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
+    a_rows, b_rows, soft = [a_barrier], [-barrier_rows.b], [barrier_rows.group]
     if spec.error_box is not None:
         bound = np.tile(spec.error_box, h)
         keep = np.flatnonzero(np.isfinite(bound))
@@ -323,9 +340,9 @@ def build_qp(
         box_b = np.empty(2 * keep.size)
         box_b[0::2] = e_off[keep] - bound[keep]
         box_b[1::2] = -e_off[keep] - bound[keep]
-        a_rows = np.vstack([a_rows, box])
-        b_rows += box_b.tolist()
-        soft += [-1] * box_b.size
+        a_rows.append(box)
+        b_rows.append(box_b)
+        soft.append(np.full(box_b.size, -1))
     if lin_inputs is not None and np.isfinite(spec.terminal_level):
         blk = slice((h - 1) * nd, h * nd)
         e_ref = e_off[blk] + e_map[blk] @ lin_inputs.reshape(-1)
@@ -333,41 +350,37 @@ def build_qp(
         if level > 1e-12:
             y = e_ref * math.sqrt(spec.terminal_level / level)
             py = spec.pr @ y
-            a_rows = np.vstack([a_rows, -e_map[blk].T @ py])
-            b_rows.append(float(py @ e_off[blk]) - spec.terminal_level)
-            soft.append(len(slack_penalty) - 1 if slack_penalty is not None else 0)
+            a_rows.append((-e_map[blk].T @ py)[None])
+            b_rows.append([float(py @ e_off[blk]) - spec.terminal_level])
+            soft.append([len(slack_penalty) - 1 if slack_penalty is not None else 0])
+    a_rows, b_rows = np.vstack(a_rows), np.concatenate(b_rows)
 
     # reduce everything onto the free inputs
     hess, hess_f = cond.hess, cond.hess_f
     lin_f = t_map.T @ (hess @ t_off + lin)
     const_f = const + float(0.5 * t_off @ hess @ t_off + lin @ t_off)
     a_f = np.vstack([cond.box_a_f, a_rows @ t_map])
-    b_f = np.concatenate(
-        [-spec.input_bound - cond.box_a @ t_off, np.asarray(b_rows) - a_rows @ t_off]
-    )
-    soft = [-1] * cond.box_a.shape[0] + soft
+    b_f = np.concatenate([-spec.input_bound - cond.box_a @ t_off, b_rows - a_rows @ t_off])
+    soft = np.concatenate([np.full(cond.box_a.shape[0], -1), *soft])
 
-    used_groups = sorted({g for g in soft if g >= 0}) if slack_penalty is not None else []
-    if used_groups:
+    groups = soft[soft >= 0] if slack_penalty is not None else soft[:0]
+    used_groups = np.flatnonzero(np.bincount(groups))  # ascending, each once
+    if used_groups.size:
         n_free = hess_f.shape[0]
-        n_sig = len(used_groups)
+        n_sig = used_groups.size
         hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
         hess_s[:n_free, :n_free] = hess_f
-        lin_s = np.concatenate(
-            [lin_f, [slack_penalty[min(g, len(slack_penalty) - 1)] for g in used_groups]]
-        )
-        soft_arr = np.asarray(soft)
+        lin_s = np.concatenate([lin_f, np.asarray(slack_penalty, dtype=float)[used_groups]])
         a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
         a_s[: a_f.shape[0], :n_free] = a_f
-        for idx, g in enumerate(used_groups):
-            a_s[: a_f.shape[0], n_free + idx] = soft_arr == g
+        a_s[: a_f.shape[0], n_free:] = soft[:, None] == used_groups
         a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
         b_s = np.concatenate([b_f, np.zeros(n_sig)])
         qp = QpProblem(hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f)
     else:
         qp = QpProblem(hessian=hess_f, linear=lin_f, a_in=a_f, b_in=b_f, constant=const_f)
     return qp, _CondensedMaps(
-        t_map=t_map, t_off=t_off, e_map=e_map, e_off=e_off, n_slack=len(used_groups)
+        t_map=t_map, t_off=t_off, e_map=e_map, e_off=e_off, n_slack=used_groups.size
     )
 
 
@@ -391,16 +404,17 @@ def solve_ocp(
     v_prev: np.ndarray,
     warm_inputs: np.ndarray,
     row_builder=None,
-    slack_penalty: float | None = None,
+    slack_penalty: tuple[float, ...] | None = None,
 ) -> OcpSolution:
     """Successive linearization around the predicted nominal trajectory.
 
     Each pass rolls the nominal states from the current input iterate,
-    assembles barrier rows at the states through ``row_builder(states)``,
-    solves the condensed QP with the terminal cut at the terminal error the
-    iterate reaches (read off the condensed error map), and repeats until the input
-    change drops below 1e-5 or five passes elapse. Updates after the first
-    pass are damped to suppress linearization zigzag.
+    assembles the barrier row block at the states through
+    ``row_builder(states)`` (a ``BarrierRows``), solves the condensed QP with
+    the terminal cut at the terminal error the iterate reaches (read off the
+    condensed error map), and repeats until the input change drops below
+    1e-5 or five passes elapse. Updates after the first pass are damped to
+    suppress linearization zigzag.
 
     The terminal law is always substituted for the last input. Barrier rows
     are enforced on the freely optimized inputs (steps 0..H-2); the last
@@ -418,7 +432,7 @@ def solve_ocp(
     inputs = warm_inputs.copy()
     iterations = 0
     status = OPTIMAL
-    rows: list[tuple[int, np.ndarray, float]] = []
+    rows = BarrierRows.empty(d)
     passes = 0
     objective = math.inf
     slack_used = 0.0
@@ -426,7 +440,8 @@ def solve_ocp(
     for passes in range(1, SQP_MAX_PASSES + 1):
         states = rollout(spec, x0_nominal, inputs + ff_seq)
         if row_builder is not None:
-            rows = [r for r in row_builder(states) if r[0] < h - 1]
+            rows = row_builder(states)
+            rows = BarrierRows(*(field[rows.step < h - 1] for field in rows))
         qp, maps = build_qp(
             spec,
             e0,
@@ -463,10 +478,7 @@ def solve_ocp(
     if slack_used > 1e-6:
         status = INFEASIBLE
 
-    slack = math.inf
-    for entry in rows:
-        step, a_vec, b_val = entry[0], entry[1], entry[2]
-        slack = min(slack, float(a_vec @ inputs[step] + b_val))
+    slack = float(np.min(np.sum(rows.a * inputs[rows.step], axis=1) + rows.b, initial=math.inf))
     return OcpSolution(
         inputs=inputs,
         errors=rollout(spec, e0, s_seq - spec.coupling * inputs),

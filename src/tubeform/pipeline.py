@@ -89,7 +89,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     ts = cfg.sim.ts
     tubes = []
     for follower, model in zip(cfg.agents, models[1:]):
-        hops = depths[follower.id - 1]
+        hops = int(depths[follower.id - 1])
         w_used = model.disturbance_bound + l0 * hops * ts * cfg.leader.rate_bound
         w_eff = effective_disturbance(w_used, l0, leader_cert.r_ball0)
         r, r_ball = follower_radius(pair, w_eff)

@@ -1,7 +1,12 @@
-"""Non-iterative plan exchange: radius broadcast, plan shift, leader relay.
+"""Non-iterative plan exchange: radius broadcast, plan board and shift, leader relay.
 
-The neighbor predictions built from the shifted plans are one batched
-``ocp.rollout`` over all (reader, sender) pairs; see ``sim.SimWorld``.
+Every exchanged quantity is one array over the followers: the board holds
+all agents' last plans ``inputs (N, H, d)``, terminal errors ``terminal
+(N, nd)`` and ``stamps (N,)``; ``shift_plan`` shifts all senders' plans in
+one call; the relay maps the ``(N, nd)`` leader estimates and ``(N,)`` ages
+through the BFS relay tree, which is built once per run. The neighbor
+predictions built from the shifted plans are one batched ``ocp.rollout``
+over all (reader, sender) pairs; see ``sim.SimWorld``.
 
 All communication is synchronous and lock-step: plans written during the
 broadcast phase of step k are read only at step k+1, so there is never a
@@ -10,53 +15,46 @@ same-step circular dependency between agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GraphNotRooted, NonFiniteState, StalePlan
 from .graph import CommGraph, bfs_from_leader
 
 
-@dataclass(frozen=True)
-class PlanMessage:
-    """One agent's broadcast nominal input plan from sampling instant ``stamp``."""
-
-    sender: int
-    stamp: int
-    inputs: np.ndarray  # (H, d)
-    terminal_error: np.ndarray  # (nd,)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.inputs)) or not np.all(
-            np.isfinite(self.terminal_error)
-        ):
-            raise NonFiniteState("plan message carries non-finite values")
-
-
 class MessageBoard:
-    """Shared per-step mailbox; enforces strictly increasing stamps per sender."""
+    """Shared per-step mailbox of all agents' plans; stamps strictly increase.
 
-    def __init__(self):
-        self._latest: dict[int, PlanMessage] = {}
+    A stamp of -1 means the agent has posted nothing yet.
+    """
+
+    def __init__(self, n: int, horizon: int, d: int, nd: int):
+        self.inputs = np.zeros((n, horizon, d))
+        self.terminal = np.zeros((n, nd))
+        self.stamps = np.full(n, -1)
         self.posts = 0
 
-    def post(self, msg: PlanMessage) -> None:
-        prev = self._latest.get(msg.sender)
-        if prev is not None and msg.stamp <= prev.stamp:
-            raise StalePlan(
-                f"agent {msg.sender} re-posted stamp {msg.stamp} (have {prev.stamp})"
-            )
-        self._latest[msg.sender] = msg
-        self.posts += 1
+    def post(self, stamp: int, inputs: np.ndarray, terminal: np.ndarray) -> None:
+        """Every agent's plan from sampling instant ``stamp``, as one broadcast."""
+        bad = ~(np.isfinite(inputs).all(axis=(1, 2)) & np.isfinite(terminal).all(axis=1))
+        if bad.any():
+            raise NonFiniteState(f"agent {np.argmax(bad) + 1}: plan carries non-finite values")
+        stale = stamp <= self.stamps
+        if stale.any():
+            i = int(np.argmax(stale))
+            raise StalePlan(f"agent {i + 1} re-posted stamp {stamp} (have {self.stamps[i]})")
+        self.inputs = np.array(inputs, dtype=float)  # a fresh copy: earlier reads stay valid
+        self.terminal = np.array(terminal, dtype=float)
+        self.stamps[:] = stamp
+        self.posts += len(self.stamps)
 
-    def read(self, sender: int, now: int) -> PlanMessage:
-        """Plan from the previous sampling instant; StalePlan if older."""
-        msg = self._latest.get(sender)
-        if msg is None or msg.stamp < now - 1:
-            have = "none" if msg is None else str(msg.stamp)
-            raise StalePlan(f"agent {sender}: need stamp {now - 1}, have {have}")
-        return msg
+    def read(self, now: int) -> tuple[np.ndarray, np.ndarray]:
+        """(inputs, terminal) from the previous sampling instant; StalePlan if older."""
+        old = (self.stamps < 0) | (self.stamps < now - 1)
+        if old.any():
+            i = int(np.argmax(old))
+            have = "none" if self.stamps[i] < 0 else str(self.stamps[i])
+            raise StalePlan(f"agent {i + 1}: need stamp {now - 1}, have {have}")
+        return self.inputs, self.terminal
 
 
 def initial_broadcast(margin_radii: np.ndarray, g: CommGraph) -> np.ndarray:
@@ -68,52 +66,39 @@ def initial_broadcast(margin_radii: np.ndarray, g: CommGraph) -> np.ndarray:
     return np.where(g.adjacency > 0.0, np.asarray(margin_radii, dtype=float), 0.0)
 
 
-def shift_plan(msg: PlanMessage, terminal_gain: np.ndarray) -> np.ndarray:
-    """Predicted inputs for the current instant from last instant's plan.
+def shift_plan(inputs: np.ndarray, terminal: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """(..., H, d) predicted inputs for the current instant from last instant's plans.
 
-    Drops the already-applied first element and appends the sender's
-    terminal law applied to its broadcast terminal error.
+    Drops each sender's already-applied first input and appends its
+    terminal law ``-K e`` applied to its broadcast terminal error; the
+    (..., d, nd) ``gains`` broadcast against the (..., nd) ``terminal``.
     """
-    tail = -terminal_gain @ msg.terminal_error
-    return np.vstack([msg.inputs[1:], tail])
+    tail = np.matmul(-gains, terminal[..., None]).swapaxes(-1, -2)
+    return np.concatenate([inputs[..., 1:, :], tail], axis=-2)
 
 
-@dataclass(frozen=True)
-class LeaderEstimate:
-    """One agent's propagated leader state estimate."""
+def relay_parents(g: CommGraph) -> tuple[np.ndarray, np.ndarray]:
+    """BFS relay tree (lowest-index tie-breaking) as int arrays (parent, depth).
 
-    hops: int
-    value: np.ndarray
-    age: int  # sampling steps since the source measurement
-
-
-def relay_parents(g: CommGraph) -> tuple[list[int | None], list[int]]:
-    """BFS relay tree (lowest-index tie-breaking); raises if not rooted."""
+    A pinned agent's parent is -1 (the leader). Raises if not rooted.
+    """
     parent, depth = bfs_from_leader(g)
     if any(d < 0 for d in depth):
         raise GraphNotRooted("no spanning tree rooted at the leader")
-    return parent, depth
+    return np.array(parent, dtype=int), np.array(depth, dtype=int)
 
 
 def relay_leader(
-    g: CommGraph,
-    leader_state: np.ndarray,
-    previous: dict[int, LeaderEstimate] | None,
-) -> dict[int, LeaderEstimate]:
-    """One synchronous relay round.
+    parent: np.ndarray, leader_state: np.ndarray, previous: np.ndarray, ages: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous relay round: (N, nd) leader estimates and (N,) ages.
 
-    Pinned agents copy the exact current leader state. Every other agent
-    receives the estimate its BFS parent held at the previous step (one
-    sampling step of delay per hop). With ``previous`` None (deployment
-    time), all agents are initialized with the true leader state.
+    Pinned agents (``parent`` -1) copy the exact current leader state at age
+    0. Every other agent receives the estimate its BFS parent held at the
+    previous step, one sampling step older (one step of delay per hop).
     """
-    parent, depth = relay_parents(g)
-    estimates: dict[int, LeaderEstimate] = {}
-    for i in range(g.n_followers):
-        if depth[i] == 0 or previous is None:
-            value, age = leader_state, 0
-        else:
-            src = previous[parent[i] + 1]
-            value, age = src.value, src.age + 1
-        estimates[i + 1] = LeaderEstimate(hops=depth[i], value=value.copy(), age=age)
-    return estimates
+    pinned = parent < 0
+    return (
+        np.where(pinned[:, None], leader_state, previous[parent]),
+        np.where(pinned, 0, ages[parent] + 1),
+    )

@@ -176,25 +176,30 @@ def _dynamics(raw: dict, path: str) -> DynamicsConfig:
     )
 
 
-def _disturbance(raw: dict, path: str) -> DisturbanceConfig:
+def _floats(raw: dict, key: str, path: str, length: int) -> tuple[float, ...]:
+    """The ``length`` numbers under ``key``; a wrong count names ``path.key``."""
+    values = tuple(float(v) for v in _req(raw, key, path))
+    if len(values) != length:
+        raise ScenarioError(f"{path}.{key}: expected {length} values, got {len(values)}")
+    return values
+
+
+def _disturbance(raw: dict, path: str, d: int) -> DisturbanceConfig:
     kind = _req(raw, "kind", path)
     if kind == "sinusoid":
         return DisturbanceConfig(
             kind=kind,
-            amp=tuple(float(v) for v in _req(raw, "amp", path)),
-            freq=tuple(float(v) for v in _req(raw, "freq", path)),
-            phase=tuple(float(v) for v in _req(raw, "phase", path)),
+            amp=_floats(raw, "amp", path, d),
+            freq=_floats(raw, "freq", path, d),
+            phase=_floats(raw, "phase", path, d),
         )
     if kind == "ball":
         return DisturbanceConfig(kind=kind, bound=float(_req(raw, "bound", path)))
     raise ScenarioError(f"{path}: unknown disturbance kind {kind!r}")
 
 
-def _box(raw: dict, path: str) -> Box:
-    return Box(
-        lower=tuple(float(v) for v in _req(raw, "lower", path)),
-        upper=tuple(float(v) for v in _req(raw, "upper", path)),
-    )
+def _box(raw: dict, path: str, nd: int) -> Box:
+    return Box(lower=_floats(raw, "lower", path, nd), upper=_floats(raw, "upper", path, nd))
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -218,11 +223,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
     leader = LeaderConfig(
         dynamics=_dynamics(_req(leader_raw, "dynamics", "leader"), "leader.dynamics"),
         disturbance=_disturbance(
-            _req(leader_raw, "disturbance", "leader"), "leader.disturbance"
+            _req(leader_raw, "disturbance", "leader"), "leader.disturbance", dims.d
         ),
         disturbance_bound=float(_req(leader_raw, "disturbance_bound", "leader")),
         lipschitz=float(_req(leader_raw, "lipschitz", "leader")),
-        operating_box=_box(_req(leader_raw, "operating_box", "leader"), "leader.operating_box"),
+        operating_box=_box(
+            _req(leader_raw, "operating_box", "leader"), "leader.operating_box", dims.nd
+        ),
         rate_bound=float(_req(leader_raw, "rate_bound", "leader")),
         tube=LeaderTubeConfig(
             mode=mode,
@@ -248,11 +255,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 id=int(_req(item, "id", path)),
                 dynamics=_dynamics(_req(item, "dynamics", path), f"{path}.dynamics"),
                 disturbance=_disturbance(
-                    _req(item, "disturbance", path), f"{path}.disturbance"
+                    _req(item, "disturbance", path), f"{path}.disturbance", dims.d
                 ),
                 disturbance_bound=float(_req(item, "disturbance_bound", path)),
                 lipschitz=lip if lip == "estimate" else float(lip),
-                operating_box=_box(_req(item, "operating_box", path), f"{path}.operating_box"),
+                operating_box=_box(
+                    _req(item, "operating_box", path), f"{path}.operating_box", dims.nd
+                ),
                 margin_radius=None if margin is None else float(margin),
             )
         )
@@ -282,7 +291,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     obstacles = tuple(
         Obstacle(
-            center=tuple(float(v) for v in _req(item, "center", f"obstacles[{i}]")),
+            center=_floats(item, "center", f"obstacles[{i}]", dims.d),
             radius=float(_req(item, "radius", f"obstacles[{i}]")),
             inflation=float(item.get("inflation", 0.0)),
         )
@@ -309,7 +318,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         r=float(ocp_raw.get("r", 0.1)),
         rdelta=float(ocp_raw.get("rdelta", 0.01)),
         input_bound=float(ocp_raw.get("input_bound", 10.0)),
-        error_box=None if error_box is None else tuple(float(v) for v in error_box),
+        error_box=None if error_box is None else _floats(ocp_raw, "error_box", "ocp", dims.nd),
     )
     if ocp.horizon < 2:
         raise ScenarioError("ocp.horizon: must be >= 2")

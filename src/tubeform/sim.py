@@ -7,10 +7,14 @@ true and nominal plant over the sampling interval with RK4 substeps. The
 ancillary feedback and the feedforward cancellation are applied
 continuously; the nominal input is held.
 
-The round is array algebra over one horizon map and one graph matrix: all
-readers' predictions of all agents are one ``rollout`` call, the
-synchronization errors are -M q with the augmented Laplacian M, and the
-exogenous error drives are nu1 A applied to the shifted plans.
+The round is array algebra over one horizon map and one graph matrix, and
+every quantity it exchanges is one array over the followers: the leader
+estimates are one gather through the relay tree (built once per run), the
+message board holds all agents' plans and one ``shift_plan`` call shifts
+them, all readers' predictions of all agents are one ``rollout`` call, the
+synchronization errors are -M q with the augmented Laplacian M, the
+exogenous error drives are nu1 A applied to the shifted plans, and each
+agent's eCBF rows reach its OCP as one ``BarrierRows`` block.
 
 The nominal trajectories are persistent (never reset to measurements); each
 agent's leader-feedforward signal is re-anchored to its current leader
@@ -36,15 +40,16 @@ from .barrier import (
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DriftTable, chain_derivative
-from .ocp import OcpSpec, discretize_error_dynamics, rollout, solve_ocp, terminal_ingredients
-from .pipeline import CertificationResult
-from .protocol import (
-    MessageBoard,
-    PlanMessage,
-    initial_broadcast,
-    relay_leader,
-    shift_plan,
+from .ocp import (
+    BarrierRows,
+    OcpSpec,
+    discretize_error_dynamics,
+    rollout,
+    solve_ocp,
+    terminal_ingredients,
 )
+from .pipeline import CertificationResult
+from .protocol import MessageBoard, initial_broadcast, relay_leader, relay_parents, shift_plan
 from .scenario import ScenarioConfig, SimConfig, build_formation, build_graph, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
@@ -214,14 +219,18 @@ class SimWorld:
         self.state[self._agent_rows] = states
         self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
         self.anchors[:] = states[0]
+        # at deployment every agent holds the true leader state at age 0
+        self._relay_parent, _ = relay_parents(self.graph)
+        self.estimates = self.anchors.copy()
+        self.estimate_ages = np.zeros(self.n, dtype=int)
+        self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         self._pinned = (self.graph.b0 > 0.0)[:, None]
         self._pairs = np.triu_indices(self.n, 1)
         tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         self._tube_limits = tube_r2 * (1.0 + 1e-6)
         self._margin_limits = margins * (1.0 + 1e-6)
-        self.board = MessageBoard()
-        self.estimates = None
+        self.board = MessageBoard(self.n, self.horizon, self.d, self.nd)
         self.v_applied = np.zeros((self.n, self.d))
         self._drive_map = self.graph.nu1 * self.graph.adjacency
         self._offsets = self.formation.offsets.reshape(self.n + 1, self.nd)
@@ -266,21 +275,20 @@ class SimWorld:
     def _neighbor_data(self, k: int, ff_samples: np.ndarray):
         """Shifted plans, every reader's predictions and the exogenous error drives.
 
-        Each agent's last broadcast is shifted once into ``shifted`` (N, H, d),
-        zeros at deployment. Row j is agent j's warm start and fallback plan and
-        every reader's prediction of agent j's inputs. ``preds[i, j]`` (H+1, nd)
+        All agents' last broadcasts are shifted in one call into ``shifted``
+        (N, H, d), zeros at deployment. Row j is agent j's warm start and
+        fallback plan and every reader's prediction of agent j's inputs. ``preds[i, j]`` (H+1, nd)
         is reader i's prediction of agent j's nominal states: the bare chain from
         x_j under the shifted plan plus reader i's leader feedforward (agent j's
         feedforward cancels its own nonlinearity); at deployment, x_j held.
         ``s_seqs`` (N, H, d) is nu1 A applied to ``shifted``.
         """
         h, n = self.horizon, self.n
-        shifted = np.zeros((n, h, self.d))
         if k == 0:
+            shifted = np.zeros((n, h, self.d))
             preds = np.broadcast_to(self.x_true[None, :, None], (n, n, h + 1, self.nd))
         else:
-            for j in range(n):
-                shifted[j] = shift_plan(self.board.read(j + 1, k), self.specs[j].terminal_gain)
+            shifted = shift_plan(*self.board.read(k), self._terminal_gains)
             # every spec shares the chain maps (same dims, period and horizon)
             preds = rollout(self.specs[0], self.x_true[None], shifted[None] + ff_samples[:, None])
             if not np.all(np.isfinite(preds)):
@@ -289,40 +297,46 @@ class SimWorld:
         return shifted, preds, s_seqs
 
     def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
-        """Barrier rows (step, a, b, group) on the steps before the terminal law.
+        """Barrier row block on the steps before the terminal law.
 
-        One stacked row call per barrier kind: obstacles within the activation
-        range (group 0), then neighbors (group 1), ordered by step.
+        One stacked row call per barrier kind on a (step, obstacle + neighbor)
+        grid; the active cells, in row-major order, are the rows: per step,
+        the obstacles within the activation range (group 0) by index, then
+        the neighbors (group 1) by index.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
         margin_i = self.margin_radii[i + 1]
         activation = self.cfg.barriers.activation_range
         ff = ff_seq[:steps, None]
         nbrs = self.graph.neighbors(i) if k > 0 else []  # inter-agent rows removed at deployment
+        barrier = self.obstacle_barrier
+        group = np.repeat([0, 1], [len(self._obstacle_centers), len(nbrs)])
         if nbrs:
             x_other = preds[i, nbrs, :steps].swapaxes(0, 1)
             top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
             r_other = self.radius_table[i, nbrs]
 
-        def rows(states: np.ndarray):
+        def rows(states: np.ndarray) -> BarrierRows:
+            if not group.size:
+                return BarrierRows.empty(self.d)
             xs = states[:steps, None]
-            out = []
-            barrier = self.obstacle_barrier
+            cells = []  # (a, b, active) per barrier kind on the (step, index) grid
             if barrier is not None:
                 dist = np.linalg.norm(xs[..., : self.d] - self._obstacle_centers, axis=-1)
                 margin = margin_obstacle(margin_i, barrier.gradient_self(xs))
-                row = assemble_row(barrier, self.kappa, xs, None, margin, drift_top_self=ff)
-                active = np.argwhere(dist <= activation).tolist()
-                out += [(l, row.a[l, o], row.b[l, o], 0) for l, o in active]
+                a_obs, b_obs = assemble_row(barrier, self.kappa, xs, None, margin, drift_top_self=ff)
+                cells.append((a_obs, b_obs, dist <= activation))
             if nbrs:
                 pair = self.pair_barrier
                 grad = pair.gradient_self(xs, x_other)  # the other agent's gradient is -grad
                 margin = margin_pairwise(margin_i, r_other, grad, -grad)
-                row = assemble_row(
+                a_pair, b_pair = assemble_row(
                     pair, self.kappa, xs, x_other, margin, drift_top_self=ff, top_other=top_other
                 )
-                out += [(l, row.a[l, j], row.b[l, j], 1) for l, j in np.ndindex(row.b.shape)]
-            return sorted(out, key=lambda r: r[0])  # stable: obstacles first within a step
+                cells.append((a_pair, b_pair, np.ones(b_pair.shape, dtype=bool)))
+            a, b, active = (np.concatenate(kind, axis=1) for kind in zip(*cells))
+            step, col = np.nonzero(active)
+            return BarrierRows(step, a[step, col], b[step, col], group[col])
 
         return rows
 
@@ -345,10 +359,11 @@ class SimWorld:
     def step(self, k: int) -> dict:
         """One sampling instant: measure, relay, predict, solve, broadcast, apply."""
         t_k = k * self.sim.ts
-        self.estimates = relay_leader(
-            self.graph, self.x_leader, self.estimates if k > 0 else None
-        )
-        self.anchors[:] = [self.estimates[i + 1].value for i in range(self.n)]
+        if k > 0:
+            self.estimates, self.estimate_ages = relay_leader(
+                self._relay_parent, self.x_leader, self.estimates, self.estimate_ages
+            )
+        self.anchors[:] = self.estimates
         self.x_canon[:] = self.x_leader
 
         ff_samples = self._leader_ff_samples(self.anchors, t_k)
@@ -368,6 +383,7 @@ class SimWorld:
         ]
 
         plans = np.zeros((self.n, self.horizon, self.d))
+        terminal = np.zeros((self.n, self.nd))
         solver = np.zeros((self.n, 4))  # status, QP iterations, SQP passes, objective
         for i, sol in enumerate(solutions):
             if sol is None or not math.isfinite(sol.slack):
@@ -378,23 +394,18 @@ class SimWorld:
                         f"agent {i + 1}: {self.infeasible_streak[i]} consecutive "
                         f"infeasible solves at step {k}"
                     )
-                inputs = shifted[i]
                 spec = self.specs[i]
-                errors = rollout(spec, e0s[i], s_seqs[i] - spec.coupling * inputs)
+                plans[i] = shifted[i]
+                terminal[i] = rollout(spec, e0s[i], s_seqs[i] - spec.coupling * shifted[i])[-1]
                 solver[i] = (2.0, 0.0, 0.0, math.inf)
             else:
                 # a relaxed (nonzero-slack) solve still yields the minimally
                 # violating plan, strictly better than blind plan shifting
                 self.infeasible_streak[i] = 0
-                inputs = sol.inputs
-                errors = sol.errors
+                plans[i], terminal[i] = sol.inputs, sol.errors[-1]
                 solver[i] = (STATUS_CODE[sol.status], sol.iterations, sol.sqp_passes, sol.objective)
-            plans[i] = inputs
-            msg = PlanMessage(
-                sender=i + 1, stamp=k, inputs=inputs.copy(), terminal_error=errors[-1].copy()
-            )
-            self.board.post(msg)
-            self.v_applied[i] = inputs[0]
+        self.board.post(k, plans, terminal)
+        self.v_applied[:] = plans[:, 0]
 
         stats = {"plans": plans, "e0": e0s, "solver": solver, "pred_err": pred_err}
         self._integrate_interval(k, stats)

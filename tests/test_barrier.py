@@ -148,8 +148,9 @@ class TestStackedRows:
             assert value[idx] == pytest.approx(single, rel=1e-13, abs=1e-13)
         np.testing.assert_allclose(lie.input_row[idx], single_lie.input_row, rtol=1e-13, atol=1e-13)
         assert lie.drift_term[idx] == pytest.approx(single_lie.drift_term, rel=1e-13, abs=1e-13)
-        np.testing.assert_allclose(row.a[idx], single_row.a, rtol=1e-13, atol=1e-13)
-        assert row.b[idx] == pytest.approx(single_row.b, rel=1e-13, abs=1e-13)
+        (a, b), (single_a, single_b) = row, single_row
+        np.testing.assert_allclose(a[idx], single_a, rtol=1e-13, atol=1e-13)
+        assert b[idx] == pytest.approx(single_b, rel=1e-13, abs=1e-13)
 
     def test_obstacle_stack_matches_row_by_row(self):
         rng = np.random.default_rng(21)
@@ -159,7 +160,7 @@ class TestStackedRows:
         margins = rng.uniform(0.0, 0.3, size=(2, 4))
         lie = lie_derivatives(barrier, xs, drift_top_self=ff)
         row = assemble_row(barrier, KAPPA, xs, None, margins, drift_top_self=ff)
-        assert row.a.shape == (2, 4, 2) and row.b.shape == (2, 4)
+        assert row[0].shape == (2, 4, 2) and row[1].shape == (2, 4)
         for idx in np.ndindex(2, 4):
             single_lie = lie_derivatives(barrier, xs[idx], drift_top_self=ff[idx])
             single_row = assemble_row(
@@ -180,7 +181,7 @@ class TestStackedRows:
         margins = margin_obstacle(0.2, stacked.gradient_self(xs))
         lie = lie_derivatives(stacked, xs, drift_top_self=ff)
         row = assemble_row(stacked, KAPPA, xs, None, margins, drift_top_self=ff)
-        assert row.b.shape == (4, 2)
+        assert row[1].shape == (4, 2)
         for (l, o) in np.ndindex(4, 2):
             barrier = QuadraticBarrier.for_obstacle(DIMS, obstacles[o])
             margin = margin_obstacle(0.2, barrier.gradient_self(xs[l, 0]))
@@ -279,16 +280,16 @@ class TestAssembleRow:
         barrier = obstacle_barrier()
         x = np.zeros(6)
         x[0] = 10.0
-        row = assemble_row(barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2))
-        assert row.b > 0.0  # satisfied at v = 0
+        _, b = assemble_row(barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2))
+        assert b > 0.0  # satisfied at v = 0
 
     def test_margin_linearity(self):
         barrier = obstacle_barrier()
         x = np.zeros(6)
         x[0] = 3.0
-        base = assemble_row(barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2))
-        bumped = assemble_row(barrier, KAPPA, x, None, margin=0.5, drift_top_self=np.zeros(2))
-        assert base.b - bumped.b == pytest.approx(KAPPA.kappa[0] * 0.5)
+        _, base = assemble_row(barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2))
+        _, bumped = assemble_row(barrier, KAPPA, x, None, margin=0.5, drift_top_self=np.zeros(2))
+        assert base - bumped == pytest.approx(KAPPA.kappa[0] * 0.5)
 
     def test_forward_invariance_single_agent(self):
         """Closed chain under row-satisfying inputs keeps h >= 0."""
@@ -298,13 +299,13 @@ class TestAssembleRow:
         h_min = np.inf
         dt = 1e-3
         for step in range(8000):
-            row = assemble_row(
+            a, b = assemble_row(
                 barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2)
             )
             # least-norm input satisfying a.v + b >= 0
-            viol = -row.b
+            viol = -b
             if viol > 0.0:
-                v = row.a * viol / float(row.a @ row.a)
+                v = a * viol / float(a @ a)
             else:
                 v = np.zeros(2)
             k1 = chain_derivative(DIMS, x, v)

@@ -63,6 +63,31 @@ class TestCertify:
         bad.write_text("{ nope")
         assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value, path",
+        [
+            (("obstacles", 0), "center", [0.0, 0.9, 0.0], "obstacles[0].center"),
+            (("obstacles", 0), "center", [0.9], "obstacles[0].center"),
+            (("agents", 0, "disturbance"), "amp", [0.01] * 3, "agents[0].disturbance.amp"),
+            (("agents", 0, "operating_box"), "lower", [-4.0, -4.0], "agents[0].operating_box.lower"),
+            (("leader", "operating_box"), "upper", [4.0] * 5, "leader.operating_box.upper"),
+            (("ocp",), "error_box", [5.0] * 3, "ocp.error_box"),
+        ],
+        ids=["center-3", "center-1", "amp-3", "agent-box-2", "leader-box-5", "error-box-3"],
+    )
+    def test_wrong_vector_length_exit_1(self, tmp_path, capsys, section, key, value, path):
+        """A vector whose length disagrees with d or nd fails at parse time, naming its path."""
+        doc = json.loads(SMOKE.read_text())
+        node = doc
+        for step in section:
+            node = node[step]
+        node[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: expected" in err
+
 
 class TestRun:
     def test_outputs_exist(self, run_dir):

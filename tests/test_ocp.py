@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tubeform.barrier import EcbfCoefficients, QuadraticBarrier, assemble_row, margin_obstacle
 from tubeform.linalg import rk4_step
-from tubeform.models import BrunovskyDims, chain_matrices
+from tubeform.models import BrunovskyDims, Obstacle, chain_matrices
 from tubeform.ocp import (
+    BarrierRows,
     OcpSpec,
     build_qp,
     discretize_error_dynamics,
@@ -16,6 +18,8 @@ from tubeform.ocp import (
 from tubeform.qp import OPTIMAL, solve_qp
 
 from oracles import chain_recurrence, rollout_objective
+
+NO_ROWS = BarrierRows.empty(2)
 
 
 def make_spec(
@@ -127,12 +131,29 @@ class TestTerminalIngredients:
             assert np.max(np.abs(spec.terminal_gain @ e)) <= spec.input_bound * (1 + 1e-9)
 
 
+def obstacle_rows(barrier, kappa, r_ball=None, margin=None):
+    """Row builder with one obstacle row per horizon step, tightened by the
+    fixed ``margin`` or, with ``r_ball`` set, by ``margin_obstacle(r_ball, grad)``."""
+
+    def rows(states):
+        xs = states[:-1]
+        if r_ball is not None:
+            margin_ = margin_obstacle(r_ball, barrier.gradient_self(xs))
+        else:
+            margin_ = margin
+        a, b = assemble_row(barrier, kappa, xs, None, margin_, drift_top_self=np.zeros(2))
+        steps = np.arange(len(xs))
+        return BarrierRows(steps, a, b, np.zeros_like(steps))
+
+    return rows
+
+
 class TestBuildQp:
     def test_zero_weights_zero_input(self):
         spec = make_spec(qr=0.0, rdelta=0.0)
         e0 = np.zeros(6)
         s_seq = np.zeros((5, 2))
-        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), [])
+        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS)
         sol = solve_qp(qp)
         z = maps.t_map @ sol.z + maps.t_off
         assert np.allclose(z, 0.0, atol=1e-12)
@@ -141,9 +162,10 @@ class TestBuildQp:
         spec = make_spec()
         e0 = np.array([1.0, -0.5, 0.2, 0.0, 0.0, 0.1])
         s_seq = np.zeros((5, 2))
-        qp0, m0 = build_qp(spec, e0, s_seq, np.zeros(2), [])
-        row = (2, np.array([1.0, 0.0]), 1e6)  # v_2,x >= -1e6: never active
-        qp1, m1 = build_qp(spec, e0, s_seq, np.zeros(2), [row])
+        qp0, m0 = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS)
+        # v_2,x >= -1e6: never active
+        row = BarrierRows(np.array([2]), np.array([[1.0, 0.0]]), np.array([1e6]), np.array([0]))
+        qp1, m1 = build_qp(spec, e0, s_seq, np.zeros(2), row)
         z0 = m0.t_map @ solve_qp(qp0).z + m0.t_off
         z1 = m1.t_map @ solve_qp(qp1).z + m1.t_off
         assert np.allclose(z0, z1, atol=1e-9)
@@ -154,7 +176,7 @@ class TestBuildQp:
         e0 = rng.normal(size=6)
         s_seq = rng.normal(size=(5, 2)) * 0.2
         v_prev = rng.normal(size=2) * 0.1
-        qp, maps = build_qp(spec, e0, s_seq, v_prev, [])
+        qp, maps = build_qp(spec, e0, s_seq, v_prev, NO_ROWS)
         sol = solve_qp(qp)
         z = maps.t_map @ sol.z + maps.t_off
         inputs = z.reshape(5, 2)
@@ -166,7 +188,7 @@ class TestBuildQp:
         rng = np.random.default_rng(5)
         e0 = rng.normal(size=6) * 0.5
         s_seq = rng.normal(size=(5, 2)) * 0.1
-        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), [])
+        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS)
         sol = solve_qp(qp)
         z = maps.t_map @ sol.z + maps.t_off
         inputs = z.reshape(5, 2)
@@ -181,7 +203,7 @@ class TestBuildQp:
         e0 = rng.normal(size=6) * 2.0
         s_seq = rng.normal(size=(5, 2)) * 0.3
         lin_inputs = rng.normal(size=(5, 2))
-        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), [], lin_inputs=lin_inputs)
+        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, lin_inputs=lin_inputs)
         e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
         level = e_ref @ spec.pr @ e_ref
         assert level > spec.terminal_level  # outside the terminal set: the cut binds
@@ -238,10 +260,11 @@ class TestCondensingCache:
             e0 = rng.normal(size=6)
             s_seq = rng.normal(size=(5, 2)) * 0.3
             v_prev = rng.normal(size=2) * 0.1
-            rows = [
+            entries = [
                 (int(rng.integers(0, 4)), rng.normal(size=2), float(rng.normal()), int(g))
                 for g in rng.integers(0, 2, size=5)
             ]
+            rows = BarrierRows(*map(np.array, zip(*entries)))
             args = (e0, s_seq, v_prev, rows)
             kwargs = dict(lin_inputs=rng.normal(size=(5, 2)), slack_penalty=(1e6, 3e4, 1e4))
             qp, maps = build_qp(spec, *args, **kwargs)
@@ -287,16 +310,13 @@ class TestSolveOcp:
             spec, e0, np.zeros(6), s_seq, np.zeros((5, 2)), v_prev,
             np.zeros((5, 2)),
         )
-        qp, maps = build_qp(spec, e0, s_seq, v_prev, [])
+        qp, maps = build_qp(spec, e0, s_seq, v_prev, NO_ROWS)
         z_free = np.linalg.solve(qp.hessian, -qp.linear)
         z = maps.t_map @ z_free + maps.t_off
         assert np.allclose(sol.inputs.reshape(-1), z, atol=1e-7)
 
     def test_head_on_obstacle_rows_satisfied(self):
         """Rows assembled at the final linearization hold with slack >= -1e-6."""
-        from tubeform.barrier import EcbfCoefficients, QuadraticBarrier, assemble_row, margin_obstacle
-        from tubeform.models import Obstacle
-
         dims = BrunovskyDims(n=3, d=2, followers=1)
         spec = make_spec(dims=dims, coupling=1.0)
         barrier = QuadraticBarrier.for_obstacle(
@@ -305,17 +325,7 @@ class TestSolveOcp:
         kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
         x0 = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])  # heading at the obstacle
         e0 = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
-
-        def rows(states):
-            out = []
-            for l in range(spec.horizon):
-                grad = barrier.gradient_self(states[l])
-                row = assemble_row(
-                    barrier, kappa, states[l], None,
-                    margin_obstacle(0.1, grad), drift_top_self=np.zeros(2),
-                )
-                out.append((l, row.a, row.b))
-            return out
+        rows = obstacle_rows(barrier, kappa, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
@@ -327,8 +337,6 @@ class TestSolveOcp:
     def test_adverse_error_conflict_is_infeasible(self):
         """An error pulling hard into the obstacle conflicts with the terminal
         law: the solve reports Infeasible so the caller can fall back."""
-        from tubeform.barrier import EcbfCoefficients, QuadraticBarrier, assemble_row, margin_obstacle
-        from tubeform.models import Obstacle
         from tubeform.qp import INFEASIBLE
 
         dims = BrunovskyDims(n=3, d=2, followers=1)
@@ -337,17 +345,7 @@ class TestSolveOcp:
         kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
         x0 = np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0])
         e0 = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-
-        def rows(states):
-            out = []
-            for l in range(spec.horizon):
-                grad = barrier.gradient_self(states[l])
-                row = assemble_row(
-                    barrier, kappa, states[l], None,
-                    margin_obstacle(0.1, grad), drift_top_self=np.zeros(2),
-                )
-                out.append((l, row.a, row.b))
-            return out
+        rows = obstacle_rows(barrier, kappa, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
@@ -357,24 +355,13 @@ class TestSolveOcp:
 
     def test_sqp_fixed_point(self):
         """Re-linearizing at the converged solution changes inputs < 1e-5."""
-        from tubeform.barrier import EcbfCoefficients, QuadraticBarrier, assemble_row
-        from tubeform.models import Obstacle
-
         dims = BrunovskyDims(n=3, d=2, followers=1)
         spec = make_spec(dims=dims, coupling=1.0)
         barrier = QuadraticBarrier.for_obstacle(dims, Obstacle(center=(1.5, 0.2), radius=0.6))
         kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
         x0 = np.array([0.0, 0.0, 1.2, 0.2, 0.0, 0.0])
         e0 = np.array([1.5, 0.5, 0.8, 0.0, 0.0, 0.0])
-
-        def rows(states):
-            out = []
-            for l in range(spec.horizon):
-                row = assemble_row(
-                    barrier, kappa, states[l], None, 0.05, drift_top_self=np.zeros(2)
-                )
-                out.append((l, row.a, row.b))
-            return out
+        rows = obstacle_rows(barrier, kappa, margin=0.05)
 
         warm = np.zeros((5, 2))
         for _ in range(8):  # chain warm starts until the pass loop converges

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from tubeform.errors import GraphNotRooted, StalePlan
+from tubeform.errors import GraphNotRooted, NonFiniteState, StalePlan
 from tubeform.graph import CommGraph
 from tubeform.models import BrunovskyDims
 from tubeform.ocp import OcpSpec, discretize_error_dynamics
 from tubeform.protocol import (
     MessageBoard,
-    PlanMessage,
     initial_broadcast,
     relay_leader,
+    relay_parents,
     shift_plan,
 )
 
@@ -58,25 +58,29 @@ class TestInitialBroadcast:
 
 class TestShiftPlan:
     def test_two_step_example(self):
-        msg = PlanMessage(
-            sender=1, stamp=3,
-            inputs=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            terminal_error=np.array([1.0, 0.0]),
-        )
+        inputs = np.array([[1.0, 2.0], [3.0, 4.0]])
         khat = np.array([[0.5, 0.0], [0.0, 0.5]])
-        shifted = shift_plan(msg, khat)
+        shifted = shift_plan(inputs, np.array([1.0, 0.0]), khat)
         assert np.allclose(shifted[0], [3.0, 4.0])
         assert np.allclose(shifted[1], [-0.5, 0.0])
 
     def test_constant_plan_zero_terminal(self):
-        msg = PlanMessage(
-            sender=1, stamp=0,
-            inputs=np.tile([1.0, -1.0], (4, 1)),
-            terminal_error=np.zeros(2),
-        )
-        shifted = shift_plan(msg, np.eye(2))
+        shifted = shift_plan(np.tile([1.0, -1.0], (4, 1)), np.zeros(2), np.eye(2))
         assert np.allclose(shifted[:3], np.tile([1.0, -1.0], (3, 1)))
         assert np.allclose(shifted[3], 0.0)
+
+    def test_stacked_senders_match_per_sender_shift(self):
+        """One call on (N, H, d) plans equals each sender's plan tail followed by
+        its own -K e, bit for bit."""
+        rng = np.random.default_rng(3)
+        inputs = rng.normal(size=(5, 4, 2))
+        terminal = rng.normal(size=(5, 6))
+        gains = rng.normal(size=(5, 2, 6))
+        shifted = shift_plan(inputs, terminal, gains)
+        assert shifted.shape == (5, 4, 2)
+        for j in range(5):
+            expected = np.vstack([inputs[j, 1:], -gains[j] @ terminal[j]])
+            np.testing.assert_array_equal(shifted[j], expected)
 
     def test_replay_reproduces_prediction_tail(self):
         """Shifting then rolling out reproduces the tail of the sender's own
@@ -91,66 +95,99 @@ class TestShiftPlan:
         e0 = rng.normal(size=2)
         inputs = rng.normal(size=(4, 1))
         errors = rollout(spec, e0, -spec.coupling * inputs)
-        msg = PlanMessage(sender=1, stamp=0, inputs=inputs, terminal_error=errors[-1])
-        shifted = shift_plan(msg, khat)
+        shifted = shift_plan(inputs[None], errors[-1][None], khat)[0]
         # tail of the prediction: errors[1] evolved under shifted inputs
         replay = rollout(spec, errors[1], -spec.coupling * shifted)
         assert np.allclose(replay[: 4 - 1 + 1], errors[1:], atol=1e-12)
 
 
+def board_with_plans(stamp=0):
+    """A two-agent board (H = 2, d = 1, nd = 2) holding one broadcast at ``stamp``."""
+    board = MessageBoard(2, 2, 1, 2)
+    board.post(stamp, np.arange(4.0).reshape(2, 2, 1), np.ones((2, 2)))
+    return board
+
+
 class TestBoard:
     def test_read_previous_stamp(self):
-        board = MessageBoard()
-        msg = PlanMessage(sender=1, stamp=0, inputs=np.zeros((2, 1)), terminal_error=np.zeros(2))
-        board.post(msg)
-        assert board.read(1, 1).stamp == 0
+        board = board_with_plans(stamp=0)
+        inputs, terminal = board.read(1)
+        np.testing.assert_array_equal(inputs, np.arange(4.0).reshape(2, 2, 1))
+        np.testing.assert_array_equal(terminal, np.ones((2, 2)))
+        assert board.stamps.tolist() == [0, 0]
+        assert board.posts == 2  # one plan per agent
 
     def test_stale_read(self):
-        board = MessageBoard()
-        board.post(PlanMessage(sender=1, stamp=0, inputs=np.zeros((2, 1)), terminal_error=np.zeros(2)))
-        with pytest.raises(StalePlan):
-            board.read(1, 2)
+        board = board_with_plans(stamp=0)
+        with pytest.raises(StalePlan, match="agent 1: need stamp 1, have 0"):
+            board.read(2)
+
+    def test_read_before_any_post(self):
+        with pytest.raises(StalePlan, match="agent 1: need stamp 0, have none"):
+            MessageBoard(2, 2, 1, 2).read(1)
 
     def test_monotone_stamps(self):
-        board = MessageBoard()
-        board.post(PlanMessage(sender=1, stamp=1, inputs=np.zeros((2, 1)), terminal_error=np.zeros(2)))
-        with pytest.raises(StalePlan):
-            board.post(PlanMessage(sender=1, stamp=1, inputs=np.zeros((2, 1)), terminal_error=np.zeros(2)))
+        board = board_with_plans(stamp=1)
+        with pytest.raises(StalePlan, match="agent 1 re-posted stamp 1"):
+            board.post(1, np.zeros((2, 2, 1)), np.zeros((2, 2)))
+        assert board.posts == 2
+
+    @pytest.mark.parametrize("field", ["inputs", "terminal"])
+    def test_non_finite_post_names_agent(self, field):
+        board = board_with_plans(stamp=0)
+        plans = {"inputs": np.zeros((2, 2, 1)), "terminal": np.zeros((2, 2))}
+        plans[field][1, 0] = np.nan
+        with pytest.raises(NonFiniteState, match="agent 2"):
+            board.post(1, plans["inputs"], plans["terminal"])
+        # the rejected broadcast leaves the board as it was
+        assert board.stamps.tolist() == [0, 0] and board.posts == 2
+        np.testing.assert_array_equal(board.inputs, np.arange(4.0).reshape(2, 2, 1))
+
+
+def deployed(parent, leader):
+    """Estimates and ages at deployment: the true leader state everywhere, age 0."""
+    return np.tile(leader, (len(parent), 1)), np.zeros(len(parent), dtype=int)
 
 
 class TestRelayLeader:
+    def test_relay_tree_arrays(self):
+        parent, depth = relay_parents(chain_graph())
+        assert parent.tolist() == [-1, 0, 1, 2, 3]
+        assert depth.tolist() == [0, 1, 2, 3, 4]
+
     def test_pinned_exact(self):
-        g = chain_graph()
+        parent, _ = relay_parents(chain_graph())
+        est, ages = deployed(parent, np.zeros(6))
         leader = np.array([1.0, 2.0, 0, 0, 0, 0.0])
-        est = relay_leader(g, leader, None)
-        assert est[1].hops == 0
-        assert est[1].age == 0
-        assert np.array_equal(est[1].value, leader)
+        est, ages = relay_leader(parent, leader, est, ages)
+        assert ages[0] == 0
+        assert np.array_equal(est[0], leader)
+        assert np.array_equal(est[1], np.zeros(6))  # one hop: last step's value
+        assert ages[1] == 1
 
     def test_stationary_leader_exact_everywhere(self):
-        g = chain_graph()
+        parent, _ = relay_parents(chain_graph())
         leader = np.array([3.0, 0, 0, 0, 0, 0.0])
-        est = relay_leader(g, leader, None)
+        est, ages = deployed(parent, leader)
         for _ in range(10):
-            est = relay_leader(g, leader, est)
-        for i in range(1, 6):
-            assert np.array_equal(est[i].value, leader)
+            est, ages = relay_leader(parent, leader, est, ages)
+        assert np.array_equal(est, np.tile(leader, (5, 1)))
 
     def test_delay_line_constant_speed(self):
-        """After the transient, a hops-h agent lags by h * Ts * speed."""
-        g = chain_graph()
+        """After the transient, a hops-h agent lags by h * Ts * speed: on the
+        3-agent line every agent holds the leader state of h steps ago, h old."""
+        parent, depth = relay_parents(chain_graph(3))
         ts, speed = 0.1, 1.3
-        est = None
-        for k in range(12):
+        est, ages = deployed(parent, np.zeros(2))
+        for k in range(1, 12):
             leader = np.array([speed * k * ts, 0.0])
-            est = relay_leader(g, leader, est)
-        # agent 3 has hops 2
-        assert est[3].hops == 2
-        lag = leader[0] - est[3].value[0]
-        assert lag == pytest.approx(2 * ts * speed, abs=1e-12)
-        assert est[3].age == 2
+            est, ages = relay_leader(parent, leader, est, ages)
+        assert depth.tolist() == [0, 1, 2]
+        assert ages.tolist() == [0, 1, 2]
+        lag = leader[0] - est[:, 0]
+        np.testing.assert_allclose(lag, depth * ts * speed, rtol=0, atol=1e-12)
 
     def test_unrooted_raises(self):
         g = CommGraph(adjacency=np.zeros((2, 2)), b0=np.zeros(2))
         with pytest.raises(GraphNotRooted):
-            relay_leader(g, np.zeros(2), None)
+            relay_parents(g)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tubeform.protocol
 import tubeform.sim
 from tubeform.barrier import QuadraticBarrier, assemble_row, margin_obstacle, margin_pairwise
 from tubeform.errors import DegenerateGradient, NonFiniteState
@@ -220,8 +221,8 @@ def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
                 continue
             barrier = QuadraticBarrier.for_obstacle(world.dims, obstacle)
             margin = margin_obstacle(margin_i, barrier.gradient_self(xl))
-            row = assemble_row(barrier, world.kappa, xl, None, margin, drift_top_self=ff_seq[l])
-            out.append((l, row.a, row.b, 0))
+            a, b = assemble_row(barrier, world.kappa, xl, None, margin, drift_top_self=ff_seq[l])
+            out.append((l, a, b, 0))
         for j in world.graph.neighbors(i):
             x_hat = preds[i, j]
             pair = world.pair_barrier
@@ -231,11 +232,11 @@ def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
                 pair.gradient_self(xl, x_hat[l]),
                 pair.gradient_other(xl, x_hat[l]),
             )
-            row = assemble_row(
+            a, b = assemble_row(
                 pair, world.kappa, xl, x_hat[l], margin,
                 drift_top_self=ff_seq[l], top_other=shifted[j][l] + ff_seq[l],
             )
-            out.append((l, row.a, row.b, 1))
+            out.append((l, a, b, 1))
     return out
 
 
@@ -251,18 +252,21 @@ class TestRowBuilder:
         ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
         shifted, preds, _ = world._neighbor_data(k, ff)
         kept = filtered = 0
+        inputs, terminal = world.board.read(k)
         for i in range(world.n):
-            warm = shift_plan(world.board.read(i + 1, k), world.specs[i].terminal_gain)
+            warm = shift_plan(inputs[i], terminal[i], world.specs[i].terminal_gain)
             np.testing.assert_array_equal(shifted[i], warm)
             states = rollout(world.specs[i], world.x_nom[i], warm + ff[i])
             rows = world._row_builder(i, k, ff[i], preds, shifted)(states)
             expected = oracle_rows(world, i, k, ff[i], preds, shifted, states)
-            assert [(r[0], r[3]) for r in rows] == [(r[0], r[3]) for r in expected]
-            assert all(r[0] < world.horizon - 1 for r in rows)
-            for row, ref in zip(rows, expected):
-                np.testing.assert_allclose(row[1], ref[1], rtol=1e-12, atol=1e-12)
-                assert row[2] == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
-            n_obstacle = sum(r[3] == 0 for r in rows)
+            assert list(zip(rows.step.tolist(), rows.group.tolist())) == [
+                (r[0], r[3]) for r in expected
+            ]
+            assert np.all(rows.step < world.horizon - 1)
+            ref_a = np.reshape([r[1] for r in expected], (-1, world.d))
+            np.testing.assert_allclose(rows.a, ref_a, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rows.b, [r[2] for r in expected], rtol=1e-12, atol=1e-12)
+            n_obstacle = int(np.sum(rows.group == 0))
             kept += n_obstacle
             filtered += (world.horizon - 1) * len(cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
@@ -303,21 +307,41 @@ class TestNeighborPredictions:
             world._neighbor_data(1, ff)
 
 
+class TestLeaderRelay:
+    def test_relay_tree_built_once_per_world(self, monkeypatch):
+        """The graph is fixed per run: one BFS when the world is built, none per step."""
+        cfg = load_scenario(PAPER)
+        cert = certify_scenario(cfg, spot_checks=False)
+        real_bfs = tubeform.protocol.bfs_from_leader
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return real_bfs(g)
+
+        monkeypatch.setattr(tubeform.protocol, "bfs_from_leader", counting)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=0.5))
+        world.run()
+        assert len(calls) == 1
+        # the path graph pins agent 1 only: agent i's anchor is i - 1 steps old
+        assert world.estimate_ages.tolist() == [0, 1, 2, 3, 4]
+
+
 class TestShiftedPlans:
     def test_one_shift_per_agent_per_step(self, monkeypatch):
         cfg = load_scenario(SMOKE)
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=0.5))
-        senders = []
+        calls = []
 
-        def counting(msg, terminal_gain):
-            senders.append((msg.stamp, msg.sender))
-            return shift_plan(msg, terminal_gain)
+        def counting(inputs, terminal, gains):
+            calls.append((world.board.stamps.tolist(), len(inputs)))
+            return shift_plan(inputs, terminal, gains)
 
         monkeypatch.setattr(tubeform.sim, "shift_plan", counting)
         world.run()
-        # nothing to shift at deployment, then each broadcast once
-        assert senders == [(k, i + 1) for k in range(world.n_steps - 1) for i in range(world.n)]
+        # nothing to shift at deployment, then one call per step shifting each broadcast once
+        assert calls == [([k] * world.n, world.n) for k in range(world.n_steps - 1)]
 
     def test_failed_solve_falls_back_to_shifted_plan(self, monkeypatch):
         """Agent 1's solve raises once mid-run: it posts its shifted previous plan."""
@@ -342,21 +366,22 @@ class TestShiftedPlans:
         assert world.infeasible_streak == [0, 0]
         no_ff = np.zeros((world.n, world.horizon, world.d))
         shifted, _, _ = world._neighbor_data(k_fail, no_ff)
+        inputs, terminal = world.board.read(k_fail)
         for j in range(world.n):
-            warm = shift_plan(world.board.read(j + 1, k_fail), world.specs[j].terminal_gain)
+            warm = shift_plan(inputs[j], terminal[j], world.specs[j].terminal_gain)
             np.testing.assert_array_equal(shifted[j], warm)
         s_seq = np.zeros_like(shifted[0])
         for j in world.graph.neighbors(0):
             s_seq += world.graph.nu1 * world.graph.adjacency[0, j] * shifted[j]
 
         stats = world.step(k_fail)
-        msg = world.board.read(1, k_fail + 1)
-        assert msg.stamp == k_fail
-        np.testing.assert_array_equal(msg.inputs, shifted[0])
+        inputs, terminal = world.board.read(k_fail + 1)
+        assert world.board.stamps.tolist() == [k_fail] * world.n
+        np.testing.assert_array_equal(inputs[0], shifted[0])
         errors = chain_recurrence(
             agent_one.ad, agent_one.bd, stats["e0"][0], s_seq - agent_one.coupling * shifted[0]
         )
-        np.testing.assert_allclose(msg.terminal_error, errors[-1], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(terminal[0], errors[-1], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(world.v_applied[0], shifted[0][0])
         assert world.infeasible_streak == [1, 0]
 
