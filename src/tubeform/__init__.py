@@ -1,13 +1,6 @@
 """Tube-certified distributed MPC for leader-follower formations on integrator chains."""
 
-from .barrier import (
-    EcbfCoefficients,
-    QuadraticBarrier,
-    assemble_row,
-    lie_derivatives,
-    margin_obstacle,
-    margin_pairwise,
-)
+from .barrier import EcbfCoefficients, assemble_row, lie_derivatives
 from .certify import (
     GainSpec,
     LeaderCertificate,

@@ -147,24 +147,40 @@ def _agent_ids(trace: SimTrace) -> list[int]:
     return sorted(set(ids))
 
 
+def _axes(trace: SimTrace) -> int:
+    """Spatial dimension of a trace: agent 1 has one input column per axis."""
+    return sum(col.startswith("u1_") for col in trace.columns)
+
+
 def _plot_trajectories(traces: list[SimTrace], leads: list[str], path: Path) -> None:
-    fig = SvgFigure("Agent trajectories", "x position", "y position", equal_aspect=True)
+    """Position axes 0 and 1 in the plane; a one-axis trace plots its position over time."""
+    planar = _axes(traces[0]) > 1
+    labels = ("x position", "y position") if planar else ("time [s]", "x position")
+    fig = SvgFigure("Agent trajectories", *labels, equal_aspect=planar)
+
+    def track(trace, agent):
+        x = trace.col(f"x{agent}_10")
+        return (x, trace.col(f"x{agent}_11")) if planar else (trace.col("t"), x)
+
     for obs in traces[0].metadata.get("obstacles", "").split(";"):
         if not obs:
             continue
-        cx, cy, radius, inflation = (float(v) for v in obs.split(","))
-        fig.add_circle(cx, cy, radius, color="#333333", fill="#aaaaaa")
-        fig.add_circle(cx, cy, radius + inflation, color="#888888", dashed=True)
+        *center, radius, inflation = (float(v) for v in obs.split(","))
+        if planar:
+            fig.add_circle(center[0], center[1], radius, color="#333333", fill="#aaaaaa")
+            fig.add_circle(center[0], center[1], radius + inflation, color="#888888", dashed=True)
+        else:  # the edges of the keep-out interval and of the bare obstacle
+            for edge in (-radius - inflation, -radius, radius, radius + inflation):
+                fig.add_hline(center[0] + edge, color="#888888")
     for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         ids = _agent_ids(trace)
         fig.add_line(
-            trace.col("x0_10"), trace.col("x0_11"), label=f"{lead}leader",
+            *track(trace, 0), label=f"{lead}leader",
             color=PALETTE_LEADER[t_idx], dashed=t_idx == 1,
         )
         for i in ids:
             fig.add_line(
-                trace.col(f"x{i}_10"),
-                trace.col(f"x{i}_11"),
+                *track(trace, i),
                 label=f"{lead}agent {i}" if t_idx == 0 and i <= 2 else None,
                 dashed=t_idx == 1,
             )
@@ -178,7 +194,7 @@ def _plot_errors(traces: list[SimTrace], leads: list[str], path: Path) -> None:
     fig = SvgFigure("Formation offset error components", "time [s]", "error")
     for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         for i in _agent_ids(trace):
-            for ax in range(2):
+            for ax in range(_axes(trace)):
                 fig.add_line(
                     trace.col("t"),
                     trace.col(f"ferr{i}_{ax}"),

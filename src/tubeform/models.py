@@ -263,7 +263,7 @@ class AgentModel:
             worst, slack = self.disturbance.bound, 0.0
         else:
             ts = np.linspace(0.0, t_end, samples)
-            worst = max(float(np.linalg.norm(self.disturbance(t))) for t in ts)
+            worst = float(np.max(np.linalg.norm(self.disturbance(ts[:, None]), axis=1)))
             slack = 1e-12
         if worst > self.disturbance_bound + slack:
             raise ScenarioError(

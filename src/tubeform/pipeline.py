@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .barrier import EcbfCoefficients
 from .certify import (
     LeaderCertificate,
     TubeCertificate,
@@ -85,6 +86,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
         )
 
     _, pair = synth_gain(cfg.dims, cfg.gains)
+    EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)  # raises NotHurwitz like the gain poles
     l0 = cfg.leader.lipschitz
     ts = cfg.sim.ts
     tubes = []

@@ -176,12 +176,17 @@ def _dynamics(raw: dict, path: str) -> DynamicsConfig:
     )
 
 
+def _vector(raw, name: str, length: int) -> tuple[float, ...]:
+    """``length`` numbers; a wrong count names ``name``."""
+    values = tuple(float(v) for v in raw)
+    if len(values) != length:
+        raise ScenarioError(f"{name}: expected {length} values, got {len(values)}")
+    return values
+
+
 def _floats(raw: dict, key: str, path: str, length: int) -> tuple[float, ...]:
     """The ``length`` numbers under ``key``; a wrong count names ``path.key``."""
-    values = tuple(float(v) for v in _req(raw, key, path))
-    if len(values) != length:
-        raise ScenarioError(f"{path}.{key}: expected {length} values, got {len(values)}")
-    return values
+    return _vector(_req(raw, key, path), f"{path}.{key}", length)
 
 
 def _disturbance(raw: dict, path: str, d: int) -> DisturbanceConfig:
@@ -269,11 +274,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError("agents: ids must be 1..N in order")
 
     graph_raw = _req(raw, "graph", "graph")
+    rows = _req(graph_raw, "adjacency", "graph")
+    if len(rows) != dims.followers:
+        raise ScenarioError(f"graph.adjacency: expected {dims.followers} rows, got {len(rows)}")
     graph = GraphConfig(
         adjacency=tuple(
-            tuple(float(v) for v in row) for row in _req(graph_raw, "adjacency", "graph")
+            _vector(row, f"graph.adjacency[{i}]", dims.followers) for i, row in enumerate(rows)
         ),
-        b0=tuple(float(v) for v in _req(graph_raw, "b0", "graph")),
+        b0=_floats(graph_raw, "b0", "graph", dims.followers),
         nu1=float(graph_raw.get("nu1", 1.0)),
         nu2=float(graph_raw.get("nu2", 1.0)),
     )
@@ -323,9 +331,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if ocp.horizon < 2:
         raise ScenarioError("ocp.horizon: must be >= 2")
 
-    barriers_raw = raw.get("barriers", {})
+    barriers_raw = {"kappa_poles": BarrierConfig.kappa_poles} | raw.get("barriers", {})
     barriers = BarrierConfig(
-        kappa_poles=tuple(float(p) for p in barriers_raw.get("kappa_poles", (-1.5, -2.5, -3.5))),
+        # one eCBF pole per chain order, the barrier's relative degree
+        kappa_poles=_floats(barriers_raw, "kappa_poles", "barriers", dims.n),
         d_safe=float(barriers_raw.get("d_safe", 0.3)),
         activation_range=float(barriers_raw.get("activation_range", 5.0)),
     )

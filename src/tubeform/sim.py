@@ -14,7 +14,9 @@ message board holds all agents' plans and one ``shift_plan`` call shifts
 them, all readers' predictions of all agents are one ``rollout`` call, the
 synchronization errors are -M q with the augmented Laplacian M, the
 exogenous error drives are nu1 A applied to the shifted plans, and each
-agent's eCBF rows reach its OCP as one ``BarrierRows`` block.
+agent's eCBF rows reach its OCP as one ``BarrierRows`` block from one
+``assemble_row`` call per SQP pass over its obstacles (constant chains) and
+neighbors.
 
 The nominal trajectories are persistent (never reset to measurements); each
 agent's leader-feedforward signal is re-anchored to its current leader
@@ -30,13 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import (
-    EcbfCoefficients,
-    QuadraticBarrier,
-    assemble_row,
-    margin_obstacle,
-    margin_pairwise,
-)
+from .barrier import EcbfCoefficients, assemble_row
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DriftTable, chain_derivative
@@ -141,11 +137,10 @@ class SimWorld:
         self.gain = cert.tubes[0].lyap.gain
         self.p_mat = cert.tubes[0].lyap.p
         self.kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)
-        self.obstacle_barrier = (
-            QuadraticBarrier.for_obstacles(cfg.dims, cfg.obstacles) if cfg.obstacles else None
-        )
-        self._obstacle_centers = np.array([o.center for o in cfg.obstacles], dtype=float)
-        self.pair_barrier = QuadraticBarrier.for_pair(cfg.dims, cfg.barriers.d_safe)
+        # every obstacle is the constant chain (center, 0, ..., 0) of the one barrier
+        centers = np.array([o.center for o in cfg.obstacles], dtype=float).reshape(-1, self.d)
+        self._obstacle_chains = np.pad(centers, ((0, 0), (0, self.nd - self.d)))
+        self._obstacle_keep_out = np.array([o.effective_radius for o in cfg.obstacles])
 
         if sim.baseline_margins:
             missing = [t.agent for t in cert.tubes if t.baseline_r_ball is None]
@@ -299,42 +294,37 @@ class SimWorld:
     def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
         """Barrier row block on the steps before the terminal law.
 
-        One stacked row call per barrier kind on a (step, obstacle + neighbor)
-        grid; the active cells, in row-major order, are the rows: per step,
-        the obstacles within the activation range (group 0) by index, then
-        the neighbors (group 1) by index.
+        One ``assemble_row`` call per pass evaluates a (step, obstacle +
+        neighbor) grid; an obstacle cell is the constant center chain with
+        keep-out radius + inflation, broadcast radius 0 and no top derivative.
+        The active cells, in row-major order, are the rows: per step, the
+        obstacles within the activation range (group 0) by index, then the
+        neighbors (group 1) by index.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        margin_i = self.margin_radii[i + 1]
-        activation = self.cfg.barriers.activation_range
-        ff = ff_seq[:steps, None]
         nbrs = self.graph.neighbors(i) if k > 0 else []  # inter-agent rows removed at deployment
-        barrier = self.obstacle_barrier
-        group = np.repeat([0, 1], [len(self._obstacle_centers), len(nbrs)])
-        if nbrs:
-            x_other = preds[i, nbrs, :steps].swapaxes(0, 1)
-            top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
-            r_other = self.radius_table[i, nbrs]
+        n_obs = len(self._obstacle_chains)
+        if not n_obs + len(nbrs):
+            return lambda states: BarrierRows.empty(self.d)
+        ff = ff_seq[:steps, None]
+        obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
+        x_other = np.concatenate([obstacles, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
+        top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
+        top_exo = ff - np.concatenate([np.zeros((steps, n_obs, self.d)), top_other], axis=1)
+        keep_out = np.r_[self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)]
+        radius_other = np.r_[np.zeros(n_obs), self.radius_table[i, nbrs]]
+        margin_i = self.margin_radii[i + 1]
+        group = np.repeat([0, 1], [n_obs, len(nbrs)])
+        centers = self._obstacle_chains[:, : self.d]
+        activation = self.cfg.barriers.activation_range
 
         def rows(states: np.ndarray) -> BarrierRows:
-            if not group.size:
-                return BarrierRows.empty(self.d)
             xs = states[:steps, None]
-            cells = []  # (a, b, active) per barrier kind on the (step, index) grid
-            if barrier is not None:
-                dist = np.linalg.norm(xs[..., : self.d] - self._obstacle_centers, axis=-1)
-                margin = margin_obstacle(margin_i, barrier.gradient_self(xs))
-                a_obs, b_obs = assemble_row(barrier, self.kappa, xs, None, margin, drift_top_self=ff)
-                cells.append((a_obs, b_obs, dist <= activation))
-            if nbrs:
-                pair = self.pair_barrier
-                grad = pair.gradient_self(xs, x_other)  # the other agent's gradient is -grad
-                margin = margin_pairwise(margin_i, r_other, grad, -grad)
-                a_pair, b_pair = assemble_row(
-                    pair, self.kappa, xs, x_other, margin, drift_top_self=ff, top_other=top_other
-                )
-                cells.append((a_pair, b_pair, np.ones(b_pair.shape, dtype=bool)))
-            a, b, active = (np.concatenate(kind, axis=1) for kind in zip(*cells))
+            a, b = assemble_row(
+                self.kappa, self.dims, xs, x_other, keep_out, margin_i, radius_other, top_exo
+            )
+            active = np.ones(b.shape, dtype=bool)
+            active[:, :n_obs] = np.linalg.norm(xs[..., : self.d] - centers, axis=-1) <= activation
             step, col = np.nonzero(active)
             return BarrierRows(step, a[step, col], b[step, col], group[col])
 
@@ -565,8 +555,7 @@ class SimWorld:
             "feedforward_on": str(int(self.sim.feedforward_on)),
             "baseline_margins": str(int(self.sim.baseline_margins)),
             "obstacles": ";".join(
-                f"{o.center[0]},{o.center[1]},{o.radius},{o.inflation}"
-                for o in self.cfg.obstacles
+                ",".join(map(str, (*o.center, o.radius, o.inflation))) for o in self.cfg.obstacles
             ),
             "margin_radii": ";".join(
                 repr(self.margin_radii[i + 1]) for i in range(self.n)

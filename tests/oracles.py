@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: eigenvalues via
 characteristic-polynomial roots, finite-difference stencils via Fornberg
 weights, QP optima via projected gradient ascent on the dual, horizon
-trajectories and OCP objectives via the explicit step recurrence.
+trajectories and OCP objectives via the explicit step recurrence, barrier
+values from the position offset alone.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def random_feasible_qp(rng: np.random.Generator, n_vars: int, n_rows: int):
     z_feas = rng.normal(size=n_vars)
     b_in = a_in @ z_feas - rng.uniform(0.1, 2.0, size=n_rows)
     return hessian, linear, a_in, b_in
+
+
+def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):
+    """h = ||p_self - p_other||^2 - R^2 on the position blocks (first d entries) of two chains."""
+    offset = np.asarray(x_self)[..., :d] - np.asarray(x_other)[..., :d]
+    return np.sum(offset * offset, axis=-1) - np.square(keep_out)
 
 
 def chain_recurrence(ad: np.ndarray, bd: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from tubeform.qp import OPTIMAL, QpProblem, solve_qp
 from tubeform.scenario import load_scenario
 from tubeform.sim import run_simulation, trace_metrics
 
-from oracles import dual_projected_gradient_qp, fd_derivative, random_feasible_qp
+from oracles import barrier_value, dual_projected_gradient_qp, fd_derivative, random_feasible_qp
 
 ROOT = Path(__file__).resolve().parents[1]
 PAPER = ROOT / "scenarios" / "paper_scenario.json"
@@ -143,8 +143,7 @@ def test_criterion_02_rpi_containment():
 
 
 def test_criterion_03_lie_derivative_correctness():
-    from tubeform.barrier import QuadraticBarrier, lie_derivatives
-    from tubeform.models import Obstacle
+    from tubeform.barrier import lie_derivatives
 
     dims = BrunovskyDims(n=3, d=2, followers=1)
     rng = np.random.default_rng(3)
@@ -160,8 +159,7 @@ def test_criterion_03_lie_derivative_correctness():
         )
 
     worst = 0.0
-    obstacle = QuadraticBarrier.for_obstacle(dims, Obstacle(center=(0.3, -0.2), radius=0.9))
-    pairwise = QuadraticBarrier.for_pair(dims, safe_dist=0.4)
+    center = np.array([0.3, -0.2, 0, 0, 0, 0])  # an obstacle is a constant chain
     for kind in ("obstacle", "pairwise"):
         checked = 0
         while checked < 50:
@@ -172,14 +170,12 @@ def test_criterion_03_lie_derivative_correctness():
             if kind == "obstacle":
                 if np.linalg.norm(xi[:2] - [0.3, -0.2]) < 0.3:
                     continue
-                lie = lie_derivatives(obstacle, xi, drift_top_self=np.zeros(2))
-                fn = lambda t: obstacle.value(chain_flow(xi, ui, t))
+                values, input_row, drift = lie_derivatives(dims, xi, center, 0.9, np.zeros(2))
+                fn = lambda t: barrier_value(chain_flow(xi, ui, t), center, 0.9, 2)
             else:
-                lie = lie_derivatives(
-                    pairwise, xi, xj, drift_top_self=np.zeros(2), top_other=uj
-                )
-                fn = lambda t: pairwise.value(chain_flow(xi, ui, t), chain_flow(xj, uj, t))
-            analytic = list(lie.values) + [lie.drift_term + lie.input_row @ ui]
+                values, input_row, drift = lie_derivatives(dims, xi, xj, 0.4, np.zeros(2) - uj)
+                fn = lambda t: barrier_value(chain_flow(xi, ui, t), chain_flow(xj, uj, t), 0.4, 2)
+            analytic = list(values) + [drift + input_row @ ui]
             for order in range(4):
                 numeric = fd_derivative(fn, order) if order else fn(0.0)
                 scale = max(1.0, abs(analytic[order]))

@@ -3,27 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubeform.barrier import (
-    EcbfCoefficients,
-    QuadraticBarrier,
-    assemble_row,
-    lie_derivatives,
-    margin_obstacle,
-    margin_pairwise,
-)
+from tubeform.barrier import EcbfCoefficients, assemble_row, lie_derivatives
 from tubeform.errors import DegenerateGradient, NotHurwitz
-from tubeform.models import BrunovskyDims, Obstacle, chain_derivative
+from tubeform.models import BrunovskyDims, chain_derivative
 
-from oracles import fd_derivative
+from oracles import barrier_value, fd_derivative
 
 DIMS = BrunovskyDims(n=3, d=2, followers=1)
 KAPPA = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
+ZERO_TOP = np.zeros(2)
 
 
-def obstacle_barrier(center=(0.0, 0.0), radius=1.0):
-    return QuadraticBarrier.for_obstacle(
-        DIMS, Obstacle(center=center, radius=radius, inflation=0.0)
-    )
+def center_chain(center=(0.0, 0.0)):
+    """An obstacle as the constant chain (c, 0, 0)."""
+    chain = np.zeros(6)
+    chain[:2] = center
+    return chain
+
+
+def obstacle_b(x, radius_self, center=(0.0, 0.0), keep_out=1.0):
+    """b of the obstacle row at x with own tube radius ``radius_self``."""
+    chain = center_chain(center)
+    return assemble_row(KAPPA, DIMS, x, chain, keep_out, radius_self, 0.0, ZERO_TOP)[1]
 
 
 def chain_flow(x0, top_input, t):
@@ -50,36 +51,33 @@ class TestEcbfCoefficients:
 class TestLieDerivatives:
     def test_relative_degree_one(self):
         dims = BrunovskyDims(n=1, d=2, followers=1)
-        barrier = QuadraticBarrier(kind="obstacle", dims=dims, center=(0.0, 0.0), eff_radius=1.0)
-        lie = lie_derivatives(barrier, np.array([2.0, 0.0]))
-        assert lie.values[0] == pytest.approx(3.0)
-        assert np.allclose(lie.input_row, [4.0, 0.0])
+        x = np.array([2.0, 0.0])
+        values, input_row, _ = lie_derivatives(dims, x, np.zeros(2), 1.0, ZERO_TOP)
+        assert values[0] == pytest.approx(3.0)
+        assert np.allclose(input_row, [4.0, 0.0])
 
     def test_hand_arithmetic(self):
-        barrier = obstacle_barrier()
         x = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        lie = lie_derivatives(barrier, x)
-        assert lie.values[0] == pytest.approx(3.0)  # 4 - 1
-        assert lie.values[1] == pytest.approx(4.0)  # 2 p.v
-        assert lie.values[2] == pytest.approx(2.0)  # 2|v|^2 + 2 p.a
-        assert np.allclose(lie.input_row, [4.0, 0.0])
+        values, input_row, _ = lie_derivatives(DIMS, x, center_chain(), 1.0, ZERO_TOP)
+        assert values[0] == pytest.approx(3.0)  # 4 - 1
+        assert values[1] == pytest.approx(4.0)  # 2 p.v
+        assert values[2] == pytest.approx(2.0)  # 2|v|^2 + 2 p.a
+        assert np.allclose(input_row, [4.0, 0.0])
 
     def test_third_order_structure(self):
-        barrier = obstacle_barrier()
         rng = np.random.default_rng(0)
         x = rng.normal(size=6)
         ff = rng.normal(size=2)
         vin = rng.normal(size=2)
-        lie = lie_derivatives(barrier, x, drift_top_self=ff)
+        _, input_row, drift = lie_derivatives(DIMS, x, center_chain(), 1.0, ff)
         p, v, a = x[0:2], x[2:4], x[4:6]
         expected = 6.0 * v @ a + 2.0 * p @ (ff + vin)
-        assert lie.drift_term + lie.input_row @ vin == pytest.approx(expected)
+        assert drift + input_row @ vin == pytest.approx(expected)
 
     def test_degenerate_gradient(self):
-        barrier = obstacle_barrier(center=(1.0, 1.0))
         x = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(DegenerateGradient):
-            lie_derivatives(barrier, x)
+            lie_derivatives(DIMS, x, center_chain((1.0, 1.0)), 1.0, ZERO_TOP)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 100_000))
@@ -89,14 +87,13 @@ class TestLieDerivatives:
         if np.linalg.norm(x0[:2]) < 0.2:
             x0[:2] += 1.0
         u = rng.normal(size=2)
-        barrier = obstacle_barrier()
-        lie = lie_derivatives(barrier, x0, drift_top_self=np.zeros(2))
-        full_top = lie.drift_term + lie.input_row @ u
+        values, input_row, drift = lie_derivatives(DIMS, x0, center_chain(), 1.0, ZERO_TOP)
+        full_top = drift + input_row @ u
 
         def h_along_flow(t):
-            return barrier.value(chain_flow(x0, u, t))
+            return barrier_value(chain_flow(x0, u, t), center_chain(), 1.0, 2)
 
-        for order, analytic in enumerate(lie.values):
+        for order, analytic in enumerate(values):
             fd = fd_derivative(h_along_flow, order) if order else h_along_flow(0.0)
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-8)
         assert fd_derivative(h_along_flow, 3) == pytest.approx(full_top, rel=1e-6, abs=1e-8)
@@ -109,33 +106,33 @@ class TestLieDerivatives:
         xj = rng.normal(size=6) + np.array([3.0, 0, 0, 0, 0, 0])
         ui = rng.normal(size=2)
         uj = rng.normal(size=2)
-        barrier = QuadraticBarrier.for_pair(DIMS, safe_dist=0.3)
-        lie = lie_derivatives(
-            barrier, xi, xj, drift_top_self=np.zeros(2), top_other=uj
-        )
-        full_top = lie.drift_term + lie.input_row @ ui
+        values, input_row, drift = lie_derivatives(DIMS, xi, xj, 0.3, ZERO_TOP - uj)
+        full_top = drift + input_row @ ui
 
         def h_along_flow(t):
-            return barrier.value(chain_flow(xi, ui, t), chain_flow(xj, uj, t))
+            return barrier_value(chain_flow(xi, ui, t), chain_flow(xj, uj, t), 0.3, 2)
 
-        for order, analytic in enumerate(lie.values):
+        for order, analytic in enumerate(values):
             fd = fd_derivative(h_along_flow, order) if order else h_along_flow(0.0)
             assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-8)
         assert fd_derivative(h_along_flow, 3) == pytest.approx(full_top, rel=1e-6, abs=1e-8)
 
     def test_gradient_matches_central_differences(self):
+        """The input row is the position gradient of h; h ignores the higher blocks."""
         rng = np.random.default_rng(9)
-        barrier = obstacle_barrier(center=(0.5, -0.5))
+        center = center_chain((0.5, -0.5))
         for _ in range(50):
             x = rng.normal(size=6)
             if np.linalg.norm(x[:2] - [0.5, -0.5]) < 0.2:
                 continue
-            grad = barrier.gradient_self(x)
+            _, input_row, _ = lie_derivatives(DIMS, x, center, 1.0, ZERO_TOP)
+            grad = np.concatenate([input_row, np.zeros(4)])
             step = 1e-6
             for comp in range(6):
                 bump = np.zeros(6)
                 bump[comp] = step
-                fd = (barrier.value(x + bump) - barrier.value(x - bump)) / (2 * step)
+                up, down = (barrier_value(x + s * bump, center, 1.0, 2) for s in (1, -1))
+                fd = (up - down) / (2 * step)
                 assert grad[comp] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
@@ -144,164 +141,157 @@ class TestStackedRows:
 
     @staticmethod
     def assert_same_rows(lie, row, single_lie, single_row, idx):
-        for value, single in zip(lie.values, single_lie.values):
-            assert value[idx] == pytest.approx(single, rel=1e-13, abs=1e-13)
-        np.testing.assert_allclose(lie.input_row[idx], single_lie.input_row, rtol=1e-13, atol=1e-13)
-        assert lie.drift_term[idx] == pytest.approx(single_lie.drift_term, rel=1e-13, abs=1e-13)
+        for stacked, single in zip(lie, single_lie):  # values, input row, drift
+            np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-13)
         (a, b), (single_a, single_b) = row, single_row
         np.testing.assert_allclose(a[idx], single_a, rtol=1e-13, atol=1e-13)
         assert b[idx] == pytest.approx(single_b, rel=1e-13, abs=1e-13)
 
     def test_obstacle_stack_matches_row_by_row(self):
         rng = np.random.default_rng(21)
-        barrier = obstacle_barrier(center=(0.5, -0.5), radius=0.7)
+        center = center_chain((0.5, -0.5))
         xs = rng.normal(size=(2, 4, 6))
         ff = rng.normal(size=(2, 4, 2))
-        margins = rng.uniform(0.0, 0.3, size=(2, 4))
-        lie = lie_derivatives(barrier, xs, drift_top_self=ff)
-        row = assemble_row(barrier, KAPPA, xs, None, margins, drift_top_self=ff)
+        radii = rng.uniform(0.0, 0.3, size=(2, 4))
+        lie = lie_derivatives(DIMS, xs, center, 0.7, ff)
+        row = assemble_row(KAPPA, DIMS, xs, center, 0.7, radii, 0.0, ff)
         assert row[0].shape == (2, 4, 2) and row[1].shape == (2, 4)
         for idx in np.ndindex(2, 4):
-            single_lie = lie_derivatives(barrier, xs[idx], drift_top_self=ff[idx])
-            single_row = assemble_row(
-                barrier, KAPPA, xs[idx], None, margins[idx], drift_top_self=ff[idx]
-            )
+            single_lie = lie_derivatives(DIMS, xs[idx], center, 0.7, ff[idx])
+            single_row = assemble_row(KAPPA, DIMS, xs[idx], center, 0.7, radii[idx], 0.0, ff[idx])
             self.assert_same_rows(lie, row, single_lie, single_row, idx)
 
     def test_obstacle_set_broadcasts_against_states(self):
-        """One barrier over several obstacles: (steps, 1, nd) states give (steps, n_obs) rows."""
+        """(steps, 1, nd) states against (n_obs, nd) obstacle chains give (steps, n_obs) rows."""
         rng = np.random.default_rng(22)
-        obstacles = [
-            Obstacle(center=(1.0, 0.5), radius=0.4, inflation=0.1),
-            Obstacle(center=(-2.0, 0.0), radius=0.6),
-        ]
-        stacked = QuadraticBarrier.for_obstacles(DIMS, obstacles)
+        chains = np.stack([center_chain((1.0, 0.5)), center_chain((-2.0, 0.0))])
+        keep_out = np.array([0.5, 0.6])
         xs = rng.normal(size=(4, 1, 6))
         ff = rng.normal(size=(4, 1, 2))
-        margins = margin_obstacle(0.2, stacked.gradient_self(xs))
-        lie = lie_derivatives(stacked, xs, drift_top_self=ff)
-        row = assemble_row(stacked, KAPPA, xs, None, margins, drift_top_self=ff)
+        lie = lie_derivatives(DIMS, xs, chains, keep_out, ff)
+        row = assemble_row(KAPPA, DIMS, xs, chains, keep_out, 0.2, 0.0, ff)
         assert row[1].shape == (4, 2)
         for (l, o) in np.ndindex(4, 2):
-            barrier = QuadraticBarrier.for_obstacle(DIMS, obstacles[o])
-            margin = margin_obstacle(0.2, barrier.gradient_self(xs[l, 0]))
-            assert margins[l, o] == pytest.approx(margin, rel=1e-13)
-            single_lie = lie_derivatives(barrier, xs[l, 0], drift_top_self=ff[l, 0])
+            single_lie = lie_derivatives(DIMS, xs[l, 0], chains[o], keep_out[o], ff[l, 0])
             single_row = assemble_row(
-                barrier, KAPPA, xs[l, 0], None, margin, drift_top_self=ff[l, 0]
+                KAPPA, DIMS, xs[l, 0], chains[o], keep_out[o], 0.2, 0.0, ff[l, 0]
             )
             self.assert_same_rows(lie, row, single_lie, single_row, (l, o))
 
     def test_pairwise_stack_matches_row_by_row(self):
         rng = np.random.default_rng(23)
-        barrier = QuadraticBarrier.for_pair(DIMS, safe_dist=0.3)
         xi = rng.normal(size=(2, 4, 6))
         xj = rng.normal(size=(2, 4, 6))
-        ff = rng.normal(size=(2, 4, 2))
-        top_other = rng.normal(size=(2, 4, 2))
-        grad_i = barrier.gradient_self(xi, xj)
-        grad_j = barrier.gradient_other(xi, xj)
-        margins = margin_pairwise(0.1, 0.2, grad_i, grad_j)
-        lie = lie_derivatives(barrier, xi, xj, drift_top_self=ff, top_other=top_other)
-        row = assemble_row(
-            barrier, KAPPA, xi, xj, margins, drift_top_self=ff, top_other=top_other
-        )
+        top_exo = rng.normal(size=(2, 4, 2)) - rng.normal(size=(2, 4, 2))
+        radius_other = rng.uniform(0.0, 0.3, size=(2, 4))
+        lie = lie_derivatives(DIMS, xi, xj, 0.3, top_exo)
+        row = assemble_row(KAPPA, DIMS, xi, xj, 0.3, 0.1, radius_other, top_exo)
         for idx in np.ndindex(2, 4):
-            margin = margin_pairwise(
-                0.1,
-                0.2,
-                barrier.gradient_self(xi[idx], xj[idx]),
-                barrier.gradient_other(xi[idx], xj[idx]),
-            )
-            assert margins[idx] == pytest.approx(margin, rel=1e-13)
-            single_lie = lie_derivatives(
-                barrier, xi[idx], xj[idx], drift_top_self=ff[idx], top_other=top_other[idx]
-            )
+            single_lie = lie_derivatives(DIMS, xi[idx], xj[idx], 0.3, top_exo[idx])
             single_row = assemble_row(
-                barrier, KAPPA, xi[idx], xj[idx], margin,
-                drift_top_self=ff[idx], top_other=top_other[idx],
+                KAPPA, DIMS, xi[idx], xj[idx], 0.3, 0.1, radius_other[idx], top_exo[idx]
             )
             self.assert_same_rows(lie, row, single_lie, single_row, idx)
 
     def test_one_degenerate_row_raises(self):
-        barrier = obstacle_barrier(center=(1.0, 1.0))
+        center = center_chain((1.0, 1.0))
         xs = np.random.default_rng(24).normal(size=(2, 4, 6))
         xs[1, 2, :2] = (1.0, 1.0)  # this state sits on the center
         with pytest.raises(DegenerateGradient):
-            lie_derivatives(barrier, xs)
+            lie_derivatives(DIMS, xs, center, 1.0, ZERO_TOP)
         with pytest.raises(DegenerateGradient):
-            assemble_row(barrier, KAPPA, xs, None, 0.0)
+            assemble_row(KAPPA, DIMS, xs, center, 1.0, 0.0, 0.0, ZERO_TOP)
 
 
 class TestMargins:
+    """The tube margin r_i ||grad h|| + r_j ||grad h|| lowers b by kappa_0 times the margin."""
+
     def test_zero_radius(self):
-        assert margin_obstacle(0.0, np.ones(6)) == 0.0
+        x = np.array([1.0, 2.0, 0.3, -0.1, 0.2, 0.0])
+        values, _, drift = lie_derivatives(DIMS, x, center_chain(), 1.0, ZERO_TOP)
+        untightened = drift + KAPPA.kappa[1] * values[1] + KAPPA.kappa[2] * values[2]
+        untightened = untightened + KAPPA.kappa[0] * values[0]
+        assert obstacle_b(x, 0.0) == untightened
 
     def test_three_four_five(self):
-        grad = np.array([6.0, 8.0, 0, 0, 0, 0])
-        assert margin_obstacle(0.1, grad) == pytest.approx(1.0)
+        x = np.array([3.0, 4.0, 0, 0, 0, 0])  # ||grad h|| = ||2 D^0|| = 10
+        drop = obstacle_b(x, 0.0) - obstacle_b(x, 0.1)
+        assert drop == pytest.approx(KAPPA.kappa[0] * 1.0)
 
     def test_pairwise_symmetry(self):
-        barrier = QuadraticBarrier.for_pair(DIMS, safe_dist=0.3)
+        """Both agents' radii enter through the same gradient norm, ||2 D^0|| = 4."""
         xi = np.array([1.0, 0, 0, 0, 0, 0])
         xj = np.array([-1.0, 0, 0, 0, 0, 0])
-        gi = barrier.gradient_self(xi, xj)
-        gj = barrier.gradient_other(xi, xj)
-        assert np.linalg.norm(gi) == pytest.approx(np.linalg.norm(gj))
-        assert margin_pairwise(0.1, 0.2, gi, gj) == pytest.approx(
-            (0.1 + 0.2) * np.linalg.norm(gi)
-        )
+
+        def b(radius_self, radius_other):
+            return assemble_row(KAPPA, DIMS, xi, xj, 0.3, radius_self, radius_other, ZERO_TOP)[1]
+
+        assert b(0.1, 0.2) == pytest.approx(b(0.2, 0.1))
+        assert b(0.1, 0.2) == pytest.approx(b(0.3, 0.0))
+        assert b(0.0, 0.0) - b(0.1, 0.2) == pytest.approx(KAPPA.kappa[0] * (0.1 + 0.2) * 4.0)
 
     def test_first_order_h_drop_bound(self):
         """The margin bounds the worst h drop over the deviation ball to first order."""
         rng = np.random.default_rng(3)
-        barrier = obstacle_barrier()
         x = np.array([2.0, 1.0, 0.4, -0.2, 0.1, 0.0])
         r_ball = 0.05
-        delta_m = margin_obstacle(r_ball, barrier.gradient_self(x))
+        delta_m = (obstacle_b(x, 0.0) - obstacle_b(x, r_ball)) / KAPPA.kappa[0]
+        h = barrier_value(x, center_chain(), 1.0, 2)
         worst_drop = 0.0
         for _ in range(20_000):
             d = rng.normal(size=6)
             d *= r_ball / np.linalg.norm(d)
-            worst_drop = max(worst_drop, barrier.value(x) - barrier.value(x + d))
+            worst_drop = max(worst_drop, h - barrier_value(x + d, center_chain(), 1.0, 2))
         assert worst_drop <= delta_m + 4.0 * r_ball**2
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 5.0))
     def test_margin_monotone(self, r1, r2, gnorm):
-        grad = np.zeros(6)
-        grad[0] = gnorm
-        assert margin_obstacle(r1 + r2, grad) >= margin_obstacle(r1, grad)
-        assert margin_pairwise(r1, r2, grad, grad) >= margin_pairwise(r1, 0.0, grad, grad)
+        x = np.zeros(6)
+        x[0] = gnorm / 2.0  # ||grad h|| = gnorm
+
+        def b(radius_self, radius_other):
+            chain = center_chain()
+            return assemble_row(KAPPA, DIMS, x, chain, 0.01, radius_self, radius_other, ZERO_TOP)[1]
+
+        assert b(r1 + r2, 0.0) <= b(r1, 0.0)
+        assert b(r1, r2) <= b(r1, 0.0)
 
 
 class TestAssembleRow:
     def test_inactive_far_away(self):
-        barrier = obstacle_barrier()
         x = np.zeros(6)
         x[0] = 10.0
-        _, b = assemble_row(barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2))
-        assert b > 0.0  # satisfied at v = 0
+        assert obstacle_b(x, 0.0) > 0.0  # satisfied at v = 0
 
     def test_margin_linearity(self):
-        barrier = obstacle_barrier()
         x = np.zeros(6)
-        x[0] = 3.0
-        _, base = assemble_row(barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2))
-        _, bumped = assemble_row(barrier, KAPPA, x, None, margin=0.5, drift_top_self=np.zeros(2))
-        assert base - bumped == pytest.approx(KAPPA.kappa[0] * 0.5)
+        x[0] = 3.0  # ||grad h|| = 6
+        drop = obstacle_b(x, 0.0) - obstacle_b(x, 0.5)
+        assert drop == pytest.approx(KAPPA.kappa[0] * 0.5 * 6.0)
+
+    def test_obstacle_is_stationary_neighbor(self):
+        """An obstacle row is the row of a neighbor resting at the center with radius 0."""
+        rng = np.random.default_rng(25)
+        xs = rng.normal(size=(4, 6))
+        ff = rng.normal(size=(4, 2))
+        center = center_chain((0.4, -0.3))
+        resting = np.stack([chain_flow(center, ZERO_TOP, t) for t in 0.1 * np.arange(4)])
+        neighbor_top = np.zeros((4, 2))  # a resting chain's top derivative
+        obstacle = assemble_row(KAPPA, DIMS, xs, center, 0.6, 0.1, 0.0, ff)
+        neighbor = assemble_row(KAPPA, DIMS, xs, resting, 0.6, 0.1, 0.0, ff - neighbor_top)
+        for got, want in zip(obstacle, neighbor):
+            np.testing.assert_array_equal(got, want)
 
     def test_forward_invariance_single_agent(self):
         """Closed chain under row-satisfying inputs keeps h >= 0."""
-        barrier = obstacle_barrier(center=(2.0, 0.0), radius=1.0)
+        center = center_chain((2.0, 0.0))
         x = np.zeros(6)
         x[2] = 1.5  # moving toward the obstacle
         h_min = np.inf
         dt = 1e-3
         for step in range(8000):
-            a, b = assemble_row(
-                barrier, KAPPA, x, None, margin=0.0, drift_top_self=np.zeros(2)
-            )
+            a, b = assemble_row(KAPPA, DIMS, x, center, 1.0, 0.0, 0.0, ZERO_TOP)
             # least-norm input satisfying a.v + b >= 0
             viol = -b
             if viol > 0.0:
@@ -313,5 +303,5 @@ class TestAssembleRow:
             k3 = chain_derivative(DIMS, x + 0.5 * dt * k2, v)
             k4 = chain_derivative(DIMS, x + dt * k3, v)
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            h_min = min(h_min, barrier.value(x))
+            h_min = min(h_min, barrier_value(x, center, 1.0, 2))
         assert h_min >= -1e-9

@@ -72,8 +72,17 @@ class TestCertify:
             (("agents", 0, "operating_box"), "lower", [-4.0, -4.0], "agents[0].operating_box.lower"),
             (("leader", "operating_box"), "upper", [4.0] * 5, "leader.operating_box.upper"),
             (("ocp",), "error_box", [5.0] * 3, "ocp.error_box"),
+            ((), "graph", {"adjacency": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                           "b0": [1.0, 0.0, 0.0]}, "graph.adjacency"),
+            ((), "graph", {"adjacency": [[0.0]], "b0": [1.0]}, "graph.adjacency"),
+            (("graph",), "adjacency", [[0.0, 1.0], [1.0, 0.0, 0.0]], "graph.adjacency[1]"),
+            (("graph",), "b0", [1.0, 0.0, 0.0], "graph.b0"),
+            (("barriers",), "kappa_poles", [-1.5, -2.5], "barriers.kappa_poles"),
         ],
-        ids=["center-3", "center-1", "amp-3", "agent-box-2", "leader-box-5", "error-box-3"],
+        ids=[
+            "center-3", "center-1", "amp-3", "agent-box-2", "leader-box-5", "error-box-3",
+            "adjacency-3x3", "adjacency-1x1", "adjacency-row-3", "b0-3", "kappa-poles-2",
+        ],
     )
     def test_wrong_vector_length_exit_1(self, tmp_path, capsys, section, key, value, path):
         """A vector whose length disagrees with d or nd fails at parse time, naming its path."""
@@ -87,6 +96,16 @@ class TestCertify:
         assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
         err = capsys.readouterr().err
         assert f"{path}: expected" in err
+
+    def test_non_hurwitz_kappa_poles_exit_2(self, tmp_path, capsys):
+        """eCBF poles that give a non-positive class-kappa coefficient fail at certify time."""
+        doc = json.loads(SMOKE.read_text())
+        doc["barriers"]["kappa_poles"] = [1.5, -2.5, -3.5]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 2
+        assert "NotHurwitz" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestRun:
@@ -236,6 +255,41 @@ class TestReport:
         (tmp_path / "report" / "metrics.csv").mkdir(parents=True)
         assert main(["report", trace, "-o", str(tmp_path / "report")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_one_axis_scenario_pipeline(self, tmp_path):
+        """certify, run and report a d = 1 variant of the smoke scenario."""
+        doc = json.loads(SMOKE.read_text())
+        doc["name"] = "smoke_one_axis"
+        doc["dims"]["d"] = 1
+        for section in [doc["leader"], *doc["agents"]]:
+            section["dynamics"]["axes"] = section["dynamics"]["axes"][:1]
+            for key in ("amp", "freq", "phase"):
+                section["disturbance"][key] = section["disturbance"][key][:1]
+            section["disturbance_bound"] = section["disturbance"]["amp"][0]
+            for key in ("lower", "upper"):
+                section["operating_box"][key] = section["operating_box"][key][::2]
+        doc["formation"]["offsets"] = [
+            [order[:1] for order in agent] for agent in doc["formation"]["offsets"]
+        ]
+        doc["obstacles"] = [{"center": [3.0], "radius": 0.3, "inflation": 0.05}]
+        doc["initial_states"] = {
+            "leader": [0.2, 0.0, 0.0],
+            "followers": [[-0.6, 0.0, 0.0], [0.6, 0.0, 0.0]],  # already in formation order
+        }
+        scenario = tmp_path / "one_axis.json"
+        scenario.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scenario), "-o", str(cert)]) == 0
+        run = tmp_path / "run"
+        assert main(
+            ["run", str(scenario), "--cert", str(cert), "-o", str(run), "--t-end", "1"]
+        ) == 0
+        assert SimTrace.from_csv(run / "trace.csv").metadata["obstacles"] == "3.0,0.3,0.05"
+        out = tmp_path / "report"
+        assert main(["report", str(run / "trace.csv"), "-o", str(out)]) == 0
+        for name in ("trajectories", "formation_errors", "clearances", "tube_occupancy"):
+            minidom.parseString((out / f"{name}.svg").read_text())
+        assert (out / "metrics.csv").read_text().startswith("metric,")
 
     def test_malformed_trace_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tubeform.barrier import EcbfCoefficients, QuadraticBarrier, assemble_row, margin_obstacle
+from tubeform.barrier import EcbfCoefficients, assemble_row
 from tubeform.linalg import rk4_step
-from tubeform.models import BrunovskyDims, Obstacle, chain_matrices
+from tubeform.models import BrunovskyDims, chain_matrices
 from tubeform.ocp import (
     BarrierRows,
     OcpSpec,
@@ -131,17 +131,16 @@ class TestTerminalIngredients:
             assert np.max(np.abs(spec.terminal_gain @ e)) <= spec.input_bound * (1 + 1e-9)
 
 
-def obstacle_rows(barrier, kappa, r_ball=None, margin=None):
-    """Row builder with one obstacle row per horizon step, tightened by the
-    fixed ``margin`` or, with ``r_ball`` set, by ``margin_obstacle(r_ball, grad)``."""
+def obstacle_rows(dims, center, keep_out, r_ball):
+    """Row builder with one obstacle row per horizon step, tightened by the own
+    tube radius ``r_ball``: the obstacle is the constant chain (center, 0, 0)."""
+    kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
+    chain = np.zeros(dims.nd)
+    chain[: dims.d] = center
 
     def rows(states):
         xs = states[:-1]
-        if r_ball is not None:
-            margin_ = margin_obstacle(r_ball, barrier.gradient_self(xs))
-        else:
-            margin_ = margin
-        a, b = assemble_row(barrier, kappa, xs, None, margin_, drift_top_self=np.zeros(2))
+        a, b = assemble_row(kappa, dims, xs, chain, keep_out, r_ball, 0.0, np.zeros(dims.d))
         steps = np.arange(len(xs))
         return BarrierRows(steps, a, b, np.zeros_like(steps))
 
@@ -319,13 +318,9 @@ class TestSolveOcp:
         """Rows assembled at the final linearization hold with slack >= -1e-6."""
         dims = BrunovskyDims(n=3, d=2, followers=1)
         spec = make_spec(dims=dims, coupling=1.0)
-        barrier = QuadraticBarrier.for_obstacle(
-            dims, Obstacle(center=(2.0, 0.0), radius=0.8)
-        )
-        kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
         x0 = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])  # heading at the obstacle
         e0 = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(barrier, kappa, r_ball=0.1)
+        rows = obstacle_rows(dims, (2.0, 0.0), 0.8, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
@@ -341,11 +336,9 @@ class TestSolveOcp:
 
         dims = BrunovskyDims(n=3, d=2, followers=1)
         spec = make_spec(dims=dims, coupling=1.0)
-        barrier = QuadraticBarrier.for_obstacle(dims, Obstacle(center=(2.0, 0.0), radius=0.8))
-        kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
         x0 = np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0])
         e0 = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(barrier, kappa, r_ball=0.1)
+        rows = obstacle_rows(dims, (2.0, 0.0), 0.8, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
@@ -357,11 +350,9 @@ class TestSolveOcp:
         """Re-linearizing at the converged solution changes inputs < 1e-5."""
         dims = BrunovskyDims(n=3, d=2, followers=1)
         spec = make_spec(dims=dims, coupling=1.0)
-        barrier = QuadraticBarrier.for_obstacle(dims, Obstacle(center=(1.5, 0.2), radius=0.6))
-        kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
         x0 = np.array([0.0, 0.0, 1.2, 0.2, 0.0, 0.0])
         e0 = np.array([1.5, 0.5, 0.8, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(barrier, kappa, margin=0.05)
+        rows = obstacle_rows(dims, (1.5, 0.2), 0.6, r_ball=0.02)
 
         warm = np.zeros((5, 2))
         for _ in range(8):  # chain warm starts until the pass loop converges

@@ -126,6 +126,7 @@ class TestEstimateMode:
         doc["graph"] = {"adjacency": [[0.0]], "b0": [1.0], "nu1": 1.0, "nu2": 1.0}
         doc["formation"]["offsets"] = [[[0.0]], [[1.0]]]
         doc["obstacles"] = []
+        doc["barriers"]["kappa_poles"] = [-1.5]  # one eCBF pole per chain order
         doc["initial_states"] = {"leader": [0.0], "followers": [[0.5]]}
         cfg = parse_scenario(json.dumps(doc))
         from tubeform.scenario import build_agent_model

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 import tubeform.protocol
 import tubeform.sim
-from tubeform.barrier import QuadraticBarrier, assemble_row, margin_obstacle, margin_pairwise
+from tubeform.barrier import assemble_row
 from tubeform.errors import DegenerateGradient, NonFiniteState
 from tubeform.ocp import rollout
 from tubeform.pipeline import certify_scenario
@@ -219,22 +220,17 @@ def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
             dist = np.linalg.norm(xl[: world.d] - np.asarray(obstacle.center))
             if dist > world.cfg.barriers.activation_range:
                 continue
-            barrier = QuadraticBarrier.for_obstacle(world.dims, obstacle)
-            margin = margin_obstacle(margin_i, barrier.gradient_self(xl))
-            a, b = assemble_row(barrier, world.kappa, xl, None, margin, drift_top_self=ff_seq[l])
+            chain = np.zeros(world.nd)
+            chain[: world.d] = obstacle.center
+            a, b = assemble_row(
+                world.kappa, world.dims, xl, chain, obstacle.effective_radius,
+                margin_i, 0.0, ff_seq[l],
+            )
             out.append((l, a, b, 0))
         for j in world.graph.neighbors(i):
-            x_hat = preds[i, j]
-            pair = world.pair_barrier
-            margin = margin_pairwise(
-                margin_i,
-                world.radius_table[i, j],
-                pair.gradient_self(xl, x_hat[l]),
-                pair.gradient_other(xl, x_hat[l]),
-            )
             a, b = assemble_row(
-                pair, world.kappa, xl, x_hat[l], margin,
-                drift_top_self=ff_seq[l], top_other=shifted[j][l] + ff_seq[l],
+                world.kappa, world.dims, xl, preds[i, j, l], world.cfg.barriers.d_safe,
+                margin_i, world.radius_table[i, j], ff_seq[l] - (shifted[j][l] + ff_seq[l]),
             )
             out.append((l, a, b, 1))
     return out
@@ -270,6 +266,24 @@ class TestRowBuilder:
             kept += n_obstacle
             filtered += (world.horizon - 1) * len(cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
+
+    @pytest.mark.parametrize("activation_range", [5.0, -1.0])
+    def test_zero_obstacle_offset_raises(self, activation_range):
+        """A state on an obstacle center is degenerate even where the cell is out of range."""
+        cfg = load_scenario(SMOKE)
+        cfg = dataclasses.replace(
+            cfg, barriers=dataclasses.replace(cfg.barriers, activation_range=activation_range)
+        )
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        ff = world._leader_ff_samples(world.anchors, 0.0)
+        shifted, preds, _ = world._neighbor_data(0, ff)
+        rows = world._row_builder(0, 0, ff[0], preds, shifted)  # obstacles only at deployment
+        states = np.ones((world.horizon + 1, world.nd))
+        assert rows(states).step.size == (world.horizon - 1) * (activation_range > 0)
+        states[2, : world.d] = cfg.obstacles[0].center
+        with pytest.raises(DegenerateGradient):
+            rows(states)
 
 
 class TestNeighborPredictions:
