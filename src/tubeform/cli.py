@@ -78,13 +78,14 @@ def cmd_run(
         cert_doc = load_certificate(cert_path)
     except (ScenarioError, OSError) as exc:
         return _error(exc)
-    if cert_doc.get("scenario_sha256") != scenario_hash(cfg):
+    sha = scenario_hash(cfg)
+    if cert_doc.get("scenario_sha256") != sha:
         print("error: certificate does not match scenario (hash mismatch)", file=sys.stderr)
         return 1
     if seed is not None:
-        # the disturbance models are built from the scenario's seed
+        # the disturbance models are built from the seed; the trace names the file's hash
         cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
-    result = certify_scenario(cfg, spot_checks=False)
+    result = dataclasses.replace(certify_scenario(cfg, spot_checks=False), scenario_sha256=sha)
     try:
         check_certificate(cert_doc, result)
     except ScenarioError as exc:

@@ -330,6 +330,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     )
     if ocp.horizon < 2:
         raise ScenarioError("ocp.horizon: must be >= 2")
+    if gains.mode == "poles":  # pole placement needs one closed-loop pole per chain order
+        _vector(gains.poles, "gains.poles", dims.n)
 
     barriers_raw = {"kappa_poles": BarrierConfig.kappa_poles} | raw.get("barriers", {})
     barriers = BarrierConfig(

@@ -5,23 +5,23 @@ estimate, reconstruct neighbor plans, solve all local OCPs against the
 previous step's broadcasts, broadcast the new plans, then integrate every
 true and nominal plant over the sampling interval with RK4 substeps. The
 ancillary feedback and the feedforward cancellation are applied
-continuously; the nominal input is held.
+continuously; the nominal input is held. The nominal trajectories are
+persistent (never reset to measurements); each agent's leader-feedforward
+signal is re-anchored to its current leader estimate at every sampling
+instant and propagated through the disturbance-free leader model.
 
-The round is array algebra over one horizon map and one graph matrix, and
-every quantity it exchanges is one array over the followers: the leader
-estimates are one gather through the relay tree (built once per run), the
-message board holds all agents' plans and one ``shift_plan`` call shifts
-them, all readers' predictions of all agents are one ``rollout`` call, the
-synchronization errors are -M q with the augmented Laplacian M, the
-exogenous error drives are nu1 A applied to the shifted plans, and each
-agent's eCBF rows reach its OCP as one ``BarrierRows`` block from one
-``assemble_row`` call per SQP pass over its obstacles (constant chains) and
-neighbors.
+The round is array algebra over one horizon map and one graph matrix: the
+leader estimates are one gather through the relay tree, one ``shift_plan``
+call shifts the message board's plans, one ``rollout`` call gives all
+readers' predictions of all agents, the synchronization errors are -M q with
+the augmented Laplacian M, the error drives are nu1 A on the shifted plans,
+and each agent's eCBF rows are one ``BarrierRows`` block from one
+``assemble_row`` call per SQP pass over its obstacles and neighbors.
 
-The nominal trajectories are persistent (never reset to measurements); each
-agent's leader-feedforward signal is re-anchored to its current leader
-estimate at every sampling instant and propagated through the disturbance-
-free leader model within the interval.
+The run records each state once: every RK4 substep writes all agents' true
+and nominal states and the time into the trace's own rows, and every step
+writes its held values into its interval's rows. One array pass at the end
+of the run builds the safety violations and the state-derived columns.
 """
 
 from __future__ import annotations
@@ -220,11 +220,11 @@ class SimWorld:
         self.estimate_ages = np.zeros(self.n, dtype=int)
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         self._pinned = (self.graph.b0 > 0.0)[:, None]
-        self._pairs = np.triu_indices(self.n, 1)
         tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
-        self._tube_limits = tube_r2 * (1.0 + 1e-6)
-        self._margin_limits = margins * (1.0 + 1e-6)
+        # monitor limits: the leader tube, then (tube, margin) per follower
+        limits = np.r_[cert.leader.r_ball0, np.column_stack([tube_r2, margins]).ravel()]
+        self._limits = limits * (1.0 + 1e-6)
         self.board = MessageBoard(self.n, self.horizon, self.d, self.nd)
         self.v_applied = np.zeros((self.n, self.d))
         self._drive_map = self.graph.nu1 * self.graph.adjacency
@@ -398,7 +398,8 @@ class SimWorld:
         self.v_applied[:] = plans[:, 0]
 
         stats = {"plans": plans, "e0": e0s, "solver": solver, "pred_err": pred_err}
-        self._integrate_interval(k, stats)
+        self._log_row(k, stats)
+        self._integrate_interval(k)
         return stats
 
     # --- fine integration ---
@@ -420,130 +421,123 @@ class SimWorld:
         top[4::3] = f_anchor
         return chain_derivative(self.dims, state, top)
 
-    def _integrate_interval(self, k: int, stats: dict) -> None:
-        h = self.sim.ts / self.sim.fine_substeps
+    def _integrate_interval(self, k: int) -> None:
+        """Integrate one sampling interval, recording the world after every RK4 substep."""
+        fs = self.sim.fine_substeps
+        h = self.sim.ts / fs
         v0 = self.v_applied.copy()
         t = k * self.sim.ts
 
         def rhs(state, time):
             return self._world_derivative(state, time, v0)
 
-        for m in range(self.sim.fine_substeps):
-            self._log_row(k, k * self.sim.fine_substeps + m, t, stats, v0)
+        for j in range(k * fs + 1, (k + 1) * fs + 1):
             self.state[:] = rk4_step(rhs, self.state, t, h)
             t += h
-            self._check_safety(k, k * self.sim.fine_substeps + m + 1, t)
-        if k == self.n_steps - 1:
-            self._log_row(k, self.n_steps * self.sim.fine_substeps, t, stats, v0)
+            self._states[j, :, :2] = self.state[self._recorded]
+            self._times[j] = t
 
-    # --- monitoring and logging ---
-
-    def _clearances(self) -> tuple[float, float]:
-        positions = self.x_true[:, : self.d]
-        clr_obs = math.inf
-        for obs in self.cfg.obstacles:
-            dist = np.linalg.norm(positions - np.asarray(obs.center), axis=1)
-            clr_obs = min(clr_obs, float(np.min(dist) - obs.radius))
-        first, second = self._pairs
-        gaps = np.linalg.norm(positions[first] - positions[second], axis=1)
-        clr_pair = float(np.min(gaps)) - self.cfg.barriers.d_safe if gaps.size else math.inf
-        return clr_obs, clr_pair
-
-    def _deviations(self) -> tuple[np.ndarray, np.ndarray]:
-        """True-minus-nominal deviations (N+1, nd), leader first, and V: |dev|^2, dev' P dev."""
-        rows = self._agent_rows
-        dev = self.state[rows] - self.state[rows + 1]
-        v_vals = np.empty(self.n + 1)
-        v_vals[0] = dev[0] @ dev[0]
-        v_vals[1:] = np.sum((dev[1:] @ self.p_mat) * dev[1:], axis=1)
-        return dev, v_vals
-
-    def _check_safety(self, k: int, fine_idx: int, t: float) -> None:
-        clr_obs, clr_pair = self._clearances()
-        if clr_obs <= 0.0:
-            self._record("obstacle_clearance", k, fine_idx, t, -1, clr_obs)
-        if clr_pair <= 0.0:
-            self._record("pairwise_clearance", k, fine_idx, t, -1, clr_pair)
-        dev, v_vals = self._deviations()
-        norms = np.linalg.norm(dev, axis=1)
-        if norms[0] > self.cert.leader.r_ball0 * (1.0 + 1e-6):
-            self._record("leader_tube", k, fine_idx, t, 0, float(norms[0]))
-        tube_bad = v_vals[1:] > self._tube_limits
-        margin_bad = norms[1:] > self._margin_limits
-        for i in np.flatnonzero(tube_bad | margin_bad).tolist():
-            if tube_bad[i]:
-                self._record("tube", k, fine_idx, t, i + 1, float(v_vals[i + 1]))
-            if margin_bad[i]:
-                self._record("margin_radius", k, fine_idx, t, i + 1, float(norms[i + 1]))
-
-    def _record(self, kind: str, k: int, fine_idx: int, t: float, agent: int, value: float):
-        self.violations.append(
-            SafetyViolation(kind=kind, step=fine_idx, t=t, agent=agent, value=value)
-        )
+    # --- the run's record: trace columns and safety monitors ---
 
     def _init_trace(self) -> None:
+        """Trace columns and the trace array, one row per fine step, which records the run.
+
+        During the loop, row j > 0 holds every agent's true and nominal state
+        (leader first) and the time after RK4 substep j; row 0 holds the
+        deployment state. ``_states`` (rows, N+1, x/xb/dx, nd) and ``_times``
+        are views of those columns.
+        """
         n, d, h = self.n, self.d, self.horizon
-        cols = ["t", "k"]
         blocks = [f"{p}{ax}" for p in range(1, self.dims.n + 1) for ax in range(d)]
-        for a in range(n + 1):
-            cols += [f"x{a}_{b}" for b in blocks]
-            cols += [f"xb{a}_{b}" for b in blocks]
-            cols += [f"dx{a}_{b}" for b in blocks]
-        for i in range(1, n + 1):
-            cols += [f"u{i}_{ax}" for ax in range(d)]
-        cols += [f"V{a}" for a in range(n + 1)]
-        cols += [f"occ{a}" for a in range(n + 1)]
-        cols += ["clr_obs", "clr_pair"]
-        for i in range(1, n + 1):
-            cols += [f"ferr{i}_{ax}" for ax in range(d)]
-        cols.append("ferr_stacked")
-        for i in range(1, n + 1):
-            cols += [f"e{i}_{b}" for b in blocks]
-        for i in range(1, n + 1):
-            cols += [f"plan{i}_{l}_{ax}" for l in range(h) for ax in range(d)]
-        for i in range(1, n + 1):
-            cols += [f"ocp{i}_status", f"ocp{i}_iters", f"ocp{i}_passes", f"ocp{i}_obj"]
-        cols.append("pred_err")
-        self.trace_columns = cols
+        agents, followers = range(n + 1), range(1, n + 1)
+        groups = {
+            "t": ["t"], "k": ["k"],
+            "states": [f"{s}{a}_{b}" for a in agents for s in ("x", "xb", "dx") for b in blocks],
+            "u": [f"u{i}_{ax}" for i in followers for ax in range(d)],
+            "derived": [f"{s}{a}" for s in ("V", "occ") for a in agents] + ["clr_obs", "clr_pair"]
+            + [f"ferr{i}_{ax}" for i in followers for ax in range(d)] + ["ferr_stacked"],
+            "held": [f"e{i}_{b}" for i in followers for b in blocks]
+            + [f"plan{i}_{l}_{ax}" for i in followers for l in range(h) for ax in range(d)]
+            + [f"ocp{i}_{s}" for i in followers for s in ("status", "iters", "passes", "obj")]
+            + ["pred_err"],
+        }
+        self.trace_columns = [c for cols in groups.values() for c in cols]
+        bounds = np.cumsum([0] + [len(cols) for cols in groups.values()])
+        self._trace_cols = {g: slice(a, b) for g, a, b in zip(groups, bounds[:-1], bounds[1:])}
         rows = self.n_steps * self.sim.fine_substeps + 1
-        self.trace_data = np.zeros((rows, len(cols)))
+        self.trace_data = np.zeros((rows, len(self.trace_columns)))
+        self._states = self.trace_data[:, self._trace_cols["states"]].reshape(rows, n + 1, 3, -1)
+        self._times = self.trace_data[:, 0]
+        self._recorded = np.stack([self._agent_rows, self._agent_rows + 1], axis=1)
+        self._states[0, :, :2] = self.state[self._recorded]
 
-    def _formation_errors(self) -> tuple[np.ndarray, float]:
-        """Per-agent position offset error and the stacked norm."""
-        leader_pos = self.x_leader[: self.d] - self.formation.offset(0, 1)
-        errs = self.x_true[:, : self.d] - self.formation.offsets[1:, 0] - leader_pos
-        return errs, float(np.sqrt(np.sum(errs**2)))
+    def _log_row(self, k: int, stats: dict) -> None:
+        """Write step k's held values into its interval's rows (and the final row at the end)."""
+        fs, cols = self.sim.fine_substeps, self._trace_cols
+        rows = self.trace_data[k * fs : (k + 1) * fs + (k == self.n_steps - 1)]
+        rows[:, cols["k"]] = k
+        rows[:, cols["u"]] = self.v_applied.ravel()
+        held = [stats["e0"], stats["plans"], stats["solver"], stats["pred_err"]]
+        rows[:, cols["held"]] = np.concatenate([np.ravel(v) for v in held])
 
-    def _log_row(self, k: int, fine_idx: int, t: float, stats: dict, v0: np.ndarray):
-        row = np.zeros(len(self.trace_columns))
-        pos = 0
+    def _check_safety(self) -> None:
+        """The end-of-run pass over the recorded states: safety violations and derived columns.
 
-        def put(values):
-            nonlocal pos
-            arr = np.ravel(values)
-            row[pos : pos + arr.size] = arr
-            pos += arr.size
+        The monitors read the states and times as integrated. The trace then
+        logs each sampling instant k at t = k ts with the leader nominal
+        re-anchored to the leader (so a violation's ``t`` is the accumulated
+        substep time, and the trace's leader deviation there is 0).
+        """
+        fs, d, n = self.sim.fine_substeps, self.d, self.n
+        states, rows = self._states, len(self._times)
+        # read before the logged form overwrites them
+        leader_dev = np.linalg.norm(states[:, 0, 0] - states[:, 0, 1], axis=-1)
+        times = self._times.copy()
+        # the logged form: each sampling instant at k ts, its leader nominal re-anchored
+        states[:-1:fs, 0, 1] = states[:-1:fs, 0, 0]
+        self._times[:-1:fs] = np.arange(self.n_steps) * self.sim.ts
+        x, dev = states[:, :, 0], states[:, :, 2]
+        np.subtract(x, states[:, :, 1], out=dev)
+        v_vals = np.empty((rows, n + 1))
+        v_vals[:, 0] = (dev[:, 0, None, :] @ dev[:, 0, :, None])[:, 0, 0]
+        pdev = dev[:, 1:] @ self.p_mat
+        pdev *= dev[:, 1:]
+        v_vals[:, 1:] = np.sum(pdev, axis=-1)
 
-        put([t, float(k)])
-        dev, v_vals = self._deviations()
-        rows = self._agent_rows
-        put(np.stack([self.state[rows], self.state[rows + 1], dev], axis=1))
-        put(v0)
-        put(v_vals)
-        put(v_vals / self._occ_scale)
-        put(self._clearances())
-        errs, stacked = self._formation_errors()
-        put(errs)
-        put([stacked])
-        put(stats["e0"])
-        put(stats["plans"])
-        put(stats["solver"])
-        put([stats["pred_err"]])
-        self.trace_data[fine_idx] = row
+        positions = x[:, 1:, :d]
+        centers = self._obstacle_chains[:, :d]
+        radii = np.array([o.radius for o in self.cfg.obstacles])
+        dist = np.linalg.norm(positions[:, :, None] - centers, axis=-1)
+        clr_obs = np.min(dist.min(axis=1, initial=math.inf) - radii, axis=-1, initial=math.inf)
+        first, second = np.triu_indices(n, 1)
+        gaps = np.linalg.norm(positions[:, first] - positions[:, second], axis=-1)
+        clr_pair = np.min(gaps, axis=-1, initial=math.inf) - self.cfg.barriers.d_safe
+        leader_pos = x[:, 0, :d] - self.formation.offset(0, 1)
+        errs = positions - self.formation.offsets[1:, 0] - leader_pos[:, None]
+        stacked = np.sqrt(np.sum(errs**2, axis=(1, 2)))
+
+        self.trace_data[:, self._trace_cols["derived"]] = np.column_stack(
+            [v_vals, v_vals / self._occ_scale, clr_obs, clr_pair, errs.reshape(rows, -1), stacked]
+        )
+
+        # one (fine step, slot) table: obstacle, pair, leader, then (tube, margin) per follower
+        follower = np.stack([v_vals[:, 1:], np.linalg.norm(dev[:, 1:], axis=-1)], axis=-1)
+        values = np.column_stack([clr_obs, clr_pair, leader_dev, follower.reshape(rows, 2 * n)])
+        bad = np.column_stack([values[:, :2] <= 0.0, values[:, 2:] > self._limits])
+        kinds = ["obstacle_clearance", "pairwise_clearance", "leader_tube"]
+        kinds += ["tube", "margin_radius"] * n
+        agents = [-1, -1, 0] + [i for i in range(1, n + 1) for _ in range(2)]
+        bad[0] = False  # the deployment state is not a step
+        step, slot = np.nonzero(bad)
+        self.violations = [
+            SafetyViolation(kinds[s], j, times[j].item(), agents[s], values[j, s].item())
+            for j, s in zip(step.tolist(), slot.tolist())
+        ]
 
     def run(self) -> "SimResult":
         for k in range(self.n_steps):
             self.step(k)
+        self._check_safety()
         metadata = {
             "scenario": self.cfg.name,
             "scenario_sha256": self.cert.scenario_sha256,

@@ -78,10 +78,12 @@ class TestCertify:
             (("graph",), "adjacency", [[0.0, 1.0], [1.0, 0.0, 0.0]], "graph.adjacency[1]"),
             (("graph",), "b0", [1.0, 0.0, 0.0], "graph.b0"),
             (("barriers",), "kappa_poles", [-1.5, -2.5], "barriers.kappa_poles"),
+            (("gains",), "poles", [-2.0, -3.0], "gains.poles"),
         ],
         ids=[
             "center-3", "center-1", "amp-3", "agent-box-2", "leader-box-5", "error-box-3",
             "adjacency-3x3", "adjacency-1x1", "adjacency-row-3", "b0-3", "kappa-poles-2",
+            "gains-poles-2",
         ],
     )
     def test_wrong_vector_length_exit_1(self, tmp_path, capsys, section, key, value, path):
@@ -123,6 +125,16 @@ class TestRun:
         lines = (out / "trace.csv").read_text().splitlines()
         data_lines = [l for l in lines if not l.startswith("#")][1:]
         assert len(data_lines) == 5 * 10 + 1  # five sampling steps of ten substeps
+
+    def test_seed_keeps_scenario_hash(self, certified, tmp_path):
+        """A reseeded run's trace names the scenario file its certificate names."""
+        out = tmp_path / "seeded"
+        argv = ["run", str(SMOKE), "--cert", str(certified), "-o", str(out)]
+        assert main(argv + ["--seed", "7", "--t-end", "0.2"]) == 0
+        trace = SimTrace.from_csv(out / "trace.csv")
+        assert trace.metadata["seed"] == "7"
+        cert_hash = json.loads(certified.read_text())["scenario_sha256"]
+        assert trace.metadata["scenario_sha256"] == cert_hash
 
     @pytest.mark.parametrize("t_end", ["-1", "0"])
     def test_nonpositive_t_end_exit_1(self, certified, tmp_path, capsys, t_end):

@@ -127,6 +127,7 @@ class TestEstimateMode:
         doc["formation"]["offsets"] = [[[0.0]], [[1.0]]]
         doc["obstacles"] = []
         doc["barriers"]["kappa_poles"] = [-1.5]  # one eCBF pole per chain order
+        doc["gains"]["poles"] = [-2.0]  # one closed-loop pole per chain order
         doc["initial_states"] = {"leader": [0.0], "followers": [[0.5]]}
         cfg = parse_scenario(json.dumps(doc))
         from tubeform.scenario import build_agent_model

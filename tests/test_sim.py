@@ -426,15 +426,54 @@ class TestTubeMonitoring:
         for col, val in m["max_tube_occupancy"].items():
             assert val <= 1.0 + 1e-6, col
 
-    def test_margin_violation_recorded(self):
-        """Declaring an impossible margin radius trips the runtime monitor."""
+    @staticmethod
+    def forced_doc(kind: str) -> dict:
+        """A short smoke copy whose geometry or declarations trip the ``kind`` monitor."""
         doc = json.loads(open(SMOKE).read())
-        for agent in doc["agents"]:
-            agent["margin_radius"] = 1e-9
-        cfg = parse_scenario(json.dumps(doc))
+        doc["sim"]["t_end"] = 1.0
+        if kind == "obstacle_clearance":  # follower 1 starts inside the obstacle
+            doc["obstacles"][0]["center"] = [0.6, -0.3]
+        elif kind == "pairwise_clearance":  # the followers start closer than d_safe
+            doc["barriers"]["d_safe"] = 2.0
+        elif kind == "leader_tube":
+            doc["leader"]["tube"]["r_ball"] = 1e-9
+        elif kind == "tube":  # certified without the disturbance spot check
+            doc["leader"]["tube"]["r_ball"] = 1e-9  # the leader tube enters w_eff
+            for agent in doc["agents"]:
+                agent["disturbance_bound"] = 1e-9
+        else:
+            for agent in doc["agents"]:
+                agent["margin_radius"] = 1e-9
+        return doc
+
+    @pytest.mark.parametrize(
+        "kind", ["obstacle_clearance", "pairwise_clearance", "leader_tube", "tube", "margin_radius"]
+    )
+    def test_margin_violation_recorded(self, kind):
+        """Each monitor trips on a broken declaration, at the values the trace logs."""
+        cfg = parse_scenario(json.dumps(self.forced_doc(kind)))
         cert = certify_scenario(cfg, spot_checks=False)
         result = run_simulation(cfg, cert)
-        assert any(v.kind == "margin_radius" for v in result.violations)
+        trace = result.trace
+        steps = [v.step for v in result.violations]
+        assert steps == sorted(steps)
+        hits = [v for v in result.violations if v.kind == kind]
+        assert hits
+        for v in hits:
+            if kind == "obstacle_clearance":
+                assert v.value == trace.col("clr_obs")[v.step]
+            elif kind == "pairwise_clearance":
+                assert v.value == trace.col("clr_pair")[v.step]
+            elif kind == "tube":
+                assert v.value == trace.col(f"V{v.agent}")[v.step]
+            elif kind == "margin_radius":
+                dx = [j for j, c in enumerate(trace.columns) if c.startswith(f"dx{v.agent}_")]
+                assert v.value == np.linalg.norm(trace.data[v.step : v.step + 1, dx], axis=1)[0]
+        if kind == "leader_tube":
+            # the monitor sees the leader nominal before the sampling instant
+            # re-anchors it; the trace logs it after, where the deviation is 0
+            assert any(v.step == 10 and v.value > 0.0 for v in hits)
+            assert trace.col("V0")[10] == 0.0
 
 
 class TestTraceMetrics:
