@@ -113,6 +113,8 @@ def cmd_run(
 
     trace_path = out / "trace.csv"
     metrics = trace_metrics(sim_result.trace)
+    # the leader tube as integrated: the trace logs each sampling instant re-anchored
+    metrics["max_leader_occupancy_pre_anchor"] = sim_result.world.leader_occupancy_peak
     metrics["violations"] = [
         {"kind": v.kind, "fine_step": v.step, "t": v.t, "agent": v.agent, "value": v.value}
         for v in sim_result.violations

@@ -219,6 +219,7 @@ class _Condensing:
     lin_d: np.ndarray  # linear cost term per unit d_off: 2 D' Rd
     hess: np.ndarray  # Hessian on the full input stack
     hess_f: np.ndarray  # reduced onto the free inputs, symmetrized
+    hess_f_inv: np.ndarray  # its inverse, handed to the solver with each QP
     box_a: np.ndarray  # hard input-box rows on the full inputs (rhs -input_bound)
     box_a_f: np.ndarray  # box_a @ t_map
 
@@ -272,6 +273,7 @@ class _Condensing:
             lin_d=2.0 * d_mat.T @ rd_full,
             hess=hess,
             hess_f=hess_f,
+            hess_f_inv=np.linalg.inv(hess_f),
             box_a=box_a,
             box_a_f=box_a @ t_map,
         )
@@ -370,15 +372,23 @@ def build_qp(
         n_sig = used_groups.size
         hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
         hess_s[:n_free, :n_free] = hess_f
+        hess_s_inv = np.eye(n_free + n_sig)  # so its inverse is block-diagonal too
+        hess_s_inv[:n_free, :n_free] = cond.hess_f_inv
         lin_s = np.concatenate([lin_f, np.asarray(slack_penalty, dtype=float)[used_groups]])
         a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
         a_s[: a_f.shape[0], :n_free] = a_f
         a_s[: a_f.shape[0], n_free:] = soft[:, None] == used_groups
         a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
         b_s = np.concatenate([b_f, np.zeros(n_sig)])
-        qp = QpProblem(hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f)
+        qp = QpProblem(
+            hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f,
+            hessian_inv=hess_s_inv,
+        )
     else:
-        qp = QpProblem(hessian=hess_f, linear=lin_f, a_in=a_f, b_in=b_f, constant=const_f)
+        qp = QpProblem(
+            hessian=hess_f, linear=lin_f, a_in=a_f, b_in=b_f, constant=const_f,
+            hessian_inv=cond.hess_f_inv,
+        )
     return qp, _CondensedMaps(
         t_map=t_map, t_off=t_off, e_map=e_map, e_off=e_off, n_slack=used_groups.size
     )
@@ -414,7 +424,9 @@ def solve_ocp(
     the terminal cut at the terminal error the iterate reaches (read off the
     condensed error map), and repeats until the input change drops below
     1e-5 or five passes elapse. Updates after the first pass are damped to
-    suppress linearization zigzag.
+    suppress linearization zigzag. The first pass's QP starts cold; each
+    later one starts from the active set of the pass before it when the row
+    count is unchanged.
 
     The terminal law is always substituted for the last input. Barrier rows
     are enforced on the freely optimized inputs (steps 0..H-2); the last
@@ -437,6 +449,7 @@ def solve_ocp(
     objective = math.inf
     slack_used = 0.0
     converged = False
+    guess = np.zeros(0, dtype=bool)  # so the first pass starts cold
     for passes in range(1, SQP_MAX_PASSES + 1):
         states = rollout(spec, x0_nominal, inputs + ff_seq)
         if row_builder is not None:
@@ -451,7 +464,8 @@ def solve_ocp(
             lin_inputs=inputs,
             slack_penalty=slack_penalty,
         )
-        sol = solve_qp(qp, tol=QP_TOL)
+        sol = solve_qp(qp, tol=QP_TOL, active=guess if guess.size == qp.b_in.size else None)
+        guess = sol.active
         iterations += sol.iterations
         status = sol.status
         if status == INFEASIBLE:  # no plan from this pass: keep the iterate

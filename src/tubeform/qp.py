@@ -5,7 +5,8 @@ Problems here have at most ~10 decision variables and ~60 inequality rows
 (Goldfarb-Idnani) is entirely adequate: it starts from the unconstrained
 minimizer, adds one violated row at a time while keeping dual feasibility,
 and certifies infeasibility exactly through a Farkas-type unbounded dual
-step.
+step. Any dual-feasible start is valid, so it may also start from a guessed
+active set, such as the one a neighbouring problem ended with.
 
     minimize 0.5 z' H z + g' z + const
     s.t.     A_in z >= b_in
@@ -31,6 +32,7 @@ class QpProblem:
     a_in: np.ndarray
     b_in: np.ndarray
     constant: float = 0.0
+    hessian_inv: np.ndarray | None = None  # the inverse of ``hessian`` when the caller has it
 
     def __post_init__(self):
         m = self.linear.shape[0]
@@ -53,6 +55,7 @@ class QpSolution:
     stationarity: float = np.inf
     feasibility: float = np.inf
     complementarity: float = np.inf
+    active: np.ndarray | None = None  # (rows,) bool: the rows active at the returned point
 
 
 def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[float, float, float]:
@@ -68,18 +71,58 @@ def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[floa
     return float(np.max(np.abs(stat))), feas, comp
 
 
-def _dual_active_set(h_inv, g, a, b, tol, max_iter):
-    """Goldfarb-Idnani loop. Returns (z, duals, status, iterations)."""
+def _equality_start(h_inv, z, a, b, guess, tol):
+    """(z, duals, active, solves) from the ``guess`` rows held as equalities, or None.
+
+    Drops the row of the most negative multiplier until none is negative.
+    Rows the loop would treat as dependent (a pivot below ``tol`` |a|^2) or
+    non-finite multipliers reject the guess.
+    """
+    rows = np.flatnonzero(guess)
+    a_g = a[rows]
+    step = h_inv @ a_g.T
+    gram = a_g @ step
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(pivots <= tol * np.maximum(1.0, np.sum(a_g**2, axis=1))):
+        return None
+    rhs = b[rows] - a_g @ z
+    duals = np.zeros(a.shape[0])
+    keep = np.arange(rows.size)
+    solves = 0
+    while keep.size:
+        solves += 1
+        lam = np.linalg.solve(gram[np.ix_(keep, keep)], rhs[keep])
+        if not np.all(np.isfinite(lam)):
+            return None
+        if np.min(lam) >= 0.0:
+            duals[rows[keep]] = lam
+            return z + step[:, keep] @ lam, duals, rows[keep].tolist(), solves
+        keep = np.delete(keep, np.argmin(lam))
+    return z, duals, [], solves
+
+
+def _dual_active_set(h_inv, g, a, b, tol, max_iter, guess=None):
+    """Goldfarb-Idnani loop from the ``guess`` row mask or cold.
+
+    Returns (z, duals, status, iterations, active); start-up solves count as iterations.
+    """
     n_rows = a.shape[0]
     z = -h_inv @ g
     duals = np.zeros(n_rows)
     active: list[int] = []
     iterations = 0
+    if guess is not None and np.any(guess):
+        start = _equality_start(h_inv, z, a, b, guess, tol)
+        if start is not None:
+            z, duals, active, iterations = start
     while iterations < max_iter:
         iterations += 1
         slack = a @ z - b if n_rows else np.zeros(0)
         if not n_rows or np.min(slack) >= -tol:
-            return z, duals, OPTIMAL, iterations
+            return z, duals, OPTIMAL, iterations, active
         p = int(np.argmin(slack))
         # inner loop: take full/partial steps until row p becomes active
         lam_p = 0.0
@@ -109,7 +152,7 @@ def _dual_active_set(h_inv, g, a, b, tol, max_iter):
                         blocking = idx
             t = min(t_full, t_partial)
             if not np.isfinite(t):
-                return z, duals, INFEASIBLE, iterations  # Farkas-type certificate
+                return z, duals, INFEASIBLE, iterations, active  # Farkas-type certificate
             z = z + t * step_dir
             for idx, j in enumerate(active):
                 duals[j] -= t * r[idx]
@@ -122,24 +165,42 @@ def _dual_active_set(h_inv, g, a, b, tol, max_iter):
             drop = active.pop(blocking)
             duals[drop] = 0.0
         else:
-            return z, duals, MAX_ITER, iterations
-    return z, duals, MAX_ITER, iterations
+            return z, duals, MAX_ITER, iterations, active
+    return z, duals, MAX_ITER, iterations, active
 
 
-def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: int = 400) -> QpSolution:
+def solve_qp(
+    qp: QpProblem, tol: float = 1e-10, max_iter: int = 400, active: np.ndarray | None = None
+) -> QpSolution:
     """Solve a strictly convex QP by the dual active-set method.
 
-    On OPTIMAL the returned point satisfies the KKT conditions with
-    stationarity, feasibility, and complementarity residuals below 1e-8.
+    ``active`` is an optional (rows,) bool mask, a guess of the active set
+    (typically a neighbouring problem's ``QpSolution.active``); a guess that
+    gives no dual-feasible start falls back to the cold start. The returned
+    ``active`` mask holds the rows active at the returned point.
+
+    On OPTIMAL every row holds to within ``tol`` (the termination test),
+    every multiplier is nonnegative and zero off the active set, and z
+    minimizes the objective with the active rows held as equalities, up to
+    roundoff. That roundoff scales with the multipliers: with well-scaled
+    rows all three KKT residuals stay below 1e-8, but where an exact-penalty
+    slack weight of 1e6 binds, the multipliers reach that weight and the
+    complementarity residual (a multiplier times the roundoff in its active
+    row's slack) reaches a few 1e-4.
     INFEASIBLE is certified by an unbounded dual step (no primal point can
     satisfy the incoming row given the active set).
     """
     a = qp.a_in if qp.a_in.size else np.zeros((0, qp.linear.shape[0]))
     b = qp.b_in if qp.a_in.size else np.zeros(0)
-    h_inv = np.linalg.inv(qp.hessian)
-    z, duals, status, iterations = _dual_active_set(h_inv, qp.linear, a, b, tol, max_iter)
+    h_inv = np.linalg.inv(qp.hessian) if qp.hessian_inv is None else qp.hessian_inv
+    z, duals, status, iterations, rows = _dual_active_set(
+        h_inv, qp.linear, a, b, tol, max_iter, active
+    )
+    mask = np.zeros(b.size, dtype=bool)
+    mask[rows] = True
     sol = QpSolution(
-        z=z, duals=duals, status=status, iterations=iterations, objective=qp.objective(z)
+        z=z, duals=duals, status=status, iterations=iterations, objective=qp.objective(z),
+        active=mask,
     )
     if status != INFEASIBLE:
         sol.stationarity, sol.feasibility, sol.complementarity = kkt_residuals(qp, z, duals)

@@ -320,8 +320,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     ocp_raw = raw.get("ocp", {})
     error_box = ocp_raw.get("error_box")
+    horizon = ocp_raw.get("horizon", 5)
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ScenarioError(f"ocp.horizon: must be an integer (got {horizon!r})")
     ocp = OcpConfig(
-        horizon=int(ocp_raw.get("horizon", 5)),
+        horizon=horizon,
         qr=float(ocp_raw.get("qr", 1.0)),
         r=float(ocp_raw.get("r", 0.1)),
         rdelta=float(ocp_raw.get("rdelta", 0.01)),
@@ -340,6 +343,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         d_safe=float(barriers_raw.get("d_safe", 0.3)),
         activation_range=float(barriers_raw.get("activation_range", 5.0)),
     )
+    if not 0.0 < barriers.d_safe < math.inf:
+        raise ScenarioError(
+            f"barriers.d_safe: must be positive and finite (got {barriers.d_safe!r})"
+        )
 
     sim_raw = raw.get("sim", {})
     sim = SimConfig(
@@ -350,6 +357,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         feedforward_on=bool(sim_raw.get("feedforward_on", True)),
         baseline_margins=bool(sim_raw.get("baseline_margins", False)),
     )
+    if not 0.0 < sim.ts < math.inf:
+        raise ScenarioError(f"sim.ts: must be positive and finite (got {sim.ts!r})")
     if sim.fine_substeps < 1:
         raise ScenarioError("sim.fine_substeps: must be >= 1")
 

@@ -235,6 +235,7 @@ class SimWorld:
         self._prev_preds = self.x_true[self._edges[1]]
         self.infeasible_streak = [0] * self.n
         self.violations: list[SafetyViolation] = []
+        self.leader_occupancy_peak = math.nan  # set by the end-of-run pass
 
         if not sim.t_end > 0.0:
             raise ScenarioError(f"t_end must be positive (got {sim.t_end!r})")
@@ -483,15 +484,19 @@ class SimWorld:
     def _check_safety(self) -> None:
         """The end-of-run pass over the recorded states: safety violations and derived columns.
 
-        The monitors read the states and times as integrated. The trace then
-        logs each sampling instant k at t = k ts with the leader nominal
-        re-anchored to the leader (so a violation's ``t`` is the accumulated
-        substep time, and the trace's leader deviation there is 0).
+        The monitors read the states and times as integrated, the deployment
+        state (row 0) included. The trace then logs each sampling instant k at
+        t = k ts with the leader nominal re-anchored to the leader (so a
+        violation's ``t`` is the accumulated substep time, and the trace's
+        leader deviation there is 0). ``leader_occupancy_peak`` keeps the
+        leader tube's peak ||dx0||^2 / r_ball0^2 as integrated, which the
+        trace's ``occ0`` misses at those instants.
         """
         fs, d, n = self.sim.fine_substeps, self.d, self.n
         states, rows = self._states, len(self._times)
         # read before the logged form overwrites them
         leader_dev = np.linalg.norm(states[:, 0, 0] - states[:, 0, 1], axis=-1)
+        self.leader_occupancy_peak = float(np.max(leader_dev) ** 2 / self._occ_scale[0])
         times = self._times.copy()
         # the logged form: each sampling instant at k ts, its leader nominal re-anchored
         states[:-1:fs, 0, 1] = states[:-1:fs, 0, 0]
@@ -527,7 +532,6 @@ class SimWorld:
         kinds = ["obstacle_clearance", "pairwise_clearance", "leader_tube"]
         kinds += ["tube", "margin_radius"] * n
         agents = [-1, -1, 0] + [i for i in range(1, n + 1) for _ in range(2)]
-        bad[0] = False  # the deployment state is not a step
         step, slot = np.nonzero(bad)
         self.violations = [
             SafetyViolation(kinds[s], j, times[j].item(), agents[s], values[j, s].item())

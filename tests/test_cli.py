@@ -99,6 +99,29 @@ class TestCertify:
         err = capsys.readouterr().err
         assert f"{path}: expected" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sim", "ts", -0.1),
+            ("sim", "ts", 0.0),
+            ("ocp", "horizon", 2.5),
+            ("ocp", "horizon", "5"),
+            ("barriers", "d_safe", -1.0),
+            ("barriers", "d_safe", 0.0),
+        ],
+        ids=["ts-negative", "ts-zero", "horizon-fraction", "horizon-string", "d-safe-negative",
+             "d-safe-zero"],
+    )
+    def test_invalid_scalar_exit_1(self, tmp_path, capsys, section, key, value):
+        """An out-of-range sampling period, horizon or safe distance fails at certify, naming it."""
+        doc = json.loads(SMOKE.read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
+        assert f"{section}.{key}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_non_hurwitz_kappa_poles_exit_2(self, tmp_path, capsys):
         """eCBF poles that give a non-positive class-kappa coefficient fail at certify time."""
         doc = json.loads(SMOKE.read_text())
@@ -116,6 +139,8 @@ class TestRun:
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["min_obstacle_clearance"] > 0.0
         assert summary["violations"] == []
+        # read before re-anchoring, so never below what the trace logs
+        assert summary["max_leader_occupancy_pre_anchor"] >= summary["max_tube_occupancy"]["occ0"]
 
     def test_truncated_run(self, certified, tmp_path):
         out = tmp_path / "short"

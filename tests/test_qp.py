@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubeform.ocp import QP_TOL
 from tubeform.qp import INFEASIBLE, MAX_ITER, OPTIMAL, QpProblem, solve_qp
 
 from oracles import dual_projected_gradient_qp, random_feasible_qp
@@ -82,3 +83,58 @@ class TestKktCertificates:
         sol = solve_qp(qp)
         assert sol.status == OPTIMAL
         assert sol.z[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def warm_start_cases():
+    """Random QPs, plain, with duplicated rows or made infeasible, each with its guess masks."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for idx in range(90):
+        kind = ("plain", "duplicate", "infeasible")[idx % 3]
+        n_vars, n_rows = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+        h, g, a, b = random_feasible_qp(rng, n_vars, n_rows)
+        g = 10.0 * g  # push the unconstrained minimizer out so that rows bind
+        masks = {}
+        if kind == "duplicate":
+            dup = rng.integers(0, n_rows, size=3)
+            masks["duplicate"] = np.isin(np.arange(n_rows + 3), np.r_[dup, n_rows:n_rows + 3])
+            a, b = np.vstack([a, a[dup]]), np.concatenate([b, b[dup]])
+        elif kind == "infeasible":  # a0 z >= c + 1 and a0 z <= c
+            c = float(a[0] @ rng.normal(size=n_vars))
+            a, b = np.vstack([a, a[:1], -a[:1]]), np.concatenate([b, [c + 1.0, -c]])
+            masks["contradiction"] = np.isin(np.arange(len(b)), [len(b) - 2, len(b) - 1])
+        rows = len(b)
+        masks["empty"] = np.zeros(rows, dtype=bool)
+        masks["full"] = np.ones(rows, dtype=bool)
+        masks["random"] = rng.random(rows) < 0.5
+        cases.append((kind, QpProblem(hessian=h, linear=g, a_in=a, b_in=b), masks))
+    return cases
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", ["plain", "duplicate", "infeasible"])
+    def test_any_guess_gives_the_cold_solution(self, kind):
+        """A warm start from any row mask returns the cold status and, when optimal, its z."""
+        for case_kind, qp, masks in warm_start_cases():
+            if case_kind != kind:
+                continue
+            cold = solve_qp(qp)
+            assert cold.status == (INFEASIBLE if kind == "infeasible" else OPTIMAL)
+            masks = dict(masks, cold_active=cold.active)
+            for name, mask in masks.items():
+                warm = solve_qp(qp, active=mask)
+                assert warm.status == cold.status, name
+                if cold.status == OPTIMAL:
+                    assert np.max(np.abs(warm.z - cold.z)) <= QP_TOL, name
+                    assert np.all(warm.duals[~warm.active] == 0.0), name
+            if cold.status == OPTIMAL:
+                # the active set it ended with is a start that needs no further row
+                assert solve_qp(qp, active=cold.active).iterations <= cold.iterations
+
+    def test_dependent_guess_starts_cold(self):
+        """Duplicated guessed rows give a singular block: the solver starts cold."""
+        qp = make_qp(np.eye(2), [0.0, 0.0], a=[[1.0, 0.0], [1.0, 0.0]], b=[1.0, 1.0])
+        cold = solve_qp(qp)
+        warm = solve_qp(qp, active=np.array([True, True]))
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.z, cold.z)

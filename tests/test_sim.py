@@ -474,6 +474,18 @@ class TestTubeMonitoring:
             # re-anchors it; the trace logs it after, where the deviation is 0
             assert any(v.step == 10 and v.value > 0.0 for v in hits)
             assert trace.col("V0")[10] == 0.0
+            # the summary's pre-anchor peak is the monitor's, above the trace's occ0
+            peak = max(v.value for v in hits) ** 2 / cert.leader.r_ball0**2
+            assert result.world.leader_occupancy_peak == pytest.approx(peak, rel=1e-12)
+            assert result.world.leader_occupancy_peak > np.max(trace.col("occ0"))
+
+    @pytest.mark.parametrize("kind", ["obstacle_clearance", "pairwise_clearance"])
+    def test_deployment_state_checked(self, kind):
+        """A start that already breaks a clearance is reported at fine step 0, t = 0."""
+        cfg = parse_scenario(json.dumps(self.forced_doc(kind)))
+        result = run_simulation(cfg, certify_scenario(cfg, spot_checks=False))
+        first = result.violations[0]
+        assert (first.kind, first.step, first.t) == (kind, 0, 0.0)
 
 
 class TestTraceMetrics:
