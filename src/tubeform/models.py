@@ -8,7 +8,8 @@ serializable, and hashable. Every form is one setting of a single product,
 so each model's terms compile to one ``DriftTable``: one value and one
 closed-form Jacobian evaluator serve the world, the feedforward, the
 Lipschitz checks and the leader linearization, and several models' tables
-stack into one table evaluated row by row.
+stack into one table evaluated row by row. The disturbances of a team stack
+the same way, into one ``DisturbanceStack`` evaluated once per time.
 """
 
 from __future__ import annotations
@@ -214,10 +215,12 @@ class SinusoidDisturbance:
 
 @dataclass(frozen=True)
 class BallDisturbance:
-    """Seeded uniform-in-ball disturbance, held constant over each fine step.
+    """Seeded uniform-in-ball disturbance, one draw per fine-step index.
 
-    Deterministic: the sample for a given step index is derived from
-    (seed, agent_id, step index) alone.
+    Deterministic: the draw for index j is derived from (seed, agent_id, j)
+    alone. The index is taken at each call's own time, so an RK4 substep over
+    fine step j reads draw j at its first three stages and draw j + 1 at its
+    last stage, at the step's end time.
     """
 
     bound: float
@@ -226,9 +229,12 @@ class BallDisturbance:
     step_duration: float
     dim: int = 2
 
+    def index(self, t: float) -> int:
+        """The fine-step index whose draw holds at time t."""
+        return math.floor(t / self.step_duration + 1e-12)
+
     def __call__(self, t: float) -> np.ndarray:
-        idx = int(np.floor(t / self.step_duration + 1e-12))
-        rng = np.random.default_rng((self.seed, self.agent_id, idx))
+        rng = np.random.default_rng((self.seed, self.agent_id, self.index(t)))
         vec = rng.normal(size=self.dim)
         nrm = np.linalg.norm(vec)
         if nrm == 0.0:
@@ -238,6 +244,39 @@ class BallDisturbance:
 
     def norm_bound(self) -> float:
         return self.bound
+
+
+class DisturbanceStack:
+    """Several models' disturbances as one (rows, d) array per time, row r by ``models[r]``.
+
+    The sinusoid rows are one expression over their stacked amplitudes,
+    frequencies and phases. Each ball row keeps its last (index, draw) and calls
+    its model only when the index changes, so the stages of an RK4 substep that
+    share an index share one draw; keyed by index, the memo is exact for any
+    order of times.
+    """
+
+    def __init__(self, models: list[SinusoidDisturbance | BallDisturbance], d: int):
+        is_sine = np.array([isinstance(m, SinusoidDisturbance) for m in models], dtype=bool)
+        self._shape = (len(models), d)
+        self._sine_rows = np.flatnonzero(is_sine)
+        self._amp, self._freq, self._phase = (
+            np.array([getattr(models[r], f) for r in self._sine_rows], dtype=float).reshape(-1, d)
+            for f in ("amp", "freq", "phase")
+        )
+        self._balls = [(r, models[r]) for r in np.flatnonzero(~is_sine)]
+        self._index: list[int | None] = [None] * len(self._balls)
+        self._draw: list[np.ndarray | None] = [None] * len(self._balls)
+
+    def __call__(self, t: float) -> np.ndarray:
+        w = np.empty(self._shape)
+        w[self._sine_rows] = self._amp * np.sin(self._freq * t + self._phase)
+        for slot, (row, ball) in enumerate(self._balls):
+            j = ball.index(t)
+            if self._index[slot] != j:
+                self._index[slot], self._draw[slot] = j, ball(t)
+            w[row] = self._draw[slot]
+        return w
 
 
 @dataclass(frozen=True)

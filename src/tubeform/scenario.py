@@ -189,6 +189,14 @@ def _floats(raw: dict, key: str, path: str, length: int) -> tuple[float, ...]:
     return _vector(_req(raw, key, path), f"{path}.{key}", length)
 
 
+def _integer(raw: dict, key: str, path: str, default: int) -> int:
+    """The integer under ``key``; a float or a string names ``path.key``."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}.{key}: must be an integer (got {value!r})")
+    return value
+
+
 def _disturbance(raw: dict, path: str, d: int) -> DisturbanceConfig:
     kind = _req(raw, "kind", path)
     if kind == "sinusoid":
@@ -315,16 +323,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
         matrix=None if matrix is None else tuple(tuple(float(v) for v in r) for r in matrix),
         state_weight=float(gains_raw.get("state_weight", 1.0)),
         input_weight=float(gains_raw.get("input_weight", 1.0)),
-        lyapunov_q=None if lyap_q is None else tuple(float(v) for v in lyap_q),
+        lyapunov_q=None if lyap_q is None else _vector(lyap_q, "gains.lyapunov_q", dims.nd),
     )
 
     ocp_raw = raw.get("ocp", {})
     error_box = ocp_raw.get("error_box")
-    horizon = ocp_raw.get("horizon", 5)
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ScenarioError(f"ocp.horizon: must be an integer (got {horizon!r})")
     ocp = OcpConfig(
-        horizon=horizon,
+        horizon=_integer(ocp_raw, "horizon", "ocp", 5),
         qr=float(ocp_raw.get("qr", 1.0)),
         r=float(ocp_raw.get("r", 0.1)),
         rdelta=float(ocp_raw.get("rdelta", 0.01)),
@@ -352,7 +357,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     sim = SimConfig(
         t_end=float(sim_raw.get("t_end", 30.0)),
         ts=float(sim_raw.get("ts", 0.1)),
-        fine_substeps=int(sim_raw.get("fine_substeps", 10)),
+        fine_substeps=_integer(sim_raw, "fine_substeps", "sim", 10),
         seed=int(sim_raw.get("seed", 0)),
         feedforward_on=bool(sim_raw.get("feedforward_on", True)),
         baseline_margins=bool(sim_raw.get("baseline_margins", False)),

@@ -35,7 +35,7 @@ import numpy as np
 from .barrier import EcbfCoefficients, assemble_row
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
-from .models import DriftTable, chain_derivative
+from .models import DisturbanceStack, DriftTable, chain_derivative
 from .ocp import (
     BarrierRows,
     OcpSpec,
@@ -210,6 +210,7 @@ class SimWorld:
         model_of_row = np.zeros(len(self._drift_rows), dtype=int)
         model_of_row[2::2] = np.arange(1, self.n + 1)
         self._drift = DriftTable.stack([m.drift.table for m in self.models], model_of_row)
+        self._disturbance = DisturbanceStack([m.disturbance for m in self.models], self.d)
         states = initial_states(cfg)
         self.state[self._agent_rows] = states
         self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
@@ -410,14 +411,14 @@ class SimWorld:
         x, xb = state[2::3], state[3::3]
         drift = self._drift.value(state[self._drift_rows], t)
         own, f_anchor = drift[2::2], drift[3::2]
-        w = np.stack([m.disturbance(t) for m in self.models[1:]])
+        w = self._disturbance(t)  # leader first
         # pinned followers cancel toward the true leader, the others toward their anchor
         ff = np.where(self._pinned, drift[0], f_anchor)
         u = apply_control(self.gain, v0, x, xb, ff, own, self.sim.feedforward_on)
         top = np.empty((len(state), self.d))
-        top[0] = drift[0] + self.models[0].disturbance(t)
+        top[0] = drift[0] + w[0]
         top[1] = drift[1]
-        top[2::3] = own + u + w
+        top[2::3] = own + u + w[1:]
         top[3::3] = v0 + f_anchor if self.sim.feedforward_on else v0
         top[4::3] = f_anchor
         return chain_derivative(self.dims, state, top)

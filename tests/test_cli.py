@@ -79,11 +79,12 @@ class TestCertify:
             (("graph",), "b0", [1.0, 0.0, 0.0], "graph.b0"),
             (("barriers",), "kappa_poles", [-1.5, -2.5], "barriers.kappa_poles"),
             (("gains",), "poles", [-2.0, -3.0], "gains.poles"),
+            (("gains",), "lyapunov_q", [1.0, 1.0], "gains.lyapunov_q"),
         ],
         ids=[
             "center-3", "center-1", "amp-3", "agent-box-2", "leader-box-5", "error-box-3",
             "adjacency-3x3", "adjacency-1x1", "adjacency-row-3", "b0-3", "kappa-poles-2",
-            "gains-poles-2",
+            "gains-poles-2", "lyapunov-q-2",
         ],
     )
     def test_wrong_vector_length_exit_1(self, tmp_path, capsys, section, key, value, path):
@@ -108,12 +109,14 @@ class TestCertify:
             ("ocp", "horizon", "5"),
             ("barriers", "d_safe", -1.0),
             ("barriers", "d_safe", 0.0),
+            ("sim", "fine_substeps", 10.5),
+            ("sim", "fine_substeps", "10"),
         ],
         ids=["ts-negative", "ts-zero", "horizon-fraction", "horizon-string", "d-safe-negative",
-             "d-safe-zero"],
+             "d-safe-zero", "substeps-fraction", "substeps-string"],
     )
     def test_invalid_scalar_exit_1(self, tmp_path, capsys, section, key, value):
-        """An out-of-range sampling period, horizon or safe distance fails at certify, naming it."""
+        """An out-of-range or non-integer scalar fails at certify, naming its path."""
         doc = json.loads(SMOKE.read_text())
         doc[section][key] = value
         bad = tmp_path / "bad.json"

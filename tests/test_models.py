@@ -11,6 +11,7 @@ from tubeform.models import (
     BallDisturbance,
     Box,
     BrunovskyDims,
+    DisturbanceStack,
     DriftSpec,
     DriftTerm,
     FormationSpec,
@@ -227,6 +228,53 @@ class TestAgentModel:
         self.make().check_lipschitz(rng)
         with pytest.raises(ScenarioError):
             self.make(lipschitz=0.2).check_lipschitz(np.random.default_rng(0))
+
+
+def disturbance_models(kind: str) -> list:
+    """Three models of one kind, or alternating kinds, for the d = 2 stack tests."""
+    sines = [
+        SinusoidDisturbance(amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)),
+        SinusoidDisturbance(amp=(0.05, 0.0), freq=(3.7, 0.0), phase=(1.3, 0.0)),
+        SinusoidDisturbance(amp=(0.01, 0.3), freq=(0.2, 12.5), phase=(-0.4, 2.9)),
+    ]
+    balls = [
+        BallDisturbance(bound=0.1 * (a + 1), seed=4, agent_id=a, step_duration=0.01)
+        for a in range(3)
+    ]
+    return {"sine": sines, "ball": balls, "mixed": [balls[0], sines[0], balls[1], sines[1]]}[kind]
+
+
+def stage_times(fine_steps: int, h: float = 0.01) -> list[float]:
+    """The RK4 stage times of ``fine_steps`` substeps from t = 0.98, accumulated as in the world."""
+    times, t = [], 0.98
+    for _ in range(fine_steps):
+        times += [t, t + 0.5 * h, t + h]
+        t += h
+    return times
+
+
+class TestDisturbanceStack:
+    @pytest.mark.parametrize("kind", ["sine", "ball", "mixed"])
+    def test_stack_equals_per_model_calls(self, kind):
+        """Bit-equal to one call per model at the stage times: in order, shuffled, reversed."""
+        models = disturbance_models(kind)
+        times = stage_times(6)  # crosses the fine-step boundaries at 0.99, 1.0, ...
+        shuffled = list(np.random.default_rng(0).permutation(times))
+        stack = DisturbanceStack(models, 2)
+        for t in times + shuffled + times[::-1]:
+            expected = np.stack([m(t) for m in models])
+            assert np.array_equal(stack(t), expected), t
+
+    def test_stage_at_step_end_reads_next_draw(self):
+        """Fine step j's first stages read draw j; its last stage, at its end, reads draw j + 1."""
+        ball = disturbance_models("ball")[0]
+        stack = DisturbanceStack([ball], 2)
+        t = 0.98
+        for j in range(98, 104):
+            assert ball.index(t) == ball.index(t + 0.005) == j
+            assert ball.index(t + 0.01) == j + 1
+            assert not np.array_equal(stack(t + 0.005), stack(t + 0.01))
+            t += 0.01
 
 
 class TestFormationAndObstacle:

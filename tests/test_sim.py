@@ -9,6 +9,7 @@ import tubeform.protocol
 import tubeform.sim
 from tubeform.barrier import assemble_row
 from tubeform.errors import DegenerateGradient, NonFiniteState
+from tubeform.models import BallDisturbance
 from tubeform.ocp import rollout
 from tubeform.pipeline import certify_scenario
 from tubeform.protocol import shift_plan
@@ -319,6 +320,32 @@ class TestNeighborPredictions:
         ff[1, 2, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteState):
             world._neighbor_data(1, ff)
+
+
+class TestDisturbanceDraws:
+    def test_each_ball_draw_made_once(self, monkeypatch):
+        """A 1 s ball copy of smoke draws each (agent, fine-step index) once in the loop.
+
+        The 100 substeps read indices 0..100: the last RK4 stage of the last
+        substep, at t = 1.0, reads index 100. One draw per stage would be
+        3 agents x 100 substeps x 4 stages = 1,200 calls.
+        """
+        doc = json.loads(open(SMOKE).read())
+        for section in [doc["leader"], *doc["agents"]]:
+            section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
+        cfg = parse_scenario(json.dumps(doc))
+        cert = certify_scenario(cfg, spot_checks=False)
+        draw = BallDisturbance.__call__
+        calls = []
+
+        def counting(ball, t):
+            calls.append((ball.agent_id, ball.index(t)))
+            return draw(ball, t)
+
+        monkeypatch.setattr(BallDisturbance, "__call__", counting)
+        run_simulation(cfg, cert, SimConfig.from_scenario(cfg, t_end=1.0))
+        assert len(calls) == 3 * 101
+        assert sorted(calls) == [(a, j) for a in range(3) for j in range(101)]
 
 
 class TestLeaderRelay:
