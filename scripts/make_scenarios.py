@@ -22,7 +22,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tubeform.models import Box, BrunovskyDims, DriftSpec  # noqa: E402
-from tubeform.scenario import parse_terms  # noqa: E402
+from tubeform.scenario import DYNAMICS, walk  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 PI = math.pi
@@ -48,8 +48,8 @@ def max_jacobian_norm(dims, outer_gain, axes_terms, box):
     The term forms depend on the position block only (plus constant taps on
     higher blocks), so a dense grid over the position block suffices.
     """
-    axes = tuple(parse_terms(axis, "axes") for axis in axes_terms)
-    drift = DriftSpec(dims=dims, outer_gain=outer_gain, axes=axes)
+    dynamics = walk(DYNAMICS, {"outer_gain": outer_gain, "axes": axes_terms}, "dynamics", dims)
+    drift = DriftSpec(dims=dims, outer_gain=dynamics.outer_gain, axes=dynamics.axes)
     xs = np.linspace(box.lower[0], box.upper[0], 121)
     ys = np.linspace(box.lower[1], box.upper[1], 121)
     probes = np.tile(box.center, (len(xs) * len(ys), 1))

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyTightenedSet,
-    InfeasibleLeaderTube,
-    NotHurwitz,
-    ScenarioError,
-)
+from .errors import DimensionMismatch, EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz
 from .linalg import eig_sym, is_hurwitz, solve_continuous_lyapunov, sym_inv_sqrt
 from .models import BrunovskyDims, LyapunovPair, chain_matrices
 
@@ -46,8 +40,6 @@ class GainSpec:
 
 
 def _pole_placement_gain(dims: BrunovskyDims, poles: tuple[float, ...]) -> np.ndarray:
-    if len(poles) != dims.n:
-        raise DimensionMismatch("need one pole per chain order")
     if any(p >= 0.0 for p in poles):
         raise NotHurwitz("pole placement requires strictly negative poles")
     coeffs = np.poly(np.asarray(poles, dtype=float))  # [1, c_{n-1}, ..., c_0]
@@ -104,13 +96,9 @@ def synth_gain(dims: BrunovskyDims, spec: GainSpec) -> tuple[np.ndarray, Lyapuno
     if spec.mode == "poles":
         gain = _pole_placement_gain(dims, tuple(spec.poles))
     elif spec.mode == "explicit":
-        if spec.matrix is None:
-            raise ScenarioError("explicit gain mode needs a matrix")
         gain = np.asarray(spec.matrix, dtype=float)
-    elif spec.mode == "lqr":
+    else:  # "lqr"
         gain = _kleinman_lqr(dims, spec.state_weight, spec.input_weight)
-    else:
-        raise ScenarioError(f"unknown gain mode {spec.mode!r}")
     lyap_q = np.diag(spec.lyapunov_q) if spec.lyapunov_q is not None else None
     pair = build_lyapunov_pair(dims, gain, lyap_q)
     return gain, pair
@@ -148,9 +136,7 @@ def leader_radius(lyap: LyapunovPair, w0_bar: float, l0: float) -> LeaderCertifi
 
 
 def declared_leader_certificate(lyap: LyapunovPair, r_ball0: float) -> LeaderCertificate:
-    """Leader certificate with a scenario-declared ball radius."""
-    if r_ball0 < 0.0:
-        raise ScenarioError("declared leader radius must be nonnegative")
+    """Leader certificate with a scenario-declared ball radius (>= 0, checked at parse)."""
     return LeaderCertificate(
         lyap=lyap,
         rho0=r_ball0 * float(np.sqrt(lyap.lambda_min_p)),

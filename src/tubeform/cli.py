@@ -88,15 +88,14 @@ def cmd_run(
     result = dataclasses.replace(certify_scenario(cfg, spot_checks=False), scenario_sha256=sha)
     try:
         check_certificate(cert_doc, result)
+        sim_cfg = SimConfig.from_scenario(  # None keeps the scenario's value
+            cfg,
+            t_end=t_end,
+            feedforward_on=(not cfg.sim.feedforward_on) if toggle_feedforward else None,
+            baseline_margins=baseline_margins or None,
+        )
     except ScenarioError as exc:
         return _error(exc)
-
-    sim_cfg = SimConfig.from_scenario(  # None keeps the scenario's value
-        cfg,
-        t_end=t_end,
-        feedforward_on=(not cfg.sim.feedforward_on) if toggle_feedforward else None,
-        baseline_margins=baseline_margins or None,
-    )
 
     out = Path(out_dir)
     try:

@@ -31,17 +31,8 @@ class CommGraph:
     nu2: float = 1.0
 
     def __post_init__(self):
-        a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ScenarioError("adjacency must be square")
-        if np.any(np.diag(a) != 0.0):
+        if np.any(np.diag(self.adjacency) != 0.0):  # shapes and signs are checked at parse
             raise ScenarioError("adjacency must have a zero diagonal")
-        if np.any(a < 0.0) or np.any(self.b0 < 0.0):
-            raise ScenarioError("graph weights must be nonnegative")
-        if self.b0.shape != (a.shape[0],):
-            raise ScenarioError("b0 length must match follower count")
-        if self.nu1 <= 0.0 or self.nu2 <= 0.0:
-            raise ScenarioError("nu1 and nu2 must be positive")
 
     @property
     def n_followers(self) -> int:

@@ -34,10 +34,6 @@ class BrunovskyDims:
     d: int
     followers: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.followers < 1:
-            raise ScenarioError("dims must satisfy n >= 1, d >= 1, followers >= 1")
-
     @property
     def nd(self) -> int:
         return self.n * self.d
@@ -83,10 +79,6 @@ class DriftTerm:
     phase: float = 0.0
     weights: tuple[float, ...] = ()
     sq_axis: int = 0
-
-    def __post_init__(self):
-        if self.form not in TERM_FORMS:
-            raise ScenarioError(f"unknown drift term form {self.form!r}")
 
 
 class DriftTable(NamedTuple):
@@ -140,8 +132,6 @@ class DriftSpec:
     axes: tuple[tuple[DriftTerm, ...], ...]
 
     def __post_init__(self):
-        if len(self.axes) != self.dims.d:
-            raise DimensionMismatch("drift needs one term list per spatial axis")
         self.table  # compile now, so a malformed term fails where the model is built
 
     @functools.cached_property
@@ -184,8 +174,6 @@ class Box:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise DimensionMismatch("box bounds must have equal length")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ScenarioError("box has lower bound above upper bound")
 

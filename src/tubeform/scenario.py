@@ -3,9 +3,12 @@
 A scenario is a JSON document describing dimensions, per-agent dynamics as
 tagged term lists, disturbances, the communication graph, formation
 offsets, obstacles, gain synthesis, OCP weights, barrier parameters, and
-simulation settings. Parsing returns a frozen ScenarioConfig; semantic
-errors carry the dotted path of the offending entry, syntax errors the
-line number reported by the JSON parser.
+simulation settings. One table of entries (``SCENARIO`` and the sections
+it nests) gives each entry's type, shape in terms of n, d, nd and N, default
+and conditions; one walker reads a document against it into a frozen
+ScenarioConfig. Unknown keys are rejected. Semantic errors carry the dotted
+path of the offending entry, syntax errors the line number reported by the
+JSON parser.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .certify import GainSpec
 from .errors import ScenarioError
 from .graph import CommGraph
 from .models import (
+    TERM_FORMS,
     AgentModel,
     BallDisturbance,
     Box,
@@ -118,8 +124,18 @@ class SimConfig:
 
     @classmethod
     def from_scenario(cls, cfg: "ScenarioConfig", **overrides) -> "SimConfig":
-        """The scenario's sim section with the non-None ``overrides`` applied."""
-        return replace(cfg.sim, **{k: v for k, v in overrides.items() if v is not None})
+        """The scenario's sim section with the non-None ``overrides`` applied.
+
+        Each override is checked against its ``sim`` table entry; an error
+        reads "<key> must be ...".
+        """
+        given = {k: v for k, v in overrides.items() if v is not None}
+        siblings = asdict(cfg.sim) | given
+        for f in SIM.fields:
+            problem = f.key in given and _problem(f, given[f.key], siblings, cfg.dims)
+            if problem:
+                raise ScenarioError(f"{f.key} {problem}")
+        return replace(cfg.sim, **given)
 
 
 @dataclass(frozen=True)
@@ -139,80 +155,252 @@ class ScenarioConfig:
     initial_followers: tuple[tuple[float, ...], ...]
 
 
-def _req(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ScenarioError(f"{path}: missing required key {key!r}")
-    return mapping[key]
+# --- the schema: one table of entries, read by one walker ---
+
+REQUIRED = object()  # the default of an entry the file must give
 
 
-def parse_terms(raw, path: str) -> tuple[DriftTerm, ...]:
-    """The drift terms of one axis from their JSON list; errors name ``path[index]``."""
-    out = []
-    for idx, item in enumerate(raw):
-        here = f"{path}[{idx}]"
-        try:
-            out.append(
-                DriftTerm(
-                    form=_req(item, "form", here),
-                    coeff=float(_req(item, "coeff", here)),
-                    order=int(item.get("order", 1)),
-                    axis=int(item.get("axis", 0)),
-                    scale=float(item.get("scale", 1.0)),
-                    freq=float(item.get("freq", 0.0)),
-                    phase=float(item.get("phase", 0.0)),
-                    weights=tuple(float(w) for w in item.get("weights", ())),
-                    sq_axis=int(item.get("sq_axis", 0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{here}: {exc}") from exc
-    return tuple(out)
+class Check(NamedTuple):
+    """A condition on one number, given its siblings and the dims; ``text`` ends "must be ..."."""
+
+    test: Callable[[Any, dict, BrunovskyDims | None], bool]
+    text: str
 
 
-def _dynamics(raw: dict, path: str) -> DynamicsConfig:
-    return DynamicsConfig(
-        outer_gain=float(_req(raw, "outer_gain", path)),
-        axes=tuple(parse_terms(axis, f"{path}.axes") for axis in _req(raw, "axes", path)),
+class Field(NamedTuple):
+    """One scenario entry.
+
+    ``kind`` is float (a finite JSON number), int, bool, str, a tuple of
+    string literals (optionally with float) or a nested ``Section``. ``shape``
+    gives the list lengths around each value, outermost first: "n", "d",
+    "nd", "N" (followers), "N+1", a count, or None for any length. ``checks``
+    apply to each number. An entry with ``when = (key, values)`` applies only
+    where the sibling ``key``, read earlier, holds one of ``values``.
+    """
+
+    key: str
+    kind: Any
+    shape: tuple = ()
+    default: Any = REQUIRED
+    checks: tuple[Check, ...] = ()
+    when: tuple[str, tuple[str, ...]] | None = None
+
+
+class Section(NamedTuple):
+    """A JSON object: its entries, and the callable that builds the config from them."""
+
+    build: Callable[..., Any]
+    fields: tuple[Field, ...]
+
+
+POSITIVE = (Check(lambda v, *_: v > 0, "positive"),)
+NON_NEGATIVE = (Check(lambda v, *_: v >= 0, "non-negative"),)
+COUNT = (Check(lambda v, *_: v >= 1, ">= 1"),)
+CHAIN_ORDER = (Check(lambda v, _, dims: 1 <= v <= dims.n, "a chain order in 1..n"),)
+AXIS = (Check(lambda v, _, dims: 0 <= v < dims.d, "an axis index in 0..d-1"),)
+SAMPLING_STEPS = POSITIVE + (Check(
+    lambda v, sib, _: abs(round(v / sib["ts"]) * sib["ts"] - v) <= 1e-9,
+    "an integer multiple of the sampling period",
+),)
+ZERO = (Check(lambda v, *_: v == 0, "0 for a sinusoid"),)
+SINE, BALL = ("sinusoid",), ("ball",)
+
+DISTURBANCE = Section(DisturbanceConfig, (
+    Field("kind", SINE + BALL),
+    *(Field(key, float, ("d",), when=("kind", SINE)) for key in ("amp", "freq", "phase")),
+    Field("bound", float, (), DisturbanceConfig.bound, ZERO, when=("kind", SINE)),
+    # scenario_to_dict writes empty sinusoid arrays for a ball
+    *(Field(key, float, (0,), (), when=("kind", BALL)) for key in ("amp", "freq", "phase")),
+    Field("bound", float, checks=NON_NEGATIVE, when=("kind", BALL)),
+))
+TERM = Section(DriftTerm, (
+    Field("form", TERM_FORMS),
+    Field("coeff", float),
+    Field("order", int, (), DriftTerm.order, CHAIN_ORDER),
+    Field("axis", int, (), DriftTerm.axis, AXIS),
+    Field("scale", float, default=DriftTerm.scale),
+    Field("freq", float, default=DriftTerm.freq),
+    Field("phase", float, default=DriftTerm.phase),
+    Field("weights", float, ("d",), when=("form", ("cubic",))),
+    Field("weights", float, (0,), (), when=("form", tuple(f for f in TERM_FORMS if f != "cubic"))),
+    Field("sq_axis", int, (), DriftTerm.sq_axis, AXIS),
+))
+DYNAMICS = Section(DynamicsConfig, (Field("outer_gain", float), Field("axes", TERM, ("d", None))))
+BOX = Section(Box, (Field("lower", float, ("nd",)), Field("upper", float, ("nd",))))
+AGENT = (  # the entries the leader and every follower share
+    Field("dynamics", DYNAMICS),
+    Field("disturbance", DISTURBANCE),
+    Field("disturbance_bound", float, checks=NON_NEGATIVE),
+    Field("operating_box", BOX),
+)
+LEADER = Section(LeaderConfig, AGENT + (
+    Field("lipschitz", float, checks=NON_NEGATIVE),
+    Field("rate_bound", float, checks=NON_NEGATIVE),
+    Field("tube", Section(LeaderTubeConfig, (
+        Field("mode", ("declared", "lyapunov")),
+        Field("r_ball", float, (), LeaderTubeConfig.r_ball, NON_NEGATIVE),
+        Field("residual_lipschitz", float, (), LeaderTubeConfig.residual_lipschitz, NON_NEGATIVE),
+        Field("stabilizer", float, ("d", "nd"), None),
+    ))),
+))
+FOLLOWER = Section(FollowerConfig, (Field("id", int),) + AGENT + (
+    Field("lipschitz", (float, "estimate"), checks=NON_NEGATIVE),
+    Field("margin_radius", float, (), None, POSITIVE),
+))
+GRAPH = Section(GraphConfig, (
+    Field("adjacency", float, ("N", "N"), checks=NON_NEGATIVE),
+    Field("b0", float, ("N",), checks=NON_NEGATIVE),
+    Field("nu1", float, (), GraphConfig.nu1, POSITIVE),
+    Field("nu2", float, (), GraphConfig.nu2, POSITIVE),
+))
+OBSTACLE = Section(Obstacle, (
+    Field("center", float, ("d",)),
+    Field("radius", float, checks=POSITIVE),
+    Field("inflation", float, (), Obstacle.inflation, NON_NEGATIVE),
+))
+GAINS = Section(GainSpec, (
+    Field("mode", ("poles", "explicit", "lqr"), default=GainSpec.mode),
+    # pole placement takes one closed-loop pole per chain order, "explicit" a (d, nd) gain
+    Field("poles", float, ("n",), GainSpec.poles, when=("mode", ("poles",))),
+    Field("poles", float, (None,), GainSpec.poles, when=("mode", ("explicit", "lqr"))),
+    Field("matrix", float, ("d", "nd"), when=("mode", ("explicit",))),
+    Field("matrix", float, ("d", "nd"), None, when=("mode", ("poles", "lqr"))),
+    Field("state_weight", float, (), GainSpec.state_weight, POSITIVE),
+    Field("input_weight", float, (), GainSpec.input_weight, POSITIVE),
+    Field("lyapunov_q", float, ("nd",), None, POSITIVE),
+))
+OCP = Section(OcpConfig, (
+    Field("horizon", int, (), OcpConfig.horizon, (Check(lambda v, *_: v >= 2, ">= 2"),)),
+    Field("qr", float, (), OcpConfig.qr, POSITIVE),
+    Field("r", float, (), OcpConfig.r, POSITIVE),
+    Field("rdelta", float, (), OcpConfig.rdelta, NON_NEGATIVE),
+    Field("input_bound", float, (), OcpConfig.input_bound, POSITIVE),
+    Field("error_box", float, ("nd",), None, POSITIVE),
+))
+BARRIERS = Section(BarrierConfig, (
+    # one eCBF pole per chain order, the barrier's relative degree
+    Field("kappa_poles", float, ("n",), BarrierConfig.kappa_poles),
+    Field("d_safe", float, (), BarrierConfig.d_safe, POSITIVE),
+    Field("activation_range", float, (), BarrierConfig.activation_range, POSITIVE),
+))
+SIM = Section(SimConfig, (
+    Field("ts", float, (), SimConfig.ts, POSITIVE),
+    Field("t_end", float, (), SimConfig.t_end, SAMPLING_STEPS),
+    Field("fine_substeps", int, (), SimConfig.fine_substeps, COUNT),
+    Field("seed", int, (), SimConfig.seed, NON_NEGATIVE),
+    Field("feedforward_on", bool, default=SimConfig.feedforward_on),
+    Field("baseline_margins", bool, default=SimConfig.baseline_margins),
+))
+
+
+def _scenario(formation: dict, initial_states: dict, **sections) -> ScenarioConfig:
+    """The config from the file layout: offsets and initial states sit in their own sections."""
+    return ScenarioConfig(
+        offsets=formation["offsets"],
+        initial_leader=initial_states["leader"],
+        initial_followers=initial_states["followers"],
+        **sections,
     )
 
 
-def _vector(raw, name: str, length: int) -> tuple[float, ...]:
-    """``length`` numbers; a wrong count names ``name``."""
-    values = tuple(float(v) for v in raw)
-    if len(values) != length:
-        raise ScenarioError(f"{name}: expected {length} values, got {len(values)}")
-    return values
+SCENARIO = Section(_scenario, (
+    Field("dims", Section(BrunovskyDims, tuple(
+        Field(key, int, checks=COUNT) for key in ("n", "d", "followers")
+    ))),  # first: it sizes the entries after it
+    Field("name", str, default="scenario"),
+    Field("leader", LEADER),
+    Field("agents", FOLLOWER, ("N",)),
+    Field("graph", GRAPH),
+    Field("formation", Section(dict, (Field("offsets", float, ("N+1", "n", "d")),))),
+    Field("obstacles", OBSTACLE, (None,), ()),
+    Field("gains", GAINS, default={}),
+    Field("ocp", OCP, default={}),
+    Field("barriers", BARRIERS, default={}),
+    Field("sim", SIM, default={}),
+    Field("initial_states", Section(dict, (
+        Field("leader", float, ("nd",)), Field("followers", float, ("N", "nd"))
+    ))),
+))
+
+_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
 
-def _floats(raw: dict, key: str, path: str, length: int) -> tuple[float, ...]:
-    """The ``length`` numbers under ``key``; a wrong count names ``path.key``."""
-    return _vector(_req(raw, key, path), f"{path}.{key}", length)
+def _is(raw, kind) -> bool:
+    """Whether the JSON value ``raw`` is a ``kind``, a type or a string literal."""
+    if kind is float and type(raw) is not bool:  # JSON true is no number; NaN fails <=
+        return type(raw) in (int, float) and abs(raw) <= sys.float_info.max
+    return raw == kind if isinstance(kind, str) else type(raw) is kind
 
 
-def _integer(raw: dict, key: str, path: str, default: int) -> int:
-    """The integer under ``key``; a float or a string names ``path.key``."""
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}: must be an integer (got {value!r})")
-    return value
+def _problem(f: Field, raw, siblings: dict, dims: BrunovskyDims | None) -> str | None:
+    """Why ``raw`` cannot be a value of the scalar entry ``f``, or None if it can."""
+    kinds = f.kind if type(f.kind) is tuple else (f.kind,)
+    for kind in kinds:
+        if _is(raw, kind):
+            break
+    else:
+        names = " or ".join(_TYPE_NAMES.get(kind, repr(kind)) for kind in kinds)
+        return f"must be {names} (got {raw!r})"
+    for check in () if type(raw) is str else f.checks:
+        if not check.test(raw, siblings, dims):
+            return f"must be {check.text} (got {raw!r})"
+    return None
 
 
-def _disturbance(raw: dict, path: str, d: int) -> DisturbanceConfig:
-    kind = _req(raw, "kind", path)
-    if kind == "sinusoid":
-        return DisturbanceConfig(
-            kind=kind,
-            amp=_floats(raw, "amp", path, d),
-            freq=_floats(raw, "freq", path, d),
-            phase=_floats(raw, "phase", path, d),
+def _value(f: Field, raw, path: str, shape: tuple, siblings: dict, dims: BrunovskyDims | None):
+    """The value of entry ``f`` at ``path``, where ``shape`` lists the list lengths left."""
+    if shape:
+        if not isinstance(raw, (list, tuple)):
+            raise ScenarioError(f"{path}: expected a list, got {raw!r}")
+        count = shape[0]
+        if isinstance(count, str):
+            n, d, followers = dims.n, dims.d, dims.followers
+            count = {"n": n, "d": d, "nd": n * d, "N": followers, "N+1": followers + 1}[count]
+        if count is not None and len(raw) != count:
+            unit = "rows" if len(shape) > 1 else "values"
+            raise ScenarioError(f"{path}: expected {count} {unit}, got {len(raw)}")
+        rest = shape[1:]
+        return tuple(
+            [_value(f, item, f"{path}[{i}]", rest, siblings, dims) for i, item in enumerate(raw)]
         )
-    if kind == "ball":
-        return DisturbanceConfig(kind=kind, bound=float(_req(raw, "bound", path)))
-    raise ScenarioError(f"{path}: unknown disturbance kind {kind!r}")
+    if type(f.kind) is Section:
+        return walk(f.kind, raw, path, dims)
+    problem = _problem(f, raw, siblings, dims)
+    if problem is not None:
+        raise ScenarioError(f"{path}: {problem}")
+    return float(raw) if type(raw) is int and f.kind is not int else raw
 
 
-def _box(raw: dict, path: str, nd: int) -> Box:
-    return Box(lower=_floats(raw, "lower", path, nd), upper=_floats(raw, "upper", path, nd))
+def walk(section: Section, raw, path: str = "", dims: BrunovskyDims | None = None):
+    """Build ``section`` from the JSON object ``raw`` at ``path``.
+
+    Missing entries take their defaults, which are checked like given
+    values. Every error names the dotted path of the entry at fault.
+    """
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path or 'scenario'}: must be an object (got {raw!r})")
+    prefix = f"{path}." if path else ""
+    known = {f.key for f in section.fields}
+    for key in raw:
+        if key not in known:
+            raise ScenarioError(f"{prefix}{key}: unknown key")
+    values: dict = {}
+    for f in section.fields:
+        if f.when is not None and values[f.when[0]] not in f.when[1]:
+            continue
+        here = prefix + f.key
+        value = raw.get(f.key, f.default)
+        if value is REQUIRED:
+            raise ScenarioError(f"{here}: must be given")
+        if value is not None or f.default is not None:  # null leaves an optional entry out
+            value = _value(f, value, here, f.shape, values, dims)
+        values[f.key] = value
+        if isinstance(value, BrunovskyDims):
+            dims = value
+    try:
+        return section.build(**values)
+    except ScenarioError as exc:  # a condition across entries, such as a box's lower <= upper
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -220,180 +408,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
-
-    dims_raw = _req(raw, "dims", "dims")
-    dims = BrunovskyDims(
-        n=int(_req(dims_raw, "n", "dims")),
-        d=int(_req(dims_raw, "d", "dims")),
-        followers=int(_req(dims_raw, "followers", "dims")),
-    )
-
-    leader_raw = _req(raw, "leader", "leader")
-    tube_raw = _req(leader_raw, "tube", "leader.tube")
-    mode = _req(tube_raw, "mode", "leader.tube")
-    if mode not in ("declared", "lyapunov"):
-        raise ScenarioError(f"leader.tube: unknown mode {mode!r}")
-    leader = LeaderConfig(
-        dynamics=_dynamics(_req(leader_raw, "dynamics", "leader"), "leader.dynamics"),
-        disturbance=_disturbance(
-            _req(leader_raw, "disturbance", "leader"), "leader.disturbance", dims.d
-        ),
-        disturbance_bound=float(_req(leader_raw, "disturbance_bound", "leader")),
-        lipschitz=float(_req(leader_raw, "lipschitz", "leader")),
-        operating_box=_box(
-            _req(leader_raw, "operating_box", "leader"), "leader.operating_box", dims.nd
-        ),
-        rate_bound=float(_req(leader_raw, "rate_bound", "leader")),
-        tube=LeaderTubeConfig(
-            mode=mode,
-            r_ball=float(tube_raw.get("r_ball", 0.0)),
-            residual_lipschitz=float(tube_raw.get("residual_lipschitz", 0.0)),
-            stabilizer=(
-                None
-                if tube_raw.get("stabilizer") is None
-                else tuple(tuple(float(v) for v in r) for r in tube_raw["stabilizer"])
-            ),
-        ),
-    )
-
-    agents = []
-    for idx, item in enumerate(_req(raw, "agents", "agents")):
-        path = f"agents[{idx}]"
-        lip = _req(item, "lipschitz", path)
-        if not (isinstance(lip, (int, float)) or lip == "estimate"):
-            raise ScenarioError(f"{path}.lipschitz: number or 'estimate' expected")
-        margin = item.get("margin_radius")
-        agents.append(
-            FollowerConfig(
-                id=int(_req(item, "id", path)),
-                dynamics=_dynamics(_req(item, "dynamics", path), f"{path}.dynamics"),
-                disturbance=_disturbance(
-                    _req(item, "disturbance", path), f"{path}.disturbance", dims.d
-                ),
-                disturbance_bound=float(_req(item, "disturbance_bound", path)),
-                lipschitz=lip if lip == "estimate" else float(lip),
-                operating_box=_box(
-                    _req(item, "operating_box", path), f"{path}.operating_box", dims.nd
-                ),
-                margin_radius=None if margin is None else float(margin),
-            )
-        )
-    if [a.id for a in agents] != list(range(1, dims.followers + 1)):
+    cfg = walk(SCENARIO, raw)
+    if [a.id for a in cfg.agents] != list(range(1, cfg.dims.followers + 1)):
         raise ScenarioError("agents: ids must be 1..N in order")
-
-    graph_raw = _req(raw, "graph", "graph")
-    rows = _req(graph_raw, "adjacency", "graph")
-    if len(rows) != dims.followers:
-        raise ScenarioError(f"graph.adjacency: expected {dims.followers} rows, got {len(rows)}")
-    graph = GraphConfig(
-        adjacency=tuple(
-            _vector(row, f"graph.adjacency[{i}]", dims.followers) for i, row in enumerate(rows)
-        ),
-        b0=_floats(graph_raw, "b0", "graph", dims.followers),
-        nu1=float(graph_raw.get("nu1", 1.0)),
-        nu2=float(graph_raw.get("nu2", 1.0)),
-    )
-
-    offsets_raw = _req(raw, "formation", "formation")
-    offsets = tuple(
-        tuple(tuple(float(v) for v in order) for order in agent)
-        for agent in _req(offsets_raw, "offsets", "formation")
-    )
-    if len(offsets) != dims.followers + 1:
-        raise ScenarioError("formation.offsets: need leader plus one entry per follower")
-    for agent_off in offsets:
-        if len(agent_off) != dims.n or any(len(o) != dims.d for o in agent_off):
-            raise ScenarioError("formation.offsets: each entry must be n x d")
-
-    obstacles = tuple(
-        Obstacle(
-            center=_floats(item, "center", f"obstacles[{i}]", dims.d),
-            radius=float(_req(item, "radius", f"obstacles[{i}]")),
-            inflation=float(item.get("inflation", 0.0)),
-        )
-        for i, item in enumerate(raw.get("obstacles", []))
-    )
-
-    gains_raw = raw.get("gains", {})
-    lyap_q = gains_raw.get("lyapunov_q")
-    matrix = gains_raw.get("matrix")
-    gains = GainSpec(
-        mode=gains_raw.get("mode", "poles"),
-        poles=tuple(float(p) for p in gains_raw.get("poles", (-2.0, -3.0, -4.0))),
-        matrix=None if matrix is None else tuple(tuple(float(v) for v in r) for r in matrix),
-        state_weight=float(gains_raw.get("state_weight", 1.0)),
-        input_weight=float(gains_raw.get("input_weight", 1.0)),
-        lyapunov_q=None if lyap_q is None else _vector(lyap_q, "gains.lyapunov_q", dims.nd),
-    )
-
-    ocp_raw = raw.get("ocp", {})
-    error_box = ocp_raw.get("error_box")
-    ocp = OcpConfig(
-        horizon=_integer(ocp_raw, "horizon", "ocp", 5),
-        qr=float(ocp_raw.get("qr", 1.0)),
-        r=float(ocp_raw.get("r", 0.1)),
-        rdelta=float(ocp_raw.get("rdelta", 0.01)),
-        input_bound=float(ocp_raw.get("input_bound", 10.0)),
-        error_box=None if error_box is None else _floats(ocp_raw, "error_box", "ocp", dims.nd),
-    )
-    if ocp.horizon < 2:
-        raise ScenarioError("ocp.horizon: must be >= 2")
-    if gains.mode == "poles":  # pole placement needs one closed-loop pole per chain order
-        _vector(gains.poles, "gains.poles", dims.n)
-
-    barriers_raw = {"kappa_poles": BarrierConfig.kappa_poles} | raw.get("barriers", {})
-    barriers = BarrierConfig(
-        # one eCBF pole per chain order, the barrier's relative degree
-        kappa_poles=_floats(barriers_raw, "kappa_poles", "barriers", dims.n),
-        d_safe=float(barriers_raw.get("d_safe", 0.3)),
-        activation_range=float(barriers_raw.get("activation_range", 5.0)),
-    )
-    if not 0.0 < barriers.d_safe < math.inf:
-        raise ScenarioError(
-            f"barriers.d_safe: must be positive and finite (got {barriers.d_safe!r})"
-        )
-
-    sim_raw = raw.get("sim", {})
-    sim = SimConfig(
-        t_end=float(sim_raw.get("t_end", 30.0)),
-        ts=float(sim_raw.get("ts", 0.1)),
-        fine_substeps=_integer(sim_raw, "fine_substeps", "sim", 10),
-        seed=int(sim_raw.get("seed", 0)),
-        feedforward_on=bool(sim_raw.get("feedforward_on", True)),
-        baseline_margins=bool(sim_raw.get("baseline_margins", False)),
-    )
-    if not 0.0 < sim.ts < math.inf:
-        raise ScenarioError(f"sim.ts: must be positive and finite (got {sim.ts!r})")
-    if sim.fine_substeps < 1:
-        raise ScenarioError("sim.fine_substeps: must be >= 1")
-
-    init_raw = _req(raw, "initial_states", "initial_states")
-    initial_leader = tuple(float(v) for v in _req(init_raw, "leader", "initial_states"))
-    initial_followers = tuple(
-        tuple(float(v) for v in row) for row in _req(init_raw, "followers", "initial_states")
-    )
-    if len(initial_leader) != dims.nd:
-        raise ScenarioError("initial_states.leader: wrong length")
-    if len(initial_followers) != dims.followers or any(
-        len(row) != dims.nd for row in initial_followers
-    ):
-        raise ScenarioError("initial_states.followers: need one nd-vector per follower")
-
-    cfg = ScenarioConfig(
-        name=str(raw.get("name", "scenario")),
-        dims=dims,
-        leader=leader,
-        agents=tuple(agents),
-        graph=graph,
-        offsets=offsets,
-        obstacles=obstacles,
-        gains=gains,
-        ocp=ocp,
-        barriers=barriers,
-        sim=sim,
-        initial_leader=initial_leader,
-        initial_followers=initial_followers,
-    )
     _validate_sampling(cfg)
     return cfg
 

@@ -238,11 +238,7 @@ class SimWorld:
         self.violations: list[SafetyViolation] = []
         self.leader_occupancy_peak = math.nan  # set by the end-of-run pass
 
-        if not sim.t_end > 0.0:
-            raise ScenarioError(f"t_end must be positive (got {sim.t_end!r})")
         self.n_steps = int(round(sim.t_end / sim.ts))
-        if abs(self.n_steps * sim.ts - sim.t_end) > 1e-9:
-            raise ScenarioError("t_end must be an integer multiple of the sampling period")
 
         self._init_trace()
 

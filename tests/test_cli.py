@@ -125,6 +125,16 @@ class TestCertify:
         assert f"{section}.{key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    def test_non_hurwitz_gain_poles_exit_2(self, tmp_path, capsys):
+        """Pole placement with a pole in the right half-plane fails at certify time."""
+        doc = json.loads(SMOKE.read_text())
+        doc["gains"]["poles"] = [1.0, -3.0, -4.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 2
+        assert "NotHurwitz" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_non_hurwitz_kappa_poles_exit_2(self, tmp_path, capsys):
         """eCBF poles that give a non-positive class-kappa coefficient fail at certify time."""
         doc = json.loads(SMOKE.read_text())
@@ -172,14 +182,21 @@ class TestRun:
         assert not (tmp_path / "o" / "trace.csv").exists()
 
     def test_nonpositive_scenario_t_end_exit_1(self, tmp_path, capsys):
+        """A scenario's t_end is checked at certify, by the entry that checks --t-end."""
         doc = json.loads(SMOKE.read_text())
         doc["sim"]["t_end"] = 0.0
         scen = tmp_path / "zero.json"
         scen.write_text(json.dumps(doc))
         cert = tmp_path / "cert.json"
-        assert main(["certify", str(scen), "-o", str(cert)]) == 0
-        assert main(["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
-        assert "t_end must be positive" in capsys.readouterr().err
+        assert main(["certify", str(scen), "-o", str(cert)]) == 1
+        assert "sim.t_end: must be positive" in capsys.readouterr().err
+        assert not cert.exists()
+
+    def test_t_end_off_the_sampling_grid_exit_1(self, certified, tmp_path, capsys):
+        argv = ["run", str(SMOKE), "--cert", str(certified), "-o", str(tmp_path / "o")]
+        assert main(argv + ["--t-end", "0.55"]) == 1
+        assert "t_end must be an integer multiple of the sampling period" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_object_certificate_exit_1(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"

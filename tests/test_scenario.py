@@ -1,11 +1,16 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tubeform.cli import main
 from tubeform.errors import ScenarioError
 from tubeform.pipeline import certify_scenario
 from tubeform.scenario import (
+    SCENARIO,
+    Section,
     dumps_scenario,
     load_scenario,
     parse_scenario,
@@ -15,6 +20,7 @@ from tubeform.scenario import (
 
 PAPER = "scenarios/paper_scenario.json"
 SMOKE = "scenarios/smoke_scenario.json"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestParsing:
@@ -66,6 +72,28 @@ class TestRoundTrip:
         again = parse_scenario(dumps_scenario(cfg))
         assert again == cfg
         assert scenario_hash(again) == scenario_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("smoke", "2e33f3c893f72084551d3054bb54890a83986a95439777864aa67b92b629b6d1"),
+            ("paper", "77f2d22215e57e8f9b3c84989189e3fcf5e5a2a6f544469c731edfc3184429b7"),
+            ("ablation", "be39f9f9f9adaab4d0b865b87f6d718f0221bb2eb21a13220666875f1dd80574"),
+        ],
+    )
+    def test_shipped_hashes_pinned(self, name, digest):
+        """Certificates name these hashes; a parser change must not move them."""
+        assert scenario_hash(load_scenario(SCENARIOS / f"{name}_scenario.json")) == digest
+
+    def test_ball_round_trip(self):
+        """A ball is written with empty sinusoid arrays, and those parse back."""
+        doc = json.loads(open(SMOKE).read())
+        for section in [doc["leader"], *doc["agents"]]:
+            section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
+        cfg = parse_scenario(json.dumps(doc))
+        written = scenario_to_dict(cfg)["leader"]["disturbance"]
+        assert written["amp"] == [] and written["bound"] > 0.0
+        assert parse_scenario(dumps_scenario(cfg)) == cfg
 
     def test_hash_sensitivity(self):
         cfg = load_scenario(SMOKE)
@@ -135,3 +163,97 @@ class TestEstimateMode:
         model = build_agent_model(cfg, 1)
         # |d/dx (-0.5 x)| = 0.5, times the 1.25 safety factor
         assert model.drift_lipschitz == pytest.approx(0.625)
+
+
+def _schema_docs() -> list[dict]:
+    """The smoke scenario with every optional entry given, and a copy on the other tags."""
+    doc = scenario_to_dict(load_scenario(SCENARIOS / "smoke_scenario.json"))
+    d, nd = doc["dims"]["d"], doc["dims"]["n"] * doc["dims"]["d"]
+    doc["leader"]["tube"]["stabilizer"] = [[0.0] * nd for _ in range(d)]
+    doc["gains"]["matrix"] = [[1.0] * nd for _ in range(d)]
+    doc["gains"]["lyapunov_q"] = [1.0] * nd
+    doc["ocp"]["error_box"] = [100.0] * nd
+    other = copy.deepcopy(doc)
+    for section in [other["leader"], *other["agents"]]:
+        section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
+    cubic = {"form": "cubic", "coeff": 1.0, "weights": [1.0] * d}
+    other["leader"]["dynamics"]["axes"][0][0] = cubic
+    other["gains"]["mode"] = "lqr"
+    return [doc, other]
+
+
+SCHEMA_DOCS = _schema_docs()
+WRONG_TYPE = {float: "x", int: 1.5, bool: "no", str: 1}
+
+
+def _dotted(steps: tuple) -> str:
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)[1:]
+
+
+def _table_cases(section: Section, node: dict, steps: tuple = ()):
+    """(id, steps, value): a wrong type, sign and shape for each entry of ``node``."""
+    for f in section.fields:
+        if f.key not in node or (f.when and node[f.when[0]] not in f.when[1]):
+            continue
+        here = steps + (f.key,)
+        tag = f"<{node[f.when[0]]}>" if f.when else ""
+        leaf, first = here, node[f.key]
+        while len(leaf) - len(here) < len(f.shape) and first:
+            leaf, first = leaf + (0,), first[0]
+        if len(leaf) - len(here) == len(f.shape):  # the entry has a first value
+            if isinstance(f.kind, Section):
+                yield f"{_dotted(leaf)}-type", leaf, 1
+                yield from _table_cases(f.kind, first, leaf)
+            else:
+                literal = isinstance(f.kind, tuple)
+                yield f"{_dotted(leaf)}{tag}-type", leaf, "bogus" if literal else WRONG_TYPE[f.kind]
+                if f.checks:  # every check in the table rejects -1
+                    yield f"{_dotted(leaf)}{tag}-sign", leaf, -1
+        if f.shape and f.shape[0] is not None:
+            value = node[f.key]
+            yield f"{_dotted(here)}{tag}-shape", here, [*value, value[0] if value else 0.0]
+
+
+SCHEMA_CASES = {}
+for _index, _doc in enumerate(SCHEMA_DOCS):
+    for _id, _steps, _value in _table_cases(SCENARIO, _doc):
+        SCHEMA_CASES.setdefault(_id, (_index, _steps, _value))
+
+
+class TestSchema:
+    @pytest.mark.parametrize("index", range(len(SCHEMA_DOCS)))
+    def test_schema_documents_parse(self, index):
+        parse_scenario(json.dumps(SCHEMA_DOCS[index]))
+
+    @pytest.mark.parametrize(
+        "index, steps, value", list(SCHEMA_CASES.values()), ids=list(SCHEMA_CASES)
+    )
+    def test_table_entry_rejects(self, tmp_path, capsys, index, steps, value):
+        """Each table entry rejects a wrong type, sign or shape at certify, naming its path."""
+        doc = copy.deepcopy(SCHEMA_DOCS[index])
+        node = doc
+        for step in steps[:-1]:
+            node = node[step]
+        node[steps[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
+        assert f"error: {_dotted(steps)}: " in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_integer_beyond_float_range_named(self):
+        doc = json.loads(open(SMOKE).read())
+        doc["sim"]["ts"] = 10**400
+        with pytest.raises(ScenarioError, match=r"^sim\.ts: must be a finite number"):
+            parse_scenario(json.dumps(doc))
+
+    def test_unknown_key_named(self):
+        doc = json.loads(open(SMOKE).read())
+        doc["obstacle"] = doc.pop("obstacles")
+        with pytest.raises(ScenarioError, match=r"^obstacle: unknown key"):
+            parse_scenario(json.dumps(doc))
+        doc = json.loads(open(SMOKE).read())
+        doc["agents"][1]["dynamics"]["axes"][0][0]["ordr"] = 2
+        path = r"^agents\[1\]\.dynamics\.axes\[0\]\[0\]\.ordr: unknown key"
+        with pytest.raises(ScenarioError, match=path):
+            parse_scenario(json.dumps(doc))
