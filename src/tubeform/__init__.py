@@ -27,7 +27,6 @@ from .models import (
     BrunovskyDims,
     DriftSpec,
     DriftTerm,
-    FormationSpec,
     LyapunovPair,
     Obstacle,
     chain_matrices,

@@ -24,7 +24,7 @@ from .errors import (
     TubeformError,
 )
 from .pipeline import certify_scenario, check_certificate, load_certificate, write_certificate
-from .scenario import load_scenario, scenario_hash
+from .scenario import load_scenario
 from .sim import SimConfig, SimTrace, run_simulation, trace_metrics
 from .svgplot import SvgFigure
 
@@ -78,7 +78,7 @@ def cmd_run(
         cert_doc = load_certificate(cert_path)
     except (ScenarioError, OSError) as exc:
         return _error(exc)
-    sha = scenario_hash(cfg)
+    sha = cfg.sha256  # cached on cfg: certifying this cfg does not hash it again
     if cert_doc.get("scenario_sha256") != sha:
         print("error: certificate does not match scenario (hash mismatch)", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphNotRooted, ScenarioError
+from .errors import GraphNotRooted
 from .linalg import eig_sym
 
 
@@ -23,16 +23,13 @@ class CommGraph:
     adjacency[i, j] = a_ij > 0 iff agent i listens to agent j (edge j -> i),
     using 0-based follower indices. b0[i] > 0 iff agent i is pinned to the
     leader. nu1, nu2 are the coupling scalars of the synchronization error.
+    The adjacency's shape, signs and zero diagonal are checked at parse.
     """
 
     adjacency: np.ndarray
     b0: np.ndarray
     nu1: float = 1.0
     nu2: float = 1.0
-
-    def __post_init__(self):
-        if np.any(np.diag(self.adjacency) != 0.0):  # shapes and signs are checked at parse
-            raise ScenarioError("adjacency must have a zero diagonal")
 
     @property
     def n_followers(self) -> int:

@@ -344,26 +344,6 @@ def estimate_lipschitz(
 
 
 @dataclass(frozen=True)
-class FormationSpec:
-    """Formation offsets psi[i][p] in R^d for agents 0..N and orders 1..n."""
-
-    dims: BrunovskyDims
-    offsets: np.ndarray  # (N+1, n, d)
-
-    def __post_init__(self):
-        expected = (self.dims.followers + 1, self.dims.n, self.dims.d)
-        if self.offsets.shape != expected:
-            raise DimensionMismatch(f"offsets must have shape {expected}")
-
-    def offset(self, agent: int, order: int) -> np.ndarray:
-        return self.offsets[agent, order - 1]
-
-    def stacked(self, agent: int) -> np.ndarray:
-        """Full-state offset vector (psi_1, ..., psi_n) for one agent."""
-        return self.offsets[agent].reshape(-1)
-
-
-@dataclass(frozen=True)
 class Obstacle:
     """Circular obstacle; the barrier uses radius + inflation as keep-out."""
 

@@ -11,7 +11,10 @@ The QP is condensed onto the input sequence. The terminal control law is
 always substituted for the last input, so the free inputs are steps
 0..H-2; the terminal ellipsoid enters as one supporting hyperplane per
 linearization pass, and barrier rows are affine in the per-step input at a
-frozen linearization trajectory.
+frozen linearization trajectory. The barrier rows and the terminal cut are
+relaxed by an l1 exact penalty (Nocedal & Wright, Numerical Optimization,
+2nd ed., 2006, section 17.2), so every pass has a QP solution; the input
+box and the error box stay hard.
 
 The chain recurrence over the horizon is one linear map, built once per
 spec (``OcpSpec.horizon_maps``): the trajectory's response to its initial
@@ -47,6 +50,11 @@ SQP_TOL = 1e-5
 SQP_MAX_PASSES = 5
 SQP_DAMPING = 0.5  # relaxation applied after the first pass to stop zigzag
 QP_TOL = 1e-8
+# exact-penalty weight per row group: 0 is obstacle rows, 1 inter-agent rows,
+# the last entry the terminal cut; group -1 marks hard rows. Violating an
+# obstacle row is far more expensive than an inter-agent row, which outranks
+# the terminal cut.
+SLACK_PENALTY = (1e6, 3e4, 1e4)
 
 
 def discretize_error_dynamics(dims: BrunovskyDims, ts: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +133,7 @@ class OcpSpec:
     rdelta: np.ndarray  # (d, d)
     pr: np.ndarray  # (nd, nd)
     input_bound: float  # tightened per-axis bound on the nominal input
-    terminal_gain: np.ndarray | None  # (d, nd)
+    terminal_gain: np.ndarray  # (d, nd)
     terminal_level: float
     coupling: float  # nu1 * d_i + nu2 * b_i0
     ad: np.ndarray
@@ -161,7 +169,9 @@ class OcpSpec:
 class BarrierRows(NamedTuple):
     """One block of affine barrier rows ``a[r] . v_step[r] + b[r] >= 0`` on the nominal inputs.
 
-    ``group`` tags each row with its slack penalty group (see ``build_qp``).
+    ``step`` is in 0..H-2, the freely optimized inputs: the last input
+    follows the terminal law. ``group`` tags each row with its entry of
+    ``SLACK_PENALTY``.
     """
 
     step: np.ndarray  # (m,) int
@@ -182,7 +192,6 @@ class OcpSolution:
     iterations: int
     sqp_passes: int
     status: str
-    row_slack: float = math.inf  # min slack of the last pass's barrier rows
     slack: float = 0.0  # exact-penalty violation; inf when the QP itself failed
     converged: bool = False  # input change fell below tolerance within the pass cap
 
@@ -193,9 +202,7 @@ class _CondensedMaps:
 
     t_map: np.ndarray  # z = t_map @ z_free + t_off
     t_off: np.ndarray
-    e_map: np.ndarray  # stacked (ebar_1 .. ebar_H) = e_map @ z + e_off
-    e_off: np.ndarray
-    n_slack: int = 0  # trailing slack variables appended to the QP decision
+    n_slack: int  # trailing slack variables appended to the QP decision
 
 
 @dataclass(frozen=True)
@@ -231,8 +238,6 @@ class _Condensing:
         e_map = -spec.coupling * bz
 
         # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0
-        if spec.terminal_gain is None:
-            raise ScenarioError("the OCP spec has no terminal gain for its terminal law")
         if h < 2:
             raise ScenarioError("terminal-law substitution needs horizon >= 2")
         khat = spec.terminal_gain
@@ -288,10 +293,9 @@ def build_qp(
     s_seq: np.ndarray,
     v_prev: np.ndarray,
     barrier_rows: BarrierRows,
-    lin_inputs: np.ndarray | None = None,
-    slack_penalty: tuple[float, ...] | None = None,
+    lin_inputs: np.ndarray,
 ) -> tuple[QpProblem, _CondensedMaps]:
-    """Condense the OCP into an inequality-constrained QP on the inputs.
+    """Condense the OCP into the exact-penalty QP on the free inputs and the slacks.
 
     ``barrier_rows`` is one row block: row r is the constraint
     ``a[r] . v_step[r] + b[r] >= 0`` evaluated at the caller's linearization
@@ -300,13 +304,10 @@ def build_qp(
     they reach, read off ``e_off + e_map @ v``, anchors the
     supporting-hyperplane row of the terminal ellipsoid.
 
-    With ``slack_penalty`` set, barrier and terminal-set rows get
-    nonnegative slack variables penalized linearly (exact penalty): a
-    feasible problem still returns zero slack, an infeasible one returns
-    the minimally violating plan. A row's ``group`` selects its entry of
-    ``slack_penalty``, so obstacle rows can be made strictly more expensive
-    to violate than inter-agent rows; the terminal cut takes the last
-    entry. Input box rows always stay hard.
+    Barrier and terminal-set rows get one nonnegative slack variable per
+    ``SLACK_PENALTY`` group in use, penalized linearly: a feasible problem
+    still returns zero slack, an infeasible one returns the minimally
+    violating plan. Input-box and error-box rows stay hard.
     """
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
     if e0.shape != (nd,) or s_seq.shape != (h, d):
@@ -329,7 +330,6 @@ def build_qp(
     )
 
     # rows a . z + b' >= 0 on the full inputs after the box rows, as (a, -b', group)
-    # with group -1 hard, otherwise the slack group
     m = barrier_rows.b.size
     a_barrier = np.zeros((m, n_z))
     a_barrier[np.arange(m)[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
@@ -345,7 +345,7 @@ def build_qp(
         a_rows.append(box)
         b_rows.append(box_b)
         soft.append(np.full(box_b.size, -1))
-    if lin_inputs is not None and np.isfinite(spec.terminal_level):
+    if np.isfinite(spec.terminal_level):
         blk = slice((h - 1) * nd, h * nd)
         e_ref = e_off[blk] + e_map[blk] @ lin_inputs.reshape(-1)
         level = float(e_ref @ spec.pr @ e_ref)
@@ -354,7 +354,7 @@ def build_qp(
             py = spec.pr @ y
             a_rows.append((-e_map[blk].T @ py)[None])
             b_rows.append([float(py @ e_off[blk]) - spec.terminal_level])
-            soft.append([len(slack_penalty) - 1 if slack_penalty is not None else 0])
+            soft.append([len(SLACK_PENALTY) - 1])
     a_rows, b_rows = np.vstack(a_rows), np.concatenate(b_rows)
 
     # reduce everything onto the free inputs
@@ -365,33 +365,24 @@ def build_qp(
     b_f = np.concatenate([-spec.input_bound - cond.box_a @ t_off, b_rows - a_rows @ t_off])
     soft = np.concatenate([np.full(cond.box_a.shape[0], -1), *soft])
 
-    groups = soft[soft >= 0] if slack_penalty is not None else soft[:0]
-    used_groups = np.flatnonzero(np.bincount(groups))  # ascending, each once
-    if used_groups.size:
-        n_free = hess_f.shape[0]
-        n_sig = used_groups.size
-        hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
-        hess_s[:n_free, :n_free] = hess_f
-        hess_s_inv = np.eye(n_free + n_sig)  # so its inverse is block-diagonal too
-        hess_s_inv[:n_free, :n_free] = cond.hess_f_inv
-        lin_s = np.concatenate([lin_f, np.asarray(slack_penalty, dtype=float)[used_groups]])
-        a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
-        a_s[: a_f.shape[0], :n_free] = a_f
-        a_s[: a_f.shape[0], n_free:] = soft[:, None] == used_groups
-        a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
-        b_s = np.concatenate([b_f, np.zeros(n_sig)])
-        qp = QpProblem(
-            hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f,
-            hessian_inv=hess_s_inv,
-        )
-    else:
-        qp = QpProblem(
-            hessian=hess_f, linear=lin_f, a_in=a_f, b_in=b_f, constant=const_f,
-            hessian_inv=cond.hess_f_inv,
-        )
-    return qp, _CondensedMaps(
-        t_map=t_map, t_off=t_off, e_map=e_map, e_off=e_off, n_slack=used_groups.size
+    used_groups = np.flatnonzero(np.bincount(soft[soft >= 0]))  # ascending, each once
+    n_free = hess_f.shape[0]
+    n_sig = used_groups.size
+    hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
+    hess_s[:n_free, :n_free] = hess_f
+    hess_s_inv = np.eye(n_free + n_sig)  # so its inverse is block-diagonal too
+    hess_s_inv[:n_free, :n_free] = cond.hess_f_inv
+    lin_s = np.concatenate([lin_f, np.asarray(SLACK_PENALTY)[used_groups]])
+    a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
+    a_s[: a_f.shape[0], :n_free] = a_f
+    a_s[: a_f.shape[0], n_free:] = soft[:, None] == used_groups
+    a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
+    b_s = np.concatenate([b_f, np.zeros(n_sig)])
+    qp = QpProblem(
+        hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f,
+        hessian_inv=hess_s_inv,
     )
+    return qp, _CondensedMaps(t_map=t_map, t_off=t_off, n_slack=n_sig)
 
 
 def rollout(spec: OcpSpec, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
@@ -413,8 +404,7 @@ def solve_ocp(
     ff_seq: np.ndarray,
     v_prev: np.ndarray,
     warm_inputs: np.ndarray,
-    row_builder=None,
-    slack_penalty: tuple[float, ...] | None = None,
+    row_builder,
 ) -> OcpSolution:
     """Successive linearization around the predicted nominal trajectory.
 
@@ -434,17 +424,16 @@ def solve_ocp(
     offline design property, so re-imposing the row there would only create
     artificial conflicts with far-from-terminal errors.
 
-    With ``slack_penalty`` set the passes solve the exact-penalty softened
-    QP: the method can then route around linearizations whose hard rows are
-    momentarily inconsistent. The returned status is Infeasible whenever
-    the final pass needed nonzero slack (infinite when its QP had no
-    solution), and the last plan is still returned for the caller's fallback.
+    The passes solve the exact-penalty QP, so the method can route around
+    linearizations whose rows are momentarily inconsistent. The returned
+    status is Infeasible whenever the final pass needed nonzero slack
+    (infinite when its QP had no solution), and the last plan is still
+    returned for the caller's fallback.
     """
     h, d = spec.horizon, spec.dims.d
     inputs = warm_inputs.copy()
     iterations = 0
     status = OPTIMAL
-    rows = BarrierRows.empty(d)
     passes = 0
     objective = math.inf
     slack_used = 0.0
@@ -452,17 +441,13 @@ def solve_ocp(
     guess = np.zeros(0, dtype=bool)  # so the first pass starts cold
     for passes in range(1, SQP_MAX_PASSES + 1):
         states = rollout(spec, x0_nominal, inputs + ff_seq)
-        if row_builder is not None:
-            rows = row_builder(states)
-            rows = BarrierRows(*(field[rows.step < h - 1] for field in rows))
         qp, maps = build_qp(
             spec,
             e0,
             s_seq,
             v_prev,
-            rows,
-            lin_inputs=inputs,
-            slack_penalty=slack_penalty,
+            row_builder(states),
+            inputs,
         )
         sol = solve_qp(qp, tol=QP_TOL, active=guess if guess.size == qp.b_in.size else None)
         guess = sol.active
@@ -471,13 +456,9 @@ def solve_ocp(
         if status == INFEASIBLE:  # no plan from this pass: keep the iterate
             objective = slack_used = math.inf
             break
-        if maps.n_slack:
-            slack_used = float(np.max(sol.z[-maps.n_slack :]))
-            z_free = sol.z[: -maps.n_slack]
-        else:
-            slack_used = 0.0
-            z_free = sol.z
-        z = maps.t_map @ z_free + maps.t_off
+        n_free = sol.z.size - maps.n_slack
+        slack_used = float(np.max(sol.z[n_free:])) if maps.n_slack else 0.0
+        z = maps.t_map @ sol.z[:n_free] + maps.t_off
         new_inputs = z.reshape(h, d)
         delta = float(np.max(np.abs(new_inputs - inputs)))
         if passes == 1:
@@ -492,7 +473,6 @@ def solve_ocp(
     if slack_used > 1e-6:
         status = INFEASIBLE
 
-    slack = float(np.min(np.sum(rows.a * inputs[rows.step], axis=1) + rows.b, initial=math.inf))
     return OcpSolution(
         inputs=inputs,
         errors=rollout(spec, e0, s_seq - spec.coupling * inputs),
@@ -500,7 +480,6 @@ def solve_ocp(
         iterations=iterations,
         sqp_passes=passes,
         status=status,
-        row_slack=slack,
         slack=slack_used,
         converged=converged,
     )

@@ -25,7 +25,7 @@ from .errors import NotHurwitz, ScenarioError
 from .graph import GlobalBoundCertificate, global_bound
 from .models import AgentModel
 from .protocol import relay_parents
-from .scenario import ScenarioConfig, build_all_models, build_graph, scenario_hash
+from .scenario import ScenarioConfig, build_all_models, build_graph
 
 SPOT_CHECK_SEED = 0x5EED
 
@@ -122,7 +122,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     bound_cert = global_bound(g, radii, leader_cert.r_ball0)
     return CertificationResult(
         scenario_name=cfg.name,
-        scenario_sha256=scenario_hash(cfg),
+        scenario_sha256=cfg.sha256,
         leader=leader_cert,
         tubes=tuple(tubes),
         bound_cert=bound_cert,

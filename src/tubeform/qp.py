@@ -52,14 +52,11 @@ class QpSolution:
     status: str
     iterations: int
     objective: float
-    stationarity: float = np.inf
-    feasibility: float = np.inf
-    complementarity: float = np.inf
-    active: np.ndarray | None = None  # (rows,) bool: the rows active at the returned point
+    active: np.ndarray  # (rows,) bool: the rows active at the returned point
 
 
 def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[float, float, float]:
-    """(stationarity, primal feasibility, complementarity) residuals."""
+    """The KKT residuals: max |H z + g - A' duals|, worst row violation, max |duals * slack|."""
     stat = qp.hessian @ z + qp.linear
     if qp.a_in.size:
         stat = stat - qp.a_in.T @ duals
@@ -183,7 +180,7 @@ def solve_qp(
     every multiplier is nonnegative and zero off the active set, and z
     minimizes the objective with the active rows held as equalities, up to
     roundoff. That roundoff scales with the multipliers: with well-scaled
-    rows all three KKT residuals stay below 1e-8, but where an exact-penalty
+    rows all three ``kkt_residuals`` stay below 1e-8, but where an exact-penalty
     slack weight of 1e6 binds, the multipliers reach that weight and the
     complementarity residual (a multiplier times the roundoff in its active
     row's slack) reaches a few 1e-4.
@@ -198,10 +195,7 @@ def solve_qp(
     )
     mask = np.zeros(b.size, dtype=bool)
     mask[rows] = True
-    sol = QpSolution(
+    return QpSolution(
         z=z, duals=duals, status=status, iterations=iterations, objective=qp.objective(z),
         active=mask,
     )
-    if status != INFEASIBLE:
-        sol.stationarity, sol.feasibility, sol.complementarity = kkt_residuals(qp, z, duals)
-    return sol

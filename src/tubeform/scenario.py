@@ -13,6 +13,7 @@ JSON parser.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -34,7 +35,6 @@ from .models import (
     BrunovskyDims,
     DriftSpec,
     DriftTerm,
-    FormationSpec,
     Obstacle,
     SinusoidDisturbance,
     estimate_lipschitz,
@@ -92,6 +92,10 @@ class GraphConfig:
     b0: tuple[float, ...]
     nu1: float = 1.0
     nu2: float = 1.0
+
+    def __post_init__(self):
+        if any(row[i] != 0.0 for i, row in enumerate(self.adjacency)):
+            raise ScenarioError("adjacency must have a zero diagonal")
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,11 @@ class ScenarioConfig:
     sim: SimConfig
     initial_leader: tuple[float, ...]
     initial_followers: tuple[tuple[float, ...], ...]
+
+    @functools.cached_property
+    def sha256(self) -> str:
+        """``scenario_hash`` of this config, computed on first use."""
+        return scenario_hash(self)
 
 
 # --- the schema: one table of entries, read by one walker ---
@@ -468,10 +477,6 @@ def build_graph(cfg: ScenarioConfig) -> CommGraph:
         nu1=cfg.graph.nu1,
         nu2=cfg.graph.nu2,
     )
-
-
-def build_formation(cfg: ScenarioConfig) -> FormationSpec:
-    return FormationSpec(dims=cfg.dims, offsets=np.asarray(cfg.offsets, dtype=float))
 
 
 def _build_disturbance(

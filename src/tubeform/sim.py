@@ -46,12 +46,9 @@ from .ocp import (
 )
 from .pipeline import CertificationResult
 from .protocol import MessageBoard, initial_broadcast, relay_leader, relay_parents, shift_plan
-from .scenario import ScenarioConfig, SimConfig, build_formation, build_graph, initial_states
+from .scenario import ScenarioConfig, SimConfig, build_graph, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
-# exact-penalty weights for relaxed solves: violating an obstacle row is far
-# more expensive than an inter-agent row, which outranks the terminal cut
-SLACK_PENALTY = (1e6, 3e4, 1e4)
 
 
 @dataclass
@@ -127,7 +124,6 @@ class SimWorld:
         self.sim = sim
         self.dims = cfg.dims
         self.graph = build_graph(cfg)
-        self.formation = build_formation(cfg)
         self.models = cert.models
         self.n = cfg.dims.followers
         self.nd = cfg.dims.nd
@@ -229,7 +225,7 @@ class SimWorld:
         self.board = MessageBoard(self.n, self.horizon, self.d, self.nd)
         self.v_applied = np.zeros((self.n, self.d))
         self._drive_map = self.graph.nu1 * self.graph.adjacency
-        self._offsets = self.formation.offsets.reshape(self.n + 1, self.nd)
+        self._offsets = np.asarray(cfg.offsets, dtype=float).reshape(self.n + 1, self.nd)
         # (reader, sender) per directed edge, and the readers' one-step predictions
         # of their senders; at deployment these are the measurements themselves
         self._edges = np.nonzero(self.graph.adjacency > 0.0)
@@ -339,7 +335,6 @@ class SimWorld:
                 self.v_applied[i],
                 shifted[i],
                 row_builder=self._row_builder(i, k, ff_seq, preds, shifted),
-                slack_penalty=SLACK_PENALTY,
             )
         except DegenerateGradient:
             return None
@@ -514,8 +509,8 @@ class SimWorld:
         first, second = np.triu_indices(n, 1)
         gaps = np.linalg.norm(positions[:, first] - positions[:, second], axis=-1)
         clr_pair = np.min(gaps, axis=-1, initial=math.inf) - self.cfg.barriers.d_safe
-        leader_pos = x[:, 0, :d] - self.formation.offset(0, 1)
-        errs = positions - self.formation.offsets[1:, 0] - leader_pos[:, None]
+        leader_pos = x[:, 0, :d] - self._offsets[0, :d]
+        errs = positions - self._offsets[1:, :d] - leader_pos[:, None]
         stacked = np.sqrt(np.sum(errs**2, axis=(1, 2)))
 
         self.trace_data[:, self._trace_cols["derived"]] = np.column_stack(

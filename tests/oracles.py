@@ -164,3 +164,42 @@ def rollout_objective(spec, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarra
         prev = inputs[step]
     total += float(errors[-1] @ spec.pr @ errors[-1])
     return total
+
+
+def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs):
+    """The OCP's QP on the free inputs with every row hard, from ``spec.condensing``.
+
+    The rows are the input box, the barrier ``rows`` (``a . v_step + b >= 0``)
+    and the terminal ellipsoid's supporting hyperplane at the terminal error
+    ``lin_inputs`` reach: the exact-penalty QP without its slack variables.
+    Returns (QP terms hessian, linear, a_in, b_in of ``A z >= b``, t_map, t_off);
+    the full input stack is ``t_map @ z + t_off``.
+    """
+    assert spec.error_box is None  # no error-box rows are assembled here
+    cond = spec.condensing
+    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
+    e_off = cond.free_map @ e0 + cond.bz @ s_seq.reshape(-1)
+    t_off = np.zeros(h * d)  # the terminal law's offset on the last input
+    t_off[(h - 1) * d :] = cond.w_mat @ e_off[(h - 2) * nd : (h - 1) * nd] + cond.w_drive @ s_seq[-1]
+    d_off = np.zeros(h * d)
+    d_off[:d] = -v_prev
+    lin = cond.lin_e @ e_off + cond.lin_d @ d_off
+
+    # rows a . v + b >= 0 on the full input stack v
+    a_full = [cond.box_a]
+    b_full = [np.full(cond.box_a.shape[0], spec.input_bound)]
+    for step, a, b in zip(rows.step, rows.a, rows.b):
+        row = np.zeros((1, h * d))
+        row[0, step * d : (step + 1) * d] = a
+        a_full.append(row)
+        b_full.append([b])
+    blk = slice((h - 1) * nd, h * nd)
+    e_ref = e_off[blk] + cond.e_map[blk] @ lin_inputs.reshape(-1)
+    level = float(e_ref @ spec.pr @ e_ref)
+    if np.isfinite(spec.terminal_level) and level > 1e-12:
+        py = spec.pr @ e_ref * np.sqrt(spec.terminal_level / level)
+        a_full.append((-cond.e_map[blk].T @ py)[None])  # py . e_H <= terminal level
+        b_full.append([spec.terminal_level - py @ e_off[blk]])
+    a_full, b_full = np.vstack(a_full), np.concatenate(b_full)
+    linear = cond.t_map.T @ (cond.hess @ t_off + lin)
+    return cond.hess_f, linear, a_full @ cond.t_map, -b_full - a_full @ t_off, cond.t_map, t_off

@@ -1,10 +1,12 @@
 import json
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+from tubeform import cli, scenario
 from tubeform.cli import main
 from tubeform.sim import SimTrace
 
@@ -173,6 +175,39 @@ class TestRun:
         assert trace.metadata["seed"] == "7"
         cert_hash = json.loads(certified.read_text())["scenario_sha256"]
         assert trace.metadata["scenario_sha256"] == cert_hash
+
+    def test_run_hashes_the_scenario_once(self, certified, tmp_path, monkeypatch):
+        """The hash checked against the certificate is the one certification records."""
+        calls = []
+        real = scenario.scenario_hash
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("tubeform") and hasattr(
+                module, "scenario_hash"
+            ):
+                monkeypatch.setattr(module, "scenario_hash", counting)
+        argv = ["run", str(SMOKE), "--cert", str(certified), "-o", str(tmp_path / "o")]
+        assert main(argv + ["--t-end", "0.2"]) == 0
+        assert len(calls) == 1
+
+    def test_hash_mismatch_exits_before_certification(self, certified, tmp_path, capsys, monkeypatch):
+        doc = json.loads(SMOKE.read_text())
+        doc["name"] = "renamed"
+        scen = tmp_path / "renamed.json"
+        scen.write_text(json.dumps(doc))
+
+        def certify(*args, **kwargs):
+            raise AssertionError("recertified a scenario its certificate does not match")
+
+        monkeypatch.setattr(cli, "certify_scenario", certify)
+        argv = ["run", str(scen), "--cert", str(certified), "-o", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "hash mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("t_end", ["-1", "0"])
     def test_nonpositive_t_end_exit_1(self, certified, tmp_path, capsys, t_end):

@@ -11,7 +11,6 @@ from tubeform.graph import (
     has_leader_spanning_tree,
     min_singular_value,
 )
-from tubeform.models import BrunovskyDims, FormationSpec
 
 from oracles import inverse_power_min_singular
 
@@ -28,11 +27,11 @@ def chain_graph(n=5, pinned=(0,)):
 
 
 def formation(n_followers, d=2, n_orders=1, offsets=None):
-    dims = BrunovskyDims(n=n_orders, d=d, followers=n_followers)
+    """(N+1, n, d) offsets, leader first, as the run reads a scenario's ``formation.offsets``."""
     arr = np.zeros((n_followers + 1, n_orders, d))
     if offsets is not None:
         arr[:, 0, :] = offsets
-    return dims, FormationSpec(dims=dims, offsets=arr)
+    return arr
 
 
 class TestSpanningTree:
@@ -99,11 +98,11 @@ def neighbor_sum_zbar(i, radii, r0, g):
 
 class TestSyncError:
     def test_perfect_formation_zero(self):
-        dims, form = formation(3, offsets=[[0, 0], [1, 0], [2, 0], [3, 0]])
+        offsets = formation(3, offsets=[[0, 0], [1, 0], [2, 0], [3, 0]])
         g = chain_graph(3)
         leader = np.array([5.0, 1.0])
-        states = np.stack([leader + form.offset(a, 1) for a in range(4)])
-        errors = g.sync_errors(states - form.offsets[:, 0])
+        states = np.stack([leader + offsets[a, 0] for a in range(4)])
+        errors = g.sync_errors(states - offsets[:, 0])
         assert np.allclose(errors, 0.0, atol=1e-14)
 
     def test_single_follower_direct(self):

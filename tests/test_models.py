@@ -14,7 +14,6 @@ from tubeform.models import (
     DisturbanceStack,
     DriftSpec,
     DriftTerm,
-    FormationSpec,
     Obstacle,
     SinusoidDisturbance,
     chain_matrices,
@@ -278,14 +277,6 @@ class TestDisturbanceStack:
 
 
 class TestFormationAndObstacle:
-    def test_offsets_shape(self):
-        offsets = np.zeros((6, 3, 2))
-        offsets[1, 0] = [-9.0, 2.0]
-        spec = FormationSpec(dims=DIMS, offsets=offsets)
-        assert np.allclose(spec.offset(1, 1), [-9.0, 2.0])
-        assert np.allclose(spec.offset(1, 2), 0.0)
-        assert spec.stacked(1)[0] == -9.0
-
     def test_effective_radius(self):
         assert Obstacle(center=(1.0, 1.0), radius=0.5, inflation=0.15).effective_radius == 0.65
 

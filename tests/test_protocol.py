@@ -29,7 +29,7 @@ def minimal_spec(dims, ts=0.1, horizon=5):
     return OcpSpec(
         dims=dims, horizon=horizon, ts=ts,
         qr=np.eye(dims.nd), r=np.eye(dims.d), rdelta=np.zeros((dims.d, dims.d)),
-        pr=np.eye(dims.nd), input_bound=np.inf, terminal_gain=None,
+        pr=np.eye(dims.nd), input_bound=np.inf, terminal_gain=np.zeros((dims.d, dims.nd)),
         terminal_level=np.inf, coupling=1.0, ad=ad, bd=bd,
     )
 

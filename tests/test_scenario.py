@@ -241,6 +241,31 @@ class TestSchema:
         assert f"error: {_dotted(steps)}: " in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize(
+        "steps, value, message",
+        [
+            (("graph", "adjacency", 0, 0), 1.0, "graph: adjacency must have a zero diagonal"),
+            (
+                ("leader", "operating_box", "lower", 0),
+                1e9,
+                "leader.operating_box: box has lower bound above upper bound",
+            ),
+        ],
+        ids=["adjacency-diagonal", "box-lower-above-upper"],
+    )
+    def test_condition_across_entries_rejects(self, tmp_path, capsys, steps, value, message):
+        """A condition across the entries of a section fails certify, naming the section."""
+        doc = json.loads(open(SMOKE).read())
+        node = doc
+        for step in steps[:-1]:
+            node = node[step]
+        node[steps[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.json").exists()
+
     def test_integer_beyond_float_range_named(self):
         doc = json.loads(open(SMOKE).read())
         doc["sim"]["ts"] = 10**400
