@@ -17,7 +17,6 @@ from .graph import (
     CommGraph,
     GlobalBoundCertificate,
     global_bound,
-    has_leader_spanning_tree,
     min_singular_value,
 )
 from .linalg import eig_sym, rk4_step, solve_continuous_lyapunov

@@ -7,7 +7,6 @@ Exit codes: 0 success; 1 parse/IO/hash errors; 2 certification infeasibility;
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -78,18 +77,16 @@ def cmd_run(
         cert_doc = load_certificate(cert_path)
     except (ScenarioError, OSError) as exc:
         return _error(exc)
-    sha = cfg.sha256  # cached on cfg: certifying this cfg does not hash it again
-    if cert_doc.get("scenario_sha256") != sha:
+    # cfg caches its hash, so certifying cfg below does not hash it again
+    if cert_doc.get("scenario_sha256") != cfg.sha256:
         print("error: certificate does not match scenario (hash mismatch)", file=sys.stderr)
         return 1
-    if seed is not None:
-        # the disturbance models are built from the seed; the trace names the file's hash
-        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
-    result = dataclasses.replace(certify_scenario(cfg, spot_checks=False), scenario_sha256=sha)
+    result = certify_scenario(cfg, spot_checks=False)
     try:
         check_certificate(cert_doc, result)
         sim_cfg = SimConfig.from_scenario(  # None keeps the scenario's value
             cfg,
+            seed=seed,
             t_end=t_end,
             feedforward_on=(not cfg.sim.feedforward_on) if toggle_feedforward else None,
             baseline_margins=baseline_margins or None,

@@ -2,12 +2,15 @@
 
 The augmented Laplacian M = nu1 L + nu2 B0 is the one graph matrix: the
 synchronization errors are -M q on the stacked offset-corrected chain
-states, the exogenous error drive is nu1 A on the shifted plans (the
-off-diagonal of -M), and the local deviation bounds are |M| r + nu2 b0 r0.
+states, each agent's coupling is its diagonal entry, the exogenous error
+drive is nu1 A on the shifted plans (the off-diagonal of -M), and the local
+deviation bounds are |M| r + nu2 b0 r0. M and the leader-rooted relay tree
+are built on first use and kept with the graph.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,53 +41,39 @@ class CommGraph:
     def neighbors(self, i: int) -> list[int]:
         return [j for j in range(self.n_followers) if self.adjacency[i, j] > 0.0]
 
-    def degree(self, i: int) -> float:
-        return float(np.sum(self.adjacency[i]))
+    @functools.cached_property
+    def m(self) -> np.ndarray:
+        """M = nu1 L + nu2 B0; m[i, i] = nu1 d_i + nu2 b_i0 is the gain on agent i's own input."""
+        laplacian = np.diag(np.sum(self.adjacency, axis=1)) - self.adjacency
+        m = self.nu1 * laplacian + self.nu2 * np.diag(self.b0)
+        m.setflags(write=False)
+        return m
 
-    def laplacian(self) -> np.ndarray:
-        return np.diag(np.sum(self.adjacency, axis=1)) - self.adjacency
+    @functools.cached_property
+    def relay_tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, depth) int arrays of the BFS over the augmented digraph from the leader.
 
-    def augmented(self) -> np.ndarray:
-        """M = nu1 * L + nu2 * B0."""
-        return self.nu1 * self.laplacian() + self.nu2 * np.diag(self.b0)
-
-    def coupling(self, i: int) -> float:
-        """nu1 * d_i + nu2 * b_i0, the gain on agent i's own input in e^i."""
-        return self.nu1 * self.degree(i) + self.nu2 * float(self.b0[i])
+        A pinned agent's parent is -1 (the leader); ties break toward the
+        lowest index. Raises ``GraphNotRooted`` if a follower is unreachable.
+        """
+        parent = np.full(self.n_followers, -1)
+        depth = np.full(self.n_followers, -1)
+        queue = list(np.flatnonzero(self.b0 > 0.0))
+        depth[queue] = 0
+        for j in queue:  # the queue grows while it is walked
+            new = np.flatnonzero((self.adjacency[:, j] > 0.0) & (depth < 0))
+            parent[new] = j
+            depth[new] = depth[j] + 1
+            queue.extend(new)
+        if np.any(depth < 0):
+            raise GraphNotRooted("no spanning tree rooted at the leader")
+        parent.setflags(write=False)
+        depth.setflags(write=False)
+        return parent, depth
 
     def sync_errors(self, q: np.ndarray) -> np.ndarray:
         """All followers' e^i = -M (q_i - q_0) from (N+1, ...) offset-corrected states, leader first."""
-        return -self.augmented() @ (q[1:] - q[0])
-
-
-def bfs_from_leader(g: CommGraph) -> tuple[list[int | None], list[int]]:
-    """BFS over the augmented digraph from the leader.
-
-    Returns (parent, depth) per follower, parent -1 meaning the leader,
-    None/-(1) depth meaning unreachable. Ties break toward the lowest index.
-    """
-    n = g.n_followers
-    parent: list[int | None] = [None] * n
-    depth = [-1] * n
-    queue: list[int] = []
-    for i in range(n):
-        if g.b0[i] > 0.0:
-            parent[i] = -1
-            depth[i] = 0
-            queue.append(i)
-    for j in queue:  # the queue grows while it is walked
-        for i in range(n):
-            if g.adjacency[i, j] > 0.0 and depth[i] < 0:
-                parent[i] = j
-                depth[i] = depth[j] + 1
-                queue.append(i)
-    return parent, depth
-
-
-def has_leader_spanning_tree(g: CommGraph) -> bool:
-    """True iff every follower is reachable from the leader node."""
-    _, depth = bfs_from_leader(g)
-    return all(d >= 0 for d in depth)
+        return -self.m @ (q[1:] - q[0])
 
 
 def min_singular_value(m: np.ndarray) -> float:
@@ -97,7 +86,6 @@ def min_singular_value(m: np.ndarray) -> float:
 class GlobalBoundCertificate:
     """Minimum singular value of the augmented Laplacian and the error bound."""
 
-    m: np.ndarray
     sv_min: float
     zbars: np.ndarray
     bound: float
@@ -109,10 +97,8 @@ def global_bound(g: CommGraph, radii: np.ndarray, r0: float) -> GlobalBoundCerti
     The local bounds on e^i - ebar^i are zbar = |M| r + nu2 b0 r0; the
     stacked bound is |zbar| / sv_min(M).
     """
-    if not has_leader_spanning_tree(g):
-        raise GraphNotRooted("no spanning tree rooted at the leader")
-    m = g.augmented()
-    zbars = np.abs(m) @ np.asarray(radii, dtype=float) + g.nu2 * g.b0 * r0
-    sv = min_singular_value(m)
+    g.relay_tree  # raises GraphNotRooted: the bound holds only on a rooted graph
+    zbars = np.abs(g.m) @ np.asarray(radii, dtype=float) + g.nu2 * g.b0 * r0
+    sv = min_singular_value(g.m)
     bound = float(np.linalg.norm(zbars) / sv)
-    return GlobalBoundCertificate(m=m, sv_min=sv, zbars=zbars, bound=bound)
+    return GlobalBoundCertificate(sv_min=sv, zbars=zbars, bound=bound)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -197,9 +197,6 @@ class SinusoidDisturbance:
     def __call__(self, t: float) -> np.ndarray:
         return np.asarray(self.amp) * np.sin(np.asarray(self.freq) * t + np.asarray(self.phase))
 
-    def norm_bound(self) -> float:
-        return float(np.linalg.norm(self.amp))
-
 
 @dataclass(frozen=True)
 class BallDisturbance:
@@ -230,9 +227,6 @@ class BallDisturbance:
         radius = self.bound * rng.random() ** (1.0 / self.dim)
         return vec * (radius / nrm)
 
-    def norm_bound(self) -> float:
-        return self.bound
-
 
 class DisturbanceStack:
     """Several models' disturbances as one (rows, d) array per time, row r by ``models[r]``.
@@ -241,10 +235,10 @@ class DisturbanceStack:
     frequencies and phases. Each ball row keeps its last (index, draw) and calls
     its model only when the index changes, so the stages of an RK4 substep that
     share an index share one draw; keyed by index, the memo is exact for any
-    order of times.
+    order of times. The ball rows draw with the run's ``seed``.
     """
 
-    def __init__(self, models: list[SinusoidDisturbance | BallDisturbance], d: int):
+    def __init__(self, models: list[SinusoidDisturbance | BallDisturbance], d: int, seed: int):
         is_sine = np.array([isinstance(m, SinusoidDisturbance) for m in models], dtype=bool)
         self._shape = (len(models), d)
         self._sine_rows = np.flatnonzero(is_sine)
@@ -252,7 +246,7 @@ class DisturbanceStack:
             np.array([getattr(models[r], f) for r in self._sine_rows], dtype=float).reshape(-1, d)
             for f in ("amp", "freq", "phase")
         )
-        self._balls = [(r, models[r]) for r in np.flatnonzero(~is_sine)]
+        self._balls = [(r, replace(models[r], seed=seed)) for r in np.flatnonzero(~is_sine)]
         self._index: list[int | None] = [None] * len(self._balls)
         self._draw: list[np.ndarray | None] = [None] * len(self._balls)
 
@@ -350,10 +344,6 @@ class Obstacle:
     center: tuple[float, ...]
     radius: float
     inflation: float = 0.0
-
-    def __post_init__(self):
-        if self.radius <= 0.0 or self.inflation < 0.0:
-            raise ScenarioError("obstacle needs radius > 0 and inflation >= 0")
 
     @property
     def effective_radius(self) -> float:

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, RiccatiDiverged, ScenarioError
+from .errors import DimensionMismatch, RiccatiDiverged
 from .models import BrunovskyDims, chain_matrices
 from .qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
 
@@ -64,8 +64,6 @@ def discretize_error_dynamics(dims: BrunovskyDims, ts: float) -> tuple[np.ndarra
     finite sums because A0 is nilpotent. The per-step exogenous term enters
     through the same Bd.
     """
-    if ts <= 0.0:
-        raise ScenarioError("sampling period must be positive")
     a0, g = chain_matrices(dims)
     nd = dims.nd
     ad = np.eye(nd)
@@ -127,7 +125,6 @@ class OcpSpec:
 
     dims: BrunovskyDims
     horizon: int
-    ts: float
     qr: np.ndarray  # (nd, nd)
     r: np.ndarray  # (d, d)
     rdelta: np.ndarray  # (d, d)
@@ -237,9 +234,7 @@ class _Condensing:
         free_map, bz = (arr[nd:] for arr in spec.horizon_maps)  # steps 1..H
         e_map = -spec.coupling * bz
 
-        # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0
-        if h < 2:
-            raise ScenarioError("terminal-law substitution needs horizon >= 2")
+        # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0 (H >= 2 is checked at parse)
         khat = spec.terminal_gain
         lhs = np.eye(d) - spec.coupling * (khat @ spec.bd)
         w_mat = -np.linalg.solve(lhs, khat @ spec.ad)

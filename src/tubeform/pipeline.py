@@ -22,9 +22,8 @@ from .certify import (
     synth_gain,
 )
 from .errors import NotHurwitz, ScenarioError
-from .graph import GlobalBoundCertificate, global_bound
+from .graph import CommGraph, GlobalBoundCertificate, global_bound
 from .models import AgentModel
-from .protocol import relay_parents
 from .scenario import ScenarioConfig, build_all_models, build_graph
 
 SPOT_CHECK_SEED = 0x5EED
@@ -32,12 +31,16 @@ SPOT_CHECK_SEED = 0x5EED
 
 @dataclass(frozen=True)
 class CertificationResult:
+    """The certificate and the design objects a run of the same scenario uses."""
+
     scenario_name: str
     scenario_sha256: str
     leader: LeaderCertificate
     tubes: tuple[TubeCertificate, ...]
     bound_cert: GlobalBoundCertificate
     models: tuple[AgentModel, ...]
+    graph: CommGraph
+    kappa: EcbfCoefficients
 
     @property
     def margin_radii(self) -> dict[int, float]:
@@ -68,7 +71,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     """Run the full offline design stage for a scenario."""
     models = build_all_models(cfg)
     g = build_graph(cfg)
-    _, depths = relay_parents(g)  # raises GraphNotRooted
+    depths = g.relay_tree[1]  # raises GraphNotRooted
 
     if spot_checks:
         rng = np.random.default_rng(SPOT_CHECK_SEED)
@@ -86,7 +89,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
         )
 
     _, pair = synth_gain(cfg.dims, cfg.gains)
-    EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)  # raises NotHurwitz like the gain poles
+    kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)  # raises NotHurwitz
     l0 = cfg.leader.lipschitz
     ts = cfg.sim.ts
     tubes = []
@@ -127,6 +130,8 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
         tubes=tuple(tubes),
         bound_cert=bound_cert,
         models=tuple(models),
+        graph=g,
+        kappa=kappa,
     )
 
 

@@ -1,10 +1,10 @@
 """Non-iterative plan exchange: radius broadcast, plan board and shift, leader relay.
 
 Every exchanged quantity is one array over the followers: the board holds
-all agents' last plans ``inputs (N, H, d)``, terminal errors ``terminal
-(N, nd)`` and ``stamps (N,)``; ``shift_plan`` shifts all senders' plans in
-one call; the relay maps the ``(N, nd)`` leader estimates and ``(N,)`` ages
-through the BFS relay tree, which is built once per run. The neighbor
+all agents' last plans ``inputs (N, H, d)`` and terminal errors ``terminal
+(N, nd)`` under the one ``stamp`` of their broadcast; ``shift_plan`` shifts
+all senders' plans in one call; the relay maps the ``(N, nd)`` leader
+estimates and ``(N,)`` ages through the graph's ``relay_tree``. The neighbor
 predictions built from the shifted plans are one batched ``ocp.rollout``
 over all (reader, sender) pairs; see ``sim.SimWorld``.
 
@@ -17,20 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GraphNotRooted, NonFiniteState, StalePlan
-from .graph import CommGraph, bfs_from_leader
+from .errors import NonFiniteState, StalePlan
+from .graph import CommGraph
 
 
 class MessageBoard:
-    """Shared per-step mailbox of all agents' plans; stamps strictly increase.
+    """Shared per-step mailbox of all agents' plans, posted as one stamped broadcast.
 
-    A stamp of -1 means the agent has posted nothing yet.
+    Stamps strictly increase; a stamp of -1 means nothing has been posted yet.
     """
 
     def __init__(self, n: int, horizon: int, d: int, nd: int):
         self.inputs = np.zeros((n, horizon, d))
         self.terminal = np.zeros((n, nd))
-        self.stamps = np.full(n, -1)
+        self.stamp = -1
         self.posts = 0
 
     def post(self, stamp: int, inputs: np.ndarray, terminal: np.ndarray) -> None:
@@ -38,22 +38,18 @@ class MessageBoard:
         bad = ~(np.isfinite(inputs).all(axis=(1, 2)) & np.isfinite(terminal).all(axis=1))
         if bad.any():
             raise NonFiniteState(f"agent {np.argmax(bad) + 1}: plan carries non-finite values")
-        stale = stamp <= self.stamps
-        if stale.any():
-            i = int(np.argmax(stale))
-            raise StalePlan(f"agent {i + 1} re-posted stamp {stamp} (have {self.stamps[i]})")
+        if stamp <= self.stamp:
+            raise StalePlan(f"broadcast re-posted stamp {stamp} (have {self.stamp})")
         self.inputs = np.array(inputs, dtype=float)  # a fresh copy: earlier reads stay valid
         self.terminal = np.array(terminal, dtype=float)
-        self.stamps[:] = stamp
-        self.posts += len(self.stamps)
+        self.stamp = stamp
+        self.posts += len(self.inputs)
 
     def read(self, now: int) -> tuple[np.ndarray, np.ndarray]:
         """(inputs, terminal) from the previous sampling instant; StalePlan if older."""
-        old = (self.stamps < 0) | (self.stamps < now - 1)
-        if old.any():
-            i = int(np.argmax(old))
-            have = "none" if self.stamps[i] < 0 else str(self.stamps[i])
-            raise StalePlan(f"agent {i + 1}: need stamp {now - 1}, have {have}")
+        if self.stamp < 0 or self.stamp < now - 1:
+            have = "none" if self.stamp < 0 else str(self.stamp)
+            raise StalePlan(f"broadcast: need stamp {now - 1}, have {have}")
         return self.inputs, self.terminal
 
 
@@ -75,17 +71,6 @@ def shift_plan(inputs: np.ndarray, terminal: np.ndarray, gains: np.ndarray) -> n
     """
     tail = np.matmul(-gains, terminal[..., None]).swapaxes(-1, -2)
     return np.concatenate([inputs[..., 1:, :], tail], axis=-2)
-
-
-def relay_parents(g: CommGraph) -> tuple[np.ndarray, np.ndarray]:
-    """BFS relay tree (lowest-index tie-breaking) as int arrays (parent, depth).
-
-    A pinned agent's parent is -1 (the leader). Raises if not rooted.
-    """
-    parent, depth = bfs_from_leader(g)
-    if any(d < 0 for d in depth):
-        raise GraphNotRooted("no spanning tree rooted at the leader")
-    return np.array(parent, dtype=int), np.array(depth, dtype=int)
 
 
 def relay_leader(

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import EcbfCoefficients, assemble_row
+from .barrier import assemble_row
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
@@ -45,8 +45,8 @@ from .ocp import (
     terminal_ingredients,
 )
 from .pipeline import CertificationResult
-from .protocol import MessageBoard, initial_broadcast, relay_leader, relay_parents, shift_plan
-from .scenario import ScenarioConfig, SimConfig, build_graph, initial_states
+from .protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
+from .scenario import ScenarioConfig, SimConfig, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
 
@@ -123,7 +123,7 @@ class SimWorld:
         self.cert = cert
         self.sim = sim
         self.dims = cfg.dims
-        self.graph = build_graph(cfg)
+        self.graph = cert.graph
         self.models = cert.models
         self.n = cfg.dims.followers
         self.nd = cfg.dims.nd
@@ -132,7 +132,7 @@ class SimWorld:
 
         self.gain = cert.tubes[0].lyap.gain
         self.p_mat = cert.tubes[0].lyap.p
-        self.kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)
+        self.kappa = cert.kappa
         # every obstacle is the constant chain (center, 0, ..., 0) of the one barrier
         centers = np.array([o.center for o in cfg.obstacles], dtype=float).reshape(-1, self.d)
         self._obstacle_chains = np.pad(centers, ((0, 0), (0, self.nd - self.d)))
@@ -157,9 +157,7 @@ class SimWorld:
         rd_w = cfg.ocp.rdelta * np.eye(self.d)
         self.specs: list[OcpSpec] = []
         for i in range(self.n):
-            coupling = self.graph.coupling(i)
-            if coupling <= 0.0:
-                raise ScenarioError(f"agent {i + 1} has no incoming information")
+            coupling = self.graph.m[i, i]
             khat, pr, c_f = terminal_ingredients(
                 ad, -coupling * bd, qr, r_w, cert.tubes[i].input_bound
             )
@@ -173,7 +171,6 @@ class SimWorld:
                 OcpSpec(
                     dims=cfg.dims,
                     horizon=self.horizon,
-                    ts=sim.ts,
                     qr=qr,
                     r=r_w,
                     rdelta=rd_w,
@@ -206,17 +203,18 @@ class SimWorld:
         model_of_row = np.zeros(len(self._drift_rows), dtype=int)
         model_of_row[2::2] = np.arange(1, self.n + 1)
         self._drift = DriftTable.stack([m.drift.table for m in self.models], model_of_row)
-        self._disturbance = DisturbanceStack([m.disturbance for m in self.models], self.d)
+        disturbances = [m.disturbance for m in self.models]
+        self._disturbance = DisturbanceStack(disturbances, self.d, sim.seed)
         states = initial_states(cfg)
         self.state[self._agent_rows] = states
         self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
         self.anchors[:] = states[0]
         # at deployment every agent holds the true leader state at age 0
-        self._relay_parent, _ = relay_parents(self.graph)
+        self._relay_parent = self.graph.relay_tree[0]
         self.estimates = self.anchors.copy()
         self.estimate_ages = np.zeros(self.n, dtype=int)
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
-        self._pinned = (self.graph.b0 > 0.0)[:, None]
+        self._pinned = (self._relay_parent < 0)[:, None]
         tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower

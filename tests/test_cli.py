@@ -21,6 +21,24 @@ def certified(tmp_path_factory):
     return cert
 
 
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """The configs of every ``scenario_hash`` call made through a tubeform module."""
+    calls = []
+    real = scenario.scenario_hash
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("tubeform") and hasattr(
+            module, "scenario_hash"
+        ):
+            monkeypatch.setattr(module, "scenario_hash", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def run_dir(certified, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -176,23 +194,34 @@ class TestRun:
         cert_hash = json.loads(certified.read_text())["scenario_sha256"]
         assert trace.metadata["scenario_sha256"] == cert_hash
 
-    def test_run_hashes_the_scenario_once(self, certified, tmp_path, monkeypatch):
+    def test_run_hashes_the_scenario_once(self, certified, tmp_path, hash_calls):
         """The hash checked against the certificate is the one certification records."""
-        calls = []
-        real = scenario.scenario_hash
-
-        def counting(cfg):
-            calls.append(cfg)
-            return real(cfg)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("tubeform") and hasattr(
-                module, "scenario_hash"
-            ):
-                monkeypatch.setattr(module, "scenario_hash", counting)
         argv = ["run", str(SMOKE), "--cert", str(certified), "-o", str(tmp_path / "o")]
         assert main(argv + ["--t-end", "0.2"]) == 0
-        assert len(calls) == 1
+        assert len(hash_calls) == 1
+
+    def test_reseeded_run_hashes_the_scenario_once(self, certified, tmp_path, hash_calls):
+        """--seed is a run setting: the scenario is neither copied nor hashed again."""
+        argv = ["run", str(SMOKE), "--cert", str(certified), "-o", str(tmp_path / "o")]
+        assert main(argv + ["--seed", "5", "--t-end", "0.2"]) == 0
+        assert len(hash_calls) == 1
+
+    @pytest.mark.parametrize("disturbance", ["sinusoid", "ball"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, disturbance):
+        """--seed is checked by the sim.seed entry before the run makes any output."""
+        doc = json.loads(SMOKE.read_text())
+        if disturbance == "ball":
+            for section in [doc["leader"], *doc["agents"]]:
+                section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        capsys.readouterr()
+        argv = ["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o")]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative (got -1)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_hash_mismatch_exits_before_certification(self, certified, tmp_path, capsys, monkeypatch):
         doc = json.loads(SMOKE.read_text())

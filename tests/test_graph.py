@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubeform.errors import GraphNotRooted
-from tubeform.graph import (
-    CommGraph,
-    bfs_from_leader,
-    global_bound,
-    has_leader_spanning_tree,
-    min_singular_value,
-)
+from tubeform.graph import CommGraph, global_bound, min_singular_value
 
 from oracles import inverse_power_min_singular
 
@@ -40,22 +34,64 @@ class TestSpanningTree:
         adjacency[1, 0] = 1.0  # 1 listens to 0
         adjacency[2, 1] = 1.0
         g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 0.0, 0.0]))
-        assert has_leader_spanning_tree(g)
+        parent, depth = g.relay_tree
+        assert parent.tolist() == [-1, 0, 1]
+        assert depth.tolist() == [0, 1, 2]
 
     def test_unreachable(self):
         g = CommGraph(adjacency=np.zeros((2, 2)), b0=np.zeros(2))
-        assert not has_leader_spanning_tree(g)
+        with pytest.raises(GraphNotRooted, match="^no spanning tree rooted at the leader$"):
+            g.relay_tree
+
+    def test_partly_unreachable(self):
+        """Agent 2 listens only to agent 3, which listens to nobody: neither is reached."""
+        adjacency = np.zeros((3, 3))
+        adjacency[1, 2] = 1.0
+        g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(GraphNotRooted):
+            g.relay_tree
 
     def test_paper_topology_rooted_and_depths(self):
-        g = chain_graph()
-        assert has_leader_spanning_tree(g)
-        parent, depth = bfs_from_leader(g)
-        assert depth == [0, 1, 2, 3, 4]
-        assert parent == [-1, 0, 1, 2, 3]
+        parent, depth = chain_graph().relay_tree
+        assert parent.dtype.kind == depth.dtype.kind == "i"
+        assert depth.tolist() == [0, 1, 2, 3, 4]
+        assert parent.tolist() == [-1, 0, 1, 2, 3]
+
+    def test_lowest_index_parent_wins_a_tie(self):
+        """Agent 3 listens to pinned agents 1 and 2 (0-based 0 and 1): its parent is the first."""
+        adjacency = np.zeros((3, 3))
+        adjacency[2, [1, 0]] = 1.0
+        g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 1.0, 0.0]))
+        parent, depth = g.relay_tree
+        assert parent.tolist() == [-1, -1, 0]
+        assert depth.tolist() == [0, 0, 1]
 
     def test_laplacian_rows_sum_to_zero(self):
         g = chain_graph()
-        assert np.array_equal(g.laplacian() @ np.ones(5), np.zeros(5))
+        laplacian = (g.m - g.nu2 * np.diag(g.b0)) / g.nu1
+        assert np.array_equal(laplacian @ np.ones(5), np.zeros(5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_m_diagonal_is_each_coupling(self, seed):
+        """m[i, i] is nu1 d_i + nu2 b_i0 bit for bit, and the off-diagonal is -nu1 A."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        adjacency = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        np.fill_diagonal(adjacency, 0.0)
+        nu1, nu2 = (float(v) for v in rng.uniform(0.2, 2.0, size=2))
+        g = CommGraph(adjacency=adjacency, b0=rng.random(n), nu1=nu1, nu2=nu2)
+        for i in range(n):
+            assert g.m[i, i] == nu1 * float(np.sum(adjacency[i])) + nu2 * float(g.b0[i])
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(g.m[off], -nu1 * adjacency[off])
+
+    def test_m_and_relay_tree_are_kept_read_only(self):
+        g = chain_graph()
+        assert g.m is g.m and g.relay_tree is g.relay_tree
+        for arr in (g.m, *g.relay_tree):
+            with pytest.raises(ValueError):
+                arr[0] = 7
 
 
 class TestMinSingularValue:
@@ -74,7 +110,7 @@ class TestMinSingularValue:
 
     def test_rooted_graph_gives_positive_sv(self):
         g = chain_graph()
-        assert min_singular_value(g.augmented()) > 0.0
+        assert min_singular_value(g.m) > 0.0
 
 
 def neighbor_sum_sync_error(i, states, g, offsets):
@@ -90,7 +126,7 @@ def neighbor_sum_sync_error(i, states, g, offsets):
 
 def neighbor_sum_zbar(i, radii, r0, g):
     """Explicit zbar_i = (nu1 d_i + nu2 b_i0) r_i + sum_j nu1 a_ij r_j + nu2 b_i0 r0."""
-    out = g.coupling(i) * radii[i]
+    out = (g.nu1 * float(np.sum(g.adjacency[i])) + g.nu2 * float(g.b0[i])) * radii[i]
     for j in g.neighbors(i):
         out += g.nu1 * g.adjacency[i, j] * radii[j]
     return out + g.nu2 * float(g.b0[i]) * r0
@@ -180,5 +216,5 @@ class TestZbarAndBound:
 
     def test_rooted_gram_positive(self):
         g = chain_graph()
-        m = g.augmented()
+        m = g.m
         assert np.min(np.linalg.eigvalsh(m.T @ m)) > 0.0

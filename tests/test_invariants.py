@@ -42,7 +42,7 @@ class TestCommunicationAccounting:
         radii = cert.margin_radii
         r0 = cert.leader.r_ball0
         for i in range(g.n_followers):
-            manual = (g.nu1 * g.degree(i) + g.nu2 * g.b0[i]) * radii[i + 1]
+            manual = (g.nu1 * np.sum(g.adjacency[i]) + g.nu2 * g.b0[i]) * radii[i + 1]
             for j in g.neighbors(i):
                 manual += g.nu1 * g.adjacency[i, j] * radii[j + 1]
             manual += g.nu2 * g.b0[i] * r0

@@ -259,7 +259,7 @@ class TestDisturbanceStack:
         models = disturbance_models(kind)
         times = stage_times(6)  # crosses the fine-step boundaries at 0.99, 1.0, ...
         shuffled = list(np.random.default_rng(0).permutation(times))
-        stack = DisturbanceStack(models, 2)
+        stack = DisturbanceStack(models, 2, seed=4)  # the models' own seed
         for t in times + shuffled + times[::-1]:
             expected = np.stack([m(t) for m in models])
             assert np.array_equal(stack(t), expected), t
@@ -267,7 +267,7 @@ class TestDisturbanceStack:
     def test_stage_at_step_end_reads_next_draw(self):
         """Fine step j's first stages read draw j; its last stage, at its end, reads draw j + 1."""
         ball = disturbance_models("ball")[0]
-        stack = DisturbanceStack([ball], 2)
+        stack = DisturbanceStack([ball], 2, seed=4)
         t = 0.98
         for j in range(98, 104):
             assert ball.index(t) == ball.index(t + 0.005) == j
@@ -275,11 +275,20 @@ class TestDisturbanceStack:
             assert not np.array_equal(stack(t + 0.005), stack(t + 0.01))
             t += 0.01
 
+    def test_ball_rows_draw_with_the_run_seed(self):
+        """The stack's seed replaces each ball's own; the sinusoid rows do not depend on it."""
+        models = disturbance_models("mixed")
+        stack = DisturbanceStack(models, 2, seed=9)
+        for t in stage_times(3):
+            w = stack(t)
+            for row, model in enumerate(models):
+                if isinstance(model, BallDisturbance):
+                    assert np.array_equal(w[row], dataclasses.replace(model, seed=9)(t))
+                    assert not np.array_equal(w[row], model(t))
+                else:
+                    assert np.array_equal(w[row], model(t))
+
 
 class TestFormationAndObstacle:
     def test_effective_radius(self):
         assert Obstacle(center=(1.0, 1.0), radius=0.5, inflation=0.15).effective_radius == 0.65
-
-    def test_invalid_radius(self):
-        with pytest.raises(ScenarioError):
-            Obstacle(center=(0.0, 0.0), radius=0.0)

@@ -54,7 +54,6 @@ def make_spec(
     return OcpSpec(
         dims=dims,
         horizon=horizon,
-        ts=ts,
         qr=qr_m,
         r=r_m,
         rdelta=rdelta * np.eye(dims.d),

@@ -5,13 +5,7 @@ from tubeform.errors import GraphNotRooted, NonFiniteState, StalePlan
 from tubeform.graph import CommGraph
 from tubeform.models import BrunovskyDims
 from tubeform.ocp import OcpSpec, discretize_error_dynamics
-from tubeform.protocol import (
-    MessageBoard,
-    initial_broadcast,
-    relay_leader,
-    relay_parents,
-    shift_plan,
-)
+from tubeform.protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
 
 
 def chain_graph(n=5):
@@ -27,7 +21,7 @@ def chain_graph(n=5):
 def minimal_spec(dims, ts=0.1, horizon=5):
     ad, bd = discretize_error_dynamics(dims, ts)
     return OcpSpec(
-        dims=dims, horizon=horizon, ts=ts,
+        dims=dims, horizon=horizon,
         qr=np.eye(dims.nd), r=np.eye(dims.d), rdelta=np.zeros((dims.d, dims.d)),
         pr=np.eye(dims.nd), input_bound=np.inf, terminal_gain=np.zeros((dims.d, dims.nd)),
         terminal_level=np.inf, coupling=1.0, ad=ad, bd=bd,
@@ -114,21 +108,21 @@ class TestBoard:
         inputs, terminal = board.read(1)
         np.testing.assert_array_equal(inputs, np.arange(4.0).reshape(2, 2, 1))
         np.testing.assert_array_equal(terminal, np.ones((2, 2)))
-        assert board.stamps.tolist() == [0, 0]
+        assert board.stamp == 0
         assert board.posts == 2  # one plan per agent
 
     def test_stale_read(self):
         board = board_with_plans(stamp=0)
-        with pytest.raises(StalePlan, match="agent 1: need stamp 1, have 0"):
+        with pytest.raises(StalePlan, match="broadcast: need stamp 1, have 0"):
             board.read(2)
 
     def test_read_before_any_post(self):
-        with pytest.raises(StalePlan, match="agent 1: need stamp 0, have none"):
+        with pytest.raises(StalePlan, match="broadcast: need stamp 0, have none"):
             MessageBoard(2, 2, 1, 2).read(1)
 
     def test_monotone_stamps(self):
         board = board_with_plans(stamp=1)
-        with pytest.raises(StalePlan, match="agent 1 re-posted stamp 1"):
+        with pytest.raises(StalePlan, match=r"broadcast re-posted stamp 1 \(have 1\)"):
             board.post(1, np.zeros((2, 2, 1)), np.zeros((2, 2)))
         assert board.posts == 2
 
@@ -140,7 +134,7 @@ class TestBoard:
         with pytest.raises(NonFiniteState, match="agent 2"):
             board.post(1, plans["inputs"], plans["terminal"])
         # the rejected broadcast leaves the board as it was
-        assert board.stamps.tolist() == [0, 0] and board.posts == 2
+        assert board.stamp == 0 and board.posts == 2
         np.testing.assert_array_equal(board.inputs, np.arange(4.0).reshape(2, 2, 1))
 
 
@@ -151,12 +145,12 @@ def deployed(parent, leader):
 
 class TestRelayLeader:
     def test_relay_tree_arrays(self):
-        parent, depth = relay_parents(chain_graph())
+        parent, depth = chain_graph().relay_tree
         assert parent.tolist() == [-1, 0, 1, 2, 3]
         assert depth.tolist() == [0, 1, 2, 3, 4]
 
     def test_pinned_exact(self):
-        parent, _ = relay_parents(chain_graph())
+        parent, _ = chain_graph().relay_tree
         est, ages = deployed(parent, np.zeros(6))
         leader = np.array([1.0, 2.0, 0, 0, 0, 0.0])
         est, ages = relay_leader(parent, leader, est, ages)
@@ -166,7 +160,7 @@ class TestRelayLeader:
         assert ages[1] == 1
 
     def test_stationary_leader_exact_everywhere(self):
-        parent, _ = relay_parents(chain_graph())
+        parent, _ = chain_graph().relay_tree
         leader = np.array([3.0, 0, 0, 0, 0, 0.0])
         est, ages = deployed(parent, leader)
         for _ in range(10):
@@ -176,7 +170,7 @@ class TestRelayLeader:
     def test_delay_line_constant_speed(self):
         """After the transient, a hops-h agent lags by h * Ts * speed: on the
         3-agent line every agent holds the leader state of h steps ago, h old."""
-        parent, depth = relay_parents(chain_graph(3))
+        parent, depth = chain_graph(3).relay_tree
         ts, speed = 0.1, 1.3
         est, ages = deployed(parent, np.zeros(2))
         for k in range(1, 12):
@@ -189,5 +183,5 @@ class TestRelayLeader:
 
     def test_unrooted_raises(self):
         g = CommGraph(adjacency=np.zeros((2, 2)), b0=np.zeros(2))
-        with pytest.raises(GraphNotRooted):
-            relay_parents(g)
+        with pytest.raises(GraphNotRooted, match="^no spanning tree rooted at the leader$"):
+            g.relay_tree

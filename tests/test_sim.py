@@ -1,14 +1,16 @@
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-import tubeform.protocol
 import tubeform.sim
 from tubeform.barrier import assemble_row
+from tubeform.cli import main
 from tubeform.errors import DegenerateGradient, NonFiniteState
+from tubeform.graph import CommGraph
 from tubeform.models import BallDisturbance
 from tubeform.ocp import rollout
 from tubeform.pipeline import certify_scenario
@@ -349,21 +351,35 @@ class TestDisturbanceDraws:
 
 
 class TestLeaderRelay:
-    def test_relay_tree_built_once_per_world(self, monkeypatch):
-        """The graph is fixed per run: one BFS when the world is built, none per step."""
-        cfg = load_scenario(PAPER)
-        cert = certify_scenario(cfg, spot_checks=False)
-        real_bfs = tubeform.protocol.bfs_from_leader
-        calls = []
+    def test_one_graph_per_run(self, tmp_path, monkeypatch):
+        """One ``run`` (recertify, then the world) walks the leader BFS once and builds M once;
+        the world's graph is the certificate's graph."""
+        certificate = tmp_path / "cert.json"
+        assert main(["certify", PAPER, "-o", str(certificate)]) == 0
+        built = {"m": [], "relay_tree": []}
+        for name, calls in built.items():
+            real = CommGraph.__dict__[name].func
 
-        def counting(g):
-            calls.append(g)
-            return real_bfs(g)
+            def counting(g, real=real, calls=calls):
+                calls.append(g)
+                return real(g)
 
-        monkeypatch.setattr(tubeform.protocol, "bfs_from_leader", counting)
-        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=0.5))
-        world.run()
-        assert len(calls) == 1
+            prop = functools.cached_property(counting)
+            prop.__set_name__(CommGraph, name)
+            monkeypatch.setattr(CommGraph, name, prop)
+        worlds = []
+        real_run = SimWorld.run
+
+        def recording(world):
+            worlds.append(world)
+            return real_run(world)
+
+        monkeypatch.setattr(SimWorld, "run", recording)
+        argv = ["run", PAPER, "--cert", str(certificate), "-o", str(tmp_path / "o")]
+        assert main(argv + ["--t-end", "0.5"]) == 0
+        (world,) = worlds
+        assert len(built["relay_tree"]) == len(built["m"]) == 1
+        assert built["relay_tree"][0] is built["m"][0] is world.graph is world.cert.graph
         # the path graph pins agent 1 only: agent i's anchor is i - 1 steps old
         assert world.estimate_ages.tolist() == [0, 1, 2, 3, 4]
 
@@ -376,13 +392,13 @@ class TestShiftedPlans:
         calls = []
 
         def counting(inputs, terminal, gains):
-            calls.append((world.board.stamps.tolist(), len(inputs)))
+            calls.append((world.board.stamp, len(inputs)))
             return shift_plan(inputs, terminal, gains)
 
         monkeypatch.setattr(tubeform.sim, "shift_plan", counting)
         world.run()
         # nothing to shift at deployment, then one call per step shifting each broadcast once
-        assert calls == [([k] * world.n, world.n) for k in range(world.n_steps - 1)]
+        assert calls == [(k, world.n) for k in range(world.n_steps - 1)]
 
     def test_failed_solve_falls_back_to_shifted_plan(self, monkeypatch):
         """Agent 1's solve raises once mid-run: it posts its shifted previous plan."""
@@ -417,7 +433,7 @@ class TestShiftedPlans:
 
         stats = world.step(k_fail)
         inputs, terminal = world.board.read(k_fail + 1)
-        assert world.board.stamps.tolist() == [k_fail] * world.n
+        assert world.board.stamp == k_fail
         np.testing.assert_array_equal(inputs[0], shifted[0])
         errors = chain_recurrence(
             agent_one.ad, agent_one.bd, stats["e0"][0], s_seq - agent_one.coupling * shifted[0]
