@@ -1,7 +1,8 @@
 """Command-line interface: certify, run, report.
 
-Exit codes: 0 success; 1 parse/IO/hash errors; 2 certification infeasibility;
-3 runtime safety violation; 4 cascaded OCP infeasibility.
+Exit codes: 0 success; 1 parse/IO/hash errors; 2 certification infeasibility
+(at certify, or at run, which recertifies); 3 runtime safety violation;
+4 cascaded OCP infeasibility.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ from .svgplot import SvgFigure
 
 
 def _error(exc: Exception) -> int:
+    """Report ``exc`` on stderr and return its exit code."""
+    if isinstance(exc, (GraphNotRooted, InfeasibleLeaderTube, EmptyTightenedSet, NotHurwitz)):
+        print(f"infeasible: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(exc, CascadedInfeasibility):
+        print(f"cascaded infeasibility: {exc}", file=sys.stderr)
+        return 4
     print(f"error: {exc}", file=sys.stderr)
     return 1
 
@@ -36,19 +44,10 @@ def _error(exc: Exception) -> int:
 def cmd_certify(scenario_path: str, out_path: str) -> int:
     try:
         cfg = load_scenario(scenario_path)
-    except (ScenarioError, OSError) as exc:
-        return _error(exc)
-    try:
         result = certify_scenario(cfg)
-    except (GraphNotRooted, InfeasibleLeaderTube, EmptyTightenedSet, NotHurwitz) as exc:
-        print(f"infeasible: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except TubeformError as exc:
-        return _error(exc)
-    try:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         write_certificate(out_path, result)
-    except OSError as exc:
+    except (TubeformError, OSError) as exc:
         return _error(exc)
     print(
         f"certified {cfg.name}: sv_min={result.bound_cert.sv_min:.6g} "
@@ -72,17 +71,14 @@ def cmd_run(
     toggle_feedforward: bool = False,
     baseline_margins: bool = False,
 ) -> int:
+    out = Path(out_dir)
     try:
         cfg = load_scenario(scenario_path)
         cert_doc = load_certificate(cert_path)
-    except (ScenarioError, OSError) as exc:
-        return _error(exc)
-    # cfg caches its hash, so certifying cfg below does not hash it again
-    if cert_doc.get("scenario_sha256") != cfg.sha256:
-        print("error: certificate does not match scenario (hash mismatch)", file=sys.stderr)
-        return 1
-    result = certify_scenario(cfg, spot_checks=False)
-    try:
+        # cfg caches its hash, so certifying cfg below does not hash it again
+        if cert_doc.get("scenario_sha256") != cfg.sha256:
+            raise ScenarioError("certificate does not match scenario (hash mismatch)")
+        result = certify_scenario(cfg, spot_checks=False)
         check_certificate(cert_doc, result)
         sim_cfg = SimConfig.from_scenario(  # None keeps the scenario's value
             cfg,
@@ -91,20 +87,9 @@ def cmd_run(
             feedforward_on=(not cfg.sim.feedforward_on) if toggle_feedforward else None,
             baseline_margins=baseline_margins or None,
         )
-    except ScenarioError as exc:
-        return _error(exc)
-
-    out = Path(out_dir)
-    try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _error(exc)
-    try:
         sim_result = run_simulation(cfg, result, sim_cfg)
-    except CascadedInfeasibility as exc:
-        print(f"cascaded infeasibility: {exc}", file=sys.stderr)
-        return 4
-    except (ScenarioError, TubeformError) as exc:
+    except (TubeformError, OSError) as exc:
         return _error(exc)
 
     trace_path = out / "trace.csv"

@@ -137,6 +137,23 @@ class OcpSpec:
     bd: np.ndarray
     error_box: np.ndarray | None = None  # (nd,) tightened symmetric bounds
 
+    @classmethod
+    def design(
+        cls, dims: BrunovskyDims, horizon: int, ts: float, qr: float, r: float, rdelta: float,
+        coupling: float, input_bound: float, error_box: np.ndarray | None = None,
+    ) -> OcpSpec:
+        """One agent's spec: the exact chain discretization over ``ts``, the weights as
+        multiples of the identity, and the Riccati terminal ingredients for the input
+        matrix -coupling Bd and the tightened ``input_bound``."""
+        ad, bd = discretize_error_dynamics(dims, ts)
+        qr_m, r_m = qr * np.eye(dims.nd), r * np.eye(dims.d)
+        khat, pr, c_f = terminal_ingredients(ad, -coupling * bd, qr_m, r_m, input_bound)
+        return cls(
+            dims=dims, horizon=horizon, qr=qr_m, r=r_m, rdelta=rdelta * np.eye(dims.d), pr=pr,
+            input_bound=input_bound, terminal_gain=khat, terminal_level=c_f, coupling=coupling,
+            ad=ad, bd=bd, error_box=error_box,
+        )
+
     @functools.cached_property
     def horizon_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """((H+1) nd, nd) and ((H+1) nd, H d) maps from x0 and the drive to the trajectory.
@@ -176,30 +193,16 @@ class BarrierRows(NamedTuple):
     b: np.ndarray  # (m,)
     group: np.ndarray  # (m,) int
 
-    @classmethod
-    def empty(cls, d: int) -> BarrierRows:
-        return cls(np.zeros(0, dtype=int), np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=int))
-
 
 @dataclass
 class OcpSolution:
     inputs: np.ndarray  # (H, d)
-    errors: np.ndarray  # (H+1, nd)
     objective: float
     iterations: int
     sqp_passes: int
     status: str
     slack: float = 0.0  # exact-penalty violation; inf when the QP itself failed
     converged: bool = False  # input change fell below tolerance within the pass cap
-
-
-@dataclass(frozen=True)
-class _CondensedMaps:
-    """Affine maps from the free inputs to the full input and error stacks."""
-
-    t_map: np.ndarray  # z = t_map @ z_free + t_off
-    t_off: np.ndarray
-    n_slack: int  # trailing slack variables appended to the QP decision
 
 
 @dataclass(frozen=True)
@@ -289,8 +292,12 @@ def build_qp(
     v_prev: np.ndarray,
     barrier_rows: BarrierRows,
     lin_inputs: np.ndarray,
-) -> tuple[QpProblem, _CondensedMaps]:
+) -> tuple[QpProblem, np.ndarray]:
     """Condense the OCP into the exact-penalty QP on the free inputs and the slacks.
+
+    Returns the QP and ``t_off``: the full input stack of a QP solution ``z``
+    is ``condensing.t_map @ z[:n_free] + t_off``, and ``z[n_free:]`` are the
+    slacks.
 
     ``barrier_rows`` is one row block: row r is the constraint
     ``a[r] . v_step[r] + b[r] >= 0`` evaluated at the caller's linearization
@@ -377,7 +384,7 @@ def build_qp(
         hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f,
         hessian_inv=hess_s_inv,
     )
-    return qp, _CondensedMaps(t_map=t_map, t_off=t_off, n_slack=n_sig)
+    return qp, t_off
 
 
 def rollout(spec: OcpSpec, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
@@ -422,10 +429,12 @@ def solve_ocp(
     The passes solve the exact-penalty QP, so the method can route around
     linearizations whose rows are momentarily inconsistent. The returned
     status is Infeasible whenever the final pass needed nonzero slack
-    (infinite when its QP had no solution), and the last plan is still
-    returned for the caller's fallback.
+    (infinite when its QP had no solution: then the solve has no plan, and
+    the caller falls back).
     """
     h, d = spec.horizon, spec.dims.d
+    t_map = spec.condensing.t_map
+    n_free = t_map.shape[1]
     inputs = warm_inputs.copy()
     iterations = 0
     status = OPTIMAL
@@ -436,7 +445,7 @@ def solve_ocp(
     guess = np.zeros(0, dtype=bool)  # so the first pass starts cold
     for passes in range(1, SQP_MAX_PASSES + 1):
         states = rollout(spec, x0_nominal, inputs + ff_seq)
-        qp, maps = build_qp(
+        qp, t_off = build_qp(
             spec,
             e0,
             s_seq,
@@ -451,9 +460,8 @@ def solve_ocp(
         if status == INFEASIBLE:  # no plan from this pass: keep the iterate
             objective = slack_used = math.inf
             break
-        n_free = sol.z.size - maps.n_slack
-        slack_used = float(np.max(sol.z[n_free:])) if maps.n_slack else 0.0
-        z = maps.t_map @ sol.z[:n_free] + maps.t_off
+        slack_used = float(np.max(sol.z[n_free:], initial=0.0))
+        z = t_map @ sol.z[:n_free] + t_off
         new_inputs = z.reshape(h, d)
         delta = float(np.max(np.abs(new_inputs - inputs)))
         if passes == 1:
@@ -470,7 +478,6 @@ def solve_ocp(
 
     return OcpSolution(
         inputs=inputs,
-        errors=rollout(spec, e0, s_seq - spec.coupling * inputs),
         objective=objective,
         iterations=iterations,
         sqp_passes=passes,

@@ -42,10 +42,6 @@ class CertificationResult:
     graph: CommGraph
     kappa: EcbfCoefficients
 
-    @property
-    def margin_radii(self) -> dict[int, float]:
-        return {t.agent: t.margin_radius for t in self.tubes}
-
 
 def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
     """Lyapunov pair for the leader's nominal-deviation system.

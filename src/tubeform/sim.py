@@ -36,14 +36,7 @@ from .barrier import assemble_row
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
-from .ocp import (
-    BarrierRows,
-    OcpSpec,
-    discretize_error_dynamics,
-    rollout,
-    solve_ocp,
-    terminal_ingredients,
-)
+from .ocp import BarrierRows, OcpSpec, rollout, solve_ocp
 from .pipeline import CertificationResult
 from .protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
@@ -138,6 +131,7 @@ class SimWorld:
         self._obstacle_chains = np.pad(centers, ((0, 0), (0, self.nd - self.d)))
         self._obstacle_keep_out = np.array([o.effective_radius for o in cfg.obstacles])
 
+        # each follower's eCBF margin: its certificate's radius, or its no-feedforward radius
         if sim.baseline_margins:
             missing = [t.agent for t in cert.tubes if t.baseline_r_ball is None]
             if missing:
@@ -145,45 +139,23 @@ class SimWorld:
                     f"baseline margins requested but baseline radius infeasible "
                     f"for agents {missing}"
                 )
-            self.margin_radii = {t.agent: float(t.baseline_r_ball) for t in cert.tubes}
+            self.margins = np.array([t.baseline_r_ball for t in cert.tubes], dtype=float)
         else:
-            self.margin_radii = dict(cert.margin_radii)
-        margins = np.array([self.margin_radii[i + 1] for i in range(self.n)])
-        self.radius_table = initial_broadcast(margins, self.graph)
+            self.margins = np.array([t.margin_radius for t in cert.tubes], dtype=float)
+        self.radius_table = initial_broadcast(self.margins, self.graph)
 
-        ad, bd = discretize_error_dynamics(cfg.dims, sim.ts)
-        qr = cfg.ocp.qr * np.eye(self.nd)
-        r_w = cfg.ocp.r * np.eye(self.d)
-        rd_w = cfg.ocp.rdelta * np.eye(self.d)
-        self.specs: list[OcpSpec] = []
-        for i in range(self.n):
-            coupling = self.graph.m[i, i]
-            khat, pr, c_f = terminal_ingredients(
-                ad, -coupling * bd, qr, r_w, cert.tubes[i].input_bound
+        error_boxes = [None] * self.n
+        if cfg.ocp.error_box is not None:
+            error_boxes = np.asarray(cfg.ocp.error_box) - self.margins[:, None]
+            if np.any(error_boxes <= 0.0):
+                raise ScenarioError("error box fully consumed by tube tightening")
+        self.specs = [
+            OcpSpec.design(
+                cfg.dims, self.horizon, sim.ts, cfg.ocp.qr, cfg.ocp.r, cfg.ocp.rdelta,
+                self.graph.m[i, i], cert.tubes[i].input_bound, error_boxes[i],
             )
-            error_box = None
-            if cfg.ocp.error_box is not None:
-                tight = np.asarray(cfg.ocp.error_box) - self.margin_radii[i + 1]
-                if np.any(tight <= 0.0):
-                    raise ScenarioError("error box fully consumed by tube tightening")
-                error_box = tight
-            self.specs.append(
-                OcpSpec(
-                    dims=cfg.dims,
-                    horizon=self.horizon,
-                    qr=qr,
-                    r=r_w,
-                    rdelta=rd_w,
-                    pr=pr,
-                    input_bound=cert.tubes[i].input_bound,
-                    terminal_gain=khat,
-                    terminal_level=c_f,
-                    coupling=coupling,
-                    ad=ad,
-                    bd=bd,
-                    error_box=error_box,
-                )
-            )
+            for i in range(self.n)
+        ]
 
         # The world ODE state, one row per chain: the leader, its nominal
         # (re-anchored each step), then per follower its true state, nominal
@@ -218,7 +190,7 @@ class SimWorld:
         tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower
-        limits = np.r_[cert.leader.r_ball0, np.column_stack([tube_r2, margins]).ravel()]
+        limits = np.r_[cert.leader.r_ball0, np.column_stack([tube_r2, self.margins]).ravel()]
         self._limits = limits * (1.0 + 1e-6)
         self.board = MessageBoard(self.n, self.horizon, self.d, self.nd)
         self.v_applied = np.zeros((self.n, self.d))
@@ -296,8 +268,6 @@ class SimWorld:
         steps = self.horizon - 1  # the last input follows the terminal law
         nbrs = self.graph.neighbors(i) if k > 0 else []  # inter-agent rows removed at deployment
         n_obs = len(self._obstacle_chains)
-        if not n_obs + len(nbrs):
-            return lambda states: BarrierRows.empty(self.d)
         ff = ff_seq[:steps, None]
         obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
         x_other = np.concatenate([obstacles, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
@@ -305,7 +275,7 @@ class SimWorld:
         top_exo = ff - np.concatenate([np.zeros((steps, n_obs, self.d)), top_other], axis=1)
         keep_out = np.r_[self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)]
         radius_other = np.r_[np.zeros(n_obs), self.radius_table[i, nbrs]]
-        margin_i = self.margin_radii[i + 1]
+        margin_i = self.margins[i]
         group = np.repeat([0, 1], [n_obs, len(nbrs)])
         centers = self._obstacle_chains[:, : self.d]
         activation = self.cfg.barriers.activation_range
@@ -321,21 +291,6 @@ class SimWorld:
             return BarrierRows(step, a[step, col], b[step, col], group[col])
 
         return rows
-
-    def _solve_agent(self, i: int, k: int, e0, s_seq, ff_seq, preds, shifted):
-        try:
-            return solve_ocp(
-                self.specs[i],
-                e0,
-                self.x_nom[i],
-                s_seq,
-                ff_seq,
-                self.v_applied[i],
-                shifted[i],
-                row_builder=self._row_builder(i, k, ff_seq, preds, shifted),
-            )
-        except DegenerateGradient:
-            return None
 
     def step(self, k: int) -> dict:
         """One sampling instant: measure, relay, predict, solve, broadcast, apply."""
@@ -358,33 +313,36 @@ class SimWorld:
 
         # synchronization errors (e^i_1, ..., e^i_n) of all followers
         e0s = self.graph.sync_errors(self.state[self._agent_rows] - self._offsets)
-        solutions = [
-            self._solve_agent(i, k, e0s[i], s_seqs[i], ff_samples[i], preds, shifted)
-            for i in range(self.n)
-        ]
 
-        plans = np.zeros((self.n, self.horizon, self.d))
-        terminal = np.zeros((self.n, self.nd))
-        solver = np.zeros((self.n, 4))  # status, QP iterations, SQP passes, objective
-        for i, sol in enumerate(solutions):
+        # an agent without a plan rides its shifted previous plan, logged as a fallback
+        plans = shifted.copy()
+        solver = np.tile([2.0, 0.0, 0.0, math.inf], (self.n, 1))  # status, QP iters, passes, obj
+        for i, spec in enumerate(self.specs):
+            rows = self._row_builder(i, k, ff_samples[i], preds, shifted)
+            try:
+                sol = solve_ocp(
+                    spec, e0s[i], self.x_nom[i], s_seqs[i], ff_samples[i], self.v_applied[i],
+                    shifted[i], row_builder=rows,
+                )
+            except DegenerateGradient:
+                sol = None
             if sol is None or not math.isfinite(sol.slack):
-                # no usable plan at all: ride the shifted previous plan
                 self.infeasible_streak[i] += 1
                 if self.infeasible_streak[i] >= self.horizon:
                     raise CascadedInfeasibility(
                         f"agent {i + 1}: {self.infeasible_streak[i]} consecutive "
                         f"infeasible solves at step {k}"
                     )
-                spec = self.specs[i]
-                plans[i] = shifted[i]
-                terminal[i] = rollout(spec, e0s[i], s_seqs[i] - spec.coupling * shifted[i])[-1]
-                solver[i] = (2.0, 0.0, 0.0, math.inf)
             else:
                 # a relaxed (nonzero-slack) solve still yields the minimally
                 # violating plan, strictly better than blind plan shifting
                 self.infeasible_streak[i] = 0
-                plans[i], terminal[i] = sol.inputs, sol.errors[-1]
+                plans[i] = sol.inputs
                 solver[i] = (STATUS_CODE[sol.status], sol.iterations, sol.sqp_passes, sol.objective)
+        terminal = np.array([
+            rollout(spec, e0s[i], s_seqs[i] - spec.coupling * plans[i])[-1]
+            for i, spec in enumerate(self.specs)
+        ])
         self.board.post(k, plans, terminal)
         self.v_applied[:] = plans[:, 0]
 
@@ -545,9 +503,7 @@ class SimWorld:
             "obstacles": ";".join(
                 ",".join(map(str, (*o.center, o.radius, o.inflation))) for o in self.cfg.obstacles
             ),
-            "margin_radii": ";".join(
-                repr(self.margin_radii[i + 1]) for i in range(self.n)
-            ),
+            "margin_radii": ";".join(map(repr, self.margins.tolist())),
         }
         trace = SimTrace(columns=self.trace_columns, data=self.trace_data, metadata=metadata)
         return SimResult(trace=trace, violations=list(self.violations), world=self)

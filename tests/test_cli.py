@@ -6,8 +6,10 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+import tubeform.sim
 from tubeform import cli, scenario
 from tubeform.cli import main
+from tubeform.errors import DegenerateGradient
 from tubeform.sim import SimTrace
 
 SMOKE = Path("scenarios/smoke_scenario.json")
@@ -298,6 +300,42 @@ class TestRun:
             ["run", str(changed), "--cert", str(certified), "-o", str(tmp_path / "o")]
         ) == 1
         assert "hash" in capsys.readouterr().err
+
+    def test_recertification_infeasible_exit_2(self, certified, tmp_path, capsys):
+        """A certificate whose hash matches a scenario that no longer certifies: run
+        recertifies, exits 2 as certify does, and makes no output directory."""
+        doc = json.loads(SMOKE.read_text())
+        doc["barriers"]["kappa_poles"] = [1.0, -2.0, -3.0]
+        scen = tmp_path / "kappa.json"
+        scen.write_text(json.dumps(doc))
+        assert main(["certify", str(scen), "-o", str(tmp_path / "refused.json")]) == 2
+        infeasible = "infeasible: NotHurwitz: kappa coefficients must be positive\n"
+        assert capsys.readouterr().err == infeasible
+        cert_doc = json.loads(certified.read_text())
+        cert_doc["scenario_sha256"] = scenario.load_scenario(scen).sha256
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(cert_doc))
+        assert main(["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == infeasible
+        assert not (tmp_path / "o").exists()
+
+    def test_cascaded_infeasibility_exit_4(self, certified, tmp_path, capsys, monkeypatch):
+        """Every solve of agent 1 raises: after H = 5 fallbacks in a row the run exits 4."""
+        real_solve = tubeform.sim.solve_ocp
+        agent_one = []
+
+        def failing(spec, *args, **kwargs):
+            if not agent_one:
+                agent_one.append(spec)  # the run's first solve is agent 1's
+            if spec is agent_one[0]:
+                raise DegenerateGradient("injected failure")
+            return real_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(tubeform.sim, "solve_ocp", failing)
+        assert main(["run", str(SMOKE), "--cert", str(certified), "-o", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "cascaded infeasibility: agent 1: 5 consecutive infeasible solves at step 4\n"
+        )
 
     def test_seed_reaches_disturbances(self, tmp_path):
         doc = json.loads(SMOKE.read_text())

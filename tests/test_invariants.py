@@ -39,12 +39,12 @@ class TestCommunicationAccounting:
         cfg = load_scenario(PAPER)
         cert = certify_scenario(cfg, spot_checks=False)
         g = build_graph(cfg)
-        radii = cert.margin_radii
+        radii = [t.margin_radius for t in cert.tubes]
         r0 = cert.leader.r_ball0
         for i in range(g.n_followers):
-            manual = (g.nu1 * np.sum(g.adjacency[i]) + g.nu2 * g.b0[i]) * radii[i + 1]
+            manual = (g.nu1 * np.sum(g.adjacency[i]) + g.nu2 * g.b0[i]) * radii[i]
             for j in g.neighbors(i):
-                manual += g.nu1 * g.adjacency[i, j] * radii[j + 1]
+                manual += g.nu1 * g.adjacency[i, j] * radii[j]
             manual += g.nu2 * g.b0[i] * r0
             assert abs(cert.bound_cert.zbars[i] - manual) < 1e-12
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tubeform.qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
 
 from oracles import chain_recurrence, hard_row_qp, rollout_objective
 
-NO_ROWS = BarrierRows.empty(2)
+NO_ROWS = BarrierRows(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
 ZERO_INPUTS = np.zeros((5, 2))
 
 
@@ -27,9 +28,15 @@ def no_rows(states):
     return NO_ROWS
 
 
-def plan(maps, z):
-    """The full input stack of a QP solution ``z``: its free inputs through the maps."""
-    return maps.t_map @ z[: z.size - maps.n_slack] + maps.t_off
+def plan(spec, t_off, z):
+    """The full input stack of a QP solution ``z``: its free inputs through the condensing map."""
+    t_map = spec.condensing.t_map
+    return t_map @ z[: t_map.shape[1]] + t_off
+
+
+def n_slack(spec, qp):
+    """The trailing slack variables of a QP that ``build_qp`` made from ``spec``."""
+    return qp.linear.size - spec.condensing.t_map.shape[1]
 
 
 def make_spec(
@@ -45,26 +52,8 @@ def make_spec(
 ):
     """The OCP spec; without ``terminal_set`` the level is infinite, so no terminal cut is built."""
     dims = dims or BrunovskyDims(n=3, d=2, followers=1)
-    ad, bd = discretize_error_dynamics(dims, ts)
-    qr_m = qr * np.eye(dims.nd)
-    r_m = r * np.eye(dims.d)
-    khat, pr, c_f = terminal_ingredients(ad, -coupling * bd, qr_m, r_m, input_bound)
-    if not terminal_set:
-        c_f = np.inf
-    return OcpSpec(
-        dims=dims,
-        horizon=horizon,
-        qr=qr_m,
-        r=r_m,
-        rdelta=rdelta * np.eye(dims.d),
-        pr=pr,
-        input_bound=input_bound,
-        terminal_gain=khat,
-        terminal_level=c_f,
-        coupling=coupling,
-        ad=ad,
-        bd=bd,
-    )
+    spec = OcpSpec.design(dims, horizon, ts, qr, r, rdelta, coupling, input_bound)
+    return spec if terminal_set else dataclasses.replace(spec, terminal_level=math.inf)
 
 
 class TestDiscretization:
@@ -165,20 +154,20 @@ class TestBuildQp:
         spec = make_spec(qr=0.0, rdelta=0.0)
         e0 = np.zeros(6)
         s_seq = np.zeros((5, 2))
-        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
-        assert maps.n_slack == 0  # the zero terminal error needs no cut
-        assert np.allclose(plan(maps, solve_qp(qp).z), 0.0, atol=1e-12)
+        qp, t_off = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
+        assert n_slack(spec, qp) == 0  # the zero terminal error needs no cut
+        assert np.allclose(plan(spec, t_off, solve_qp(qp).z), 0.0, atol=1e-12)
 
     def test_inactive_barrier_row_no_change(self):
         spec = make_spec()
         e0 = np.array([1.0, -0.5, 0.2, 0.0, 0.0, 0.1])
         s_seq = np.zeros((5, 2))
-        qp0, m0 = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
+        qp0, t_off0 = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
         # v_2,x >= -1e6: never active
         row = BarrierRows(np.array([2]), np.array([[1.0, 0.0]]), np.array([1e6]), np.array([0]))
-        qp1, m1 = build_qp(spec, e0, s_seq, np.zeros(2), row, ZERO_INPUTS)
-        z0 = plan(m0, solve_qp(qp0).z)
-        z1 = plan(m1, solve_qp(qp1).z)
+        qp1, t_off1 = build_qp(spec, e0, s_seq, np.zeros(2), row, ZERO_INPUTS)
+        z0 = plan(spec, t_off0, solve_qp(qp0).z)
+        z1 = plan(spec, t_off1, solve_qp(qp1).z)
         assert np.allclose(z0, z1, atol=1e-9)
 
     def test_condensed_objective_equals_rollout(self):
@@ -187,9 +176,9 @@ class TestBuildQp:
         e0 = rng.normal(size=6)
         s_seq = rng.normal(size=(5, 2)) * 0.2
         v_prev = rng.normal(size=2) * 0.1
-        qp, maps = build_qp(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
+        qp, t_off = build_qp(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
         sol = solve_qp(qp)
-        inputs = plan(maps, sol.z).reshape(5, 2)
+        inputs = plan(spec, t_off, sol.z).reshape(5, 2)
         explicit = rollout_objective(spec, e0, s_seq, v_prev, inputs)
         assert sol.objective == pytest.approx(explicit, abs=1e-9 * max(1.0, explicit))
 
@@ -198,8 +187,8 @@ class TestBuildQp:
         rng = np.random.default_rng(5)
         e0 = rng.normal(size=6) * 0.5
         s_seq = rng.normal(size=(5, 2)) * 0.1
-        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
-        inputs = plan(maps, solve_qp(qp).z).reshape(5, 2)
+        qp, t_off = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
+        inputs = plan(spec, t_off, solve_qp(qp).z).reshape(5, 2)
         errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
         assert np.allclose(inputs[-1], -spec.terminal_gain @ errors[-1], atol=1e-9)
 
@@ -211,7 +200,7 @@ class TestBuildQp:
         e0 = rng.normal(size=6) * 2.0
         s_seq = rng.normal(size=(5, 2)) * 0.3
         lin_inputs = rng.normal(size=(5, 2))
-        qp, maps = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, lin_inputs)
+        qp, t_off = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, lin_inputs)
         e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
         level = e_ref @ spec.pr @ e_ref
         assert level > spec.terminal_level  # outside the terminal set: the cut binds
@@ -223,10 +212,10 @@ class TestBuildQp:
         # is the last row before the slack's nonnegativity and has the one slack
         a_full = -e_map[blk].T @ py
         b_full = py @ e_off[blk] - spec.terminal_level
-        assert maps.n_slack == 1
-        np.testing.assert_allclose(qp.a_in[-2, :-1], a_full @ maps.t_map, rtol=1e-12, atol=1e-12)
+        assert n_slack(spec, qp) == 1
+        np.testing.assert_allclose(qp.a_in[-2, :-1], a_full @ cond.t_map, rtol=1e-12, atol=1e-12)
         assert qp.a_in[-2, -1] == 1.0
-        assert qp.b_in[-2] == pytest.approx(b_full - a_full @ maps.t_off, rel=1e-12, abs=1e-12)
+        assert qp.b_in[-2] == pytest.approx(b_full - a_full @ t_off, rel=1e-12, abs=1e-12)
 
 
 class TestRollout:
@@ -279,20 +268,20 @@ class TestCondensingCache:
             ]
             rows = BarrierRows(*map(np.array, zip(*entries)))
             args = (e0, s_seq, v_prev, rows, rng.normal(size=(5, 2)))
-            qp, maps = build_qp(spec, *args)
-            fresh_qp, fresh_maps = build_qp(dataclasses.replace(spec), *args)
+            fresh = dataclasses.replace(spec)
+            qp, t_off = build_qp(spec, *args)
+            fresh_qp, fresh_t_off = build_qp(fresh, *args)
             for field in ("hessian", "linear", "a_in", "b_in"):
                 np.testing.assert_array_equal(getattr(qp, field), getattr(fresh_qp, field))
             assert qp.constant == fresh_qp.constant
-            for field in ("t_map", "t_off"):
-                np.testing.assert_array_equal(getattr(maps, field), getattr(fresh_maps, field))
-            assert maps.n_slack == fresh_maps.n_slack
+            np.testing.assert_array_equal(spec.condensing.t_map, fresh.condensing.t_map)
+            np.testing.assert_array_equal(t_off, fresh_t_off)
         assert spec.condensing is spec.condensing
         # input box 2 H d, five barrier rows, the finite error-box entries
         # twice per step, and the terminal cut
         n_box = 2 * 4 * 5 if with_error_box else 0
         n_rows = 2 * 5 * 2 + 5 + n_box + 1
-        assert qp.a_in.shape[0] == n_rows + maps.n_slack
+        assert qp.a_in.shape[0] == n_rows + n_slack(spec, qp)
 
 
 class TestSolveOcp:
@@ -323,10 +312,10 @@ class TestSolveOcp:
             spec, e0, np.zeros(6), s_seq, np.zeros((5, 2)), v_prev,
             np.zeros((5, 2)), no_rows,
         )
-        qp, maps = build_qp(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
+        qp, t_off = build_qp(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
         assert qp.a_in.shape[0] == 0
         z_free = np.linalg.solve(qp.hessian, -qp.linear)
-        z = maps.t_map @ z_free + maps.t_off
+        z = spec.condensing.t_map @ z_free + t_off
         assert np.allclose(sol.inputs.reshape(-1), z, atol=1e-7)
 
     def test_head_on_obstacle_rows_satisfied(self):

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tubeform.errors import GraphNotRooted, NonFiniteState, StalePlan
 from tubeform.graph import CommGraph
 from tubeform.models import BrunovskyDims
-from tubeform.ocp import OcpSpec, discretize_error_dynamics
+from tubeform.ocp import OcpSpec, rollout, terminal_ingredients
 from tubeform.protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
 
 
@@ -19,13 +21,9 @@ def chain_graph(n=5):
 
 
 def minimal_spec(dims, ts=0.1, horizon=5):
-    ad, bd = discretize_error_dynamics(dims, ts)
-    return OcpSpec(
-        dims=dims, horizon=horizon,
-        qr=np.eye(dims.nd), r=np.eye(dims.d), rdelta=np.zeros((dims.d, dims.d)),
-        pr=np.eye(dims.nd), input_bound=np.inf, terminal_gain=np.zeros((dims.d, dims.nd)),
-        terminal_level=np.inf, coupling=1.0, ad=ad, bd=bd,
-    )
+    """Unit weights, coupling 1, no input bound (so no terminal cut) and a zero terminal gain."""
+    spec = OcpSpec.design(dims, horizon, ts, 1.0, 1.0, 0.0, 1.0, np.inf)
+    return dataclasses.replace(spec, terminal_gain=np.zeros((dims.d, dims.nd)))
 
 
 class TestInitialBroadcast:
@@ -79,12 +77,9 @@ class TestShiftPlan:
     def test_replay_reproduces_prediction_tail(self):
         """Shifting then rolling out reproduces the tail of the sender's own
         error prediction exactly."""
-        from tubeform.ocp import rollout, terminal_ingredients
-
         dims = BrunovskyDims(n=2, d=1, followers=1)
-        ad, bd = discretize_error_dynamics(dims, 0.1)
-        khat, pr, _ = terminal_ingredients(ad, -1.0 * bd, np.eye(2), np.eye(1), np.inf)
         spec = minimal_spec(dims, horizon=4)
+        khat, _, _ = terminal_ingredients(spec.ad, -spec.coupling * spec.bd, spec.qr, spec.r, np.inf)
         rng = np.random.default_rng(0)
         e0 = rng.normal(size=2)
         inputs = rng.normal(size=(4, 1))

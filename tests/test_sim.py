@@ -215,7 +215,7 @@ class TestWorldDrift:
 
 def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
     """One assemble_row call per (step, obstacle) and (step, neighbor) row."""
-    margin_i = world.margin_radii[i + 1]
+    margin_i = world.margins[i]
     out = []
     for l in range(world.horizon - 1):
         xl = states[l]
