@@ -120,9 +120,10 @@ def _rpi_monte_carlo(pair, tubes, n_starts=100, t_end=20.0, h=1e-3):
         dist = w_eff * np.where(norms > 1e-12, top / np.maximum(norms, 1e-300), 0.0)
         if step % 2:
             draws = [(rng.normal(size=(d, n_starts)), rng.random(n_starts)) for rng in rngs]
-            u = np.hstack([draw[0] for draw in draws])
+            normals, uniforms = zip(*draws)
+            u = np.hstack(normals)
             u /= np.linalg.norm(u, axis=0, keepdims=True)
-            dist = w_eff * u * np.concatenate([draw[1] for draw in draws]) ** 0.5
+            dist = w_eff * u * np.concatenate(uniforms) ** 0.5
         forced = g_sel @ dist
         k1 = acl @ x + forced
         k2 = acl @ (x + 0.5 * h * k1) + forced
