@@ -21,7 +21,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tubeform.models import Box, BrunovskyDims, DriftSpec  # noqa: E402
+from tubeform.models import Box, BrunovskyDims, DriftTable  # noqa: E402
 from tubeform.scenario import DYNAMICS, walk  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,12 +49,12 @@ def max_jacobian_norm(dims, outer_gain, axes_terms, box):
     higher blocks), so a dense grid over the position block suffices.
     """
     dynamics = walk(DYNAMICS, {"outer_gain": outer_gain, "axes": axes_terms}, "dynamics", dims)
-    drift = DriftSpec(dims=dims, outer_gain=dynamics.outer_gain, axes=dynamics.axes)
+    drift = DriftTable.compile(dims, dynamics.outer_gain, dynamics.axes)
     xs = np.linspace(box.lower[0], box.upper[0], 121)
     ys = np.linspace(box.lower[1], box.upper[1], 121)
     probes = np.tile(box.center, (len(xs) * len(ys), 1))
     probes[:, 0], probes[:, 1] = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
-    return float(np.max(np.linalg.norm(drift.table.jacobian(probes), 2, axis=(-2, -1))))
+    return float(np.max(np.linalg.norm(drift.jacobian(probes), 2, axis=(-2, -1))))
 
 
 def write(name, doc):

@@ -24,7 +24,7 @@ from .models import (
     AgentModel,
     Box,
     BrunovskyDims,
-    DriftSpec,
+    DriftTable,
     DriftTerm,
     LyapunovPair,
     Obstacle,

@@ -136,7 +136,7 @@ def _axes(trace: SimTrace) -> int:
     return sum(col.startswith("u1_") for col in trace.columns)
 
 
-def _plot_trajectories(traces: list[SimTrace], leads: list[str], path: Path) -> None:
+def _plot_trajectories(traces: list[SimTrace], leads: list[str]) -> SvgFigure:
     """Position axes 0 and 1 in the plane; a one-axis trace plots its position over time."""
     planar = _axes(traces[0]) > 1
     labels = ("x position", "y position") if planar else ("time [s]", "x position")
@@ -168,13 +168,13 @@ def _plot_trajectories(traces: list[SimTrace], leads: list[str], path: Path) -> 
                 label=f"{lead}agent {i}" if t_idx == 0 and i <= 2 else None,
                 dashed=t_idx == 1,
             )
-    fig.write(path)
+    return fig
 
 
 PALETTE_LEADER = ["#000000", "#777777"]
 
 
-def _plot_errors(traces: list[SimTrace], leads: list[str], path: Path) -> None:
+def _plot_errors(traces: list[SimTrace], leads: list[str]) -> SvgFigure:
     fig = SvgFigure("Formation offset error components", "time [s]", "error")
     for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         for i in _agent_ids(trace):
@@ -185,10 +185,10 @@ def _plot_errors(traces: list[SimTrace], leads: list[str], path: Path) -> None:
                     label=f"{lead}agent {i} axis {ax}" if i == 1 else None,
                     dashed=t_idx == 1,
                 )
-    fig.write(path)
+    return fig
 
 
-def _plot_clearances(traces: list[SimTrace], leads: list[str], path: Path) -> None:
+def _plot_clearances(traces: list[SimTrace], leads: list[str]) -> SvgFigure:
     fig = SvgFigure("Minimum safety clearances", "time [s]", "clearance")
     for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         fig.add_line(trace.col("t"), trace.col("clr_obs"), label=f"{lead}obstacle",
@@ -196,10 +196,10 @@ def _plot_clearances(traces: list[SimTrace], leads: list[str], path: Path) -> No
         fig.add_line(trace.col("t"), trace.col("clr_pair"), label=f"{lead}pairwise",
                      dashed=t_idx == 1)
     fig.add_hline(0.0, color="#000000", label="zero")
-    fig.write(path)
+    return fig
 
 
-def _plot_occupancy(traces: list[SimTrace], leads: list[str], path: Path) -> None:
+def _plot_occupancy(traces: list[SimTrace], leads: list[str]) -> SvgFigure:
     fig = SvgFigure("Tube occupancy V_i / r_i^2", "time [s]", "occupancy")
     for t_idx, (trace, lead) in enumerate(zip(traces, leads)):
         for col in trace.columns:
@@ -208,26 +208,34 @@ def _plot_occupancy(traces: list[SimTrace], leads: list[str], path: Path) -> Non
                              label=f"{lead}{col}" if t_idx == 0 else None,
                              dashed=t_idx == 1)
     fig.add_hline(1.0, color="#d62728", label="limit")
-    fig.write(path)
+    return fig
 
 
 def cmd_report(trace_paths: list[str], out_dir: str) -> int:
+    if len(trace_paths) > 2:  # the plots tell two traces apart, solid and dashed
+        return _error(ScenarioError(f"report takes one or two traces (got {len(trace_paths)})"))
     try:
         traces = [SimTrace.from_csv(p) for p in trace_paths]
+        labels = []
+        for trace in traces:
+            mode = []
+            if trace.metadata.get("baseline_margins") == "1":
+                mode.append("baseline margins")
+            if trace.metadata.get("feedforward_on") == "0":
+                mode.append("no feedforward")
+            labels.append(", ".join(mode) or "feedforward")
+        leads = [f"{label}: " for label in labels] if len(traces) > 1 else [""]  # legend prefixes
+        all_metrics = [trace_metrics(t) for t in traces]
+        figures = {
+            "trajectories.svg": _plot_trajectories(traces, leads),
+            "formation_errors.svg": _plot_errors(traces, leads),
+            "clearances.svg": _plot_clearances(traces, leads),
+            "tube_occupancy.svg": _plot_occupancy(traces, leads),
+        }
     except (ScenarioError, OSError, ValueError) as exc:
         return _error(exc)
-    labels = []
-    for trace in traces:
-        mode = []
-        if trace.metadata.get("baseline_margins") == "1":
-            mode.append("baseline margins")
-        if trace.metadata.get("feedforward_on") == "0":
-            mode.append("no feedforward")
-        labels.append(", ".join(mode) or "feedforward")
     out = Path(out_dir)
-    leads = [f"{label}: " for label in labels] if len(traces) > 1 else [""]  # legend prefixes
     rows = ["metric," + ",".join(labels)]
-    all_metrics = [trace_metrics(t) for t in traces]
     for key in (
         "min_obstacle_clearance",
         "min_pairwise_clearance",
@@ -239,10 +247,8 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
         rows.append(key + "," + ",".join(f"{m[key]:.6g}" for m in all_metrics))
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _plot_trajectories(traces, leads, out / "trajectories.svg")
-        _plot_errors(traces, leads, out / "formation_errors.svg")
-        _plot_clearances(traces, leads, out / "clearances.svg")
-        _plot_occupancy(traces, leads, out / "tube_occupancy.svg")
+        for name, fig in figures.items():
+            fig.write(out / name)
         (out / "metrics.csv").write_text("\n".join(rows) + "\n")
     except OSError as exc:
         return _error(exc)

@@ -1,22 +1,23 @@
-"""Domain types: chain-of-integrators agents, declarative drift terms, obstacles.
+"""Domain types: chain-of-integrators agents, declarative drift terms, disturbances, obstacles.
 
 Drift functions are not arbitrary code. Each agent's drift is a tagged list
 of parametric terms (linear state taps, cubics of position combinations,
 tanh saturations, time sinusoids, squared-position/tanh cross couplings)
 multiplied by a common outer gain. This keeps scenario files declarative,
 serializable, and hashable. Every form is one setting of a single product,
-so each model's terms compile to one ``DriftTable``: one value and one
-closed-form Jacobian evaluator serve the world, the feedforward, the
-Lipschitz checks and the leader linearization, and several models' tables
-stack into one table evaluated row by row. The disturbances of a team stack
-the same way, into one ``DisturbanceStack`` evaluated once per time.
+so ``DriftTable.compile`` turns each agent's terms into one ``DriftTable``:
+one value and one closed-form Jacobian evaluator serve the world, the
+feedforward, the Lipschitz checks and the leader linearization, and several
+agents' tables stack into one table evaluated row by row. Each agent's
+disturbance is its ``DisturbanceConfig`` (a per-axis sinusoid or a seeded
+ball); a team's configs compile into one ``DisturbanceStack``, evaluated once
+per time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +100,36 @@ class DriftTable(NamedTuple):
     scatter: np.ndarray
 
     @classmethod
+    def compile(
+        cls, dims: BrunovskyDims, outer_gain: float, axes: tuple[tuple[DriftTerm, ...], ...]
+    ) -> "DriftTable":
+        """Drift f(x, t) = -outer_gain * sum(terms) per axis, compiled into one table."""
+        n, d = dims.n, dims.d
+        terms = [(axis, term) for axis, axis_terms in enumerate(axes) for term in axis_terms]
+        u, v = np.zeros((2, len(terms), dims.nd))
+        expo, freq = np.zeros((2, len(terms)))
+        offset, phase = np.ones(len(terms)), np.full(len(terms), 0.5 * math.pi)
+        scatter = np.zeros((len(terms), d))
+        for k, (axis, term) in enumerate(terms):
+            if not (1 <= term.order <= n and 0 <= term.axis < d and 0 <= term.sq_axis < d) or (
+                term.form == "cubic" and len(term.weights) != d
+            ):
+                raise DimensionMismatch(f"drift term {term} does not fit {n} blocks of {d} axes")
+            block = slice((term.order - 1) * d, term.order * d)
+            scatter[k, axis] = -outer_gain * term.coeff
+            if term.form == "state":
+                u[k, block][term.axis], expo[k] = 1.0, 1.0
+            elif term.form == "cubic":
+                u[k, block], expo[k] = term.weights, 3.0
+            elif term.form == "sin_t":
+                freq[k], phase[k] = term.freq, term.phase
+            else:  # tanh, and sq_tanh times x[order, sq_axis]^2
+                v[k, block][term.axis], offset[k] = term.scale, 0.0
+                if term.form == "sq_tanh":
+                    u[k, block][term.sq_axis], expo[k] = 1.0, 2.0
+        return cls(u, expo, v, offset, freq, phase, scatter)
+
+    @classmethod
     def stack(cls, tables: list["DriftTable"], rows: np.ndarray) -> "DriftTable":
         """Row r evaluates with ``tables[rows[r]]``; all-zero terms pad the shorter tables."""
         width = max(len(t.expo) for t in tables)
@@ -124,49 +155,6 @@ class DriftTable(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DriftSpec:
-    """Drift f(x, t) = -outer_gain * sum(terms) per axis, for one state or a stack."""
-
-    dims: BrunovskyDims
-    outer_gain: float
-    axes: tuple[tuple[DriftTerm, ...], ...]
-
-    def __post_init__(self):
-        self.table  # compile now, so a malformed term fails where the model is built
-
-    @functools.cached_property
-    def table(self) -> DriftTable:
-        """The terms compiled into one ``DriftTable``."""
-        n, d = self.dims.n, self.dims.d
-        terms = [(axis, term) for axis, axis_terms in enumerate(self.axes) for term in axis_terms]
-        u, v = np.zeros((2, len(terms), self.dims.nd))
-        expo, freq = np.zeros((2, len(terms)))
-        offset, phase = np.ones(len(terms)), np.full(len(terms), 0.5 * math.pi)
-        scatter = np.zeros((len(terms), d))
-        for k, (axis, term) in enumerate(terms):
-            if not (1 <= term.order <= n and 0 <= term.axis < d and 0 <= term.sq_axis < d) or (
-                term.form == "cubic" and len(term.weights) != d
-            ):
-                raise DimensionMismatch(f"drift term {term} does not fit {n} blocks of {d} axes")
-            block = slice((term.order - 1) * d, term.order * d)
-            scatter[k, axis] = -self.outer_gain * term.coeff
-            if term.form == "state":
-                u[k, block][term.axis], expo[k] = 1.0, 1.0
-            elif term.form == "cubic":
-                u[k, block], expo[k] = term.weights, 3.0
-            elif term.form == "sin_t":
-                freq[k], phase[k] = term.freq, term.phase
-            else:  # tanh, and sq_tanh times x[order, sq_axis]^2
-                v[k, block][term.axis], offset[k] = term.scale, 0.0
-                if term.form == "sq_tanh":
-                    u[k, block][term.sq_axis], expo[k] = 1.0, 2.0
-        return DriftTable(u, expo, v, offset, freq, phase, scatter)
-
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.table.value(x, t)
-
-
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned box over the full chain state."""
 
@@ -186,78 +174,63 @@ class Box:
         return lo + rng.random((count, len(self.lower))) * (hi - lo)
 
 
-@dataclass(frozen=True)
-class SinusoidDisturbance:
-    """Per-axis w_k(t) = amp_k * sin(freq_k * t + phase_k)."""
-
-    amp: tuple[float, ...]
-    freq: tuple[float, ...]
-    phase: tuple[float, ...]
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self.amp) * np.sin(np.asarray(self.freq) * t + np.asarray(self.phase))
+def sinusoid(amp, freq, phase, t):
+    """The sinusoid disturbance ``amp * sin(freq * t + phase)``, entry by entry."""
+    return amp * np.sin(freq * t + phase)
 
 
 @dataclass(frozen=True)
-class BallDisturbance:
-    """Seeded uniform-in-ball disturbance, one draw per fine-step index.
-
-    Deterministic: the draw for index j is derived from (seed, agent_id, j)
-    alone. The index is taken at each call's own time, so an RK4 substep over
-    fine step j reads draw j at its first three stages and draw j + 1 at its
-    last stage, at the step's end time.
-    """
-
-    bound: float
-    seed: int
-    agent_id: int
-    step_duration: float
-    dim: int = 2
-
-    def index(self, t: float) -> int:
-        """The fine-step index whose draw holds at time t."""
-        return math.floor(t / self.step_duration + 1e-12)
-
-    def __call__(self, t: float) -> np.ndarray:
-        rng = np.random.default_rng((self.seed, self.agent_id, self.index(t)))
-        vec = rng.normal(size=self.dim)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0.0:
-            return np.zeros(self.dim)
-        radius = self.bound * rng.random() ** (1.0 / self.dim)
-        return vec * (radius / nrm)
+class DisturbanceConfig:
+    kind: str  # "sinusoid" or "ball"
+    amp: tuple[float, ...] = ()
+    freq: tuple[float, ...] = ()
+    phase: tuple[float, ...] = ()
+    bound: float = 0.0
 
 
 class DisturbanceStack:
-    """Several models' disturbances as one (rows, d) array per time, row r by ``models[r]``.
+    """The agents' disturbances as one (rows, d) array per time, row r by ``configs[r]``.
 
     The sinusoid rows are one expression over their stacked amplitudes,
-    frequencies and phases. Each ball row keeps its last (index, draw) and calls
-    its model only when the index changes, so the stages of an RK4 substep that
-    share an index share one draw; keyed by index, the memo is exact for any
-    order of times. The ball rows draw with the run's ``seed``.
+    frequencies and phases. A ball row is uniform in the ball of radius
+    ``bound``, one draw per fine-step index j, derived from (seed, r, j) alone.
+    The index is taken at each call's own time, so an RK4 substep over fine
+    step j reads draw j at its first three stages and draw j + 1 at its last
+    stage, at the step's end time. The ball rows keep the last index's draws
+    and draw again only when the index changes; keyed by index, the memo is
+    exact for any order of times.
     """
 
-    def __init__(self, models: list[SinusoidDisturbance | BallDisturbance], d: int, seed: int):
-        is_sine = np.array([isinstance(m, SinusoidDisturbance) for m in models], dtype=bool)
-        self._shape = (len(models), d)
-        self._sine_rows = np.flatnonzero(is_sine)
+    def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
+        self._configs, self._shape = configs, (len(configs), d)
+        self._seed, self._step_duration = seed, step_duration
+        self._sine_rows = [r for r, c in enumerate(configs) if c.kind == "sinusoid"]
         self._amp, self._freq, self._phase = (
-            np.array([getattr(models[r], f) for r in self._sine_rows], dtype=float).reshape(-1, d)
+            np.array([getattr(configs[r], f) for r in self._sine_rows], dtype=float).reshape(-1, d)
             for f in ("amp", "freq", "phase")
         )
-        self._balls = [(r, replace(models[r], seed=seed)) for r in np.flatnonzero(~is_sine)]
-        self._index: list[int | None] = [None] * len(self._balls)
-        self._draw: list[np.ndarray | None] = [None] * len(self._balls)
+        self._ball_rows = [r for r, c in enumerate(configs) if c.kind == "ball"]
+        self._index, self._draws = None, None
+
+    def draw(self, row: int, j: int) -> np.ndarray:
+        """Row ``row``'s ball draw for fine-step index j."""
+        d = self._shape[1]
+        rng = np.random.default_rng((self._seed, row, j))
+        vec = rng.normal(size=d)
+        nrm = np.linalg.norm(vec)
+        if nrm == 0.0:
+            return np.zeros(d)
+        radius = self._configs[row].bound * rng.random() ** (1.0 / d)
+        return vec * (radius / nrm)
 
     def __call__(self, t: float) -> np.ndarray:
         w = np.empty(self._shape)
-        w[self._sine_rows] = self._amp * np.sin(self._freq * t + self._phase)
-        for slot, (row, ball) in enumerate(self._balls):
-            j = ball.index(t)
-            if self._index[slot] != j:
-                self._index[slot], self._draw[slot] = j, ball(t)
-            w[row] = self._draw[slot]
+        w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
+        if self._ball_rows:
+            j = math.floor(t / self._step_duration + 1e-12)
+            if self._index != j:
+                self._index, self._draws = j, np.array([self.draw(r, j) for r in self._ball_rows])
+            w[self._ball_rows] = self._draws
         return w
 
 
@@ -270,21 +243,21 @@ class AgentModel:
     """
 
     id: int
-    dims: BrunovskyDims
-    drift: DriftSpec
+    drift: DriftTable
     drift_lipschitz: float
-    disturbance: SinusoidDisturbance | BallDisturbance
+    disturbance: DisturbanceConfig
     disturbance_bound: float
     operating_box: Box
 
     def check_disturbance_bound(self, t_end: float, samples: int = 2000) -> None:
         """Declared bound >= sup |w|: exact for a ball, sampled for sinusoids."""
-        if isinstance(self.disturbance, BallDisturbance):
+        dist = self.disturbance
+        if dist.kind == "ball":
             # the draws come arbitrarily close to the radius
-            worst, slack = self.disturbance.bound, 0.0
+            worst, slack = dist.bound, 0.0
         else:
-            ts = np.linspace(0.0, t_end, samples)
-            worst = float(np.max(np.linalg.norm(self.disturbance(ts[:, None]), axis=1)))
+            w = sinusoid(dist.amp, dist.freq, dist.phase, np.linspace(0.0, t_end, samples)[:, None])
+            worst = float(np.max(np.linalg.norm(w, axis=1)))
             slack = 1e-12
         if worst > self.disturbance_bound + slack:
             raise ScenarioError(
@@ -297,7 +270,7 @@ class AgentModel:
         a = self.operating_box.sample(rng, pairs)
         b = self.operating_box.sample(rng, pairs)
         gap = np.linalg.norm(a - b, axis=1)
-        diff = np.linalg.norm(self.drift(a, 0.0) - self.drift(b, 0.0), axis=1)
+        diff = np.linalg.norm(self.drift.value(a, 0.0) - self.drift.value(b, 0.0), axis=1)
         bad = (gap >= 1e-12) & (diff > self.drift_lipschitz * gap * (1.0 + 1e-9) + 1e-12)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -308,7 +281,7 @@ class AgentModel:
 
 
 def estimate_lipschitz(
-    drift: DriftSpec, box: Box, points_per_axis: int = 11, safety: float = 1.25
+    drift: DriftTable, box: Box, points_per_axis: int = 11, safety: float = 1.25
 ) -> float:
     """Grid-sample the drift Jacobian spectral norm over the box.
 
@@ -316,8 +289,7 @@ def estimate_lipschitz(
     ``points_per_axis`` points per state axis, built chunk by chunk, and
     returns the largest spectral norm times ``safety``.
     """
-    nd = drift.dims.nd
-    if points_per_axis**nd > 5_000_000:
+    if points_per_axis ** len(box.lower) > 5_000_000:
         raise ScenarioError(
             "Lipschitz estimation grid too large for this state dimension; "
             "declare drift_lipschitz explicitly"
@@ -332,7 +304,7 @@ def estimate_lipschitz(
     for start in range(0, n_points, 20_000):  # C-order grid points, one chunk at a time
         idx = np.unravel_index(np.arange(start, min(start + 20_000, n_points)), shape)
         chunk = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
-        norms = np.linalg.norm(drift.table.jacobian(chunk), 2, axis=(-2, -1))
+        norms = np.linalg.norm(drift.jacobian(chunk), 2, axis=(-2, -1))
         worst = max(worst, float(np.max(norms)))
     return worst * safety
 

@@ -24,7 +24,7 @@ from .certify import (
 from .errors import NotHurwitz, ScenarioError
 from .graph import CommGraph, GlobalBoundCertificate, global_bound
 from .models import AgentModel
-from .scenario import ScenarioConfig, build_all_models, build_graph
+from .scenario import ScenarioConfig, build_all_models, build_graph, read_text
 
 SPOT_CHECK_SEED = 0x5EED
 
@@ -51,7 +51,7 @@ def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
     stabilizing component). The shipped leaders carry their own stabilizing
     linear terms.
     """
-    gain = -leader_model.drift.table.jacobian(leader_model.operating_box.center)
+    gain = -leader_model.drift.jacobian(leader_model.operating_box.center)
     if cfg.leader.tube.stabilizer is not None:
         gain = gain + np.asarray(cfg.leader.tube.stabilizer, dtype=float)
     try:
@@ -184,7 +184,7 @@ def write_certificate(path: str | Path, res: CertificationResult) -> None:
 
 def load_certificate(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"certificate: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -30,24 +30,14 @@ from .graph import CommGraph
 from .models import (
     TERM_FORMS,
     AgentModel,
-    BallDisturbance,
     Box,
     BrunovskyDims,
-    DriftSpec,
+    DisturbanceConfig,
+    DriftTable,
     DriftTerm,
     Obstacle,
-    SinusoidDisturbance,
     estimate_lipschitz,
 )
-
-
-@dataclass(frozen=True)
-class DisturbanceConfig:
-    kind: str  # "sinusoid" or "ball"
-    amp: tuple[float, ...] = ()
-    freq: tuple[float, ...] = ()
-    phase: tuple[float, ...] = ()
-    bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -437,8 +427,16 @@ def _validate_sampling(cfg: ScenarioConfig) -> None:
         )
 
 
+def read_text(path: str | Path) -> str:
+    """The file's text; a file that is not UTF-8 raises a ``ScenarioError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return parse_scenario(Path(path).read_text())
+    return parse_scenario(read_text(path))
 
 
 def _strip_nones(obj):
@@ -479,48 +477,26 @@ def build_graph(cfg: ScenarioConfig) -> CommGraph:
     )
 
 
-def _build_disturbance(
-    dist: DisturbanceConfig, cfg: ScenarioConfig, agent_id: int
-) -> SinusoidDisturbance | BallDisturbance:
-    if dist.kind == "sinusoid":
-        return SinusoidDisturbance(amp=dist.amp, freq=dist.freq, phase=dist.phase)
-    return BallDisturbance(
-        bound=dist.bound,
-        seed=cfg.sim.seed,
-        agent_id=agent_id,
-        step_duration=cfg.sim.ts / cfg.sim.fine_substeps,
-        dim=cfg.dims.d,
-    )
-
-
-def build_agent_model(cfg: ScenarioConfig, agent_id: int) -> AgentModel:
-    """Agent 0 is the leader; 1..N are followers."""
-    section = cfg.leader if agent_id == 0 else cfg.agents[agent_id - 1]
-    lipschitz = section.lipschitz
-    drift = DriftSpec(
-        dims=cfg.dims,
-        outer_gain=section.dynamics.outer_gain,
-        axes=section.dynamics.axes,
-    )
-    # the declared bound is verified at certify time: exactly for a ball, on
-    # sampled norms for a sinusoid (equal-frequency axes can stay below the
-    # amplitude hypot)
-    disturbance = _build_disturbance(section.disturbance, cfg, agent_id)
-    if lipschitz == "estimate":
-        lipschitz = estimate_lipschitz(drift, section.operating_box)
-    return AgentModel(
-        id=agent_id,
-        dims=cfg.dims,
-        drift=drift,
-        drift_lipschitz=float(lipschitz),
-        disturbance=disturbance,
-        disturbance_bound=section.disturbance_bound,
-        operating_box=section.operating_box,
-    )
-
-
 def build_all_models(cfg: ScenarioConfig) -> list[AgentModel]:
-    return [build_agent_model(cfg, i) for i in range(cfg.dims.followers + 1)]
+    """Agent 0 is the leader; 1..N are followers."""
+    models = []
+    for agent_id, section in enumerate((cfg.leader, *cfg.agents)):
+        lipschitz = section.lipschitz
+        drift = DriftTable.compile(cfg.dims, section.dynamics.outer_gain, section.dynamics.axes)
+        if lipschitz == "estimate":
+            lipschitz = estimate_lipschitz(drift, section.operating_box)
+        # the declared disturbance bound is verified at certify time: exactly for a
+        # ball, on sampled norms for a sinusoid (equal-frequency axes can stay below
+        # the amplitude hypot)
+        models.append(AgentModel(
+            id=agent_id,
+            drift=drift,
+            drift_lipschitz=float(lipschitz),
+            disturbance=section.disturbance,
+            disturbance_bound=section.disturbance_bound,
+            operating_box=section.operating_box,
+        ))
+    return models
 
 
 def initial_states(cfg: ScenarioConfig) -> np.ndarray:

@@ -62,6 +62,8 @@ class SimTrace:
     metadata: dict[str, str]
 
     def col(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise ScenarioError(f"trace has no column {name!r}")
         return self.data[:, self.columns.index(name)]
 
     def to_csv(self, path: str | Path) -> None:
@@ -174,9 +176,10 @@ class SimWorld:
         self._drift_rows = np.delete(np.arange(len(self.state)), np.s_[3::3])
         model_of_row = np.zeros(len(self._drift_rows), dtype=int)
         model_of_row[2::2] = np.arange(1, self.n + 1)
-        self._drift = DriftTable.stack([m.drift.table for m in self.models], model_of_row)
+        self._drift = DriftTable.stack([m.drift for m in self.models], model_of_row)
         disturbances = [m.disturbance for m in self.models]
-        self._disturbance = DisturbanceStack(disturbances, self.d, sim.seed)
+        step = sim.ts / sim.fine_substeps
+        self._disturbance = DisturbanceStack(disturbances, self.d, sim.seed, step)
         states = initial_states(cfg)
         self.state[self._agent_rows] = states
         self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
@@ -212,7 +215,7 @@ class SimWorld:
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float) -> np.ndarray:
         """(N, horizon, d) feedforward samples from the (N, nd) anchors, propagated as one stack."""
-        drift = self.models[0].drift
+        drift = self.models[0].drift.value
         h = self.sim.ts / self.sim.fine_substeps
         samples = np.zeros((len(anchors), self.horizon, self.d))
         state = anchors

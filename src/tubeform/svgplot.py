@@ -54,7 +54,8 @@ class SvgFigure:
     def add_line(self, x, y, label: str | None = None, color: str | None = None,
                  dashed: bool = False):
         color = color or PALETTE[len(self._legend) % len(PALETTE)]
-        self._series.append(("line", list(x), list(y), color, dashed))
+        # the caller's arrays, not boxed copies: a report holds all its figures before writing
+        self._series.append(("line", x, y, color, dashed))
         self._bump(x, y)
         if label:
             self._legend.append((label, color))

@@ -4,10 +4,13 @@ These deliberately avoid the package's own code paths: eigenvalues via
 characteristic-polynomial roots, finite-difference stencils via Fornberg
 weights, QP optima via projected gradient ascent on the dual, horizon
 trajectories and OCP objectives via the explicit step recurrence, barrier
-values from the position offset alone.
+values from the position offset alone, and each agent's disturbance from its
+own per-agent formula.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -141,6 +144,29 @@ def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):
     """h = ||p_self - p_other||^2 - R^2 on the position blocks (first d entries) of two chains."""
     offset = np.asarray(x_self)[..., :d] - np.asarray(x_other)[..., :d]
     return np.sum(offset * offset, axis=-1) - np.square(keep_out)
+
+
+def fine_step_index(t: float, step_duration: float) -> int:
+    """The fine-step index whose ball draw holds at time t."""
+    return math.floor(t / step_duration + 1e-12)
+
+
+def agent_disturbance(config, d: int, agent: int, seed: int, step_duration: float, t: float):
+    """One agent's (d,) disturbance at time t, from its ``DisturbanceConfig`` alone.
+
+    A sinusoid is amp_k * sin(freq_k * t + phase_k) per axis. A ball is one
+    uniform-in-ball draw per fine-step index j, from the generator seeded with
+    (seed, agent, j): a normal direction scaled to radius ``bound * U^(1/d)``.
+    """
+    if config.kind == "sinusoid":
+        return np.asarray(config.amp) * np.sin(np.asarray(config.freq) * t + np.asarray(config.phase))
+    rng = np.random.default_rng((seed, agent, fine_step_index(t, step_duration)))
+    vec = rng.normal(size=d)
+    nrm = np.linalg.norm(vec)
+    if nrm == 0.0:
+        return np.zeros(d)
+    radius = config.bound * rng.random() ** (1.0 / d)
+    return vec * (radius / nrm)
 
 
 def chain_recurrence(ad: np.ndarray, bd: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:

@@ -85,6 +85,15 @@ class TestCertify:
         bad.write_text("{ nope")
         assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 1
 
+    def test_binary_scenario_exit_1(self, tmp_path, capsys):
+        """A scenario that is not UTF-8 text exits 1 naming the file, and writes nothing."""
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+        out = tmp_path / "c" / "cert.json"
+        assert main(["certify", str(bad), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize(
         "section, key, value, path",
         [
@@ -263,6 +272,15 @@ class TestRun:
         assert main(argv + ["--t-end", "0.55"]) == 1
         assert "t_end must be an integer multiple of the sampling period" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_binary_certificate_exit_1(self, tmp_path, capsys):
+        """A certificate that is not UTF-8 text exits 1 naming the file, with no output directory."""
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "o"
+        assert main(["run", str(SMOKE), "--cert", str(cert), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cert}: not UTF-8 text")
+        assert not out.exists()
 
     def test_non_object_certificate_exit_1(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
@@ -449,6 +467,25 @@ class TestReport:
         for name in ("trajectories", "formation_errors", "clearances", "tube_occupancy"):
             minidom.parseString((out / f"{name}.svg").read_text())
         assert (out / "metrics.csv").read_text().startswith("metric,")
+
+    def test_three_traces_exit_1(self, run_dir, tmp_path, capsys):
+        """More than two traces exit 1 before any trace is read, with no output directory."""
+        out = tmp_path / "report"
+        missing = str(tmp_path / "missing.csv")  # never opened
+        for traces in ([str(run_dir / "trace.csv")] * 3, [missing] * 4):
+            assert main(["report", *traces, "-o", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: report takes one or two traces (got {len(traces)})\n"
+            assert not out.exists()
+
+    def test_missing_column_exit_1(self, tmp_path, capsys):
+        """A well-formed trace without the report's columns exits 1 naming the first one missing."""
+        trace = tmp_path / "short.csv"
+        trace.write_text("t,k\n0,0\n0.01,0\n")
+        out = tmp_path / "report"
+        assert main(["report", str(trace), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: trace has no column 'ferr_stacked'\n"
+        assert not out.exists()
 
     def test_malformed_trace_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -8,17 +8,18 @@ import pytest
 from tubeform.errors import DimensionMismatch, ScenarioError
 from tubeform.models import (
     AgentModel,
-    BallDisturbance,
     Box,
     BrunovskyDims,
+    DisturbanceConfig,
     DisturbanceStack,
-    DriftSpec,
+    DriftTable,
     DriftTerm,
     Obstacle,
-    SinusoidDisturbance,
     chain_matrices,
     estimate_lipschitz,
 )
+
+from oracles import agent_disturbance, fine_step_index
 
 DIMS = BrunovskyDims(n=3, d=2, followers=5)
 
@@ -36,12 +37,12 @@ def cubic_damped_drift(gain=1.0):
                 DriftTerm(form="tanh", coeff=-0.25, scale=0.6, order=1, axis=ax),
             )
         )
-    return DriftSpec(dims=DIMS, outer_gain=gain, axes=tuple(axes))
+    return DriftTable.compile(DIMS, gain, tuple(axes))
 
 
 def one_term(term):
     """A drift whose axis 0 is the single term (outer gain -1) and axis 1 is zero."""
-    return DriftSpec(dims=DIMS, outer_gain=-1.0, axes=((term,), ()))
+    return DriftTable.compile(DIMS, -1.0, ((term,), ()))
 
 
 def all_forms_drift():
@@ -58,7 +59,7 @@ def all_forms_drift():
             DriftTerm(form="cubic", coeff=0.3, order=1, weights=(1.0, 1.0)),
         ),
     )
-    return DriftSpec(dims=DIMS, outer_gain=1.7, axes=axes)
+    return DriftTable.compile(DIMS, 1.7, axes)
 
 
 class TestChainMatrices:
@@ -83,18 +84,18 @@ class TestDrift:
         x = np.array([1.0, -2.0, 0.5, 0.0, 0.25, 1.0])
         expected0 = -(0.25 + 0.49 * 1.0 + 1.12 * 0.5 + 0.12 * 1.0 - 0.25 * math.tanh(0.6))
         expected1 = -(1.0 + 0.49 * -2.0 + 1.12 * 0.0 + 0.12 * -8.0 - 0.25 * math.tanh(-1.2))
-        assert np.allclose(drift(x, 0.0), [expected0, expected1])
+        assert np.allclose(drift.value(x, 0.0), [expected0, expected1])
 
     def test_sinusoid_term_time_only(self):
         drift = one_term(DriftTerm(form="sin_t", coeff=-0.4, freq=0.8, phase=0.5))
-        assert drift(np.zeros(6), 2.0)[0] == pytest.approx(-0.4 * math.sin(2.1))
-        assert np.allclose(drift.table.jacobian(np.ones(6)), 0.0)
+        assert drift.value(np.zeros(6), 2.0)[0] == pytest.approx(-0.4 * math.sin(2.1))
+        assert np.allclose(drift.jacobian(np.ones(6)), 0.0)
 
     def test_cross_coupling_term(self):
         term = DriftTerm(form="sq_tanh", coeff=-0.15, order=1, sq_axis=1, axis=0, scale=1.0)
         drift = one_term(term)
         x = np.array([0.5, 2.0, 0, 0, 0, 0.0])
-        assert drift(x, 0.0)[0] == pytest.approx(-0.15 * 4.0 * math.tanh(0.5))
+        assert drift.value(x, 0.0)[0] == pytest.approx(-0.15 * 4.0 * math.tanh(0.5))
 
     @pytest.mark.parametrize(
         "term, expected",
@@ -107,28 +108,28 @@ class TestDrift:
     )
     def test_single_term_hand_value(self, term, expected):
         x = np.array([9.0, 9.0, 0.75, -1.5, 2.0, 9.0])
-        assert one_term(term)(x, 0.3)[0] == pytest.approx(expected, rel=1e-14)
+        assert one_term(term).value(x, 0.3)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_stack_matches_row_by_row(self):
         """One call on an (M, nd) or (K, M, nd) stack equals M single-state calls."""
         drift = all_forms_drift()
         xs = np.random.default_rng(4).normal(size=(2, 7, 6))
-        stacked = drift(xs, 1.3)
+        stacked = drift.value(xs, 1.3)
         assert stacked.shape == (2, 7, 2)
-        rows = np.array([[drift(x, 1.3) for x in block] for block in xs])
+        rows = np.array([[drift.value(x, 1.3) for x in block] for block in xs])
         np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
 
     def test_jacobian_matches_finite_differences(self):
         """The stacked Jacobian of every form against central differences."""
         drift = all_forms_drift()
         xs = np.random.default_rng(2).normal(size=(2, 7, 6))
-        jac = drift.table.jacobian(xs)
+        jac = drift.jacobian(xs)
         assert jac.shape == (2, 7, 2, 6)
         step = 1e-6
         for col in range(6):
             bump = np.zeros(6)
             bump[col] = step
-            fd = (drift(xs + bump, 0.9) - drift(xs - bump, 0.9)) / (2 * step)
+            fd = (drift.value(xs + bump, 0.9) - drift.value(xs - bump, 0.9)) / (2 * step)
             np.testing.assert_allclose(jac[..., col], fd, rtol=0, atol=1e-7)
 
     def test_malformed_term_rejected(self):
@@ -143,10 +144,8 @@ class TestDrift:
 class TestLipschitzEstimate:
     def test_linear_drift_exact(self):
         dims = BrunovskyDims(n=1, d=1, followers=1)
-        drift = DriftSpec(
-            dims=dims,
-            outer_gain=1.0,
-            axes=((DriftTerm(form="state", coeff=2.0, order=1, axis=0),),),
+        drift = DriftTable.compile(
+            dims, 1.0, ((DriftTerm(form="state", coeff=2.0, order=1, axis=0),),)
         )
         box = Box(lower=(-1.0,), upper=(1.0,))
         # |df/dx| = 2 everywhere; estimate = 2 * 1.25
@@ -154,10 +153,8 @@ class TestLipschitzEstimate:
 
     def test_cubic_peaks_at_corner(self):
         dims = BrunovskyDims(n=1, d=1, followers=1)
-        drift = DriftSpec(
-            dims=dims,
-            outer_gain=1.0,
-            axes=((DriftTerm(form="cubic", coeff=1.0, order=1, weights=(1.0,)),),),
+        drift = DriftTable.compile(
+            dims, 1.0, ((DriftTerm(form="cubic", coeff=1.0, order=1, weights=(1.0,)),),)
         )
         box = Box(lower=(-2.0,), upper=(2.0,))
         assert estimate_lipschitz(drift, box) == pytest.approx(12.0 * 1.25)
@@ -168,7 +165,7 @@ class TestLipschitzEstimate:
         box = Box(lower=(-2.0, -1.0, -0.5, -1.5, -1.0, -0.3), upper=(2.0, 1.0, 0.5, 1.5, 1.0, 0.3))
         axes = [np.linspace(lo, hi, 6) for lo, hi in zip(box.lower, box.upper)]
         grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        full = np.max(np.linalg.norm(drift.table.jacobian(grid), 2, axis=(-2, -1)))
+        full = np.max(np.linalg.norm(drift.jacobian(grid), 2, axis=(-2, -1)))
         assert estimate_lipschitz(drift, box, points_per_axis=6) == float(full) * 1.25
 
     def test_peak_memory_does_not_grow_with_the_grid(self):
@@ -191,11 +188,10 @@ class TestAgentModel:
     def make(self, bound=0.25, lipschitz=4.0):
         return AgentModel(
             id=1,
-            dims=DIMS,
             drift=cubic_damped_drift(),
             drift_lipschitz=lipschitz,
-            disturbance=SinusoidDisturbance(
-                amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)
+            disturbance=DisturbanceConfig(
+                "sinusoid", amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)
             ),
             disturbance_bound=bound,
             operating_box=Box(lower=(-1.0,) * 6, upper=(1.0,) * 6),
@@ -209,18 +205,16 @@ class TestAgentModel:
             self.make(bound=0.1).check_disturbance_bound(30.0)
 
     def test_ball_disturbance_bound_is_exact(self):
-        """A bound just below the ball radius fails; sampling draws cannot tell."""
-        ball = BallDisturbance(bound=0.2, seed=0, agent_id=1, step_duration=0.01)
+        """A bound just below the ball radius fails, though no draw of any seed reaches it."""
+        ball = DisturbanceConfig("ball", bound=0.2)
         model = dataclasses.replace(self.make(bound=0.2), disturbance=ball)
         model.check_disturbance_bound(30.0)
+        tight = dataclasses.replace(model, disturbance_bound=0.2 * (1.0 - 1e-6))
         for seed in range(5):
-            tight = dataclasses.replace(
-                model,
-                disturbance=dataclasses.replace(ball, seed=seed),
-                disturbance_bound=0.2 * (1.0 - 1e-6),
-            )
-            with pytest.raises(ScenarioError, match="agent 1"):
-                tight.check_disturbance_bound(30.0)
+            draws = [agent_disturbance(ball, 2, 1, seed, 0.01, 0.01 * j) for j in range(3000)]
+            assert np.max(np.linalg.norm(draws, axis=1)) < tight.disturbance_bound
+        with pytest.raises(ScenarioError, match="agent 1"):
+            tight.check_disturbance_bound(30.0)
 
     def test_lipschitz_spot_check(self):
         rng = np.random.default_rng(0)
@@ -229,18 +223,20 @@ class TestAgentModel:
             self.make(lipschitz=0.2).check_lipschitz(np.random.default_rng(0))
 
 
-def disturbance_models(kind: str) -> list:
-    """Three models of one kind, or alternating kinds, for the d = 2 stack tests."""
+def disturbance_configs(kind: str) -> list[DisturbanceConfig]:
+    """Three configs of one kind, or alternating kinds, for the d = 2 stack tests."""
     sines = [
-        SinusoidDisturbance(amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)),
-        SinusoidDisturbance(amp=(0.05, 0.0), freq=(3.7, 0.0), phase=(1.3, 0.0)),
-        SinusoidDisturbance(amp=(0.01, 0.3), freq=(0.2, 12.5), phase=(-0.4, 2.9)),
+        DisturbanceConfig("sinusoid", amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)),
+        DisturbanceConfig("sinusoid", amp=(0.05, 0.0), freq=(3.7, 0.0), phase=(1.3, 0.0)),
+        DisturbanceConfig("sinusoid", amp=(0.01, 0.3), freq=(0.2, 12.5), phase=(-0.4, 2.9)),
     ]
-    balls = [
-        BallDisturbance(bound=0.1 * (a + 1), seed=4, agent_id=a, step_duration=0.01)
-        for a in range(3)
-    ]
+    balls = [DisturbanceConfig("ball", bound=0.1 * (a + 1)) for a in range(3)]
     return {"sine": sines, "ball": balls, "mixed": [balls[0], sines[0], balls[1], sines[1]]}[kind]
+
+
+def reference(configs: list[DisturbanceConfig], seed: int, t: float) -> np.ndarray:
+    """Row r is agent r's disturbance from its own formula, with fine steps of 0.01."""
+    return np.stack([agent_disturbance(c, 2, r, seed, 0.01, t) for r, c in enumerate(configs)])
 
 
 def stage_times(fine_steps: int, h: float = 0.01) -> list[float]:
@@ -255,38 +251,47 @@ def stage_times(fine_steps: int, h: float = 0.01) -> list[float]:
 class TestDisturbanceStack:
     @pytest.mark.parametrize("kind", ["sine", "ball", "mixed"])
     def test_stack_equals_per_model_calls(self, kind):
-        """Bit-equal to one call per model at the stage times: in order, shuffled, reversed."""
-        models = disturbance_models(kind)
+        """Bit-equal to each agent's own formula at the stage times: in order, shuffled, reversed."""
+        configs = disturbance_configs(kind)
         times = stage_times(6)  # crosses the fine-step boundaries at 0.99, 1.0, ...
         shuffled = list(np.random.default_rng(0).permutation(times))
-        stack = DisturbanceStack(models, 2, seed=4)  # the models' own seed
+        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         for t in times + shuffled + times[::-1]:
-            expected = np.stack([m(t) for m in models])
-            assert np.array_equal(stack(t), expected), t
+            assert np.array_equal(stack(t), reference(configs, 4, t)), t
 
     def test_stage_at_step_end_reads_next_draw(self):
         """Fine step j's first stages read draw j; its last stage, at its end, reads draw j + 1."""
-        ball = disturbance_models("ball")[0]
-        stack = DisturbanceStack([ball], 2, seed=4)
+        ball = disturbance_configs("ball")[0]
+        stack = DisturbanceStack([ball], 2, seed=4, step_duration=0.01)
         t = 0.98
         for j in range(98, 104):
-            assert ball.index(t) == ball.index(t + 0.005) == j
-            assert ball.index(t + 0.01) == j + 1
+            assert fine_step_index(t, 0.01) == fine_step_index(t + 0.005, 0.01) == j
+            assert fine_step_index(t + 0.01, 0.01) == j + 1
             assert not np.array_equal(stack(t + 0.005), stack(t + 0.01))
             t += 0.01
 
+    def test_rounded_step_times_read_their_own_draw(self):
+        """t = k h in floating point can fall just below k h (0.29 / 0.01 < 29); it still reads draw k."""
+        configs = disturbance_configs("ball")
+        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
+        times = [k * 0.01 for k in range(101)]
+        assert any(t / 0.01 < k for k, t in enumerate(times))
+        for k, t in enumerate(times):
+            assert fine_step_index(t, 0.01) == k
+            assert np.array_equal(stack(t), reference(configs, 4, t)), t
+
     def test_ball_rows_draw_with_the_run_seed(self):
-        """The stack's seed replaces each ball's own; the sinusoid rows do not depend on it."""
-        models = disturbance_models("mixed")
-        stack = DisturbanceStack(models, 2, seed=9)
+        """The ball rows draw with the stack's seed; the sinusoid rows do not depend on it."""
+        configs = disturbance_configs("mixed")
+        stack = DisturbanceStack(configs, 2, seed=9, step_duration=0.01)
         for t in stage_times(3):
-            w = stack(t)
-            for row, model in enumerate(models):
-                if isinstance(model, BallDisturbance):
-                    assert np.array_equal(w[row], dataclasses.replace(model, seed=9)(t))
-                    assert not np.array_equal(w[row], model(t))
+            w, seeded, other = stack(t), reference(configs, 9, t), reference(configs, 4, t)
+            for row, config in enumerate(configs):
+                assert np.array_equal(w[row], seeded[row])
+                if config.kind == "ball":
+                    assert not np.array_equal(w[row], other[row])
                 else:
-                    assert np.array_equal(w[row], model(t))
+                    assert np.array_equal(w[row], other[row])
 
 
 class TestFormationAndObstacle:

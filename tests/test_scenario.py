@@ -158,9 +158,9 @@ class TestEstimateMode:
         doc["gains"]["poles"] = [-2.0]  # one closed-loop pole per chain order
         doc["initial_states"] = {"leader": [0.0], "followers": [[0.5]]}
         cfg = parse_scenario(json.dumps(doc))
-        from tubeform.scenario import build_agent_model
+        from tubeform.scenario import build_all_models
 
-        model = build_agent_model(cfg, 1)
+        model = build_all_models(cfg)[1]
         # |d/dx (-0.5 x)| = 0.5, times the 1.25 safety factor
         assert model.drift_lipschitz == pytest.approx(0.625)
 

@@ -11,7 +11,7 @@ from tubeform.barrier import assemble_row
 from tubeform.cli import main
 from tubeform.errors import DegenerateGradient, NonFiniteState
 from tubeform.graph import CommGraph
-from tubeform.models import BallDisturbance
+from tubeform.models import DisturbanceStack
 from tubeform.ocp import rollout
 from tubeform.pipeline import certify_scenario
 from tubeform.protocol import shift_plan
@@ -25,7 +25,7 @@ from tubeform.sim import (
     trace_metrics,
 )
 
-from oracles import chain_recurrence
+from oracles import agent_disturbance, chain_recurrence
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
@@ -122,6 +122,13 @@ class TestSingleAgentObstacle:
         assert result.trace.col("x1_10")[-1] > 2.0
 
 
+def own_disturbance(world, agent, t):
+    """Agent ``agent``'s disturbance at time t from its own formula, as the run seeds and steps it."""
+    sim = world.sim
+    step = sim.ts / sim.fine_substeps
+    return agent_disturbance(world.models[agent].disturbance, world.d, agent, sim.seed, step, t)
+
+
 class TestDeviationDynamics:
     @staticmethod
     def stepped_world(feedforward_on):
@@ -155,8 +162,9 @@ class TestDeviationDynamics:
         for i, _, dx, ddx, anchor in self.deviation_rates(world, t):
             pinned = world.graph.b0[i] > 0
             ff_state = world.state[0] if pinned else anchor
-            mismatch = world.models[0].drift(ff_state, t) - world.models[0].drift(anchor, t)
-            w = world.models[i + 1].disturbance(t)
+            leader = world.models[0].drift.value
+            mismatch = leader(ff_state, t) - leader(anchor, t)
+            w = own_disturbance(world, i + 1, t)
             expected = acl @ dx + g_sel @ (mismatch + w)
             assert np.max(np.abs(ddx - expected)) < 1e-9
 
@@ -168,7 +176,7 @@ class TestDeviationDynamics:
         g_sel = np.zeros((nd, 2))
         g_sel[-2:] = np.eye(2)
         for i, x, dx, ddx, _ in self.deviation_rates(world, t):
-            drive = world.models[i + 1].drift(x, t) + world.models[i + 1].disturbance(t)
+            drive = world.models[i + 1].drift.value(x, t) + own_disturbance(world, i + 1, t)
             assert np.max(np.abs(drive)) > 1e-3  # the uncancelled term is really there
             expected = acl @ dx + g_sel @ drive
             assert np.max(np.abs(ddx - expected)) < 1e-9
@@ -188,7 +196,7 @@ class TestLeaderFeedforward:
             np.testing.assert_allclose(stacked[i], single, rtol=1e-13, atol=1e-13)
         # the first sample is the leader drift at the anchor itself
         np.testing.assert_allclose(
-            stacked[:, 0], world.models[0].drift(anchors, 0.7), rtol=0, atol=0
+            stacked[:, 0], world.models[0].drift.value(anchors, 0.7), rtol=0, atol=0
         )
 
 
@@ -204,12 +212,12 @@ class TestWorldDrift:
             world.step(step)
         t = 10.37 * cfg.sim.ts
         team = world._drift.value(world.state[world._drift_rows], t)
-        leader = world.models[0].drift
+        leader = world.models[0].drift.value
         expected = np.empty_like(team)
         expected[[0, 1]] = leader(world.state[[0, 1]], t)
         expected[3::2] = leader(world.anchors, t)
         for i, model in enumerate(world.models[1:]):
-            expected[2 + 2 * i] = model.drift(world.x_true[i], t)
+            expected[2 + 2 * i] = model.drift.value(world.x_true[i], t)
         np.testing.assert_allclose(team, expected, rtol=1e-14, atol=1e-14)
 
 
@@ -337,14 +345,14 @@ class TestDisturbanceDraws:
             section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
         cfg = parse_scenario(json.dumps(doc))
         cert = certify_scenario(cfg, spot_checks=False)
-        draw = BallDisturbance.__call__
+        draw = DisturbanceStack.draw
         calls = []
 
-        def counting(ball, t):
-            calls.append((ball.agent_id, ball.index(t)))
-            return draw(ball, t)
+        def counting(stack, row, j):
+            calls.append((row, j))
+            return draw(stack, row, j)
 
-        monkeypatch.setattr(BallDisturbance, "__call__", counting)
+        monkeypatch.setattr(DisturbanceStack, "draw", counting)
         run_simulation(cfg, cert, SimConfig.from_scenario(cfg, t_end=1.0))
         assert len(calls) == 3 * 101
         assert sorted(calls) == [(a, j) for a in range(3) for j in range(101)]
