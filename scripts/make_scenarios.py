@@ -3,9 +3,11 @@
 
 Keeps every value the reference setup prescribes (dynamics tables,
 disturbances, obstacle geometry, offsets, initial states) and fills the
-design-time constants (Lipschitz bounds, operating boxes, margin radii,
+design-time constants (Lipschitz constants, operating boxes, margin radii,
 input boxes) with the numbers recorded here, which were tuned against the
-acceptance suite. Run from the repository root:
+acceptance suite. It is the one place that sets the shipped Lipschitz
+constants: the paper and ablation ones from ``max_jacobian_norm``, the
+smoke ones by hand. Run from the repository root:
 
     python scripts/make_scenarios.py
 """
@@ -43,10 +45,15 @@ def per_axis_linear(ax, c1, c2):
 
 
 def max_jacobian_norm(dims, outer_gain, axes_terms, box):
-    """Tight numeric bound on the drift Lipschitz constant over the box.
+    """Grid estimate of the drift Lipschitz constant over the box; not a bound.
 
-    The term forms depend on the position block only (plus constant taps on
-    higher blocks), so a dense grid over the position block suffices.
+    The largest Jacobian spectral norm on a 121 x 121 grid over the position
+    block, the other coordinates held at the box center (the term forms depend
+    on the position block only, plus constant taps on higher blocks). A grid
+    sup can miss the maximum between grid points; the callers scale it by
+    1.02 and round it. ``tubeform certify`` only spot-checks the declared
+    constant on sampled box pairs. The sound Jacobian envelope of ROADMAP.md
+    item 4 is to replace both.
     """
     dynamics = walk(DYNAMICS, {"outer_gain": outer_gain, "axes": axes_terms}, "dynamics", dims)
     drift = DriftTable.compile(dims, dynamics.outer_gain, dynamics.axes)

@@ -1,10 +1,10 @@
 """Offline certification: gains, tube radii, disturbance bounds, input tightening.
 
-The certified quantities follow the worst-case closed forms: the leader tube
-radius with its Lipschitz feasibility condition, the effective disturbance
-bound combining the physical bound with the leader-deviation feedthrough, the
-explicit follower tube radius (no follower-Lipschitz condition), and the
-no-feedforward baseline radius kept for comparison. Scenario files may
+The certified quantities follow the worst-case closed forms: one radius with a
+Lipschitz feasibility condition (the leader tube, and the no-feedforward
+baseline kept for comparison), the effective disturbance bound combining the
+physical bound with the leader-deviation feedthrough, and the explicit
+follower tube radius (no follower-Lipschitz condition). Scenario files may
 additionally declare smaller margin radii; those are verified at runtime by
 the simulator rather than proven offline (see decisions in the repo docs).
 """
@@ -115,18 +115,13 @@ class LeaderCertificate:
 
 
 def leader_radius(lyap: LyapunovPair, w0_bar: float, l0: float) -> LeaderCertificate:
-    """Leader tube radius with its Lipschitz feasibility condition.
-
-    rho0 = 2 lmax(P) ||G|| w0 / (lmin(Q) - 2 lmax(P) ||G|| L0), requiring a
-    positive denominator; ||G|| = 1 for the chain selector.
-    """
-    denom = lyap.lambda_min_q - 2.0 * lyap.lambda_max_p * l0
-    if denom <= 0.0:
+    """Leader tube radius: ``baseline_radius`` at L0, as the leader has no feedforward."""
+    rho0 = baseline_radius(lyap, w0_bar, l0)
+    if rho0 is None:
         raise InfeasibleLeaderTube(
             f"need lmin(Q) > 2 lmax(P) L0: {lyap.lambda_min_q:.6g} <= "
             f"{2.0 * lyap.lambda_max_p * l0:.6g}"
         )
-    rho0 = 2.0 * lyap.lambda_max_p * w0_bar / denom
     return LeaderCertificate(
         lyap=lyap,
         rho0=rho0,
@@ -161,7 +156,12 @@ def follower_radius(lyap: LyapunovPair, w_eff: float) -> tuple[float, float]:
 
 
 def baseline_radius(lyap: LyapunovPair, w_bar: float, lf: float) -> float | None:
-    """No-feedforward tube radius; None when its feasibility condition fails."""
+    """Tube radius under a Lipschitz drift with no feedforward to cancel it.
+
+    rho = 2 lmax(P) ||G|| w / (lmin(Q) - 2 lmax(P) ||G|| L), with ||G|| = 1 for
+    the chain selector; None when the denominator is not positive. It serves
+    the leader tube and the followers' no-feedforward baseline.
+    """
     denom = lyap.lambda_min_q - 2.0 * lf * lyap.lambda_max_p
     if denom <= 0.0:
         return None

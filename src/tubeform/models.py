@@ -280,35 +280,6 @@ class AgentModel:
             )
 
 
-def estimate_lipschitz(
-    drift: DriftTable, box: Box, points_per_axis: int = 11, safety: float = 1.25
-) -> float:
-    """Grid-sample the drift Jacobian spectral norm over the box.
-
-    Evaluates the closed-form Jacobian on a full grid with
-    ``points_per_axis`` points per state axis, built chunk by chunk, and
-    returns the largest spectral norm times ``safety``.
-    """
-    if points_per_axis ** len(box.lower) > 5_000_000:
-        raise ScenarioError(
-            "Lipschitz estimation grid too large for this state dimension; "
-            "declare drift_lipschitz explicitly"
-        )
-    axes = [
-        np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
-        for lo, hi in zip(box.lower, box.upper)
-    ]
-    shape = tuple(len(ax) for ax in axes)
-    n_points = math.prod(shape)
-    worst = 0.0
-    for start in range(0, n_points, 20_000):  # C-order grid points, one chunk at a time
-        idx = np.unravel_index(np.arange(start, min(start + 20_000, n_points)), shape)
-        chunk = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
-        norms = np.linalg.norm(drift.jacobian(chunk), 2, axis=(-2, -1))
-        worst = max(worst, float(np.max(norms)))
-    return worst * safety
-
-
 @dataclass(frozen=True)
 class Obstacle:
     """Circular obstacle; the barrier uses radius + inflation as keep-out."""

@@ -36,7 +36,6 @@ from .models import (
     DriftTable,
     DriftTerm,
     Obstacle,
-    estimate_lipschitz,
 )
 
 
@@ -71,7 +70,7 @@ class FollowerConfig:
     dynamics: DynamicsConfig
     disturbance: DisturbanceConfig
     disturbance_bound: float
-    lipschitz: float | str  # numeric or "estimate"
+    lipschitz: float
     operating_box: Box
     margin_radius: float | None = None
 
@@ -170,11 +169,11 @@ class Field(NamedTuple):
     """One scenario entry.
 
     ``kind`` is float (a finite JSON number), int, bool, str, a tuple of
-    string literals (optionally with float) or a nested ``Section``. ``shape``
-    gives the list lengths around each value, outermost first: "n", "d",
-    "nd", "N" (followers), "N+1", a count, or None for any length. ``checks``
-    apply to each number. An entry with ``when = (key, values)`` applies only
-    where the sibling ``key``, read earlier, holds one of ``values``.
+    string literals or a nested ``Section``. ``shape`` gives the list lengths
+    around each value, outermost first: "n", "d", "nd", "N" (followers),
+    "N+1", a count, or None for any length. ``checks`` apply to each number.
+    An entry with ``when = (key, values)`` applies only where the sibling
+    ``key``, read earlier, holds one of ``values``.
     """
 
     key: str
@@ -243,7 +242,7 @@ LEADER = Section(LeaderConfig, AGENT + (
     ))),
 ))
 FOLLOWER = Section(FollowerConfig, (Field("id", int),) + AGENT + (
-    Field("lipschitz", (float, "estimate"), checks=NON_NEGATIVE),
+    Field("lipschitz", float, checks=NON_NEGATIVE),
     Field("margin_radius", float, (), None, POSITIVE),
 ))
 GRAPH = Section(GraphConfig, (
@@ -340,7 +339,7 @@ def _problem(f: Field, raw, siblings: dict, dims: BrunovskyDims | None) -> str |
     else:
         names = " or ".join(_TYPE_NAMES.get(kind, repr(kind)) for kind in kinds)
         return f"must be {names} (got {raw!r})"
-    for check in () if type(raw) is str else f.checks:
+    for check in f.checks:
         if not check.test(raw, siblings, dims):
             return f"must be {check.text} (got {raw!r})"
     return None
@@ -481,17 +480,14 @@ def build_all_models(cfg: ScenarioConfig) -> list[AgentModel]:
     """Agent 0 is the leader; 1..N are followers."""
     models = []
     for agent_id, section in enumerate((cfg.leader, *cfg.agents)):
-        lipschitz = section.lipschitz
         drift = DriftTable.compile(cfg.dims, section.dynamics.outer_gain, section.dynamics.axes)
-        if lipschitz == "estimate":
-            lipschitz = estimate_lipschitz(drift, section.operating_box)
         # the declared disturbance bound is verified at certify time: exactly for a
         # ball, on sampled norms for a sinusoid (equal-frequency axes can stay below
         # the amplitude hypot)
         models.append(AgentModel(
             id=agent_id,
             drift=drift,
-            drift_lipschitz=float(lipschitz),
+            drift_lipschitz=section.lipschitz,
             disturbance=section.disturbance,
             disturbance_bound=section.disturbance_bound,
             operating_box=section.operating_box,

@@ -75,20 +75,20 @@ class SimTrace:
     @classmethod
     def from_csv(cls, path: str | Path) -> "SimTrace":
         metadata: dict[str, str] = {}
-        columns: list[str] = []
         with open(path) as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line.startswith("# "):
-                    key, _, value = line[2:].partition(": ")
-                    metadata[key] = value
-                else:
-                    columns = line.split(",")
-                    break
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if "t" not in columns or data.size == 0 or data.shape[1] != len(columns):
-            raise ScenarioError(f"{path}: malformed trace CSV")
-        return cls(columns=columns, data=data, metadata=metadata)
+            line = fh.readline()
+            while line.startswith("# "):
+                key, _, value = line[2:].rstrip("\n").partition(": ")
+                metadata[key] = value
+                line = fh.readline()
+            columns = line.rstrip("\n").split(",")
+            start = fh.tell()
+            if "t" in columns and fh.readline().strip():  # a header and a first row
+                fh.seek(start)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                if data.shape[1] == len(columns):
+                    return cls(columns=columns, data=data, metadata=metadata)
+        raise ScenarioError(f"{path}: malformed trace CSV")
 
 
 def apply_control(

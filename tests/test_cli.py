@@ -487,7 +487,12 @@ class TestReport:
         assert capsys.readouterr().err == "error: trace has no column 'ferr_stacked'\n"
         assert not out.exists()
 
-    def test_malformed_trace_exit_1(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_trace_exit_1(self, tmp_path, capsys):
+        """A header without a "t" column, or with no rows after it, fails without a warning."""
         bad = tmp_path / "bad.csv"
-        bad.write_text("not,a,trace\n")
-        assert main(["report", str(bad), "-o", str(tmp_path / "r")]) == 1
+        for text in ("not,a,trace\n", "# seed: 0\nt,k\n", ""):
+            bad.write_text(text)
+            assert main(["report", str(bad), "-o", str(tmp_path / "r")]) == 1
+            assert capsys.readouterr().err == f"error: {bad}: malformed trace CSV\n"
+            assert not (tmp_path / "r").exists()

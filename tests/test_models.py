@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from tubeform.models import (
     DriftTerm,
     Obstacle,
     chain_matrices,
-    estimate_lipschitz,
 )
 
 from oracles import agent_disturbance, fine_step_index
@@ -139,49 +137,6 @@ class TestDrift:
             one_term(DriftTerm(form="tanh", coeff=1.0, order=4, axis=0))
         with pytest.raises(DimensionMismatch):
             one_term(DriftTerm(form="cubic", coeff=1.0, weights=(1.0,)))
-
-
-class TestLipschitzEstimate:
-    def test_linear_drift_exact(self):
-        dims = BrunovskyDims(n=1, d=1, followers=1)
-        drift = DriftTable.compile(
-            dims, 1.0, ((DriftTerm(form="state", coeff=2.0, order=1, axis=0),),)
-        )
-        box = Box(lower=(-1.0,), upper=(1.0,))
-        # |df/dx| = 2 everywhere; estimate = 2 * 1.25
-        assert estimate_lipschitz(drift, box) == pytest.approx(2.5)
-
-    def test_cubic_peaks_at_corner(self):
-        dims = BrunovskyDims(n=1, d=1, followers=1)
-        drift = DriftTable.compile(
-            dims, 1.0, ((DriftTerm(form="cubic", coeff=1.0, order=1, weights=(1.0,)),),)
-        )
-        box = Box(lower=(-2.0,), upper=(2.0,))
-        assert estimate_lipschitz(drift, box) == pytest.approx(12.0 * 1.25)
-
-    def test_chunked_grid_equals_full_grid_maximum(self):
-        """46,656 points in three chunks give the maximum of one pass over the full meshgrid."""
-        drift = cubic_damped_drift()
-        box = Box(lower=(-2.0, -1.0, -0.5, -1.5, -1.0, -0.3), upper=(2.0, 1.0, 0.5, 1.5, 1.0, 0.3))
-        axes = [np.linspace(lo, hi, 6) for lo, hi in zip(box.lower, box.upper)]
-        grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        full = np.max(np.linalg.norm(drift.jacobian(grid), 2, axis=(-2, -1)))
-        assert estimate_lipschitz(drift, box, points_per_axis=6) == float(full) * 1.25
-
-    def test_peak_memory_does_not_grow_with_the_grid(self):
-        """Growing a 6-D grid from 46,656 to 262,144 points would add 20 MB for the
-        full grid and its stacked copy; built chunk by chunk, the peak moves < 2 MB."""
-        drift = cubic_damped_drift()
-        box = Box(lower=(-2.0,) * 6, upper=(2.0,) * 6)
-        peaks = []
-        for points in (6, 8):
-            tracemalloc.start()
-            try:
-                estimate_lipschitz(drift, box, points_per_axis=points)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 2e6
 
 
 class TestAgentModel:

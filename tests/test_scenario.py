@@ -126,45 +126,6 @@ class TestSpotChecks:
             certify_scenario(cfg, spot_checks=True)
 
 
-class TestEstimateMode:
-    def test_estimate_small_dims(self):
-        doc = json.loads(open(SMOKE).read())
-        doc["dims"] = {"n": 1, "d": 1, "followers": 1}
-        doc["agents"] = [
-            {
-                "id": 1,
-                "dynamics": {
-                    "outer_gain": 1.0,
-                    "axes": [[{"form": "state", "coeff": 0.5, "order": 1, "axis": 0}]],
-                },
-                "disturbance": {"kind": "sinusoid", "amp": [0.01], "freq": [0.5], "phase": [0.0]},
-                "disturbance_bound": 0.01,
-                "lipschitz": "estimate",
-                "operating_box": {"lower": [-1.0], "upper": [1.0]},
-            }
-        ]
-        doc["leader"]["dynamics"]["axes"] = [
-            [
-                {"form": "state", "coeff": 1.0, "order": 1, "axis": 0},
-            ]
-        ]
-        doc["leader"]["disturbance"] = {"kind": "sinusoid", "amp": [0.01], "freq": [0.5], "phase": [0.0]}
-        doc["leader"]["disturbance_bound"] = 0.01
-        doc["leader"]["operating_box"] = {"lower": [-1.0], "upper": [1.0]}
-        doc["graph"] = {"adjacency": [[0.0]], "b0": [1.0], "nu1": 1.0, "nu2": 1.0}
-        doc["formation"]["offsets"] = [[[0.0]], [[1.0]]]
-        doc["obstacles"] = []
-        doc["barriers"]["kappa_poles"] = [-1.5]  # one eCBF pole per chain order
-        doc["gains"]["poles"] = [-2.0]  # one closed-loop pole per chain order
-        doc["initial_states"] = {"leader": [0.0], "followers": [[0.5]]}
-        cfg = parse_scenario(json.dumps(doc))
-        from tubeform.scenario import build_all_models
-
-        model = build_all_models(cfg)[1]
-        # |d/dx (-0.5 x)| = 0.5, times the 1.25 safety factor
-        assert model.drift_lipschitz == pytest.approx(0.625)
-
-
 def _schema_docs() -> list[dict]:
     """The smoke scenario with every optional entry given, and a copy on the other tags."""
     doc = scenario_to_dict(load_scenario(SCENARIOS / "smoke_scenario.json"))
@@ -218,6 +179,8 @@ SCHEMA_CASES = {}
 for _index, _doc in enumerate(SCHEMA_DOCS):
     for _id, _steps, _value in _table_cases(SCENARIO, _doc):
         SCHEMA_CASES.setdefault(_id, (_index, _steps, _value))
+# "estimate" is a string like any other: a follower's Lipschitz constant is a declared number
+SCHEMA_CASES["agents[0].lipschitz-estimate"] = (0, ("agents", 0, "lipschitz"), "estimate")
 
 
 class TestSchema:

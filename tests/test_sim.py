@@ -182,6 +182,47 @@ class TestDeviationDynamics:
             assert np.max(np.abs(ddx - expected)) < 1e-9
 
 
+def smoke_trace(doc=None):
+    """The trace of a 2 s smoke run, or of a run of the scenario document ``doc``."""
+    cfg = parse_scenario(json.dumps(doc)) if doc else load_scenario(SMOKE)
+    cert = certify_scenario(cfg, spot_checks=False)
+    return run_simulation(cfg, cert, SimConfig.from_scenario(cfg, t_end=2.0)).trace
+
+
+def trace_block(trace, prefix):
+    """The trace columns whose names start with ``prefix``, side by side."""
+    return trace.data[:, [c.startswith(prefix) for c in trace.columns]]
+
+
+class TestFeedforwardCancellation:
+    """On smoke, follower 1 is pinned and follower 2 relayed. A follower's deviation dx_i
+    sees its own disturbance and, when pinned, the leader's tube, but never the plans."""
+
+    def test_relayed_estimates_do_not_reach_the_deviations(self, monkeypatch):
+        real = tubeform.sim.relay_leader
+
+        def offset(parent, *args):
+            estimates, ages = real(parent, *args)
+            return estimates + 0.7 * (parent >= 0)[:, None], ages
+
+        stock = smoke_trace()
+        monkeypatch.setattr(tubeform.sim, "relay_leader", offset)
+        moved = smoke_trace()
+        assert np.max(np.abs(trace_block(moved, "plan") - trace_block(stock, "plan"))) > 1.0
+        for prefix in ("dx1_", "dx2_"):
+            gap = trace_block(moved, prefix) - trace_block(stock, prefix)
+            assert np.max(np.abs(gap)) <= 1e-12, prefix
+
+    def test_leader_disturbance_reaches_the_pinned_deviation_only(self):
+        doc = json.loads(open(SMOKE).read())
+        doc["leader"]["disturbance"]["amp"] = [0.0, 0.0]
+        stock, calm = smoke_trace(), smoke_trace(doc)
+        pinned = trace_block(calm, "dx1_") - trace_block(stock, "dx1_")
+        relayed = trace_block(calm, "dx2_") - trace_block(stock, "dx2_")
+        assert np.max(np.abs(pinned)) > 1e-6
+        assert np.max(np.abs(relayed)) <= 1e-12
+
+
 class TestLeaderFeedforward:
     def test_stacked_anchors_match_per_anchor_calls(self):
         cfg = load_scenario(SMOKE)
