@@ -18,25 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz
 from .linalg import eig_sym, is_hurwitz, solve_continuous_lyapunov, sym_inv_sqrt
 from .models import BrunovskyDims, LyapunovPair, chain_matrices
-
-
-@dataclass(frozen=True)
-class GainSpec:
-    """Ancillary gain selection: explicit matrix, pole set, or LQR weights.
-
-    mode "poles":    one negative real pole per chain order, repeated across
-                     the d axes (characteristic-coefficient formula).
-    mode "explicit": full (d, nd) gain matrix.
-    mode "lqr":      state/input weight scalars, solved by Kleinman iteration.
-    The Lyapunov Q defaults to identity; a diagonal may be supplied.
-    """
-
-    mode: str = "poles"
-    poles: tuple[float, ...] = (-2.0, -3.0, -4.0)
-    matrix: tuple[tuple[float, ...], ...] | None = None
-    state_weight: float = 1.0
-    input_weight: float = 1.0
-    lyapunov_q: tuple[float, ...] | None = None
+from .scenario import GainSpec
 
 
 def _pole_placement_gain(dims: BrunovskyDims, poles: tuple[float, ...]) -> np.ndarray:
@@ -91,8 +73,8 @@ def build_lyapunov_pair(
     )
 
 
-def synth_gain(dims: BrunovskyDims, spec: GainSpec) -> tuple[np.ndarray, LyapunovPair]:
-    """Synthesize the ancillary gain and its Lyapunov pair."""
+def synth_gain(dims: BrunovskyDims, spec: GainSpec) -> LyapunovPair:
+    """Synthesize the ancillary gain, returned as its Lyapunov pair."""
     if spec.mode == "poles":
         gain = _pole_placement_gain(dims, tuple(spec.poles))
     elif spec.mode == "explicit":
@@ -100,8 +82,7 @@ def synth_gain(dims: BrunovskyDims, spec: GainSpec) -> tuple[np.ndarray, Lyapuno
     else:  # "lqr"
         gain = _kleinman_lqr(dims, spec.state_weight, spec.input_weight)
     lyap_q = np.diag(spec.lyapunov_q) if spec.lyapunov_q is not None else None
-    pair = build_lyapunov_pair(dims, gain, lyap_q)
-    return gain, pair
+    return build_lyapunov_pair(dims, gain, lyap_q)
 
 
 @dataclass(frozen=True)
@@ -175,30 +156,15 @@ def input_margin(lyap: LyapunovPair, r: float) -> float:
     return r * float(np.sqrt(max(0.0, w[-1])))
 
 
-def input_tightening(lyap: LyapunovPair, r: float, u_max: float) -> tuple[float, float]:
-    """Per-axis tightened input bound u_max - eta; raises when empty."""
+def input_tightening(lyap: LyapunovPair, r: float | np.ndarray, u_max: float) -> tuple:
+    """Per-axis tightened input bound u_max - eta for a radius or an array of radii.
+
+    Raises naming the first radius whose bound is empty.
+    """
     eta = input_margin(lyap, r)
-    if u_max <= eta:
+    short = np.ravel(eta)[u_max <= np.ravel(eta)]
+    if short.size:
         raise EmptyTightenedSet(
-            f"input bound {u_max:.6g} does not exceed ancillary margin {eta:.6g}"
+            f"input bound {u_max:.6g} does not exceed ancillary margin {short[0]:.6g}"
         )
     return u_max - eta, eta
-
-
-@dataclass(frozen=True)
-class TubeCertificate:
-    """Per-agent certified quantities feeding the online controller."""
-
-    agent: int
-    lyap: LyapunovPair
-    w_bar_used: float  # physical bound plus relay staleness allowance
-    w_eff: float
-    r: float
-    r_ball: float
-    input_eta: float
-    input_bound: float  # tightened per-axis bound on the nominal input
-    margin_radius: float  # deviation radius used for eCBF margins/broadcast
-    margin_mode: str  # "certified" or "declared"
-    baseline_r: float | None
-    baseline_r_ball: float | None
-    hops: int

@@ -53,11 +53,12 @@ def cmd_certify(scenario_path: str, out_path: str) -> int:
         f"certified {cfg.name}: sv_min={result.bound_cert.sv_min:.6g} "
         f"bound={result.bound_cert.bound:.6g}"
     )
-    for tube in result.tubes:
+    tubes = result.tubes
+    for i, agent in enumerate(tubes.id.tolist()):
         print(
-            f"  agent {tube.agent}: w_eff={tube.w_eff:.6g} r={tube.r:.6g} "
-            f"r_ball={tube.r_ball:.6g} margin={tube.margin_radius:.6g} "
-            f"eta={tube.input_eta:.6g}"
+            f"  agent {agent}: w_eff={tubes.w_eff[i]:.6g} r={tubes.r[i]:.6g} "
+            f"r_ball={tubes.r_ball[i]:.6g} margin={tubes.margin_radius[i]:.6g} "
+            f"eta={tubes.input_eta[i]:.6g}"
         )
     return 0
 

@@ -13,9 +13,9 @@ from .errors import NonFiniteState, NotHurwitz, NotSymmetric, SingularSystem
 SYM_TOL = 1e-10
 
 
-def is_hurwitz(a: np.ndarray, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue of ``a`` has real part < -margin."""
-    return bool(np.max(np.linalg.eigvals(a).real) < -margin)
+def is_hurwitz(a: np.ndarray) -> bool:
+    """True iff every eigenvalue of ``a`` has negative real part."""
+    return bool(np.max(np.linalg.eigvals(a).real) < 0.0)
 
 
 def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import DimensionMismatch, ScenarioError
 
 TERM_FORMS = ("state", "cubic", "tanh", "sin_t", "sq_tanh")
+DISTURBANCE_SAMPLES = 2000  # times at which a sinusoid's norm is checked against its bound
+LIPSCHITZ_PAIRS = 200  # box pairs the Lipschitz spot check draws
 
 
 @dataclass(frozen=True)
@@ -249,14 +251,15 @@ class AgentModel:
     disturbance_bound: float
     operating_box: Box
 
-    def check_disturbance_bound(self, t_end: float, samples: int = 2000) -> None:
+    def check_disturbance_bound(self, t_end: float) -> None:
         """Declared bound >= sup |w|: exact for a ball, sampled for sinusoids."""
         dist = self.disturbance
         if dist.kind == "ball":
             # the draws come arbitrarily close to the radius
             worst, slack = dist.bound, 0.0
         else:
-            w = sinusoid(dist.amp, dist.freq, dist.phase, np.linspace(0.0, t_end, samples)[:, None])
+            times = np.linspace(0.0, t_end, DISTURBANCE_SAMPLES)[:, None]
+            w = sinusoid(dist.amp, dist.freq, dist.phase, times)
             worst = float(np.max(np.linalg.norm(w, axis=1)))
             slack = 1e-12
         if worst > self.disturbance_bound + slack:
@@ -265,10 +268,10 @@ class AgentModel:
                 f"declared bound {self.disturbance_bound:.6g}"
             )
 
-    def check_lipschitz(self, rng: np.random.Generator, pairs: int = 200) -> None:
+    def check_lipschitz(self, rng: np.random.Generator) -> None:
         """Spot-check |f(a) - f(b)| <= L |a - b| on sampled box pairs."""
-        a = self.operating_box.sample(rng, pairs)
-        b = self.operating_box.sample(rng, pairs)
+        a = self.operating_box.sample(rng, LIPSCHITZ_PAIRS)
+        b = self.operating_box.sample(rng, LIPSCHITZ_PAIRS)
         gap = np.linalg.norm(a - b, axis=1)
         diff = np.linalg.norm(self.drift.value(a, 0.0) - self.drift.value(b, 0.0), axis=1)
         bad = (gap >= 1e-12) & (diff > self.drift_lipschitz * gap * (1.0 + 1e-9) + 1e-12)

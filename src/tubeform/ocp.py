@@ -50,6 +50,8 @@ SQP_TOL = 1e-5
 SQP_MAX_PASSES = 5
 SQP_DAMPING = 0.5  # relaxation applied after the first pass to stop zigzag
 QP_TOL = 1e-8
+RICCATI_TOL = 1e-10  # Frobenius step that ends the discrete Riccati iteration
+RICCATI_MAX_ITER = 10_000
 # exact-penalty weight per row group: 0 is obstacle rows, 1 inter-agent rows,
 # the last entry the terminal cut; group -1 marks hard rows. Violating an
 # obstacle row is far more expensive than an inter-agent row, which outranks
@@ -82,8 +84,6 @@ def terminal_ingredients(
     qr: np.ndarray,
     r: np.ndarray,
     input_bound: float,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Terminal gain, terminal cost, and terminal-set level.
 
@@ -93,12 +93,12 @@ def terminal_ingredients(
     slack against the barrier rows.
     """
     p = qr.copy()
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         btp = bd.T @ p
         gain_term = np.linalg.solve(r + btp @ bd, btp @ ad)
         p_next = qr + ad.T @ p @ ad - ad.T @ p @ bd @ gain_term
         p_next = 0.5 * (p_next + p_next.T)
-        if np.linalg.norm(p_next - p, "fro") <= tol:
+        if np.linalg.norm(p_next - p, "fro") <= RICCATI_TOL:
             p = p_next
             break
         p = p_next

@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .barrier import EcbfCoefficients
 from .certify import (
     LeaderCertificate,
-    TubeCertificate,
     build_lyapunov_pair,
     declared_leader_certificate,
     effective_disturbance,
@@ -23,10 +23,33 @@ from .certify import (
 )
 from .errors import NotHurwitz, ScenarioError
 from .graph import CommGraph, GlobalBoundCertificate, global_bound
-from .models import AgentModel
+from .models import AgentModel, LyapunovPair
 from .scenario import ScenarioConfig, build_all_models, build_graph, read_text
 
 SPOT_CHECK_SEED = 0x5EED
+# the agent entries a run consumes, which the certificate must match
+RUN_AGENT_FIELDS = ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball", "gain", "p")
+
+
+class FollowerTubes(NamedTuple):
+    """The followers' certified quantities, one (N,) array each, named by their ``cert.json`` keys.
+
+    NaN marks a baseline radius whose Lipschitz condition fails (``null`` in the file).
+    """
+
+    id: np.ndarray
+    hops: np.ndarray
+    w_bar_used: np.ndarray  # physical bound plus relay staleness allowance
+    w_eff: np.ndarray
+    r: np.ndarray
+    r_ball: np.ndarray
+    margin_radius: np.ndarray  # deviation radius used for eCBF margins/broadcast
+    margin_mode: np.ndarray  # "certified" or "declared"
+    input_eta: np.ndarray
+    input_bound_tightened: np.ndarray  # tightened per-axis bound on the nominal input
+    baseline_r: np.ndarray
+    baseline_r_ball: np.ndarray
+    zbar: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -36,7 +59,8 @@ class CertificationResult:
     scenario_name: str
     scenario_sha256: str
     leader: LeaderCertificate
-    tubes: tuple[TubeCertificate, ...]
+    pair: LyapunovPair  # every follower's gain and Lyapunov pair
+    tubes: FollowerTubes
     bound_cert: GlobalBoundCertificate
     models: tuple[AgentModel, ...]
     graph: CommGraph
@@ -84,46 +108,44 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
             leader_pair, leader_model.disturbance_bound, cfg.leader.tube.residual_lipschitz
         )
 
-    _, pair = synth_gain(cfg.dims, cfg.gains)
+    pair = synth_gain(cfg.dims, cfg.gains)
     kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)  # raises NotHurwitz
-    l0 = cfg.leader.lipschitz
-    ts = cfg.sim.ts
-    tubes = []
-    for follower, model in zip(cfg.agents, models[1:]):
-        hops = int(depths[follower.id - 1])
-        w_used = model.disturbance_bound + l0 * hops * ts * cfg.leader.rate_bound
-        w_eff = effective_disturbance(w_used, l0, leader_cert.r_ball0)
-        r, r_ball = follower_radius(pair, w_eff)
-        base = baseline_radius(pair, w_used, model.drift_lipschitz)
-        tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound)
-        margin = follower.margin_radius
-        tubes.append(
-            TubeCertificate(
-                agent=follower.id,
-                lyap=pair,
-                w_bar_used=w_used,
-                w_eff=w_eff,
-                r=r,
-                r_ball=r_ball,
-                input_eta=eta,
-                input_bound=tightened,
-                margin_radius=r_ball if margin is None else margin,
-                margin_mode="certified" if margin is None else "declared",
-                baseline_r=base,
-                baseline_r_ball=(
-                    None if base is None else base / float(np.sqrt(pair.lambda_min_p))
-                ),
-                hops=hops,
-            )
-        )
-
-    radii = [t.margin_radius for t in tubes]
-    bound_cert = global_bound(g, radii, leader_cert.r_ball0)
+    l0, followers = cfg.leader.lipschitz, models[1:]
+    ids = np.array([follower.id for follower in cfg.agents])
+    hops = depths[ids - 1]
+    bounds = np.array([model.disturbance_bound for model in followers])
+    w_used = bounds + l0 * hops * cfg.sim.ts * cfg.leader.rate_bound
+    w_eff = effective_disturbance(w_used, l0, leader_cert.r_ball0)
+    r, r_ball = follower_radius(pair, w_eff)
+    base = np.array(  # None, where the Lipschitz condition fails, becomes NaN
+        [baseline_radius(pair, w, m.drift_lipschitz) for w, m in zip(w_used, followers)],
+        dtype=float,
+    )
+    tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound)
+    declared = np.array([follower.margin_radius for follower in cfg.agents], dtype=float)
+    margin = np.where(np.isnan(declared), r_ball, declared)
+    bound_cert = global_bound(g, margin, leader_cert.r_ball0)
+    tubes = FollowerTubes(
+        id=ids,
+        hops=hops,
+        w_bar_used=w_used,
+        w_eff=w_eff,
+        r=r,
+        r_ball=r_ball,
+        margin_radius=margin,
+        margin_mode=np.where(np.isnan(declared), "certified", "declared"),
+        input_eta=eta,
+        input_bound_tightened=tightened,
+        baseline_r=base,
+        baseline_r_ball=base / float(np.sqrt(pair.lambda_min_p)),
+        zbar=bound_cert.zbars,
+    )
     return CertificationResult(
         scenario_name=cfg.name,
         scenario_sha256=cfg.sha256,
         leader=leader_cert,
-        tubes=tuple(tubes),
+        pair=pair,
+        tubes=tubes,
         bound_cert=bound_cert,
         models=tuple(models),
         graph=g,
@@ -136,6 +158,18 @@ def _matrix(m: np.ndarray) -> list[list[float]]:
 
 
 def certificate_to_dict(res: CertificationResult) -> dict:
+    pair = res.pair
+    shared = {
+        "lyapunov_residual": pair.residual(),
+        "lambda_min_p": pair.lambda_min_p,
+        "lambda_max_p": pair.lambda_max_p,
+        "lambda_min_q": pair.lambda_min_q,
+        "gain": _matrix(pair.gain),
+        "p": _matrix(pair.p),
+        "q": _matrix(pair.q),
+    }
+    # one column per field; NaN (an infeasible baseline radius) is written as null
+    columns = [[None if v != v else v for v in field.tolist()] for field in res.tubes]
     return {
         "scenario_name": res.scenario_name,
         "scenario_sha256": res.scenario_sha256,
@@ -150,31 +184,7 @@ def certificate_to_dict(res: CertificationResult) -> dict:
             "lambda_max_p": res.leader.lyap.lambda_max_p,
             "p": _matrix(res.leader.lyap.p),
         },
-        "agents": [
-            {
-                "id": t.agent,
-                "hops": t.hops,
-                "w_bar_used": t.w_bar_used,
-                "w_eff": t.w_eff,
-                "r": t.r,
-                "r_ball": t.r_ball,
-                "margin_radius": t.margin_radius,
-                "margin_mode": t.margin_mode,
-                "input_eta": t.input_eta,
-                "input_bound_tightened": t.input_bound,
-                "baseline_r": t.baseline_r,
-                "baseline_r_ball": t.baseline_r_ball,
-                "zbar": float(res.bound_cert.zbars[t.agent - 1]),
-                "lyapunov_residual": t.lyap.residual(),
-                "lambda_min_p": t.lyap.lambda_min_p,
-                "lambda_max_p": t.lyap.lambda_max_p,
-                "lambda_min_q": t.lyap.lambda_min_q,
-                "gain": _matrix(t.lyap.gain),
-                "p": _matrix(t.lyap.p),
-                "q": _matrix(t.lyap.q),
-            }
-            for t in res.tubes
-        ],
+        "agents": [dict(zip(FollowerTubes._fields, row), **shared) for row in zip(*columns)],
     }
 
 
@@ -187,6 +197,8 @@ def load_certificate(path: str | Path) -> dict:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"certificate: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError("certificate: nested deeper than the JSON parser allows") from None
     if not isinstance(doc, dict):
         raise ScenarioError("certificate: expected a JSON object")
     return doc
@@ -211,9 +223,8 @@ def check_certificate(doc: dict, res: CertificationResult) -> None:
     (entrywise within 1e-9 relative).
     """
     want = certificate_to_dict(res)
-    keys = ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball", "gain", "p")
     paths = [("formation_error_bound",), ("leader", "r_ball")]
-    paths += [("agents", i, key) for i in range(len(res.tubes)) for key in keys]
+    paths += [("agents", i, key) for i in range(len(res.tubes.id)) for key in RUN_AGENT_FIELDS]
     for path in paths:
         name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
         got, expected = doc, want

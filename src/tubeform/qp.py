@@ -23,6 +23,7 @@ from .errors import DimensionMismatch
 OPTIMAL = "Optimal"
 MAX_ITER = "MaxIter"
 INFEASIBLE = "Infeasible"
+MAX_ITERATIONS = 400  # active-set changes before a solve stops with MAX_ITER
 
 
 @dataclass
@@ -101,7 +102,7 @@ def _equality_start(h_inv, z, a, b, guess, tol):
     return z, duals, [], solves
 
 
-def _dual_active_set(h_inv, g, a, b, tol, max_iter, guess=None):
+def _dual_active_set(h_inv, g, a, b, tol, guess=None):
     """Goldfarb-Idnani loop from the ``guess`` row mask or cold.
 
     Returns (z, duals, status, iterations, active); start-up solves count as iterations.
@@ -115,7 +116,7 @@ def _dual_active_set(h_inv, g, a, b, tol, max_iter, guess=None):
         start = _equality_start(h_inv, z, a, b, guess, tol)
         if start is not None:
             z, duals, active, iterations = start
-    while iterations < max_iter:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         slack = a @ z - b if n_rows else np.zeros(0)
         if not n_rows or np.min(slack) >= -tol:
@@ -167,7 +168,7 @@ def _dual_active_set(h_inv, g, a, b, tol, max_iter, guess=None):
 
 
 def solve_qp(
-    qp: QpProblem, tol: float = 1e-10, max_iter: int = 400, active: np.ndarray | None = None
+    qp: QpProblem, tol: float = 1e-10, active: np.ndarray | None = None
 ) -> QpSolution:
     """Solve a strictly convex QP by the dual active-set method.
 
@@ -191,7 +192,7 @@ def solve_qp(
     b = qp.b_in if qp.a_in.size else np.zeros(0)
     h_inv = np.linalg.inv(qp.hessian) if qp.hessian_inv is None else qp.hessian_inv
     z, duals, status, iterations, rows = _dual_active_set(
-        h_inv, qp.linear, a, b, tol, max_iter, active
+        h_inv, qp.linear, a, b, tol, active
     )
     mask = np.zeros(b.size, dtype=bool)
     mask[rows] = True

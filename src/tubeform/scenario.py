@@ -24,7 +24,6 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .certify import GainSpec
 from .errors import ScenarioError
 from .graph import CommGraph
 from .models import (
@@ -85,6 +84,25 @@ class GraphConfig:
     def __post_init__(self):
         if any(row[i] != 0.0 for i, row in enumerate(self.adjacency)):
             raise ScenarioError("adjacency must have a zero diagonal")
+
+
+@dataclass(frozen=True)
+class GainSpec:
+    """Ancillary gain selection: explicit matrix, pole set, or LQR weights.
+
+    mode "poles":    one negative real pole per chain order, repeated across
+                     the d axes (characteristic-coefficient formula).
+    mode "explicit": full (d, nd) gain matrix.
+    mode "lqr":      state/input weight scalars, solved by Kleinman iteration.
+    The Lyapunov Q defaults to identity; a diagonal may be supplied.
+    """
+
+    mode: str = "poles"
+    poles: tuple[float, ...] = (-2.0, -3.0, -4.0)
+    matrix: tuple[tuple[float, ...], ...] | None = None
+    state_weight: float = 1.0
+    input_weight: float = 1.0
+    lyapunov_q: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -159,7 +177,7 @@ REQUIRED = object()  # the default of an entry the file must give
 
 
 class Check(NamedTuple):
-    """A condition on one number, given its siblings and the dims; ``text`` ends "must be ..."."""
+    """A condition on one value, given its siblings and the dims; ``text`` ends "must be ..."."""
 
     test: Callable[[Any, dict, BrunovskyDims | None], bool]
     text: str
@@ -171,7 +189,7 @@ class Field(NamedTuple):
     ``kind`` is float (a finite JSON number), int, bool, str, a tuple of
     string literals or a nested ``Section``. ``shape`` gives the list lengths
     around each value, outermost first: "n", "d", "nd", "N" (followers),
-    "N+1", a count, or None for any length. ``checks`` apply to each number.
+    "N+1", a count, or None for any length. ``checks`` apply to each value.
     An entry with ``when = (key, values)`` applies only where the sibling
     ``key``, read earlier, holds one of ``values``.
     """
@@ -201,6 +219,8 @@ SAMPLING_STEPS = POSITIVE + (Check(
     "an integer multiple of the sampling period",
 ),)
 ZERO = (Check(lambda v, *_: v == 0, "0 for a sinusoid"),)
+# a trace header writes the scenario name as one metadata line
+ONE_LINE = (Check(lambda v, *_: "\n" not in v and "\r" not in v, "a single line"),)
 SINE, BALL = ("sinusoid",), ("ball",)
 
 DISTURBANCE = Section(DisturbanceConfig, (
@@ -305,7 +325,7 @@ SCENARIO = Section(_scenario, (
     Field("dims", Section(BrunovskyDims, tuple(
         Field(key, int, checks=COUNT) for key in ("n", "d", "followers")
     ))),  # first: it sizes the entries after it
-    Field("name", str, default="scenario"),
+    Field("name", str, (), "scenario", ONE_LINE),
     Field("leader", LEADER),
     Field("agents", FOLLOWER, ("N",)),
     Field("graph", GRAPH),
@@ -406,6 +426,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario: nested deeper than the JSON parser allows") from None
     cfg = walk(SCENARIO, raw)
     if [a.id for a in cfg.agents] != list(range(1, cfg.dims.followers + 1)):
         raise ScenarioError("agents: ids must be 1..N in order")

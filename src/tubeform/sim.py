@@ -18,10 +18,14 @@ the augmented Laplacian M, the error drives are nu1 A on the shifted plans,
 and each agent's eCBF rows are one ``BarrierRows`` block from one
 ``assemble_row`` call per SQP pass over its obstacles and neighbors.
 
-The run records each state once: every RK4 substep writes all agents' true
-and nominal states and the time into the trace's own rows, and every step
-writes its held values into its interval's rows. One array pass at the end
-of the run builds the safety violations and the state-derived columns.
+The world state is one (N+1, 3, nd) array in the trace's (agent, role)
+layout: per agent, leader first, its true state, nominal state and
+feedforward anchor (the leader's anchor is its nominal, re-anchored to the
+leader every step). The drift is read at ``state[:, ::2]``. The run records
+each state once: every RK4 substep writes ``state[:, :2]`` and the time into
+the trace's own rows, and every step writes its held values into its
+interval's rows. One array pass at the end of the run builds the safety
+violations and the state-derived columns.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
+FINAL_WINDOW_S = 5.0  # the trailing seconds that final_mean_stacked_error averages
 
 
 @dataclass
@@ -125,8 +130,8 @@ class SimWorld:
         self.d = cfg.dims.d
         self.horizon = cfg.ocp.horizon
 
-        self.gain = cert.tubes[0].lyap.gain
-        self.p_mat = cert.tubes[0].lyap.p
+        self.gain = cert.pair.gain
+        self.p_mat = cert.pair.p
         self.kappa = cert.kappa
         # every obstacle is the constant chain (center, 0, ..., 0) of the one barrier
         centers = np.array([o.center for o in cfg.obstacles], dtype=float).reshape(-1, self.d)
@@ -134,16 +139,17 @@ class SimWorld:
         self._obstacle_keep_out = np.array([o.effective_radius for o in cfg.obstacles])
 
         # each follower's eCBF margin: its certificate's radius, or its no-feedforward radius
+        tubes = cert.tubes
         if sim.baseline_margins:
-            missing = [t.agent for t in cert.tubes if t.baseline_r_ball is None]
+            missing = tubes.id[np.isnan(tubes.baseline_r_ball)].tolist()
             if missing:
                 raise ScenarioError(
                     f"baseline margins requested but baseline radius infeasible "
                     f"for agents {missing}"
                 )
-            self.margins = np.array([t.baseline_r_ball for t in cert.tubes], dtype=float)
+            self.margins = tubes.baseline_r_ball
         else:
-            self.margins = np.array([t.margin_radius for t in cert.tubes], dtype=float)
+            self.margins = tubes.margin_radius
         self.radius_table = initial_broadcast(self.margins, self.graph)
 
         error_boxes = [None] * self.n
@@ -154,43 +160,32 @@ class SimWorld:
         self.specs = [
             OcpSpec.design(
                 cfg.dims, self.horizon, sim.ts, cfg.ocp.qr, cfg.ocp.r, cfg.ocp.rdelta,
-                self.graph.m[i, i], cert.tubes[i].input_bound, error_boxes[i],
+                self.graph.m[i, i], bound, error_boxes[i],
             )
-            for i in range(self.n)
+            for i, bound in enumerate(tubes.input_bound_tightened.tolist())
         ]
 
-        # The world ODE state, one row per chain: the leader, its nominal
-        # (re-anchored each step), then per follower its true state, nominal
-        # state and feedforward anchor. The named arrays are views into it.
-        self.state = np.empty((2 + 3 * self.n, self.nd))
-        self.x_leader = self.state[0]
-        self.x_canon = self.state[1]
-        self.x_true = self.state[2::3]
-        self.x_nom = self.state[3::3]
-        self.anchors = self.state[4::3]
-        # rows of the true states per agent, leader first, each followed by its nominal
-        self._agent_rows = np.r_[0, 2 : len(self.state) : 3]
-        # the world reads the drift at every row but the followers' nominal
-        # states: the leader's model at the leader, its nominal and the anchors,
-        # each follower's own at its true state (rows 2::2 of the drift rows)
-        self._drift_rows = np.delete(np.arange(len(self.state)), np.s_[3::3])
-        model_of_row = np.zeros(len(self._drift_rows), dtype=int)
-        model_of_row[2::2] = np.arange(1, self.n + 1)
+        # the world ODE state, (agent, role) as in the trace; the named arrays are views
+        self.state = np.empty((self.n + 1, 3, self.nd))
+        self.x_leader = self.state[0, 0]
+        self.x_true, self.x_nom, self.anchors = self.state[1:].swapaxes(0, 1)
+        # the drift rows state[:, ::2]: each agent's own model at its true state,
+        # the leader's at the anchors
+        model_of_row = np.outer(np.arange(self.n + 1), [1, 0]).ravel()
         self._drift = DriftTable.stack([m.drift for m in self.models], model_of_row)
         disturbances = [m.disturbance for m in self.models]
         step = sim.ts / sim.fine_substeps
         self._disturbance = DisturbanceStack(disturbances, self.d, sim.seed, step)
         states = initial_states(cfg)
-        self.state[self._agent_rows] = states
-        self.state[self._agent_rows + 1] = states  # nominal initialized at measurement
-        self.anchors[:] = states[0]
+        self.state[:, :2] = states[:, None]  # nominal initialized at measurement
+        self.state[:, 2] = states[0]
         # at deployment every agent holds the true leader state at age 0
         self._relay_parent = self.graph.relay_tree[0]
         self.estimates = self.anchors.copy()
         self.estimate_ages = np.zeros(self.n, dtype=int)
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         self._pinned = (self._relay_parent < 0)[:, None]
-        tube_r2 = np.array([tube.r**2 for tube in cert.tubes])
+        tube_r2 = tubes.r**2
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower
         limits = np.r_[cert.leader.r_ball0, np.column_stack([tube_r2, self.margins]).ravel()]
@@ -303,7 +298,7 @@ class SimWorld:
                 self._relay_parent, self.x_leader, self.estimates, self.estimate_ages
             )
         self.anchors[:] = self.estimates
-        self.x_canon[:] = self.x_leader
+        self.state[0, 1:] = self.x_leader
 
         ff_samples = self._leader_ff_samples(self.anchors, t_k)
         shifted, preds, s_seqs = self._neighbor_data(k, ff_samples)
@@ -315,7 +310,7 @@ class SimWorld:
         self._prev_preds = preds[readers, senders, 1]
 
         # synchronization errors (e^i_1, ..., e^i_n) of all followers
-        e0s = self.graph.sync_errors(self.state[self._agent_rows] - self._offsets)
+        e0s = self.graph.sync_errors(self.state[:, 0] - self._offsets)
 
         # an agent without a plan rides its shifted previous plan, logged as a fallback
         plans = shifted.copy()
@@ -357,20 +352,19 @@ class SimWorld:
     # --- fine integration ---
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
-        """RHS of the world ODE (rows as in ``self.state``) during one sampling interval."""
-        x, xb = state[2::3], state[3::3]
-        drift = self._drift.value(state[self._drift_rows], t)
-        own, f_anchor = drift[2::2], drift[3::2]
+        """RHS of the world ODE (laid out as ``self.state``) during one sampling interval."""
+        x, xb = state[1:, 0], state[1:, 1]
+        drift = self._drift.value(state[:, ::2].reshape(-1, self.nd), t)
+        own, f_anchor = drift[0::2], drift[1::2]
         w = self._disturbance(t)  # leader first
         # pinned followers cancel toward the true leader, the others toward their anchor
-        ff = np.where(self._pinned, drift[0], f_anchor)
-        u = apply_control(self.gain, v0, x, xb, ff, own, self.sim.feedforward_on)
-        top = np.empty((len(state), self.d))
-        top[0] = drift[0] + w[0]
-        top[1] = drift[1]
-        top[2::3] = own + u + w[1:]
-        top[3::3] = v0 + f_anchor if self.sim.feedforward_on else v0
-        top[4::3] = f_anchor
+        ff = np.where(self._pinned, own[0], f_anchor[1:])
+        u = apply_control(self.gain, v0, x, xb, ff, own[1:], self.sim.feedforward_on)
+        top = np.empty((self.n + 1, 3, self.d))
+        top[:, 1:] = f_anchor[:, None]  # the anchors and the leader's nominal
+        top[0, 0] = own[0] + w[0]
+        top[1:, 0] = own[1:] + u + w[1:]
+        top[1:, 1] = v0 + f_anchor[1:] if self.sim.feedforward_on else v0
         return chain_derivative(self.dims, state, top)
 
     def _integrate_interval(self, k: int) -> None:
@@ -386,7 +380,7 @@ class SimWorld:
         for j in range(k * fs + 1, (k + 1) * fs + 1):
             self.state[:] = rk4_step(rhs, self.state, t, h)
             t += h
-            self._states[j, :, :2] = self.state[self._recorded]
+            self._states[j, :, :2] = self.state[:, :2]
             self._times[j] = t
 
     # --- the run's record: trace columns and safety monitors ---
@@ -420,8 +414,7 @@ class SimWorld:
         self.trace_data = np.zeros((rows, len(self.trace_columns)))
         self._states = self.trace_data[:, self._trace_cols["states"]].reshape(rows, n + 1, 3, -1)
         self._times = self.trace_data[:, 0]
-        self._recorded = np.stack([self._agent_rows, self._agent_rows + 1], axis=1)
-        self._states[0, :, :2] = self.state[self._recorded]
+        self._states[0, :, :2] = self.state[:, :2]
 
     def _log_row(self, k: int, stats: dict) -> None:
         """Write step k's held values into its interval's rows (and the final row at the end)."""
@@ -526,11 +519,11 @@ def run_simulation(
     return world.run()
 
 
-def trace_metrics(trace: SimTrace, final_window: float = 5.0) -> dict:
+def trace_metrics(trace: SimTrace) -> dict:
     """Scalar metrics of one trace: clearances, errors, occupancy, solver stats."""
     t = trace.col("t")
     stacked = trace.col("ferr_stacked")
-    tail = t >= t[-1] - final_window
+    tail = t >= t[-1] - FINAL_WINDOW_S
     followers = sum(1 for c in trace.columns if c.startswith("u") and c.endswith("_0"))
     occ_cols = [c for c in trace.columns if c.startswith("occ")]
     status_cols = [c for c in trace.columns if c.endswith("_status")]

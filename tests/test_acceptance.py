@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tubeform.certify import (
-    GainSpec,
     baseline_radius,
     effective_disturbance,
     follower_radius,
@@ -22,7 +21,7 @@ from tubeform.linalg import sym_inv_sqrt
 from tubeform.models import BrunovskyDims, LyapunovPair
 from tubeform.pipeline import certify_scenario
 from tubeform.qp import OPTIMAL, QpProblem, kkt_residuals, solve_qp
-from tubeform.scenario import load_scenario
+from tubeform.scenario import GainSpec, load_scenario
 from tubeform.sim import run_simulation, trace_metrics
 
 from oracles import barrier_value, dual_projected_gradient_qp, fd_derivative, random_feasible_qp
@@ -74,7 +73,7 @@ def test_criterion_01_certification_math():
     cert = certify_scenario(cfg)
     elapsed = time.perf_counter() - start
 
-    pairs = [cert.leader.lyap] + [t.lyap for t in cert.tubes]
+    pairs = [cert.leader.lyap] + [cert.pair] * len(cert.tubes.id)
     residual_ok = all(
         p.residual() <= 1e-9 * np.linalg.norm(p.q, "fro") for p in pairs
     )
@@ -99,21 +98,21 @@ def _rpi_monte_carlo(pair, tubes, n_starts=100, t_end=20.0, h=1e-3):
     The tubes share ``pair``, so all their starts are integrated as one stack of
     columns; each tube draws its own columns from a generator seeded with its agent.
     """
-    rngs = [np.random.default_rng(tube.agent) for tube in tubes]
+    rngs = [np.random.default_rng(agent) for agent in tubes.id.tolist()]
     nd = pair.p.shape[0]
     d = pair.gain.shape[0]
     p_inv_sqrt = sym_inv_sqrt(pair.p)
     starts = []
-    for rng, tube in zip(rngs, tubes):
+    for rng, r in zip(rngs, tubes.r.tolist()):
         dirs = rng.normal(size=(nd, n_starts))
         dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
-        starts.append(tube.r * (p_inv_sqrt @ dirs))
+        starts.append(r * (p_inv_sqrt @ dirs))
     x = np.hstack(starts)
-    w_eff = np.repeat([tube.w_eff for tube in tubes], n_starts)
+    w_eff = np.repeat(tubes.w_eff, n_starts)
     g_sel = np.zeros((nd, d))
     g_sel[-d:, :] = np.eye(d)
     acl = pair.acl
-    worst = np.zeros(len(tubes))
+    worst = np.zeros(len(rngs))
     for step in range(int(t_end / h)):
         top = g_sel.T @ (pair.p @ x)
         norms = np.linalg.norm(top, axis=0, keepdims=True)
@@ -131,18 +130,16 @@ def _rpi_monte_carlo(pair, tubes, n_starts=100, t_end=20.0, h=1e-3):
         k4 = acl @ (x + h * k3) + forced
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         v_vals = np.einsum("ij,ik,kj->j", x, pair.p, x)
-        worst = np.maximum(worst, np.max(v_vals.reshape(len(tubes), n_starts), axis=1))
+        worst = np.maximum(worst, np.max(v_vals.reshape(len(rngs), n_starts), axis=1))
     return worst
 
 
 def test_criterion_02_rpi_containment():
     cfg = load_scenario(PAPER)
     cert = certify_scenario(cfg, spot_checks=False)
-    pair = cert.tubes[0].lyap
-    assert all(tube.lyap is pair for tube in cert.tubes)  # one gain design for every follower
     start = time.perf_counter()
-    worst = _rpi_monte_carlo(pair, cert.tubes)
-    worst_ratio = max(w / tube.r**2 for w, tube in zip(worst, cert.tubes))
+    worst = _rpi_monte_carlo(cert.pair, cert.tubes)  # one gain design for every follower
+    worst_ratio = max(w / r**2 for w, r in zip(worst, cert.tubes.r.tolist()))
     elapsed = time.perf_counter() - start
     verdict(
         2,
@@ -266,7 +263,7 @@ def test_criterion_07_global_bound(paper):
 
 def test_criterion_08_ablation_ordering(ablation_pair):
     _, cert, ff, baseline = ablation_pair
-    assert all(t.baseline_r is not None for t in cert.tubes)
+    assert not np.any(np.isnan(cert.tubes.baseline_r))
     m_ff = trace_metrics(ff.trace)
     m_base = trace_metrics(baseline.trace)
     ok = (
@@ -289,7 +286,7 @@ def test_criterion_08_ablation_ordering(ablation_pair):
 
 def test_criterion_09_radius_divergence():
     dims = BrunovskyDims(n=3, d=2, followers=1)
-    _, pair = synth_gain(
+    pair = synth_gain(
         dims, GainSpec(mode="poles", poles=(-2.0, -3.0, -4.0), lyapunov_q=(0.1,) * 6)
     )
     w_bar = 0.25

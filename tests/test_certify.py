@@ -1,8 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tubeform.certify import (
-    GainSpec,
     baseline_radius,
     build_lyapunov_pair,
     declared_leader_certificate,
@@ -16,6 +18,10 @@ from tubeform.certify import (
 from tubeform.errors import EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz
 from tubeform.linalg import sym_inv_sqrt
 from tubeform.models import BrunovskyDims, LyapunovPair
+from tubeform.pipeline import certificate_to_dict, certify_scenario
+from tubeform.scenario import GainSpec, parse_scenario
+
+PAPER = Path(__file__).resolve().parents[1] / "scenarios" / "paper_scenario.json"
 
 
 def scalar_pair(lmax_p=1.0, lmin_p=1.0, lmin_q=2.0):
@@ -33,20 +39,20 @@ def scalar_pair(lmax_p=1.0, lmin_p=1.0, lmin_q=2.0):
 
 def paper_scale_pair(poles=(-2.0, -3.0, -4.0)):
     dims = BrunovskyDims(n=3, d=2, followers=1)
-    _, pair = synth_gain(dims, GainSpec(mode="poles", poles=poles))
+    pair = synth_gain(dims, GainSpec(mode="poles", poles=poles))
     return dims, pair
 
 
 class TestSynthGain:
     def test_first_order(self):
         dims = BrunovskyDims(n=1, d=1, followers=1)
-        gain, pair = synth_gain(dims, GainSpec(mode="poles", poles=(-2.0,)))
-        assert np.allclose(gain, [[2.0]])
+        pair = synth_gain(dims, GainSpec(mode="poles", poles=(-2.0,)))
+        assert np.allclose(pair.gain, [[2.0]])
         assert np.allclose(pair.acl, [[-2.0]])
 
     def test_second_order_vieta(self):
         dims = BrunovskyDims(n=2, d=1, followers=1)
-        gain, _ = synth_gain(dims, GainSpec(mode="poles", poles=(-1.0, -2.0)))
+        gain = synth_gain(dims, GainSpec(mode="poles", poles=(-1.0, -2.0))).gain
         assert np.allclose(gain, [[2.0, 3.0]])  # s^2 + 3 s + 2
 
     def test_paper_scale_eigenvalues(self):
@@ -68,12 +74,10 @@ class TestSynthGain:
 
     def test_lqr_mode_stabilizes(self):
         dims = BrunovskyDims(n=3, d=2, followers=1)
-        gain, pair = synth_gain(
-            dims, GainSpec(mode="lqr", state_weight=1.0, input_weight=0.5)
-        )
+        pair = synth_gain(dims, GainSpec(mode="lqr", state_weight=1.0, input_weight=0.5))
         assert np.max(np.linalg.eigvals(pair.acl).real) < 0.0
         # Kleinman fixed point satisfies the gain equation K = R^-1 G' P_lqr
-        assert gain.shape == (2, 6)
+        assert pair.gain.shape == (2, 6)
 
 
 class TestLeaderRadius:
@@ -235,3 +239,52 @@ class TestRpiContainment:
         r, _ = follower_radius(pair, w_eff)
         worst = self.simulate(pair, w_eff, r)
         assert worst <= r**2 * (1.0 + 1e-6)
+
+
+def per_agent_entries(cfg, cert):
+    """Each follower's certificate entries from the scalar formulas, one agent at a time."""
+    depths = cert.graph.relay_tree[1]
+    l0, pair = cfg.leader.lipschitz, cert.pair
+    entries = []
+    for follower, model in zip(cfg.agents, cert.models[1:]):
+        hops = int(depths[follower.id - 1])
+        w_used = model.disturbance_bound + l0 * hops * cfg.sim.ts * cfg.leader.rate_bound
+        w_eff = effective_disturbance(w_used, l0, cert.leader.r_ball0)
+        r, r_ball = follower_radius(pair, w_eff)
+        base = baseline_radius(pair, w_used, model.drift_lipschitz)
+        tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound)
+        margin = follower.margin_radius
+        entries.append({
+            "id": follower.id,
+            "hops": hops,
+            "w_bar_used": w_used,
+            "w_eff": w_eff,
+            "r": r,
+            "r_ball": r_ball,
+            "margin_radius": r_ball if margin is None else margin,
+            "margin_mode": "certified" if margin is None else "declared",
+            "input_eta": eta,
+            "input_bound_tightened": tightened,
+            "baseline_r": base,
+            "baseline_r_ball": None if base is None else base / float(np.sqrt(pair.lambda_min_p)),
+        })
+    return entries
+
+
+class TestFollowerTubes:
+    @pytest.mark.parametrize("certified_margin", [False, True])
+    def test_record_matches_per_agent_formulas(self, certified_margin):
+        """The record's arrays give the per-agent formulas' values bit for bit. On paper every
+        baseline radius is infeasible (null) and the relay depths run 0..4; one copy leaves
+        agent 2's margin to its certified radius."""
+        doc = json.loads(PAPER.read_text())
+        if certified_margin:
+            del doc["agents"][1]["margin_radius"]
+        cfg = parse_scenario(json.dumps(doc))
+        cert = certify_scenario(cfg, spot_checks=False)
+        written = certificate_to_dict(cert)["agents"]
+        expected = per_agent_entries(cfg, cert)
+        modes = [entry["margin_mode"] for entry in written]
+        assert modes == ["declared", "certified" if certified_margin else "declared"] + ["declared"] * 3
+        for got, want in zip(written, expected, strict=True):
+            assert {key: got[key] for key in want} == want

@@ -9,7 +9,8 @@ import pytest
 import tubeform.sim
 from tubeform import cli, scenario
 from tubeform.cli import main
-from tubeform.errors import DegenerateGradient
+from tubeform.errors import DegenerateGradient, ScenarioError
+from tubeform.pipeline import load_certificate
 from tubeform.sim import SimTrace
 
 SMOKE = Path("scenarios/smoke_scenario.json")
@@ -57,6 +58,38 @@ class TestCertify:
             assert agent["lyapunov_residual"] < 1e-9
             assert agent["r_ball"] > 0.0
         assert doc["scenario_sha256"]
+
+    def test_certificate_key_order(self, certified):
+        """Each section keeps its key order, so certificates written before still load and check."""
+        doc = json.loads(certified.read_text())
+        assert list(doc) == [
+            "scenario_name", "scenario_sha256", "sv_min", "formation_error_bound", "leader",
+            "agents",
+        ]
+        assert list(doc["leader"]) == [
+            "mode", "rho0", "r_ball", "lyapunov_residual", "lambda_min_p", "lambda_max_p", "p",
+        ]
+        for agent in doc["agents"]:
+            assert list(agent) == [
+                "id", "hops", "w_bar_used", "w_eff", "r", "r_ball", "margin_radius",
+                "margin_mode", "input_eta", "input_bound_tightened", "baseline_r",
+                "baseline_r_ball", "zbar", "lyapunov_residual", "lambda_min_p", "lambda_max_p",
+                "lambda_min_q", "gain", "p", "q",
+            ]
+
+    def test_deeply_nested_scenario_exit_1(self, certified, tmp_path, capsys):
+        """A scenario nested past the JSON parser's depth exits 1 at certify and at run,
+        with one error line and no output."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "c" / "cert.json"
+        assert main(["certify", str(deep), "-o", str(out)]) == 1
+        error = "error: scenario: nested deeper than the JSON parser allows\n"
+        assert capsys.readouterr().err == error
+        assert not out.parent.exists()
+        assert main(["run", str(deep), "--cert", str(certified), "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "o").exists()
 
     def test_rootless_graph_exit_2(self, tmp_path, capsys):
         doc = json.loads(SMOKE.read_text())
@@ -282,6 +315,16 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {cert}: not UTF-8 text")
         assert not out.exists()
 
+    def test_deeply_nested_certificate_exit_1(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[" * 100_000 + "]" * 100_000)
+        error = "certificate: nested deeper than the JSON parser allows"
+        with pytest.raises(ScenarioError, match=f"^{error}$"):
+            load_certificate(cert)
+        assert main(["run", str(SMOKE), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_non_object_certificate_exit_1(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         cert.write_text("[]")
@@ -296,8 +339,18 @@ class TestRun:
             (lambda doc: doc.pop("agents"), "missing agents[0].r"),
             (lambda doc: doc["agents"][0]["gain"][0].__setitem__(0, 1.5), "agents[0].gain"),
             (lambda doc: doc["agents"][1]["p"].pop(), "agents[1].p"),
+            (lambda doc: doc["agents"][0].update(r=1.0), "agents[0].r"),
+            (
+                lambda doc: doc["agents"][1].update(input_bound_tightened=0.5),
+                "agents[1].input_bound_tightened",
+            ),
+            (lambda doc: doc["agents"][0].update(baseline_r_ball=None), "agents[0].baseline_r_ball"),
+            (lambda doc: doc["leader"].update(r_ball=0.5), "leader.r_ball"),
         ],
-        ids=["margin_radius", "formation_error_bound", "no_agents", "gain", "p_shape"],
+        ids=[
+            "margin_radius", "formation_error_bound", "no_agents", "gain", "p_shape", "r",
+            "input_bound_tightened", "baseline_r_ball", "leader_r_ball",
+        ],
     )
     def test_edited_certificate_exit_1(self, certified, tmp_path, capsys, edit, field):
         doc = json.loads(certified.read_text())

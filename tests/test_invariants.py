@@ -29,17 +29,17 @@ class TestCommunicationAccounting:
         cfg = load_scenario(PAPER)
         cert = certify_scenario(cfg, spot_checks=False)
         g = build_graph(cfg)
-        table = initial_broadcast([t.margin_radius for t in cert.tubes], g)
+        table = initial_broadcast(cert.tubes.margin_radius, g)
         for i in range(g.n_followers):
             for j in range(g.n_followers):
-                expected = cert.tubes[j].margin_radius if j in g.neighbors(i) else 0.0
+                expected = cert.tubes.margin_radius[j] if j in g.neighbors(i) else 0.0
                 assert table[i, j] == expected
 
     def test_paper_zbars_match_explicit_sums(self):
         cfg = load_scenario(PAPER)
         cert = certify_scenario(cfg, spot_checks=False)
         g = build_graph(cfg)
-        radii = [t.margin_radius for t in cert.tubes]
+        radii = cert.tubes.margin_radius
         r0 = cert.leader.r_ball0
         for i in range(g.n_followers):
             manual = (g.nu1 * np.sum(g.adjacency[i]) + g.nu2 * g.b0[i]) * radii[i]

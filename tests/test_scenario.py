@@ -40,6 +40,10 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"line \d+"):
             parse_scenario('{\n "name": "x",\n BROKEN\n}')
 
+    def test_nesting_beyond_the_parser_named(self):
+        with pytest.raises(ScenarioError, match=r"^scenario: nested deeper than the JSON parser"):
+            parse_scenario("[" * 100_000 + "]" * 100_000)
+
     def test_semantic_error_carries_path(self):
         doc = json.loads(open(SMOKE).read())
         del doc["agents"][0]["dynamics"]
@@ -181,6 +185,9 @@ for _index, _doc in enumerate(SCHEMA_DOCS):
         SCHEMA_CASES.setdefault(_id, (_index, _steps, _value))
 # "estimate" is a string like any other: a follower's Lipschitz constant is a declared number
 SCHEMA_CASES["agents[0].lipschitz-estimate"] = (0, ("agents", 0, "lipschitz"), "estimate")
+# a trace header writes the name on one line, which a line break would split
+SCHEMA_CASES["name-newline"] = (0, ("name",), "smoke\nx")
+SCHEMA_CASES["name-return"] = (0, ("name",), "a\rb")
 
 
 class TestSchema:

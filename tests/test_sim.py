@@ -137,20 +137,15 @@ class TestDeviationDynamics:
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, feedforward_on=feedforward_on))
         for k in range(3):
             world.step(k)
-        return world, cert.tubes[0].lyap.acl, 3 * cfg.sim.ts
+        return world, cert.pair.acl, 3 * cfg.sim.ts
 
     @staticmethod
     def deviation_rates(world, t):
         """Per follower: (state, dx, d(dx)/dt, anchor) read off the world ODE."""
-        state = world.state.ravel()
-        deriv = world._world_derivative(world.state, t, world.v_applied).ravel()
-        nd = world.nd
+        deriv = world._world_derivative(world.state, t, world.v_applied)
         for i in range(world.n):
-            xo = 2 * nd + i * 3 * nd
-            x = state[xo : xo + nd]
-            dx = x - state[xo + nd : xo + 2 * nd]
-            ddx = deriv[xo : xo + nd] - deriv[xo + nd : xo + 2 * nd]
-            yield i, x, dx, ddx, state[xo + 2 * nd : xo + 3 * nd]
+            x, xb, anchor = world.state[i + 1]
+            yield i, x, x - xb, deriv[i + 1, 0] - deriv[i + 1, 1], anchor
 
     def test_closed_loop_matches_linear_form(self):
         """Fine-integrated deviation dynamics match the certified linear form:
@@ -161,7 +156,7 @@ class TestDeviationDynamics:
         g_sel[-2:] = np.eye(2)
         for i, _, dx, ddx, anchor in self.deviation_rates(world, t):
             pinned = world.graph.b0[i] > 0
-            ff_state = world.state[0] if pinned else anchor
+            ff_state = world.x_leader if pinned else anchor
             leader = world.models[0].drift.value
             mismatch = leader(ff_state, t) - leader(anchor, t)
             w = own_disturbance(world, i + 1, t)
@@ -252,10 +247,10 @@ class TestWorldDrift:
         for step in range(10):
             world.step(step)
         t = 10.37 * cfg.sim.ts
-        team = world._drift.value(world.state[world._drift_rows], t)
+        team = world._drift.value(world.state[:, ::2].reshape(-1, world.nd), t)
         leader = world.models[0].drift.value
         expected = np.empty_like(team)
-        expected[[0, 1]] = leader(world.state[[0, 1]], t)
+        expected[[0, 1]] = leader(world.state[0, ::2], t)
         expected[3::2] = leader(world.anchors, t)
         for i, model in enumerate(world.models[1:]):
             expected[2 + 2 * i] = model.drift.value(world.x_true[i], t)
