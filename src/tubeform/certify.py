@@ -168,3 +168,22 @@ def input_tightening(lyap: LyapunovPair, r: float | np.ndarray, u_max: float) ->
             f"input bound {u_max:.6g} does not exceed ancillary margin {short[0]:.6g}"
         )
     return u_max - eta, eta
+
+
+def error_box_tightening(box, margins: np.ndarray, ids: np.ndarray):
+    """(N, nd) error boxes: the declared box shrunk by each agent's eCBF margin.
+
+    Raises naming the first agent, and its first entry, whose box is empty.
+    Without a declared box every agent's box is None.
+    """
+    if box is None:
+        return [None] * len(margins)
+    tightened = np.asarray(box, dtype=float) - margins[:, None]
+    empty = np.argwhere(tightened <= 0.0)
+    if empty.size:
+        i, j = empty[0]
+        raise EmptyTightenedSet(
+            f"ocp.error_box[{j}] {box[j]:.6g} does not exceed "
+            f"agent {ids[i]}'s margin {margins[i]:.6g}"
+        )
+    return tightened

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .pipeline import certify_scenario, check_certificate, load_certificate, write_certificate
 from .scenario import load_scenario
-from .sim import SimConfig, SimTrace, run_simulation, trace_metrics
+from .sim import SimConfig, SimTrace, SimWorld, trace_metrics
 from .svgplot import SvgFigure
 
 
@@ -88,8 +88,9 @@ def cmd_run(
             feedforward_on=(not cfg.sim.feedforward_on) if toggle_feedforward else None,
             baseline_margins=baseline_margins or None,
         )
+        world = SimWorld(cfg, result, sim_cfg)
         out.mkdir(parents=True, exist_ok=True)
-        sim_result = run_simulation(cfg, result, sim_cfg)
+        sim_result = world.run()
     except (TubeformError, OSError) as exc:
         return _error(exc)
 
@@ -103,7 +104,9 @@ def cmd_run(
     ]
     try:
         sim_result.trace.to_csv(trace_path)
-        (out / "summary.json").write_text(json.dumps(metrics, indent=2) + "\n")
+        # an absent clearance (no obstacle, or one follower) is inf in the trace and null here
+        summary = {k: None if v == np.inf else v for k, v in metrics.items()}
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     except OSError as exc:
         return _error(exc)
     print(f"trace written to {trace_path}")

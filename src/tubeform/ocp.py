@@ -22,15 +22,15 @@ state and to the per-step drive. ``rollout`` applies it to any stack of
 initial states and drives, so nominal states, synchronization errors and
 every reader's neighbor predictions come from the same two arrays.
 
-What else depends only on the spec is built once too (``OcpSpec.condensing``):
-the errors' response to the inputs, the terminal-law substitution map, the
-cost and input-rate matrices, the full and reduced Hessians, and the
-input-box rows. Each ``build_qp`` call then computes only what moves with
-e0, the drive sequence, the previous input and the linearization inputs:
-the error and input offsets, the linear and constant cost terms, and the
-barrier, error-box and terminal-cut rows. The barrier rows arrive as one
-``BarrierRows`` block (step, a, b, group) over every step and barrier kind
-and are scattered into the input stack by fancy indexing.
+The condensed QP is parametric too (``OcpSpec.condensing``): with the free
+inputs z and one parameter vector p = (e0, drive sequence, previous input),
+the full inputs, the errors, the cost and the input-box rows are fixed
+affine maps of (z, p), built once per spec from one weighted least-squares
+stack. Each ``build_qp`` call forms p and evaluates those maps; only the
+barrier rows, the error-box rows and the terminal cut are assembled per
+call. The barrier rows arrive as one ``BarrierRows`` block (step, a, b,
+group) over every step and barrier kind, and their steps are free inputs,
+so they are scattered straight into z by fancy indexing.
 """
 
 from __future__ import annotations
@@ -207,78 +207,75 @@ class OcpSolution:
 
 @dataclass(frozen=True)
 class _Condensing:
-    """Everything in the condensed QP that depends only on the spec.
+    """The condensed QP as fixed affine maps of the free inputs z and the parameter p.
 
-    The arrays are read-only: ``build_qp`` hands some of them out in the
+    p = (e0, s flattened, v_prev) stacks everything a QP moves with apart
+    from its rows and its linearization inputs. The arrays depend only on the
+    spec and are read-only: ``build_qp`` hands some of them out in the
     problems it returns.
     """
 
-    # steps 1..H of the spec's horizon maps: the stacked errors' response to e0 and the drive
-    free_map: np.ndarray  # (H nd, nd)
-    bz: np.ndarray  # (H nd, H d)
-    e_map: np.ndarray  # -coupling * bz: their response to the inputs
-    t_map: np.ndarray  # (H d, n_free): the full inputs from the free ones
-    w_mat: np.ndarray  # terminal law v_{H-1} = w_mat ebar_{H-1} + w_drive s_{H-1}
-    w_drive: np.ndarray
-    c_e: np.ndarray  # block-diagonal error cost (Qr, ..., Qr, Pr)
-    rd_full: np.ndarray  # block-diagonal input-rate cost
-    lin_e: np.ndarray  # linear cost term per unit e_off: 2 e_map' C_e
-    lin_d: np.ndarray  # linear cost term per unit d_off: 2 D' Rd
-    hess: np.ndarray  # Hessian on the full input stack
-    hess_f: np.ndarray  # reduced onto the free inputs, symmetrized
+    t_map: np.ndarray  # (H d, n_free): the full inputs are t_map z + t_par p
+    t_par: np.ndarray  # (H d, n_p)
+    e_map: np.ndarray  # (H nd, n_free): the errors at steps 1..H are e_map z + e_par p
+    e_par: np.ndarray  # (H nd, n_p)
+    e_term: np.ndarray  # (nd, H d): the terminal error's response to the full inputs
+    hess_f: np.ndarray  # cost 0.5 z' hess_f z + (lin_par p)' z + p' const_par p
     hess_f_inv: np.ndarray  # its inverse, handed to the solver with each QP
-    box_a: np.ndarray  # hard input-box rows on the full inputs (rhs -input_bound)
-    box_a_f: np.ndarray  # box_a @ t_map
+    lin_par: np.ndarray  # (n_free, n_p)
+    const_par: np.ndarray  # (n_p, n_p)
+    box_a: np.ndarray  # hard input-box rows box_a z >= -input_bound - box_par p
+    box_par: np.ndarray
 
     @classmethod
     def build(cls, spec: OcpSpec) -> _Condensing:
         h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
-        n_z = h * d
+        n_z, n_free = h * d, (h - 1) * d
+        n_p = nd + n_z + d
         free_map, bz = (arr[nd:] for arr in spec.horizon_maps)  # steps 1..H
-        e_map = -spec.coupling * bz
+        e_full = -spec.coupling * bz  # the errors' response to the full inputs
+        e_drive = np.hstack([free_map, bz, np.zeros((h * nd, d))])  # ... and to p
 
-        # terminal law substitution: v_{H-1} = W ebar_{H-1} + w0 (H >= 2 is checked at parse)
+        # terminal law v_{H-1} = -Khat e_H, from e_{H-1} and s_{H-1} (H >= 2 is checked at parse)
         khat = spec.terminal_gain
         lhs = np.eye(d) - spec.coupling * (khat @ spec.bd)
-        w_mat = -np.linalg.solve(lhs, khat @ spec.ad)
-        w_drive = -np.linalg.solve(lhs, khat @ spec.bd)
-        row = (h - 2) * nd
-        n_free = (h - 1) * d
-        t_map = np.zeros((n_z, n_free))
-        t_map[:n_free, :] = np.eye(n_free)
-        t_map[n_free:, :] = w_mat @ e_map[row : row + nd, :n_free]
+        law = -np.linalg.solve(lhs, khat @ np.hstack([spec.ad, spec.bd]))
+        row = slice((h - 2) * nd, (h - 1) * nd)
+        s_last = np.eye(n_p)[nd + n_free : nd + n_z]  # the last drive s_{H-1} in p
+        t_map = np.vstack([np.eye(n_free), law[:, :nd] @ e_full[row, :n_free]])
+        t_par = np.vstack([np.zeros((n_free, n_p)), law @ np.vstack([e_drive[row], s_last])])
+        e_map, e_par = e_full @ t_map, e_drive + e_full @ t_par
 
-        # cost: sum_{l=1}^{H-1} |e_l|_Qr^2 + |e_H|_Pr^2 + sum |v_l|_R^2 + |dv_l|_Rd^2
+        # cost: |e0|_Qr^2 + sum_{l=1}^{H-1} |e_l|_Qr^2 + |e_H|_Pr^2 + sum |v_l|_R^2 + |dv_l|_Rd^2
+        # with dv_0 = v_0 - v_prev: a least-squares stack of residuals m_z z + m_p p, weight w each
         c_e = np.kron(np.eye(h), spec.qr)
         c_e[-nd:, -nd:] = spec.pr
-        hess = 2.0 * (e_map.T @ c_e @ e_map) + 2.0 * np.kron(np.eye(h), spec.r)
         d_mat = np.eye(n_z) - np.eye(n_z, k=-d)  # input differences v_l - v_{l-1}
-        rd_full = np.kron(np.eye(h), spec.rdelta)
-        hess += 2.0 * d_mat.T @ rd_full @ d_mat
-        hess_f = t_map.T @ hess @ t_map
+        d_par = d_mat @ t_par
+        d_par[:, -d:] -= np.eye(n_z, d)
+        stack = [
+            (e_map, e_par, c_e),
+            (t_map, t_par, np.kron(np.eye(h), spec.r)),
+            (d_mat @ t_map, d_par, np.kron(np.eye(h), spec.rdelta)),
+            (np.zeros((nd, n_free)), np.eye(nd, n_p), spec.qr),
+        ]
+        hess_f = 2.0 * sum(m_z.T @ w @ m_z for m_z, _, w in stack)
         hess_f = 0.5 * (hess_f + hess_f.T)
 
-        box_a = np.zeros((0, n_z))
-        if np.isfinite(spec.input_bound):
-            # per step and axis: v >= -bound, then -v >= -bound
-            box_a = np.kron(np.eye(n_z), [[1.0], [-1.0]])
-
+        # the input box per step and axis: v >= -bound, then -v >= -bound
+        sign = [[1.0], [-1.0]] if np.isfinite(spec.input_bound) else np.zeros((0, 1))
         parts = dict(
-            free_map=free_map,
-            bz=bz,
-            e_map=e_map,
             t_map=t_map,
-            w_mat=w_mat,
-            w_drive=w_drive,
-            c_e=c_e,
-            rd_full=rd_full,
-            lin_e=2.0 * (e_map.T @ c_e),
-            lin_d=2.0 * d_mat.T @ rd_full,
-            hess=hess,
+            t_par=t_par,
+            e_map=e_map,
+            e_par=e_par,
+            e_term=e_full[-nd:],
             hess_f=hess_f,
             hess_f_inv=np.linalg.inv(hess_f),
-            box_a=box_a,
-            box_a_f=box_a @ t_map,
+            lin_par=2.0 * sum(m_z.T @ w @ m_p for m_z, m_p, w in stack),
+            const_par=sum(m_p.T @ w @ m_p for _, m_p, w in stack),
+            box_a=np.kron(t_map, sign),
+            box_par=np.kron(t_par, sign),
         )
         for arr in parts.values():
             arr.setflags(write=False)
@@ -301,10 +298,10 @@ def build_qp(
 
     ``barrier_rows`` is one row block: row r is the constraint
     ``a[r] . v_step[r] + b[r] >= 0`` evaluated at the caller's linearization
-    trajectory, scattered into the input stack by its step.
-    ``lin_inputs`` (H, d) are that trajectory's inputs: the terminal error
-    they reach, read off ``e_off + e_map @ v``, anchors the
-    supporting-hyperplane row of the terminal ellipsoid.
+    trajectory. Its steps are free inputs, so it is scattered straight into
+    them. ``lin_inputs`` (H, d) are that trajectory's inputs: the terminal
+    error they reach anchors the supporting-hyperplane row of the terminal
+    ellipsoid.
 
     Barrier and terminal-set rows get one nonnegative slack variable per
     ``SLACK_PENALTY`` group in use, penalized linearly: a feasible problem
@@ -314,42 +311,28 @@ def build_qp(
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
     if e0.shape != (nd,) or s_seq.shape != (h, d):
         raise DimensionMismatch("bad e0 or exogenous sequence shape")
-    n_z = h * d
     cond = spec.condensing
-    e_map, t_map = cond.e_map, cond.t_map
-    e_off = cond.free_map @ e0 + cond.bz @ s_seq.reshape(-1)
-    t_off = np.zeros(n_z)
-    row = (h - 2) * nd
-    t_off[(h - 1) * d :] = cond.w_mat @ e_off[row : row + nd] + cond.w_drive @ s_seq[h - 1]
+    e_map, n_free = cond.e_map, cond.t_map.shape[1]
+    p = np.concatenate([e0, s_seq.reshape(-1), v_prev])
+    t_off, e_off = cond.t_par @ p, cond.e_par @ p
 
-    d_off = np.zeros(n_z)
-    d_off[:d] = -v_prev
-    lin = cond.lin_e @ e_off + cond.lin_d @ d_off
-    const = (
-        float(e_off @ cond.c_e @ e_off)
-        + float(e0 @ spec.qr @ e0)
-        + float(d_off @ cond.rd_full @ d_off)
-    )
-
-    # rows a . z + b' >= 0 on the full inputs after the box rows, as (a, -b', group)
+    # rows a . z + b' >= 0 on the free inputs, as (a, -b', group): the input box, then the barrier
     m = barrier_rows.b.size
-    a_barrier = np.zeros((m, n_z))
+    a_barrier = np.zeros((m, n_free))
     a_barrier[np.arange(m)[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
-    a_rows, b_rows, soft = [a_barrier], [-barrier_rows.b], [barrier_rows.group]
+    a_rows = [cond.box_a, a_barrier]
+    b_rows = [-spec.input_bound - cond.box_par @ p, -barrier_rows.b]
+    soft = [np.full(cond.box_a.shape[0], -1), barrier_rows.group]
     if spec.error_box is not None:
         bound = np.tile(spec.error_box, h)
         keep = np.flatnonzero(np.isfinite(bound))
-        box = np.empty((2 * keep.size, n_z))
-        box[0::2], box[1::2] = -e_map[keep], e_map[keep]
-        box_b = np.empty(2 * keep.size)
-        box_b[0::2] = e_off[keep] - bound[keep]
-        box_b[1::2] = -e_off[keep] - bound[keep]
-        a_rows.append(box)
-        b_rows.append(box_b)
-        soft.append(np.full(box_b.size, -1))
+        # per step and finite entry: e <= bound, then e >= -bound
+        a_rows.append(np.kron(e_map[keep], [[-1.0], [1.0]]))
+        b_rows.append(np.kron(e_off[keep], [1.0, -1.0]) - np.repeat(bound[keep], 2))
+        soft.append(np.full(2 * keep.size, -1))
     if np.isfinite(spec.terminal_level):
         blk = slice((h - 1) * nd, h * nd)
-        e_ref = e_off[blk] + e_map[blk] @ lin_inputs.reshape(-1)
+        e_ref = e_off[blk] + cond.e_term @ (lin_inputs.reshape(-1) - t_off)
         level = float(e_ref @ spec.pr @ e_ref)
         if level > 1e-12:
             y = e_ref * math.sqrt(spec.terminal_level / level)
@@ -357,31 +340,22 @@ def build_qp(
             a_rows.append((-e_map[blk].T @ py)[None])
             b_rows.append([float(py @ e_off[blk]) - spec.terminal_level])
             soft.append([len(SLACK_PENALTY) - 1])
-    a_rows, b_rows = np.vstack(a_rows), np.concatenate(b_rows)
-
-    # reduce everything onto the free inputs
-    hess, hess_f = cond.hess, cond.hess_f
-    lin_f = t_map.T @ (hess @ t_off + lin)
-    const_f = const + float(0.5 * t_off @ hess @ t_off + lin @ t_off)
-    a_f = np.vstack([cond.box_a_f, a_rows @ t_map])
-    b_f = np.concatenate([-spec.input_bound - cond.box_a @ t_off, b_rows - a_rows @ t_off])
-    soft = np.concatenate([np.full(cond.box_a.shape[0], -1), *soft])
+    a_f, b_f, soft = np.vstack(a_rows), np.concatenate(b_rows), np.concatenate(soft)
 
     used_groups = np.flatnonzero(np.bincount(soft[soft >= 0]))  # ascending, each once
-    n_free = hess_f.shape[0]
     n_sig = used_groups.size
     hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
-    hess_s[:n_free, :n_free] = hess_f
+    hess_s[:n_free, :n_free] = cond.hess_f
     hess_s_inv = np.eye(n_free + n_sig)  # so its inverse is block-diagonal too
     hess_s_inv[:n_free, :n_free] = cond.hess_f_inv
-    lin_s = np.concatenate([lin_f, np.asarray(SLACK_PENALTY)[used_groups]])
+    lin_s = np.concatenate([cond.lin_par @ p, np.asarray(SLACK_PENALTY)[used_groups]])
     a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
     a_s[: a_f.shape[0], :n_free] = a_f
     a_s[: a_f.shape[0], n_free:] = soft[:, None] == used_groups
     a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
     b_s = np.concatenate([b_f, np.zeros(n_sig)])
     qp = QpProblem(
-        hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=const_f,
+        hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=float(p @ cond.const_par @ p),
         hessian_inv=hess_s_inv,
     )
     return qp, t_off

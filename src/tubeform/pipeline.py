@@ -15,6 +15,7 @@ from .certify import (
     build_lyapunov_pair,
     declared_leader_certificate,
     effective_disturbance,
+    error_box_tightening,
     follower_radius,
     baseline_radius,
     input_tightening,
@@ -124,6 +125,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound)
     declared = np.array([follower.margin_radius for follower in cfg.agents], dtype=float)
     margin = np.where(np.isnan(declared), r_ball, declared)
+    error_box_tightening(cfg.ocp.error_box, margin, ids)
     bound_cert = global_bound(g, margin, leader_cert.r_ball0)
     tubes = FollowerTubes(
         id=ids,

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .barrier import assemble_row
+from .certify import error_box_tightening
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
@@ -152,11 +153,8 @@ class SimWorld:
             self.margins = tubes.margin_radius
         self.radius_table = initial_broadcast(self.margins, self.graph)
 
-        error_boxes = [None] * self.n
-        if cfg.ocp.error_box is not None:
-            error_boxes = np.asarray(cfg.ocp.error_box) - self.margins[:, None]
-            if np.any(error_boxes <= 0.0):
-                raise ScenarioError("error box fully consumed by tube tightening")
+        # certify checked the box against the certified margins, this run checks its own
+        error_boxes = error_box_tightening(cfg.ocp.error_box, self.margins, tubes.id)
         self.specs = [
             OcpSpec.design(
                 cfg.dims, self.horizon, sim.ts, cfg.ocp.qr, cfg.ocp.r, cfg.ocp.rdelta,
@@ -337,10 +335,9 @@ class SimWorld:
                 self.infeasible_streak[i] = 0
                 plans[i] = sol.inputs
                 solver[i] = (STATUS_CODE[sol.status], sol.iterations, sol.sqp_passes, sol.objective)
-        terminal = np.array([
-            rollout(spec, e0s[i], s_seqs[i] - spec.coupling * plans[i])[-1]
-            for i, spec in enumerate(self.specs)
-        ])
+        # every posted plan's terminal error, through the chain maps every spec shares
+        drives = s_seqs - self.graph.m.diagonal()[:, None, None] * plans
+        terminal = rollout(self.specs[0], e0s, drives)[:, -1]
         self.board.post(k, plans, terminal)
         self.v_applied[:] = plans[:, 0]
 

@@ -3,14 +3,15 @@
 These deliberately avoid the package's own code paths: eigenvalues via
 characteristic-polynomial roots, finite-difference stencils via Fornberg
 weights, QP optima via projected gradient ascent on the dual, horizon
-trajectories and OCP objectives via the explicit step recurrence, barrier
-values from the position offset alone, and each agent's disturbance from its
-own per-agent formula.
+trajectories, OCP objectives and the condensed QP's affine maps via the
+explicit step recurrence, barrier values from the position offset alone, and
+each agent's disturbance from its own per-agent formula.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,40 +193,109 @@ def rollout_objective(spec, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarra
     return total
 
 
-def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs):
-    """The OCP's QP on the free inputs with every row hard, from ``spec.condensing``.
+class CondensedPlan(NamedTuple):
+    """Affine maps of the free inputs z (steps 0..H-2) probed from the explicit recurrence."""
 
-    The rows are the input box, the barrier ``rows`` (``a . v_step + b >= 0``)
-    and the terminal ellipsoid's supporting hyperplane at the terminal error
-    ``lin_inputs`` reach: the exact-penalty QP without its slack variables.
-    Returns (QP terms hessian, linear, a_in, b_in of ``A z >= b``, t_map, t_off);
-    the full input stack is ``t_map @ z + t_off``.
+    t_map: np.ndarray  # (H d, n_free): the full inputs are t_map z + t_off
+    t_off: np.ndarray  # (H d,)
+    err_map: np.ndarray  # (H+1, nd, n_free): the errors at steps 0..H are err_map z + err_off
+    err_off: np.ndarray  # (H+1, nd)
+
+
+def condensed_plan(spec, e0: np.ndarray, s_seq: np.ndarray) -> CondensedPlan:
+    """The plan's inputs and errors as affine maps of the free inputs, from ``chain_recurrence``.
+
+    The last input follows the terminal law v_{H-1} = -Khat e_H, where e_H
+    itself depends on v_{H-1}: that affine fixed point is found by probing the
+    recurrence in v_{H-1} and solving one small linear system. Every map is
+    then read off by evaluating the plan at z = 0 and at the unit vectors.
     """
-    assert spec.error_box is None  # no error-box rows are assembled here
-    cond = spec.condensing
-    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
-    e_off = cond.free_map @ e0 + cond.bz @ s_seq.reshape(-1)
-    t_off = np.zeros(h * d)  # the terminal law's offset on the last input
-    t_off[(h - 1) * d :] = cond.w_mat @ e_off[(h - 2) * nd : (h - 1) * nd] + cond.w_drive @ s_seq[-1]
-    d_off = np.zeros(h * d)
-    d_off[:d] = -v_prev
-    lin = cond.lin_e @ e_off + cond.lin_d @ d_off
+    h, d = spec.horizon, spec.dims.d
+    n_free = (h - 1) * d
 
-    # rows a . v + b >= 0 on the full input stack v
-    a_full = [cond.box_a]
-    b_full = [np.full(cond.box_a.shape[0], spec.input_bound)]
+    def errors(inputs):
+        return chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * inputs)
+
+    def plan(z):
+        inputs = np.zeros((h, d))
+        inputs[:-1] = z.reshape(h - 1, d)
+        law0 = -spec.terminal_gain @ errors(inputs)[-1]  # the law's value at v_{H-1} = 0
+        gain = np.empty((d, d))
+        for j in range(d):
+            inputs[-1] = np.eye(d)[j]
+            gain[:, j] = -spec.terminal_gain @ errors(inputs)[-1] - law0
+        inputs[-1] = np.linalg.solve(np.eye(d) - gain, law0)
+        return inputs.reshape(-1), errors(inputs)
+
+    t_off, err_off = plan(np.zeros(n_free))
+    probes = [plan(unit) for unit in np.eye(n_free)]
+    t_map = np.stack([v - t_off for v, _ in probes], axis=-1)
+    err_map = np.stack([e - err_off for _, e in probes], axis=-1)
+    return CondensedPlan(t_map, t_off, err_map, err_off)
+
+
+class HardRowQp(NamedTuple):
+    """min 0.5 z' hessian z + linear' z + constant s.t. a_in z >= b_in, z the free inputs."""
+
+    hessian: np.ndarray
+    linear: np.ndarray
+    constant: float
+    a_in: np.ndarray
+    b_in: np.ndarray
+    t_map: np.ndarray  # the full input stack is t_map @ z + t_off
+    t_off: np.ndarray
+
+
+def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs) -> HardRowQp:
+    """The OCP's QP on the free inputs with every row hard, from ``condensed_plan`` alone.
+
+    The cost is the sum, step by step, of the quadratic terms that
+    ``rollout_objective`` adds up, each an affine map of z with its weight.
+    The rows, in ``build_qp``'s order, are the input box (per step and axis
+    v >= -bound, then -v >= -bound), the barrier ``rows`` (``a . v_step + b >=
+    0``), the error box (per step 1..H and finite entry, e <= bound, then
+    e >= -bound) and the terminal ellipsoid's supporting hyperplane at the
+    terminal error ``lin_inputs`` reach: the exact-penalty QP without its
+    slack variables.
+    """
+    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
+    cp = condensed_plan(spec, e0, s_seq)
+    n_free = cp.t_map.shape[1]
+    v_map = cp.t_map.reshape(h, d, n_free)
+    v_off = cp.t_off.reshape(h, d)
+    prev_map, prev_off = np.zeros((d, n_free)), v_prev
+    terms = []  # (map, offset, weight) per quadratic term
+    for step in range(h + 1):
+        terms.append((cp.err_map[step], cp.err_off[step], spec.pr if step == h else spec.qr))
+    for step in range(h):
+        terms.append((v_map[step], v_off[step], spec.r))
+        terms.append((v_map[step] - prev_map, v_off[step] - prev_off, spec.rdelta))
+        prev_map, prev_off = v_map[step], v_off[step]
+    hessian = sum(2.0 * m.T @ w @ m for m, _, w in terms)
+    linear = sum(2.0 * m.T @ w @ off for m, off, w in terms)
+    constant = rollout_objective(spec, e0, s_seq, v_prev, v_off)
+
+    a_in, b_in = [], []  # a . z >= b
+    if np.isfinite(spec.input_bound):
+        for step in range(h):
+            for ax in range(d):
+                for sign in (1.0, -1.0):
+                    a_in.append(sign * v_map[step, ax])
+                    b_in.append(-spec.input_bound - sign * v_off[step, ax])
     for step, a, b in zip(rows.step, rows.a, rows.b):
-        row = np.zeros((1, h * d))
-        row[0, step * d : (step + 1) * d] = a
-        a_full.append(row)
-        b_full.append([b])
-    blk = slice((h - 1) * nd, h * nd)
-    e_ref = e_off[blk] + cond.e_map[blk] @ lin_inputs.reshape(-1)
+        a_in.append(a @ v_map[step])
+        b_in.append(-b - a @ v_off[step])
+    if spec.error_box is not None:
+        for step in range(1, h + 1):
+            for j in np.flatnonzero(np.isfinite(spec.error_box)):
+                for sign in (-1.0, 1.0):
+                    a_in.append(sign * cp.err_map[step, j])
+                    b_in.append(-spec.error_box[j] - sign * cp.err_off[step, j])
+    e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
     level = float(e_ref @ spec.pr @ e_ref)
     if np.isfinite(spec.terminal_level) and level > 1e-12:
         py = spec.pr @ e_ref * np.sqrt(spec.terminal_level / level)
-        a_full.append((-cond.e_map[blk].T @ py)[None])  # py . e_H <= terminal level
-        b_full.append([spec.terminal_level - py @ e_off[blk]])
-    a_full, b_full = np.vstack(a_full), np.concatenate(b_full)
-    linear = cond.t_map.T @ (cond.hess @ t_off + lin)
-    return cond.hess_f, linear, a_full @ cond.t_map, -b_full - a_full @ t_off, cond.t_map, t_off
+        a_in.append(-py @ cp.err_map[h])  # py . e_H <= terminal level
+        b_in.append(py @ cp.err_off[h] - spec.terminal_level)
+    a_in = np.reshape(a_in, (len(b_in), n_free))
+    return HardRowQp(hessian, linear, constant, a_in, np.array(b_in), cp.t_map, cp.t_off)

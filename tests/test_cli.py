@@ -199,6 +199,47 @@ class TestCertify:
         assert "NotHurwitz" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    def test_error_box_consumed_by_margins_exit_2(self, certified, tmp_path, capsys):
+        """An error box no wider than a certified margin is refused at certify, naming the
+        entry, the agent and both values; run recertifies and stops before any output."""
+        doc = json.loads(SMOKE.read_text())
+        doc["ocp"]["error_box"] = [0.01] * 6
+        scen = tmp_path / "ebox.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "c" / "cert.json"
+        assert main(["certify", str(scen), "-o", str(out)]) == 2
+        infeasible = (
+            "infeasible: EmptyTightenedSet: ocp.error_box[0] 0.01 does not exceed "
+            "agent 1's margin 0.05\n"
+        )
+        assert capsys.readouterr().err == infeasible
+        assert not out.parent.exists()
+        cert_doc = json.loads(certified.read_text())
+        cert_doc["scenario_sha256"] = scenario.load_scenario(scen).sha256
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(cert_doc))
+        assert main(["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == infeasible
+        assert not (tmp_path / "o").exists()
+
+    def test_error_box_consumed_by_baseline_margins_exit_2(self, tmp_path, capsys):
+        """The baseline margins are checked at run: a box that the certified margins leave
+        and a baseline radius consumes exits 2 before any output."""
+        doc = json.loads(SMOKE.read_text())
+        doc["ocp"]["error_box"] = [1.0] * 6
+        scen = tmp_path / "ebox.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["run", str(scen), "--cert", str(cert), "-o", str(out), "--baseline-margins"]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: EmptyTightenedSet: ocp.error_box[0] 1 does not exceed "
+            "agent 2's margin 2.94024\n"
+        )
+        assert not out.exists()
+
     def test_non_hurwitz_kappa_poles_exit_2(self, tmp_path, capsys):
         """eCBF poles that give a non-positive class-kappa coefficient fail at certify time."""
         doc = json.loads(SMOKE.read_text())
@@ -208,6 +249,30 @@ class TestCertify:
         assert main(["certify", str(bad), "-o", str(tmp_path / "c.json")]) == 2
         assert "NotHurwitz" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
+
+
+def _strict_json(text: str):
+    """Parse as RFC 8259 JSON: ``Infinity``, ``-Infinity`` and ``NaN`` are rejected."""
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def one_follower_obstacle_free(tmp_path: Path) -> Path:
+    """A smoke copy with one follower, pinned to the leader, and no obstacles."""
+    doc = json.loads(SMOKE.read_text())
+    doc["dims"]["followers"] = 1
+    doc["agents"] = doc["agents"][:1]
+    doc["graph"]["adjacency"] = [[0.0]]
+    doc["graph"]["b0"] = [1.0]
+    doc["formation"]["offsets"] = doc["formation"]["offsets"][:2]
+    doc["obstacles"] = []
+    doc["initial_states"]["followers"] = doc["initial_states"]["followers"][:1]
+    path = tmp_path / "solo.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestRun:
@@ -441,6 +506,20 @@ class TestRun:
         (tmp_path / "out" / "summary.json").mkdir(parents=True)
         assert main(args + [str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_absent_clearances_are_null_in_strict_json_summary(self, tmp_path):
+        """One follower and no obstacles: the summary writes both clearances as null, so
+        a strict JSON parser reads it; the trace keeps them as inf."""
+        scen = one_follower_obstacle_free(tmp_path)
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        run = tmp_path / "run"
+        assert main(["run", str(scen), "--cert", str(cert), "-o", str(run), "--t-end", "2"]) == 0
+        summary = _strict_json((run / "summary.json").read_text())
+        assert summary["min_obstacle_clearance"] is None
+        assert summary["min_pairwise_clearance"] is None
+        trace = SimTrace.from_csv(run / "trace.csv")
+        assert np.all(np.isinf(trace.col("clr_obs"))) and np.all(np.isinf(trace.col("clr_pair")))
 
     def test_determinism_byte_identical(self, certified, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

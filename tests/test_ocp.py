@@ -18,7 +18,7 @@ from tubeform.ocp import (
 )
 from tubeform.qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
 
-from oracles import chain_recurrence, hard_row_qp, rollout_objective
+from oracles import chain_recurrence, condensed_plan, hard_row_qp, rollout_objective
 
 NO_ROWS = BarrierRows(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int))
 ZERO_INPUTS = np.zeros((5, 2))
@@ -205,17 +205,53 @@ class TestBuildQp:
         level = e_ref @ spec.pr @ e_ref
         assert level > spec.terminal_level  # outside the terminal set: the cut binds
         py = spec.pr @ (e_ref * np.sqrt(spec.terminal_level / level))
-        blk = slice(4 * 6, 5 * 6)
-        cond = spec.condensing
-        e_map, e_off = cond.e_map, cond.free_map @ e0 + cond.bz @ s_seq.reshape(-1)
-        # the cut on the full inputs, reduced onto the free ones as build_qp does; it
-        # is the last row before the slack's nonnegativity and has the one slack
-        a_full = -e_map[blk].T @ py
-        b_full = py @ e_off[blk] - spec.terminal_level
+        # the cut on the free inputs, through the terminal error's map probed from the
+        # recurrence; it is the last row before the slack's nonnegativity and has the one slack
+        cp = condensed_plan(spec, e0, s_seq)
+        a_free = -py @ cp.err_map[-1]
+        b_free = py @ cp.err_off[-1] - spec.terminal_level
         assert n_slack(spec, qp) == 1
-        np.testing.assert_allclose(qp.a_in[-2, :-1], a_full @ cond.t_map, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(qp.a_in[-2, :-1], a_free, rtol=1e-12, atol=1e-12)
         assert qp.a_in[-2, -1] == 1.0
-        assert qp.b_in[-2] == pytest.approx(b_full - a_full @ t_off, rel=1e-12, abs=1e-12)
+        assert qp.b_in[-2] == pytest.approx(b_free, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("error_box", [False, True])
+    @pytest.mark.parametrize("terminal_set", [False, True])
+    def test_free_input_block_matches_recurrence_oracle(self, error_box, terminal_set):
+        """On random (e0, s, v_prev, rows, lin_inputs) every term of the QP on the free
+        inputs equals the hard-row QP probed from the explicit recurrence."""
+        spec = make_spec(terminal_set=terminal_set)
+        if error_box:
+            spec = dataclasses.replace(spec, error_box=TestCondensingCache.ERROR_BOX)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            e0 = rng.normal(size=6) * 2.0
+            s_seq = rng.normal(size=(5, 2)) * 0.3
+            v_prev = rng.normal(size=2)
+            entries = [
+                (int(rng.integers(0, 4)), rng.normal(size=2), float(rng.normal()), int(g))
+                for g in rng.integers(0, 2, size=6)
+            ]
+            rows = BarrierRows(*map(np.array, zip(*entries)))
+            lin_inputs = rng.normal(size=(5, 2))
+            qp, t_off = build_qp(spec, e0, s_seq, v_prev, rows, lin_inputs)
+            ref = hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs)
+            n_free, n_rows = ref.hessian.shape[0], ref.b_in.size
+            assert n_rows == qp.b_in.size - n_slack(spec, qp)  # all but the slacks' signs
+            # input box 2 H d, six barrier rows, the error box, and the cut (random e_ref)
+            assert n_rows == 20 + 6 + (40 if error_box else 0) + terminal_set
+            pairs = [
+                (qp.hessian[:n_free, :n_free], ref.hessian),
+                (qp.linear[:n_free], ref.linear),
+                (qp.constant, ref.constant),
+                (qp.a_in[:n_rows, :n_free], ref.a_in),
+                (qp.b_in[:n_rows], ref.b_in),
+                (t_off, ref.t_off),
+                (spec.condensing.t_map, ref.t_map),
+            ]
+            for got, want in pairs:
+                scale = max(1.0, float(np.max(np.abs(want))))
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * scale)
 
 
 class TestRollout:
@@ -393,13 +429,37 @@ class TestSolveOcp:
         assert sol.converged and sol.sqp_passes == 1
         assert sol.status == OPTIMAL and sol.slack <= 1e-9
 
-        hessian, linear, a_in, b_in, t_map, t_off = hard_row_qp(
+        ref = hard_row_qp(
             spec, e0, np.zeros((5, 2)), np.zeros(2), rows(rollout(spec, x0, warm)), warm
         )
-        hard = solve_qp(QpProblem(hessian=hessian, linear=linear, a_in=a_in, b_in=b_in))
+        hard = solve_qp(QpProblem(hessian=ref.hessian, linear=ref.linear, a_in=ref.a_in, b_in=ref.b_in))
         assert hard.status == OPTIMAL
         assert np.count_nonzero(hard.active) >= 1  # rows bind: the penalty must hold them
-        hard_plan = (t_map @ hard.z + t_off).reshape(5, 2)
+        hard_plan = (ref.t_map @ hard.z + ref.t_off).reshape(5, 2)
+        np.testing.assert_allclose(sol.inputs, hard_plan, rtol=0.0, atol=1e-7)
+
+    def test_binding_error_box_matches_hard_row_qp(self):
+        """An error box that the unconstrained plan leaves: the penalty solve keeps
+        its errors inside the box and its plan is the hard-row QP's plan."""
+        spec = make_spec(terminal_set=False)
+        e0 = np.array([1.5, -1.0, 0.6, 0.4, 0.0, 0.0])
+        s_seq = np.zeros((5, 2))
+        free = solve_ocp(spec, e0, np.zeros(6), s_seq, s_seq, np.zeros(2), s_seq, no_rows)
+        free_errors = chain_recurrence(spec.ad, spec.bd, e0, -spec.coupling * free.inputs)
+        box = np.array([np.inf, np.inf, 0.45, 0.45, np.inf, np.inf])
+        assert np.max(np.abs(free_errors[1:, 2:4])) > 0.5  # the free plan leaves the box
+        spec = dataclasses.replace(spec, error_box=box)
+
+        sol = solve_ocp(spec, e0, np.zeros(6), s_seq, s_seq, np.zeros(2), s_seq, no_rows)
+        assert sol.converged and sol.status == OPTIMAL and sol.slack == 0.0
+        errors = chain_recurrence(spec.ad, spec.bd, e0, -spec.coupling * sol.inputs)
+        assert np.all(np.abs(errors[1:]) <= box + 1e-9)
+
+        ref = hard_row_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, sol.inputs)
+        hard = solve_qp(QpProblem(hessian=ref.hessian, linear=ref.linear, a_in=ref.a_in, b_in=ref.b_in))
+        assert hard.status == OPTIMAL
+        assert np.count_nonzero(hard.active[20:]) >= 1  # error-box rows bind
+        hard_plan = (ref.t_map @ hard.z + ref.t_off).reshape(5, 2)
         np.testing.assert_allclose(sol.inputs, hard_plan, rtol=0.0, atol=1e-7)
 
     def test_sqp_fixed_point(self):
