@@ -70,8 +70,8 @@ def solve_continuous_lyapunov(acl: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def rk4_step(f, x: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 step of dx/dt = f(x, t)."""
+def rk4_step(f, x: np.ndarray, t: float | np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta 4 step of dx/dt = f(x, t); t is one time or one per state."""
     x = np.asarray(x, dtype=float)
     k1 = f(x, t)
     k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
@@ -79,5 +79,7 @@ def rk4_step(f, x: np.ndarray, t: float, h: float) -> np.ndarray:
     k4 = f(x + h * k3, t + h)
     out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"non-finite state after RK4 step at t={t + h:.6g}")
+        bad = ~np.isfinite(out).reshape(*np.shape(t), -1).all(axis=-1)
+        when = np.min(np.where(bad, t + h, np.inf))  # the earliest state that broke
+        raise NonFiniteState(f"non-finite state after RK4 step at t={when:.6g}")
     return out

@@ -135,16 +135,19 @@ class DriftTable(NamedTuple):
     def stack(cls, tables: list["DriftTable"], rows: np.ndarray) -> "DriftTable":
         """Row r evaluates with ``tables[rows[r]]``; all-zero terms pad the shorter tables."""
         width = max(len(t.expo) for t in tables)
+        fields = []
+        for field in zip(*tables):
+            stacked = np.zeros((len(tables), width, *field[0].shape[1:]))
+            for table, a in zip(stacked, field):
+                table[: len(a)] = a
+            fields.append(stacked[rows])
+        return cls(*fields)
 
-        def pad(a: np.ndarray) -> np.ndarray:
-            return np.pad(a, [(0, width - len(a))] + [(0, 0)] * (a.ndim - 1))
-
-        return cls(*(np.stack([pad(a) for a in field])[rows] for field in zip(*tables)))
-
-    def value(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Drift (..., d) at the states x (..., nd)."""
+    def value(self, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """Drift (..., d) at the states x (..., nd), at one time t or at times t (...) per state."""
         ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
-        terms = ux**self.expo * (self.offset + np.tanh(vx)) * np.sin(self.freq * t + self.phase)
+        angle = self.freq * np.asarray(t)[..., None] + self.phase
+        terms = ux**self.expo * (self.offset + np.tanh(vx)) * np.sin(angle)
         return (terms[..., None, :] @ self.scatter)[..., 0, :]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -198,9 +201,10 @@ class DisturbanceStack:
     ``bound``, one draw per fine-step index j, derived from (seed, r, j) alone.
     The index is taken at each call's own time, so an RK4 substep over fine
     step j reads draw j at its first three stages and draw j + 1 at its last
-    stage, at the step's end time. The ball rows keep the last index's draws
-    and draw again only when the index changes; keyed by index, the memo is
-    exact for any order of times.
+    stage, at the step's end time. The ball rows keep every index's draws, so
+    each (row, index) is drawn once however often and in whatever order its
+    times are read: the simulator's leader pass and its world integration
+    share one set of draws.
     """
 
     def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
@@ -212,7 +216,7 @@ class DisturbanceStack:
             for f in ("amp", "freq", "phase")
         )
         self._ball_rows = [r for r, c in enumerate(configs) if c.kind == "ball"]
-        self._index, self._draws = None, None
+        self._draws: dict[int, np.ndarray] = {}
 
     def draw(self, row: int, j: int) -> np.ndarray:
         """Row ``row``'s ball draw for fine-step index j."""
@@ -230,9 +234,9 @@ class DisturbanceStack:
         w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
         if self._ball_rows:
             j = math.floor(t / self._step_duration + 1e-12)
-            if self._index != j:
-                self._index, self._draws = j, np.array([self.draw(r, j) for r in self._ball_rows])
-            w[self._ball_rows] = self._draws
+            if j not in self._draws:
+                self._draws[j] = np.array([self.draw(r, j) for r in self._ball_rows])
+            w[self._ball_rows] = self._draws[j]
         return w
 
 

@@ -10,6 +10,14 @@ persistent (never reset to measurements); each agent's leader-feedforward
 signal is re-anchored to its current leader estimate at every sampling
 instant and propagated through the disturbance-free leader model.
 
+The leader takes no input, so its trajectory, every relay round's estimates
+and every step's feedforward samples are fixed before the first solve.
+``SimWorld.leader_plan`` computes them once per run, on first use: the leader
+integrated alone with the world's substeps and disturbance draws, the relay
+rounds over its samples, and one propagation of all (step, follower) anchors.
+Step k reads slice k. The controller still sees only step k's causal relayed
+estimates; computing them ahead is a batch on the simulator's side.
+
 The round is array algebra over one horizon map and one graph matrix: the
 leader estimates are one gather through the relay tree, one ``shift_plan``
 call shifts the message board's plans, one ``rollout`` call gives all
@@ -30,9 +38,11 @@ violations and the state-derived columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +126,15 @@ def apply_control(
     return u
 
 
+class LeaderPlan(NamedTuple):
+    """The exogenous leader over one run, led by the sampling step k."""
+
+    leader: np.ndarray  # (steps, nd) the leader's true state at k ts
+    estimates: np.ndarray  # (steps, N, nd) the followers' relayed leader estimates
+    ages: np.ndarray  # (steps, N) their ages in sampling steps
+    ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its estimate
+
+
 class SimWorld:
     """Mutable closed-loop state of one run."""
 
@@ -177,10 +196,7 @@ class SimWorld:
         states = initial_states(cfg)
         self.state[:, :2] = states[:, None]  # nominal initialized at measurement
         self.state[:, 2] = states[0]
-        # at deployment every agent holds the true leader state at age 0
         self._relay_parent = self.graph.relay_tree[0]
-        self.estimates = self.anchors.copy()
-        self.estimate_ages = np.zeros(self.n, dtype=int)
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         self._pinned = (self._relay_parent < 0)[:, None]
         tube_r2 = tubes.r**2
@@ -206,8 +222,43 @@ class SimWorld:
 
     # --- leader feedforward ---
 
-    def _leader_ff_samples(self, anchors: np.ndarray, t0: float) -> np.ndarray:
-        """(N, horizon, d) feedforward samples from the (N, nd) anchors, propagated as one stack."""
+    @functools.cached_property
+    def leader_plan(self) -> LeaderPlan:
+        """The exogenous leader, its relay rounds and one feedforward propagation, once per run.
+
+        The leader is integrated alone with the world's substeps, times, drift
+        arithmetic and disturbance draws; every (step, follower) anchor is
+        propagated from its own start time in one ``_leader_ff_samples`` call.
+        """
+        fs, ts, n_steps = self.sim.fine_substeps, self.sim.ts, self.n_steps
+        h = ts / fs
+        drift = DriftTable(*(field[:1] for field in self._drift))  # the world's leader row
+
+        def rhs(x, time):
+            top = drift.value(x, time) + self._disturbance(time)[:1]
+            return chain_derivative(self.dims, x, top)
+
+        leader = np.empty((n_steps, self.nd))
+        estimates = np.empty((n_steps, self.n, self.nd))
+        ages = np.zeros((n_steps, self.n), dtype=int)
+        # at deployment every agent holds the true leader state at age 0
+        x = leader[0] = estimates[0] = self.state[0, 0]
+        for k in range(1, n_steps):
+            t = (k - 1) * ts
+            for _ in range(fs):
+                x = rk4_step(rhs, x[None], t, h)[0]
+                t += h
+            leader[k] = x
+            estimates[k], ages[k] = relay_leader(
+                self._relay_parent, x, estimates[k - 1], ages[k - 1]
+            )
+        starts = np.repeat(np.arange(n_steps) * ts, self.n)
+        ff = self._leader_ff_samples(estimates.reshape(-1, self.nd), starts)
+        ff = ff.reshape(n_steps, self.n, self.horizon, self.d)
+        return LeaderPlan(leader, estimates, ages, ff)
+
+    def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray) -> np.ndarray:
+        """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor."""
         drift = self.models[0].drift.value
         h = self.sim.ts / self.sim.fine_substeps
         samples = np.zeros((len(anchors), self.horizon, self.d))
@@ -221,7 +272,7 @@ class SimWorld:
         for l in range(1, self.horizon):
             for _ in range(self.sim.fine_substeps):
                 state = rk4_step(nominal, state, t, h)
-                t += h
+                t = t + h
             samples[:, l] = drift(state, t)
         return samples
 
@@ -289,16 +340,13 @@ class SimWorld:
         return rows
 
     def step(self, k: int) -> dict:
-        """One sampling instant: measure, relay, predict, solve, broadcast, apply."""
-        t_k = k * self.sim.ts
-        if k > 0:
-            self.estimates, self.estimate_ages = relay_leader(
-                self._relay_parent, self.x_leader, self.estimates, self.estimate_ages
-            )
+        """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
+        plan = self.leader_plan
+        self.estimates, self.estimate_ages = plan.estimates[k], plan.ages[k]
         self.anchors[:] = self.estimates
         self.state[0, 1:] = self.x_leader
 
-        ff_samples = self._leader_ff_samples(self.anchors, t_k)
+        ff_samples = plan.ff_samples[k]
         shifted, preds, s_seqs = self._neighbor_data(k, ff_samples)
 
         # mean error of last step's one-step predictions over the directed edges
@@ -454,7 +502,8 @@ class SimWorld:
         centers = self._obstacle_chains[:, :d]
         radii = np.array([o.radius for o in self.cfg.obstacles])
         dist = np.linalg.norm(positions[:, :, None] - centers, axis=-1)
-        clr_obs = np.min(dist.min(axis=1, initial=math.inf) - radii, axis=-1, initial=math.inf)
+        agent_clr = np.min(dist - radii, axis=-1, initial=math.inf)  # (rows, N)
+        clr_obs = np.min(agent_clr, axis=-1)
         first, second = np.triu_indices(n, 1)
         gaps = np.linalg.norm(positions[:, first] - positions[:, second], axis=-1)
         clr_pair = np.min(gaps, axis=-1, initial=math.inf) - self.cfg.barriers.d_safe
@@ -472,10 +521,16 @@ class SimWorld:
         bad = np.column_stack([values[:, :2] <= 0.0, values[:, 2:] > self._limits])
         kinds = ["obstacle_clearance", "pairwise_clearance", "leader_tube"]
         kinds += ["tube", "margin_radius"] * n
-        agents = [-1, -1, 0] + [i for i in range(1, n + 1) for _ in range(2)]
+
+        def agent(j: int, s: int) -> int:
+            """The follower nearest an obstacle, the lower id of the closest pair, or the slot's."""
+            if s < 2:
+                return int(np.argmin(agent_clr[j]) if s == 0 else first[np.argmin(gaps[j])]) + 1
+            return (s - 1) // 2  # the leader's tube, then each follower's two slots
+
         step, slot = np.nonzero(bad)
         self.violations = [
-            SafetyViolation(kinds[s], j, times[j].item(), agents[s], values[j, s].item())
+            SafetyViolation(kinds[s], j, times[j].item(), agent(j, s), values[j, s].item())
             for j, s in zip(step.tolist(), slot.tolist())
         ]
 

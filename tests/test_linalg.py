@@ -124,3 +124,10 @@ class TestRk4:
     def test_nonfinite_detected(self):
         with pytest.raises(NonFiniteState):
             rk4_step(lambda x, t: x / t, np.array([1.0]), 0.0, 0.1)
+
+    def test_nonfinite_row_named_by_its_own_time(self):
+        """With one time per state, the message gives the earliest time of a broken state."""
+        times = np.array([0.5, 0.3, 0.0, 0.3])  # the rows at t = 0.3 divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState, match=r"at t=0\.4$"):
+                rk4_step(lambda x, t: x / (t[:, None] - 0.3), np.ones((4, 1)), times, 0.1)

@@ -16,6 +16,7 @@ from tubeform.models import (
     Obstacle,
     chain_matrices,
 )
+from tubeform.scenario import build_all_models, load_scenario
 
 from oracles import agent_disturbance, fine_step_index
 
@@ -117,6 +118,33 @@ class TestDrift:
         rows = np.array([[drift.value(x, 1.3) for x in block] for block in xs])
         np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-15)
 
+    def test_per_row_times_match_per_row_calls(self):
+        """Times over x's leading axes: each state at its own time, bit for bit, also row-stacked."""
+        one = all_forms_drift()
+        stacked = DriftTable.stack([one, cubic_damped_drift(0.8)], np.array([1, 0, 0, 1, 0, 1, 1]))
+        xs = np.random.default_rng(5).normal(size=(2, 7, 6))
+        times = np.linspace(0.0, 3.0, 14).reshape(2, 7)
+        single = [[one.value(x, float(t)) for x, t in zip(*block)] for block in zip(xs, times)]
+        assert np.array_equal(one.value(xs, times), np.array(single))
+        for x, t in zip(xs, times):
+            rows = [stacked.value(x, float(tr))[r] for r, tr in enumerate(t)]
+            assert np.array_equal(stacked.value(x, t), np.array(rows))
+
+    def test_stack_equals_padded_per_model_tables(self):
+        """Paper's six tables of 8 or 10 terms, stacked as the world stacks them: bit-equal
+        to each table zero-padded to the widest, then gathered by row."""
+        cfg = load_scenario("scenarios/paper_scenario.json")
+        tables = [model.drift for model in build_all_models(cfg)]
+        widths = [len(table.expo) for table in tables]
+        assert len(tables) == 6 and min(widths) < max(widths)
+        rows = np.outer(np.arange(6), [1, 0]).ravel()
+        stacked = DriftTable.stack(tables, rows)
+        for name, field in zip(DriftTable._fields, zip(*tables)):
+            pads = [np.pad(a, [(0, max(widths) - len(a))] + [(0, 0)] * (a.ndim - 1)) for a in field]
+            expected = np.stack(pads)[rows]
+            got = getattr(stacked, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
     def test_jacobian_matches_finite_differences(self):
         """The stacked Jacobian of every form against central differences."""
         drift = all_forms_drift()
@@ -213,6 +241,20 @@ class TestDisturbanceStack:
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         for t in times + shuffled + times[::-1]:
             assert np.array_equal(stack(t), reference(configs, 4, t)), t
+
+    def test_each_index_drawn_once_in_any_order(self, monkeypatch):
+        """Every index's draws are kept: a second pass, in any order, draws nothing."""
+        configs = disturbance_configs("mixed")
+        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
+        calls = []
+        draw = stack.draw
+        monkeypatch.setattr(stack, "draw", lambda row, j: calls.append((row, j)) or draw(row, j))
+        times = stage_times(6)
+        shuffled = list(np.random.default_rng(1).permutation(times))
+        for t in times + shuffled + times[::-1]:
+            stack(t)
+        indices = {fine_step_index(t, 0.01) for t in times}
+        assert sorted(calls) == sorted((row, j) for row in (0, 2) for j in indices)
 
     def test_stage_at_step_end_reads_next_draw(self):
         """Fine step j's first stages read draw j; its last stage, at its end, reads draw j + 1."""

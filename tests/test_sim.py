@@ -236,6 +236,51 @@ class TestLeaderFeedforward:
         )
 
 
+def ball_smoke_doc():
+    """The smoke scenario with every agent's disturbance a seeded ball of its declared bound."""
+    doc = json.loads(open(SMOKE).read())
+    for section in [doc["leader"], *doc["agents"]]:
+        section["disturbance"] = {"kind": "ball", "bound": section["disturbance_bound"]}
+    return doc
+
+
+class TestLeaderPlan:
+    @pytest.mark.parametrize("ball", [False, True], ids=["smoke", "ball"])
+    def test_every_step_matches_the_world_and_a_direct_propagation(self, ball):
+        """Bit for bit at every step k: the plan's leader is the world's leader at the start of
+        step k, and its feedforward is ``_leader_ff_samples`` from its estimates at k ts."""
+        cfg = parse_scenario(json.dumps(ball_smoke_doc())) if ball else load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        plan = world.leader_plan
+        assert plan.ff_samples.shape == (world.n_steps, world.n, world.horizon, world.d)
+        for k in range(world.n_steps):
+            assert np.array_equal(plan.leader[k], world.x_leader), k
+            direct = world._leader_ff_samples(plan.estimates[k], k * cfg.sim.ts)
+            assert np.array_equal(plan.ff_samples[k], direct), k
+            world.step(k)
+
+    def test_one_propagation_and_one_relay_round_per_step(self, monkeypatch):
+        """A run propagates the feedforward in one call and relays once per step after the first."""
+        cfg = load_scenario(SMOKE)
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
+        calls = {"ff": 0, "relay": 0}
+        propagate, relay = world._leader_ff_samples, tubeform.sim.relay_leader
+
+        def counting_ff(*args):
+            calls["ff"] += 1
+            return propagate(*args)
+
+        def counting_relay(*args):
+            calls["relay"] += 1
+            return relay(*args)
+
+        monkeypatch.setattr(world, "_leader_ff_samples", counting_ff)
+        monkeypatch.setattr(tubeform.sim, "relay_leader", counting_relay)
+        world.run()
+        assert calls == {"ff": 1, "relay": world.n_steps - 1}
+
+
 class TestWorldDrift:
     def test_team_call_matches_per_model_calls(self):
         """The one stacked drift call of the world RHS equals one call per row's
@@ -572,7 +617,34 @@ class TestTubeMonitoring:
         cfg = parse_scenario(json.dumps(self.forced_doc(kind)))
         result = run_simulation(cfg, certify_scenario(cfg, spot_checks=False))
         first = result.violations[0]
-        assert (first.kind, first.step, first.t) == (kind, 0, 0.0)
+        assert (first.kind, first.step, first.t, first.agent) == (kind, 0, 0.0, 1)
+
+    def test_clearance_violations_name_the_agent(self):
+        """A 1 s paper copy that deploys follower 4 inside an obstacle and followers 3 and 5
+        closer than d_safe: each clearance violation names the follower nearest an obstacle,
+        or the lower id of the closest pair, as the trace's positions give them."""
+        doc = json.loads(open(PAPER).read())
+        doc["sim"]["t_end"] = 1.0
+        doc["obstacles"][0]["center"] = [-0.45, -0.65]
+        doc["initial_states"]["followers"][4][:2] = [0.6, 0.4]
+        cfg = parse_scenario(json.dumps(doc))
+        result = run_simulation(cfg, certify_scenario(cfg, spot_checks=False))
+        trace = result.trace
+        pos = np.stack([trace_block(trace, f"x{i}_1") for i in range(1, cfg.dims.followers + 1)], 1)
+        centers = np.array([o.center for o in cfg.obstacles])
+        radii = np.array([o.radius for o in cfg.obstacles])
+        named = {}
+        for v in result.violations:
+            p = pos[v.step]
+            if v.kind == "obstacle_clearance":
+                clearance = np.linalg.norm(p[:, None] - centers, axis=-1) - radii
+                assert v.agent == np.argmin(clearance.min(axis=1)) + 1
+            elif v.kind == "pairwise_clearance":
+                pairs = [(i, j) for i in range(len(p)) for j in range(i + 1, len(p))]
+                gaps = [np.linalg.norm(p[i] - p[j]) for i, j in pairs]
+                assert v.agent == pairs[int(np.argmin(gaps))][0] + 1
+            named.setdefault(v.kind, v.agent)
+        assert named["obstacle_clearance"] == 4 and named["pairwise_clearance"] == 3
 
 
 class TestTraceMetrics:
