@@ -98,6 +98,11 @@ def cmd_run(
     metrics = trace_metrics(sim_result.trace)
     # the leader tube as integrated: the trace logs each sampling instant re-anchored
     metrics["max_leader_occupancy_pre_anchor"] = sim_result.world.leader_occupancy_peak
+    tubes = result.tubes
+    metrics["margin_mode"] = {
+        str(agent): "baseline" if sim_cfg.baseline_margins else str(mode)
+        for agent, mode in zip(tubes.id.tolist(), tubes.margin_mode)
+    }
     metrics["violations"] = [
         {"kind": v.kind, "fine_step": v.step, "t": v.t, "agent": v.agent, "value": v.value}
         for v in sim_result.violations
@@ -106,7 +111,7 @@ def cmd_run(
         sim_result.trace.to_csv(trace_path)
         # an absent clearance (no obstacle, or one follower) is inf in the trace and null here
         summary = {k: None if v == np.inf else v for k, v in metrics.items()}
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         return _error(exc)
     print(f"trace written to {trace_path}")
@@ -253,7 +258,7 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, fig in figures.items():
             fig.write(out / name)
-        (out / "metrics.csv").write_text("\n".join(rows) + "\n")
+        (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     except OSError as exc:
         return _error(exc)
     print(f"report written to {out}")

@@ -58,6 +58,7 @@ from .scenario import ScenarioConfig, SimConfig, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
 FINAL_WINDOW_S = 5.0  # the trailing seconds that final_mean_stacked_error averages
+WRITE_BLOCK_BYTES = 1 << 18  # the trace writer's temporaries stay near this size
 
 
 @dataclass
@@ -83,15 +84,38 @@ class SimTrace:
         return self.data[:, self.columns.index(name)]
 
     def to_csv(self, path: str | Path) -> None:
-        lines = [f"# {k}: {v}" for k, v in sorted(self.metadata.items())]
-        lines.append(",".join(self.columns))
-        header = "\n".join(lines)
-        np.savetxt(path, self.data, fmt="%.17g", delimiter=",", header=header, comments="")
+        """The bytes of ``np.savetxt(fmt="%.17g", delimiter=",")`` under the metadata header, UTF-8.
+
+        A row's cells from the split column on are formatted only where some
+        cell there differs from the previous row's: elsewhere the previous
+        row's text is reused. The split is the most common start of the rows'
+        repeated suffixes (the held columns, in a run's trace). Lines go to
+        the file a block at a time.
+        """
+        data = np.asarray(self.data, dtype=np.float64)
+        rows, cols = data.shape
+        block = max(1, WRITE_BLOCK_BYTES // (24 * cols))  # rows per block, at most 24 chars a cell
+        starts = _repeated_suffix_starts(data, block)
+        split = int(np.argmax(np.bincount(starts[1:], minlength=cols + 1)))
+        head_fmt = ",".join(["%.17g"] * split)
+        tail_fmt = "," * (0 < split < cols) + ",".join(["%.17g"] * (cols - split)) + "\n"
+        fresh = starts > split
+        fresh[:1] = True
+        header = [f"# {k}: {v}" for k, v in sorted(self.metadata.items())] + [",".join(self.columns)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(header) + "\n")
+            for a in range(0, rows, block):
+                lines = []
+                for r, head in enumerate(data[a : a + block, :split].tolist(), a):
+                    if fresh[r]:
+                        tail = tail_fmt % tuple(data[r, split:].tolist())
+                    lines.append(head_fmt % tuple(head) + tail)
+                fh.write("".join(lines))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SimTrace":
         metadata: dict[str, str] = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             line = fh.readline()
             while line.startswith("# "):
                 key, _, value = line[2:].rstrip("\n").partition(": ")
@@ -105,6 +129,23 @@ class SimTrace:
                 if data.shape[1] == len(columns):
                     return cls(columns=columns, data=data, metadata=metadata)
         raise ScenarioError(f"{path}: malformed trace CSV")
+
+
+def _repeated_suffix_starts(data: np.ndarray, block: int) -> np.ndarray:
+    """Per row, the first column of its longest suffix equal bit for bit to the previous row's.
+
+    Row 0 has no previous row: its start is the column count. The int64 view
+    keeps -0.0 apart from 0.0. Rows are compared ``block`` at a time.
+    """
+    bits = data.view(np.int64)
+    rows, cols = bits.shape
+    starts = np.full(rows, cols)
+    for a in range(1, rows, block):
+        b = min(a + block, rows)
+        changed = bits[a:b] != bits[a - 1 : b - 1]
+        last = cols - np.argmax(changed[:, ::-1], axis=1)  # one past the last changed cell
+        starts[a:b] = np.where(changed.any(axis=1), last, 0)
+    return starts
 
 
 def apply_control(
@@ -600,5 +641,18 @@ def trace_metrics(trace: SimTrace) -> dict:
             np.mean([np.mean(trace.col(c)[step_rows]) for c in iters_cols]) if iters_cols else 0.0
         ),
         "followers": followers,
+        "max_margin_fraction": _margin_fractions(trace, followers),
     }
     return metrics
+
+
+def _margin_fractions(trace: SimTrace, followers: int) -> dict[str, float | None]:
+    """Per follower, the run maximum of ||dx_i|| / margin_i; null without ``margin_radii``."""
+    radii = trace.metadata.get("margin_radii")
+    if not radii:  # a trace written before the metadata existed
+        return {str(i): None for i in range(1, followers + 1)}
+    fractions = {}
+    for i, margin in enumerate(map(float, radii.split(";")), 1):
+        cols = [j for j, c in enumerate(trace.columns) if c.startswith(f"dx{i}_")]
+        fractions[str(i)] = float(np.max(np.linalg.norm(trace.data[:, cols], axis=1)) / margin)
+    return fractions

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
@@ -72,14 +74,12 @@ class SvgFigure:
             self._legend.append((label, color))
 
     def _bump(self, x, y):
-        for v in x:
-            if math.isfinite(v):
-                self._xlim[0] = min(self._xlim[0], v)
-                self._xlim[1] = max(self._xlim[1], v)
-        for v in y:
-            if math.isfinite(v):
-                self._ylim[0] = min(self._ylim[0], v)
-                self._ylim[1] = max(self._ylim[1], v)
+        for lim, values in ((self._xlim, x), (self._ylim, y)):
+            values = np.asarray(values, dtype=float)
+            finite = values[np.isfinite(values)]
+            if finite.size:
+                lim[0] = min(lim[0], np.min(finite))
+                lim[1] = max(lim[1], np.max(finite))
 
     def _scales(self):
         x0, x1 = self._xlim if self._xlim[0] < self._xlim[1] else (0.0, 1.0)
@@ -144,11 +144,10 @@ class SvgFigure:
         for item in self._series:
             if item[0] == "line":
                 _, xs, ys, color, dashed = item
-                pts = " ".join(
-                    f"{px(x):.2f},{py(y):.2f}"
-                    for x, y in zip(xs, ys)
-                    if math.isfinite(x) and math.isfinite(y)
-                )
+                xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+                keep = np.isfinite(xs) & np.isfinite(ys)
+                coords = np.column_stack([px(xs[keep]), py(ys[keep])])
+                pts = " ".join(["%.2f,%.2f"] * len(coords)) % tuple(coords.ravel().tolist())
                 dash = ' stroke-dasharray="6,4"' if dashed else ""
                 parts.append(
                     f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -194,4 +193,4 @@ class SvgFigure:
         return "\n".join(parts)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.render() + "\n")
+        Path(path).write_text(self.render() + "\n", encoding="utf-8")

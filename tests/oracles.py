@@ -4,16 +4,20 @@ These deliberately avoid the package's own code paths: eigenvalues via
 characteristic-polynomial roots, finite-difference stencils via Fornberg
 weights, QP optima via projected gradient ascent on the dual, horizon
 trajectories, OCP objectives and the condensed QP's affine maps via the
-explicit step recurrence, barrier values from the position offset alone, and
-each agent's disturbance from its own per-agent formula.
+explicit step recurrence, barrier values from the position offset alone,
+each agent's disturbance from its own per-agent formula, trace CSV text from
+``np.savetxt``, and SVG markup from a per-point loop over each series.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+from xml.sax.saxutils import escape
 
 import numpy as np
+
+from tubeform.svgplot import SvgFigure, _ticks
 
 
 def charpoly_eigvals_sym(m: np.ndarray) -> np.ndarray:
@@ -299,3 +303,117 @@ def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs) -> HardRowQp:
         b_in.append(py @ cp.err_off[h] - spec.terminal_level)
     a_in = np.reshape(a_in, (len(b_in), n_free))
     return HardRowQp(hessian, linear, constant, a_in, np.array(b_in), cp.t_map, cp.t_off)
+
+
+def savetxt_trace(trace, path) -> None:
+    """A trace's CSV as ``np.savetxt`` writes it under the metadata header, UTF-8."""
+    lines = [f"# {k}: {v}" for k, v in sorted(trace.metadata.items())]
+    lines.append(",".join(trace.columns))
+    np.savetxt(path, trace.data, fmt="%.17g", delimiter=",", header="\n".join(lines),
+               comments="", encoding="utf-8")
+
+
+class ReferenceSvgFigure(SvgFigure):
+    """``SvgFigure`` with the axis limits and the polylines taken point by point."""
+
+    def _bump(self, x, y):
+        for v in x:
+            if math.isfinite(v):
+                self._xlim[0] = min(self._xlim[0], v)
+                self._xlim[1] = max(self._xlim[1], v)
+        for v in y:
+            if math.isfinite(v):
+                self._ylim[0] = min(self._ylim[0], v)
+                self._ylim[1] = max(self._ylim[1], v)
+
+    def render(self) -> str:
+        x0, x1, y0, y1, sx, sy = self._scales()
+
+        def px(x):
+            return self.margin + (x - x0) * sx
+
+        def py(y):
+            return self.height - self.margin - (y - y0) * sy
+
+        parts = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
+            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<text x="{self.width / 2:.1f}" y="24" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="16">{escape(self.title)}</text>',
+        ]
+        for tx in _ticks(x0, x1):
+            parts.append(
+                f'<line x1="{px(tx):.2f}" y1="{py(y0):.2f}" x2="{px(tx):.2f}" '
+                f'y2="{py(y1):.2f}" stroke="#dddddd" stroke-width="1"/>'
+            )
+            parts.append(
+                f'<text x="{px(tx):.2f}" y="{self.height - self.margin + 18:.2f}" '
+                f'text-anchor="middle" font-family="sans-serif" font-size="11">{tx:g}</text>'
+            )
+        for ty in _ticks(y0, y1):
+            parts.append(
+                f'<line x1="{px(x0):.2f}" y1="{py(ty):.2f}" x2="{px(x1):.2f}" '
+                f'y2="{py(ty):.2f}" stroke="#dddddd" stroke-width="1"/>'
+            )
+            parts.append(
+                f'<text x="{self.margin - 8:.2f}" y="{py(ty) + 4:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="11">{ty:g}</text>'
+            )
+        parts.append(
+            f'<rect x="{self.margin}" y="{self.margin}" '
+            f'width="{self.width - 2 * self.margin}" height="{self.height - 2 * self.margin}" '
+            f'fill="none" stroke="#333333"/>'
+        )
+        for item in self._series:
+            if item[0] == "line":
+                _, xs, ys, color, dashed = item
+                pts = " ".join(
+                    f"{px(x):.2f},{py(y):.2f}"
+                    for x, y in zip(xs, ys)
+                    if math.isfinite(x) and math.isfinite(y)
+                )
+                dash = ' stroke-dasharray="6,4"' if dashed else ""
+                parts.append(
+                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.5"{dash}/>'
+                )
+            elif item[0] == "circle":
+                _, cx, cy, radius, color, fill, dashed = item
+                dash = ' stroke-dasharray="5,4"' if dashed else ""
+                parts.append(
+                    f'<circle cx="{px(cx):.2f}" cy="{py(cy):.2f}" r="{radius * sx:.2f}" '
+                    f'fill="{fill}" fill-opacity="0.25" stroke="{color}" '
+                    f'stroke-width="1.5"{dash}/>'
+                )
+            elif item[0] == "hline":
+                _, yv, color = item
+                parts.append(
+                    f'<line x1="{px(x0):.2f}" y1="{py(yv):.2f}" x2="{px(x1):.2f}" '
+                    f'y2="{py(yv):.2f}" stroke="{color}" stroke-width="1.5" '
+                    f'stroke-dasharray="2,3"/>'
+                )
+        parts.append(
+            f'<text x="{self.width / 2:.1f}" y="{self.height - 14}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13">{escape(self.xlabel)}</text>'
+        )
+        parts.append(
+            f'<text x="16" y="{self.height / 2:.1f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13" '
+            f'transform="rotate(-90 16 {self.height / 2:.1f})">{escape(self.ylabel)}</text>'
+        )
+        ly = self.margin + 14
+        for label, color in self._legend:
+            parts.append(
+                f'<line x1="{self.width - self.margin - 150}" y1="{ly - 4}" '
+                f'x2="{self.width - self.margin - 126}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="2"/>'
+            )
+            parts.append(
+                f'<text x="{self.width - self.margin - 120}" y="{ly}" '
+                f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            )
+            ly += 16
+        parts.append("</svg>")
+        return "\n".join(parts)

@@ -37,16 +37,6 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def paper():
-    cfg = load_scenario(PAPER)
-    cert = certify_scenario(cfg)
-    start = time.perf_counter()
-    result = run_simulation(cfg, cert)
-    wall = time.perf_counter() - start
-    return cfg, cert, result, wall
-
-
-@pytest.fixture(scope="module")
 def ablation_pair():
     cfg = load_scenario(ABLATION)
     cert = certify_scenario(cfg)

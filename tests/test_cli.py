@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from xml.dom import minidom
@@ -528,6 +530,60 @@ class TestRun:
                 ["run", str(SMOKE), "--cert", str(certified), "-o", str(out)]
             ) == 0
         assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
+
+    def test_margin_headroom_in_summary(self, tmp_path):
+        """Per follower: the margin's origin and the run maximum of ||dx_i|| / margin_i,
+        against the trace's deviation columns and the certificate's radii."""
+        doc = json.loads(SMOKE.read_text())
+        del doc["agents"][0]["margin_radius"]  # follower 1 takes its certified radius
+        scen = tmp_path / "certified.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        followers = json.loads(cert.read_text())["agents"]
+        for flag, key, modes in (
+            ([], "margin_radius", ["certified", "declared"]),
+            (["--baseline-margins"], "baseline_r_ball", ["baseline", "baseline"]),
+        ):
+            run = tmp_path / key
+            argv = ["run", str(scen), "--cert", str(cert), "-o", str(run), "--t-end", "1"]
+            assert main(argv + flag) == 0
+            summary = json.loads((run / "summary.json").read_text())
+            trace = SimTrace.from_csv(run / "trace.csv")
+            assert summary["margin_mode"] == {"1": modes[0], "2": modes[1]}
+            for agent in ("1", "2"):
+                dx = trace.data[:, [c.startswith(f"dx{agent}_") for c in trace.columns]]
+                assert dx.shape[1] == 6 and np.max(np.abs(dx)) > 0.0
+                expected = np.max(np.linalg.norm(dx, axis=1)) / followers[int(agent) - 1][key]
+                assert summary["max_margin_fraction"][agent] == pytest.approx(expected, rel=1e-12)
+
+    def test_trace_without_margin_radii_gives_null_fractions(self, run_dir, tmp_path):
+        trace = SimTrace.from_csv(run_dir / "trace.csv")
+        del trace.metadata["margin_radii"]
+        assert tubeform.sim.trace_metrics(trace)["max_margin_fraction"] == {"1": None, "2": None}
+        trace.to_csv(tmp_path / "old.csv")
+        assert main(["report", str(tmp_path / "old.csv"), "-o", str(tmp_path / "report")]) == 0
+
+    def test_non_ascii_name_under_c_locale(self, tmp_path):
+        """A scenario named with a non-ASCII character runs under an ASCII locale and
+        writes the bytes a UTF-8 run writes."""
+        doc = json.loads(SMOKE.read_text())
+        doc["name"] = "smoke_Ω"
+        scen = tmp_path / "smoke_Ω.json"
+        scen.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        argv = ["run", str(scen), "--cert", str(cert), "--t-end", "1", "-o"]
+        assert main(argv + [str(tmp_path / "utf8")]) == 0
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "tubeform.cli", *argv, str(tmp_path / "c")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        utf8 = (tmp_path / "utf8" / "trace.csv").read_bytes()
+        assert (tmp_path / "c" / "trace.csv").read_bytes() == utf8
+        assert "# scenario: smoke_Ω\n".encode("utf-8") in utf8
 
 
 class TestReport:

@@ -20,12 +20,13 @@ from tubeform.sim import (
     SimConfig,
     SimTrace,
     SimWorld,
+    _repeated_suffix_starts,
     apply_control,
     run_simulation,
     trace_metrics,
 )
 
-from oracles import agent_disturbance, chain_recurrence
+from oracles import agent_disturbance, chain_recurrence, savetxt_trace
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
@@ -687,3 +688,70 @@ class TestTraceRoundTrip:
         assert back.columns == result.trace.columns
         assert np.allclose(back.data, result.trace.data, rtol=0, atol=0)
         assert back.metadata["scenario"] == "smoke_scenario"
+
+
+class TestTraceWriter:
+    """``SimTrace.to_csv`` writes ``np.savetxt``'s bytes, whatever repeats between rows."""
+
+    @staticmethod
+    def assert_savetxt_bytes(trace, tmp_path):
+        trace.to_csv(tmp_path / "new.csv")
+        savetxt_trace(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def held_trace(rows=7, held=5):
+        """Two columns that change every row, then ``held`` that change every third row."""
+        columns = ["t", "x"] + [f"h{j}" for j in range(held)]
+        data = np.empty((rows, len(columns)))
+        data[:, 0] = 0.1 * np.arange(rows)
+        data[:, 1] = np.sqrt(np.arange(rows) + 0.5)
+        data[:, 2:] = np.arange(rows)[:, None] // 3 + np.arange(held) / 7.0
+        return SimTrace(columns=columns, data=data, metadata={"scenario": "held", "ts": "0.1"})
+
+    def test_smoke_run(self, tmp_path):
+        cfg = load_scenario(SMOKE)
+        self.assert_savetxt_bytes(run_simulation(cfg, certify_scenario(cfg, spot_checks=False)).trace,
+                                  tmp_path)
+
+    def test_one_substep_per_step_repeats_no_suffix(self, tmp_path):
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        trace = run_simulation(cfg, cert, t_end=2.0, fine_substeps=1).trace
+        # every step's held values differ from the last; the final row repeats the last step's
+        starts = _repeated_suffix_starts(trace.data, 8)
+        assert np.all(starts[:-1] == len(trace.columns)) and starts[-1] < len(trace.columns)
+        self.assert_savetxt_bytes(trace, tmp_path)
+
+    def test_suffix_that_differs_only_in_the_sign_of_a_zero(self, tmp_path):
+        trace = self.held_trace()
+        trace.data[:, 4] = 0.0
+        trace.data[1, 4] = -0.0  # rows 0-2 hold one suffix, but for this zero's sign
+        starts = _repeated_suffix_starts(trace.data, 2)
+        assert starts.tolist() == [7, 5, 5, 7, 2, 2, 7]
+        self.assert_savetxt_bytes(trace, tmp_path)
+        assert (tmp_path / "new.csv").read_text().splitlines()[4].split(",")[4] == "-0"
+
+    def test_nan_and_inf_cells(self, tmp_path):
+        trace = self.held_trace(rows=10)
+        trace.data[:, 3] = np.inf
+        trace.data[3:6, 5] = -np.inf
+        trace.data[::2, 6] = np.nan
+        trace.data[4, 1] = np.nan
+        trace.data[5, 0] = -np.inf
+        self.assert_savetxt_bytes(trace, tmp_path)
+
+    def test_single_row(self, tmp_path):
+        self.assert_savetxt_bytes(self.held_trace(rows=1), tmp_path)
+
+    def test_rows_that_repeat_in_full(self, tmp_path):
+        trace = self.held_trace(rows=9)
+        trace.data[:, :2] = trace.data[:, 2:4]
+        assert _repeated_suffix_starts(trace.data, 4).tolist() == [7, 0, 0, 7, 0, 0, 7, 0, 0]
+        self.assert_savetxt_bytes(trace, tmp_path)
+
+    def test_metadata_written_as_utf8(self, tmp_path):
+        trace = self.held_trace()
+        trace.metadata["scenario"] = "smoke_Ω"
+        self.assert_savetxt_bytes(trace, tmp_path)
+        assert SimTrace.from_csv(tmp_path / "new.csv").metadata["scenario"] == "smoke_Ω"
