@@ -8,6 +8,7 @@ Exit codes: 0 success; 1 parse/IO/hash errors; 2 certification infeasibility
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 from pathlib import Path
@@ -39,6 +40,19 @@ def _error(exc: Exception) -> int:
         return 4
     print(f"error: {exc}", file=sys.stderr)
     return 1
+
+
+def _escape_unencodable(exc: UnicodeEncodeError) -> tuple[bytes, int]:
+    """Stdout's encode error handler: surrogate escapes (undecodable bytes of an argument,
+    such as a path) go out as those bytes, other characters as backslash escapes."""
+    out = [
+        bytes([ord(c) - 0xDC00]) if "\udc80" <= c <= "\udcff" else c.encode("ascii", "backslashreplace")
+        for c in exc.object[exc.start : exc.end]
+    ]
+    return b"".join(out), exc.end
+
+
+codecs.register_error("tubeform.escape", _escape_unencodable)
 
 
 def cmd_certify(scenario_path: str, out_path: str) -> int:
@@ -91,7 +105,7 @@ def cmd_run(
         world = SimWorld(cfg, result, sim_cfg)
         out.mkdir(parents=True, exist_ok=True)
         sim_result = world.run()
-    except (TubeformError, OSError) as exc:
+    except (TubeformError, OSError, MemoryError) as exc:  # MemoryError: a run too long to record
         return _error(exc)
 
     trace_path = out / "trace.csv"
@@ -290,6 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("-o", "--out", required=True, help="output directory")
 
     args = parser.parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # a real text stream, not a StringIO
+        sys.stdout.reconfigure(errors="tubeform.escape")  # e.g. a non-ASCII name under the C locale
     if args.command == "certify":
         return cmd_certify(args.scenario, args.out)
     if args.command == "run":

@@ -4,8 +4,8 @@ The augmented Laplacian M = nu1 L + nu2 B0 is the one graph matrix: the
 synchronization errors are -M q on the stacked offset-corrected chain
 states, each agent's coupling is its diagonal entry, the exogenous error
 drive is nu1 A on the shifted plans (the off-diagonal of -M), and the local
-deviation bounds are |M| r + nu2 b0 r0. M and the leader-rooted relay tree
-are built on first use and kept with the graph.
+deviation bounds are |M| r + nu2 b0 r0. M and each follower's hop count from
+the leader are built on first use and kept with the graph.
 """
 
 from __future__ import annotations
@@ -50,26 +50,20 @@ class CommGraph:
         return m
 
     @functools.cached_property
-    def relay_tree(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, depth) int arrays of the BFS over the augmented digraph from the leader.
+    def hops(self) -> np.ndarray:
+        """(N,) int hop counts from the leader over the augmented digraph: the BFS depths.
 
-        A pinned agent's parent is -1 (the leader); ties break toward the
-        lowest index. Raises ``GraphNotRooted`` if a follower is unreachable.
+        A pinned agent is 0 hops away. Raises ``GraphNotRooted`` if a
+        follower is unreachable.
         """
-        parent = np.full(self.n_followers, -1)
-        depth = np.full(self.n_followers, -1)
-        queue = list(np.flatnonzero(self.b0 > 0.0))
-        depth[queue] = 0
-        for j in queue:  # the queue grows while it is walked
-            new = np.flatnonzero((self.adjacency[:, j] > 0.0) & (depth < 0))
-            parent[new] = j
-            depth[new] = depth[j] + 1
-            queue.extend(new)
-        if np.any(depth < 0):
+        hops = np.where(self.b0 > 0.0, 0, -1)
+        for level in range(1, self.n_followers):  # a hop count is below N
+            listens = np.any(self.adjacency[:, hops == level - 1] > 0.0, axis=1)
+            hops[listens & (hops < 0)] = level
+        if np.any(hops < 0):
             raise GraphNotRooted("no spanning tree rooted at the leader")
-        parent.setflags(write=False)
-        depth.setflags(write=False)
-        return parent, depth
+        hops.setflags(write=False)
+        return hops
 
     def sync_errors(self, q: np.ndarray) -> np.ndarray:
         """All followers' e^i = -M (q_i - q_0) from (N+1, ...) offset-corrected states, leader first."""
@@ -97,7 +91,7 @@ def global_bound(g: CommGraph, radii: np.ndarray, r0: float) -> GlobalBoundCerti
     The local bounds on e^i - ebar^i are zbar = |M| r + nu2 b0 r0; the
     stacked bound is |zbar| / sv_min(M).
     """
-    g.relay_tree  # raises GraphNotRooted: the bound holds only on a rooted graph
+    g.hops  # raises GraphNotRooted: the bound holds only on a rooted graph
     zbars = np.abs(g.m) @ np.asarray(radii, dtype=float) + g.nu2 * g.b0 * r0
     sv = min_singular_value(g.m)
     bound = float(np.linalg.norm(zbars) / sv)

@@ -29,7 +29,7 @@ from .scenario import ScenarioConfig, build_all_models, build_graph, read_text
 
 SPOT_CHECK_SEED = 0x5EED
 # the agent entries a run consumes, which the certificate must match
-RUN_AGENT_FIELDS = ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball", "gain", "p")
+RUN_AGENT_FIELDS = ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball", "gain", "p", "hops")
 
 
 class FollowerTubes(NamedTuple):
@@ -92,7 +92,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     """Run the full offline design stage for a scenario."""
     models = build_all_models(cfg)
     g = build_graph(cfg)
-    depths = g.relay_tree[1]  # raises GraphNotRooted
+    hops = g.hops  # raises GraphNotRooted
 
     if spot_checks:
         rng = np.random.default_rng(SPOT_CHECK_SEED)
@@ -113,7 +113,6 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
     kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)  # raises NotHurwitz
     l0, followers = cfg.leader.lipschitz, models[1:]
     ids = np.array([follower.id for follower in cfg.agents])
-    hops = depths[ids - 1]
     bounds = np.array([model.disturbance_bound for model in followers])
     w_used = bounds + l0 * hops * cfg.sim.ts * cfg.leader.rate_bound
     w_eff = effective_disturbance(w_used, l0, leader_cert.r_ball0)

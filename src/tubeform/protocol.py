@@ -3,10 +3,11 @@
 Every exchanged quantity is one array over the followers: the board holds
 all agents' last plans ``inputs (N, H, d)`` and terminal errors ``terminal
 (N, nd)`` under the one ``stamp`` of their broadcast; ``shift_plan`` shifts
-all senders' plans in one call; the relay maps the ``(N, nd)`` leader
-estimates and ``(N,)`` ages through the graph's ``relay_tree``. The neighbor
-predictions built from the shifted plans are one batched ``ocp.rollout``
-over all (reader, sender) pairs; see ``sim.SimWorld``.
+all senders' plans in one call; the leader relay is one sampling step of
+delay per hop, so a whole run's ``(steps, N, nd)`` leader estimates are one
+gather over the leader's samples by hop count. The neighbor predictions built
+from the shifted plans are one batched ``ocp.rollout`` over all (reader,
+sender) pairs; see ``sim.SimWorld``.
 
 All communication is synchronous and lock-step: plans written during the
 broadcast phase of step k are read only at step k+1, so there is never a
@@ -73,17 +74,13 @@ def shift_plan(inputs: np.ndarray, terminal: np.ndarray, gains: np.ndarray) -> n
     return np.concatenate([inputs[..., 1:, :], tail], axis=-2)
 
 
-def relay_leader(
-    parent: np.ndarray, leader_state: np.ndarray, previous: np.ndarray, ages: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous relay round: (N, nd) leader estimates and (N,) ages.
+def relayed_estimates(leader: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """(steps, N, nd) relayed leader estimates from the (steps, nd) leader samples, one gather.
 
-    Pinned agents (``parent`` -1) copy the exact current leader state at age
-    0. Every other agent receives the estimate its BFS parent held at the
-    previous step, one sampling step older (one step of delay per hop).
+    Every agent holds the true leader state at deployment; at each later
+    step a pinned agent copies the leader and every other one takes what an
+    agent one hop nearer held the step before. So at step k a follower
+    ``hops`` away holds the sample from min(k, hops) steps ago, its age.
     """
-    pinned = parent < 0
-    return (
-        np.where(pinned[:, None], leader_state, previous[parent]),
-        np.where(pinned, 0, ages[parent] + 1),
-    )
+    k = np.arange(len(leader))[:, None]
+    return leader[k - np.minimum(k, hops)]

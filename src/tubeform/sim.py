@@ -1,7 +1,7 @@
 """Closed-loop multi-agent simulation: certified control, fine integration, logging.
 
-Each sampling step runs the synchronous round: measure, relay the leader
-estimate, reconstruct neighbor plans, solve all local OCPs against the
+Each sampling step runs the synchronous round: measure, read the relayed
+leader estimate, reconstruct neighbor plans, solve all local OCPs against the
 previous step's broadcasts, broadcast the new plans, then integrate every
 true and nominal plant over the sampling interval with RK4 substeps. The
 ancillary feedback and the feedforward cancellation are applied
@@ -10,20 +10,22 @@ persistent (never reset to measurements); each agent's leader-feedforward
 signal is re-anchored to its current leader estimate at every sampling
 instant and propagated through the disturbance-free leader model.
 
-The leader takes no input, so its trajectory, every relay round's estimates
+The leader takes no input, so its trajectory, every step's relayed estimates
 and every step's feedforward samples are fixed before the first solve.
 ``SimWorld.leader_plan`` computes them once per run, on first use: the leader
-integrated alone with the world's substeps and disturbance draws, the relay
-rounds over its samples, and one propagation of all (step, follower) anchors.
+integrated alone with the world's substeps and disturbance draws, the relayed
+estimates as one gather of its samples by the certificate's hop counts (one
+step of delay per hop), and one propagation of all (step, follower) anchors.
 Step k reads slice k. The controller still sees only step k's causal relayed
-estimates; computing them ahead is a batch on the simulator's side.
+estimates; computing them ahead is a batch on the simulator's side. The
+leader, its feedforward and the world advance through one sampling period
+with the same RK4 substeps (``SimWorld._substeps``).
 
-The round is array algebra over one horizon map and one graph matrix: the
-leader estimates are one gather through the relay tree, one ``shift_plan``
-call shifts the message board's plans, one ``rollout`` call gives all
-readers' predictions of all agents, the synchronization errors are -M q with
-the augmented Laplacian M, the error drives are nu1 A on the shifted plans,
-and each agent's eCBF rows are one ``BarrierRows`` block from one
+The round is array algebra over one horizon map and one graph matrix: one
+``shift_plan`` call shifts the message board's plans, one ``rollout`` call
+gives all readers' predictions of all agents, the synchronization errors are
+-M q with the augmented Laplacian M, the error drives are nu1 A on the shifted
+plans, and each agent's eCBF rows are one ``BarrierRows`` block from one
 ``assemble_row`` call per SQP pass over its obstacles and neighbors.
 
 The world state is one (N+1, 3, nd) array in the trace's (agent, role)
@@ -53,7 +55,7 @@ from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
 from .ocp import BarrierRows, OcpSpec, rollout, solve_ocp
 from .pipeline import CertificationResult
-from .protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
+from .protocol import MessageBoard, initial_broadcast, relayed_estimates, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
@@ -172,7 +174,6 @@ class LeaderPlan(NamedTuple):
 
     leader: np.ndarray  # (steps, nd) the leader's true state at k ts
     estimates: np.ndarray  # (steps, N, nd) the followers' relayed leader estimates
-    ages: np.ndarray  # (steps, N) their ages in sampling steps
     ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its estimate
 
 
@@ -237,9 +238,8 @@ class SimWorld:
         states = initial_states(cfg)
         self.state[:, :2] = states[:, None]  # nominal initialized at measurement
         self.state[:, 2] = states[0]
-        self._relay_parent = self.graph.relay_tree[0]
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
-        self._pinned = (self._relay_parent < 0)[:, None]
+        self._pinned = (tubes.hops == 0)[:, None]
         tube_r2 = tubes.r**2
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower
@@ -265,14 +265,13 @@ class SimWorld:
 
     @functools.cached_property
     def leader_plan(self) -> LeaderPlan:
-        """The exogenous leader, its relay rounds and one feedforward propagation, once per run.
+        """The exogenous leader, its relayed estimates and one feedforward propagation, once per run.
 
         The leader is integrated alone with the world's substeps, times, drift
         arithmetic and disturbance draws; every (step, follower) anchor is
         propagated from its own start time in one ``_leader_ff_samples`` call.
         """
-        fs, ts, n_steps = self.sim.fine_substeps, self.sim.ts, self.n_steps
-        h = ts / fs
+        ts, n_steps = self.sim.ts, self.n_steps
         drift = DriftTable(*(field[:1] for field in self._drift))  # the world's leader row
 
         def rhs(x, time):
@@ -280,28 +279,21 @@ class SimWorld:
             return chain_derivative(self.dims, x, top)
 
         leader = np.empty((n_steps, self.nd))
-        estimates = np.empty((n_steps, self.n, self.nd))
-        ages = np.zeros((n_steps, self.n), dtype=int)
-        # at deployment every agent holds the true leader state at age 0
-        x = leader[0] = estimates[0] = self.state[0, 0]
+        x = self.state[:1, 0]
+        leader[0] = x[0]
         for k in range(1, n_steps):
-            t = (k - 1) * ts
-            for _ in range(fs):
-                x = rk4_step(rhs, x[None], t, h)[0]
-                t += h
-            leader[k] = x
-            estimates[k], ages[k] = relay_leader(
-                self._relay_parent, x, estimates[k - 1], ages[k - 1]
-            )
+            for x, _ in self._substeps(rhs, x, (k - 1) * ts):
+                pass
+            leader[k] = x[0]
+        estimates = relayed_estimates(leader, self.cert.tubes.hops)
         starts = np.repeat(np.arange(n_steps) * ts, self.n)
         ff = self._leader_ff_samples(estimates.reshape(-1, self.nd), starts)
         ff = ff.reshape(n_steps, self.n, self.horizon, self.d)
-        return LeaderPlan(leader, estimates, ages, ff)
+        return LeaderPlan(leader, estimates, ff)
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray) -> np.ndarray:
         """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor."""
         drift = self.models[0].drift.value
-        h = self.sim.ts / self.sim.fine_substeps
         samples = np.zeros((len(anchors), self.horizon, self.d))
         state = anchors
         t = t0
@@ -311,11 +303,18 @@ class SimWorld:
 
         samples[:, 0] = drift(state, t)
         for l in range(1, self.horizon):
-            for _ in range(self.sim.fine_substeps):
-                state = rk4_step(nominal, state, t, h)
-                t = t + h
+            for state, t in self._substeps(nominal, state, t):
+                pass
             samples[:, l] = drift(state, t)
         return samples
+
+    def _substeps(self, f, x: np.ndarray, t: float | np.ndarray):
+        """One sampling period of RK4 substeps of dx/dt = f(x, t): yields (x, t) after each."""
+        h = self.sim.ts / self.sim.fine_substeps
+        for _ in range(self.sim.fine_substeps):
+            x = rk4_step(f, x, t, h)
+            t = t + h
+            yield x, t
 
     # --- per-step phases ---
 
@@ -383,8 +382,7 @@ class SimWorld:
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
         plan = self.leader_plan
-        self.estimates, self.estimate_ages = plan.estimates[k], plan.ages[k]
-        self.anchors[:] = self.estimates
+        self.anchors[:] = plan.estimates[k]
         self.state[0, 1:] = self.x_leader
 
         ff_samples = plan.ff_samples[k]
@@ -455,18 +453,11 @@ class SimWorld:
 
     def _integrate_interval(self, k: int) -> None:
         """Integrate one sampling interval, recording the world after every RK4 substep."""
-        fs = self.sim.fine_substeps
-        h = self.sim.ts / fs
-        v0 = self.v_applied.copy()
-        t = k * self.sim.ts
-
-        def rhs(state, time):
-            return self._world_derivative(state, time, v0)
-
-        for j in range(k * fs + 1, (k + 1) * fs + 1):
-            self.state[:] = rk4_step(rhs, self.state, t, h)
-            t += h
-            self._states[j, :, :2] = self.state[:, :2]
+        rhs = functools.partial(self._world_derivative, v0=self.v_applied.copy())
+        substeps = self._substeps(rhs, self.state, k * self.sim.ts)
+        for j, (state, t) in enumerate(substeps, k * self.sim.fine_substeps + 1):
+            self.state[:] = state
+            self._states[j, :, :2] = state[:, :2]
             self._times[j] = t
 
     # --- the run's record: trace columns and safety monitors ---

@@ -5,7 +5,8 @@ characteristic-polynomial roots, finite-difference stencils via Fornberg
 weights, QP optima via projected gradient ascent on the dual, horizon
 trajectories, OCP objectives and the condensed QP's affine maps via the
 explicit step recurrence, barrier values from the position offset alone,
-each agent's disturbance from its own per-agent formula, trace CSV text from
+each agent's disturbance from its own per-agent formula, the leader relay
+from one message-passing round per sampling step, trace CSV text from
 ``np.savetxt``, and SVG markup from a per-point loop over each series.
 """
 
@@ -172,6 +173,24 @@ def agent_disturbance(config, d: int, agent: int, seed: int, step_duration: floa
         return np.zeros(d)
     radius = config.bound * rng.random() ** (1.0 / d)
     return vec * (radius / nrm)
+
+
+def relay_round(adjacency, b0, leader_state, previous, ages):
+    """One synchronous round of the leader relay: the (N, nd) estimates and (N,) ages after it.
+
+    A pinned agent copies the exact current leader state at age 0. Every
+    other agent takes the freshest estimate held at the previous step by an
+    agent it listens to, one step older: one sampling step of delay per hop.
+    """
+    estimates, new_ages = np.empty_like(previous), np.empty_like(ages)
+    for i in range(len(b0)):
+        if b0[i] > 0.0:
+            estimates[i], new_ages[i] = leader_state, 0
+        else:
+            heard = [j for j in range(len(b0)) if adjacency[i, j] > 0.0]
+            j = min(heard, key=lambda j: ages[j])
+            estimates[i], new_ages[i] = previous[j], ages[j] + 1
+    return estimates, new_ages
 
 
 def chain_recurrence(ad: np.ndarray, bd: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:

@@ -243,7 +243,7 @@ class TestRpiContainment:
 
 def per_agent_entries(cfg, cert):
     """Each follower's certificate entries from the scalar formulas, one agent at a time."""
-    depths = cert.graph.relay_tree[1]
+    depths = cert.graph.hops
     l0, pair = cfg.leader.lipschitz, cert.pair
     entries = []
     for follower, model in zip(cfg.agents, cert.models[1:]):

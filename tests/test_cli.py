@@ -413,10 +413,11 @@ class TestRun:
             ),
             (lambda doc: doc["agents"][0].update(baseline_r_ball=None), "agents[0].baseline_r_ball"),
             (lambda doc: doc["leader"].update(r_ball=0.5), "leader.r_ball"),
+            (lambda doc: doc["agents"][1].update(hops=0), "agents[1].hops is 0, recertified 1"),
         ],
         ids=[
             "margin_radius", "formation_error_bound", "no_agents", "gain", "p_shape", "r",
-            "input_bound_tightened", "baseline_r_ball", "leader_r_ball",
+            "input_bound_tightened", "baseline_r_ball", "leader_r_ball", "hops",
         ],
     )
     def test_edited_certificate_exit_1(self, certified, tmp_path, capsys, edit, field):
@@ -584,6 +585,39 @@ class TestRun:
         utf8 = (tmp_path / "utf8" / "trace.csv").read_bytes()
         assert (tmp_path / "c" / "trace.csv").read_bytes() == utf8
         assert "# scenario: smoke_Ω\n".encode("utf-8") in utf8
+
+    def test_non_ascii_name_certifies_under_c_locale(self, tmp_path):
+        """Under an ASCII locale, certify escapes the name on stdout and writes the UTF-8
+        certificate's bytes; a run's non-ASCII output path goes to stdout as its own bytes."""
+        doc = json.loads(SMOKE.read_text())
+        doc["name"] = "smoke_Ω"
+        scen = tmp_path / "smoke_Ω.json"
+        scen.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert main(["certify", str(scen), "-o", str(tmp_path / "utf8.json")]) == 0
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+        def tubeform(*argv):
+            cmd = [sys.executable, "-m", "tubeform.cli", *map(str, argv)]
+            return subprocess.run(cmd, env=env, capture_output=True)
+
+        proc = tubeform("certify", scen, "-o", tmp_path / "c.json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"certified smoke_\\u03a9: sv_min=")
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "utf8.json").read_bytes()
+        out = tmp_path / "run_Ω"
+        proc = tubeform("run", scen, "--cert", tmp_path / "c.json", "--t-end", "0.2", "-o", out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"trace written to {out / 'trace.csv'}\n".encode("utf-8"))
+
+    def test_run_too_long_to_record_exit_1(self, certified, tmp_path, capsys):
+        """A run whose trace cannot be allocated exits 1 with one error line and no output."""
+        out = tmp_path / "o"
+        assert main(["run", str(SMOKE), "--cert", str(certified), "-o", str(out), "--t-end", "1e12"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestReport:

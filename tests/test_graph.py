@@ -34,14 +34,12 @@ class TestSpanningTree:
         adjacency[1, 0] = 1.0  # 1 listens to 0
         adjacency[2, 1] = 1.0
         g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 0.0, 0.0]))
-        parent, depth = g.relay_tree
-        assert parent.tolist() == [-1, 0, 1]
-        assert depth.tolist() == [0, 1, 2]
+        assert g.hops.tolist() == [0, 1, 2]
 
     def test_unreachable(self):
         g = CommGraph(adjacency=np.zeros((2, 2)), b0=np.zeros(2))
         with pytest.raises(GraphNotRooted, match="^no spanning tree rooted at the leader$"):
-            g.relay_tree
+            g.hops
 
     def test_partly_unreachable(self):
         """Agent 2 listens only to agent 3, which listens to nobody: neither is reached."""
@@ -49,22 +47,19 @@ class TestSpanningTree:
         adjacency[1, 2] = 1.0
         g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(GraphNotRooted):
-            g.relay_tree
+            g.hops
 
     def test_paper_topology_rooted_and_depths(self):
-        parent, depth = chain_graph().relay_tree
-        assert parent.dtype.kind == depth.dtype.kind == "i"
-        assert depth.tolist() == [0, 1, 2, 3, 4]
-        assert parent.tolist() == [-1, 0, 1, 2, 3]
+        hops = chain_graph().hops
+        assert hops.dtype.kind == "i"
+        assert hops.tolist() == [0, 1, 2, 3, 4]
 
-    def test_lowest_index_parent_wins_a_tie(self):
-        """Agent 3 listens to pinned agents 1 and 2 (0-based 0 and 1): its parent is the first."""
+    def test_listener_of_two_pinned_agents_is_one_hop(self):
+        """Agent 3 listens to pinned agents 1 and 2 (0-based 0 and 1)."""
         adjacency = np.zeros((3, 3))
         adjacency[2, [1, 0]] = 1.0
         g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 1.0, 0.0]))
-        parent, depth = g.relay_tree
-        assert parent.tolist() == [-1, -1, 0]
-        assert depth.tolist() == [0, 0, 1]
+        assert g.hops.tolist() == [0, 0, 1]
 
     def test_laplacian_rows_sum_to_zero(self):
         g = chain_graph()
@@ -86,10 +81,10 @@ class TestSpanningTree:
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(g.m[off], -nu1 * adjacency[off])
 
-    def test_m_and_relay_tree_are_kept_read_only(self):
+    def test_m_and_hops_are_kept_read_only(self):
         g = chain_graph()
-        assert g.m is g.m and g.relay_tree is g.relay_tree
-        for arr in (g.m, *g.relay_tree):
+        assert g.m is g.m and g.hops is g.hops
+        for arr in (g.m, g.hops):
             with pytest.raises(ValueError):
                 arr[0] = 7
 

@@ -7,7 +7,9 @@ from tubeform.errors import GraphNotRooted, NonFiniteState, StalePlan
 from tubeform.graph import CommGraph
 from tubeform.models import BrunovskyDims
 from tubeform.ocp import OcpSpec, rollout, terminal_ingredients
-from tubeform.protocol import MessageBoard, initial_broadcast, relay_leader, shift_plan
+from tubeform.protocol import MessageBoard, initial_broadcast, relayed_estimates, shift_plan
+
+from oracles import relay_round
 
 
 def chain_graph(n=5):
@@ -133,50 +135,68 @@ class TestBoard:
         np.testing.assert_array_equal(board.inputs, np.arange(4.0).reshape(2, 2, 1))
 
 
-def deployed(parent, leader):
-    """Estimates and ages at deployment: the true leader state everywhere, age 0."""
-    return np.tile(leader, (len(parent), 1)), np.zeros(len(parent), dtype=int)
+def rooted_graph(rng, n):
+    """A random follower digraph that the leader reaches: every agent but a pinned
+    first one (in a random order) listens to an earlier one, plus random extra
+    edges and pins."""
+    order = rng.permutation(n)
+    adjacency = (rng.random((n, n)) < 0.2) * rng.uniform(0.5, 2.0, (n, n))
+    for a in range(1, n):
+        adjacency[order[a], order[rng.integers(a)]] = 1.0
+    np.fill_diagonal(adjacency, 0.0)
+    b0 = (rng.random(n) < 0.2) * 1.0
+    b0[order[0]] = 1.0
+    return CommGraph(adjacency=adjacency, b0=b0)
 
 
 class TestRelayLeader:
     def test_relay_tree_arrays(self):
-        parent, depth = chain_graph().relay_tree
-        assert parent.tolist() == [-1, 0, 1, 2, 3]
-        assert depth.tolist() == [0, 1, 2, 3, 4]
+        hops = chain_graph().hops
+        assert hops.dtype.kind == "i"
+        assert hops.tolist() == [0, 1, 2, 3, 4]
 
     def test_pinned_exact(self):
-        parent, _ = chain_graph().relay_tree
-        est, ages = deployed(parent, np.zeros(6))
-        leader = np.array([1.0, 2.0, 0, 0, 0, 0.0])
-        est, ages = relay_leader(parent, leader, est, ages)
-        assert ages[0] == 0
-        assert np.array_equal(est[0], leader)
-        assert np.array_equal(est[1], np.zeros(6))  # one hop: last step's value
-        assert ages[1] == 1
+        leader = np.array([np.zeros(6), [1.0, 2.0, 0, 0, 0, 0.0]])
+        est = relayed_estimates(leader, chain_graph().hops)
+        assert np.array_equal(est[0], np.zeros((5, 6)))  # deployment: the true leader state
+        assert np.array_equal(est[1, 0], leader[1])
+        assert np.array_equal(est[1, 1], np.zeros(6))  # one hop: last step's value
 
     def test_stationary_leader_exact_everywhere(self):
-        parent, _ = chain_graph().relay_tree
-        leader = np.array([3.0, 0, 0, 0, 0, 0.0])
-        est, ages = deployed(parent, leader)
-        for _ in range(10):
-            est, ages = relay_leader(parent, leader, est, ages)
-        assert np.array_equal(est, np.tile(leader, (5, 1)))
+        leader = np.tile([3.0, 0, 0, 0, 0, 0.0], (11, 1))
+        est = relayed_estimates(leader, chain_graph().hops)
+        assert np.array_equal(est, np.tile(leader[0], (11, 5, 1)))
 
     def test_delay_line_constant_speed(self):
         """After the transient, a hops-h agent lags by h * Ts * speed: on the
-        3-agent line every agent holds the leader state of h steps ago, h old."""
-        parent, depth = chain_graph(3).relay_tree
+        3-agent line every agent holds the leader state of h steps ago."""
+        hops = chain_graph(3).hops
         ts, speed = 0.1, 1.3
-        est, ages = deployed(parent, np.zeros(2))
-        for k in range(1, 12):
-            leader = np.array([speed * k * ts, 0.0])
-            est, ages = relay_leader(parent, leader, est, ages)
-        assert depth.tolist() == [0, 1, 2]
-        assert ages.tolist() == [0, 1, 2]
-        lag = leader[0] - est[:, 0]
-        np.testing.assert_allclose(lag, depth * ts * speed, rtol=0, atol=1e-12)
+        leader = np.zeros((12, 2))
+        leader[:, 0] = speed * np.arange(12) * ts
+        est = relayed_estimates(leader, hops)
+        assert hops.tolist() == [0, 1, 2]
+        assert np.array_equal(est[-1], leader[[11, 10, 9]])
+        lag = leader[-1, 0] - est[-1, :, 0]
+        np.testing.assert_allclose(lag, hops * ts * speed, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gather_matches_relay_rounds(self, seed):
+        """On random rooted graphs, the gather equals max(hops) + 2 relay rounds from
+        deployment, and every agent's age at step k is min(k, hops)."""
+        rng = np.random.default_rng(seed)
+        g = rooted_graph(rng, int(rng.integers(1, 9)))
+        steps = int(np.max(g.hops)) + 3  # deployment, then max(hops) + 2 rounds
+        leader = rng.normal(size=(steps, 3))
+        est, ages = np.tile(leader[0], (g.n_followers, 1)), np.zeros(g.n_followers, dtype=int)
+        gathered = relayed_estimates(leader, g.hops)
+        for k in range(steps):
+            if k:
+                est, ages = relay_round(g.adjacency, g.b0, leader[k], est, ages)
+            assert np.array_equal(gathered[k], est), k
+            assert ages.tolist() == np.minimum(k, g.hops).tolist(), k
 
     def test_unrooted_raises(self):
         g = CommGraph(adjacency=np.zeros((2, 2)), b0=np.zeros(2))
         with pytest.raises(GraphNotRooted, match="^no spanning tree rooted at the leader$"):
-            g.relay_tree
+            g.hops

@@ -195,14 +195,15 @@ class TestFeedforwardCancellation:
     sees its own disturbance and, when pinned, the leader's tube, but never the plans."""
 
     def test_relayed_estimates_do_not_reach_the_deviations(self, monkeypatch):
-        real = tubeform.sim.relay_leader
+        """The relayed (non-pinned) estimates of the leader plan, offset by 0.7, and their
+        feedforward, propagated from the offset estimates, move the plans but no deviation."""
+        real = tubeform.sim.relayed_estimates
 
-        def offset(parent, *args):
-            estimates, ages = real(parent, *args)
-            return estimates + 0.7 * (parent >= 0)[:, None], ages
+        def offset(leader, hops):
+            return real(leader, hops) + 0.7 * (hops > 0)[:, None]
 
         stock = smoke_trace()
-        monkeypatch.setattr(tubeform.sim, "relay_leader", offset)
+        monkeypatch.setattr(tubeform.sim, "relayed_estimates", offset)
         moved = smoke_trace()
         assert np.max(np.abs(trace_block(moved, "plan") - trace_block(stock, "plan"))) > 1.0
         for prefix in ("dx1_", "dx2_"):
@@ -261,12 +262,12 @@ class TestLeaderPlan:
             assert np.array_equal(plan.ff_samples[k], direct), k
             world.step(k)
 
-    def test_one_propagation_and_one_relay_round_per_step(self, monkeypatch):
-        """A run propagates the feedforward in one call and relays once per step after the first."""
+    def test_one_propagation_per_run(self, monkeypatch):
+        """A run gathers every step's relayed estimates and propagates their feedforward, once each."""
         cfg = load_scenario(SMOKE)
         world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
         calls = {"ff": 0, "relay": 0}
-        propagate, relay = world._leader_ff_samples, tubeform.sim.relay_leader
+        propagate, relay = world._leader_ff_samples, tubeform.sim.relayed_estimates
 
         def counting_ff(*args):
             calls["ff"] += 1
@@ -277,9 +278,9 @@ class TestLeaderPlan:
             return relay(*args)
 
         monkeypatch.setattr(world, "_leader_ff_samples", counting_ff)
-        monkeypatch.setattr(tubeform.sim, "relay_leader", counting_relay)
+        monkeypatch.setattr(tubeform.sim, "relayed_estimates", counting_relay)
         world.run()
-        assert calls == {"ff": 1, "relay": world.n_steps - 1}
+        assert calls == {"ff": 1, "relay": 1}
 
 
 class TestWorldDrift:
@@ -446,7 +447,7 @@ class TestLeaderRelay:
         the world's graph is the certificate's graph."""
         certificate = tmp_path / "cert.json"
         assert main(["certify", PAPER, "-o", str(certificate)]) == 0
-        built = {"m": [], "relay_tree": []}
+        built = {"m": [], "hops": []}
         for name, calls in built.items():
             real = CommGraph.__dict__[name].func
 
@@ -468,10 +469,13 @@ class TestLeaderRelay:
         argv = ["run", PAPER, "--cert", str(certificate), "-o", str(tmp_path / "o")]
         assert main(argv + ["--t-end", "0.5"]) == 0
         (world,) = worlds
-        assert len(built["relay_tree"]) == len(built["m"]) == 1
-        assert built["relay_tree"][0] is built["m"][0] is world.graph is world.cert.graph
-        # the path graph pins agent 1 only: agent i's anchor is i - 1 steps old
-        assert world.estimate_ages.tolist() == [0, 1, 2, 3, 4]
+        assert len(built["hops"]) == len(built["m"]) == 1
+        assert built["hops"][0] is built["m"][0] is world.graph is world.cert.graph
+        # the path graph pins agent 1 only: at the last step, k = 4, agent i's anchor is
+        # the leader sample from i - 1 steps ago
+        plan = world.leader_plan
+        assert world.cert.tubes.hops.tolist() == [0, 1, 2, 3, 4]
+        assert np.array_equal(plan.estimates[4], plan.leader[[4, 3, 2, 1, 0]])
 
 
 class TestShiftedPlans:
