@@ -45,10 +45,6 @@ class DimensionMismatch(TubeformError):
     """Operands with incompatible shapes were combined."""
 
 
-class StalePlan(TubeformError):
-    """A plan message older than the previous sampling instant was read."""
-
-
 class CascadedInfeasibility(TubeformError):
     """An agent exhausted its fallback plan after consecutive infeasible solves."""
 

@@ -199,12 +199,12 @@ class DisturbanceStack:
     The sinusoid rows are one expression over their stacked amplitudes,
     frequencies and phases. A ball row is uniform in the ball of radius
     ``bound``, one draw per fine-step index j, derived from (seed, r, j) alone.
-    The index is taken at each call's own time, so an RK4 substep over fine
-    step j reads draw j at its first three stages and draw j + 1 at its last
-    stage, at the step's end time. The ball rows keep every index's draws, so
-    each (row, index) is drawn once however often and in whatever order its
-    times are read: the simulator's leader pass and its world integration
-    share one set of draws.
+    The index is taken at each call's own time (``index``), so an RK4 substep
+    over fine step j reads draw j at its first three stages and draw j + 1 at
+    its last stage, at the step's end time. The ball rows keep every index's
+    draws, so each (row, index) is drawn once however often and in whatever
+    order its times are read: the simulator's leader pass and its world
+    integration share one set of draws.
     """
 
     def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
@@ -229,11 +229,20 @@ class DisturbanceStack:
         radius = self._configs[row].bound * rng.random() ** (1.0 / d)
         return vec * (radius / nrm)
 
+    def index(self, t: float | np.ndarray) -> float | np.ndarray:
+        """The fine-step index whose draw holds at time t (or at each time), as a whole float.
+
+        The world's clock restarts at k ts and adds a step per substep, so by
+        3,000 s it lands up to 2e-10 of a step below a boundary. 1e-6 of a step
+        covers that; no stage time (a whole or half step) lies that close below one.
+        """
+        return np.floor(t / self._step_duration + 1e-6)
+
     def __call__(self, t: float) -> np.ndarray:
         w = np.empty(self._shape)
         w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
         if self._ball_rows:
-            j = math.floor(t / self._step_duration + 1e-12)
+            j = int(self.index(t))
             if j not in self._draws:
                 self._draws[j] = np.array([self.draw(r, j) for r in self._ball_rows])
             w[self._ball_rows] = self._draws[j]

@@ -21,12 +21,15 @@ estimates; computing them ahead is a batch on the simulator's side. The
 leader, its feedforward and the world advance through one sampling period
 with the same RK4 substeps (``SimWorld._substeps``).
 
-The round is array algebra over one horizon map and one graph matrix: one
-``shift_plan`` call shifts the message board's plans, one ``rollout`` call
-gives all readers' predictions of all agents, the synchronization errors are
--M q with the augmented Laplacian M, the error drives are nu1 A on the shifted
-plans, and each agent's eCBF rows are one ``BarrierRows`` block from one
-``assemble_row`` call per SQP pass over its obstacles and neighbors.
+The world holds the last broadcast, ``plans`` (N, H, d) and ``terminal``
+(N, nd), zeros at deployment; step k reads step k-1's, then replaces them and
+holds ``plans[:, 0]`` over its interval. The round is array algebra over one
+horizon map and one graph matrix: one ``shift_plan`` call shifts the last
+broadcast's plans, one ``rollout`` call gives all readers' predictions of all
+agents, the synchronization errors are -M q with the augmented Laplacian M,
+the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
+are one ``BarrierRows`` block from one ``assemble_row`` call per SQP pass over
+its obstacles and neighbors.
 
 The world state is one (N+1, 3, nd) array in the trace's (agent, role)
 layout: per agent, leader first, its true state, nominal state and
@@ -55,7 +58,7 @@ from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
 from .ocp import BarrierRows, OcpSpec, rollout, solve_ocp
 from .pipeline import CertificationResult
-from .protocol import MessageBoard, initial_broadcast, relayed_estimates, shift_plan
+from .protocol import initial_broadcast, relayed_estimates, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
 
 STATUS_CODE = {"Optimal": 0.0, "MaxIter": 1.0, "Infeasible": 2.0}
@@ -245,8 +248,9 @@ class SimWorld:
         # monitor limits: the leader tube, then (tube, margin) per follower
         limits = np.r_[cert.leader.r_ball0, np.column_stack([tube_r2, self.margins]).ravel()]
         self._limits = limits * (1.0 + 1e-6)
-        self.board = MessageBoard(self.n, self.horizon, self.d, self.nd)
-        self.v_applied = np.zeros((self.n, self.d))
+        # the last broadcast: every agent's plan and terminal error
+        self.plans = np.zeros((self.n, self.horizon, self.d))
+        self.terminal = np.zeros((self.n, self.nd))
         self._drive_map = self.graph.nu1 * self.graph.adjacency
         self._offsets = np.asarray(cfg.offsets, dtype=float).reshape(self.n + 1, self.nd)
         # (reader, sender) per directed edge, and the readers' one-step predictions
@@ -334,7 +338,7 @@ class SimWorld:
             shifted = np.zeros((n, h, self.d))
             preds = np.broadcast_to(self.x_true[None, :, None], (n, n, h + 1, self.nd))
         else:
-            shifted = shift_plan(*self.board.read(k), self._terminal_gains)
+            shifted = shift_plan(self.plans, self.terminal, self._terminal_gains)
             # every spec shares the chain maps (same dims, period and horizon)
             preds = rollout(self.specs[0], self.x_true[None], shifted[None] + ff_samples[:, None])
             if not np.all(np.isfinite(preds)):
@@ -404,7 +408,7 @@ class SimWorld:
             rows = self._row_builder(i, k, ff_samples[i], preds, shifted)
             try:
                 sol = solve_ocp(
-                    spec, e0s[i], self.x_nom[i], s_seqs[i], ff_samples[i], self.v_applied[i],
+                    spec, e0s[i], self.x_nom[i], s_seqs[i], ff_samples[i], self.plans[i, 0],
                     shifted[i], row_builder=rows,
                 )
             except DegenerateGradient:
@@ -422,11 +426,14 @@ class SimWorld:
                 self.infeasible_streak[i] = 0
                 plans[i] = sol.inputs
                 solver[i] = (STATUS_CODE[sol.status], sol.iterations, sol.sqp_passes, sol.objective)
-        # every posted plan's terminal error, through the chain maps every spec shares
+        # every broadcast plan's terminal error, through the chain maps every spec shares
         drives = s_seqs - self.graph.m.diagonal()[:, None, None] * plans
         terminal = rollout(self.specs[0], e0s, drives)[:, -1]
-        self.board.post(k, plans, terminal)
-        self.v_applied[:] = plans[:, 0]
+        # broadcast: a non-finite plan or terminal error leaves the previous broadcast in place
+        bad = ~(np.isfinite(plans).all(axis=(1, 2)) & np.isfinite(terminal).all(axis=1))
+        if bad.any():
+            raise NonFiniteState(f"agent {np.argmax(bad) + 1}: plan carries non-finite values")
+        self.plans, self.terminal = plans, terminal
 
         stats = {"plans": plans, "e0": e0s, "solver": solver, "pred_err": pred_err}
         self._log_row(k, stats)
@@ -453,7 +460,7 @@ class SimWorld:
 
     def _integrate_interval(self, k: int) -> None:
         """Integrate one sampling interval, recording the world after every RK4 substep."""
-        rhs = functools.partial(self._world_derivative, v0=self.v_applied.copy())
+        rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0])
         substeps = self._substeps(rhs, self.state, k * self.sim.ts)
         for j, (state, t) in enumerate(substeps, k * self.sim.fine_substeps + 1):
             self.state[:] = state
@@ -498,7 +505,7 @@ class SimWorld:
         fs, cols = self.sim.fine_substeps, self._trace_cols
         rows = self.trace_data[k * fs : (k + 1) * fs + (k == self.n_steps - 1)]
         rows[:, cols["k"]] = k
-        rows[:, cols["u"]] = self.v_applied.ravel()
+        rows[:, cols["u"]] = self.plans[:, 0].ravel()
         held = [stats["e0"], stats["plans"], stats["solver"], stats["pred_err"]]
         rows[:, cols["held"]] = np.concatenate([np.ravel(v) for v in held])
 
@@ -506,12 +513,13 @@ class SimWorld:
         """The end-of-run pass over the recorded states: safety violations and derived columns.
 
         The monitors read the states and times as integrated, the deployment
-        state (row 0) included. The trace then logs each sampling instant k at
-        t = k ts with the leader nominal re-anchored to the leader (so a
-        violation's ``t`` is the accumulated substep time, and the trace's
-        leader deviation there is 0). ``leader_occupancy_peak`` keeps the
-        leader tube's peak ||dx0||^2 / r_ball0^2 as integrated, which the
-        trace's ``occ0`` misses at those instants.
+        state (row 0) included. The trace then logs each sampling instant k,
+        the final one k = n_steps included, at t = k ts with the leader nominal
+        re-anchored to the leader (so a violation's ``t`` is the accumulated
+        substep time, and the trace's leader deviation there is 0).
+        ``leader_occupancy_peak`` keeps the leader tube's peak
+        ||dx0||^2 / r_ball0^2 as integrated, which the trace's ``occ0`` misses
+        at those instants.
         """
         fs, d, n = self.sim.fine_substeps, self.d, self.n
         states, rows = self._states, len(self._times)
@@ -520,8 +528,8 @@ class SimWorld:
         self.leader_occupancy_peak = float(np.max(leader_dev) ** 2 / self._occ_scale[0])
         times = self._times.copy()
         # the logged form: each sampling instant at k ts, its leader nominal re-anchored
-        states[:-1:fs, 0, 1] = states[:-1:fs, 0, 0]
-        self._times[:-1:fs] = np.arange(self.n_steps) * self.sim.ts
+        states[::fs, 0, 1] = states[::fs, 0, 0]
+        self._times[::fs] = np.arange(self.n_steps + 1) * self.sim.ts
         x, dev = states[:, :, 0], states[:, :, 2]
         np.subtract(x, states[:, :, 1], out=dev)
         v_vals = np.empty((rows, n + 1))

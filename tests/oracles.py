@@ -153,8 +153,8 @@ def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):
 
 
 def fine_step_index(t: float, step_duration: float) -> int:
-    """The fine-step index whose ball draw holds at time t."""
-    return math.floor(t / step_duration + 1e-12)
+    """The fine-step index whose ball draw holds at time t, up to the clock's rounding."""
+    return math.floor(t / step_duration + 1e-6)
 
 
 def agent_disturbance(config, d: int, agent: int, seed: int, step_duration: float, t: float):

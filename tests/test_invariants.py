@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import tubeform.sim
 from tubeform.cli import main
 from tubeform.pipeline import certify_scenario
-from tubeform.protocol import initial_broadcast
+from tubeform.protocol import initial_broadcast, shift_plan
 from tubeform.scenario import build_graph, load_scenario, parse_scenario
 from tubeform.sim import run_simulation
 
@@ -18,12 +19,22 @@ ABLATION = "scenarios/ablation_scenario.json"
 
 
 class TestCommunicationAccounting:
-    def test_one_plan_message_per_agent_per_step(self):
+    def test_one_plan_message_per_agent_per_step(self, monkeypatch):
+        """Every step broadcasts one plan per agent, and the next step shifts each once."""
         cfg = load_scenario(SMOKE)
         cert = certify_scenario(cfg, spot_checks=False)
+        senders = []
+
+        def counting(inputs, terminal, gains):
+            senders.append(len(inputs))
+            return shift_plan(inputs, terminal, gains)
+
+        monkeypatch.setattr(tubeform.sim, "shift_plan", counting)
         result = run_simulation(cfg, cert)
         steps = int(round(cfg.sim.t_end / cfg.sim.ts))
-        assert result.world.board.posts == cfg.dims.followers * steps
+        # steps 1 .. steps-1 read the broadcasts of steps 0 .. steps-2; the last is never read
+        assert senders == [cfg.dims.followers] * (steps - 1)
+        assert result.world.plans.shape == (cfg.dims.followers, cfg.ocp.horizon, cfg.dims.d)
 
     def test_radius_tables_equal_certificate_outputs(self):
         cfg = load_scenario(PAPER)

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tubeform.errors import GraphNotRooted, NonFiniteState, StalePlan
+from tubeform.errors import GraphNotRooted
 from tubeform.graph import CommGraph
 from tubeform.models import BrunovskyDims
 from tubeform.ocp import OcpSpec, rollout, terminal_ingredients
-from tubeform.protocol import MessageBoard, initial_broadcast, relayed_estimates, shift_plan
+from tubeform.protocol import initial_broadcast, relayed_estimates, shift_plan
 
 from oracles import relay_round
 
@@ -90,49 +90,6 @@ class TestShiftPlan:
         # tail of the prediction: errors[1] evolved under shifted inputs
         replay = rollout(spec, errors[1], -spec.coupling * shifted)
         assert np.allclose(replay[: 4 - 1 + 1], errors[1:], atol=1e-12)
-
-
-def board_with_plans(stamp=0):
-    """A two-agent board (H = 2, d = 1, nd = 2) holding one broadcast at ``stamp``."""
-    board = MessageBoard(2, 2, 1, 2)
-    board.post(stamp, np.arange(4.0).reshape(2, 2, 1), np.ones((2, 2)))
-    return board
-
-
-class TestBoard:
-    def test_read_previous_stamp(self):
-        board = board_with_plans(stamp=0)
-        inputs, terminal = board.read(1)
-        np.testing.assert_array_equal(inputs, np.arange(4.0).reshape(2, 2, 1))
-        np.testing.assert_array_equal(terminal, np.ones((2, 2)))
-        assert board.stamp == 0
-        assert board.posts == 2  # one plan per agent
-
-    def test_stale_read(self):
-        board = board_with_plans(stamp=0)
-        with pytest.raises(StalePlan, match="broadcast: need stamp 1, have 0"):
-            board.read(2)
-
-    def test_read_before_any_post(self):
-        with pytest.raises(StalePlan, match="broadcast: need stamp 0, have none"):
-            MessageBoard(2, 2, 1, 2).read(1)
-
-    def test_monotone_stamps(self):
-        board = board_with_plans(stamp=1)
-        with pytest.raises(StalePlan, match=r"broadcast re-posted stamp 1 \(have 1\)"):
-            board.post(1, np.zeros((2, 2, 1)), np.zeros((2, 2)))
-        assert board.posts == 2
-
-    @pytest.mark.parametrize("field", ["inputs", "terminal"])
-    def test_non_finite_post_names_agent(self, field):
-        board = board_with_plans(stamp=0)
-        plans = {"inputs": np.zeros((2, 2, 1)), "terminal": np.zeros((2, 2))}
-        plans[field][1, 0] = np.nan
-        with pytest.raises(NonFiniteState, match="agent 2"):
-            board.post(1, plans["inputs"], plans["terminal"])
-        # the rejected broadcast leaves the board as it was
-        assert board.stamp == 0 and board.posts == 2
-        np.testing.assert_array_equal(board.inputs, np.arange(4.0).reshape(2, 2, 1))
 
 
 def rooted_graph(rng, n):

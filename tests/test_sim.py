@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tubeform.pipeline import certify_scenario
 from tubeform.protocol import shift_plan
 from tubeform.scenario import load_scenario, parse_scenario
 from tubeform.sim import (
+    FINAL_WINDOW_S,
     SimConfig,
     SimTrace,
     SimWorld,
@@ -143,7 +145,7 @@ class TestDeviationDynamics:
     @staticmethod
     def deviation_rates(world, t):
         """Per follower: (state, dx, d(dx)/dt, anchor) read off the world ODE."""
-        deriv = world._world_derivative(world.state, t, world.v_applied)
+        deriv = world._world_derivative(world.state, t, world.plans[:, 0])
         for i in range(world.n):
             x, xb, anchor = world.state[i + 1]
             yield i, x, x - xb, deriv[i + 1, 0] - deriv[i + 1, 1], anchor
@@ -342,9 +344,8 @@ class TestRowBuilder:
         ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
         shifted, preds, _ = world._neighbor_data(k, ff)
         kept = filtered = 0
-        inputs, terminal = world.board.read(k)
         for i in range(world.n):
-            warm = shift_plan(inputs[i], terminal[i], world.specs[i].terminal_gain)
+            warm = shift_plan(world.plans[i], world.terminal[i], world.specs[i].terminal_gain)
             np.testing.assert_array_equal(shifted[i], warm)
             states = rollout(world.specs[i], world.x_nom[i], warm + ff[i])
             rows = world._row_builder(i, k, ff[i], preds, shifted)(states)
@@ -440,6 +441,33 @@ class TestDisturbanceDraws:
         assert len(calls) == 3 * 101
         assert sorted(calls) == [(a, j) for a in range(3) for j in range(101)]
 
+    @pytest.mark.parametrize("ts, substeps", [(0.1, 10), (0.05, 7)])
+    def test_stage_times_read_their_documented_index_to_3000_s(self, ts, substeps):
+        """Every RK4 stage time of the world's clock, walked to 3,000 s, maps to its index.
+
+        Substep m of step k reads index k fs + m at its first three stages and
+        k fs + m + 1 at its last. The clock restarts at k ts and adds h per
+        substep, so its times drift below the boundaries as t grows: a 1e-12
+        tolerance mapped 32.05999999999999 (ts 0.1) to 3205, not 3206.
+        """
+        steps = int(round(3000.0 / ts))
+        world = SimpleNamespace(sim=SimpleNamespace(ts=ts, fine_substeps=substeps))
+        stages = []
+
+        def record(x, t):
+            stages.append(t)
+            return np.zeros_like(x)
+
+        k = np.arange(steps)
+        for _ in SimWorld._substeps(world, record, np.zeros((steps, 1)), k * ts):
+            pass
+        stack = DisturbanceStack([], 2, seed=0, step_duration=ts / substeps)
+        times = np.reshape(stages, (substeps, 4, steps))
+        first = k * substeps + np.arange(substeps)[:, None]  # (substep m, step k)
+        expected = first[:, None] + np.array([0, 0, 0, 1])[:, None]
+        np.testing.assert_array_equal(stack.index(times), expected)
+        assert np.any(times[:, 3] / (ts / substeps) < expected[:, 3])  # the clock does drift
+
 
 class TestLeaderRelay:
     def test_one_graph_per_run(self, tmp_path, monkeypatch):
@@ -486,13 +514,15 @@ class TestShiftedPlans:
         calls = []
 
         def counting(inputs, terminal, gains):
-            calls.append((world.board.stamp, len(inputs)))
+            last = inputs is world.plans and terminal is world.terminal
+            calls.append((k, last, len(inputs)))
             return shift_plan(inputs, terminal, gains)
 
         monkeypatch.setattr(tubeform.sim, "shift_plan", counting)
-        world.run()
-        # nothing to shift at deployment, then one call per step shifting each broadcast once
-        assert calls == [(k, world.n) for k in range(world.n_steps - 1)]
+        for k in range(world.n_steps):
+            world.step(k)
+        # nothing to shift at deployment, then one call per step shifting the last broadcast
+        assert calls == [(k, True, world.n) for k in range(1, world.n_steps)]
 
     def test_failed_solve_falls_back_to_shifted_plan(self, monkeypatch):
         """Agent 1's solve raises once mid-run: it posts its shifted previous plan."""
@@ -517,23 +547,21 @@ class TestShiftedPlans:
         assert world.infeasible_streak == [0, 0]
         no_ff = np.zeros((world.n, world.horizon, world.d))
         shifted, _, _ = world._neighbor_data(k_fail, no_ff)
-        inputs, terminal = world.board.read(k_fail)
         for j in range(world.n):
-            warm = shift_plan(inputs[j], terminal[j], world.specs[j].terminal_gain)
+            warm = shift_plan(world.plans[j], world.terminal[j], world.specs[j].terminal_gain)
             np.testing.assert_array_equal(shifted[j], warm)
         s_seq = np.zeros_like(shifted[0])
         for j in world.graph.neighbors(0):
             s_seq += world.graph.nu1 * world.graph.adjacency[0, j] * shifted[j]
 
         stats = world.step(k_fail)
-        inputs, terminal = world.board.read(k_fail + 1)
-        assert world.board.stamp == k_fail
+        inputs, terminal = world.plans, world.terminal
         np.testing.assert_array_equal(inputs[0], shifted[0])
         errors = chain_recurrence(
             agent_one.ad, agent_one.bd, stats["e0"][0], s_seq - agent_one.coupling * shifted[0]
         )
         np.testing.assert_allclose(terminal[0], errors[-1], rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(world.v_applied[0], shifted[0][0])
+        np.testing.assert_array_equal(world.plans[0, 0], shifted[0][0])
         assert world.infeasible_streak == [1, 0]
 
         world.step(k_fail + 1)
@@ -543,6 +571,43 @@ class TestShiftedPlans:
         assert np.sum(steps == k_fail) == cfg.sim.fine_substeps
         assert np.all(status[steps == k_fail] == 2.0)
         assert np.all(status[steps == k_fail + 1] != 2.0)
+
+
+class TestBroadcast:
+    @pytest.mark.parametrize("field", ["inputs", "terminal"])
+    def test_non_finite_broadcast_names_agent(self, field, monkeypatch):
+        """A NaN in agent 2's new plan, or one reaching its terminal error, raises naming
+        agent 2, and the previous broadcast stays in place."""
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        world.step(0)
+        plans, terminal = world.plans, world.terminal
+        kept = plans.copy(), terminal.copy()
+        real_solve, real_rollout = tubeform.sim.solve_ocp, tubeform.sim.rollout
+
+        def nan_plan(spec, *args, **kwargs):
+            sol = real_solve(spec, *args, **kwargs)
+            if spec is world.specs[1]:
+                sol = dataclasses.replace(sol, inputs=np.full_like(sol.inputs, np.nan))
+            return sol
+
+        def nan_terminal(spec, x0, drive):
+            out = real_rollout(spec, x0, drive)
+            if np.shape(x0) == (world.n, world.nd):  # the broadcast's errors, not the predictions
+                out[1, -1, 0] = np.nan
+            return out
+
+        if field == "inputs":
+            monkeypatch.setattr(tubeform.sim, "solve_ocp", nan_plan)
+        else:
+            monkeypatch.setattr(tubeform.sim, "rollout", nan_terminal)
+        with pytest.raises(NonFiniteState, match="^agent 2: plan carries non-finite values$"):
+            world.step(1)
+        assert world.plans is plans and world.terminal is terminal
+        np.testing.assert_array_equal(world.plans, kept[0])
+        np.testing.assert_array_equal(world.terminal, kept[1])
+        assert np.all(np.isfinite(world.plans)) and np.any(world.plans != 0.0)
 
 
 class TestDeterminism:
@@ -677,6 +742,24 @@ class TestTraceMetrics:
         # per fine row, the final step's extra row would give agent 1 150/7
         mean = trace_metrics(self.synthetic_trace())["mean_qp_iterations"]
         assert mean == pytest.approx((20.0 + 4.0) / 2, abs=1e-12)
+
+
+    def test_final_instant_logged_like_every_other(self, paper):
+        """The paper trace's last row is the final sampling instant: t = 30.0 exactly and
+        the leader nominal re-anchored, so the last 5 s window holds 501 rows."""
+        cfg, _, result, _ = paper
+        trace, fs = result.trace, cfg.sim.fine_substeps
+        t = trace.col("t")
+        steps = int(round(cfg.sim.t_end / cfg.sim.ts))
+        np.testing.assert_array_equal(t[::fs], np.arange(steps + 1) * cfg.sim.ts)
+        assert t[-1] == 30.0
+        assert trace.col("V0")[-1] == 0.0
+        assert all(trace.col(c)[-1] == 0.0 for c in trace.columns if c.startswith("dx0_"))
+        window = t >= t[-1] - FINAL_WINDOW_S
+        assert np.count_nonzero(window) == 501
+        metrics = trace_metrics(trace)
+        assert metrics["t_end"] == 30.0
+        assert metrics["final_mean_stacked_error"] == np.mean(trace.col("ferr_stacked")[-501:])
 
 
 class TestTraceRoundTrip:
