@@ -118,7 +118,8 @@ def cmd_run(
         for agent, mode in zip(tubes.id.tolist(), tubes.margin_mode)
     }
     metrics["violations"] = [
-        {"kind": v.kind, "fine_step": v.step, "t": v.t, "agent": v.agent, "value": v.value}
+        {"kind": v.kind, "fine_step": v.step, "t": v.t, "agent": v.agent, "other": v.other,
+         "value": v.value}
         for v in sim_result.violations
     ]
     try:
@@ -137,9 +138,12 @@ def cmd_run(
     )
     if sim_result.violations:
         first = sim_result.violations[0]
+        parties = {"obstacle_clearance": "obstacle", "pairwise_clearance": "other agent"}
+        party = parties.get(first.kind)
+        other = f", {party} {first.other}" if party else ""
         print(
             f"safety violation: {first.kind} at fine step {first.step} "
-            f"(t={first.t:.3f}, agent {first.agent})",
+            f"(t={first.t:.3f}, agent {first.agent}{other})",
             file=sys.stderr,
         )
         return 3

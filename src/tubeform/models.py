@@ -11,7 +11,8 @@ feedforward, the Lipschitz checks and the leader linearization, and several
 agents' tables stack into one table evaluated row by row. Each agent's
 disturbance is its ``DisturbanceConfig`` (a per-axis sinusoid or a seeded
 ball); a team's configs compile into one ``DisturbanceStack``, evaluated once
-per time.
+per time, whose ball rows are drawn a block of ``BALL_BLOCK`` fine steps at a
+time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import DimensionMismatch, ScenarioError
 TERM_FORMS = ("state", "cubic", "tanh", "sin_t", "sq_tanh")
 DISTURBANCE_SAMPLES = 2000  # times at which a sinusoid's norm is checked against its bound
 LIPSCHITZ_PAIRS = 200  # box pairs the Lipschitz spot check draws
+BALL_BLOCK = 1024  # fine-step indices per ball-disturbance draw
 
 
 @dataclass(frozen=True)
@@ -198,13 +200,17 @@ class DisturbanceStack:
 
     The sinusoid rows are one expression over their stacked amplitudes,
     frequencies and phases. A ball row is uniform in the ball of radius
-    ``bound``, one draw per fine-step index j, derived from (seed, r, j) alone.
-    The index is taken at each call's own time (``index``), so an RK4 substep
-    over fine step j reads draw j at its first three stages and draw j + 1 at
-    its last stage, at the step's end time. The ball rows keep every index's
-    draws, so each (row, index) is drawn once however often and in whatever
-    order its times are read: the simulator's leader pass and its world
-    integration share one set of draws.
+    ``bound`` (a normal direction, radius ``bound * U^(1/d)``), one draw per
+    fine-step index j. The draws come a block of ``BALL_BLOCK`` indices at a
+    time: row r's block b is one generator seeded with (seed, r, b), and
+    index j reads row j % BALL_BLOCK of block j // BALL_BLOCK. So a draw
+    depends on the seed, the row and the index alone, not on the run length,
+    the other rows or the order of reads. The index is taken at each call's
+    own time (``index``), so an RK4 substep over fine step j reads draw j at
+    its first three stages and draw j + 1 at its last stage, at the step's
+    end time. Every block drawn is kept, so each (row, block) is drawn once
+    however often and in whatever order its times are read: the simulator's
+    leader pass and its world integration share one set of draws.
     """
 
     def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
@@ -216,18 +222,17 @@ class DisturbanceStack:
             for f in ("amp", "freq", "phase")
         )
         self._ball_rows = [r for r, c in enumerate(configs) if c.kind == "ball"]
-        self._draws: dict[int, np.ndarray] = {}
+        self._blocks: dict[int, np.ndarray] = {}  # block -> (ball rows, BALL_BLOCK, d)
 
-    def draw(self, row: int, j: int) -> np.ndarray:
-        """Row ``row``'s ball draw for fine-step index j."""
+    def draw(self, row: int, block: int) -> np.ndarray:
+        """Row ``row``'s (BALL_BLOCK, d) ball draws for the fine-step indices of ``block``."""
         d = self._shape[1]
-        rng = np.random.default_rng((self._seed, row, j))
-        vec = rng.normal(size=d)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0.0:
-            return np.zeros(d)
-        radius = self._configs[row].bound * rng.random() ** (1.0 / d)
-        return vec * (radius / nrm)
+        rng = np.random.default_rng((self._seed, row, block))
+        vec = rng.normal(size=(BALL_BLOCK, d))
+        radius = self._configs[row].bound * rng.random(BALL_BLOCK) ** (1.0 / d)
+        nrm = np.linalg.norm(vec, axis=1)
+        scale = np.divide(radius, nrm, out=np.zeros(BALL_BLOCK), where=nrm != 0.0)
+        return vec * scale[:, None]
 
     def index(self, t: float | np.ndarray) -> float | np.ndarray:
         """The fine-step index whose draw holds at time t (or at each time), as a whole float.
@@ -240,12 +245,13 @@ class DisturbanceStack:
 
     def __call__(self, t: float) -> np.ndarray:
         w = np.empty(self._shape)
-        w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
+        if self._sine_rows:
+            w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
         if self._ball_rows:
-            j = int(self.index(t))
-            if j not in self._draws:
-                self._draws[j] = np.array([self.draw(r, j) for r in self._ball_rows])
-            w[self._ball_rows] = self._draws[j]
+            block, j = divmod(int(self.index(t)), BALL_BLOCK)
+            if block not in self._blocks:
+                self._blocks[block] = np.array([self.draw(r, block) for r in self._ball_rows])
+            w[self._ball_rows] = self._blocks[block][:, j]
         return w
 
 

@@ -79,19 +79,9 @@ def discretize_error_dynamics(dims: BrunovskyDims, ts: float) -> tuple[np.ndarra
 
 
 def terminal_ingredients(
-    ad: np.ndarray,
-    bd: np.ndarray,
-    qr: np.ndarray,
-    r: np.ndarray,
-    input_bound: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Terminal gain, terminal cost, and terminal-set level.
-
-    Solves the discrete Riccati equation by fixed-point iteration from Qr,
-    then sizes the level c_f as the largest value keeping the terminal law
-    inside the (tightened) input box over the whole level set, halved for
-    slack against the barrier rows.
-    """
+    ad: np.ndarray, bd: np.ndarray, qr: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal gain and cost: the discrete Riccati equation by fixed-point iteration from Qr."""
     p = qr.copy()
     for _ in range(RICCATI_MAX_ITER):
         btp = bd.T @ p
@@ -105,14 +95,17 @@ def terminal_ingredients(
     else:
         raise RiccatiDiverged("discrete Riccati iteration did not converge")
     btp = bd.T @ p
-    khat = np.linalg.solve(r + btp @ bd, btp @ ad)
+    return np.linalg.solve(r + btp @ bd, btp @ ad), p
 
+
+def terminal_level(khat: np.ndarray, p: np.ndarray, input_bound: float) -> float:
+    """The terminal-set level c_f: the largest value keeping the terminal law inside the
+    (tightened) input box over the whole level set, halved for slack against the barrier rows."""
     if np.max(np.abs(khat)) <= 1e-300 or not np.isfinite(input_bound):
-        return khat, p, math.inf
+        return math.inf
     p_inv = np.linalg.inv(p)
     worst = max(float(row @ p_inv @ row) for row in khat)
-    c_f = math.inf if worst <= 1e-300 else 0.5 * input_bound**2 / worst
-    return khat, p, c_f
+    return math.inf if worst <= 1e-300 else 0.5 * input_bound**2 / worst
 
 
 @dataclass(frozen=True)
@@ -140,19 +133,30 @@ class OcpSpec:
     @classmethod
     def design(
         cls, dims: BrunovskyDims, horizon: int, ts: float, qr: float, r: float, rdelta: float,
-        coupling: float, input_bound: float, error_box: np.ndarray | None = None,
-    ) -> OcpSpec:
-        """One agent's spec: the exact chain discretization over ``ts``, the weights as
+        couplings: list[float], input_bounds: list[float], error_boxes: list[np.ndarray | None],
+    ) -> list[OcpSpec]:
+        """Each agent's spec: the exact chain discretization over ``ts``, the weights as
         multiples of the identity, and the Riccati terminal ingredients for the input
-        matrix -coupling Bd and the tightened ``input_bound``."""
+        matrix -coupling Bd and the agent's tightened input bound.
+
+        The Riccati solve depends on an agent only through its coupling, so it
+        runs once per distinct coupling; the bound enters only the level. The
+        specs share their arrays, all read-only.
+        """
         ad, bd = discretize_error_dynamics(dims, ts)
-        qr_m, r_m = qr * np.eye(dims.nd), r * np.eye(dims.d)
-        khat, pr, c_f = terminal_ingredients(ad, -coupling * bd, qr_m, r_m, input_bound)
-        return cls(
-            dims=dims, horizon=horizon, qr=qr_m, r=r_m, rdelta=rdelta * np.eye(dims.d), pr=pr,
-            input_bound=input_bound, terminal_gain=khat, terminal_level=c_f, coupling=coupling,
-            ad=ad, bd=bd, error_box=error_box,
-        )
+        qr_m, r_m, rdelta_m = qr * np.eye(dims.nd), r * np.eye(dims.d), rdelta * np.eye(dims.d)
+        riccati = {c: terminal_ingredients(ad, -c * bd, qr_m, r_m) for c in set(couplings)}
+        for arr in (ad, bd, qr_m, r_m, rdelta_m, *(a for pair in riccati.values() for a in pair)):
+            arr.setflags(write=False)
+        return [
+            cls(
+                dims=dims, horizon=horizon, qr=qr_m, r=r_m, rdelta=rdelta_m, pr=riccati[c][1],
+                input_bound=bound, terminal_gain=riccati[c][0],
+                terminal_level=terminal_level(*riccati[c], bound), coupling=c, ad=ad, bd=bd,
+                error_box=box,
+            )
+            for c, bound, box in zip(couplings, input_bounds, error_boxes)
+        ]
 
     @functools.cached_property
     def horizon_maps(self) -> tuple[np.ndarray, np.ndarray]:

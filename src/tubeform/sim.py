@@ -68,11 +68,15 @@ WRITE_BLOCK_BYTES = 1 << 18  # the trace writer's temporaries stay near this siz
 
 @dataclass
 class SafetyViolation:
+    """One violated monitor slot at one fine step. ``other`` is the obstacle's index for
+    ``obstacle_clearance``, the other follower's id for ``pairwise_clearance``, else None."""
+
     kind: str
     step: int
     t: float
     agent: int
     value: float
+    other: int | None
 
 
 @dataclass
@@ -219,13 +223,10 @@ class SimWorld:
 
         # certify checked the box against the certified margins, this run checks its own
         error_boxes = error_box_tightening(cfg.ocp.error_box, self.margins, tubes.id)
-        self.specs = [
-            OcpSpec.design(
-                cfg.dims, self.horizon, sim.ts, cfg.ocp.qr, cfg.ocp.r, cfg.ocp.rdelta,
-                self.graph.m[i, i], bound, error_boxes[i],
-            )
-            for i, bound in enumerate(tubes.input_bound_tightened.tolist())
-        ]
+        self.specs = OcpSpec.design(
+            cfg.dims, self.horizon, sim.ts, cfg.ocp.qr, cfg.ocp.r, cfg.ocp.rdelta,
+            self.graph.m.diagonal().tolist(), tubes.input_bound_tightened.tolist(), error_boxes,
+        )
 
         # the world ODE state, (agent, role) as in the trace; the named arrays are views
         self.state = np.empty((self.n + 1, 3, self.nd))
@@ -562,17 +563,21 @@ class SimWorld:
         kinds = ["obstacle_clearance", "pairwise_clearance", "leader_tube"]
         kinds += ["tube", "margin_radius"] * n
 
-        def agent(j: int, s: int) -> int:
-            """The follower nearest an obstacle, the lower id of the closest pair, or the slot's."""
-            if s < 2:
-                return int(np.argmin(agent_clr[j]) if s == 0 else first[np.argmin(gaps[j])]) + 1
-            return (s - 1) // 2  # the leader's tube, then each follower's two slots
+        def violation(j: int, s: int) -> SafetyViolation:
+            """Slot s at fine step j, naming the follower nearest an obstacle and that
+            obstacle, the closest pair (lower id first), or the slot's agent."""
+            if s == 0:
+                i = int(np.argmin(agent_clr[j]))
+                agent, other = i + 1, int(np.argmin(dist[j, i] - radii))
+            elif s == 1:
+                g = np.argmin(gaps[j])
+                agent, other = int(first[g]) + 1, int(second[g]) + 1
+            else:  # the leader's tube, then each follower's two slots
+                agent, other = (s - 1) // 2, None
+            return SafetyViolation(kinds[s], j, times[j].item(), agent, values[j, s].item(), other)
 
         step, slot = np.nonzero(bad)
-        self.violations = [
-            SafetyViolation(kinds[s], j, times[j].item(), agent(j, s), values[j, s].item())
-            for j, s in zip(step.tolist(), slot.tolist())
-        ]
+        self.violations = [violation(j, s) for j, s in zip(step.tolist(), slot.tolist())]
 
     def run(self) -> "SimResult":
         for k in range(self.n_steps):
@@ -641,8 +646,25 @@ def trace_metrics(trace: SimTrace) -> dict:
         ),
         "followers": followers,
         "max_margin_fraction": _margin_fractions(trace, followers),
+        "max_interval_dip": {
+            kind: _max_interval_dip(trace, col)
+            for kind, col in (("obstacle", "clr_obs"), ("pairwise", "clr_pair"))
+        },
     }
     return metrics
+
+
+def _max_interval_dip(trace: SimTrace, col: str) -> dict | None:
+    """The barrier's worst dip inside a sampling interval: the largest clr(t_k) minus the
+    minimum of clr over the interval's rows k fs .. (k+1) fs, with its step k; null for an
+    absent (inf) clearance or a trace without ``fine_substeps``."""
+    clr, fs = trace.col(col), int(trace.metadata.get("fine_substeps", 0))
+    if fs < 1 or len(clr) <= fs or not np.all(np.isfinite(clr)):
+        return None
+    intervals = np.lib.stride_tricks.sliding_window_view(clr, fs + 1)[::fs]
+    dips = intervals[:, 0] - intervals.min(axis=1)
+    k = int(np.argmax(dips))
+    return {"dip": float(dips[k]), "step": k}
 
 
 def _margin_fractions(trace: SimTrace, followers: int) -> dict[str, float | None]:

@@ -5,13 +5,15 @@ characteristic-polynomial roots, finite-difference stencils via Fornberg
 weights, QP optima via projected gradient ascent on the dual, horizon
 trajectories, OCP objectives and the condensed QP's affine maps via the
 explicit step recurrence, barrier values from the position offset alone,
-each agent's disturbance from its own per-agent formula, the leader relay
-from one message-passing round per sampling step, trace CSV text from
-``np.savetxt``, and SVG markup from a per-point loop over each series.
+each agent's disturbance from its own per-agent formula, one fine-step
+index at a time, the leader relay from one message-passing round per
+sampling step, trace CSV text from ``np.savetxt``, and SVG markup from a
+per-point loop over each series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 from xml.sax.saxutils import escape
@@ -157,22 +159,38 @@ def fine_step_index(t: float, step_duration: float) -> int:
     return math.floor(t / step_duration + 1e-6)
 
 
-def agent_disturbance(config, d: int, agent: int, seed: int, step_duration: float, t: float):
+def agent_disturbance(
+    config, d: int, agent: int, seed: int, step_duration: float, t: float, *, block: int
+):
     """One agent's (d,) disturbance at time t, from its ``DisturbanceConfig`` alone.
 
-    A sinusoid is amp_k * sin(freq_k * t + phase_k) per axis. A ball is one
-    uniform-in-ball draw per fine-step index j, from the generator seeded with
-    (seed, agent, j): a normal direction scaled to radius ``bound * U^(1/d)``.
+    A sinusoid is amp_k * sin(freq_k * t + phase_k) per axis. A ball draws
+    fine-step index j as entry j % block of block j // block: the generator
+    seeded with (seed, agent, j // block) gives the block's (block, d)
+    normals, then its block uniforms, and index j scales its own normal to
+    radius ``bound * U^(1/d)``. The norm is a plain sum of squares; the root
+    is numpy's array power on the one uniform, since libm's scalar ``pow``
+    differs from it in the last bit.
     """
     if config.kind == "sinusoid":
         return np.asarray(config.amp) * np.sin(np.asarray(config.freq) * t + np.asarray(config.phase))
-    rng = np.random.default_rng((seed, agent, fine_step_index(t, step_duration)))
-    vec = rng.normal(size=d)
-    nrm = np.linalg.norm(vec)
+    b, i = divmod(fine_step_index(t, step_duration), block)
+    normals, uniforms = _ball_stream(seed, agent, b, block, d)
+    vec, u = normals[i], uniforms[i : i + 1]
+    nrm = math.sqrt(sum(x * x for x in vec.tolist()))
     if nrm == 0.0:
         return np.zeros(d)
-    radius = config.bound * rng.random() ** (1.0 / d)
-    return vec * (radius / nrm)
+    return vec * (config.bound * u ** (1.0 / d) / nrm)
+
+
+@functools.lru_cache(maxsize=64)
+def _ball_stream(seed: int, agent: int, b: int, block: int, d: int):
+    """The generator stream of one ball block: (block, d) normals, then block uniforms."""
+    rng = np.random.default_rng((seed, agent, b))
+    normals, uniforms = rng.normal(size=(block, d)), rng.random(block)
+    normals.setflags(write=False)
+    uniforms.setflags(write=False)
+    return normals, uniforms
 
 
 def relay_round(adjacency, b0, leader_state, previous, ages):

@@ -286,6 +286,32 @@ class TestRun:
         # read before re-anchoring, so never below what the trace logs
         assert summary["max_leader_occupancy_pre_anchor"] >= summary["max_tube_occupancy"]["occ0"]
 
+    @pytest.mark.parametrize(
+        "kind, named, other",
+        [("obstacle_clearance", "obstacle 0", 0), ("pairwise_clearance", "other agent 2", 2)],
+    )
+    def test_clearance_violation_names_the_other_party(self, tmp_path, capsys, kind, named, other):
+        """A smoke copy that deploys follower 1 inside the obstacle, or follower 2 0.1 from
+        follower 1, exits 3 at fine step 0; the stderr line and the summary name the obstacle
+        or the other agent."""
+        doc = json.loads(SMOKE.read_text())
+        if kind == "obstacle_clearance":
+            doc["obstacles"][0]["center"] = [0.6, -0.3]
+        else:
+            doc["initial_states"]["followers"][1][:2] = [0.5, -0.4]
+        scenario, cert, out = tmp_path / "copy.json", tmp_path / "cert.json", tmp_path / "run"
+        scenario.write_text(json.dumps(doc))
+        assert main(["certify", str(scenario), "-o", str(cert)]) == 0
+        capsys.readouterr()
+        run = ["run", str(scenario), "--cert", str(cert), "-o", str(out), "--t-end", "0.2"]
+        assert main(run) == 3
+        line = f"safety violation: {kind} at fine step 0 (t=0.000, agent 1, {named})\n"
+        assert capsys.readouterr().err == line
+        first = json.loads((out / "summary.json").read_text())["violations"][0]
+        assert (first["kind"], first["fine_step"], first["agent"], first["other"]) == (
+            kind, 0, 1, other
+        )
+
     def test_truncated_run(self, certified, tmp_path):
         out = tmp_path / "short"
         assert main(

@@ -6,6 +6,7 @@ import pytest
 
 from tubeform.errors import DimensionMismatch, ScenarioError
 from tubeform.models import (
+    BALL_BLOCK,
     AgentModel,
     Box,
     BrunovskyDims,
@@ -194,7 +195,10 @@ class TestAgentModel:
         model.check_disturbance_bound(30.0)
         tight = dataclasses.replace(model, disturbance_bound=0.2 * (1.0 - 1e-6))
         for seed in range(5):
-            draws = [agent_disturbance(ball, 2, 1, seed, 0.01, 0.01 * j) for j in range(3000)]
+            draws = [
+                agent_disturbance(ball, 2, 1, seed, 0.01, 0.01 * j, block=BALL_BLOCK)
+                for j in range(3000)
+            ]
             assert np.max(np.linalg.norm(draws, axis=1)) < tight.disturbance_bound
         with pytest.raises(ScenarioError, match="agent 1"):
             tight.check_disturbance_bound(30.0)
@@ -219,12 +223,14 @@ def disturbance_configs(kind: str) -> list[DisturbanceConfig]:
 
 def reference(configs: list[DisturbanceConfig], seed: int, t: float) -> np.ndarray:
     """Row r is agent r's disturbance from its own formula, with fine steps of 0.01."""
-    return np.stack([agent_disturbance(c, 2, r, seed, 0.01, t) for r, c in enumerate(configs)])
+    return np.stack(
+        [agent_disturbance(c, 2, r, seed, 0.01, t, block=BALL_BLOCK) for r, c in enumerate(configs)]
+    )
 
 
-def stage_times(fine_steps: int, h: float = 0.01) -> list[float]:
-    """The RK4 stage times of ``fine_steps`` substeps from t = 0.98, accumulated as in the world."""
-    times, t = [], 0.98
+def stage_times(fine_steps: int, h: float = 0.01, start: float = 0.98) -> list[float]:
+    """The RK4 stage times of ``fine_steps`` substeps from ``start``, accumulated as in the world."""
+    times, t = [], start
     for _ in range(fine_steps):
         times += [t, t + 0.5 * h, t + h]
         t += h
@@ -243,18 +249,66 @@ class TestDisturbanceStack:
             assert np.array_equal(stack(t), reference(configs, 4, t)), t
 
     def test_each_index_drawn_once_in_any_order(self, monkeypatch):
-        """Every index's draws are kept: a second pass, in any order, draws nothing."""
+        """Every block's draws are kept: a second pass, in any order, draws nothing."""
         configs = disturbance_configs("mixed")
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         calls = []
         draw = stack.draw
-        monkeypatch.setattr(stack, "draw", lambda row, j: calls.append((row, j)) or draw(row, j))
+        monkeypatch.setattr(stack, "draw", lambda row, b: calls.append((row, b)) or draw(row, b))
         times = stage_times(6)
         shuffled = list(np.random.default_rng(1).permutation(times))
         for t in times + shuffled + times[::-1]:
             stack(t)
-        indices = {fine_step_index(t, 0.01) for t in times}
-        assert sorted(calls) == sorted((row, j) for row in (0, 2) for j in indices)
+        blocks = {fine_step_index(t, 0.01) // BALL_BLOCK for t in times}
+        assert sorted(calls) == sorted((row, b) for row in (0, 2) for b in blocks)
+
+    def test_reads_across_a_block_boundary(self, monkeypatch):
+        """Stage times over indices 1022..1028 read blocks 0 and 1, each drawn once per ball row,
+        bit-equal to each agent's own formula in order, shuffled and reversed."""
+        configs = disturbance_configs("mixed")
+        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
+        calls = []
+        draw = stack.draw
+        monkeypatch.setattr(stack, "draw", lambda row, b: calls.append((row, b)) or draw(row, b))
+        times = stage_times(6, start=(BALL_BLOCK - 2) * 0.01)
+        indices = sorted({fine_step_index(t, 0.01) for t in times})
+        assert indices == list(range(BALL_BLOCK - 2, BALL_BLOCK + 5))
+        shuffled = list(np.random.default_rng(2).permutation(times))
+        for t in times + shuffled + times[::-1]:
+            assert np.array_equal(stack(t), reference(configs, 4, t)), t
+        assert sorted(calls) == [(row, b) for row in (0, 2) for b in (0, 1)]
+
+    def test_a_row_does_not_depend_on_the_other_rows(self):
+        """Each ball row's draws are the same whatever the other rows are, or whether they exist."""
+        balls, sines = disturbance_configs("ball"), disturbance_configs("sine")
+        times = stage_times(6) + stage_times(6, start=(BALL_BLOCK - 2) * 0.01)
+        full = DisturbanceStack(balls, 2, seed=4, step_duration=0.01)
+        for row, ball in enumerate(balls):
+            among_sines = [ball if r == row else sines[r] for r in range(len(balls))]
+            lone = DisturbanceStack(among_sines, 2, seed=4, step_duration=0.01)
+            prefix = DisturbanceStack(balls[: row + 1], 2, seed=4, step_duration=0.01)
+            for t in times:
+                assert np.array_equal(lone(t)[row], full(t)[row]), (row, t)
+                assert np.array_equal(prefix(t)[row], full(t)[row]), (row, t)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_radius_over_bound_has_cdf_rho_to_the_d(self, d):
+        """At a fixed seed, 8 blocks of draws: ||w|| / bound never exceeds 1 and passes a
+        Kolmogorov-Smirnov test against the uniform-in-ball CDF rho^d at the 0.001 level,
+        which rejects the CDF rho of a uniform radius."""
+        ball = DisturbanceConfig("ball", bound=0.7)
+        stack = DisturbanceStack([ball], d, seed=5, step_duration=1.0)
+        w = np.concatenate([stack.draw(0, b) for b in range(8)])
+        rho = np.sort(np.linalg.norm(w, axis=1) / 0.7)
+        assert rho.max() <= 1.0
+
+        def ks(cdf):
+            n = len(rho)
+            return max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+
+        critical = 1.95 / math.sqrt(len(rho))
+        assert ks(rho**d) < critical
+        assert ks(rho) > 10.0 * critical
 
     def test_stage_at_step_end_reads_next_draw(self):
         """Fine step j's first stages read draw j; its last stage, at its end, reads draw j + 1."""

@@ -52,7 +52,7 @@ def make_spec(
 ):
     """The OCP spec; without ``terminal_set`` the level is infinite, so no terminal cut is built."""
     dims = dims or BrunovskyDims(n=3, d=2, followers=1)
-    spec = OcpSpec.design(dims, horizon, ts, qr, r, rdelta, coupling, input_bound)
+    (spec,) = OcpSpec.design(dims, horizon, ts, qr, r, rdelta, [coupling], [input_bound], [None])
     return spec if terminal_set else dataclasses.replace(spec, terminal_level=math.inf)
 
 
@@ -88,7 +88,7 @@ class TestTerminalIngredients:
         dims = BrunovskyDims(n=1, d=1, followers=1)
         ad = np.array([[1.0]])
         bd = np.array([[0.1]])
-        _, pr, _ = terminal_ingredients(ad, bd, np.eye(1), np.eye(1), 1.0)
+        _, pr = terminal_ingredients(ad, bd, np.eye(1), np.eye(1))
         # scalar DARE: p = 1 + p - p^2 b^2/(1 + p b^2), root by bisection
         def resid(p):
             return 1.0 + p - p**2 * 0.01 / (1.0 + p * 0.01) - p
@@ -104,7 +104,7 @@ class TestTerminalIngredients:
     def test_qr_zero_limit_with_stable_ad(self):
         ad = np.array([[0.5]])
         bd = np.array([[0.1]])
-        _, pr, _ = terminal_ingredients(ad, bd, np.zeros((1, 1)), np.eye(1), 1.0)
+        _, pr = terminal_ingredients(ad, bd, np.zeros((1, 1)), np.eye(1))
         assert pr[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_closed_loop_stable(self):

@@ -24,7 +24,7 @@ def chain_graph(n=5):
 
 def minimal_spec(dims, ts=0.1, horizon=5):
     """Unit weights, coupling 1, no input bound (so no terminal cut) and a zero terminal gain."""
-    spec = OcpSpec.design(dims, horizon, ts, 1.0, 1.0, 0.0, 1.0, np.inf)
+    (spec,) = OcpSpec.design(dims, horizon, ts, 1.0, 1.0, 0.0, [1.0], [np.inf], [None])
     return dataclasses.replace(spec, terminal_gain=np.zeros((dims.d, dims.nd)))
 
 
@@ -81,7 +81,7 @@ class TestShiftPlan:
         error prediction exactly."""
         dims = BrunovskyDims(n=2, d=1, followers=1)
         spec = minimal_spec(dims, horizon=4)
-        khat, _, _ = terminal_ingredients(spec.ad, -spec.coupling * spec.bd, spec.qr, spec.r, np.inf)
+        khat, _ = terminal_ingredients(spec.ad, -spec.coupling * spec.bd, spec.qr, spec.r)
         rng = np.random.default_rng(0)
         e0 = rng.normal(size=2)
         inputs = rng.normal(size=(4, 1))

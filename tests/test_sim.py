@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import tubeform.sim
+from tubeform import models, ocp
 from tubeform.barrier import assemble_row
 from tubeform.cli import main
 from tubeform.errors import DegenerateGradient, NonFiniteState
 from tubeform.graph import CommGraph
-from tubeform.models import DisturbanceStack
-from tubeform.ocp import rollout
+from tubeform.models import BALL_BLOCK, DisturbanceStack
+from tubeform.ocp import OcpSpec, rollout
 from tubeform.pipeline import certify_scenario
 from tubeform.protocol import shift_plan
 from tubeform.scenario import load_scenario, parse_scenario
@@ -32,6 +33,7 @@ from oracles import agent_disturbance, chain_recurrence, savetxt_trace
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
+ABLATION = "scenarios/ablation_scenario.json"
 
 
 def equilibrium_doc():
@@ -129,7 +131,8 @@ def own_disturbance(world, agent, t):
     """Agent ``agent``'s disturbance at time t from its own formula, as the run seeds and steps it."""
     sim = world.sim
     step = sim.ts / sim.fine_substeps
-    return agent_disturbance(world.models[agent].disturbance, world.d, agent, sim.seed, step, t)
+    config = world.models[agent].disturbance
+    return agent_disturbance(config, world.d, agent, sim.seed, step, t, block=BALL_BLOCK)
 
 
 class TestDeviationDynamics:
@@ -416,12 +419,41 @@ class TestNeighborPredictions:
             world._neighbor_data(1, ff)
 
 
+class TestOcpDesign:
+    @pytest.mark.parametrize(
+        "scenario, couplings", [(PAPER, [2, 2, 2, 2, 1]), (ABLATION, [2, 3, 3, 3, 2])]
+    )
+    def test_one_riccati_solve_per_distinct_coupling(self, monkeypatch, scenario, couplings):
+        """A world solves the Riccati equation once per distinct coupling, and every spec's
+        terminal gain, cost and level equal a fresh per-agent design bit for bit."""
+        cfg = load_scenario(scenario)
+        cert = certify_scenario(cfg, spot_checks=False)
+        solve = ocp.terminal_ingredients
+        calls = []
+        monkeypatch.setattr(ocp, "terminal_ingredients", lambda *a: calls.append(a[1]) or solve(*a))
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        monkeypatch.undo()
+        assert world.graph.m.diagonal().tolist() == couplings
+        assert len(calls) == 2
+        for i, spec in enumerate(world.specs):
+            (fresh,) = OcpSpec.design(
+                cfg.dims, cfg.ocp.horizon, cfg.sim.ts, cfg.ocp.qr, cfg.ocp.r, cfg.ocp.rdelta,
+                [couplings[i]], [cert.tubes.input_bound_tightened[i]], [None],
+            )
+            assert np.array_equal(spec.terminal_gain, fresh.terminal_gain)
+            assert np.array_equal(spec.pr, fresh.pr)
+            assert spec.terminal_level.hex() == fresh.terminal_level.hex()
+            assert not (spec.terminal_gain.flags.writeable or spec.pr.flags.writeable)
+
+
 class TestDisturbanceDraws:
     def test_each_ball_draw_made_once(self, monkeypatch):
-        """A 1 s ball copy of smoke draws each (agent, fine-step index) once in the loop.
+        """A 1 s ball copy of smoke draws each (agent, block) once in the loop.
 
         The 100 substeps read indices 0..100: the last RK4 stage of the last
-        substep, at t = 1.0, reads index 100. One draw per stage would be
+        substep, at t = 1.0, reads index 100. With blocks of 16 indices those
+        are blocks 0..6, so the leader pass and the world together make
+        3 agents x 7 blocks = 21 draws; one draw per stage would be
         3 agents x 100 substeps x 4 stages = 1,200 calls.
         """
         doc = json.loads(open(SMOKE).read())
@@ -432,14 +464,15 @@ class TestDisturbanceDraws:
         draw = DisturbanceStack.draw
         calls = []
 
-        def counting(stack, row, j):
-            calls.append((row, j))
-            return draw(stack, row, j)
+        def counting(stack, row, block):
+            calls.append((row, block))
+            return draw(stack, row, block)
 
+        monkeypatch.setattr(models, "BALL_BLOCK", 16)
         monkeypatch.setattr(DisturbanceStack, "draw", counting)
         run_simulation(cfg, cert, SimConfig.from_scenario(cfg, t_end=1.0))
-        assert len(calls) == 3 * 101
-        assert sorted(calls) == [(a, j) for a in range(3) for j in range(101)]
+        assert len(calls) == 3 * 7
+        assert sorted(calls) == [(a, b) for a in range(3) for b in range(7)]
 
     @pytest.mark.parametrize("ts, substeps", [(0.1, 10), (0.05, 7)])
     def test_stage_times_read_their_documented_index_to_3000_s(self, ts, substeps):
@@ -691,8 +724,9 @@ class TestTubeMonitoring:
 
     def test_clearance_violations_name_the_agent(self):
         """A 1 s paper copy that deploys follower 4 inside an obstacle and followers 3 and 5
-        closer than d_safe: each clearance violation names the follower nearest an obstacle,
-        or the lower id of the closest pair, as the trace's positions give them."""
+        closer than d_safe: each clearance violation names the follower nearest an obstacle
+        and that obstacle, or the closest pair's ids (lower first), as an independent argmin
+        over the trace's positions gives them; the tube and margin slots name no other."""
         doc = json.loads(open(PAPER).read())
         doc["sim"]["t_end"] = 1.0
         doc["obstacles"][0]["center"] = [-0.45, -0.65]
@@ -707,14 +741,19 @@ class TestTubeMonitoring:
         for v in result.violations:
             p = pos[v.step]
             if v.kind == "obstacle_clearance":
-                clearance = np.linalg.norm(p[:, None] - centers, axis=-1) - radii
-                assert v.agent == np.argmin(clearance.min(axis=1)) + 1
+                cells = [(i, o) for i in range(len(p)) for o in range(len(centers))]
+                clearance = [np.linalg.norm(p[i] - centers[o]) - radii[o] for i, o in cells]
+                i, o = cells[int(np.argmin(clearance))]
+                assert (v.agent, v.other) == (i + 1, o)
             elif v.kind == "pairwise_clearance":
                 pairs = [(i, j) for i in range(len(p)) for j in range(i + 1, len(p))]
                 gaps = [np.linalg.norm(p[i] - p[j]) for i, j in pairs]
-                assert v.agent == pairs[int(np.argmin(gaps))][0] + 1
-            named.setdefault(v.kind, v.agent)
-        assert named["obstacle_clearance"] == 4 and named["pairwise_clearance"] == 3
+                i, j = pairs[int(np.argmin(gaps))]
+                assert (v.agent, v.other) == (i + 1, j + 1)
+            else:
+                assert v.other is None
+            named.setdefault(v.kind, (v.agent, v.other))
+        assert named["obstacle_clearance"] == (4, 0) and named["pairwise_clearance"] == (3, 5)
 
 
 class TestTraceMetrics:
@@ -742,6 +781,44 @@ class TestTraceMetrics:
         # per fine row, the final step's extra row would give agent 1 150/7
         mean = trace_metrics(self.synthetic_trace())["mean_qp_iterations"]
         assert mean == pytest.approx((20.0 + 4.0) / 2, abs=1e-12)
+
+    @staticmethod
+    def looped_dips(trace, fs):
+        """Per barrier kind, the largest clr(t_k) - min(clr over rows k fs .. (k+1) fs) and its k."""
+        dips = {}
+        for kind, col in (("obstacle", "clr_obs"), ("pairwise", "clr_pair")):
+            clr = trace.col(col).tolist()
+            best = None
+            for k in range((len(clr) - 1) // fs):
+                dip = clr[k * fs] - min(clr[k * fs : (k + 1) * fs + 1])
+                if best is None or dip > best["dip"]:
+                    best = {"dip": dip, "step": k}
+            dips[kind] = best
+        return dips
+
+    def test_max_interval_dip_matches_a_plain_loop(self):
+        """Random clearances on the synthetic trace's three steps of two fine rows."""
+        trace = self.synthetic_trace()
+        trace.metadata["fine_substeps"] = "2"
+        trace.data[:, 3:5] = np.random.default_rng(5).normal(size=(len(trace.data), 2))
+        assert trace_metrics(trace)["max_interval_dip"] == self.looped_dips(trace, 2)
+
+    def test_max_interval_dip_null_without_column_or_substeps(self):
+        """An inf clearance column (no obstacle, one follower) or a trace without
+        ``fine_substeps`` metadata gives null."""
+        trace = self.synthetic_trace()
+        trace.data[:, 3] = 0.5 + np.arange(len(trace.data))
+        trace.data[:, 4] = np.inf
+        assert trace_metrics(trace)["max_interval_dip"] == {"obstacle": None, "pairwise": None}
+        trace.metadata["fine_substeps"] = "2"
+        dips = trace_metrics(trace)["max_interval_dip"]
+        assert dips == {"obstacle": {"dip": 0.0, "step": 0}, "pairwise": None}
+
+    def test_paper_interval_dips_match_a_plain_loop(self, paper):
+        cfg, _, result, _ = paper
+        dips = trace_metrics(result.trace)["max_interval_dip"]
+        assert dips == self.looped_dips(result.trace, cfg.sim.fine_substeps)
+        assert all(dip["dip"] > 0.0 for dip in dips.values())
 
 
     def test_final_instant_logged_like_every_other(self, paper):
