@@ -105,7 +105,7 @@ def cmd_run(
         world = SimWorld(cfg, result, sim_cfg)
         out.mkdir(parents=True, exist_ok=True)
         sim_result = world.run()
-    except (TubeformError, OSError, MemoryError) as exc:  # MemoryError: a run too long to record
+    except (TubeformError, OSError, MemoryError) as exc:  # MemoryError: a t_end too long to record
         return _error(exc)
 
     trace_path = out / "trace.csv"

@@ -28,8 +28,8 @@ from .models import AgentModel, LyapunovPair
 from .scenario import ScenarioConfig, build_all_models, build_graph, read_text
 
 SPOT_CHECK_SEED = 0x5EED
-# the agent entries a run consumes, which the certificate must match
-RUN_AGENT_FIELDS = ("r", "margin_radius", "input_bound_tightened", "baseline_r_ball", "gain", "p", "hops")
+RESIDUAL_FLOOR = 1e-12  # two lyapunov_residual values (round-off-sized norms) at most this are equal
+_ABSENT = object()  # the side of an entry pair that lacks the entry
 
 
 class FollowerTubes(NamedTuple):
@@ -205,34 +205,34 @@ def load_certificate(path: str | Path) -> dict:
     return doc
 
 
-def _matches(got, expected) -> bool:
-    """Equal-shape JSON numbers (not bools) within 1e-9 relative, or both null."""
-    if expected is None or got is None:
-        return got is expected
-    try:
-        arr = np.asarray(got)
-    except ValueError:  # ragged nested lists
-        return False
-    numeric = arr.dtype.kind in "if" and arr.shape == np.shape(expected)
-    return numeric and np.allclose(arr, expected, rtol=1e-9, atol=0.0)
+def _pairs(got, want, path: tuple = ()) -> list:
+    """(path, file entry, recertified entry) per entry of both documents, in document order: an
+    object's unknown entries follow its known ones, and a missing object is named by its first entry."""
+    if type(want) is list and want and type(want[0]) in (dict, list):  # objects or rows, keyed by index
+        got, want = dict(enumerate(got)) if type(got) is list else {}, dict(enumerate(want))
+    elif type(want) is not dict:
+        return [(path, got, want)]
+    got = got if type(got) is dict else {}
+    return [e for k in want | got for e in _pairs(got.get(k, _ABSENT), want.get(k, _ABSENT), path + (k,))]
+
+
+def _matches(got, want, floor: float) -> bool:
+    """Equal strings or nulls, or numbers (no bools) or rows of them, each one equal, both in [0, floor]
+    or a float within 1e-9 relative of a finite ``want``; an integer, which may not fit a float, is equal."""
+    if not isinstance(want, (int, float, list)):  # a string, null or unknown entry
+        return type(got) is type(want) and got == want
+    gs, ws = (got, want) if type(want) is list else ([got], [want])
+    return type(gs) is list and len(gs) == len(ws) and all(
+        type(g) in (int, float) and (g == w or 0 <= g <= floor and 0 <= w <= floor)  # inf == inf
+        or type(g) is float and abs(g - w) <= 1e-9 * abs(w) < np.inf
+        for g, w in zip(gs, ws)
+    )
 
 
 def check_certificate(doc: dict, res: CertificationResult) -> None:
-    """Raise ``ScenarioError`` naming the first field the run consumes that ``res`` does not match.
-
-    The run uses the recertified values, so the file must agree with them
-    (entrywise within 1e-9 relative).
-    """
-    want = certificate_to_dict(res)
-    paths = [("formation_error_bound",), ("leader", "r_ball")]
-    paths += [("agents", i, key) for i in range(len(res.tubes.id)) for key in RUN_AGENT_FIELDS]
-    for path in paths:
-        name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
-        got, expected = doc, want
-        try:
-            for key in path:
-                got, expected = got[key], expected[key]
-        except (KeyError, IndexError, TypeError):
-            raise ScenarioError(f"certificate: missing {name}") from None
-        if not _matches(got, expected):
-            raise ScenarioError(f"certificate: {name} is {got!r}, recertified {expected!r}")
+    """Raise ``ScenarioError`` naming the first entry in which ``doc`` is not ``res``'s certificate."""
+    for path, g, w in _pairs(doc, certificate_to_dict(res)):
+        if not _matches(g, w, RESIDUAL_FLOOR if path[-1] == "lyapunov_residual" else -1.0):
+            name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+            fault = f"missing {name}" if g is _ABSENT else f"{name} is {g!r}, recertified {w!r}"
+            raise ScenarioError(f"certificate: {f'unknown entry {name}' if w is _ABSENT else fault}")

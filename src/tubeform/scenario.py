@@ -214,10 +214,12 @@ NON_NEGATIVE = (Check(lambda v, *_: v >= 0, "non-negative"),)
 COUNT = (Check(lambda v, *_: v >= 1, ">= 1"),)
 CHAIN_ORDER = (Check(lambda v, _, dims: 1 <= v <= dims.n, "a chain order in 1..n"),)
 AXIS = (Check(lambda v, _, dims: 0 <= v < dims.d, "an axis index in 0..d-1"),)
-SAMPLING_STEPS = POSITIVE + (Check(
-    lambda v, sib, _: abs(round(v / sib["ts"]) * sib["ts"] - v) <= 1e-9,
+SAMPLING_STEPS = POSITIVE + (Check(  # np.rint: round() raises on the inf of a v / ts overflow
+    lambda v, sib, _: abs(np.rint(v / sib["ts"]) * sib["ts"] - v) <= 1e-9,
     "an integer multiple of the sampling period",
-),)
+), Check(lambda v, sib, _: np.rint(v / sib["ts"]) >= 1, "at least one sampling period"))
+# the terminal level squares the input bound, which must stay finite
+SQUARABLE = POSITIVE + (Check(lambda v, *_: v <= 1e154, "at most 1e154"),)
 ZERO = (Check(lambda v, *_: v == 0, "0 for a sinusoid"),)
 # a trace header writes the scenario name as one metadata line
 ONE_LINE = (Check(lambda v, *_: "\n" not in v and "\r" not in v, "a single line"),)
@@ -292,7 +294,7 @@ OCP = Section(OcpConfig, (
     Field("qr", float, (), OcpConfig.qr, POSITIVE),
     Field("r", float, (), OcpConfig.r, POSITIVE),
     Field("rdelta", float, (), OcpConfig.rdelta, NON_NEGATIVE),
-    Field("input_bound", float, (), OcpConfig.input_bound, POSITIVE),
+    Field("input_bound", float, (), OcpConfig.input_bound, SQUARABLE),
     Field("error_box", float, ("nd",), None, POSITIVE),
 ))
 BARRIERS = Section(BarrierConfig, (

@@ -496,7 +496,10 @@ class SimWorld:
         bounds = np.cumsum([0] + [len(cols) for cols in groups.values()])
         self._trace_cols = {g: slice(a, b) for g, a, b in zip(groups, bounds[:-1], bounds[1:])}
         rows = self.n_steps * self.sim.fine_substeps + 1
-        self.trace_data = np.zeros((rows, len(self.trace_columns)))
+        try:
+            self.trace_data = np.zeros((rows, len(self.trace_columns)))
+        except (MemoryError, ValueError) as exc:  # ValueError: more rows than an array can index
+            raise MemoryError(f"{exc} (t_end {self.sim.t_end:g} is too long to record)") from None
         self._states = self.trace_data[:, self._trace_cols["states"]].reshape(rows, n + 1, 3, -1)
         self._times = self.trace_data[:, 0]
         self._states[0, :, :2] = self.state[:, :2]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import tubeform.sim
 from tubeform import cli, scenario
 from tubeform.cli import main
 from tubeform.errors import DegenerateGradient, ScenarioError
-from tubeform.pipeline import load_certificate
+from tubeform.pipeline import _matches, certify_scenario, check_certificate, load_certificate
 from tubeform.sim import SimTrace
 
 SMOKE = Path("scenarios/smoke_scenario.json")
@@ -429,7 +430,7 @@ class TestRun:
         [
             (lambda doc: doc["agents"][1].update(margin_radius=123.0), "agents[1].margin_radius"),
             (lambda doc: doc.update(formation_error_bound=-5.0), "formation_error_bound"),
-            (lambda doc: doc.pop("agents"), "missing agents[0].r"),
+            (lambda doc: doc.pop("agents"), "missing agents[0].id"),
             (lambda doc: doc["agents"][0]["gain"][0].__setitem__(0, 1.5), "agents[0].gain"),
             (lambda doc: doc["agents"][1]["p"].pop(), "agents[1].p"),
             (lambda doc: doc["agents"][0].update(r=1.0), "agents[0].r"),
@@ -440,21 +441,38 @@ class TestRun:
             (lambda doc: doc["agents"][0].update(baseline_r_ball=None), "agents[0].baseline_r_ball"),
             (lambda doc: doc["leader"].update(r_ball=0.5), "leader.r_ball"),
             (lambda doc: doc["agents"][1].update(hops=0), "agents[1].hops is 0, recertified 1"),
+            # entries a run does not consume are part of the certificate too
+            (lambda doc: doc.update(sv_min="x"), "sv_min is 'x', recertified 0.38"),
+            (lambda doc: doc.update(scenario_name={"a": 1}), "scenario_name is {'a': 1}"),
+            (lambda doc: doc["agents"][0].update(w_eff=float("nan")), "agents[0].w_eff is nan"),
+            (lambda doc: doc["agents"][1].update(zbar="big"), "agents[1].zbar is 'big'"),
+            (lambda doc: doc["agents"][0].update(q=[[1]]), "agents[0].q[0] is [1], recertified [1.0, 0.0"),
+            (lambda doc: doc["agents"][0].update(id=7), "agents[0].id is 7, recertified 1"),
+            (lambda doc: doc["leader"].update(p=None), "missing leader.p[0]"),
+            (
+                lambda doc: doc["agents"][1].update(margin_mode="certified"),
+                "agents[1].margin_mode is 'certified', recertified 'declared'",
+            ),
+            (lambda doc: doc.update(note="extra"), "unknown entry note"),
+            (
+                lambda doc: doc["agents"][0].update(lyapunov_residual=1.0),
+                "agents[0].lyapunov_residual is 1.0",
+            ),
         ],
         ids=[
             "margin_radius", "formation_error_bound", "no_agents", "gain", "p_shape", "r",
             "input_bound_tightened", "baseline_r_ball", "leader_r_ball", "hops",
+            "sv_min", "scenario_name", "w_eff", "zbar", "q", "id", "leader_p", "margin_mode",
+            "extra_key", "lyapunov_residual",
         ],
     )
     def test_edited_certificate_exit_1(self, certified, tmp_path, capsys, edit, field):
-        doc = json.loads(certified.read_text())
-        edit(doc)
-        cert = tmp_path / "edited.json"
-        cert.write_text(json.dumps(doc))
-        assert main(["run", str(SMOKE), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 1
+        argv, out = _edited_certificate(edit)(certified, tmp_path)
+        assert main(argv) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: certificate: ") and err.count("\n") == 1, err
         assert field in err
-        assert not (tmp_path / "o").exists()
+        assert not out.exists()
 
     def test_stale_certificate_exit_1(self, certified, tmp_path, capsys):
         doc = json.loads(SMOKE.read_text())
@@ -644,6 +662,169 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+def _smoke_copy(tmp_path: Path, edit) -> Path:
+    doc = json.loads(SMOKE.read_text())
+    edit(doc)
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _edited_certificate(edit):
+    """A run of smoke with its certificate edited by ``edit``: (argv, output directory)."""
+
+    def case(certified, tmp_path):
+        doc = json.loads(certified.read_text())
+        edit(doc)
+        cert = tmp_path / "edited.json"
+        cert.write_text(json.dumps(doc))
+        return ["run", str(SMOKE), "--cert", str(cert), "-o", str(tmp_path / "o")], tmp_path / "o"
+
+    return case
+
+
+def _certify_copy(edit):
+    """Certify of a smoke copy edited by ``edit``: (argv, certificate path)."""
+
+    def case(certified, tmp_path):
+        cert = tmp_path / "cert.json"
+        return ["certify", str(_smoke_copy(tmp_path, edit)), "-o", str(cert)], cert
+
+    return case
+
+
+def _run(edit, *flags):
+    """A run with ``flags`` of smoke, or of a smoke copy edited by ``edit`` and certified:
+    (argv, output directory)."""
+
+    def case(certified, tmp_path):
+        scen, cert = SMOKE, certified
+        if edit is not None:
+            scen, cert = _smoke_copy(tmp_path, edit), tmp_path / "cert.json"
+            assert main(["certify", str(scen), "-o", str(cert)]) == 0
+        return ["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o"), *flags], tmp_path / "o"
+
+    return case
+
+
+def _scale(doc, factor):
+    """``doc`` with every number multiplied by ``factor``."""
+    if isinstance(doc, dict):
+        return {key: _scale(value, factor) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_scale(value, factor) for value in doc]
+    return doc * factor if type(doc) in (int, float) else doc
+
+
+CONTRACT = {  # case: (argv and output of the refused command, what its error line names)
+    # one edit of the smoke certificate per kind of value
+    "string": (_edited_certificate(lambda doc: doc["leader"].update(mode="lyapunov")), "leader.mode"),
+    "number": (
+        _edited_certificate(lambda doc: doc.update(sv_min=doc["sv_min"] * (1 + 2e-9))),
+        "sv_min is 0.38",
+    ),
+    "int": (_edited_certificate(lambda doc: doc["agents"][1].update(hops=2)), "agents[1].hops is 2"),
+    "matrix": (
+        _edited_certificate(lambda doc: doc["agents"][0]["gain"][1].__setitem__(4, 7.0)),
+        "agents[0].gain[1] is [",
+    ),
+    "matrix_row_length": (
+        _edited_certificate(lambda doc: doc["agents"][1]["q"][5].pop()), "agents[1].q[5] is ["
+    ),
+    "null": (
+        _edited_certificate(lambda doc: doc["agents"][0].update(baseline_r=None)),
+        "agents[0].baseline_r is None",
+    ),
+    "bool": (_edited_certificate(lambda doc: doc["agents"][1].update(id=True)), "agents[1].id is True"),
+    "missing_key": (
+        _edited_certificate(lambda doc: doc["agents"][1].pop("zbar")), "missing agents[1].zbar"
+    ),
+    "extra_key": (
+        _edited_certificate(lambda doc: doc["leader"].update(note=1)), "unknown entry leader.note"
+    ),
+    "longer_list": (
+        _edited_certificate(lambda doc: doc["agents"].append(doc["agents"][1])),
+        "unknown entry agents[2]",
+    ),
+    "shorter_list": (_edited_certificate(lambda doc: doc["agents"].pop()), "missing agents[1].id"),
+    # scenarios whose certificate a run could not use, and runs that cannot be recorded
+    "input_bound_1e300": (
+        _certify_copy(lambda doc: doc["ocp"].update(input_bound=1e300)),
+        "ocp.input_bound: must be at most 1e154 (got 1e+300)",
+    ),
+    "sim_t_end_1e300": (
+        _run(lambda doc: doc["sim"].update(t_end=1e300)), "(t_end 1e+300 is too long to record)"
+    ),
+    "run_t_end_1e300": (_run(None, "--t-end", "1e300"), "(t_end 1e+300 is too long to record)"),
+    "sim_t_end_below_one_step": (
+        _certify_copy(lambda doc: doc["sim"].update(t_end=1e-12)),
+        "sim.t_end: must be at least one sampling period (got 1e-12)",
+    ),
+    "run_t_end_below_one_step": (
+        _run(None, "--t-end", "1e-12"), "t_end must be at least one sampling period (got 1e-12)"
+    ),
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("case, named", CONTRACT.values(), ids=CONTRACT)
+    def test_refused_with_one_error_line_and_no_output(self, certified, tmp_path, capsys, case, named):
+        argv, output = case(certified, tmp_path)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in range(5) and "Traceback" not in err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+        assert not output.exists()
+
+    @pytest.fixture(scope="class")
+    def recertified(self):
+        return certify_scenario(scenario.load_scenario(SMOKE), spot_checks=False)
+
+    def test_every_number_within_1e9_relative_is_accepted(self, certified, recertified):
+        doc = json.loads(certified.read_text())
+        check_certificate(_scale(doc, 1 + 9e-10), recertified)
+        with pytest.raises(ScenarioError, match=r"^certificate: sv_min is "):
+            check_certificate(_scale(doc, 1 + 1.1e-9), recertified)
+
+    @pytest.mark.parametrize("value, accepted", [(0.0, True), (1e-12, True), (1.1e-12, False), (-1e-13, False)])
+    def test_round_off_residuals_are_equal(self, certified, recertified, value, accepted):
+        """Two lyapunov_residual values at most 1e-12 count as equal; the floor is no absolute slack."""
+        doc = json.loads(certified.read_text())
+        doc["agents"][1]["lyapunov_residual"] = value
+        if accepted:
+            check_certificate(doc, recertified)
+        else:
+            with pytest.raises(ScenarioError, match=r"^certificate: agents\[1\]\.lyapunov_residual is "):
+                check_certificate(doc, recertified)
+
+    @pytest.mark.parametrize(
+        "got, want, equal",
+        [
+            (math.inf, math.inf, True),
+            ([1.0, -math.inf], [1.0, -math.inf], True),
+            (1, 1.0, True),
+            (1.0 + 1e-12, 1, True),
+            (1, 1.0 + 1e-12, False),  # an integer must be equal
+            (math.inf, -math.inf, False),
+            (1e300, math.inf, False),
+            (math.inf, 1e300, False),
+            (math.nan, math.nan, False),
+            (True, 1.0, False),
+            ([1.0, True], [1.0, 1.0], False),
+            (10**400, 1.0, False),
+            ([1.0], 1.0, False),
+            ("1.0", 1.0, False),
+            (None, "certified", False),
+            ("certified", "certified", True),
+            (None, None, True),
+        ],
+    )
+    def test_matches(self, got, want, equal):
+        assert _matches(got, want, -1.0) is equal
 
 
 class TestReport:
