@@ -26,7 +26,7 @@ from .errors import (
 )
 from .pipeline import certify_scenario, check_certificate, load_certificate, write_certificate
 from .scenario import load_scenario
-from .sim import SimConfig, SimTrace, SimWorld, trace_metrics
+from .sim import SimConfig, SimTrace, SimWorld, trace_layout, trace_metrics
 from .svgplot import SvgFigure
 
 
@@ -58,6 +58,7 @@ codecs.register_error("tubeform.escape", _escape_unencodable)
 def cmd_certify(scenario_path: str, out_path: str) -> int:
     try:
         cfg = load_scenario(scenario_path)
+        trace_layout(cfg, cfg.sim, "sim.t_end:")  # a certificate no run could record is refused
         result = certify_scenario(cfg)
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         write_certificate(out_path, result)
@@ -105,7 +106,7 @@ def cmd_run(
         world = SimWorld(cfg, result, sim_cfg)
         out.mkdir(parents=True, exist_ok=True)
         sim_result = world.run()
-    except (TubeformError, OSError, MemoryError) as exc:  # MemoryError: a t_end too long to record
+    except (TubeformError, OSError, MemoryError) as exc:  # MemoryError: a trace too large to allocate
         return _error(exc)
 
     trace_path = out / "trace.csv"

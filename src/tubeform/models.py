@@ -146,10 +146,24 @@ class DriftTable(NamedTuple):
         return cls(*fields)
 
     def value(self, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-        """Drift (..., d) at the states x (..., nd), at one time t or at times t (...) per state."""
+        """Drift (..., d) at the states x (..., nd), at one time t or at times t (...) per state.
+
+        The projections are one matrix-vector product per state, so a state's
+        value does not depend on the other states (one matrix product over
+        the stack would round some two-weight cubic projections differently).
+        A one-model table raises to a power only the entries whose exponent is
+        2 or 3: x^0 = 1 and x^1 = x hold bit for bit (also for -0.0, inf and
+        NaN), and ``pow`` gives each entry the same bits wherever it sits.
+        """
         ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
+        if self.expo.ndim == 1:
+            power = np.where(self.expo == 1.0, ux, 1.0)
+            high = self.expo >= 2.0
+            power[..., high] = ux[..., high] ** self.expo[high]
+        else:  # a row stack: masking each row's exponents costs more than it saves
+            power = ux**self.expo
         angle = self.freq * np.asarray(t)[..., None] + self.phase
-        terms = ux**self.expo * (self.offset + np.tanh(vx)) * np.sin(angle)
+        terms = power * (self.offset + np.tanh(vx)) * np.sin(angle)
         return (terms[..., None, :] @ self.scatter)[..., 0, :]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -209,8 +223,10 @@ class DisturbanceStack:
     own time (``index``), so an RK4 substep over fine step j reads draw j at
     its first three stages and draw j + 1 at its last stage, at the step's
     end time. Every block drawn is kept, so each (row, block) is drawn once
-    however often and in whatever order its times are read: the simulator's
-    leader pass and its world integration share one set of draws.
+    however often and in whatever order its times are read. Every time's
+    (rows, d) array is kept too, read-only, so each distinct time is evaluated
+    once: the simulator's leader pass and its world integration reach the
+    same stage times bit for bit, and the world reads the pass's arrays.
     """
 
     def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
@@ -223,6 +239,7 @@ class DisturbanceStack:
         )
         self._ball_rows = [r for r, c in enumerate(configs) if c.kind == "ball"]
         self._blocks: dict[int, np.ndarray] = {}  # block -> (ball rows, BALL_BLOCK, d)
+        self._at: dict[float, np.ndarray] = {}  # time -> (rows, d), read-only
 
     def draw(self, row: int, block: int) -> np.ndarray:
         """Row ``row``'s (BALL_BLOCK, d) ball draws for the fine-step indices of ``block``."""
@@ -243,7 +260,8 @@ class DisturbanceStack:
         """
         return np.floor(t / self._step_duration + 1e-6)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def evaluate(self, t: float) -> np.ndarray:
+        """The (rows, d) disturbances at time t, computed afresh."""
         w = np.empty(self._shape)
         if self._sine_rows:
             w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
@@ -252,6 +270,14 @@ class DisturbanceStack:
             if block not in self._blocks:
                 self._blocks[block] = np.array([self.draw(r, block) for r in self._ball_rows])
             w[self._ball_rows] = self._blocks[block][:, j]
+        return w
+
+    def __call__(self, t: float) -> np.ndarray:
+        """The (rows, d) disturbances at time t, read-only, evaluated once per distinct time."""
+        w = self._at.get(t)
+        if w is None:
+            w = self._at[t] = self.evaluate(t)
+            w.setflags(write=False)
         return w
 
 

@@ -26,11 +26,13 @@ The condensed QP is parametric too (``OcpSpec.condensing``): with the free
 inputs z and one parameter vector p = (e0, drive sequence, previous input),
 the full inputs, the errors, the cost and the input-box rows are fixed
 affine maps of (z, p), built once per spec from one weighted least-squares
-stack. Each ``build_qp`` call forms p and evaluates those maps; only the
-barrier rows, the error-box rows and the terminal cut are assembled per
-call. The barrier rows arrive as one ``BarrierRows`` block (step, a, b,
-group) over every step and barrier kind, and their steps are free inputs,
-so they are scattered straight into z by fancy indexing.
+stack, together with the error-box rows and the Hessian and its inverse for
+each slack count. p is fixed within a solve, so ``solve_ocp`` evaluates the
+maps at it once (``qp_parameters``); each SQP pass's ``build_qp`` call adds
+only that pass's barrier rows and terminal cut. The barrier rows arrive as
+one ``BarrierRows`` block (step, a, b, group) over every step and barrier
+kind, and their steps are free inputs, so they are scattered straight into z
+by fancy indexing.
 """
 
 from __future__ import annotations
@@ -224,12 +226,20 @@ class _Condensing:
     e_map: np.ndarray  # (H nd, n_free): the errors at steps 1..H are e_map z + e_par p
     e_par: np.ndarray  # (H nd, n_p)
     e_term: np.ndarray  # (nd, H d): the terminal error's response to the full inputs
-    hess_f: np.ndarray  # cost 0.5 z' hess_f z + (lin_par p)' z + p' const_par p
-    hess_f_inv: np.ndarray  # its inverse, handed to the solver with each QP
+    # cost 0.5 z' hess_f z + (lin_par p)' z + p' const_par p; entry s of ``hessians`` is
+    # hess_f with s unit-curvature slacks appended, which keeps it SPD, and of
+    # ``hessian_invs`` its inverse, block-diagonal too: each is handed to the solver as is
+    hessians: tuple[np.ndarray, ...]
+    hessian_invs: tuple[np.ndarray, ...]
     lin_par: np.ndarray  # (n_free, n_p)
     const_par: np.ndarray  # (n_p, n_p)
     box_a: np.ndarray  # hard input-box rows box_a z >= -input_bound - box_par p
     box_par: np.ndarray
+    # hard error-box rows per step and finite entry, e <= bound then e >= -bound:
+    # error_box_a z >= outer(e_off[error_box_keep], (1, -1)) flattened - error_box_bound
+    error_box_keep: np.ndarray
+    error_box_a: np.ndarray
+    error_box_bound: np.ndarray
 
     @classmethod
     def build(cls, spec: OcpSpec) -> _Condensing:
@@ -266,39 +276,83 @@ class _Condensing:
         hess_f = 2.0 * sum(m_z.T @ w @ m_z for m_z, _, w in stack)
         hess_f = 0.5 * (hess_f + hess_f.T)
 
+        def with_slacks(block: np.ndarray, n_sig: int) -> np.ndarray:
+            out = np.eye(n_free + n_sig)
+            out[:n_free, :n_free] = block
+            return out
+
+        slack_counts = range(len(SLACK_PENALTY) + 1)
+        hess_f_inv = np.linalg.inv(hess_f)
         # the input box per step and axis: v >= -bound, then -v >= -bound
         sign = [[1.0], [-1.0]] if np.isfinite(spec.input_bound) else np.zeros((0, 1))
+        bound = np.tile(spec.error_box, h) if spec.error_box is not None else np.zeros(0)
+        keep = np.flatnonzero(np.isfinite(bound))
         parts = dict(
             t_map=t_map,
             t_par=t_par,
             e_map=e_map,
             e_par=e_par,
             e_term=e_full[-nd:],
-            hess_f=hess_f,
-            hess_f_inv=np.linalg.inv(hess_f),
+            hessians=tuple(with_slacks(hess_f, n_sig) for n_sig in slack_counts),
+            hessian_invs=tuple(with_slacks(hess_f_inv, n_sig) for n_sig in slack_counts),
             lin_par=2.0 * sum(m_z.T @ w @ m_p for m_z, m_p, w in stack),
             const_par=sum(m_p.T @ w @ m_p for _, m_p, w in stack),
             box_a=np.kron(t_map, sign),
             box_par=np.kron(t_par, sign),
+            error_box_keep=keep,
+            error_box_a=np.kron(e_map[keep], [[-1.0], [1.0]]),
+            error_box_bound=np.repeat(bound[keep], 2),
         )
-        for arr in parts.values():
-            arr.setflags(write=False)
+        for value in parts.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
         return cls(**parts)
 
 
-def build_qp(
-    spec: OcpSpec,
-    e0: np.ndarray,
-    s_seq: np.ndarray,
-    v_prev: np.ndarray,
-    barrier_rows: BarrierRows,
-    lin_inputs: np.ndarray,
-) -> tuple[QpProblem, np.ndarray]:
-    """Condense the OCP into the exact-penalty QP on the free inputs and the slacks.
+class QpParameters(NamedTuple):
+    """What every SQP pass of one solve shares: the condensing's maps at that solve's p.
 
-    Returns the QP and ``t_off``: the full input stack of a QP solution ``z``
-    is ``condensing.t_map @ z[:n_free] + t_off``, and ``z[n_free:]`` are the
-    slacks.
+    p = (e0, s flattened, v_prev) is fixed for a solve, so these are formed
+    once per solve (``qp_parameters``); ``build_qp`` adds each pass's rows.
+    """
+
+    t_off: np.ndarray  # (H d,): the full inputs are t_map z + t_off
+    e_off: np.ndarray  # (H nd,): the errors at steps 1..H are e_map z + e_off
+    box_b: np.ndarray  # the input-box rows' right-hand sides
+    error_box_b: np.ndarray  # the error-box rows' right-hand sides
+    linear: np.ndarray  # (n_free,) the cost's linear term lin_par p
+    constant: float  # the cost's constant p' const_par p
+
+
+def qp_parameters(
+    spec: OcpSpec, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarray
+) -> QpParameters:
+    """One solve's ``QpParameters``, from its initial error, drive sequence and previous input."""
+    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
+    if e0.shape != (nd,) or s_seq.shape != (h, d):
+        raise DimensionMismatch("bad e0 or exogenous sequence shape")
+    cond = spec.condensing
+    p = np.concatenate([e0, s_seq.reshape(-1), v_prev])
+    e_off = cond.e_par @ p
+    error_box_off = np.outer(e_off[cond.error_box_keep], (1.0, -1.0)).ravel()
+    return QpParameters(
+        t_off=cond.t_par @ p,
+        e_off=e_off,
+        box_b=-spec.input_bound - cond.box_par @ p,
+        error_box_b=error_box_off - cond.error_box_bound,
+        linear=cond.lin_par @ p,
+        constant=float(p @ cond.const_par @ p),
+    )
+
+
+def build_qp(
+    spec: OcpSpec, params: QpParameters, barrier_rows: BarrierRows, lin_inputs: np.ndarray
+) -> QpProblem:
+    """One SQP pass's exact-penalty QP on the free inputs and the slacks.
+
+    ``params`` holds everything the solve's passes share; the full input
+    stack of a QP solution ``z`` is ``condensing.t_map @ z[:n_free] +
+    params.t_off``, and ``z[n_free:]`` are the slacks.
 
     ``barrier_rows`` is one row block: row r is the constraint
     ``a[r] . v_step[r] + b[r] >= 0`` evaluated at the caller's linearization
@@ -307,62 +361,55 @@ def build_qp(
     error they reach anchors the supporting-hyperplane row of the terminal
     ellipsoid.
 
-    Barrier and terminal-set rows get one nonnegative slack variable per
+    The rows ``a . z >= b`` are the input box, the barrier rows, the error
+    box, the terminal cut and the slacks' signs, in that order. Barrier and
+    terminal-set rows get one nonnegative slack variable per
     ``SLACK_PENALTY`` group in use, penalized linearly: a feasible problem
     still returns zero slack, an infeasible one returns the minimally
     violating plan. Input-box and error-box rows stay hard.
     """
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
-    if e0.shape != (nd,) or s_seq.shape != (h, d):
-        raise DimensionMismatch("bad e0 or exogenous sequence shape")
     cond = spec.condensing
-    e_map, n_free = cond.e_map, cond.t_map.shape[1]
-    p = np.concatenate([e0, s_seq.reshape(-1), v_prev])
-    t_off, e_off = cond.t_par @ p, cond.e_par @ p
-
-    # rows a . z + b' >= 0 on the free inputs, as (a, -b', group): the input box, then the barrier
-    m = barrier_rows.b.size
-    a_barrier = np.zeros((m, n_free))
-    a_barrier[np.arange(m)[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
-    a_rows = [cond.box_a, a_barrier]
-    b_rows = [-spec.input_bound - cond.box_par @ p, -barrier_rows.b]
-    soft = [np.full(cond.box_a.shape[0], -1), barrier_rows.group]
-    if spec.error_box is not None:
-        bound = np.tile(spec.error_box, h)
-        keep = np.flatnonzero(np.isfinite(bound))
-        # per step and finite entry: e <= bound, then e >= -bound
-        a_rows.append(np.kron(e_map[keep], [[-1.0], [1.0]]))
-        b_rows.append(np.kron(e_off[keep], [1.0, -1.0]) - np.repeat(bound[keep], 2))
-        soft.append(np.full(2 * keep.size, -1))
-    if np.isfinite(spec.terminal_level):
+    n_free = cond.t_map.shape[1]
+    cut = None  # the terminal cut's (a, b) on the free inputs
+    if math.isfinite(spec.terminal_level):
         blk = slice((h - 1) * nd, h * nd)
-        e_ref = e_off[blk] + cond.e_term @ (lin_inputs.reshape(-1) - t_off)
+        e_ref = params.e_off[blk] + cond.e_term @ (lin_inputs.reshape(-1) - params.t_off)
         level = float(e_ref @ spec.pr @ e_ref)
         if level > 1e-12:
             y = e_ref * math.sqrt(spec.terminal_level / level)
             py = spec.pr @ y
-            a_rows.append((-e_map[blk].T @ py)[None])
-            b_rows.append([float(py @ e_off[blk]) - spec.terminal_level])
-            soft.append([len(SLACK_PENALTY) - 1])
-    a_f, b_f, soft = np.vstack(a_rows), np.concatenate(b_rows), np.concatenate(soft)
+            cut = -cond.e_map[blk].T @ py, float(py @ params.e_off[blk]) - spec.terminal_level
 
-    used_groups = np.flatnonzero(np.bincount(soft[soft >= 0]))  # ascending, each once
-    n_sig = used_groups.size
-    hess_s = np.eye(n_free + n_sig)  # unit slack curvature keeps the Hessian SPD
-    hess_s[:n_free, :n_free] = cond.hess_f
-    hess_s_inv = np.eye(n_free + n_sig)  # so its inverse is block-diagonal too
-    hess_s_inv[:n_free, :n_free] = cond.hess_f_inv
-    lin_s = np.concatenate([cond.lin_par @ p, np.asarray(SLACK_PENALTY)[used_groups]])
-    a_s = np.zeros((a_f.shape[0] + n_sig, n_free + n_sig))
-    a_s[: a_f.shape[0], :n_free] = a_f
-    a_s[: a_f.shape[0], n_free:] = soft[:, None] == used_groups
-    a_s[a_f.shape[0] :, n_free:] = np.eye(n_sig)  # slack nonnegativity
-    b_s = np.concatenate([b_f, np.zeros(n_sig)])
-    qp = QpProblem(
-        hessian=hess_s, linear=lin_s, a_in=a_s, b_in=b_s, constant=float(p @ cond.const_par @ p),
-        hessian_inv=hess_s_inv,
+    groups = set(barrier_rows.group.tolist())
+    if cut is not None:
+        groups.add(len(SLACK_PENALTY) - 1)
+    used = sorted(groups)  # one slack per penalty group in use, ascending: the cut's is last
+    n_sig = len(used)
+
+    m, n_box, n_ebox = barrier_rows.b.size, cond.box_a.shape[0], cond.error_box_a.shape[0]
+    n_rows = n_box + m + n_ebox + (cut is not None)
+    a = np.zeros((n_rows + n_sig, n_free + n_sig))
+    b = np.zeros(n_rows + n_sig)
+    a[:n_box, :n_free], b[:n_box] = cond.box_a, params.box_b
+    rows = n_box + np.arange(m)
+    a[rows[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
+    a[rows, n_free + np.searchsorted(used, barrier_rows.group)] = 1.0
+    b[rows] = -barrier_rows.b
+    ebox = slice(n_box + m, n_box + m + n_ebox)
+    a[ebox, :n_free], b[ebox] = cond.error_box_a, params.error_box_b
+    if cut is not None:
+        a[n_rows - 1, :n_free], b[n_rows - 1] = cut
+        a[n_rows - 1, -1] = 1.0
+    a[n_rows:, n_free:] = np.eye(n_sig)  # slack nonnegativity
+    return QpProblem(
+        hessian=cond.hessians[n_sig],
+        linear=np.concatenate([params.linear, [SLACK_PENALTY[g] for g in used]]),
+        a_in=a,
+        b_in=b,
+        constant=params.constant,
+        hessian_inv=cond.hessian_invs[n_sig],
     )
-    return qp, t_off
 
 
 def rollout(spec: OcpSpec, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
@@ -413,6 +460,7 @@ def solve_ocp(
     h, d = spec.horizon, spec.dims.d
     t_map = spec.condensing.t_map
     n_free = t_map.shape[1]
+    params = qp_parameters(spec, e0, s_seq, v_prev)
     inputs = warm_inputs.copy()
     iterations = 0
     status = OPTIMAL
@@ -423,14 +471,7 @@ def solve_ocp(
     guess = np.zeros(0, dtype=bool)  # so the first pass starts cold
     for passes in range(1, SQP_MAX_PASSES + 1):
         states = rollout(spec, x0_nominal, inputs + ff_seq)
-        qp, t_off = build_qp(
-            spec,
-            e0,
-            s_seq,
-            v_prev,
-            row_builder(states),
-            inputs,
-        )
+        qp = build_qp(spec, params, row_builder(states), inputs)
         sol = solve_qp(qp, tol=QP_TOL, active=guess if guess.size == qp.b_in.size else None)
         guess = sol.active
         iterations += sol.iterations
@@ -439,7 +480,7 @@ def solve_ocp(
             objective = slack_used = math.inf
             break
         slack_used = float(np.max(sol.z[n_free:], initial=0.0))
-        z = t_map @ sol.z[:n_free] + t_off
+        z = t_map @ sol.z[:n_free] + params.t_off
         new_inputs = z.reshape(h, d)
         delta = float(np.max(np.abs(new_inputs - inputs)))
         if passes == 1:

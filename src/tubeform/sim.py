@@ -15,11 +15,11 @@ and every step's feedforward samples are fixed before the first solve.
 ``SimWorld.leader_plan`` computes them once per run, on first use: the leader
 integrated alone with the world's substeps and disturbance draws, the relayed
 estimates as one gather of its samples by the certificate's hop counts (one
-step of delay per hop), and one propagation of all (step, follower) anchors.
-Step k reads slice k. The controller still sees only step k's causal relayed
-estimates; computing them ahead is a batch on the simulator's side. The
-leader, its feedforward and the world advance through one sampling period
-with the same RK4 substeps (``SimWorld._substeps``).
+step of delay per hop), and one propagation of each distinct (step, hop count)
+anchor, gathered per follower. Step k reads slice k. The controller still
+sees only step k's causal relayed estimates; computing them ahead is a batch
+on the simulator's side. The leader, its feedforward and the world advance
+through one sampling period with the same RK4 substeps (``SimWorld._substeps``).
 
 The world holds the last broadcast, ``plans`` (N, H, d) and ``terminal``
 (N, nd), zeros at deployment; step k reads step k-1's, then replaces them and
@@ -157,6 +157,35 @@ def _repeated_suffix_starts(data: np.ndarray, block: int) -> np.ndarray:
     return starts
 
 
+def trace_layout(cfg: ScenarioConfig, sim: SimConfig, key: str) -> tuple[dict, int]:
+    """A run's trace columns by group, in file order, and its rows, one per fine step and one more.
+
+    Refuses, naming ``key``, a t_end whose trace no array can hold: numpy
+    allocates no array of more bytes than ``np.intp`` counts, however much
+    memory is free. ``certify`` checks the scenario's t_end with it, and every
+    run its own.
+    """
+    n, d, h = cfg.dims.followers, cfg.dims.d, cfg.ocp.horizon
+    blocks = [f"{p}{ax}" for p in range(1, cfg.dims.n + 1) for ax in range(d)]
+    agents, followers = range(n + 1), range(1, n + 1)
+    groups = {
+        "t": ["t"], "k": ["k"],
+        "states": [f"{s}{a}_{b}" for a in agents for s in ("x", "xb", "dx") for b in blocks],
+        "u": [f"u{i}_{ax}" for i in followers for ax in range(d)],
+        "derived": [f"{s}{a}" for s in ("V", "occ") for a in agents] + ["clr_obs", "clr_pair"]
+        + [f"ferr{i}_{ax}" for i in followers for ax in range(d)] + ["ferr_stacked"],
+        "held": [f"e{i}_{b}" for i in followers for b in blocks]
+        + [f"plan{i}_{l}_{ax}" for i in followers for l in range(h) for ax in range(d)]
+        + [f"ocp{i}_{s}" for i in followers for s in ("status", "iters", "passes", "obj")]
+        + ["pred_err"],
+    }
+    rows = int(round(sim.t_end / sim.ts)) * sim.fine_substeps + 1
+    if rows * sum(map(len, groups.values())) * 8 > np.iinfo(np.intp).max:
+        problem = "must be short enough for its trace to fit one array"
+        raise ScenarioError(f"{key} {problem} (got {sim.t_end!r})")
+    return groups, rows
+
+
 def apply_control(
     gain: np.ndarray,
     v_nominal: np.ndarray,
@@ -273,8 +302,12 @@ class SimWorld:
         """The exogenous leader, its relayed estimates and one feedforward propagation, once per run.
 
         The leader is integrated alone with the world's substeps, times, drift
-        arithmetic and disturbance draws; every (step, follower) anchor is
-        propagated from its own start time in one ``_leader_ff_samples`` call.
+        arithmetic and disturbance draws. Followers at the same hop count hold
+        the same estimate, so one ``_leader_ff_samples`` call propagates each
+        distinct (step, hop count) anchor from its own start time, and each
+        follower gathers its hop count's samples. A row's propagation does not
+        depend on the other rows, so the gather is bit-equal to propagating
+        every (step, follower) anchor.
         """
         ts, n_steps = self.sim.ts, self.n_steps
         drift = DriftTable(*(field[:1] for field in self._drift))  # the world's leader row
@@ -291,9 +324,10 @@ class SimWorld:
                 pass
             leader[k] = x[0]
         estimates = relayed_estimates(leader, self.cert.tubes.hops)
-        starts = np.repeat(np.arange(n_steps) * ts, self.n)
-        ff = self._leader_ff_samples(estimates.reshape(-1, self.nd), starts)
-        ff = ff.reshape(n_steps, self.n, self.horizon, self.d)
+        _, first, column = np.unique(self.cert.tubes.hops, return_index=True, return_inverse=True)
+        starts = np.repeat(np.arange(n_steps) * ts, len(first))
+        ff = self._leader_ff_samples(estimates[:, first].reshape(-1, self.nd), starts)
+        ff = ff.reshape(n_steps, len(first), self.horizon, self.d)[:, column]
         return LeaderPlan(leader, estimates, ff)
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray) -> np.ndarray:
@@ -365,8 +399,9 @@ class SimWorld:
         x_other = np.concatenate([obstacles, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
         top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
         top_exo = ff - np.concatenate([np.zeros((steps, n_obs, self.d)), top_other], axis=1)
-        keep_out = np.r_[self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)]
-        radius_other = np.r_[np.zeros(n_obs), self.radius_table[i, nbrs]]
+        d_safe = np.full(len(nbrs), self.cfg.barriers.d_safe)
+        keep_out = np.concatenate([self._obstacle_keep_out, d_safe])
+        radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]])
         margin_i = self.margins[i]
         group = np.repeat([0, 1], [n_obs, len(nbrs)])
         centers = self._obstacle_chains[:, : self.d]
@@ -478,27 +513,14 @@ class SimWorld:
         deployment state. ``_states`` (rows, N+1, x/xb/dx, nd) and ``_times``
         are views of those columns.
         """
-        n, d, h = self.n, self.d, self.horizon
-        blocks = [f"{p}{ax}" for p in range(1, self.dims.n + 1) for ax in range(d)]
-        agents, followers = range(n + 1), range(1, n + 1)
-        groups = {
-            "t": ["t"], "k": ["k"],
-            "states": [f"{s}{a}_{b}" for a in agents for s in ("x", "xb", "dx") for b in blocks],
-            "u": [f"u{i}_{ax}" for i in followers for ax in range(d)],
-            "derived": [f"{s}{a}" for s in ("V", "occ") for a in agents] + ["clr_obs", "clr_pair"]
-            + [f"ferr{i}_{ax}" for i in followers for ax in range(d)] + ["ferr_stacked"],
-            "held": [f"e{i}_{b}" for i in followers for b in blocks]
-            + [f"plan{i}_{l}_{ax}" for i in followers for l in range(h) for ax in range(d)]
-            + [f"ocp{i}_{s}" for i in followers for s in ("status", "iters", "passes", "obj")]
-            + ["pred_err"],
-        }
+        n = self.n
+        groups, rows = trace_layout(self.cfg, self.sim, "t_end")
         self.trace_columns = [c for cols in groups.values() for c in cols]
         bounds = np.cumsum([0] + [len(cols) for cols in groups.values()])
         self._trace_cols = {g: slice(a, b) for g, a, b in zip(groups, bounds[:-1], bounds[1:])}
-        rows = self.n_steps * self.sim.fine_substeps + 1
         try:
             self.trace_data = np.zeros((rows, len(self.trace_columns)))
-        except (MemoryError, ValueError) as exc:  # ValueError: more rows than an array can index
+        except MemoryError as exc:
             raise MemoryError(f"{exc} (t_end {self.sim.t_end:g} is too long to record)") from None
         self._states = self.trace_data[:, self._trace_cols["states"]].reshape(rows, n + 1, 3, -1)
         self._times = self.trace_data[:, 0]

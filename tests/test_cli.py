@@ -754,10 +754,19 @@ CONTRACT = {  # case: (argv and output of the refused command, what its error li
         _certify_copy(lambda doc: doc["ocp"].update(input_bound=1e300)),
         "ocp.input_bound: must be at most 1e154 (got 1e+300)",
     ),
-    "sim_t_end_1e300": (
-        _run(lambda doc: doc["sim"].update(t_end=1e300)), "(t_end 1e+300 is too long to record)"
+    # a trace of more bytes than np.intp counts: no array can hold it, whatever memory is free
+    "sim_t_end_1e15": (
+        _certify_copy(lambda doc: doc["sim"].update(t_end=1e15)),
+        "sim.t_end: must be short enough for its trace to fit one array (got 1000000000000000.0)",
     ),
-    "run_t_end_1e300": (_run(None, "--t-end", "1e300"), "(t_end 1e+300 is too long to record)"),
+    "sim_t_end_1e300": (
+        _certify_copy(lambda doc: doc["sim"].update(t_end=1e300)),
+        "sim.t_end: must be short enough for its trace to fit one array (got 1e+300)",
+    ),
+    "run_t_end_1e300": (
+        _run(None, "--t-end", "1e300"),
+        "t_end must be short enough for its trace to fit one array (got 1e+300)",
+    ),
     "sim_t_end_below_one_step": (
         _certify_copy(lambda doc: doc["sim"].update(t_end=1e-12)),
         "sim.t_end: must be at least one sampling period (got 1e-12)",

@@ -131,6 +131,31 @@ class TestDrift:
             rows = [stacked.value(x, float(tr))[r] for r, tr in enumerate(t)]
             assert np.array_equal(stacked.value(x, t), np.array(rows))
 
+    @pytest.mark.parametrize("times", ["scalar", "per_row"])
+    def test_one_model_kernel_equals_per_row_products(self, times):
+        """A one-model table's rows, bit for bit, against each row alone through the batched
+        per-term products and a float power on every term: every term form, at one time or at
+        a time per row; the zero state (exponent 0 at 0), -0.0 entries, and inf and NaN entries."""
+        table = all_forms_drift()
+        assert set(table.expo.tolist()) == {0.0, 1.0, 2.0, 3.0}
+        xs = np.random.default_rng(6).normal(size=(40, 6)) * 3.0
+        xs[0], xs[1] = 0.0, -0.0
+        xs[2, [0, 2, 3]] = -0.0
+        xs[3, 2], xs[4, 3], xs[5, 0], xs[6, 1] = np.inf, -np.inf, np.nan, np.inf
+        t = 1.3 if times == "scalar" else np.linspace(-2.0, 40.0, len(xs))
+        with np.errstate(invalid="ignore"):  # 0 * inf in the projections
+            got = table.value(xs, t)
+            for x, tr, row in zip(xs, np.broadcast_to(t, len(xs)), got):
+                ux, vx = (table.u @ x[:, None])[:, 0], (table.v @ x[:, None])[:, 0]
+                angle = table.freq * tr + table.phase
+                terms = ux**table.expo * (table.offset + np.tanh(vx)) * np.sin(angle)
+                for want in ((terms[None] @ table.scatter)[0], table.value(x, tr)):
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(row), nan), (x, row, want)
+                    bits, want_bits = row[~nan].view(np.int64), want[~nan].view(np.int64)
+                    assert np.array_equal(bits, want_bits), (x, row, want)
+        assert np.isnan(got[3:7]).any() and np.isfinite(got[:3]).all()
+
     def test_stack_equals_padded_per_model_tables(self):
         """Paper's six tables of 8 or 10 terms, stacked as the world stacks them: bit-equal
         to each table zero-padded to the widest, then gathered by row."""
@@ -261,6 +286,24 @@ class TestDisturbanceStack:
             stack(t)
         blocks = {fine_step_index(t, 0.01) // BALL_BLOCK for t in times}
         assert sorted(calls) == sorted((row, b) for row in (0, 2) for b in blocks)
+
+    def test_each_time_evaluated_once_and_read_only(self, monkeypatch):
+        """A second read of a time, in any order, returns the first read's array: each distinct
+        time is evaluated once, and the kept arrays cannot be written."""
+        configs = disturbance_configs("mixed")
+        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
+        evaluated = []
+        evaluate = stack.evaluate
+        monkeypatch.setattr(stack, "evaluate", lambda t: evaluated.append(t) or evaluate(t))
+        times = stage_times(6)
+        first = {t: stack(t) for t in times}
+        for t in list(np.random.default_rng(3).permutation(times)) + times[::-1]:
+            assert stack(t) is first[t]
+        assert sorted(evaluated) == sorted(set(times))
+        for t, w in first.items():
+            assert not w.flags.writeable and np.array_equal(w, reference(configs, 4, t))
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
 
     def test_reads_across_a_block_boundary(self, monkeypatch):
         """Stage times over indices 1022..1028 read blocks 0 and 1, each drawn once per ball row,

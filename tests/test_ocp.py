@@ -12,6 +12,7 @@ from tubeform.ocp import (
     OcpSpec,
     build_qp,
     discretize_error_dynamics,
+    qp_parameters,
     rollout,
     solve_ocp,
     terminal_ingredients,
@@ -26,6 +27,12 @@ ZERO_INPUTS = np.zeros((5, 2))
 
 def no_rows(states):
     return NO_ROWS
+
+
+def build(spec, e0, s_seq, v_prev, rows, lin_inputs):
+    """One pass's QP and its input offset ``t_off``, as ``solve_ocp`` builds them."""
+    params = qp_parameters(spec, e0, s_seq, v_prev)
+    return build_qp(spec, params, rows, lin_inputs), params.t_off
 
 
 def plan(spec, t_off, z):
@@ -154,7 +161,7 @@ class TestBuildQp:
         spec = make_spec(qr=0.0, rdelta=0.0)
         e0 = np.zeros(6)
         s_seq = np.zeros((5, 2))
-        qp, t_off = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
+        qp, t_off = build(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
         assert n_slack(spec, qp) == 0  # the zero terminal error needs no cut
         assert np.allclose(plan(spec, t_off, solve_qp(qp).z), 0.0, atol=1e-12)
 
@@ -162,10 +169,10 @@ class TestBuildQp:
         spec = make_spec()
         e0 = np.array([1.0, -0.5, 0.2, 0.0, 0.0, 0.1])
         s_seq = np.zeros((5, 2))
-        qp0, t_off0 = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
+        qp0, t_off0 = build(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
         # v_2,x >= -1e6: never active
         row = BarrierRows(np.array([2]), np.array([[1.0, 0.0]]), np.array([1e6]), np.array([0]))
-        qp1, t_off1 = build_qp(spec, e0, s_seq, np.zeros(2), row, ZERO_INPUTS)
+        qp1, t_off1 = build(spec, e0, s_seq, np.zeros(2), row, ZERO_INPUTS)
         z0 = plan(spec, t_off0, solve_qp(qp0).z)
         z1 = plan(spec, t_off1, solve_qp(qp1).z)
         assert np.allclose(z0, z1, atol=1e-9)
@@ -176,7 +183,7 @@ class TestBuildQp:
         e0 = rng.normal(size=6)
         s_seq = rng.normal(size=(5, 2)) * 0.2
         v_prev = rng.normal(size=2) * 0.1
-        qp, t_off = build_qp(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
+        qp, t_off = build(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
         sol = solve_qp(qp)
         inputs = plan(spec, t_off, sol.z).reshape(5, 2)
         explicit = rollout_objective(spec, e0, s_seq, v_prev, inputs)
@@ -187,7 +194,7 @@ class TestBuildQp:
         rng = np.random.default_rng(5)
         e0 = rng.normal(size=6) * 0.5
         s_seq = rng.normal(size=(5, 2)) * 0.1
-        qp, t_off = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
+        qp, t_off = build(spec, e0, s_seq, np.zeros(2), NO_ROWS, ZERO_INPUTS)
         inputs = plan(spec, t_off, solve_qp(qp).z).reshape(5, 2)
         errors = rollout(spec, e0, s_seq - spec.coupling * inputs)
         assert np.allclose(inputs[-1], -spec.terminal_gain @ errors[-1], atol=1e-9)
@@ -200,7 +207,7 @@ class TestBuildQp:
         e0 = rng.normal(size=6) * 2.0
         s_seq = rng.normal(size=(5, 2)) * 0.3
         lin_inputs = rng.normal(size=(5, 2))
-        qp, t_off = build_qp(spec, e0, s_seq, np.zeros(2), NO_ROWS, lin_inputs)
+        qp, t_off = build(spec, e0, s_seq, np.zeros(2), NO_ROWS, lin_inputs)
         e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
         level = e_ref @ spec.pr @ e_ref
         assert level > spec.terminal_level  # outside the terminal set: the cut binds
@@ -234,7 +241,7 @@ class TestBuildQp:
             ]
             rows = BarrierRows(*map(np.array, zip(*entries)))
             lin_inputs = rng.normal(size=(5, 2))
-            qp, t_off = build_qp(spec, e0, s_seq, v_prev, rows, lin_inputs)
+            qp, t_off = build(spec, e0, s_seq, v_prev, rows, lin_inputs)
             ref = hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs)
             n_free, n_rows = ref.hessian.shape[0], ref.b_in.size
             assert n_rows == qp.b_in.size - n_slack(spec, qp)  # all but the slacks' signs
@@ -305,8 +312,8 @@ class TestCondensingCache:
             rows = BarrierRows(*map(np.array, zip(*entries)))
             args = (e0, s_seq, v_prev, rows, rng.normal(size=(5, 2)))
             fresh = dataclasses.replace(spec)
-            qp, t_off = build_qp(spec, *args)
-            fresh_qp, fresh_t_off = build_qp(fresh, *args)
+            qp, t_off = build(spec, *args)
+            fresh_qp, fresh_t_off = build(fresh, *args)
             for field in ("hessian", "linear", "a_in", "b_in"):
                 np.testing.assert_array_equal(getattr(qp, field), getattr(fresh_qp, field))
             assert qp.constant == fresh_qp.constant
@@ -348,7 +355,7 @@ class TestSolveOcp:
             spec, e0, np.zeros(6), s_seq, np.zeros((5, 2)), v_prev,
             np.zeros((5, 2)), no_rows,
         )
-        qp, t_off = build_qp(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
+        qp, t_off = build(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
         assert qp.a_in.shape[0] == 0
         z_free = np.linalg.solve(qp.hessian, -qp.linear)
         z = spec.condensing.t_map @ z_free + t_off

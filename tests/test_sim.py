@@ -288,6 +288,68 @@ class TestLeaderPlan:
         assert calls == {"ff": 1, "relay": 1}
 
 
+def pinned_smoke_cfg():
+    """The smoke scenario with both followers pinned to the leader."""
+    doc = json.loads(open(SMOKE).read())
+    doc["graph"]["b0"] = [1.0, 1.0]
+    return parse_scenario(json.dumps(doc))
+
+
+class TestFeedforwardPerHopCount:
+    @pytest.mark.parametrize(
+        "scenario, distinct",
+        [("smoke", 2), ("smoke_pinned", 1), ("ablation", 1)],
+    )
+    def test_one_row_per_step_and_hop_count(self, monkeypatch, scenario, distinct):
+        """The plan propagates one anchor per (step, hop count), and every follower's feedforward
+        equals propagating every (step, follower) anchor, bit for bit: the all-pinned teams
+        propagate one row per step instead of one per follower."""
+        cfg = {"smoke": lambda: load_scenario(SMOKE), "smoke_pinned": pinned_smoke_cfg,
+               "ablation": lambda: load_scenario(ABLATION)}[scenario]()
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=2.0))
+        assert len(set(cert.tubes.hops.tolist())) == distinct
+        rows = []
+        propagate = world._leader_ff_samples
+
+        def counting(anchors, t0):
+            rows.append(len(anchors))
+            return propagate(anchors, t0)
+
+        monkeypatch.setattr(world, "_leader_ff_samples", counting)
+        plan = world.leader_plan
+        assert rows == [world.n_steps * distinct]
+        starts = np.repeat(np.arange(world.n_steps) * cfg.sim.ts, world.n)
+        every = propagate(plan.estimates.reshape(-1, world.nd), starts)
+        assert np.array_equal(plan.ff_samples, every.reshape(plan.ff_samples.shape))
+
+
+class TestDisturbancePerStageTime:
+    def test_each_stage_time_evaluated_once_per_run(self, monkeypatch):
+        """A ball smoke run evaluates each distinct stage time's disturbances once: the leader
+        pass evaluates every interval but the last, whose times are the world's only misses, and
+        the world reads the kept read-only arrays."""
+        cfg = parse_scenario(json.dumps(ball_smoke_doc()))
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
+        stack = world._disturbance
+        evaluated, reads = [], []
+        evaluate, read = stack.evaluate, DisturbanceStack.__call__
+
+        def reading(self, t):
+            reads.append(read(self, t))
+            return reads[-1]
+
+        monkeypatch.setattr(stack, "evaluate", lambda t: evaluated.append(t) or evaluate(t))
+        monkeypatch.setattr(DisturbanceStack, "__call__", reading)
+        world.leader_plan
+        in_pass = len(evaluated)
+        world.run()
+        assert len(evaluated) == len(set(evaluated)) and len(reads) > 2 * len(evaluated)
+        last_interval = (world.n_steps - 1) * cfg.sim.ts - 1e-9
+        assert min(evaluated[in_pass:]) >= last_interval
+        assert not any(w.flags.writeable for w in reads)
+
+
 class TestWorldDrift:
     def test_team_call_matches_per_model_calls(self):
         """The one stacked drift call of the world RHS equals one call per row's
