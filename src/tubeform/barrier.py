@@ -69,6 +69,15 @@ def _leibniz_weights(n: int) -> np.ndarray:
     return w.reshape(n * n, n + 1)
 
 
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm over the last axis: ``np.linalg.norm(x, axis=-1)`` for real ``x``.
+
+    That call computes exactly this sum of squares and square root, behind
+    a few more numpy calls.
+    """
+    return np.sqrt((x * x).sum(axis=-1))
+
+
 def lie_derivatives(
     dims: BrunovskyDims,
     x_self: np.ndarray,
@@ -118,7 +127,7 @@ def assemble_row(
     ``(a, b)``: ``a`` (..., d) and ``b`` carry the operands' stack axes.
     """
     values, a, b = lie_derivatives(dims, x_self, x_other, keep_out, top_exo)
-    grad_norm = np.linalg.norm(a, axis=-1)
+    grad_norm = row_norm(a)
     margin = radius_self * grad_norm + radius_other * grad_norm
     for q in range(1, dims.n):
         b = b + kappa.kappa[q] * values[..., q]

@@ -394,7 +394,7 @@ def build_qp(
     a[:n_box, :n_free], b[:n_box] = cond.box_a, params.box_b
     rows = n_box + np.arange(m)
     a[rows[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
-    a[rows, n_free + np.searchsorted(used, barrier_rows.group)] = 1.0
+    a[rows, n_free + np.array(used).searchsorted(barrier_rows.group)] = 1.0
     b[rows] = -barrier_rows.b
     ebox = slice(n_box + m, n_box + m + n_ebox)
     a[ebox, :n_free], b[ebox] = cond.error_box_a, params.error_box_b
@@ -465,7 +465,6 @@ def solve_ocp(
     iterations = 0
     status = OPTIMAL
     passes = 0
-    objective = math.inf
     slack_used = 0.0
     converged = False
     guess = np.zeros(0, dtype=bool)  # so the first pass starts cold
@@ -477,21 +476,21 @@ def solve_ocp(
         iterations += sol.iterations
         status = sol.status
         if status == INFEASIBLE:  # no plan from this pass: keep the iterate
-            objective = slack_used = math.inf
+            slack_used = math.inf
             break
-        slack_used = float(np.max(sol.z[n_free:], initial=0.0))
+        slack_used = float(sol.z[n_free:].max(initial=0.0))
         z = t_map @ sol.z[:n_free] + params.t_off
         new_inputs = z.reshape(h, d)
-        delta = float(np.max(np.abs(new_inputs - inputs)))
+        delta = float(np.abs(new_inputs - inputs).max())
         if passes == 1:
             inputs = new_inputs
         else:
             inputs = inputs + SQP_DAMPING * (new_inputs - inputs)
-        objective = sol.objective
         if delta < SQP_TOL:
             inputs = new_inputs
             converged = True
             break
+    objective = math.inf if status == INFEASIBLE else sol.objective  # the last pass's, formed once
     if slack_used > 1e-6:
         status = INFEASIBLE
 

@@ -14,6 +14,8 @@ active set, such as the one a neighbouring problem ended with.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +54,13 @@ class QpSolution:
     duals: np.ndarray
     status: str
     iterations: int
-    objective: float
     active: np.ndarray  # (rows,) bool: the rows active at the returned point
+    problem: QpProblem
+
+    @functools.cached_property
+    def objective(self) -> float:
+        """``problem.objective(z)``, formed on first read: a caller may keep only one pass's."""
+        return self.problem.objective(self.z)
 
 
 def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[float, float, float]:
@@ -70,101 +77,121 @@ def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[floa
 
 
 def _equality_start(h_inv, z, a, b, guess, tol):
-    """(z, duals, active, solves) from the ``guess`` rows held as equalities, or None.
+    """(z, active, multipliers, solves) from the ``guess`` rows held as equalities, or None.
 
     Drops the row of the most negative multiplier until none is negative.
     Rows the loop would treat as dependent (a pivot below ``tol`` |a|^2) or
-    non-finite multipliers reject the guess.
+    non-finite multipliers reject the guess. Until a row is dropped, the
+    block solved is the whole Gram matrix.
     """
     rows = np.flatnonzero(guess)
     a_g = a[rows]
     step = h_inv @ a_g.T
     gram = a_g @ step
     try:
-        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        pivots = np.linalg.cholesky(gram).diagonal() ** 2
     except np.linalg.LinAlgError:
         return None
-    if np.any(pivots <= tol * np.maximum(1.0, np.sum(a_g**2, axis=1))):
+    if (pivots <= tol * np.maximum(1.0, (a_g**2).sum(axis=1))).any():
         return None
     rhs = b[rows] - a_g @ z
-    duals = np.zeros(a.shape[0])
-    keep = np.arange(rows.size)
+    keep = list(range(rows.size))
+    block, block_rhs = gram, rhs
     solves = 0
-    while keep.size:
+    while keep:
         solves += 1
-        lam = np.linalg.solve(gram[np.ix_(keep, keep)], rhs[keep])
-        if not np.all(np.isfinite(lam)):
+        lam = np.linalg.solve(block, block_rhs)
+        if not np.isfinite(lam).all():
             return None
-        if np.min(lam) >= 0.0:
-            duals[rows[keep]] = lam
-            return z + step[:, keep] @ lam, duals, rows[keep].tolist(), solves
-        keep = np.delete(keep, np.argmin(lam))
-    return z, duals, [], solves
+        worst = int(lam.argmin())
+        if lam[worst] >= 0.0:
+            # the gathered columns are Fortran-ordered, which sets the product's rounding
+            return z + step[:, keep] @ lam, rows[keep].tolist(), lam.tolist(), solves
+        del keep[worst]
+        block, block_rhs = gram[np.ix_(keep, keep)], rhs[keep]
+    return z, [], [], solves
 
 
 def _dual_active_set(h_inv, g, a, b, tol, guess=None):
     """Goldfarb-Idnani loop from the ``guess`` row mask or cold.
 
     Returns (z, duals, status, iterations, active); start-up solves count as iterations.
+    The scalar decisions (termination, ratio test, multiplier updates) run on
+    Python floats, the active rows' multipliers held as a list beside
+    ``active``: both are IEEE doubles, so every value is the one numpy scalars
+    give. The incoming row's products ``h_inv @ a_p`` and ``a_p @ a_p`` are
+    formed once per row.
     """
     n_rows = a.shape[0]
     z = -h_inv @ g
-    duals = np.zeros(n_rows)
     active: list[int] = []
+    lams: list[float] = []  # the active rows' multipliers, in ``active`` order
     iterations = 0
     if guess is not None and np.any(guess):
         start = _equality_start(h_inv, z, a, b, guess, tol)
         if start is not None:
-            z, duals, active, iterations = start
+            z, active, lams, iterations = start
+
+    def result(status):
+        duals = np.zeros(n_rows)
+        duals[active] = lams
+        return z, duals, status, iterations, active
+
     while iterations < MAX_ITERATIONS:
         iterations += 1
-        slack = a @ z - b if n_rows else np.zeros(0)
-        if not n_rows or np.min(slack) >= -tol:
-            return z, duals, OPTIMAL, iterations, active
-        p = int(np.argmin(slack))
+        if not n_rows:
+            return result(OPTIMAL)
+        slack = a @ z - b
+        p = int(slack.argmin())
+        if slack[p] >= -tol:  # a NaN slack continues, as a NaN minimum would
+            return result(OPTIMAL)
+        a_p, b_p = a[p], b[p]
+        h_a_p = h_inv @ a_p
+        denom_tol = tol * max(1.0, a_p @ a_p)
         # inner loop: take full/partial steps until row p becomes active
         lam_p = 0.0
         for _ in range(2 * n_rows + 2):
-            a_p = a[p]
             if active:
                 a_act = a[active]
                 m_small = a_act @ h_inv @ a_act.T
                 try:
-                    r = np.linalg.solve(m_small, a_act @ (h_inv @ a_p))
+                    r = np.linalg.solve(m_small, a_act @ h_a_p)
                 except np.linalg.LinAlgError:
-                    r = np.linalg.lstsq(m_small, a_act @ (h_inv @ a_p), rcond=None)[0]
+                    r = np.linalg.lstsq(m_small, a_act @ h_a_p, rcond=None)[0]
                 step_dir = h_inv @ (a_p - a_act.T @ r)
+                r = r.tolist()
             else:
-                r = np.zeros(0)
-                step_dir = h_inv @ a_p
+                r = []
+                step_dir = h_a_p
             denom = float(a_p @ step_dir)
-            s_p = float(a_p @ z - b[p])
-            t_full = np.inf if denom <= tol * max(1.0, a_p @ a_p) else -s_p / denom
-            t_partial = np.inf
+            s_p = float(a_p @ z - b_p)
+            t_full = math.inf if denom <= denom_tol else -s_p / denom
+            t_partial = math.inf
             blocking = -1
-            for idx, j in enumerate(active):
-                if r[idx] > tol:
-                    cand = duals[j] / r[idx]
+            for idx, r_j in enumerate(r):
+                if r_j > tol:
+                    cand = lams[idx] / r_j
                     if cand < t_partial:
                         t_partial = cand
                         blocking = idx
             t = min(t_full, t_partial)
-            if not np.isfinite(t):
-                return z, duals, INFEASIBLE, iterations, active  # Farkas-type certificate
+            if not math.isfinite(t):
+                return result(INFEASIBLE)  # Farkas-type certificate
             z = z + t * step_dir
-            for idx, j in enumerate(active):
-                duals[j] -= t * r[idx]
+            lams = [lam - t * r_j for lam, r_j in zip(lams, r)]
             lam_p += t
             if t_full <= t_partial:
-                duals[p] = lam_p
-                if p not in active:
+                if p in active:
+                    lams[active.index(p)] = lam_p
+                else:
                     active.append(p)
+                    lams.append(lam_p)
                 break
-            drop = active.pop(blocking)
-            duals[drop] = 0.0
+            active.pop(blocking)
+            lams.pop(blocking)
         else:
-            return z, duals, MAX_ITER, iterations, active
-    return z, duals, MAX_ITER, iterations, active
+            return result(MAX_ITER)
+    return result(MAX_ITER)
 
 
 def solve_qp(
@@ -197,6 +224,5 @@ def solve_qp(
     mask = np.zeros(b.size, dtype=bool)
     mask[rows] = True
     return QpSolution(
-        z=z, duals=duals, status=status, iterations=iterations, objective=qp.objective(z),
-        active=mask,
+        z=z, duals=duals, status=status, iterations=iterations, active=mask, problem=qp
     )

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import assemble_row
+from .barrier import assemble_row, row_norm
 from .certify import error_box_tightening
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
@@ -211,6 +211,17 @@ class LeaderPlan(NamedTuple):
     leader: np.ndarray  # (steps, nd) the leader's true state at k ts
     estimates: np.ndarray  # (steps, N, nd) the followers' relayed leader estimates
     ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its estimate
+
+
+class RowOperands(NamedTuple):
+    """One agent's row-grid operands that no step changes, over (step, obstacle + neighbor)."""
+
+    nbrs: list[int]
+    obstacles: np.ndarray  # (H-1, obstacles, nd): the obstacles' constant chains
+    no_top: np.ndarray  # (H-1, obstacles, d) zeros: the obstacles' top derivatives
+    keep_out: np.ndarray  # (obstacles + neighbors,)
+    radius_other: np.ndarray  # (obstacles + neighbors,): 0, then each neighbor's broadcast radius
+    group: np.ndarray  # (obstacles + neighbors,): 0, then 1
 
 
 class SimWorld:
@@ -381,41 +392,62 @@ class SimWorld:
         s_seqs = np.tensordot(self._drive_map, shifted, axes=1)
         return shifted, preds, s_seqs
 
+    @functools.cached_property
+    def _row_operands(self) -> tuple[list[RowOperands], list[RowOperands]]:
+        """Every agent's fixed row-grid operands, per run: at k = 0 (no neighbours), then k > 0.
+
+        Built on first use, inside ``run``. An obstacle cell is the constant
+        center chain with keep-out radius + inflation and broadcast radius 0;
+        a neighbour cell has keep-out ``d_safe`` and the neighbour's broadcast
+        radius. The obstacles and their zero top derivative are one block of
+        every step, shared by all agents.
+        """
+        steps, n_obs = self.horizon - 1, len(self._obstacle_chains)
+        obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
+        no_top = np.zeros((steps, n_obs, self.d))
+
+        def operands(i: int, nbrs: list[int]) -> RowOperands:
+            d_safe = np.full(len(nbrs), self.cfg.barriers.d_safe)
+            return RowOperands(
+                nbrs, obstacles, no_top, np.concatenate([self._obstacle_keep_out, d_safe]),
+                np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]]),
+                np.repeat([0, 1], [n_obs, len(nbrs)]),
+            )
+
+        # inter-agent rows removed at deployment
+        deployed = [operands(i, []) for i in range(self.n)]
+        return deployed, [operands(i, self.graph.neighbors(i)) for i in range(self.n)]
+
     def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
         """Barrier row block on the steps before the terminal law.
 
         One ``assemble_row`` call per pass evaluates a (step, obstacle +
-        neighbor) grid; an obstacle cell is the constant center chain with
-        keep-out radius + inflation, broadcast radius 0 and no top derivative.
-        The active cells, in row-major order, are the rows: per step, the
+        neighbor) grid over agent i's ``_row_operands``; per step only the
+        neighbours' predicted chains and top derivatives are gathered. The
+        active cells, in row-major order, are the rows: per step, the
         obstacles within the activation range (group 0) by index, then the
         neighbors (group 1) by index.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        nbrs = self.graph.neighbors(i) if k > 0 else []  # inter-agent rows removed at deployment
+        ops = self._row_operands[k > 0][i]
         n_obs = len(self._obstacle_chains)
         ff = ff_seq[:steps, None]
-        obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
-        x_other = np.concatenate([obstacles, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
-        top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
-        top_exo = ff - np.concatenate([np.zeros((steps, n_obs, self.d)), top_other], axis=1)
-        d_safe = np.full(len(nbrs), self.cfg.barriers.d_safe)
-        keep_out = np.concatenate([self._obstacle_keep_out, d_safe])
-        radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]])
+        x_other = np.concatenate([ops.obstacles, preds[i, ops.nbrs, :steps].swapaxes(0, 1)], axis=1)
+        top_other = shifted[ops.nbrs, :steps].swapaxes(0, 1) + ff
+        top_exo = ff - np.concatenate([ops.no_top, top_other], axis=1)
         margin_i = self.margins[i]
-        group = np.repeat([0, 1], [n_obs, len(nbrs)])
         centers = self._obstacle_chains[:, : self.d]
         activation = self.cfg.barriers.activation_range
 
         def rows(states: np.ndarray) -> BarrierRows:
             xs = states[:steps, None]
             a, b = assemble_row(
-                self.kappa, self.dims, xs, x_other, keep_out, margin_i, radius_other, top_exo
+                self.kappa, self.dims, xs, x_other, ops.keep_out, margin_i, ops.radius_other, top_exo
             )
             active = np.ones(b.shape, dtype=bool)
-            active[:, :n_obs] = np.linalg.norm(xs[..., : self.d] - centers, axis=-1) <= activation
-            step, col = np.nonzero(active)
-            return BarrierRows(step, a[step, col], b[step, col], group[col])
+            active[:, :n_obs] = row_norm(xs[..., : self.d] - centers) <= activation
+            step, col = active.nonzero()
+            return BarrierRows(step, a[step, col], b[step, col], ops.group[col])
 
         return rows
 

@@ -8,11 +8,16 @@ explicit step recurrence, barrier values from the position offset alone,
 each agent's disturbance from its own per-agent formula, one fine-step
 index at a time, the leader relay from one message-passing round per
 sampling step, trace CSV text from ``np.savetxt``, and SVG markup from a
-per-point loop over each series.
+per-point loop over each series. The dual active-set loop as first written
+(``reference_solve_qp``) is the reference that the solver must match bit for
+bit, and ``recorded_qps`` copies every QP a run solves, so a test can replay
+them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import functools
 import math
 from typing import NamedTuple
@@ -20,6 +25,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from tubeform import ocp as tubeform_ocp
+from tubeform import qp as tubeform_qp
 from tubeform.svgplot import SvgFigure, _ticks
 
 
@@ -146,6 +153,141 @@ def random_feasible_qp(rng: np.random.Generator, n_vars: int, n_rows: int):
     z_feas = rng.normal(size=n_vars)
     b_in = a_in @ z_feas - rng.uniform(0.1, 2.0, size=n_rows)
     return hessian, linear, a_in, b_in
+
+
+def reference_equality_start(h_inv, z, a, b, guess, tol):
+    """The solver's warm start as first written, one numpy call per scalar decision."""
+    rows = np.flatnonzero(guess)
+    a_g = a[rows]
+    step = h_inv @ a_g.T
+    gram = a_g @ step
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(pivots <= tol * np.maximum(1.0, np.sum(a_g**2, axis=1))):
+        return None
+    rhs = b[rows] - a_g @ z
+    duals = np.zeros(a.shape[0])
+    keep = np.arange(rows.size)
+    solves = 0
+    while keep.size:
+        solves += 1
+        lam = np.linalg.solve(gram[np.ix_(keep, keep)], rhs[keep])
+        if not np.all(np.isfinite(lam)):
+            return None
+        if np.min(lam) >= 0.0:
+            duals[rows[keep]] = lam
+            return z + step[:, keep] @ lam, duals, rows[keep].tolist(), solves
+        keep = np.delete(keep, np.argmin(lam))
+    return z, duals, [], solves
+
+
+def reference_dual_active_set(h_inv, g, a, b, tol, guess=None):
+    """The Goldfarb-Idnani loop as first written: numpy scalars, every product per inner step.
+
+    Reads ``tubeform.qp.MAX_ITERATIONS`` at call time, so a test that patches
+    the cap patches both loops. Returns (z, duals, status, iterations, active).
+    """
+    n_rows = a.shape[0]
+    z = -h_inv @ g
+    duals = np.zeros(n_rows)
+    active: list[int] = []
+    iterations = 0
+    if guess is not None and np.any(guess):
+        start = reference_equality_start(h_inv, z, a, b, guess, tol)
+        if start is not None:
+            z, duals, active, iterations = start
+    while iterations < tubeform_qp.MAX_ITERATIONS:
+        iterations += 1
+        slack = a @ z - b if n_rows else np.zeros(0)
+        if not n_rows or np.min(slack) >= -tol:
+            return z, duals, tubeform_qp.OPTIMAL, iterations, active
+        p = int(np.argmin(slack))
+        # inner loop: take full/partial steps until row p becomes active
+        lam_p = 0.0
+        for _ in range(2 * n_rows + 2):
+            a_p = a[p]
+            if active:
+                a_act = a[active]
+                m_small = a_act @ h_inv @ a_act.T
+                try:
+                    r = np.linalg.solve(m_small, a_act @ (h_inv @ a_p))
+                except np.linalg.LinAlgError:
+                    r = np.linalg.lstsq(m_small, a_act @ (h_inv @ a_p), rcond=None)[0]
+                step_dir = h_inv @ (a_p - a_act.T @ r)
+            else:
+                r = np.zeros(0)
+                step_dir = h_inv @ a_p
+            denom = float(a_p @ step_dir)
+            s_p = float(a_p @ z - b[p])
+            t_full = np.inf if denom <= tol * max(1.0, a_p @ a_p) else -s_p / denom
+            t_partial = np.inf
+            blocking = -1
+            for idx, j in enumerate(active):
+                if r[idx] > tol:
+                    cand = duals[j] / r[idx]
+                    if cand < t_partial:
+                        t_partial = cand
+                        blocking = idx
+            t = min(t_full, t_partial)
+            if not np.isfinite(t):
+                return z, duals, tubeform_qp.INFEASIBLE, iterations, active
+            z = z + t * step_dir
+            for idx, j in enumerate(active):
+                duals[j] -= t * r[idx]
+            lam_p += t
+            if t_full <= t_partial:
+                duals[p] = lam_p
+                if p not in active:
+                    active.append(p)
+                break
+            drop = active.pop(blocking)
+            duals[drop] = 0.0
+        else:
+            return z, duals, tubeform_qp.MAX_ITER, iterations, active
+    return z, duals, tubeform_qp.MAX_ITER, iterations, active
+
+
+def reference_solve_qp(qp, tol: float = 1e-10, active=None):
+    """``solve_qp`` through the reference loop: (z, duals, status, iterations, active mask)."""
+    a = qp.a_in if qp.a_in.size else np.zeros((0, qp.linear.shape[0]))
+    b = qp.b_in if qp.a_in.size else np.zeros(0)
+    h_inv = np.linalg.inv(qp.hessian) if qp.hessian_inv is None else qp.hessian_inv
+    z, duals, status, iterations, rows = reference_dual_active_set(h_inv, qp.linear, a, b, tol, active)
+    mask = np.zeros(b.size, dtype=bool)
+    mask[rows] = True
+    return z, duals, status, iterations, mask
+
+
+class RecordedQp(NamedTuple):
+    """One ``solve_qp`` call of a run: its problem, tolerance and active-set guess, all copies."""
+
+    qp: object
+    tol: float
+    active: np.ndarray | None
+
+
+@contextlib.contextmanager
+def recorded_qps():
+    """Record a copy of every problem ``solve_ocp`` hands to ``solve_qp`` while the block runs.
+
+    Yields the list the records are appended to. The arrays are copied: the
+    caller's arrays, like ``SimWorld.x_nom``, may be views that the run later
+    overwrites.
+    """
+    records: list[RecordedQp] = []
+    solve = tubeform_ocp.solve_qp
+
+    def recording(qp, tol=1e-10, active=None):
+        records.append(RecordedQp(copy.deepcopy(qp), tol, None if active is None else active.copy()))
+        return solve(qp, tol=tol, active=active)
+
+    tubeform_ocp.solve_qp = recording
+    try:
+        yield records
+    finally:
+        tubeform_ocp.solve_qp = solve
 
 
 def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):

@@ -1,12 +1,26 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tubeform.qp
 from tubeform.ocp import QP_TOL
+from tubeform.pipeline import certify_scenario
 from tubeform.qp import INFEASIBLE, MAX_ITER, OPTIMAL, QpProblem, kkt_residuals, solve_qp
+from tubeform.scenario import load_scenario
+from tubeform.sim import run_simulation
 
-from oracles import dual_projected_gradient_qp, random_feasible_qp
+from oracles import (
+    dual_projected_gradient_qp,
+    random_feasible_qp,
+    recorded_qps,
+    reference_solve_qp,
+)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def make_qp(h, g, a=None, b=None):
@@ -137,3 +151,86 @@ class TestWarmStart:
         warm = solve_qp(qp, active=np.array([True, True]))
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.z, cold.z)
+
+
+def assert_same_as_reference(qp, tol=1e-10, active=None):
+    """``solve_qp`` and the reference loop agree bit for bit; returns the solution."""
+    sol = solve_qp(qp, tol=tol, active=active)
+    z, duals, status, iterations, mask = reference_solve_qp(qp, tol=tol, active=active)
+    assert sol.z.tobytes() == z.tobytes()
+    assert sol.duals.tobytes() == duals.tobytes()
+    assert (sol.status, sol.iterations) == (status, iterations)
+    assert np.array_equal(sol.active, mask)
+    return sol
+
+
+class TestReferenceLoop:
+    """The scalar-branching loop against the loop as first written, branch by branch."""
+
+    def test_max_iter_stops_where_the_reference_stops(self, monkeypatch):
+        """With a one-change cap, a QP whose optimum binds two rows stops with MaxIter."""
+        qp = make_qp(np.eye(2), [0.0, 0.0], a=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 2.0])
+        assert solve_qp(qp).iterations == 3
+        monkeypatch.setattr(tubeform.qp, "MAX_ITERATIONS", 1)
+        sol = assert_same_as_reference(qp)
+        assert (sol.status, sol.iterations) == (MAX_ITER, 1)
+        assert sol.active.tolist() == [False, True]  # the most violated row went first
+
+    def test_partial_step_drops_a_row_before_the_incoming_one_binds(self):
+        """Row 0 (10 z1 >= 10) enters first, at z = (1, 0) with multiplier 0.1. Row 1
+        (z1 + z2 >= 3) would bind after a step of 2, but row 0's multiplier reaches
+        zero after a step of 1: row 0 is dropped there and row 1 binds alone. Two
+        active-set changes, then the termination check: three iterations."""
+        qp = make_qp(np.eye(2), [0.0, 0.0], a=[[10.0, 0.0], [1.0, 1.0]], b=[10.0, 3.0])
+        sol = assert_same_as_reference(qp)
+        assert (sol.status, sol.iterations) == (OPTIMAL, 3)
+        assert sol.z.tolist() == [1.5, 1.5]
+        assert sol.duals.tolist() == [0.0, 1.5]
+        assert sol.active.tolist() == [False, True]
+
+    def test_random_and_warm_started_instances(self):
+        """Every warm-start case, plain, duplicated and infeasible, under every guess."""
+        for _, qp, masks in warm_start_cases():
+            for mask in [None, *masks.values()]:
+                assert_same_as_reference(qp, active=mask)
+
+    def test_objective_is_the_problem_objective_at_z(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            h, g, a, b = random_feasible_qp(rng, 4, 6)
+            qp = QpProblem(hessian=h, linear=g, a_in=a, b_in=b, constant=float(rng.normal()))
+            sol = solve_qp(qp)
+            assert sol.objective == qp.objective(sol.z)
+
+
+@pytest.fixture(scope="module")
+def recorded_corpora():
+    """Every QP of a 3 s paper run and a 3 s ablation ``--baseline-margins`` run, as copies."""
+    corpora, started = {}, time.perf_counter()
+    for name, scenario, overrides in [
+        ("paper", "paper_scenario.json", {}),
+        ("ablation-baseline", "ablation_scenario.json", {"baseline_margins": True}),
+    ]:
+        cfg = load_scenario(SCENARIOS / scenario)
+        cert = certify_scenario(cfg)
+        with recorded_qps() as records:
+            run_simulation(cfg, cert, t_end=3.0, **overrides)
+        corpora[name] = records
+    return corpora, time.perf_counter() - started
+
+
+class TestRecordedCorpus:
+    @pytest.mark.parametrize("name", ["paper", "ablation-baseline"])
+    def test_replay_equals_reference_bit_for_bit(self, recorded_corpora, name):
+        """Each recorded solve, replayed with its guess, gives the reference loop's z,
+        duals, status, iterations and active mask; recording and both replays take
+        at most 3 s per corpus."""
+        corpora, recording_s = recorded_corpora
+        records = corpora[name]
+        assert len(records) > 100
+        started = time.perf_counter()
+        statuses = set()
+        for record in records:
+            statuses.add(assert_same_as_reference(record.qp, record.tol, record.active).status)
+        assert OPTIMAL in statuses
+        assert recording_s / 2 + time.perf_counter() - started <= 3.0
