@@ -394,11 +394,11 @@ class SimWorld:
 
     @functools.cached_property
     def _row_operands(self) -> tuple[list[RowOperands], list[RowOperands]]:
-        """Every agent's fixed row-grid operands, per run: at k = 0 (no neighbours), then k > 0.
+        """Every agent's fixed row-grid operands, per run: at k = 0 (no neighbors), then k > 0.
 
         Built on first use, inside ``run``. An obstacle cell is the constant
         center chain with keep-out radius + inflation and broadcast radius 0;
-        a neighbour cell has keep-out ``d_safe`` and the neighbour's broadcast
+        a neighbor cell has keep-out ``d_safe`` and the neighbor's broadcast
         radius. The obstacles and their zero top derivative are one block of
         every step, shared by all agents.
         """
@@ -423,7 +423,7 @@ class SimWorld:
 
         One ``assemble_row`` call per pass evaluates a (step, obstacle +
         neighbor) grid over agent i's ``_row_operands``; per step only the
-        neighbours' predicted chains and top derivatives are gathered. The
+        neighbors' predicted chains and top derivatives are gathered. The
         active cells, in row-major order, are the rows: per step, the
         obstacles within the activation range (group 0) by index, then the
         neighbors (group 1) by index.
