@@ -14,6 +14,10 @@ exogenous part),
 Only the k = n derivative contains the input, entering through 2 <D^0, v>.
 The tube tightening is r_i ||grad h|| + r_j ||grad h|| with the other
 chain's broadcast radius r_j, which is 0 for an obstacle.
+
+One agent's rows at one sampling step are data, a ``RowGrid`` of operands
+per (step, obstacle + neighbor) cell: ``RowGrid.rows`` evaluates them with
+one ``assemble_row`` call into the ``BarrierRows`` block the OCP solves.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,3 +138,47 @@ def assemble_row(
         b = b + kappa.kappa[q] * values[..., q]
     b = b + kappa.kappa[0] * (values[..., 0] - margin)
     return a, b
+
+
+class BarrierRows(NamedTuple):
+    """One block of affine barrier rows ``a[r] . v_step[r] + b[r] >= 0`` on the nominal inputs.
+
+    ``step`` is in 0..H-2, the freely optimized inputs: the last input
+    follows the terminal law. ``group`` tags each row with its entry of
+    ``ocp.SLACK_PENALTY``: 0 for an obstacle row, 1 for a neighbor row.
+    """
+
+    step: np.ndarray  # (m,) int
+    a: np.ndarray  # (m, d)
+    b: np.ndarray  # (m,)
+    group: np.ndarray  # (m,) int
+
+
+class RowGrid(NamedTuple):
+    """One agent's ``assemble_row`` operands over the (step, obstacle + neighbor) grid of one solve.
+
+    The steps are the free inputs 0..H-2; the cells are the obstacles, as
+    constant center chains, then the neighbors, as predicted chains, by index.
+    """
+
+    kappa: EcbfCoefficients
+    dims: BrunovskyDims
+    x_other: np.ndarray  # (H-1, cells, nd) the other chains
+    top_exo: np.ndarray  # (H-1, cells, d) own feedforward minus the other chain's top derivative
+    keep_out: np.ndarray  # (cells,)
+    margin: float  # the own tube radius
+    radius_other: np.ndarray  # (cells,) 0 per obstacle, then each neighbor's broadcast radius
+    group: np.ndarray  # (cells,) 0 per obstacle, then 1 per neighbor
+    centers: np.ndarray  # (obstacles, d) the obstacle centers, the grid's first cells
+    activation: float  # an obstacle cell is a row only within this distance of its center
+
+    def rows(self, states: np.ndarray) -> BarrierRows:
+        """The rows at the (H+1, nd) nominal ``states``, the active cells in row-major order:
+        per step, the obstacles within the activation range, then every neighbor."""
+        xs = states[: len(self.x_other), None]
+        ops = self.x_other, self.keep_out, self.margin, self.radius_other, self.top_exo
+        a, b = assemble_row(self.kappa, self.dims, xs, *ops)
+        active = np.ones(b.shape, dtype=bool)
+        active[:, : len(self.centers)] = row_norm(xs[..., : self.dims.d] - self.centers) <= self.activation
+        step, col = active.nonzero()
+        return BarrierRows(step, a[step, col], b[step, col], self.group[col])

@@ -29,8 +29,9 @@ affine maps of (z, p), built once per spec from one weighted least-squares
 stack, together with the error-box rows and the Hessian and its inverse for
 each slack count. p is fixed within a solve, so ``solve_ocp`` evaluates the
 maps at it once (``qp_parameters``); each SQP pass's ``build_qp`` call adds
-only that pass's barrier rows and terminal cut. The barrier rows arrive as
-one ``BarrierRows`` block (step, a, b, group) over every step and barrier
+only that pass's barrier rows and terminal cut. The barrier rows arrive from
+the caller's ``row_builder`` (in a run, ``barrier.RowGrid.rows``) as one
+``barrier.BarrierRows`` block (step, a, b, group) over every step and barrier
 kind, and their steps are free inputs, so they are scattered straight into z
 by fancy indexing.
 """
@@ -44,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .barrier import BarrierRows
 from .errors import DimensionMismatch, RiccatiDiverged
 from .models import BrunovskyDims, chain_matrices
 from .qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
@@ -184,20 +186,6 @@ class OcpSpec:
     def condensing(self) -> _Condensing:
         """The spec-only part of the condensed QP, built on first use."""
         return _Condensing.build(self)
-
-
-class BarrierRows(NamedTuple):
-    """One block of affine barrier rows ``a[r] . v_step[r] + b[r] >= 0`` on the nominal inputs.
-
-    ``step`` is in 0..H-2, the freely optimized inputs: the last input
-    follows the terminal law. ``group`` tags each row with its entry of
-    ``SLACK_PENALTY``.
-    """
-
-    step: np.ndarray  # (m,) int
-    a: np.ndarray  # (m, d)
-    b: np.ndarray  # (m,)
-    group: np.ndarray  # (m,) int
 
 
 @dataclass

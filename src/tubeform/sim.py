@@ -28,8 +28,8 @@ horizon map and one graph matrix: one ``shift_plan`` call shifts the last
 broadcast's plans, one ``rollout`` call gives all readers' predictions of all
 agents, the synchronization errors are -M q with the augmented Laplacian M,
 the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
-are one ``BarrierRows`` block from one ``assemble_row`` call per SQP pass over
-its obstacles and neighbors.
+are one ``barrier.RowGrid`` per step over its obstacles and neighbors
+(``SimWorld._row_grid``), whose ``rows`` each SQP pass calls.
 
 The world state is one (N+1, 3, nd) array in the trace's (agent, role)
 layout: per agent, leader first, its true state, nominal state and
@@ -51,12 +51,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import assemble_row, row_norm
+from .barrier import RowGrid
 from .certify import error_box_tightening
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
-from .ocp import BarrierRows, OcpSpec, rollout, solve_ocp
+from .ocp import OcpSpec, rollout, solve_ocp
 from .pipeline import CertificationResult
 from .protocol import initial_broadcast, relayed_estimates, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
@@ -211,17 +211,6 @@ class LeaderPlan(NamedTuple):
     leader: np.ndarray  # (steps, nd) the leader's true state at k ts
     estimates: np.ndarray  # (steps, N, nd) the followers' relayed leader estimates
     ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its estimate
-
-
-class RowOperands(NamedTuple):
-    """One agent's row-grid operands that no step changes, over (step, obstacle + neighbor)."""
-
-    nbrs: list[int]
-    obstacles: np.ndarray  # (H-1, obstacles, nd): the obstacles' constant chains
-    no_top: np.ndarray  # (H-1, obstacles, d) zeros: the obstacles' top derivatives
-    keep_out: np.ndarray  # (obstacles + neighbors,)
-    radius_other: np.ndarray  # (obstacles + neighbors,): 0, then each neighbor's broadcast radius
-    group: np.ndarray  # (obstacles + neighbors,): 0, then 1
 
 
 class SimWorld:
@@ -392,64 +381,29 @@ class SimWorld:
         s_seqs = np.tensordot(self._drive_map, shifted, axes=1)
         return shifted, preds, s_seqs
 
-    @functools.cached_property
-    def _row_operands(self) -> tuple[list[RowOperands], list[RowOperands]]:
-        """Every agent's fixed row-grid operands, per run: at k = 0 (no neighbors), then k > 0.
+    def _row_grid(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
+        """Agent i's eCBF row grid at step k, over the steps before the terminal law.
 
-        Built on first use, inside ``run``. An obstacle cell is the constant
-        center chain with keep-out radius + inflation and broadcast radius 0;
-        a neighbor cell has keep-out ``d_safe`` and the neighbor's broadcast
-        radius. The obstacles and their zero top derivative are one block of
-        every step, shared by all agents.
-        """
-        steps, n_obs = self.horizon - 1, len(self._obstacle_chains)
-        obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
-        no_top = np.zeros((steps, n_obs, self.d))
-
-        def operands(i: int, nbrs: list[int]) -> RowOperands:
-            d_safe = np.full(len(nbrs), self.cfg.barriers.d_safe)
-            return RowOperands(
-                nbrs, obstacles, no_top, np.concatenate([self._obstacle_keep_out, d_safe]),
-                np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]]),
-                np.repeat([0, 1], [n_obs, len(nbrs)]),
-            )
-
-        # inter-agent rows removed at deployment
-        deployed = [operands(i, []) for i in range(self.n)]
-        return deployed, [operands(i, self.graph.neighbors(i)) for i in range(self.n)]
-
-    def _row_builder(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
-        """Barrier row block on the steps before the terminal law.
-
-        One ``assemble_row`` call per pass evaluates a (step, obstacle +
-        neighbor) grid over agent i's ``_row_operands``; per step only the
-        neighbors' predicted chains and top derivatives are gathered. The
-        active cells, in row-major order, are the rows: per step, the
-        obstacles within the activation range (group 0) by index, then the
-        neighbors (group 1) by index.
+        The cells are the obstacles, then agent i's neighbors, none at
+        deployment (k = 0). A neighbor cell's chain is reader i's prediction of
+        it, its top derivative its shifted plan plus i's feedforward, and its
+        radius the broadcast radius table's entry.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        ops = self._row_operands[k > 0][i]
+        nbrs = self.graph.neighbors(i) if k > 0 else []
         n_obs = len(self._obstacle_chains)
         ff = ff_seq[:steps, None]
-        x_other = np.concatenate([ops.obstacles, preds[i, ops.nbrs, :steps].swapaxes(0, 1)], axis=1)
-        top_other = shifted[ops.nbrs, :steps].swapaxes(0, 1) + ff
-        top_exo = ff - np.concatenate([ops.no_top, top_other], axis=1)
-        margin_i = self.margins[i]
-        centers = self._obstacle_chains[:, : self.d]
-        activation = self.cfg.barriers.activation_range
-
-        def rows(states: np.ndarray) -> BarrierRows:
-            xs = states[:steps, None]
-            a, b = assemble_row(
-                self.kappa, self.dims, xs, x_other, ops.keep_out, margin_i, ops.radius_other, top_exo
-            )
-            active = np.ones(b.shape, dtype=bool)
-            active[:, :n_obs] = row_norm(xs[..., : self.d] - centers) <= activation
-            step, col = active.nonzero()
-            return BarrierRows(step, a[step, col], b[step, col], ops.group[col])
-
-        return rows
+        obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
+        x_other = np.concatenate([obstacles, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
+        top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
+        top_exo = ff - np.concatenate([np.zeros((steps, n_obs, self.d)), top_other], axis=1)
+        keep_out = np.concatenate([self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)])
+        radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]])
+        return RowGrid(
+            self.kappa, self.dims, x_other, top_exo, keep_out, self.margins[i], radius_other,
+            np.repeat([0, 1], [n_obs, len(nbrs)]), self._obstacle_chains[:, : self.d],
+            self.cfg.barriers.activation_range,
+        )
 
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
@@ -473,11 +427,11 @@ class SimWorld:
         plans = shifted.copy()
         solver = np.tile([2.0, 0.0, 0.0, math.inf], (self.n, 1))  # status, QP iters, passes, obj
         for i, spec in enumerate(self.specs):
-            rows = self._row_builder(i, k, ff_samples[i], preds, shifted)
+            grid = self._row_grid(i, k, ff_samples[i], preds, shifted)
             try:
                 sol = solve_ocp(
                     spec, e0s[i], self.x_nom[i], s_seqs[i], ff_samples[i], self.plans[i, 0],
-                    shifted[i], row_builder=rows,
+                    shifted[i], row_builder=grid.rows,
                 )
             except DegenerateGradient:
                 sol = None

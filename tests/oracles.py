@@ -10,8 +10,8 @@ index at a time, the leader relay from one message-passing round per
 sampling step, trace CSV text from ``np.savetxt``, and SVG markup from a
 per-point loop over each series. The dual active-set loop as first written
 (``reference_solve_qp``) is the reference that the solver must match bit for
-bit, and ``recorded_qps`` copies every QP a run solves, so a test can replay
-them.
+bit, and ``recorded_solves`` copies every OCP solve a run makes, with its
+row grid and every QP it solves, so a test can replay them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import contextlib
 import copy
 import functools
 import math
+from dataclasses import dataclass, field
 from typing import NamedTuple
 from xml.sax.saxutils import escape
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from tubeform import ocp as tubeform_ocp
 from tubeform import qp as tubeform_qp
+from tubeform import sim as tubeform_sim
 from tubeform.svgplot import SvgFigure, _ticks
 
 
@@ -268,26 +270,54 @@ class RecordedQp(NamedTuple):
     active: np.ndarray | None
 
 
-@contextlib.contextmanager
-def recorded_qps():
-    """Record a copy of every problem ``solve_ocp`` hands to ``solve_qp`` while the block runs.
+@dataclass
+class RecordedSolve:
+    """One ``solve_ocp`` call of a run.
 
-    Yields the list the records are appended to. The arrays are copied: the
-    caller's arrays, like ``SimWorld.x_nom``, may be views that the run later
-    overwrites.
+    ``args`` are its positional arguments (spec, e0, x0_nominal, s_seq,
+    ff_seq, v_prev, warm_inputs), the arrays copied; ``grid`` is the
+    ``RowGrid`` whose ``rows`` it was handed; ``qps`` are the QPs it solved,
+    and ``solution`` its ``OcpSolution``, None when it raised.
     """
-    records: list[RecordedQp] = []
-    solve = tubeform_ocp.solve_qp
 
-    def recording(qp, tol=1e-10, active=None):
-        records.append(RecordedQp(copy.deepcopy(qp), tol, None if active is None else active.copy()))
-        return solve(qp, tol=tol, active=active)
+    args: tuple
+    grid: object
+    qps: list[RecordedQp] = field(default_factory=list)
+    solution: object = None
 
-    tubeform_ocp.solve_qp = recording
+    def replay(self):
+        """``solve_ocp`` again on the recorded arguments and grid."""
+        return tubeform_ocp.solve_ocp(*self.args, row_builder=self.grid.rows)
+
+
+@contextlib.contextmanager
+def recorded_solves():
+    """Record every ``solve_ocp`` call a run makes, and each QP it hands to ``solve_qp``.
+
+    Yields the list the ``RecordedSolve`` records are appended to. The
+    arguments and the problems are copied: the caller's arrays, like
+    ``SimWorld.x_nom`` (``x0_nominal``), may be views that the run later
+    overwrites. The grid is kept as built, since every step builds its own.
+    """
+    records: list[RecordedSolve] = []
+    solve_ocp, solve_qp = tubeform_sim.solve_ocp, tubeform_ocp.solve_qp
+
+    def recording_ocp(spec, *arrays, row_builder):
+        record = RecordedSolve((spec, *(np.array(a) for a in arrays)), row_builder.__self__)
+        records.append(record)
+        record.solution = solve_ocp(spec, *arrays, row_builder=row_builder)
+        return record.solution
+
+    def recording_qp(qp, tol=1e-10, active=None):
+        guess = None if active is None else active.copy()
+        records[-1].qps.append(RecordedQp(copy.deepcopy(qp), tol, guess))
+        return solve_qp(qp, tol=tol, active=active)
+
+    tubeform_sim.solve_ocp, tubeform_ocp.solve_qp = recording_ocp, recording_qp
     try:
         yield records
     finally:
-        tubeform_ocp.solve_qp = solve
+        tubeform_sim.solve_ocp, tubeform_ocp.solve_qp = solve_ocp, solve_qp
 
 
 def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):

@@ -16,7 +16,7 @@ from tubeform.sim import run_simulation
 from oracles import (
     dual_projected_gradient_qp,
     random_feasible_qp,
-    recorded_qps,
+    recorded_solves,
     reference_solve_qp,
 )
 
@@ -213,9 +213,9 @@ def recorded_corpora():
     ]:
         cfg = load_scenario(SCENARIOS / scenario)
         cert = certify_scenario(cfg)
-        with recorded_qps() as records:
+        with recorded_solves() as solves:
             run_simulation(cfg, cert, t_end=3.0, **overrides)
-        corpora[name] = records
+        corpora[name] = [qp for solve in solves for qp in solve.qps]
     return corpora, time.perf_counter() - started
 
 

@@ -372,7 +372,7 @@ class TestWorldDrift:
 
 
 def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
-    """One assemble_row call per (step, obstacle) and (step, neighbor) row."""
+    """One assemble_row call per (step, obstacle) and (step, neighbor) row; no neighbors at k = 0."""
     margin_i = world.margins[i]
     out = []
     for l in range(world.horizon - 1):
@@ -388,7 +388,7 @@ def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
                 margin_i, 0.0, ff_seq[l],
             )
             out.append((l, a, b, 0))
-        for j in world.graph.neighbors(i):
+        for j in world.graph.neighbors(i) if k > 0 else []:
             a, b = assemble_row(
                 world.kappa, world.dims, xl, preds[i, j, l], world.cfg.barriers.d_safe,
                 margin_i, world.radius_table[i, j], ff_seq[l] - (shifted[j][l] + ff_seq[l]),
@@ -397,35 +397,120 @@ def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
     return out
 
 
+def assert_rows_match_oracle(world, i, k, ff, preds, shifted, states):
+    """Agent i's grid rows at ``states`` are the oracle's, in its order; returns them."""
+    rows = world._row_grid(i, k, ff[i], preds, shifted).rows(states)
+    expected = oracle_rows(world, i, k, ff[i], preds, shifted, states)
+    assert list(zip(rows.step.tolist(), rows.group.tolist())) == [(r[0], r[3]) for r in expected]
+    assert np.all(rows.step < world.horizon - 1)
+    ref_a = np.reshape([r[1] for r in expected], (-1, world.d))
+    np.testing.assert_allclose(rows.a, ref_a, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(rows.b, [r[2] for r in expected], rtol=1e-12, atol=1e-12)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def paper_mid_run():
+    """The paper world after 20 steps, with step 20's feedforward, shifted plans and predictions."""
+    cfg = load_scenario(PAPER)
+    cert = certify_scenario(cfg, spot_checks=False)
+    world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+    k = 20
+    for step in range(k):
+        world.step(step)
+    ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
+    shifted, preds, _ = world._neighbor_data(k, ff)
+    return world, k, ff, shifted, preds
+
+
+def smoke_without_obstacles(doc):
+    doc["obstacles"] = []
+
+
+def smoke_with_one_free_step(doc):
+    doc["ocp"]["horizon"] = 2
+
+
+def smoke_with_one_follower(doc):
+    """The one-follower, obstacle-free copy the CI builds: a grid without any cell."""
+    doc["dims"]["followers"] = 1
+    doc["agents"] = doc["agents"][:1]
+    doc["graph"].update(adjacency=[[0.0]], b0=[1.0])
+    doc["formation"]["offsets"] = doc["formation"]["offsets"][:2]
+    doc["obstacles"] = []
+    doc["initial_states"]["followers"] = doc["initial_states"]["followers"][:1]
+
+
 class TestRowBuilder:
-    def test_stacked_rows_match_per_row_oracle(self):
+    def test_stacked_rows_match_per_row_oracle(self, paper_mid_run):
         """Mid-run paper state: agent 1 has one obstacle in range and one out."""
-        cfg = load_scenario(PAPER)
-        cert = certify_scenario(cfg, spot_checks=False)
-        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
-        k = 20
-        for step in range(k):
-            world.step(step)
-        ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
-        shifted, preds, _ = world._neighbor_data(k, ff)
+        world, k, ff, shifted, preds = paper_mid_run
         kept = filtered = 0
         for i in range(world.n):
             warm = shift_plan(world.plans[i], world.terminal[i], world.specs[i].terminal_gain)
             np.testing.assert_array_equal(shifted[i], warm)
             states = rollout(world.specs[i], world.x_nom[i], warm + ff[i])
-            rows = world._row_builder(i, k, ff[i], preds, shifted)(states)
-            expected = oracle_rows(world, i, k, ff[i], preds, shifted, states)
-            assert list(zip(rows.step.tolist(), rows.group.tolist())) == [
-                (r[0], r[3]) for r in expected
-            ]
-            assert np.all(rows.step < world.horizon - 1)
-            ref_a = np.reshape([r[1] for r in expected], (-1, world.d))
-            np.testing.assert_allclose(rows.a, ref_a, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(rows.b, [r[2] for r in expected], rtol=1e-12, atol=1e-12)
+            rows = assert_rows_match_oracle(world, i, k, ff, preds, shifted, states)
             n_obstacle = int(np.sum(rows.group == 0))
             kept += n_obstacle
-            filtered += (world.horizon - 1) * len(cfg.obstacles) - n_obstacle
+            filtered += (world.horizon - 1) * len(world.cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
+
+    def test_neighbor_radii_are_the_radius_table_entries(self):
+        """After deployment each neighbor cell carries d_safe and the neighbor's broadcast
+        radius, in neighbor order: a paper copy whose followers' margins all differ."""
+        doc = json.loads(open(PAPER).read())
+        margins = [0.10, 0.11, 0.12, 0.13, 0.14]
+        for agent, margin in zip(doc["agents"], margins):
+            agent["margin_radius"] = margin
+        cfg = parse_scenario(json.dumps(doc))
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
+        world.step(0)
+        ff = world.leader_plan.ff_samples[1]
+        shifted, preds, _ = world._neighbor_data(1, ff)
+        n_obs = len(cfg.obstacles)
+        for i in range(world.n):
+            nbrs = world.graph.neighbors(i)
+            grid = world._row_grid(i, 1, ff[i], preds, shifted)
+            assert grid.x_other.shape == (world.horizon - 1, n_obs + len(nbrs), world.nd)
+            assert grid.radius_other[n_obs:].tolist() == world.radius_table[i, nbrs].tolist()
+            assert grid.radius_other[n_obs:].tolist() == world.margins[nbrs].tolist()
+            assert grid.keep_out[n_obs:].tolist() == [cfg.barriers.d_safe] * len(nbrs)
+            assert grid.group.tolist() == [0] * n_obs + [1] * len(nbrs)
+            assert grid.margin == world.margins[i] == margins[i]
+
+    def test_deployment_grid_holds_only_obstacle_cells(self, paper_mid_run):
+        cfg, cert = paper_mid_run[0].cfg, paper_mid_run[0].cert
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        ff = world._leader_ff_samples(world.anchors, 0.0)
+        shifted, preds, _ = world._neighbor_data(0, ff)
+        for i in range(world.n):
+            grid = world._row_grid(i, 0, ff[i], preds, shifted)
+            assert grid.group.tolist() == [0] * len(cfg.obstacles)
+            assert grid.radius_other.tolist() == [0.0] * len(cfg.obstacles)
+
+    @pytest.mark.parametrize(
+        "edit", [smoke_without_obstacles, smoke_with_one_free_step, smoke_with_one_follower]
+    )
+    def test_degenerate_grids_certify_run_and_match_oracle(self, edit, tmp_path):
+        """Grids with no obstacle cells, one step, or no neighbor cells: the copy certifies
+        and runs with exit 0, and each of the first steps' grids gives the oracle's rows."""
+        doc = json.loads(open(SMOKE).read())
+        edit(doc)
+        scenario, cert_path = tmp_path / "scenario.json", tmp_path / "cert.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["certify", str(scenario), "-o", str(cert_path)]) == 0
+        run = ["run", str(scenario), "--cert", str(cert_path), "-o", str(tmp_path / "run")]
+        assert main(run + ["--t-end", "1"]) == 0
+        cfg = load_scenario(scenario)
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
+        for k in range(3):
+            ff = world.leader_plan.ff_samples[k]
+            shifted, preds, _ = world._neighbor_data(k, ff)
+            for i in range(world.n):
+                states = rollout(world.specs[i], world.x_nom[i], shifted[i] + ff[i])
+                assert_rows_match_oracle(world, i, k, ff, preds, shifted, states)
+            world.step(k)
 
     @pytest.mark.parametrize("activation_range", [5.0, -1.0])
     def test_zero_obstacle_offset_raises(self, activation_range):
@@ -438,12 +523,12 @@ class TestRowBuilder:
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         ff = world._leader_ff_samples(world.anchors, 0.0)
         shifted, preds, _ = world._neighbor_data(0, ff)
-        rows = world._row_builder(0, 0, ff[0], preds, shifted)  # obstacles only at deployment
+        grid = world._row_grid(0, 0, ff[0], preds, shifted)  # obstacles only at deployment
         states = np.ones((world.horizon + 1, world.nd))
-        assert rows(states).step.size == (world.horizon - 1) * (activation_range > 0)
+        assert grid.rows(states).step.size == (world.horizon - 1) * (activation_range > 0)
         states[2, : world.d] = cfg.obstacles[0].center
         with pytest.raises(DegenerateGradient):
-            rows(states)
+            grid.rows(states)
 
 
 class TestNeighborPredictions:
