@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -151,6 +152,12 @@ def cmd_run(
     return 0
 
 
+# the trace columns the figures below and trace_metrics read; report parses no other
+REPORT_COLUMNS = re.compile(
+    r"t|k|clr_.*|ferr.*|occ.*|u.*|dx.*|.*_status|.*_iters|x\d+_1[01]"
+).fullmatch
+
+
 def _agent_ids(trace: SimTrace) -> list[int]:
     ids = []
     for col in trace.columns:
@@ -243,7 +250,7 @@ def cmd_report(trace_paths: list[str], out_dir: str) -> int:
     if len(trace_paths) > 2:  # the plots tell two traces apart, solid and dashed
         return _error(ScenarioError(f"report takes one or two traces (got {len(trace_paths)})"))
     try:
-        traces = [SimTrace.from_csv(p) for p in trace_paths]
+        traces = [SimTrace.from_csv(p, REPORT_COLUMNS) for p in trace_paths]
         labels = []
         for trace in traces:
             mode = []

@@ -47,7 +47,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,7 +122,17 @@ class SimTrace:
                 fh.write("".join(lines))
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "SimTrace":
+    def from_csv(cls, path: str | Path, keep: Callable[[str], bool] | None = None) -> "SimTrace":
+        """The trace in ``path``; with ``keep``, only the columns it accepts, in file order.
+
+        Every data row must hold one cell per header column, as ``np.loadtxt``
+        sees a line (text from ``#`` on is a comment, an empty line is no
+        row): one comma count per line checks that before any cell is parsed,
+        whatever ``keep`` selects. Only the kept columns' cells are parsed.
+        ``report`` keeps what its figures and ``trace_metrics`` read (89 of
+        paper's 246 columns), so a non-numeric cell in a column it never reads
+        no longer fails it; every other caller parses every cell.
+        """
         metadata: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
             line = fh.readline()
@@ -134,9 +144,12 @@ class SimTrace:
             start = fh.tell()
             if "t" in columns and fh.readline().strip():  # a header and a first row
                 fh.seek(start)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                if data.shape[1] == len(columns):
-                    return cls(columns=columns, data=data, metadata=metadata)
+                rows = (text.partition("#")[0].rstrip("\n") for text in fh)
+                if {row.count(",") for row in rows if row} == {len(columns) - 1}:
+                    fh.seek(start)
+                    use = [j for j, name in enumerate(columns) if keep is None or keep(name)]
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=use)
+                    return cls(columns=[columns[j] for j in use], data=data, metadata=metadata)
         raise ScenarioError(f"{path}: malformed trace CSV")
 
 

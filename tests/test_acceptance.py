@@ -8,7 +8,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from tubeform.certify import (
     baseline_radius,
@@ -22,27 +21,17 @@ from tubeform.models import BrunovskyDims, LyapunovPair
 from tubeform.pipeline import certify_scenario
 from tubeform.qp import OPTIMAL, QpProblem, kkt_residuals, solve_qp
 from tubeform.scenario import GainSpec, load_scenario
-from tubeform.sim import run_simulation, trace_metrics
+from tubeform.sim import trace_metrics
 
 from oracles import barrier_value, dual_projected_gradient_qp, fd_derivative, random_feasible_qp
 
 ROOT = Path(__file__).resolve().parents[1]
 PAPER = ROOT / "scenarios" / "paper_scenario.json"
-ABLATION = ROOT / "scenarios" / "ablation_scenario.json"
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
     print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def ablation_pair():
-    cfg = load_scenario(ABLATION)
-    cert = certify_scenario(cfg)
-    ff = run_simulation(cfg, cert)
-    baseline = run_simulation(cfg, cert, baseline_margins=True)
-    return cfg, cert, ff, baseline
 
 
 def scalar_pair(lmax_p=1.0, lmin_p=1.0, lmin_q=2.0):

@@ -934,3 +934,93 @@ class TestReport:
             assert main(["report", str(bad), "-o", str(tmp_path / "r")]) == 1
             assert capsys.readouterr().err == f"error: {bad}: malformed trace CSV\n"
             assert not (tmp_path / "r").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edit", ["one_long", "one_short", "all_long"])
+    def test_ragged_trace_exit_1(self, run_dir, tmp_path, capsys, edit):
+        """A data row with a cell more or less than the header fails as malformed, whichever
+        columns are read: report reads only some, and a full read refuses it the same way."""
+        lines = (run_dir / "trace.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(j for j, line in enumerate(lines) if not line.startswith("# ")) + 1
+        rows = range(first, len(lines)) if edit == "all_long" else [first + 3]
+        for j in rows:
+            cells = lines[j].rstrip("\n").split(",")
+            cells = cells[:-1] if edit == "one_short" else cells + ["0"]
+            lines[j] = ",".join(cells) + "\n"
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(["report", str(bad), "-o", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: malformed trace CSV\n"
+        assert not (tmp_path / "r").exists()
+        with pytest.raises(ScenarioError, match="malformed trace CSV"):
+            SimTrace.from_csv(bad)
+
+    @staticmethod
+    def edit_cell(trace_path, out_path, column, value="abc", row=5):
+        """A copy of a trace with one data cell replaced."""
+        lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        head = next(j for j, line in enumerate(lines) if not line.startswith("# "))
+        cells = lines[head + 1 + row].rstrip("\n").split(",")
+        cells[lines[head].rstrip("\n").split(",").index(column)] = value
+        lines[head + 1 + row] = ",".join(cells) + "\n"
+        out_path.write_text("".join(lines), encoding="utf-8")
+        return out_path
+
+    def test_non_numeric_cell(self, run_dir, tmp_path, capsys):
+        """A non-numeric cell in a column report reads exits 1 naming it; one in a column it
+        never reads does not reach an output and is not parsed."""
+        read = self.edit_cell(run_dir / "trace.csv", tmp_path / "read.csv", "clr_obs")
+        assert main(["report", str(read), "-o", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith("error: could not convert string 'abc'")
+        assert not (tmp_path / "r").exists()
+        unread = self.edit_cell(run_dir / "trace.csv", tmp_path / "unread.csv", "xb1_10")
+        assert main(["report", str(unread), "-o", str(tmp_path / "u")]) == 0
+        assert (tmp_path / "u" / "metrics.csv").exists()
+        with pytest.raises(ValueError, match="could not convert string 'abc'"):
+            SimTrace.from_csv(unread)
+
+
+def report_bytes(trace_paths, out) -> dict[str, bytes]:
+    assert main(["report", *map(str, trace_paths), "-o", str(out)]) == 0
+    return {name.name: name.read_bytes() for name in sorted(out.iterdir())}
+
+
+class TestReportColumns:
+    """``report`` parses only the columns its figures and ``trace_metrics`` read."""
+
+    @staticmethod
+    def assert_same_report(trace_paths, tmp_path, monkeypatch) -> list[SimTrace]:
+        """Report bytes equal those of a report that reads every column; the traces the
+        selective report parsed."""
+        read, parsed = SimTrace.from_csv.__func__, []
+
+        def recording(cls, path, keep=None):
+            parsed.append(read(cls, path, keep))
+            return parsed[-1]
+
+        monkeypatch.setattr(SimTrace, "from_csv", classmethod(recording))
+        selective = report_bytes(trace_paths, tmp_path / "selective")
+        full_read = classmethod(lambda cls, path, keep=None: read(cls, path))
+        monkeypatch.setattr(SimTrace, "from_csv", full_read)
+        assert selective == report_bytes(trace_paths, tmp_path / "full")
+        assert len(selective) == 5 and len(parsed) == len(trace_paths)
+        return parsed
+
+    def test_paper_parses_under_half_the_columns(self, paper, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        paper[2].trace.to_csv(trace)
+        (parsed,) = self.assert_same_report([trace], tmp_path, monkeypatch)
+        assert 0 < 2 * len(parsed.columns) < len(paper[2].trace.columns)
+        assert parsed.data.shape == (len(paper[2].trace.data), len(parsed.columns))
+
+    def test_ablation_overlay(self, ablation_pair, tmp_path, monkeypatch):
+        traces = [tmp_path / "ff.csv", tmp_path / "baseline.csv"]
+        for result, path in zip(ablation_pair[2:], traces):
+            result.trace.to_csv(path)
+        self.assert_same_report(traces, tmp_path, monkeypatch)
+
+    def test_trace_without_margin_radii(self, run_dir, tmp_path, monkeypatch):
+        trace = SimTrace.from_csv(run_dir / "trace.csv")
+        del trace.metadata["margin_radii"]
+        trace.to_csv(tmp_path / "old.csv")
+        self.assert_same_report([tmp_path / "old.csv"], tmp_path, monkeypatch)

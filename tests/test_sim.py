@@ -10,8 +10,8 @@ import pytest
 import tubeform.sim
 from tubeform import models, ocp
 from tubeform.barrier import assemble_row
-from tubeform.cli import main
-from tubeform.errors import DegenerateGradient, NonFiniteState
+from tubeform.cli import REPORT_COLUMNS, main
+from tubeform.errors import DegenerateGradient, NonFiniteState, ScenarioError
 from tubeform.graph import CommGraph
 from tubeform.models import BALL_BLOCK, DisturbanceStack
 from tubeform.ocp import OcpSpec, rollout
@@ -987,18 +987,44 @@ class TestTraceMetrics:
 
 
 class TestTraceRoundTrip:
-    def test_csv_round_trip(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def smoke_csv(self, tmp_path_factory):
+        """A smoke run's trace and the CSV it wrote."""
         cfg = load_scenario(SMOKE)
-        cert = certify_scenario(cfg, spot_checks=False)
-        result = run_simulation(cfg, cert)
-        path = tmp_path / "trace.csv"
-        result.trace.to_csv(path)
-        from tubeform.sim import SimTrace
+        trace = run_simulation(cfg, certify_scenario(cfg, spot_checks=False)).trace
+        path = tmp_path_factory.mktemp("round_trip") / "trace.csv"
+        trace.to_csv(path)
+        return trace, path
 
+    def test_csv_round_trip(self, smoke_csv):
+        trace, path = smoke_csv
         back = SimTrace.from_csv(path)
-        assert back.columns == result.trace.columns
-        assert np.allclose(back.data, result.trace.data, rtol=0, atol=0)
+        assert back.columns == trace.columns
+        assert np.allclose(back.data, trace.data, rtol=0, atol=0)
         assert back.metadata["scenario"] == "smoke_scenario"
+
+    @pytest.mark.parametrize(
+        "keep", [REPORT_COLUMNS, lambda name: name.startswith(("xb", "plan2_"))]
+    )
+    def test_selection_is_the_full_read_in_part(self, smoke_csv, keep):
+        """The kept columns in file order, with the full read's metadata and bits."""
+        full = SimTrace.from_csv(smoke_csv[1])
+        part = SimTrace.from_csv(smoke_csv[1], keep)
+        assert part.columns == [name for name in full.columns if keep(name)]
+        assert 0 < len(part.columns) < len(full.columns)
+        assert part.metadata == full.metadata
+        picked = full.data[:, [full.columns.index(name) for name in part.columns]]
+        np.testing.assert_array_equal(part.data.view(np.int64), picked.view(np.int64))
+
+    def test_unloaded_column_is_missing(self, smoke_csv):
+        part = SimTrace.from_csv(smoke_csv[1], REPORT_COLUMNS)
+        assert "xb1_10" in smoke_csv[0].columns
+        with pytest.raises(ScenarioError) as unloaded:
+            part.col("xb1_10")
+        with pytest.raises(ScenarioError) as absent:
+            smoke_csv[0].col("xb1_99")
+        assert str(unloaded.value) == "trace has no column 'xb1_10'"
+        assert str(absent.value) == str(unloaded.value).replace("xb1_10", "xb1_99")
 
 
 class TestTraceWriter:
