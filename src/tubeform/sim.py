@@ -31,11 +31,11 @@ the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
 are one ``barrier.RowGrid`` per step over its obstacles and neighbors
 (``SimWorld._row_grid``), whose ``rows`` each SQP pass calls.
 
-The world state is one (N+1, 3, nd) array in the trace's (agent, role)
-layout: per agent, leader first, its true state, nominal state and
-feedforward anchor (the leader's anchor is its nominal, re-anchored to the
-leader every step). The drift is read at ``state[:, ::2]``. The run records
-each state once: every RK4 substep writes ``state[:, :2]`` and the time into
+The world integrates only the followers: one (N, 2, nd) array of their true
+and nominal states. Each RK4 stage reads, in call order, the leader pass's
+drifts there: the one each follower cancels toward (the true leader's if
+pinned, else its anchor's) and its anchor's. The leader pass fills the
+trace's leader rows, every RK4 substep writes the followers and the time into
 the trace's own rows, and every step writes its held values into its
 interval's rows. One array pass at the end of the run builds the safety
 violations and the state-derived columns.
@@ -219,11 +219,13 @@ def apply_control(
 
 
 class LeaderPlan(NamedTuple):
-    """The exogenous leader over one run, led by the sampling step k."""
+    """The exogenous leader over one run, led by the sampling step k or by RK4 stage, in call order."""
 
     leader: np.ndarray  # (steps, nd) the leader's true state at k ts
     estimates: np.ndarray  # (steps, N, nd) the followers' relayed leader estimates
     ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its estimate
+    leader_drift: np.ndarray  # (steps, 4 fs, d) the true leader's drift at each stage of step k
+    anchor_drift: np.ndarray  # (4 fs, steps, hop counts, d) each distinct anchor's, likewise
 
 
 class SimWorld:
@@ -270,22 +272,17 @@ class SimWorld:
             self.graph.m.diagonal().tolist(), tubes.input_bound_tightened.tolist(), error_boxes,
         )
 
-        # the world ODE state, (agent, role) as in the trace; the named arrays are views
-        self.state = np.empty((self.n + 1, 3, self.nd))
-        self.x_leader = self.state[0, 0]
-        self.x_true, self.x_nom, self.anchors = self.state[1:].swapaxes(0, 1)
-        # the drift rows state[:, ::2]: each agent's own model at its true state,
-        # the leader's at the anchors
-        model_of_row = np.outer(np.arange(self.n + 1), [1, 0]).ravel()
-        self._drift = DriftTable.stack([m.drift for m in self.models], model_of_row)
+        # the world ODE state, (follower, role) as in the trace; the named arrays are views
+        self.state = np.empty((self.n, 2, self.nd))
+        self.x_true, self.x_nom = self.state.swapaxes(0, 1)
+        self._drift = DriftTable.stack([m.drift for m in self.models], np.arange(1, self.n + 1))
         disturbances = [m.disturbance for m in self.models]
         step = sim.ts / sim.fine_substeps
         self._disturbance = DisturbanceStack(disturbances, self.d, sim.seed, step)
-        states = initial_states(cfg)
-        self.state[:, :2] = states[:, None]  # nominal initialized at measurement
-        self.state[:, 2] = states[0]
+        self.state[:] = initial_states(cfg)[1:, None]  # nominal initialized at measurement
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         self._pinned = (tubes.hops == 0)[:, None]
+        self._hop_counts, self._hop_column = np.unique(tubes.hops, return_inverse=True)
         tube_r2 = tubes.r**2
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower
@@ -314,49 +311,56 @@ class SimWorld:
     def leader_plan(self) -> LeaderPlan:
         """The exogenous leader, its relayed estimates and one feedforward propagation, once per run.
 
-        The leader is integrated alone with the world's substeps, times, drift
-        arithmetic and disturbance draws. Followers at the same hop count hold
-        the same estimate, so one ``_leader_ff_samples`` call propagates each
-        distinct (step, hop count) anchor from its own start time, and each
-        follower gathers its hop count's samples. A row's propagation does not
-        depend on the other rows, so the gather is bit-equal to propagating
-        every (step, follower) anchor.
+        The leader is integrated alone into the trace's leader rows, with the
+        world's substeps, times, drift arithmetic and disturbance draws. One
+        ``_leader_ff_samples`` call propagates each distinct (step, hop count)
+        anchor from its own start time, bit-equal per row to propagating every
+        (step, follower) anchor; its first period records the anchors' stage
+        drifts and the leader's nominal (hop count 0: a rooted graph pins one).
         """
-        ts, n_steps = self.sim.ts, self.n_steps
-        drift = DriftTable(*(field[:1] for field in self._drift))  # the world's leader row
+        ts, n_steps, fs, nd, d = self.sim.ts, self.n_steps, self.sim.fine_substeps, self.nd, self.d
+        drift = DriftTable.stack([m.drift for m in self.models], np.zeros(1, int))  # row-stack path
+        rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
+        leader_drift = np.empty((n_steps, 4 * fs, d))
+        stages = iter(leader_drift.reshape(-1, d))
 
         def rhs(x, time):
-            top = drift.value(x, time) + self._disturbance(time)[:1]
-            return chain_derivative(self.dims, x, top)
+            f = drift.value(x, time)
+            next(stages)[...] = f[0]
+            return chain_derivative(self.dims, x, f + self._disturbance(time)[:1])
 
-        leader = np.empty((n_steps, self.nd))
-        x = self.state[:1, 0]
-        leader[0] = x[0]
-        for k in range(1, n_steps):
-            for x, _ in self._substeps(rhs, x, (k - 1) * ts):
-                pass
-            leader[k] = x[0]
-        estimates = relayed_estimates(leader, self.cert.tubes.hops)
-        _, first, column = np.unique(self.cert.tubes.hops, return_index=True, return_inverse=True)
-        starts = np.repeat(np.arange(n_steps) * ts, len(first))
-        ff = self._leader_ff_samples(estimates[:, first].reshape(-1, self.nd), starts)
-        ff = ff.reshape(n_steps, len(first), self.horizon, self.d)[:, column]
-        return LeaderPlan(leader, estimates, ff)
+        x = rows[:1, 0]
+        for k in range(n_steps):
+            for j, (x, _) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
+                rows[j, 0] = x[0]
+        estimates = relayed_estimates(rows[:-1:fs, 0], self._hop_counts)  # (steps, hop counts, nd)
+        hops, column = len(self._hop_counts), self._hop_column
+        starts = np.repeat(np.arange(n_steps) * ts, hops)
+        record = np.empty((fs, n_steps * hops, nd)), np.empty((4 * fs, n_steps * hops, d))
+        ff = self._leader_ff_samples(estimates.reshape(-1, nd), starts, record)
+        ff = ff.reshape(n_steps, hops, self.horizon, d)[:, column]
+        rows[1:, 1] = record[0][:, ::hops].swapaxes(0, 1).reshape(-1, nd)
+        anchor_drift = record[1].reshape(4 * fs, n_steps, hops, d)
+        return LeaderPlan(rows[:-1:fs, 0], estimates[:, column], ff, leader_drift, anchor_drift)
 
-    def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray) -> np.ndarray:
-        """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor."""
+    def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray, record=None) -> np.ndarray:
+        """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor; a ``record``
+        of (fs, R, nd) and (4 fs, R, d) gets the first period's substeps and stage drifts, in call order."""
         drift = self.models[0].drift.value
         samples = np.zeros((len(anchors), self.horizon, self.d))
+        states, stages = map(iter, record or ((), ()))  # past the record, a write lands on itself
         state = anchors
         t = t0
 
         def nominal(x, time):
-            return chain_derivative(self.dims, x, drift(x, time))
+            top = drift(x, time)
+            next(stages, top)[...] = top
+            return chain_derivative(self.dims, x, top)
 
         samples[:, 0] = drift(state, t)
         for l in range(1, self.horizon):
             for state, t in self._substeps(nominal, state, t):
-                pass
+                next(states, state)[...] = state
             samples[:, l] = drift(state, t)
         return samples
 
@@ -421,9 +425,6 @@ class SimWorld:
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
         plan = self.leader_plan
-        self.anchors[:] = plan.estimates[k]
-        self.state[0, 1:] = self.x_leader
-
         ff_samples = plan.ff_samples[k]
         shifted, preds, s_seqs = self._neighbor_data(k, ff_samples)
 
@@ -434,7 +435,7 @@ class SimWorld:
         self._prev_preds = preds[readers, senders, 1]
 
         # synchronization errors (e^i_1, ..., e^i_n) of all followers
-        e0s = self.graph.sync_errors(self.state[:, 0] - self._offsets)
+        e0s = self.graph.sync_errors(np.vstack([plan.leader[k], self.x_true]) - self._offsets)
 
         # an agent without a plan rides its shifted previous plan, logged as a fallback
         plans = shifted.copy()
@@ -477,29 +478,28 @@ class SimWorld:
 
     # --- fine integration ---
 
-    def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
-        """RHS of the world ODE (laid out as ``self.state``) during one sampling interval."""
-        x, xb = state[1:, 0], state[1:, 1]
-        drift = self._drift.value(state[:, ::2].reshape(-1, self.nd), t)
-        own, f_anchor = drift[0::2], drift[1::2]
-        w = self._disturbance(t)  # leader first
-        # pinned followers cancel toward the true leader, the others toward their anchor
-        ff = np.where(self._pinned, own[0], f_anchor[1:])
-        u = apply_control(self.gain, v0, x, xb, ff, own[1:], self.sim.feedforward_on)
-        top = np.empty((self.n + 1, 3, self.d))
-        top[:, 1:] = f_anchor[:, None]  # the anchors and the leader's nominal
-        top[0, 0] = own[0] + w[0]
-        top[1:, 0] = own[1:] + u + w[1:]
-        top[1:, 1] = v0 + f_anchor[1:] if self.sim.feedforward_on else v0
+    def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray, stages) -> np.ndarray:
+        """RHS of the world ODE (laid out as ``self.state``) at the next RK4 stage of ``stages``:
+        the (N, d) leader drift each follower cancels toward and its anchor's drift."""
+        cancel, anchor = next(stages)
+        x, xb = state[:, 0], state[:, 1]
+        own = self._drift.value(x, t)
+        u = apply_control(self.gain, v0, x, xb, cancel, own, self.sim.feedforward_on)
+        top = np.empty((self.n, 2, self.d))
+        top[:, 0] = own + u + self._disturbance(t)[1:]
+        top[:, 1] = v0 + anchor if self.sim.feedforward_on else v0
         return chain_derivative(self.dims, state, top)
 
     def _integrate_interval(self, k: int) -> None:
-        """Integrate one sampling interval, recording the world after every RK4 substep."""
-        rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0])
+        """Integrate one sampling interval, recording the followers after every RK4 substep. Its
+        stages read the leader pass's records in call order: k2 and k3 share a time, not a state."""
+        anchor = self.leader_plan.anchor_drift[:, k][:, self._hop_column]
+        ff = np.where(self._pinned, self.leader_plan.leader_drift[k][:, None], anchor)
+        rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=iter(zip(ff, anchor)))
         substeps = self._substeps(rhs, self.state, k * self.sim.ts)
         for j, (state, t) in enumerate(substeps, k * self.sim.fine_substeps + 1):
             self.state[:] = state
-            self._states[j, :, :2] = state[:, :2]
+            self._states[j, 1:, :2] = state
             self._times[j] = t
 
     # --- the run's record: trace columns and safety monitors ---
@@ -507,8 +507,8 @@ class SimWorld:
     def _init_trace(self) -> None:
         """Trace columns and the trace array, one row per fine step, which records the run.
 
-        During the loop, row j > 0 holds every agent's true and nominal state
-        (leader first) and the time after RK4 substep j; row 0 holds the
+        Row j > 0 holds every agent's true and nominal state (leader first, from
+        the leader pass) and the time after RK4 substep j; row 0 holds the
         deployment state. ``_states`` (rows, N+1, x/xb/dx, nd) and ``_times``
         are views of those columns.
         """
@@ -523,7 +523,7 @@ class SimWorld:
             raise MemoryError(f"{exc} (t_end {self.sim.t_end:g} is too long to record)") from None
         self._states = self.trace_data[:, self._trace_cols["states"]].reshape(rows, n + 1, 3, -1)
         self._times = self.trace_data[:, 0]
-        self._states[0, :, :2] = self.state[:, :2]
+        self._states[0, :, :2] = initial_states(self.cfg)[:, None]
 
     def _log_row(self, k: int, stats: dict) -> None:
         """Write step k's held values into its interval's rows (and the final row at the end)."""

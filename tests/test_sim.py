@@ -13,11 +13,12 @@ from tubeform.barrier import assemble_row
 from tubeform.cli import REPORT_COLUMNS, main
 from tubeform.errors import DegenerateGradient, NonFiniteState, ScenarioError
 from tubeform.graph import CommGraph
-from tubeform.models import BALL_BLOCK, DisturbanceStack
+from tubeform.linalg import rk4_step
+from tubeform.models import BALL_BLOCK, DisturbanceStack, chain_derivative
 from tubeform.ocp import OcpSpec, rollout
 from tubeform.pipeline import certify_scenario
-from tubeform.protocol import shift_plan
-from tubeform.scenario import load_scenario, parse_scenario
+from tubeform.protocol import relayed_estimates, shift_plan
+from tubeform.scenario import initial_states, load_scenario, parse_scenario
 from tubeform.sim import (
     FINAL_WINDOW_S,
     SimConfig,
@@ -135,6 +136,30 @@ def own_disturbance(world, agent, t):
     return agent_disturbance(config, world.d, agent, sim.seed, step, t, block=BALL_BLOCK)
 
 
+def leader_oracle(world, steps):
+    """(steps + 1, nd) leader states at k ts, integrated here with ``rk4_step``, the leader's
+    own drift and its disturbance formula, the clock restarting at k ts as the world's does."""
+    ts, fs = world.sim.ts, world.sim.fine_substeps
+
+    def leader_rhs(x, t):
+        top = world.models[0].drift.value(x, t) + own_disturbance(world, 0, t)
+        return chain_derivative(world.dims, x, top)
+
+    states = [initial_states(world.cfg)[0]]
+    for k in range(steps):
+        x, t = states[-1], k * ts
+        for _ in range(fs):
+            x, t = rk4_step(leader_rhs, x, t, ts / fs), t + ts / fs
+        states.append(x)
+    return np.array(states)
+
+
+def anchor_rhs(world):
+    """The RK4 right-hand side of an anchor: the leader's chain under its own drift, no disturbance."""
+    f0 = world.models[0].drift.value
+    return lambda x, t: chain_derivative(world.dims, x, f0(x, t))
+
+
 class TestDeviationDynamics:
     @staticmethod
     def stepped_world(feedforward_on):
@@ -147,11 +172,19 @@ class TestDeviationDynamics:
 
     @staticmethod
     def deviation_rates(world, t):
-        """Per follower: (state, dx, d(dx)/dt, anchor) read off the world ODE."""
-        deriv = world._world_derivative(world.state, t, world.plans[:, 0])
+        """Per follower: (state, dx, d(dx)/dt, anchor, leader) read off the world ODE at t = 3 ts,
+        the drifts at an independent leader and at step 2's anchors propagated to 3 ts."""
+        leader, h = leader_oracle(world, 3), world.sim.ts / world.sim.fine_substeps
+        f0 = world.models[0].drift.value
+        anchors, s = relayed_estimates(leader, world.cert.tubes.hops)[2], 2 * world.sim.ts
+        for _ in range(world.sim.fine_substeps):
+            anchors, s = rk4_step(anchor_rhs(world), anchors, s, h), s + h
+        cancel = np.where((world.cert.tubes.hops == 0)[:, None], f0(leader[3], t), f0(anchors, t))
+        stage = iter([(cancel, f0(anchors, t))])
+        deriv = world._world_derivative(world.state, t, world.plans[:, 0], stage)
         for i in range(world.n):
-            x, xb, anchor = world.state[i + 1]
-            yield i, x, x - xb, deriv[i + 1, 0] - deriv[i + 1, 1], anchor
+            x, xb = world.state[i]
+            yield i, x, x - xb, deriv[i, 0] - deriv[i, 1], anchors[i], leader[3]
 
     def test_closed_loop_matches_linear_form(self):
         """Fine-integrated deviation dynamics match the certified linear form:
@@ -160,11 +193,12 @@ class TestDeviationDynamics:
         nd = world.nd
         g_sel = np.zeros((nd, 2))
         g_sel[-2:] = np.eye(2)
-        for i, _, dx, ddx, anchor in self.deviation_rates(world, t):
+        for i, _, dx, ddx, anchor, x_leader in self.deviation_rates(world, t):
             pinned = world.graph.b0[i] > 0
-            ff_state = world.x_leader if pinned else anchor
+            ff_state = x_leader if pinned else anchor
             leader = world.models[0].drift.value
             mismatch = leader(ff_state, t) - leader(anchor, t)
+            assert np.max(np.abs(mismatch)) > 1e-6 or not pinned  # the leader's tube is there
             w = own_disturbance(world, i + 1, t)
             expected = acl @ dx + g_sel @ (mismatch + w)
             assert np.max(np.abs(ddx - expected)) < 1e-9
@@ -176,7 +210,7 @@ class TestDeviationDynamics:
         nd = world.nd
         g_sel = np.zeros((nd, 2))
         g_sel[-2:] = np.eye(2)
-        for i, x, dx, ddx, _ in self.deviation_rates(world, t):
+        for i, x, dx, ddx, *_ in self.deviation_rates(world, t):
             drive = world.models[i + 1].drift.value(x, t) + own_disturbance(world, i + 1, t)
             assert np.max(np.abs(drive)) > 1e-3  # the uncancelled term is really there
             expected = acl @ dx + g_sel @ drive
@@ -231,7 +265,7 @@ class TestLeaderFeedforward:
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         rng = np.random.default_rng(3)
-        anchors = world.x_leader + 0.3 * rng.normal(size=(4, world.nd))
+        anchors = initial_states(cfg)[0] + 0.3 * rng.normal(size=(4, world.nd))
         stacked = world._leader_ff_samples(anchors, 0.7)
         assert stacked.shape == (4, world.horizon, world.d)
         for i, anchor in enumerate(anchors):
@@ -253,19 +287,27 @@ def ball_smoke_doc():
 
 class TestLeaderPlan:
     @pytest.mark.parametrize("ball", [False, True], ids=["smoke", "ball"])
-    def test_every_step_matches_the_world_and_a_direct_propagation(self, ball):
-        """Bit for bit at every step k: the plan's leader is the world's leader at the start of
-        step k, and its feedforward is ``_leader_ff_samples`` from its estimates at k ts."""
+    def test_every_step_matches_a_direct_integration_and_propagation(self, ball):
+        """The leader pass fills the trace's leader rows. At every step k, the final instant
+        included, the leader is an independent RK4 integration of it at k ts, and bit for bit
+        its feedforward is ``_leader_ff_samples`` from its estimates at k ts, and its nominal
+        over step k is the leader's drift-only chain from k ts."""
         cfg = parse_scenario(json.dumps(ball_smoke_doc())) if ball else load_scenario(SMOKE)
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
-        plan = world.leader_plan
+        plan, rows = world.leader_plan, world._states[:, 0]
+        fs, h = cfg.sim.fine_substeps, cfg.sim.ts / cfg.sim.fine_substeps
         assert plan.ff_samples.shape == (world.n_steps, world.n, world.horizon, world.d)
+        oracle = leader_oracle(world, world.n_steps)
+        np.testing.assert_allclose(rows[::fs, 0], oracle, rtol=1e-12, atol=1e-12)
         for k in range(world.n_steps):
-            assert np.array_equal(plan.leader[k], world.x_leader), k
+            assert np.array_equal(plan.leader[k], rows[k * fs, 0]), k
             direct = world._leader_ff_samples(plan.estimates[k], k * cfg.sim.ts)
             assert np.array_equal(plan.ff_samples[k], direct), k
-            world.step(k)
+            x, t = plan.leader[k], k * cfg.sim.ts
+            for j in range(k * fs + 1, (k + 1) * fs + 1):
+                x, t = rk4_step(anchor_rhs(world), x, t, h), t + h
+                assert np.array_equal(rows[j, 1], x), j
 
     def test_one_propagation_per_run(self, monkeypatch):
         """A run gathers every step's relayed estimates and propagates their feedforward, once each."""
@@ -312,9 +354,9 @@ class TestFeedforwardPerHopCount:
         rows = []
         propagate = world._leader_ff_samples
 
-        def counting(anchors, t0):
+        def counting(anchors, t0, *record):
             rows.append(len(anchors))
-            return propagate(anchors, t0)
+            return propagate(anchors, t0, *record)
 
         monkeypatch.setattr(world, "_leader_ff_samples", counting)
         plan = world.leader_plan
@@ -324,11 +366,55 @@ class TestFeedforwardPerHopCount:
         assert np.array_equal(plan.ff_samples, every.reshape(plan.ff_samples.shape))
 
 
+class TestStageRecords:
+    def test_world_reads_the_anchor_drifts_of_a_direct_replay_in_call_order(self, monkeypatch):
+        """On smoke (follower 2 relayed one hop), the leader pass's anchor drifts over step k are
+        the leader model at a direct ``rk4_step`` replay's stage states, bit for bit. The world's
+        interval consumes exactly those 4 fs rows, in call order: k2 and k3 of a substep share a
+        stage time but not a drift, so no table keyed by stage time could hold them."""
+        cfg = load_scenario(SMOKE)
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
+        assert world.cert.tubes.hops.tolist() == [0, 1]
+        plan, fs, k = world.leader_plan, cfg.sim.fine_substeps, 3
+        f0, h = world.models[0].drift.value, cfg.sim.ts / fs
+        drifts, times = [], []
+
+        def replay(x, t):
+            drifts.append(f0(x, t))
+            times.append(t)
+            return chain_derivative(world.dims, x, drifts[-1])
+
+        x, t = plan.estimates[k, 1], k * cfg.sim.ts
+        for _ in range(fs):
+            x, t = rk4_step(replay, x, t, h), t + h
+        recorded = plan.anchor_drift[:, k, world._hop_column[1]]
+        assert recorded.shape == (4 * fs, world.d)
+        assert np.array_equal(recorded, np.array(drifts))
+        stage_times, stage_drifts = np.reshape(times, (fs, 4)), recorded.reshape(fs, 4, world.d)
+        assert np.array_equal(stage_times[:, 1], stage_times[:, 2])
+        assert np.all(np.any(stage_drifts[:, 1] != stage_drifts[:, 2], axis=-1))
+
+        reads = []
+        derivative = world._world_derivative
+
+        def reading(state, t, v0, stages):
+            reads.append(next(stages))
+            return derivative(state, t, v0, iter(reads[-1:]))
+
+        monkeypatch.setattr(world, "_world_derivative", reading)
+        for step in range(k + 1):
+            world.step(step)
+        cancel, anchor = (np.array(r[-4 * fs :]) for r in zip(*reads))
+        assert len(reads) == 4 * fs * (k + 1)
+        assert np.array_equal(anchor[:, 1], recorded) and np.array_equal(cancel[:, 1], recorded)
+        assert np.array_equal(cancel[:, 0], plan.leader_drift[k])  # follower 1 is pinned
+
+
 class TestDisturbancePerStageTime:
     def test_each_stage_time_evaluated_once_per_run(self, monkeypatch):
         """A ball smoke run evaluates each distinct stage time's disturbances once: the leader
-        pass evaluates every interval but the last, whose times are the world's only misses, and
-        the world reads the kept read-only arrays."""
+        pass evaluates every stage time, the world evaluates none and reads the kept read-only
+        arrays."""
         cfg = parse_scenario(json.dumps(ball_smoke_doc()))
         world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
         stack = world._disturbance
@@ -345,30 +431,25 @@ class TestDisturbancePerStageTime:
         in_pass = len(evaluated)
         world.run()
         assert len(evaluated) == len(set(evaluated)) and len(reads) > 2 * len(evaluated)
-        last_interval = (world.n_steps - 1) * cfg.sim.ts - 1e-9
-        assert min(evaluated[in_pass:]) >= last_interval
+        assert len(evaluated) == in_pass
         assert not any(w.flags.writeable for w in reads)
 
 
 class TestWorldDrift:
     def test_team_call_matches_per_model_calls(self):
-        """The one stacked drift call of the world RHS equals one call per row's
-        model: the leader's on the leader, its nominal and the anchors, each
-        follower's own on its true state."""
+        """The one stacked drift call of the world RHS, N rows, equals one call of each
+        follower's own model on its true state."""
         cfg = load_scenario(PAPER)
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         for step in range(10):
             world.step(step)
         t = 10.37 * cfg.sim.ts
-        team = world._drift.value(world.state[:, ::2].reshape(-1, world.nd), t)
-        leader = world.models[0].drift.value
-        expected = np.empty_like(team)
-        expected[[0, 1]] = leader(world.state[0, ::2], t)
-        expected[3::2] = leader(world.anchors, t)
+        team = world._drift.value(world.x_true, t)
+        assert team.shape == (world.n, world.d)
         for i, model in enumerate(world.models[1:]):
-            expected[2 + 2 * i] = model.drift.value(world.x_true[i], t)
-        np.testing.assert_allclose(team, expected, rtol=1e-14, atol=1e-14)
+            alone = model.drift.value(world.x_true[i], t)
+            np.testing.assert_allclose(team[i], alone, rtol=1e-14, atol=1e-14)
 
 
 def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
@@ -418,7 +499,7 @@ def paper_mid_run():
     k = 20
     for step in range(k):
         world.step(step)
-    ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
+    ff = world.leader_plan.ff_samples[k]
     shifted, preds, _ = world._neighbor_data(k, ff)
     return world, k, ff, shifted, preds
 
@@ -482,7 +563,7 @@ class TestRowBuilder:
     def test_deployment_grid_holds_only_obstacle_cells(self, paper_mid_run):
         cfg, cert = paper_mid_run[0].cfg, paper_mid_run[0].cert
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
-        ff = world._leader_ff_samples(world.anchors, 0.0)
+        ff = world.leader_plan.ff_samples[0]
         shifted, preds, _ = world._neighbor_data(0, ff)
         for i in range(world.n):
             grid = world._row_grid(i, 0, ff[i], preds, shifted)
@@ -521,7 +602,7 @@ class TestRowBuilder:
         )
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
-        ff = world._leader_ff_samples(world.anchors, 0.0)
+        ff = world.leader_plan.ff_samples[0]
         shifted, preds, _ = world._neighbor_data(0, ff)
         grid = world._row_grid(0, 0, ff[0], preds, shifted)  # obstacles only at deployment
         states = np.ones((world.horizon + 1, world.nd))
@@ -542,7 +623,7 @@ class TestNeighborPredictions:
         k = 20
         for step in range(k):
             world.step(step)
-        ff = world._leader_ff_samples(world.anchors, k * cfg.sim.ts)
+        ff = world.leader_plan.ff_samples[k]
         shifted, preds, s_seqs = world._neighbor_data(k, ff)
         spec = world.specs[0]
         edges = [(i, j) for i in range(world.n) for j in world.graph.neighbors(i)]
