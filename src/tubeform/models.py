@@ -10,9 +10,9 @@ one value and one closed-form Jacobian evaluator serve the world, the
 feedforward, the Lipschitz checks and the leader linearization, and several
 agents' tables stack into one table evaluated row by row. Each agent's
 disturbance is its ``DisturbanceConfig`` (a per-axis sinusoid or a seeded
-ball); a team's configs compile into one ``DisturbanceStack``, evaluated once
-per time, whose ball rows are drawn a block of ``BALL_BLOCK`` fine steps at a
-time.
+ball); a team's configs compile into one ``DisturbanceStack``, which keeps
+the last time's array and draws its ball rows a block of ``BALL_BLOCK`` fine
+steps at a time.
 """
 
 from __future__ import annotations
@@ -223,10 +223,10 @@ class DisturbanceStack:
     own time (``index``), so an RK4 substep over fine step j reads draw j at
     its first three stages and draw j + 1 at its last stage, at the step's
     end time. Every block drawn is kept, so each (row, block) is drawn once
-    however often and in whatever order its times are read. Every time's
-    (rows, d) array is kept too, read-only, so each distinct time is evaluated
-    once: the simulator's leader pass and its world integration reach the
-    same stage times bit for bit, and the world reads the pass's arrays.
+    however often and in whatever order its times are read. A call returns a
+    read-only array and keeps only the last time's, so reading RK4 stage times
+    in order, as the simulator's leader pass does, evaluates each distinct time
+    once: k2 and k3 share t + h/2, and a substep's k4 time is the next one's k1.
     """
 
     def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
@@ -239,7 +239,7 @@ class DisturbanceStack:
         )
         self._ball_rows = [r for r, c in enumerate(configs) if c.kind == "ball"]
         self._blocks: dict[int, np.ndarray] = {}  # block -> (ball rows, BALL_BLOCK, d)
-        self._at: dict[float, np.ndarray] = {}  # time -> (rows, d), read-only
+        self._t, self._w = math.nan, np.empty(0)  # the last call's time and read-only array
 
     def draw(self, row: int, block: int) -> np.ndarray:
         """Row ``row``'s (BALL_BLOCK, d) ball draws for the fine-step indices of ``block``."""
@@ -273,12 +273,11 @@ class DisturbanceStack:
         return w
 
     def __call__(self, t: float) -> np.ndarray:
-        """The (rows, d) disturbances at time t, read-only, evaluated once per distinct time."""
-        w = self._at.get(t)
-        if w is None:
-            w = self._at[t] = self.evaluate(t)
-            w.setflags(write=False)
-        return w
+        """The (rows, d) disturbances at time t, read-only, evaluated unless t is the last call's."""
+        if t != self._t:
+            self._t, self._w = t, self.evaluate(t)
+            self._w.setflags(write=False)
+        return self._w
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,13 @@ are one ``barrier.RowGrid`` per step over its obstacles and neighbors
 (``SimWorld._row_grid``), whose ``rows`` each SQP pass calls.
 
 The world integrates only the followers: one (N, 2, nd) array of their true
-and nominal states. Each RK4 stage reads, in call order, the leader pass's
-drifts there: the one each follower cancels toward (the true leader's if
-pinned, else its anchor's) and its anchor's. The leader pass fills the
-trace's leader rows, every RK4 substep writes the followers and the time into
-the trace's own rows, and every step writes its held values into its
-interval's rows. One array pass at the end of the run builds the safety
+and nominal states. The feedforward cancels a follower's own nonlinearity, so
+each RK4 stage reads, besides its state, only the leader pass's exogenous
+record there, in call order: the drift it cancels toward (the true leader's if
+pinned, else its anchor's), its anchor's drift and its disturbance. The leader
+pass fills the trace's leader rows, every RK4 substep writes the followers and
+the time into the trace's own rows, and every step writes its held values into
+its interval's rows. One array pass at the end of the run builds the safety
 violations and the state-derived columns.
 """
 
@@ -219,13 +220,11 @@ def apply_control(
 
 
 class LeaderPlan(NamedTuple):
-    """The exogenous leader over one run, led by the sampling step k or by RK4 stage, in call order."""
+    """The exogenous inputs of one run, led by the sampling step k; the RK4 stages in call order."""
 
     leader: np.ndarray  # (steps, nd) the leader's true state at k ts
-    estimates: np.ndarray  # (steps, N, nd) the followers' relayed leader estimates
-    ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its estimate
-    leader_drift: np.ndarray  # (steps, 4 fs, d) the true leader's drift at each stage of step k
-    anchor_drift: np.ndarray  # (4 fs, steps, hop counts, d) each distinct anchor's, likewise
+    ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its relayed estimate
+    exogenous: np.ndarray  # (steps, 4 fs, 3, N, d) per stage: cancel, anchor drift, disturbance
 
 
 class SimWorld:
@@ -276,13 +275,8 @@ class SimWorld:
         self.state = np.empty((self.n, 2, self.nd))
         self.x_true, self.x_nom = self.state.swapaxes(0, 1)
         self._drift = DriftTable.stack([m.drift for m in self.models], np.arange(1, self.n + 1))
-        disturbances = [m.disturbance for m in self.models]
-        step = sim.ts / sim.fine_substeps
-        self._disturbance = DisturbanceStack(disturbances, self.d, sim.seed, step)
         self.state[:] = initial_states(cfg)[1:, None]  # nominal initialized at measurement
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
-        self._pinned = (tubes.hops == 0)[:, None]
-        self._hop_counts, self._hop_column = np.unique(tubes.hops, return_inverse=True)
         tube_r2 = tubes.r**2
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower
@@ -309,39 +303,45 @@ class SimWorld:
 
     @functools.cached_property
     def leader_plan(self) -> LeaderPlan:
-        """The exogenous leader, its relayed estimates and one feedforward propagation, once per run.
+        """The leader, its followers' feedforward and every RK4 stage's exogenous record, once per run.
 
-        The leader is integrated alone into the trace's leader rows, with the
-        world's substeps, times, drift arithmetic and disturbance draws. One
-        ``_leader_ff_samples`` call propagates each distinct (step, hop count)
-        anchor from its own start time, bit-equal per row to propagating every
-        (step, follower) anchor; its first period records the anchors' stage
-        drifts and the leader's nominal (hop count 0: a rooted graph pins one).
+        The leader is integrated alone into the trace's leader rows with the world's substeps,
+        times, drift arithmetic and disturbance draws, each stage writing its drift and the
+        followers' disturbances into slots 0 and 2 of ``exogenous``. One ``_leader_ff_samples``
+        call propagates each distinct (step, hop count) anchor from its own start time,
+        bit-equal per row to propagating every (step, follower) anchor. Its first period gives
+        the leader's nominal (hop count 0: a rooted graph pins one) and the anchors' stage
+        drifts, gathered per follower into slot 1 and, for the followers not pinned, slot 0.
         """
         ts, n_steps, fs, nd, d = self.sim.ts, self.n_steps, self.sim.fine_substeps, self.nd, self.d
         drift = DriftTable.stack([m.drift for m in self.models], np.zeros(1, int))  # row-stack path
+        disturbance = DisturbanceStack([m.disturbance for m in self.models], d, self.sim.seed, ts / fs)
         rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
-        leader_drift = np.empty((n_steps, 4 * fs, d))
-        stages = iter(leader_drift.reshape(-1, d))
+        exogenous = np.empty((n_steps, 4 * fs, 3, self.n, d))
+        stages = iter(exogenous.reshape(-1, 3, self.n, d))
 
         def rhs(x, time):
-            f = drift.value(x, time)
-            next(stages)[...] = f[0]
-            return chain_derivative(self.dims, x, f + self._disturbance(time)[:1])
+            f, w = drift.value(x, time), disturbance(time)
+            cancel, _, own = next(stages)
+            cancel[...], own[...] = f[0], w[1:]
+            return chain_derivative(self.dims, x, f + w[:1])
 
         x = rows[:1, 0]
         for k in range(n_steps):
             for j, (x, _) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
                 rows[j, 0] = x[0]
-        estimates = relayed_estimates(rows[:-1:fs, 0], self._hop_counts)  # (steps, hop counts, nd)
-        hops, column = len(self._hop_counts), self._hop_column
+        hop_counts, column = np.unique(self.cert.tubes.hops, return_inverse=True)
+        hops = len(hop_counts)
+        estimates = relayed_estimates(rows[:-1:fs, 0], hop_counts)  # (steps, hop counts, nd)
         starts = np.repeat(np.arange(n_steps) * ts, hops)
         record = np.empty((fs, n_steps * hops, nd)), np.empty((4 * fs, n_steps * hops, d))
         ff = self._leader_ff_samples(estimates.reshape(-1, nd), starts, record)
         ff = ff.reshape(n_steps, hops, self.horizon, d)[:, column]
         rows[1:, 1] = record[0][:, ::hops].swapaxes(0, 1).reshape(-1, nd)
-        anchor_drift = record[1].reshape(4 * fs, n_steps, hops, d)
-        return LeaderPlan(rows[:-1:fs, 0], estimates[:, column], ff, leader_drift, anchor_drift)
+        exogenous[:, :, 1] = record[1].reshape(4 * fs, n_steps, hops, d).swapaxes(0, 1)[:, :, column]
+        relayed = self.cert.tubes.hops > 0
+        exogenous[:, :, 0, relayed] = exogenous[:, :, 1, relayed]
+        return LeaderPlan(rows[:-1:fs, 0], ff, exogenous)
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray, record=None) -> np.ndarray:
         """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor; a ``record``
@@ -480,22 +480,21 @@ class SimWorld:
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray, stages) -> np.ndarray:
         """RHS of the world ODE (laid out as ``self.state``) at the next RK4 stage of ``stages``:
-        the (N, d) leader drift each follower cancels toward and its anchor's drift."""
-        cancel, anchor = next(stages)
+        the (N, d) leader drift each follower cancels toward, its anchor's drift and its disturbance."""
+        cancel, anchor, w = next(stages)
         x, xb = state[:, 0], state[:, 1]
         own = self._drift.value(x, t)
         u = apply_control(self.gain, v0, x, xb, cancel, own, self.sim.feedforward_on)
         top = np.empty((self.n, 2, self.d))
-        top[:, 0] = own + u + self._disturbance(t)[1:]
+        top[:, 0] = own + u + w
         top[:, 1] = v0 + anchor if self.sim.feedforward_on else v0
         return chain_derivative(self.dims, state, top)
 
     def _integrate_interval(self, k: int) -> None:
         """Integrate one sampling interval, recording the followers after every RK4 substep. Its
         stages read the leader pass's records in call order: k2 and k3 share a time, not a state."""
-        anchor = self.leader_plan.anchor_drift[:, k][:, self._hop_column]
-        ff = np.where(self._pinned, self.leader_plan.leader_drift[k][:, None], anchor)
-        rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=iter(zip(ff, anchor)))
+        stages = iter(self.leader_plan.exogenous[k])
+        rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=stages)
         substeps = self._substeps(rhs, self.state, k * self.sim.ts)
         for j, (state, t) in enumerate(substeps, k * self.sim.fine_substeps + 1):
             self.state[:] = state

@@ -253,6 +253,11 @@ def reference(configs: list[DisturbanceConfig], seed: int, t: float) -> np.ndarr
     )
 
 
+def rk4_call_order(times: list[float]) -> list[float]:
+    """``stage_times``' times as RK4 reads them: each substep's midpoint twice (k2 and k3)."""
+    return [t for s in range(0, len(times), 3) for t in (times[s], times[s + 1], times[s + 1], times[s + 2])]
+
+
 def stage_times(fine_steps: int, h: float = 0.01, start: float = 0.98) -> list[float]:
     """The RK4 stage times of ``fine_steps`` substeps from ``start``, accumulated as in the world."""
     times, t = [], start
@@ -288,22 +293,46 @@ class TestDisturbanceStack:
         assert sorted(calls) == sorted((row, b) for row in (0, 2) for b in blocks)
 
     def test_each_time_evaluated_once_and_read_only(self, monkeypatch):
-        """A second read of a time, in any order, returns the first read's array: each distinct
-        time is evaluated once, and the kept arrays cannot be written."""
+        """Stage times read in RK4 call order (t, t + h/2 twice, t + h per substep, the next
+        substep starting at t + h) evaluate each distinct time once; a repeated read returns the
+        first read's array, which equals each agent's own formula and cannot be written."""
         configs = disturbance_configs("mixed")
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         evaluated = []
         evaluate = stack.evaluate
         monkeypatch.setattr(stack, "evaluate", lambda t: evaluated.append(t) or evaluate(t))
         times = stage_times(6)
-        first = {t: stack(t) for t in times}
-        for t in list(np.random.default_rng(3).permutation(times)) + times[::-1]:
-            assert stack(t) is first[t]
-        assert sorted(evaluated) == sorted(set(times))
-        for t, w in first.items():
+        reads = []
+        for t in rk4_call_order(times):
+            w = stack(t)
+            if reads and t == reads[-1][0]:
+                assert w is reads[-1][1]
+            reads.append((t, w))
+        assert len(reads) == 4 * 6 and evaluated == list(dict.fromkeys(times))
+        assert len(evaluated) == 2 * 6 + 1
+        for t, w in reads:
             assert not w.flags.writeable and np.array_equal(w, reference(configs, 4, t))
             with pytest.raises(ValueError):
                 w[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "calls, evaluations",
+        [("aaba", 3), ("abab", 4), ("aaa", 1), ("abba", 3), ("abc", 3)],
+    )
+    def test_only_a_repeat_of_the_last_time_is_not_evaluated(self, monkeypatch, calls, evaluations):
+        """Reads at the times named by ``calls`` (a = 1.0, b = 1.005, c = 1.01) evaluate the
+        stack ``evaluations`` times, and each returns a read-only array equal to ``evaluate``."""
+        configs = disturbance_configs("mixed")
+        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
+        fresh = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
+        evaluated = []
+        evaluate = stack.evaluate
+        monkeypatch.setattr(stack, "evaluate", lambda t: evaluated.append(t) or evaluate(t))
+        at = {"a": 1.0, "b": 1.005, "c": 1.01}
+        for name in calls:
+            w = stack(at[name])
+            assert not w.flags.writeable and np.array_equal(w, fresh.evaluate(at[name]))
+        assert len(evaluated) == evaluations
 
     def test_reads_across_a_block_boundary(self, monkeypatch):
         """Stage times over indices 1022..1028 read blocks 0 and 1, each drawn once per ball row,
