@@ -10,9 +10,9 @@ one value and one closed-form Jacobian evaluator serve the world, the
 feedforward, the Lipschitz checks and the leader linearization, and several
 agents' tables stack into one table evaluated row by row. Each agent's
 disturbance is its ``DisturbanceConfig`` (a per-axis sinusoid or a seeded
-ball); a team's configs compile into one ``DisturbanceStack``, which keeps
-the last time's array and draws its ball rows a block of ``BALL_BLOCK`` fine
-steps at a time.
+ball); a team's configs compile into one ``DisturbanceStack``, which
+evaluates one time or an array of times and draws its ball rows a block of
+``BALL_BLOCK`` fine steps at a time.
 """
 
 from __future__ import annotations
@@ -219,14 +219,10 @@ class DisturbanceStack:
     time: row r's block b is one generator seeded with (seed, r, b), and
     index j reads row j % BALL_BLOCK of block j // BALL_BLOCK. So a draw
     depends on the seed, the row and the index alone, not on the run length,
-    the other rows or the order of reads. The index is taken at each call's
-    own time (``index``), so an RK4 substep over fine step j reads draw j at
-    its first three stages and draw j + 1 at its last stage, at the step's
-    end time. Every block drawn is kept, so each (row, block) is drawn once
-    however often and in whatever order its times are read. A call returns a
-    read-only array and keeps only the last time's, so reading RK4 stage times
-    in order, as the simulator's leader pass does, evaluates each distinct time
-    once: k2 and k3 share t + h/2, and a substep's k4 time is the next one's k1.
+    the other rows or the other times evaluated with it. The index is taken at
+    each time (``index``), so an RK4 substep over fine step j reads draw j at
+    its first three stages and draw j + 1 at its last stage, at the step's end
+    time. A stack keeps nothing from one call to the next.
     """
 
     def __init__(self, configs: list[DisturbanceConfig], d: int, seed: int, step_duration: float):
@@ -238,8 +234,6 @@ class DisturbanceStack:
             for f in ("amp", "freq", "phase")
         )
         self._ball_rows = [r for r, c in enumerate(configs) if c.kind == "ball"]
-        self._blocks: dict[int, np.ndarray] = {}  # block -> (ball rows, BALL_BLOCK, d)
-        self._t, self._w = math.nan, np.empty(0)  # the last call's time and read-only array
 
     def draw(self, row: int, block: int) -> np.ndarray:
         """Row ``row``'s (BALL_BLOCK, d) ball draws for the fine-step indices of ``block``."""
@@ -260,24 +254,19 @@ class DisturbanceStack:
         """
         return np.floor(t / self._step_duration + 1e-6)
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """The (rows, d) disturbances at time t, computed afresh."""
-        w = np.empty(self._shape)
+    def evaluate(self, t: float | np.ndarray) -> np.ndarray:
+        """The (..., rows, d) disturbances at the times t (...); each ball row draws every block
+        its times reach once, then gathers each time's draw by index."""
+        t = np.asarray(t, dtype=float)
+        w = np.empty(t.shape + self._shape)
         if self._sine_rows:
-            w[self._sine_rows] = sinusoid(self._amp, self._freq, self._phase, t)
+            w[..., self._sine_rows, :] = sinusoid(self._amp, self._freq, self._phase, t[..., None, None])
         if self._ball_rows:
-            block, j = divmod(int(self.index(t)), BALL_BLOCK)
-            if block not in self._blocks:
-                self._blocks[block] = np.array([self.draw(r, block) for r in self._ball_rows])
-            w[self._ball_rows] = self._blocks[block][:, j]
+            blocks, j = np.divmod(self.index(t).astype(int), BALL_BLOCK)
+            reached, at = np.unique(blocks, return_inverse=True)
+            draws = np.array([[self.draw(r, b) for b in reached.tolist()] for r in self._ball_rows])
+            w[..., self._ball_rows, :] = np.moveaxis(draws[:, at.reshape(t.shape), j], 0, -2)
         return w
-
-    def __call__(self, t: float) -> np.ndarray:
-        """The (rows, d) disturbances at time t, read-only, evaluated unless t is the last call's."""
-        if t != self._t:
-            self._t, self._w = t, self.evaluate(t)
-            self._w.setflags(write=False)
-        return self._w
 
 
 @dataclass(frozen=True)

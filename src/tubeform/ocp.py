@@ -57,9 +57,8 @@ QP_TOL = 1e-8
 RICCATI_TOL = 1e-10  # Frobenius step that ends the discrete Riccati iteration
 RICCATI_MAX_ITER = 10_000
 # exact-penalty weight per row group: 0 is obstacle rows, 1 inter-agent rows,
-# the last entry the terminal cut; group -1 marks hard rows. Violating an
-# obstacle row is far more expensive than an inter-agent row, which outranks
-# the terminal cut.
+# the last entry the terminal cut. Violating an obstacle row is far more
+# expensive than an inter-agent row, which outranks the terminal cut.
 SLACK_PENALTY = (1e6, 3e4, 1e4)
 
 

@@ -305,26 +305,34 @@ class SimWorld:
     def leader_plan(self) -> LeaderPlan:
         """The leader, its followers' feedforward and every RK4 stage's exogenous record, once per run.
 
-        The leader is integrated alone into the trace's leader rows with the world's substeps,
-        times, drift arithmetic and disturbance draws, each stage writing its drift and the
-        followers' disturbances into slots 0 and 2 of ``exogenous``. One ``_leader_ff_samples``
+        One ``_substeps`` walk over the step starts gives the run's (steps, 4 fs) RK4 stage times in
+        call order, and one ``DisturbanceStack.evaluate`` call every agent's disturbance there, the
+        followers' into slot 2 of ``exogenous``. The leader is integrated alone into the trace's
+        leader rows with the world's substeps, times and drift arithmetic, each stage adding its
+        own disturbance and writing its drift into slot 0. One ``_leader_ff_samples``
         call propagates each distinct (step, hop count) anchor from its own start time,
         bit-equal per row to propagating every (step, follower) anchor. Its first period gives
         the leader's nominal (hop count 0: a rooted graph pins one) and the anchors' stage
         drifts, gathered per follower into slot 1 and, for the followers not pinned, slot 0.
         """
         ts, n_steps, fs, nd, d = self.sim.ts, self.n_steps, self.sim.fine_substeps, self.nd, self.d
-        drift = DriftTable.stack([m.drift for m in self.models], np.zeros(1, int))  # row-stack path
+        step_starts, times = np.arange(n_steps) * ts, []  # times: per RK4 stage, in call order
+        for _ in self._substeps(lambda x, t: times.append(t) or x, np.empty((n_steps, 0)), step_starts):
+            pass
         disturbance = DisturbanceStack([m.disturbance for m in self.models], d, self.sim.seed, ts / fs)
+        w = disturbance.evaluate(np.stack(times, axis=1))  # (steps, 4 fs, N+1, d)
+        # the row-stack path, for speed: a one-row stack's value beats the leader's own table's
+        drift = DriftTable.stack([m.drift for m in self.models], np.zeros(1, int))
         rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
         exogenous = np.empty((n_steps, 4 * fs, 3, self.n, d))
-        stages = iter(exogenous.reshape(-1, 3, self.n, d))
+        exogenous[:, :, 2] = w[:, :, 1:]
+        stages = zip(exogenous.reshape(-1, 3, self.n, d), w[:, :, :1].reshape(-1, 1, d))
 
         def rhs(x, time):
-            f, w = drift.value(x, time), disturbance(time)
-            cancel, _, own = next(stages)
-            cancel[...], own[...] = f[0], w[1:]
-            return chain_derivative(self.dims, x, f + w[:1])
+            f = drift.value(x, time)
+            slots, own = next(stages)
+            slots[0] = f[0]
+            return chain_derivative(self.dims, x, f + own)
 
         x = rows[:1, 0]
         for k in range(n_steps):
@@ -333,9 +341,8 @@ class SimWorld:
         hop_counts, column = np.unique(self.cert.tubes.hops, return_inverse=True)
         hops = len(hop_counts)
         estimates = relayed_estimates(rows[:-1:fs, 0], hop_counts)  # (steps, hop counts, nd)
-        starts = np.repeat(np.arange(n_steps) * ts, hops)
         record = np.empty((fs, n_steps * hops, nd)), np.empty((4 * fs, n_steps * hops, d))
-        ff = self._leader_ff_samples(estimates.reshape(-1, nd), starts, record)
+        ff = self._leader_ff_samples(estimates.reshape(-1, nd), np.repeat(step_starts, hops), record)
         ff = ff.reshape(n_steps, hops, self.horizon, d)[:, column]
         rows[1:, 1] = record[0][:, ::hops].swapaxes(0, 1).reshape(-1, nd)
         exogenous[:, :, 1] = record[1].reshape(4 * fs, n_steps, hops, d).swapaxes(0, 1)[:, :, column]

@@ -253,11 +253,6 @@ def reference(configs: list[DisturbanceConfig], seed: int, t: float) -> np.ndarr
     )
 
 
-def rk4_call_order(times: list[float]) -> list[float]:
-    """``stage_times``' times as RK4 reads them: each substep's midpoint twice (k2 and k3)."""
-    return [t for s in range(0, len(times), 3) for t in (times[s], times[s + 1], times[s + 1], times[s + 2])]
-
-
 def stage_times(fine_steps: int, h: float = 0.01, start: float = 0.98) -> list[float]:
     """The RK4 stage times of ``fine_steps`` substeps from ``start``, accumulated as in the world."""
     times, t = [], start
@@ -267,76 +262,61 @@ def stage_times(fine_steps: int, h: float = 0.01, start: float = 0.98) -> list[f
     return times
 
 
+def orders(times: list[float], seed: int) -> list[np.ndarray]:
+    """The times in order, shuffled, reversed, and all three concatenated, as arrays."""
+    shuffled = list(np.random.default_rng(seed).permutation(times))
+    return [np.array(ts) for ts in (times, shuffled, times[::-1], times + shuffled + times[::-1])]
+
+
 class TestDisturbanceStack:
     @pytest.mark.parametrize("kind", ["sine", "ball", "mixed"])
     def test_stack_equals_per_model_calls(self, kind):
-        """Bit-equal to each agent's own formula at the stage times: in order, shuffled, reversed."""
+        """One array of the stage times, in order, shuffled, reversed or all three concatenated,
+        is bit-equal at every time to each agent's own formula."""
         configs = disturbance_configs(kind)
-        times = stage_times(6)  # crosses the fine-step boundaries at 0.99, 1.0, ...
-        shuffled = list(np.random.default_rng(0).permutation(times))
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        for t in times + shuffled + times[::-1]:
-            assert np.array_equal(stack(t), reference(configs, 4, t)), t
+        for times in orders(stage_times(6), 0):  # crosses the fine-step boundaries at 0.99, 1.0, ...
+            w = stack.evaluate(times)
+            assert w.shape == (len(times), len(configs), 2)
+            for t, wt in zip(times.tolist(), w):
+                assert np.array_equal(wt, reference(configs, 4, t)), t
 
     def test_each_index_drawn_once_in_any_order(self, monkeypatch):
-        """Every block's draws are kept: a second pass, in any order, draws nothing."""
+        """One call over times in order, shuffled and reversed, concatenated, draws each
+        (ball row, block) its times reach once."""
         configs = disturbance_configs("mixed")
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         calls = []
         draw = stack.draw
         monkeypatch.setattr(stack, "draw", lambda row, b: calls.append((row, b)) or draw(row, b))
         times = stage_times(6)
-        shuffled = list(np.random.default_rng(1).permutation(times))
-        for t in times + shuffled + times[::-1]:
-            stack(t)
+        stack.evaluate(orders(times, 1)[-1])
         blocks = {fine_step_index(t, 0.01) // BALL_BLOCK for t in times}
         assert sorted(calls) == sorted((row, b) for row in (0, 2) for b in blocks)
 
-    def test_each_time_evaluated_once_and_read_only(self, monkeypatch):
-        """Stage times read in RK4 call order (t, t + h/2 twice, t + h per substep, the next
-        substep starting at t + h) evaluate each distinct time once; a repeated read returns the
-        first read's array, which equals each agent's own formula and cannot be written."""
-        configs = disturbance_configs("mixed")
+    @pytest.mark.parametrize("kind", ["sine", "ball", "mixed"])
+    def test_any_times_array_equals_per_time_evaluation(self, kind):
+        """An array of times of any shape, order or repeats, across a block boundary, evaluates
+        bit for bit as one scalar ``evaluate`` call per time, each a (rows, d) array."""
+        configs = disturbance_configs(kind)
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        evaluated = []
-        evaluate = stack.evaluate
-        monkeypatch.setattr(stack, "evaluate", lambda t: evaluated.append(t) or evaluate(t))
-        times = stage_times(6)
-        reads = []
-        for t in rk4_call_order(times):
-            w = stack(t)
-            if reads and t == reads[-1][0]:
-                assert w is reads[-1][1]
-            reads.append((t, w))
-        assert len(reads) == 4 * 6 and evaluated == list(dict.fromkeys(times))
-        assert len(evaluated) == 2 * 6 + 1
-        for t, w in reads:
-            assert not w.flags.writeable and np.array_equal(w, reference(configs, 4, t))
-            with pytest.raises(ValueError):
-                w[0, 0] = 1.0
-
-    @pytest.mark.parametrize(
-        "calls, evaluations",
-        [("aaba", 3), ("abab", 4), ("aaa", 1), ("abba", 3), ("abc", 3)],
-    )
-    def test_only_a_repeat_of_the_last_time_is_not_evaluated(self, monkeypatch, calls, evaluations):
-        """Reads at the times named by ``calls`` (a = 1.0, b = 1.005, c = 1.01) evaluate the
-        stack ``evaluations`` times, and each returns a read-only array equal to ``evaluate``."""
-        configs = disturbance_configs("mixed")
-        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        fresh = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        evaluated = []
-        evaluate = stack.evaluate
-        monkeypatch.setattr(stack, "evaluate", lambda t: evaluated.append(t) or evaluate(t))
-        at = {"a": 1.0, "b": 1.005, "c": 1.01}
-        for name in calls:
-            w = stack(at[name])
-            assert not w.flags.writeable and np.array_equal(w, fresh.evaluate(at[name]))
-        assert len(evaluated) == evaluations
+        times = np.array(stage_times(6) + stage_times(6, start=(BALL_BLOCK - 2) * 0.01))
+        rng = np.random.default_rng(3)
+        arrays = [*orders(times.tolist(), 2), rng.choice(times, size=(3, 5, 4)), times[[4, 4, 4]]]
+        arrays += [np.repeat(times, 2).reshape(-1, 2), times[:1], np.array(times[7])]
+        for array in arrays:
+            w = stack.evaluate(array)
+            assert w.shape == array.shape + (len(configs), 2)
+            for at in np.ndindex(array.shape):
+                t = array[at].item()
+                single = stack.evaluate(t)
+                assert single.shape == (len(configs), 2)
+                assert np.array_equal(w[at], single), (array.shape, at, t)
 
     def test_reads_across_a_block_boundary(self, monkeypatch):
-        """Stage times over indices 1022..1028 read blocks 0 and 1, each drawn once per ball row,
-        bit-equal to each agent's own formula in order, shuffled and reversed."""
+        """Stage times over indices 1022..1028 read blocks 0 and 1, each drawn once per ball row
+        in one call over the times in order, shuffled and reversed, concatenated, bit-equal to
+        each agent's own formula."""
         configs = disturbance_configs("mixed")
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         calls = []
@@ -345,23 +325,22 @@ class TestDisturbanceStack:
         times = stage_times(6, start=(BALL_BLOCK - 2) * 0.01)
         indices = sorted({fine_step_index(t, 0.01) for t in times})
         assert indices == list(range(BALL_BLOCK - 2, BALL_BLOCK + 5))
-        shuffled = list(np.random.default_rng(2).permutation(times))
-        for t in times + shuffled + times[::-1]:
-            assert np.array_equal(stack(t), reference(configs, 4, t)), t
+        every = orders(times, 2)[-1]
+        for t, w in zip(every.tolist(), stack.evaluate(every)):
+            assert np.array_equal(w, reference(configs, 4, t)), t
         assert sorted(calls) == [(row, b) for row in (0, 2) for b in (0, 1)]
 
     def test_a_row_does_not_depend_on_the_other_rows(self):
         """Each ball row's draws are the same whatever the other rows are, or whether they exist."""
         balls, sines = disturbance_configs("ball"), disturbance_configs("sine")
-        times = stage_times(6) + stage_times(6, start=(BALL_BLOCK - 2) * 0.01)
-        full = DisturbanceStack(balls, 2, seed=4, step_duration=0.01)
+        times = np.array(stage_times(6) + stage_times(6, start=(BALL_BLOCK - 2) * 0.01))
+        full = DisturbanceStack(balls, 2, seed=4, step_duration=0.01).evaluate(times)
         for row, ball in enumerate(balls):
             among_sines = [ball if r == row else sines[r] for r in range(len(balls))]
-            lone = DisturbanceStack(among_sines, 2, seed=4, step_duration=0.01)
-            prefix = DisturbanceStack(balls[: row + 1], 2, seed=4, step_duration=0.01)
-            for t in times:
-                assert np.array_equal(lone(t)[row], full(t)[row]), (row, t)
-                assert np.array_equal(prefix(t)[row], full(t)[row]), (row, t)
+            lone = DisturbanceStack(among_sines, 2, seed=4, step_duration=0.01).evaluate(times)
+            prefix = DisturbanceStack(balls[: row + 1], 2, seed=4, step_duration=0.01).evaluate(times)
+            assert np.array_equal(lone[:, row], full[:, row]), row
+            assert np.array_equal(prefix[:, row], full[:, row]), row
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_radius_over_bound_has_cdf_rho_to_the_d(self, d):
@@ -386,12 +365,12 @@ class TestDisturbanceStack:
         """Fine step j's first stages read draw j; its last stage, at its end, reads draw j + 1."""
         ball = disturbance_configs("ball")[0]
         stack = DisturbanceStack([ball], 2, seed=4, step_duration=0.01)
-        t = 0.98
-        for j in range(98, 104):
-            assert fine_step_index(t, 0.01) == fine_step_index(t + 0.005, 0.01) == j
-            assert fine_step_index(t + 0.01, 0.01) == j + 1
-            assert not np.array_equal(stack(t + 0.005), stack(t + 0.01))
-            t += 0.01
+        times = np.reshape(stage_times(6), (6, 3))  # per fine step j = 98..103: t, t + h/2, t + h
+        for j, (t, mid, end) in enumerate(times.tolist(), 98):
+            assert fine_step_index(t, 0.01) == fine_step_index(mid, 0.01) == j
+            assert fine_step_index(end, 0.01) == j + 1
+        w = stack.evaluate(times)
+        assert not np.any(np.all(w[:, 1] == w[:, 2], axis=(-2, -1)))
 
     def test_rounded_step_times_read_their_own_draw(self):
         """t = k h in floating point can fall just below k h (0.29 / 0.01 < 29); it still reads draw k."""
@@ -399,16 +378,17 @@ class TestDisturbanceStack:
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
         times = [k * 0.01 for k in range(101)]
         assert any(t / 0.01 < k for k, t in enumerate(times))
-        for k, t in enumerate(times):
+        for k, (t, w) in enumerate(zip(times, stack.evaluate(np.array(times)))):
             assert fine_step_index(t, 0.01) == k
-            assert np.array_equal(stack(t), reference(configs, 4, t)), t
+            assert np.array_equal(w, reference(configs, 4, t)), t
 
     def test_ball_rows_draw_with_the_run_seed(self):
         """The ball rows draw with the stack's seed; the sinusoid rows do not depend on it."""
         configs = disturbance_configs("mixed")
         stack = DisturbanceStack(configs, 2, seed=9, step_duration=0.01)
-        for t in stage_times(3):
-            w, seeded, other = stack(t), reference(configs, 9, t), reference(configs, 4, t)
+        times = stage_times(3)
+        for t, w in zip(times, stack.evaluate(np.array(times))):
+            seeded, other = reference(configs, 9, t), reference(configs, 4, t)
             for row, config in enumerate(configs):
                 assert np.array_equal(w[row], seeded[row])
                 if config.kind == "ball":

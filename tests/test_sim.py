@@ -432,44 +432,40 @@ class TestStageRecords:
 class TestDisturbancePerStageTime:
     @staticmethod
     def counted_ball_world(monkeypatch):
-        """A ball smoke world, and the times every ``DisturbanceStack`` evaluates, the times it is
-        called at and the arrays those calls return."""
+        """A ball smoke world, and the times of every ``DisturbanceStack.evaluate`` call."""
         cfg = parse_scenario(json.dumps(ball_smoke_doc()))
         world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
-        evaluated, times, reads = [], [], []
-        evaluate, read = DisturbanceStack.evaluate, DisturbanceStack.__call__
-
-        def reading(stack, t):
-            times.append(t)
-            reads.append(read(stack, t))
-            return reads[-1]
-
+        calls = []
+        evaluate = DisturbanceStack.evaluate
         monkeypatch.setattr(
-            DisturbanceStack, "evaluate", lambda stack, t: evaluated.append(t) or evaluate(stack, t)
+            DisturbanceStack, "evaluate", lambda stack, t: calls.append(np.copy(t)) or evaluate(stack, t)
         )
-        monkeypatch.setattr(DisturbanceStack, "__call__", reading)
-        return world, evaluated, times, reads
+        return world, calls
 
     def test_each_stage_time_evaluated_once_per_run(self, monkeypatch):
-        """The leader pass reads every stage time in order and evaluates each distinct one once;
-        the arrays it reads are read-only."""
-        world, evaluated, times, reads = self.counted_ball_world(monkeypatch)
+        """A run makes one ``evaluate`` call, over its (steps, 4 fs) RK4 stage times: row k is a
+        direct ``_substeps`` walk's stage times from k ts, in call order."""
+        world, calls = self.counted_ball_world(monkeypatch)
         world.run()
         fs, steps = world.sim.fine_substeps, world.n_steps
-        assert len(times) == 4 * fs * steps and sorted(evaluated) == sorted(set(times))
-        # the start, the midpoint (k2 and k3) and the end (this k4, the next k1) of each substep,
-        # and at most one more at each step's start, where the clock restarts at k ts
-        assert 2 * fs * steps < len(evaluated) <= (2 * fs + 1) * steps + 1
-        assert not any(w.flags.writeable for w in reads)
+        assert len(calls) == 1 and calls[0].shape == (steps, 4 * fs)
+        for k in range(steps):
+            walked = []
+            for _ in world._substeps(lambda x, t: walked.append(t) or x, np.zeros(1), k * world.sim.ts):
+                pass
+            assert np.array_equal(calls[0][k], walked), k
+        # k2 and k3 share a time, and a substep's k4 time is the next one's k1
+        stages = calls[0].reshape(steps, fs, 4)
+        assert np.array_equal(stages[:, :, 1], stages[:, :, 2])
+        assert np.array_equal(stages[:, 1:, 0], stages[:, :-1, 3])
 
     def test_run_after_the_leader_pass_makes_no_disturbance_call(self, monkeypatch):
         """Once ``leader_plan`` is built, the world reads its disturbances from the record only."""
-        world, evaluated, times, _ = self.counted_ball_world(monkeypatch)
+        world, calls = self.counted_ball_world(monkeypatch)
         world.leader_plan
-        in_pass = len(evaluated), len(times)
-        assert min(in_pass) > 0
+        assert len(calls) == 1
         world.run()
-        assert (len(evaluated), len(times)) == in_pass
+        assert len(calls) == 1
 
 
 class TestWorldDrift:
