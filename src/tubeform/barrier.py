@@ -74,15 +74,6 @@ def _leibniz_weights(n: int) -> np.ndarray:
     return w.reshape(n * n, n + 1)
 
 
-def row_norm(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm over the last axis: ``np.linalg.norm(x, axis=-1)`` for real ``x``.
-
-    That call computes exactly this sum of squares and square root, behind
-    a few more numpy calls.
-    """
-    return np.sqrt((x * x).sum(axis=-1))
-
-
 def lie_derivatives(
     dims: BrunovskyDims,
     x_self: np.ndarray,
@@ -132,7 +123,7 @@ def assemble_row(
     ``(a, b)``: ``a`` (..., d) and ``b`` carry the operands' stack axes.
     """
     values, a, b = lie_derivatives(dims, x_self, x_other, keep_out, top_exo)
-    grad_norm = row_norm(a)
+    grad_norm = np.linalg.norm(a, axis=-1)
     margin = radius_self * grad_norm + radius_other * grad_norm
     for q in range(1, dims.n):
         b = b + kappa.kappa[q] * values[..., q]
@@ -179,6 +170,7 @@ class RowGrid(NamedTuple):
         ops = self.x_other, self.keep_out, self.margin, self.radius_other, self.top_exo
         a, b = assemble_row(self.kappa, self.dims, xs, *ops)
         active = np.ones(b.shape, dtype=bool)
-        active[:, : len(self.centers)] = row_norm(xs[..., : self.dims.d] - self.centers) <= self.activation
+        offsets = xs[..., : self.dims.d] - self.centers
+        active[:, : len(self.centers)] = np.linalg.norm(offsets, axis=-1) <= self.activation
         step, col = active.nonzero()
         return BarrierRows(step, a[step, col], b[step, col], self.group[col])

@@ -255,12 +255,10 @@ class DisturbanceStack:
         return np.floor(t / self._step_duration + 1e-6)
 
     def evaluate(self, t: float | np.ndarray) -> np.ndarray:
-        """The read-only (..., rows, d) disturbances at the times t (...), a time equal to the one
-        before it in t's flat order (RK4's k3 after k2, a k1 after the k4 before it) taking its
-        values; each ball row draws every block its times reach once, then gathers by index."""
+        """The read-only (..., rows, d) disturbances at the times t (...); each ball row draws
+        every block its times reach once, then gathers by index."""
         shape, t = np.shape(t), np.ravel(t).astype(float)
-        fresh = np.append(True, t[1:] != t[:-1])[: t.size]  # unequal to the time before it
-        w, t = np.empty((np.count_nonzero(fresh),) + self._shape), t[fresh]
+        w = np.empty(t.shape + self._shape)
         if self._sine_rows:
             w[:, self._sine_rows, :] = sinusoid(self._amp, self._freq, self._phase, t[:, None, None])
         if self._ball_rows:
@@ -268,7 +266,7 @@ class DisturbanceStack:
             reached, at = np.unique(blocks, return_inverse=True)
             draws = np.array([[self.draw(r, b) for b in reached.tolist()] for r in self._ball_rows])
             w[:, self._ball_rows, :] = np.moveaxis(draws[:, at, j], 0, -2)
-        w = w[np.cumsum(fresh) - 1].reshape(shape + self._shape)
+        w = w.reshape(shape + self._shape)
         w.flags.writeable = False
         return w
 

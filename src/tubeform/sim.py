@@ -31,14 +31,15 @@ the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
 are one ``barrier.RowGrid`` per step over its obstacles and neighbors
 (``SimWorld._row_grid``), whose ``rows`` each SQP pass calls.
 
-The world integrates only the followers: one (N, 2, nd) array of their true
-and nominal states. The feedforward cancels a follower's own nonlinearity, so
-each RK4 stage reads, besides its state, only the leader pass's exogenous
-record there, in call order: the drift it cancels toward (the true leader's if
-pinned, else its anchor's), its anchor's drift and its disturbance. The leader
-pass fills the trace's leader rows, every RK4 substep writes the followers and
-the time into the trace's own rows, and every step writes its held values into
-its interval's rows. One array pass at the end of the run builds the safety
+The trace's state rows are the run's one record of states. The leader pass
+fills the leader's rows; step k measures every agent at row k fs, and its
+interval integrates the followers' true and nominal states from that row,
+writing each RK4 substep and its time into the row it reaches. The feedforward
+cancels a follower's own nonlinearity, so each RK4 stage reads, besides its
+state, only the leader pass's exogenous record there, in call order: the drift
+it cancels toward (the true leader's if pinned, else its anchor's), its
+anchor's drift and its disturbance. Every step writes its held values into its
+interval's rows. One array pass at the end of the run builds the safety
 violations and the state-derived columns.
 """
 
@@ -200,29 +201,9 @@ def trace_layout(cfg: ScenarioConfig, sim: SimConfig, key: str) -> tuple[dict, i
     return groups, rows
 
 
-def apply_control(
-    gain: np.ndarray,
-    v_nominal: np.ndarray,
-    x_true: np.ndarray,
-    x_nominal: np.ndarray,
-    leader_drift_value: np.ndarray | None,
-    own_drift_value: np.ndarray | None,
-    feedforward_on: bool = True,
-) -> np.ndarray:
-    """Held nominal input, continuous ancillary feedback, feedforward cancellation.
-
-    The states and drift values are one agent's vectors or row-stacked agents.
-    """
-    u = v_nominal - (x_true - x_nominal) @ gain.T
-    if feedforward_on:
-        u = u + leader_drift_value - own_drift_value
-    return u
-
-
 class LeaderPlan(NamedTuple):
     """The exogenous inputs of one run, led by the sampling step k; the RK4 stages in call order."""
 
-    leader: np.ndarray  # (steps, nd) the leader's true state at k ts
     ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its relayed estimate
     exogenous: np.ndarray  # (steps, 4 fs, 3, N, d) per stage: cancel, anchor drift, disturbance
 
@@ -271,11 +252,7 @@ class SimWorld:
             self.graph.m.diagonal().tolist(), tubes.input_bound_tightened.tolist(), error_boxes,
         )
 
-        # the world ODE state, (follower, role) as in the trace; the named arrays are views
-        self.state = np.empty((self.n, 2, self.nd))
-        self.x_true, self.x_nom = self.state.swapaxes(0, 1)
         self._drift = DriftTable.stack([m.drift for m in self.models], np.arange(1, self.n + 1))
-        self.state[:] = initial_states(cfg)[1:, None]  # nominal initialized at measurement
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         tube_r2 = tubes.r**2
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
@@ -287,10 +264,8 @@ class SimWorld:
         self.terminal = np.zeros((self.n, self.nd))
         self._drive_map = self.graph.nu1 * self.graph.adjacency
         self._offsets = np.asarray(cfg.offsets, dtype=float).reshape(self.n + 1, self.nd)
-        # (reader, sender) per directed edge, and the readers' one-step predictions
-        # of their senders; at deployment these are the measurements themselves
+        # (reader, sender) per directed edge
         self._edges = np.nonzero(self.graph.adjacency > 0.0)
-        self._prev_preds = self.x_true[self._edges[1]]
         self.infeasible_streak = [0] * self.n
         self.violations: list[SafetyViolation] = []
         self.leader_occupancy_peak = math.nan  # set by the end-of-run pass
@@ -298,6 +273,8 @@ class SimWorld:
         self.n_steps = int(round(sim.t_end / sim.ts))
 
         self._init_trace()
+        # the readers' one-step predictions of their senders; at deployment, the measurements
+        self._prev_preds = self._states[0, 1:, 0][self._edges[1]]
 
     # --- leader feedforward ---
 
@@ -348,7 +325,7 @@ class SimWorld:
         exogenous[:, :, 1] = record[1].reshape(4 * fs, n_steps, hops, d).swapaxes(0, 1)[:, :, column]
         relayed = self.cert.tubes.hops > 0
         exogenous[:, :, 0, relayed] = exogenous[:, :, 1, relayed]
-        return LeaderPlan(rows[:-1:fs, 0], ff, exogenous)
+        return LeaderPlan(ff, exogenous)
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray, record=None) -> np.ndarray:
         """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor; a ``record``
@@ -393,13 +370,14 @@ class SimWorld:
         ``s_seqs`` (N, H, d) is nu1 A applied to ``shifted``.
         """
         h, n = self.horizon, self.n
+        x = self._states[k * self.sim.fine_substeps, 1:, 0]  # the followers' measurements
         if k == 0:
             shifted = np.zeros((n, h, self.d))
-            preds = np.broadcast_to(self.x_true[None, :, None], (n, n, h + 1, self.nd))
+            preds = np.broadcast_to(x[None, :, None], (n, n, h + 1, self.nd))
         else:
             shifted = shift_plan(self.plans, self.terminal, self._terminal_gains)
             # every spec shares the chain maps (same dims, period and horizon)
-            preds = rollout(self.specs[0], self.x_true[None], shifted[None] + ff_samples[:, None])
+            preds = rollout(self.specs[0], x[None], shifted[None] + ff_samples[:, None])
             if not np.all(np.isfinite(preds)):
                 raise NonFiniteState("neighbor rollout produced non-finite states")
         s_seqs = np.tensordot(self._drive_map, shifted, axes=1)
@@ -431,18 +409,18 @@ class SimWorld:
 
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
-        plan = self.leader_plan
-        ff_samples = plan.ff_samples[k]
+        ff_samples = self.leader_plan.ff_samples[k]
         shifted, preds, s_seqs = self._neighbor_data(k, ff_samples)
+        measured = self._states[k * self.sim.fine_substeps, :, :2]  # every agent's (x, xb) at k ts
 
         # mean error of last step's one-step predictions over the directed edges
         readers, senders = self._edges
-        dist = np.linalg.norm(self._prev_preds - self.x_true[senders], axis=1)
+        dist = np.linalg.norm(self._prev_preds - measured[1:, 0][senders], axis=1)
         pred_err = float(np.sum(dist)) / max(senders.size, 1)
         self._prev_preds = preds[readers, senders, 1]
 
         # synchronization errors (e^i_1, ..., e^i_n) of all followers
-        e0s = self.graph.sync_errors(np.vstack([plan.leader[k], self.x_true]) - self._offsets)
+        e0s = self.graph.sync_errors(measured[:, 0] - self._offsets)
 
         # an agent without a plan rides its shifted previous plan, logged as a fallback
         plans = shifted.copy()
@@ -451,7 +429,7 @@ class SimWorld:
             grid = self._row_grid(i, k, ff_samples[i], preds, shifted)
             try:
                 sol = solve_ocp(
-                    spec, e0s[i], self.x_nom[i], s_seqs[i], ff_samples[i], self.plans[i, 0],
+                    spec, e0s[i], measured[i + 1, 1], s_seqs[i], ff_samples[i], self.plans[i, 0],
                     shifted[i], row_builder=grid.rows,
                 )
             except DegenerateGradient:
@@ -486,25 +464,30 @@ class SimWorld:
     # --- fine integration ---
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray, stages) -> np.ndarray:
-        """RHS of the world ODE (laid out as ``self.state``) at the next RK4 stage of ``stages``:
-        the (N, d) leader drift each follower cancels toward, its anchor's drift and its disturbance."""
+        """RHS of the world ODE on the followers' (N, 2, nd) true and nominal states at the next RK4
+        stage of ``stages``: the (N, d) leader drift each follower cancels toward, its anchor's drift
+        and its disturbance. The input is the held nominal one, the ancillary feedback and, with the
+        feedforward on, the cancellation of the own drift by the leader's."""
         cancel, anchor, w = next(stages)
         x, xb = state[:, 0], state[:, 1]
         own = self._drift.value(x, t)
-        u = apply_control(self.gain, v0, x, xb, cancel, own, self.sim.feedforward_on)
+        u = v0 - (x - xb) @ self.gain.T
+        if self.sim.feedforward_on:
+            u = u + cancel - own
         top = np.empty((self.n, 2, self.d))
         top[:, 0] = own + u + w
         top[:, 1] = v0 + anchor if self.sim.feedforward_on else v0
         return chain_derivative(self.dims, state, top)
 
     def _integrate_interval(self, k: int) -> None:
-        """Integrate one sampling interval, recording the followers after every RK4 substep. Its
-        stages read the leader pass's records in call order: k2 and k3 share a time, not a state."""
+        """Integrate one sampling interval from the followers' row k fs, writing each RK4 substep into
+        the row it reaches. Its stages read the leader pass's records in call order: k2 and k3 share
+        a time, not a state."""
+        fs = self.sim.fine_substeps
         stages = iter(self.leader_plan.exogenous[k])
         rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=stages)
-        substeps = self._substeps(rhs, self.state, k * self.sim.ts)
-        for j, (state, t) in enumerate(substeps, k * self.sim.fine_substeps + 1):
-            self.state[:] = state
+        substeps = self._substeps(rhs, self._states[k * fs, 1:, :2], k * self.sim.ts)
+        for j, (state, t) in enumerate(substeps, k * fs + 1):
             self._states[j, 1:, :2] = state
             self._times[j] = t
 

@@ -17,12 +17,14 @@ PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
 ]
+WIDTH, HEIGHT, MARGIN = 720, 480, 60  # every figure's size and plot-area margin, in px
+TICK_TARGET = 6  # the number of axis ticks a tick step is chosen for
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -44,10 +46,7 @@ class SvgFigure:
     title: str
     xlabel: str
     ylabel: str
-    width: int = 720
-    height: int = 480
     equal_aspect: bool = False
-    margin: int = 60
     _legend: list[tuple[str, str]] = field(default_factory=list)
     _xlim: list[float] = field(default_factory=lambda: [math.inf, -math.inf])
     _ylim: list[float] = field(default_factory=lambda: [math.inf, -math.inf])
@@ -89,33 +88,33 @@ class SvgFigure:
         x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
         if self.equal_aspect:
             spanx, spany = x1 - x0, y1 - y0
-            per_px_x = spanx / (self.width - 2 * self.margin)
-            per_px_y = spany / (self.height - 2 * self.margin)
+            per_px_x = spanx / (WIDTH - 2 * MARGIN)
+            per_px_y = spany / (HEIGHT - 2 * MARGIN)
             per = max(per_px_x, per_px_y)
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            x0 = cx - per * (self.width - 2 * self.margin) / 2
-            x1 = cx + per * (self.width - 2 * self.margin) / 2
-            y0 = cy - per * (self.height - 2 * self.margin) / 2
-            y1 = cy + per * (self.height - 2 * self.margin) / 2
-        sx = (self.width - 2 * self.margin) / (x1 - x0)
-        sy = (self.height - 2 * self.margin) / (y1 - y0)
+            x0 = cx - per * (WIDTH - 2 * MARGIN) / 2
+            x1 = cx + per * (WIDTH - 2 * MARGIN) / 2
+            y0 = cy - per * (HEIGHT - 2 * MARGIN) / 2
+            y1 = cy + per * (HEIGHT - 2 * MARGIN) / 2
+        sx = (WIDTH - 2 * MARGIN) / (x1 - x0)
+        sy = (HEIGHT - 2 * MARGIN) / (y1 - y0)
         return x0, x1, y0, y1, sx, sy
 
     def render(self) -> str:
         x0, x1, y0, y1, sx, sy = self._scales()
 
         def px(x):
-            return self.margin + (x - x0) * sx
+            return MARGIN + (x - x0) * sx
 
         def py(y):
-            return self.height - self.margin - (y - y0) * sy
+            return HEIGHT - MARGIN - (y - y0) * sy
 
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2:.1f}" y="24" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{escape(self.title)}</text>',
         ]
         for tx in _ticks(x0, x1):
@@ -124,7 +123,7 @@ class SvgFigure:
                 f'y2="{py(y1):.2f}" stroke="#dddddd" stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{px(tx):.2f}" y="{self.height - self.margin + 18:.2f}" '
+                f'<text x="{px(tx):.2f}" y="{HEIGHT - MARGIN + 18:.2f}" '
                 f'text-anchor="middle" font-family="sans-serif" font-size="11">{tx:g}</text>'
             )
         for ty in _ticks(y0, y1):
@@ -133,12 +132,12 @@ class SvgFigure:
                 f'y2="{py(ty):.2f}" stroke="#dddddd" stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{self.margin - 8:.2f}" y="{py(ty) + 4:.2f}" text-anchor="end" '
+                f'<text x="{MARGIN - 8:.2f}" y="{py(ty) + 4:.2f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11">{ty:g}</text>'
             )
         parts.append(
-            f'<rect x="{self.margin}" y="{self.margin}" '
-            f'width="{self.width - 2 * self.margin}" height="{self.height - 2 * self.margin}" '
+            f'<rect x="{MARGIN}" y="{MARGIN}" '
+            f'width="{WIDTH - 2 * MARGIN}" height="{HEIGHT - 2 * MARGIN}" '
             f'fill="none" stroke="#333333"/>'
         )
         for item in self._series:
@@ -169,23 +168,23 @@ class SvgFigure:
                     f'stroke-dasharray="2,3"/>'
                 )
         parts.append(
-            f'<text x="{self.width / 2:.1f}" y="{self.height - 14}" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{escape(self.xlabel)}</text>'
         )
         parts.append(
-            f'<text x="16" y="{self.height / 2:.1f}" text-anchor="middle" '
+            f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {self.height / 2:.1f})">{escape(self.ylabel)}</text>'
+            f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{escape(self.ylabel)}</text>'
         )
-        ly = self.margin + 14
+        ly = MARGIN + 14
         for label, color in self._legend:
             parts.append(
-                f'<line x1="{self.width - self.margin - 150}" y1="{ly - 4}" '
-                f'x2="{self.width - self.margin - 126}" y2="{ly - 4}" '
+                f'<line x1="{WIDTH - MARGIN - 150}" y1="{ly - 4}" '
+                f'x2="{WIDTH - MARGIN - 126}" y2="{ly - 4}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
             parts.append(
-                f'<text x="{self.width - self.margin - 120}" y="{ly}" '
+                f'<text x="{WIDTH - MARGIN - 120}" y="{ly}" '
                 f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
             )
             ly += 16

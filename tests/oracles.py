@@ -29,7 +29,7 @@ import numpy as np
 from tubeform import ocp as tubeform_ocp
 from tubeform import qp as tubeform_qp
 from tubeform import sim as tubeform_sim
-from tubeform.svgplot import SvgFigure, _ticks
+from tubeform.svgplot import HEIGHT, MARGIN, WIDTH, SvgFigure, _ticks
 
 
 def charpoly_eigvals_sym(m: np.ndarray) -> np.ndarray:
@@ -295,9 +295,9 @@ def recorded_solves():
     """Record every ``solve_ocp`` call a run makes, and each QP it hands to ``solve_qp``.
 
     Yields the list the ``RecordedSolve`` records are appended to. The
-    arguments and the problems are copied: the caller's arrays, like
-    ``SimWorld.x_nom`` (``x0_nominal``), may be views that the run later
-    overwrites. The grid is kept as built, since every step builds its own.
+    arguments and the problems are copied: the caller's arrays may be views
+    of the run's own, as ``x0_nominal`` is of the trace's row at the step.
+    The grid is kept as built, since every step builds its own.
     """
     records: list[RecordedSolve] = []
     solve_ocp, solve_qp = tubeform_sim.solve_ocp, tubeform_ocp.solve_qp
@@ -539,17 +539,17 @@ class ReferenceSvgFigure(SvgFigure):
         x0, x1, y0, y1, sx, sy = self._scales()
 
         def px(x):
-            return self.margin + (x - x0) * sx
+            return MARGIN + (x - x0) * sx
 
         def py(y):
-            return self.height - self.margin - (y - y0) * sy
+            return HEIGHT - MARGIN - (y - y0) * sy
 
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2:.1f}" y="24" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{escape(self.title)}</text>',
         ]
         for tx in _ticks(x0, x1):
@@ -558,7 +558,7 @@ class ReferenceSvgFigure(SvgFigure):
                 f'y2="{py(y1):.2f}" stroke="#dddddd" stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{px(tx):.2f}" y="{self.height - self.margin + 18:.2f}" '
+                f'<text x="{px(tx):.2f}" y="{HEIGHT - MARGIN + 18:.2f}" '
                 f'text-anchor="middle" font-family="sans-serif" font-size="11">{tx:g}</text>'
             )
         for ty in _ticks(y0, y1):
@@ -567,12 +567,12 @@ class ReferenceSvgFigure(SvgFigure):
                 f'y2="{py(ty):.2f}" stroke="#dddddd" stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{self.margin - 8:.2f}" y="{py(ty) + 4:.2f}" text-anchor="end" '
+                f'<text x="{MARGIN - 8:.2f}" y="{py(ty) + 4:.2f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11">{ty:g}</text>'
             )
         parts.append(
-            f'<rect x="{self.margin}" y="{self.margin}" '
-            f'width="{self.width - 2 * self.margin}" height="{self.height - 2 * self.margin}" '
+            f'<rect x="{MARGIN}" y="{MARGIN}" '
+            f'width="{WIDTH - 2 * MARGIN}" height="{HEIGHT - 2 * MARGIN}" '
             f'fill="none" stroke="#333333"/>'
         )
         for item in self._series:
@@ -604,23 +604,23 @@ class ReferenceSvgFigure(SvgFigure):
                     f'stroke-dasharray="2,3"/>'
                 )
         parts.append(
-            f'<text x="{self.width / 2:.1f}" y="{self.height - 14}" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{escape(self.xlabel)}</text>'
         )
         parts.append(
-            f'<text x="16" y="{self.height / 2:.1f}" text-anchor="middle" '
+            f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {self.height / 2:.1f})">{escape(self.ylabel)}</text>'
+            f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{escape(self.ylabel)}</text>'
         )
-        ly = self.margin + 14
+        ly = MARGIN + 14
         for label, color in self._legend:
             parts.append(
-                f'<line x1="{self.width - self.margin - 150}" y1="{ly - 4}" '
-                f'x2="{self.width - self.margin - 126}" y2="{ly - 4}" '
+                f'<line x1="{WIDTH - MARGIN - 150}" y1="{ly - 4}" '
+                f'x2="{WIDTH - MARGIN - 126}" y2="{ly - 4}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
             parts.append(
-                f'<text x="{self.width - self.margin - 120}" y="{ly}" '
+                f'<text x="{WIDTH - MARGIN - 120}" y="{ly}" '
                 f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
             )
             ly += 16

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from tubeform import models
 from tubeform.errors import DimensionMismatch, ScenarioError
 from tubeform.models import (
     BALL_BLOCK,
@@ -259,19 +258,6 @@ def rk4_call_order(times: list[float]) -> list[float]:
     return [t for s in range(0, len(times), 3) for t in (times[s], times[s + 1], times[s + 1], times[s + 2])]
 
 
-def computed_times(monkeypatch, stack: DisturbanceStack) -> dict[str, list[float]]:
-    """Records the times at which ``stack`` computes its sinusoid rows and indexes its ball draws."""
-    computed = {"sinusoid": [], "ball": []}
-    sinusoid, index = models.sinusoid, stack.index
-
-    def record(kind, t):
-        computed[kind].extend(np.ravel(t).tolist())
-
-    monkeypatch.setattr(models, "sinusoid", lambda a, f, p, t: record("sinusoid", t) or sinusoid(a, f, p, t))
-    monkeypatch.setattr(stack, "index", lambda t: record("ball", t) or index(t))
-    return computed
-
-
 def stage_times(fine_steps: int, h: float = 0.01, start: float = 0.98) -> list[float]:
     """The RK4 stage times of ``fine_steps`` substeps from ``start``, accumulated as in the world."""
     times, t = [], start
@@ -332,47 +318,21 @@ class TestDisturbanceStack:
                 assert single.shape == (len(configs), 2)
                 assert np.array_equal(w[at], single), (array.shape, at, t)
 
-    def test_each_time_evaluated_once_and_read_only(self, monkeypatch):
+    def test_each_time_evaluated_once_and_read_only(self):
         """Stage times in RK4 call order (t, t + h/2 twice, t + h per substep, the next substep
-        starting at t + h), evaluated as one array, compute each distinct time once; every read
-        equals each agent's own formula and cannot be written."""
+        starting at t + h), evaluated as one array: every read equals each agent's own formula
+        and cannot be written."""
         configs = disturbance_configs("mixed")
         stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        times = stage_times(6)
-        reads = rk4_call_order(times)
+        reads = rk4_call_order(stage_times(6))
         expected = [reference(configs, 4, t) for t in reads]
-        computed = computed_times(monkeypatch, stack)
         w = stack.evaluate(np.array(reads))
-        assert len(reads) == 4 * 6 and len(dict.fromkeys(times)) == 2 * 6 + 1
-        assert computed == {"sinusoid": list(dict.fromkeys(times)), "ball": list(dict.fromkeys(times))}
+        assert len(reads) == 4 * 6
         assert not w.flags.writeable
         for t, wt, ref in zip(reads, w, expected):
             assert np.array_equal(wt, ref), t
             with pytest.raises(ValueError):
                 wt[0, 0] = 1.0
-
-    @pytest.mark.parametrize(
-        "calls, evaluations",
-        [("aaba", 3), ("abab", 4), ("aaa", 1), ("abba", 3), ("abc", 3)],
-    )
-    def test_only_a_repeat_of_the_last_time_is_not_evaluated(self, monkeypatch, calls, evaluations):
-        """One array of the times named by ``calls`` (a = 1.0, b = 1.005, c = 1.01) computes
-        ``evaluations`` of them, skipping only a time equal to the one before it, and reads
-        read-only values equal to a fresh stack's ``evaluate`` at each time."""
-        configs = disturbance_configs("mixed")
-        stack = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        fresh = DisturbanceStack(configs, 2, seed=4, step_duration=0.01)
-        at = {"a": 1.0, "b": 1.005, "c": 1.01}
-        times = [at[name] for name in calls]
-        expected = [fresh.evaluate(t) for t in times]
-        computed = computed_times(monkeypatch, stack)
-        w = stack.evaluate(np.array(times))
-        assert not w.flags.writeable
-        for t, wt, ref in zip(times, w, expected):
-            assert np.array_equal(wt, ref), t
-        runs = [t for s, t in enumerate(times) if s == 0 or t != times[s - 1]]
-        assert len(runs) == evaluations
-        assert computed == {"sinusoid": runs, "ball": runs}
 
     def test_reads_across_a_block_boundary(self, monkeypatch):
         """Stage times over indices 1022..1028 read blocks 0 and 1, each drawn once per ball row

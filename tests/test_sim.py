@@ -25,12 +25,11 @@ from tubeform.sim import (
     SimTrace,
     SimWorld,
     _repeated_suffix_starts,
-    apply_control,
     run_simulation,
     trace_metrics,
 )
 
-from oracles import agent_disturbance, chain_recurrence, savetxt_trace
+from oracles import agent_disturbance, chain_recurrence, recorded_solves, savetxt_trace
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
@@ -65,23 +64,6 @@ def equilibrium_doc():
     ]
     doc["sim"]["t_end"] = 1.0
     return doc
-
-
-class TestApplyControl:
-    def test_identity_cancellation(self):
-        gain = np.ones((2, 6))
-        x = np.zeros(6)
-        f_val = np.array([1.7, -0.3])
-        u = apply_control(gain, np.zeros(2), x, x, f_val, f_val, True)
-        assert np.allclose(u, 0.0)
-
-    def test_feedforward_off(self):
-        gain = np.eye(2, 6)
-        x = np.ones(6)
-        xb = np.zeros(6)
-        v = np.array([0.5, -0.5])
-        u = apply_control(gain, v, x, xb, None, None, False)
-        assert np.allclose(u, v - gain @ (x - xb))
 
 
 class TestEquilibrium:
@@ -154,6 +136,16 @@ def leader_oracle(world, steps):
     return np.array(states)
 
 
+def followers_at(world, k):
+    """The followers' (N, 2, nd) true and nominal states at k ts: row k fs of the world's record."""
+    return world._states[k * world.sim.fine_substeps, 1:, :2]
+
+
+def leader_samples(world):
+    """The (steps, nd) leader's true state at each step's k ts, from the world's record."""
+    return world._states[: -1 : world.sim.fine_substeps, 0, 0]
+
+
 def anchor_rhs(world):
     """The RK4 right-hand side of an anchor: the leader's chain under its own drift, no disturbance."""
     f0 = world.models[0].drift.value
@@ -183,9 +175,10 @@ class TestDeviationDynamics:
         cancel = np.where((world.cert.tubes.hops == 0)[:, None], f0(leader[3], t), f0(anchors, t))
         w = np.array([own_disturbance(world, i + 1, t) for i in range(world.n)])
         stage = iter([(cancel, f0(anchors, t), w)])
-        deriv = world._world_derivative(world.state, t, world.plans[:, 0], stage)
+        state = followers_at(world, 3)
+        deriv = world._world_derivative(state, t, world.plans[:, 0], stage)
         for i in range(world.n):
-            x, xb = world.state[i]
+            x, xb = state[i]
             yield i, x, x - xb, deriv[i, 0] - deriv[i, 1], anchors[i], leader[3]
 
     def test_closed_loop_matches_linear_form(self):
@@ -302,12 +295,11 @@ class TestLeaderPlan:
         assert plan.ff_samples.shape == (world.n_steps, world.n, world.horizon, world.d)
         oracle = leader_oracle(world, world.n_steps)
         np.testing.assert_allclose(rows[::fs, 0], oracle, rtol=1e-12, atol=1e-12)
-        estimates = relayed_estimates(plan.leader, cert.tubes.hops)
+        estimates = relayed_estimates(leader_samples(world), cert.tubes.hops)
         for k in range(world.n_steps):
-            assert np.array_equal(plan.leader[k], rows[k * fs, 0]), k
             direct = world._leader_ff_samples(estimates[k], k * cfg.sim.ts)
             assert np.array_equal(plan.ff_samples[k], direct), k
-            x, t = plan.leader[k], k * cfg.sim.ts
+            x, t = rows[k * fs, 0], k * cfg.sim.ts
             for j in range(k * fs + 1, (k + 1) * fs + 1):
                 x, t = rk4_step(anchor_rhs(world), x, t, h), t + h
                 assert np.array_equal(rows[j, 1], x), j
@@ -365,7 +357,7 @@ class TestFeedforwardPerHopCount:
         plan = world.leader_plan
         assert rows == [world.n_steps * distinct]
         starts = np.repeat(np.arange(world.n_steps) * cfg.sim.ts, world.n)
-        estimates = relayed_estimates(plan.leader, cert.tubes.hops)
+        estimates = relayed_estimates(leader_samples(world), cert.tubes.hops)
         every = propagate(estimates.reshape(-1, world.nd), starts)
         assert np.array_equal(plan.ff_samples, every.reshape(plan.ff_samples.shape))
 
@@ -404,8 +396,9 @@ class TestStageRecords:
                 x, t = rk4_step(rhs, x, t, h), t + h
             return np.array(drifts), times
 
-        anchor, times = replay(relayed_estimates(plan.leader, world.cert.tubes.hops)[k, 1], False)
-        leader, leader_times = replay(plan.leader[k], True)
+        samples = leader_samples(world)
+        anchor, times = replay(relayed_estimates(samples, world.cert.tubes.hops)[k, 1], False)
+        leader, leader_times = replay(samples[k], True)
         assert leader_times == times
         assert np.array_equal(record[:, 1, 1], anchor)
         assert np.array_equal(record[:, 0, 0], leader)  # follower 1 is pinned
@@ -427,6 +420,34 @@ class TestStageRecords:
             world.step(step)
         assert len(reads) == 4 * fs * (k + 1)
         assert np.array_equal(np.array(reads[-4 * fs :]), record)
+
+
+class TestStateRecord:
+    def test_each_solve_starts_from_its_step_row_of_the_trace(self):
+        """Over a smoke run, solve (k, i) reads the trace's row k fs: its nominal state is bit for
+        bit the row's xb{i} cells, and its synchronization error -M (q_i - q_0) from the row's x
+        cells, q_a being agent a's state minus its formation offset."""
+        cfg = load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        with recorded_solves() as solves:
+            trace = run_simulation(cfg, cert, SimConfig.from_scenario(cfg)).trace
+        fs, n, nd = cfg.sim.fine_substeps, cfg.dims.followers, cfg.dims.nd
+        blocks = [f"{p}{ax}" for p in range(1, cfg.dims.n + 1) for ax in range(cfg.dims.d)]
+        steps = round(cfg.sim.t_end / cfg.sim.ts)
+        assert len(solves) == steps * n
+        offsets = np.reshape(cfg.offsets, (n + 1, nd))
+        x_cells, xb_cells = (
+            [[trace.columns.index(f"{role}{a}_{b}") for b in blocks] for a in range(n + 1)]
+            for role in ("x", "xb")
+        )
+        for k in range(steps):
+            row = trace.data[k * fs]
+            q = row[x_cells] - offsets
+            e0s = -cert.graph.m @ (q[1:] - q[0])
+            for i in range(n):
+                _, e0, x0_nominal, *_ = solves[k * n + i].args
+                assert np.array_equal(x0_nominal, row[xb_cells[i + 1]]), (k, i)
+                assert np.array_equal(e0, e0s[i]), (k, i)
 
 
 class TestDisturbancePerStageTime:
@@ -477,11 +498,11 @@ class TestWorldDrift:
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         for step in range(10):
             world.step(step)
-        t = 10.37 * cfg.sim.ts
-        team = world._drift.value(world.x_true, t)
+        t, x = 10.37 * cfg.sim.ts, followers_at(world, 10)[:, 0]
+        team = world._drift.value(x, t)
         assert team.shape == (world.n, world.d)
         for i, model in enumerate(world.models[1:]):
-            alone = model.drift.value(world.x_true[i], t)
+            alone = model.drift.value(x[i], t)
             np.testing.assert_allclose(team[i], alone, rtol=1e-14, atol=1e-14)
 
 
@@ -563,7 +584,7 @@ class TestRowBuilder:
         for i in range(world.n):
             warm = shift_plan(world.plans[i], world.terminal[i], world.specs[i].terminal_gain)
             np.testing.assert_array_equal(shifted[i], warm)
-            states = rollout(world.specs[i], world.x_nom[i], warm + ff[i])
+            states = rollout(world.specs[i], followers_at(world, k)[i, 1], warm + ff[i])
             rows = assert_rows_match_oracle(world, i, k, ff, preds, shifted, states)
             n_obstacle = int(np.sum(rows.group == 0))
             kept += n_obstacle
@@ -622,7 +643,7 @@ class TestRowBuilder:
             ff = world.leader_plan.ff_samples[k]
             shifted, preds, _ = world._neighbor_data(k, ff)
             for i in range(world.n):
-                states = rollout(world.specs[i], world.x_nom[i], shifted[i] + ff[i])
+                states = rollout(world.specs[i], followers_at(world, k)[i, 1], shifted[i] + ff[i])
                 assert_rows_match_oracle(world, i, k, ff, preds, shifted, states)
             world.step(k)
 
@@ -662,7 +683,7 @@ class TestNeighborPredictions:
         edges = [(i, j) for i in range(world.n) for j in world.graph.neighbors(i)]
         assert len(edges) == np.count_nonzero(world.graph.adjacency)
         for i, j in edges:
-            ref = chain_recurrence(spec.ad, spec.bd, world.x_true[j], shifted[j] + ff[i])
+            ref = chain_recurrence(spec.ad, spec.bd, followers_at(world, k)[j, 0], shifted[j] + ff[i])
             np.testing.assert_allclose(preds[i, j], ref, rtol=1e-12, atol=1e-12)
         g = world.graph
         for i in range(world.n):
@@ -795,10 +816,10 @@ class TestLeaderRelay:
         assert built["hops"][0] is built["m"][0] is world.graph is world.cert.graph
         # the path graph pins agent 1 only: at the last step, k = 4, agent i's anchor is
         # the leader sample from i - 1 steps ago, and its feedforward propagates from there
-        plan, hops = world.leader_plan, world.cert.tubes.hops
+        plan, hops, samples = world.leader_plan, world.cert.tubes.hops, leader_samples(world)
         assert hops.tolist() == [0, 1, 2, 3, 4]
-        assert np.array_equal(relayed_estimates(plan.leader, hops)[4], plan.leader[[4, 3, 2, 1, 0]])
-        direct = world._leader_ff_samples(plan.leader[[4, 3, 2, 1, 0]], 4 * world.sim.ts)
+        assert np.array_equal(relayed_estimates(samples, hops)[4], samples[[4, 3, 2, 1, 0]])
+        direct = world._leader_ff_samples(samples[[4, 3, 2, 1, 0]], 4 * world.sim.ts)
         assert np.array_equal(plan.ff_samples[4], direct)
 
 
