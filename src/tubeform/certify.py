@@ -1,4 +1,4 @@
-"""Offline certification: gains, tube radii, disturbance bounds, input tightening.
+"""Offline certification: gains, tube radii, disturbance bounds, input tightening, spot checks.
 
 The certified quantities follow the worst-case closed forms: one radius with a
 Lipschitz feasibility condition (the leader tube, and the no-feedforward
@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz
+from .errors import DimensionMismatch, EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz, ScenarioError
 from .linalg import eig_sym, is_hurwitz, solve_continuous_lyapunov, sym_inv_sqrt
-from .models import BrunovskyDims, LyapunovPair, chain_matrices
-from .scenario import GainSpec
+from .models import BrunovskyDims, DriftTable, LyapunovPair, chain_matrices, sinusoid
+from .scenario import FollowerConfig, GainSpec, LeaderConfig
+
+DISTURBANCE_SAMPLES = 2000  # times at which a sinusoid's norm is checked against its bound
+LIPSCHITZ_PAIRS = 200  # box pairs the Lipschitz spot check draws
 
 
 def _pole_placement_gain(dims: BrunovskyDims, poles: tuple[float, ...]) -> np.ndarray:
@@ -149,6 +152,42 @@ def baseline_radius(lyap: LyapunovPair, w_bar: float, lf: float) -> float | None
     return 2.0 * w_bar * lyap.lambda_max_p / denom
 
 
+def check_disturbance_bound(agent: int, section: LeaderConfig | FollowerConfig, t_end: float) -> None:
+    """Declared bound >= sup |w|: exact for a ball, sampled for sinusoids (equal-frequency axes
+    can stay below the amplitude hypot)."""
+    dist = section.disturbance
+    if dist.kind == "ball":
+        # the draws come arbitrarily close to the radius
+        worst, slack = dist.bound, 0.0
+    else:
+        times = np.linspace(0.0, t_end, DISTURBANCE_SAMPLES)[:, None]
+        w = sinusoid(dist.amp, dist.freq, dist.phase, times)
+        worst = float(np.max(np.linalg.norm(w, axis=1)))
+        slack = 1e-12
+    if worst > section.disturbance_bound + slack:
+        raise ScenarioError(
+            f"agent {agent}: disturbance reaches {worst:.6g}, "
+            f"declared bound {section.disturbance_bound:.6g}"
+        )
+
+
+def check_lipschitz(
+    agent: int, section: LeaderConfig | FollowerConfig, drift: DriftTable, rng: np.random.Generator
+) -> None:
+    """Spot-check |f(a) - f(b)| <= L |a - b| on sampled operating-box pairs (not a proof)."""
+    a = section.operating_box.sample(rng, LIPSCHITZ_PAIRS)
+    b = section.operating_box.sample(rng, LIPSCHITZ_PAIRS)
+    gap = np.linalg.norm(a - b, axis=1)
+    diff = np.linalg.norm(drift.value(a, 0.0) - drift.value(b, 0.0), axis=1)
+    bad = (gap >= 1e-12) & (diff > section.lipschitz * gap * (1.0 + 1e-9) + 1e-12)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ScenarioError(
+            f"agent {agent}: drift violates declared Lipschitz bound "
+            f"({diff[i] / gap[i]:.6g} > {section.lipschitz:.6g})"
+        )
+
+
 def input_margin(lyap: LyapunovPair, r: float) -> float:
     """eta = r * smax(K P^{-1/2}), the ancillary feedback's worst-case draw."""
     m = lyap.gain @ sym_inv_sqrt(lyap.p)
@@ -156,16 +195,17 @@ def input_margin(lyap: LyapunovPair, r: float) -> float:
     return r * float(np.sqrt(max(0.0, w[-1])))
 
 
-def input_tightening(lyap: LyapunovPair, r: float | np.ndarray, u_max: float) -> tuple:
-    """Per-axis tightened input bound u_max - eta for a radius or an array of radii.
+def input_tightening(lyap: LyapunovPair, r: float | np.ndarray, u_max: float, ids: np.ndarray) -> tuple:
+    """Per-axis tightened input bound u_max - eta for a radius or an array of radii, agent ``ids``.
 
-    Raises naming the first radius whose bound is empty.
+    Raises naming the first agent whose bound is empty.
     """
     eta = input_margin(lyap, r)
-    short = np.ravel(eta)[u_max <= np.ravel(eta)]
+    short = np.flatnonzero(u_max <= np.ravel(eta))
     if short.size:
         raise EmptyTightenedSet(
-            f"input bound {u_max:.6g} does not exceed ancillary margin {short[0]:.6g}"
+            f"ocp.input_bound {u_max:.6g} does not exceed agent {np.ravel(ids)[short[0]]}'s "
+            f"ancillary margin {np.ravel(eta)[short[0]]:.6g}"
         )
     return u_max - eta, eta
 

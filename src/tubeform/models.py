@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, ScenarioError
 
 TERM_FORMS = ("state", "cubic", "tanh", "sin_t", "sq_tanh")
-DISTURBANCE_SAMPLES = 2000  # times at which a sinusoid's norm is checked against its bound
-LIPSCHITZ_PAIRS = 200  # box pairs the Lipschitz spot check draws
 BALL_BLOCK = 1024  # fine-step indices per ball-disturbance draw
 
 
@@ -134,7 +132,7 @@ class DriftTable(NamedTuple):
         return cls(u, expo, v, offset, freq, phase, scatter)
 
     @classmethod
-    def stack(cls, tables: list["DriftTable"], rows: np.ndarray) -> "DriftTable":
+    def stack(cls, tables: Sequence["DriftTable"], rows: np.ndarray) -> "DriftTable":
         """Row r evaluates with ``tables[rows[r]]``; all-zero terms pad the shorter tables."""
         width = max(len(t.expo) for t in tables)
         fields = []
@@ -269,53 +267,6 @@ class DisturbanceStack:
         w = w.reshape(shape + self._shape)
         w.flags.writeable = False
         return w
-
-
-@dataclass(frozen=True)
-class AgentModel:
-    """One agent: drift, disturbance, and its design-time constants.
-
-    id 0 is the leader. ``drift_lipschitz`` must bound the drift's state
-    Lipschitz constant over ``operating_box`` (spot-checked at certify time).
-    """
-
-    id: int
-    drift: DriftTable
-    drift_lipschitz: float
-    disturbance: DisturbanceConfig
-    disturbance_bound: float
-    operating_box: Box
-
-    def check_disturbance_bound(self, t_end: float) -> None:
-        """Declared bound >= sup |w|: exact for a ball, sampled for sinusoids."""
-        dist = self.disturbance
-        if dist.kind == "ball":
-            # the draws come arbitrarily close to the radius
-            worst, slack = dist.bound, 0.0
-        else:
-            times = np.linspace(0.0, t_end, DISTURBANCE_SAMPLES)[:, None]
-            w = sinusoid(dist.amp, dist.freq, dist.phase, times)
-            worst = float(np.max(np.linalg.norm(w, axis=1)))
-            slack = 1e-12
-        if worst > self.disturbance_bound + slack:
-            raise ScenarioError(
-                f"agent {self.id}: disturbance reaches {worst:.6g}, "
-                f"declared bound {self.disturbance_bound:.6g}"
-            )
-
-    def check_lipschitz(self, rng: np.random.Generator) -> None:
-        """Spot-check |f(a) - f(b)| <= L |a - b| on sampled box pairs."""
-        a = self.operating_box.sample(rng, LIPSCHITZ_PAIRS)
-        b = self.operating_box.sample(rng, LIPSCHITZ_PAIRS)
-        gap = np.linalg.norm(a - b, axis=1)
-        diff = np.linalg.norm(self.drift.value(a, 0.0) - self.drift.value(b, 0.0), axis=1)
-        bad = (gap >= 1e-12) & (diff > self.drift_lipschitz * gap * (1.0 + 1e-9) + 1e-12)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ScenarioError(
-                f"agent {self.id}: drift violates declared Lipschitz bound "
-                f"({diff[i] / gap[i]:.6g} > {self.drift_lipschitz:.6g})"
-            )
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,16 @@ from .certify import (
     error_box_tightening,
     follower_radius,
     baseline_radius,
+    check_disturbance_bound,
+    check_lipschitz,
     input_tightening,
     leader_radius,
     synth_gain,
 )
 from .errors import NotHurwitz, ScenarioError
 from .graph import CommGraph, GlobalBoundCertificate, global_bound
-from .models import AgentModel, LyapunovPair
-from .scenario import ScenarioConfig, build_all_models, build_graph, read_text
+from .models import DriftTable, LyapunovPair
+from .scenario import ScenarioConfig, build_graph, read_text
 
 SPOT_CHECK_SEED = 0x5EED
 RESIDUAL_FLOOR = 1e-12  # two lyapunov_residual values (round-off-sized norms) at most this are equal
@@ -63,12 +65,12 @@ class CertificationResult:
     pair: LyapunovPair  # every follower's gain and Lyapunov pair
     tubes: FollowerTubes
     bound_cert: GlobalBoundCertificate
-    models: tuple[AgentModel, ...]
+    drifts: tuple[DriftTable, ...]  # each agent's compiled drift, leader first
     graph: CommGraph
     kappa: EcbfCoefficients
 
 
-def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
+def leader_linearized_pair(cfg: ScenarioConfig, leader_drift: DriftTable):
     """Lyapunov pair for the leader's nominal-deviation system.
 
     The leader is uncontrolled, so the pair comes from linearizing the
@@ -76,7 +78,7 @@ def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
     stabilizing component). The shipped leaders carry their own stabilizing
     linear terms.
     """
-    gain = -leader_model.drift.jacobian(leader_model.operating_box.center)
+    gain = -leader_drift.jacobian(cfg.leader.operating_box.center)
     if cfg.leader.tube.stabilizer is not None:
         gain = gain + np.asarray(cfg.leader.tube.stabilizer, dtype=float)
     try:
@@ -90,38 +92,38 @@ def leader_linearized_pair(cfg: ScenarioConfig, leader_model: AgentModel):
 
 def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> CertificationResult:
     """Run the full offline design stage for a scenario."""
-    models = build_all_models(cfg)
+    sections = (cfg.leader, *cfg.agents)  # agent 0 is the leader; 1..N are followers
+    drifts = tuple(DriftTable.compile(cfg.dims, s.dynamics.outer_gain, s.dynamics.axes) for s in sections)
     g = build_graph(cfg)
     hops = g.hops  # raises GraphNotRooted
 
     if spot_checks:
         rng = np.random.default_rng(SPOT_CHECK_SEED)
-        for model in models:
-            model.check_disturbance_bound(cfg.sim.t_end)
-            model.check_lipschitz(rng)
+        for agent, (section, drift) in enumerate(zip(sections, drifts)):
+            check_disturbance_bound(agent, section, cfg.sim.t_end)
+            check_lipschitz(agent, section, drift, rng)
 
-    leader_model = models[0]
-    leader_pair = leader_linearized_pair(cfg, leader_model)
+    leader_pair = leader_linearized_pair(cfg, drifts[0])
     if cfg.leader.tube.mode == "declared":
         leader_cert = declared_leader_certificate(leader_pair, cfg.leader.tube.r_ball)
     else:
         leader_cert = leader_radius(
-            leader_pair, leader_model.disturbance_bound, cfg.leader.tube.residual_lipschitz
+            leader_pair, cfg.leader.disturbance_bound, cfg.leader.tube.residual_lipschitz
         )
 
     pair = synth_gain(cfg.dims, cfg.gains)
     kappa = EcbfCoefficients.from_poles(cfg.barriers.kappa_poles)  # raises NotHurwitz
-    l0, followers = cfg.leader.lipschitz, models[1:]
+    l0 = cfg.leader.lipschitz
     ids = np.array([follower.id for follower in cfg.agents])
-    bounds = np.array([model.disturbance_bound for model in followers])
+    bounds = np.array([follower.disturbance_bound for follower in cfg.agents])
     w_used = bounds + l0 * hops * cfg.sim.ts * cfg.leader.rate_bound
     w_eff = effective_disturbance(w_used, l0, leader_cert.r_ball0)
     r, r_ball = follower_radius(pair, w_eff)
     base = np.array(  # None, where the Lipschitz condition fails, becomes NaN
-        [baseline_radius(pair, w, m.drift_lipschitz) for w, m in zip(w_used, followers)],
+        [baseline_radius(pair, w, f.lipschitz) for w, f in zip(w_used, cfg.agents)],
         dtype=float,
     )
-    tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound)
+    tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound, ids)
     declared = np.array([follower.margin_radius for follower in cfg.agents], dtype=float)
     margin = np.where(np.isnan(declared), r_ball, declared)
     error_box_tightening(cfg.ocp.error_box, margin, ids)
@@ -148,7 +150,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
         pair=pair,
         tubes=tubes,
         bound_cert=bound_cert,
-        models=tuple(models),
+        drifts=drifts,
         graph=g,
         kappa=kappa,
     )

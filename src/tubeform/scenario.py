@@ -28,11 +28,9 @@ from .errors import ScenarioError
 from .graph import CommGraph
 from .models import (
     TERM_FORMS,
-    AgentModel,
     Box,
     BrunovskyDims,
     DisturbanceConfig,
-    DriftTable,
     DriftTerm,
     Obstacle,
 )
@@ -498,25 +496,6 @@ def build_graph(cfg: ScenarioConfig) -> CommGraph:
         nu1=cfg.graph.nu1,
         nu2=cfg.graph.nu2,
     )
-
-
-def build_all_models(cfg: ScenarioConfig) -> list[AgentModel]:
-    """Agent 0 is the leader; 1..N are followers."""
-    models = []
-    for agent_id, section in enumerate((cfg.leader, *cfg.agents)):
-        drift = DriftTable.compile(cfg.dims, section.dynamics.outer_gain, section.dynamics.axes)
-        # the declared disturbance bound is verified at certify time: exactly for a
-        # ball, on sampled norms for a sinusoid (equal-frequency axes can stay below
-        # the amplitude hypot)
-        models.append(AgentModel(
-            id=agent_id,
-            drift=drift,
-            drift_lipschitz=section.lipschitz,
-            disturbance=section.disturbance,
-            disturbance_bound=section.disturbance_bound,
-            operating_box=section.operating_box,
-        ))
-    return models
 
 
 def initial_states(cfg: ScenarioConfig) -> np.ndarray:

@@ -217,7 +217,6 @@ class SimWorld:
         self.sim = sim
         self.dims = cfg.dims
         self.graph = cert.graph
-        self.models = cert.models
         self.n = cfg.dims.followers
         self.nd = cfg.dims.nd
         self.d = cfg.dims.d
@@ -252,7 +251,7 @@ class SimWorld:
             self.graph.m.diagonal().tolist(), tubes.input_bound_tightened.tolist(), error_boxes,
         )
 
-        self._drift = DriftTable.stack([m.drift for m in self.models], np.arange(1, self.n + 1))
+        self._drift = DriftTable.stack(cert.drifts, np.arange(1, self.n + 1))
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         tube_r2 = tubes.r**2
         self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
@@ -296,10 +295,11 @@ class SimWorld:
         step_starts, times = np.arange(n_steps) * ts, []  # times: per RK4 stage, in call order
         for _ in self._substeps(lambda x, t: times.append(t) or x, np.empty((n_steps, 0)), step_starts):
             pass
-        disturbance = DisturbanceStack([m.disturbance for m in self.models], d, self.sim.seed, ts / fs)
+        configs = [section.disturbance for section in (self.cfg.leader, *self.cfg.agents)]
+        disturbance = DisturbanceStack(configs, d, self.sim.seed, ts / fs)
         w = disturbance.evaluate(np.stack(times, axis=1))  # (steps, 4 fs, N+1, d)
         # the row-stack path, for speed: a one-row stack's value beats the leader's own table's
-        drift = DriftTable.stack([m.drift for m in self.models], np.zeros(1, int))
+        drift = DriftTable.stack(self.cert.drifts, np.zeros(1, int))
         rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
         exogenous = np.empty((n_steps, 4 * fs, 3, self.n, d))
         exogenous[:, :, 2] = w[:, :, 1:]
@@ -330,7 +330,7 @@ class SimWorld:
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray, record=None) -> np.ndarray:
         """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor; a ``record``
         of (fs, R, nd) and (4 fs, R, d) gets the first period's substeps and stage drifts, in call order."""
-        drift = self.models[0].drift.value
+        drift = self.cert.drifts[0].value
         samples = np.zeros((len(anchors), self.horizon, self.d))
         states, stages = map(iter, record or ((), ()))  # past the record, a write lands on itself
         state = anchors

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from tubeform.certify import (
     baseline_radius,
     build_lyapunov_pair,
+    check_disturbance_bound,
+    check_lipschitz,
     declared_leader_certificate,
     effective_disturbance,
     follower_radius,
@@ -15,11 +19,21 @@ from tubeform.certify import (
     leader_radius,
     synth_gain,
 )
-from tubeform.errors import EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz
+from tubeform.errors import EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz, ScenarioError
 from tubeform.linalg import sym_inv_sqrt
-from tubeform.models import BrunovskyDims, LyapunovPair
+from tubeform.models import (
+    BALL_BLOCK,
+    Box,
+    BrunovskyDims,
+    DisturbanceConfig,
+    DriftTable,
+    DriftTerm,
+    LyapunovPair,
+)
 from tubeform.pipeline import certificate_to_dict, certify_scenario
-from tubeform.scenario import GainSpec, parse_scenario
+from tubeform.scenario import DynamicsConfig, FollowerConfig, GainSpec, parse_scenario
+
+from oracles import agent_disturbance
 
 PAPER = Path(__file__).resolve().parents[1] / "scenarios" / "paper_scenario.json"
 
@@ -166,21 +180,22 @@ class TestBaselineRadius:
 class TestInputTightening:
     def test_zero_radius_unchanged(self):
         _, pair = paper_scale_pair()
-        bound, eta = input_tightening(pair, 0.0, 1.0)
+        bound, eta = input_tightening(pair, 0.0, 1.0, [1])
         assert bound == 1.0 and eta == 0.0
 
     def test_identity_case(self):
         dims = BrunovskyDims(n=1, d=2, followers=1)
         pair = build_lyapunov_pair(dims, np.eye(2), np.eye(2) * 2.0)
         # K = I, P = I (2 a P = -Q with a = -1, Q = 2I), smax(K P^-1/2) = 1
-        bound, eta = input_tightening(pair, 0.2, 1.0)
+        bound, eta = input_tightening(pair, 0.2, 1.0, [1])
         assert eta == pytest.approx(0.2, abs=1e-12)
         assert bound == pytest.approx(0.8, abs=1e-12)
 
     def test_empty_set(self):
+        """The refusal names the entry, the first agent whose bound is empty, and both values."""
         _, pair = paper_scale_pair()
-        with pytest.raises(EmptyTightenedSet):
-            input_tightening(pair, 1.0, 1e-6)
+        with pytest.raises(EmptyTightenedSet, match=r"^ocp\.input_bound 1e-06 does not exceed agent 3's "):
+            input_tightening(pair, np.array([0.0, 1.0, 2.0]), 1e-6, np.array([2, 3, 4]))
 
     def test_monte_carlo_support_oracle(self):
         """eta equals the max of ||K z|| over the tube boundary (sampled)."""
@@ -195,6 +210,65 @@ class TestInputTightening:
         sampled = np.max(np.linalg.norm(z @ pair.gain.T, axis=1))
         assert sampled <= eta * (1.0 + 1e-9)
         assert sampled >= 0.98 * eta
+
+
+class TestSpotChecks:
+    """The certify-time checks of one agent's declared disturbance bound and Lipschitz constant."""
+
+    DIMS = BrunovskyDims(n=3, d=2, followers=5)
+
+    def make(self, bound=0.25, lipschitz=4.0):
+        """A follower section with drift -(x3 + 0.49 x1 + 1.12 x2 + 0.12 x1^3 - 0.25 tanh(0.6 x1))
+        per axis, and its compiled table."""
+        axes = tuple(
+            (
+                DriftTerm(form="state", coeff=1.0, order=3, axis=ax),
+                DriftTerm(form="state", coeff=0.49, order=1, axis=ax),
+                DriftTerm(form="state", coeff=1.12, order=2, axis=ax),
+                DriftTerm(form="cubic", coeff=0.12, order=1, weights=(1.0, 0.0) if ax == 0 else (0.0, 1.0)),
+                DriftTerm(form="tanh", coeff=-0.25, scale=0.6, order=1, axis=ax),
+            )
+            for ax in range(2)
+        )
+        section = FollowerConfig(
+            id=1,
+            dynamics=DynamicsConfig(outer_gain=1.0, axes=axes),
+            disturbance=DisturbanceConfig(
+                "sinusoid", amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)
+            ),
+            disturbance_bound=bound,
+            lipschitz=lipschitz,
+            operating_box=Box(lower=(-1.0,) * 6, upper=(1.0,) * 6),
+        )
+        return section, DriftTable.compile(self.DIMS, 1.0, axes)
+
+    def test_disturbance_bound_holds(self):
+        check_disturbance_bound(1, self.make()[0], 30.0)
+
+    def test_disturbance_bound_violated(self):
+        with pytest.raises(ScenarioError):
+            check_disturbance_bound(1, self.make(bound=0.1)[0], 30.0)
+
+    def test_ball_disturbance_bound_is_exact(self):
+        """A bound just below the ball radius fails, though no draw of any seed reaches it."""
+        ball = DisturbanceConfig("ball", bound=0.2)
+        section = dataclasses.replace(self.make(bound=0.2)[0], disturbance=ball)
+        check_disturbance_bound(1, section, 30.0)
+        tight = dataclasses.replace(section, disturbance_bound=0.2 * (1.0 - 1e-6))
+        for seed in range(5):
+            draws = [
+                agent_disturbance(ball, 2, 1, seed, 0.01, 0.01 * j, block=BALL_BLOCK)
+                for j in range(3000)
+            ]
+            assert np.max(np.linalg.norm(draws, axis=1)) < tight.disturbance_bound
+        with pytest.raises(ScenarioError, match="agent 1"):
+            check_disturbance_bound(1, tight, 30.0)
+
+    def test_lipschitz_spot_check(self):
+        rng = np.random.default_rng(0)
+        check_lipschitz(1, *self.make(), rng)
+        with pytest.raises(ScenarioError):
+            check_lipschitz(1, *self.make(lipschitz=0.2), np.random.default_rng(0))
 
 
 class TestRpiContainment:
@@ -246,13 +320,13 @@ def per_agent_entries(cfg, cert):
     depths = cert.graph.hops
     l0, pair = cfg.leader.lipschitz, cert.pair
     entries = []
-    for follower, model in zip(cfg.agents, cert.models[1:]):
+    for follower in cfg.agents:
         hops = int(depths[follower.id - 1])
-        w_used = model.disturbance_bound + l0 * hops * cfg.sim.ts * cfg.leader.rate_bound
+        w_used = follower.disturbance_bound + l0 * hops * cfg.sim.ts * cfg.leader.rate_bound
         w_eff = effective_disturbance(w_used, l0, cert.leader.r_ball0)
         r, r_ball = follower_radius(pair, w_eff)
-        base = baseline_radius(pair, w_used, model.drift_lipschitz)
-        tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound)
+        base = baseline_radius(pair, w_used, follower.lipschitz)
+        tightened, eta = input_tightening(pair, r, cfg.ocp.input_bound, [follower.id])
         margin = follower.margin_radius
         entries.append({
             "id": follower.id,

@@ -243,6 +243,48 @@ class TestCertify:
         )
         assert not out.exists()
 
+    def test_input_bound_consumed_by_margin_exit_2(self, certified, tmp_path, capsys):
+        """An input bound no wider than an ancillary margin is refused at certify, naming the
+        entry, the agent and both values; run recertifies and stops before any output."""
+        scen = _smoke_copy(tmp_path, lambda doc: doc["ocp"].update(input_bound=30.0))
+        out = tmp_path / "c" / "cert.json"
+        assert main(["certify", str(scen), "-o", str(out)]) == 2
+        infeasible = (
+            "infeasible: EmptyTightenedSet: ocp.input_bound 30 does not exceed "
+            "agent 2's ancillary margin 43.5515\n"
+        )
+        assert capsys.readouterr().err == infeasible
+        assert not out.parent.exists()
+        cert_doc = json.loads(certified.read_text())
+        cert_doc["scenario_sha256"] = scenario.load_scenario(scen).sha256
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(cert_doc))
+        assert main(["run", str(scen), "--cert", str(cert), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == infeasible
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (
+                lambda doc: doc["agents"][0].update(lipschitz=0.01),
+                "error: agent 1: drift violates declared Lipschitz bound (0.0167484 > 0.01)\n",
+            ),
+            (
+                lambda doc: doc["agents"][1].update(disturbance_bound=1e-4),
+                "error: agent 2: disturbance reaches 0.0131348, declared bound 0.0001\n",
+            ),
+        ],
+        ids=["lipschitz", "disturbance-bound"],
+    )
+    def test_spot_check_refusal_exit_1(self, tmp_path, capsys, edit, refusal):
+        """A declared constant the spot checks disprove exits 1, naming the agent and both
+        values, and writes no certificate."""
+        out = tmp_path / "c" / "cert.json"
+        assert main(["certify", str(_smoke_copy(tmp_path, edit)), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == refusal
+        assert not out.parent.exists()
+
     def test_non_hurwitz_kappa_poles_exit_2(self, tmp_path, capsys):
         """eCBF poles that give a non-positive class-kappa coefficient fail at certify time."""
         doc = json.loads(SMOKE.read_text())

@@ -123,7 +123,7 @@ class TestRk4:
 
     def test_nonfinite_detected(self):
         with pytest.raises(NonFiniteState):
-            rk4_step(lambda x, t: x / t, np.array([1.0]), 0.0, 0.1)
+            rk4_step(lambda x, t: np.full_like(x, np.inf), np.array([1.0]), 0.0, 0.1)
 
     def test_nonfinite_row_named_by_its_own_time(self):
         """With one time per state, the message gives the earliest time of a broken state."""

@@ -1,14 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tubeform.errors import DimensionMismatch, ScenarioError
+from tubeform.errors import DimensionMismatch
 from tubeform.models import (
     BALL_BLOCK,
-    AgentModel,
-    Box,
     BrunovskyDims,
     DisturbanceConfig,
     DisturbanceStack,
@@ -17,7 +14,8 @@ from tubeform.models import (
     Obstacle,
     chain_matrices,
 )
-from tubeform.scenario import build_all_models, load_scenario
+from tubeform.pipeline import certify_scenario
+from tubeform.scenario import load_scenario
 
 from oracles import agent_disturbance, fine_step_index
 
@@ -160,7 +158,7 @@ class TestDrift:
         """Paper's six tables of 8 or 10 terms, stacked as the world stacks them: bit-equal
         to each table zero-padded to the widest, then gathered by row."""
         cfg = load_scenario("scenarios/paper_scenario.json")
-        tables = [model.drift for model in build_all_models(cfg)]
+        tables = list(certify_scenario(cfg, spot_checks=False).drifts)
         widths = [len(table.expo) for table in tables]
         assert len(tables) == 6 and min(widths) < max(widths)
         rows = np.outer(np.arange(6), [1, 0]).ravel()
@@ -191,48 +189,6 @@ class TestDrift:
             one_term(DriftTerm(form="tanh", coeff=1.0, order=4, axis=0))
         with pytest.raises(DimensionMismatch):
             one_term(DriftTerm(form="cubic", coeff=1.0, weights=(1.0,)))
-
-
-class TestAgentModel:
-    def make(self, bound=0.25, lipschitz=4.0):
-        return AgentModel(
-            id=1,
-            drift=cubic_damped_drift(),
-            drift_lipschitz=lipschitz,
-            disturbance=DisturbanceConfig(
-                "sinusoid", amp=(0.2, 0.15), freq=(0.9, 1.1), phase=(0.0, math.pi / 7)
-            ),
-            disturbance_bound=bound,
-            operating_box=Box(lower=(-1.0,) * 6, upper=(1.0,) * 6),
-        )
-
-    def test_disturbance_bound_holds(self):
-        self.make().check_disturbance_bound(30.0)
-
-    def test_disturbance_bound_violated(self):
-        with pytest.raises(ScenarioError):
-            self.make(bound=0.1).check_disturbance_bound(30.0)
-
-    def test_ball_disturbance_bound_is_exact(self):
-        """A bound just below the ball radius fails, though no draw of any seed reaches it."""
-        ball = DisturbanceConfig("ball", bound=0.2)
-        model = dataclasses.replace(self.make(bound=0.2), disturbance=ball)
-        model.check_disturbance_bound(30.0)
-        tight = dataclasses.replace(model, disturbance_bound=0.2 * (1.0 - 1e-6))
-        for seed in range(5):
-            draws = [
-                agent_disturbance(ball, 2, 1, seed, 0.01, 0.01 * j, block=BALL_BLOCK)
-                for j in range(3000)
-            ]
-            assert np.max(np.linalg.norm(draws, axis=1)) < tight.disturbance_bound
-        with pytest.raises(ScenarioError, match="agent 1"):
-            tight.check_disturbance_bound(30.0)
-
-    def test_lipschitz_spot_check(self):
-        rng = np.random.default_rng(0)
-        self.make().check_lipschitz(rng)
-        with pytest.raises(ScenarioError):
-            self.make(lipschitz=0.2).check_lipschitz(np.random.default_rng(0))
 
 
 def disturbance_configs(kind: str) -> list[DisturbanceConfig]:

@@ -114,7 +114,7 @@ def own_disturbance(world, agent, t):
     """Agent ``agent``'s disturbance at time t from its own formula, as the run seeds and steps it."""
     sim = world.sim
     step = sim.ts / sim.fine_substeps
-    config = world.models[agent].disturbance
+    config = (world.cfg.leader, *world.cfg.agents)[agent].disturbance
     return agent_disturbance(config, world.d, agent, sim.seed, step, t, block=BALL_BLOCK)
 
 
@@ -124,7 +124,7 @@ def leader_oracle(world, steps):
     ts, fs = world.sim.ts, world.sim.fine_substeps
 
     def leader_rhs(x, t):
-        top = world.models[0].drift.value(x, t) + own_disturbance(world, 0, t)
+        top = world.cert.drifts[0].value(x, t) + own_disturbance(world, 0, t)
         return chain_derivative(world.dims, x, top)
 
     states = [initial_states(world.cfg)[0]]
@@ -148,7 +148,7 @@ def leader_samples(world):
 
 def anchor_rhs(world):
     """The RK4 right-hand side of an anchor: the leader's chain under its own drift, no disturbance."""
-    f0 = world.models[0].drift.value
+    f0 = world.cert.drifts[0].value
     return lambda x, t: chain_derivative(world.dims, x, f0(x, t))
 
 
@@ -168,7 +168,7 @@ class TestDeviationDynamics:
         the drifts at an independent leader and at step 2's anchors propagated to 3 ts, and
         each follower's disturbance from its own formula."""
         leader, h = leader_oracle(world, 3), world.sim.ts / world.sim.fine_substeps
-        f0 = world.models[0].drift.value
+        f0 = world.cert.drifts[0].value
         anchors, s = relayed_estimates(leader, world.cert.tubes.hops)[2], 2 * world.sim.ts
         for _ in range(world.sim.fine_substeps):
             anchors, s = rk4_step(anchor_rhs(world), anchors, s, h), s + h
@@ -191,7 +191,7 @@ class TestDeviationDynamics:
         for i, _, dx, ddx, anchor, x_leader in self.deviation_rates(world, t):
             pinned = world.graph.b0[i] > 0
             ff_state = x_leader if pinned else anchor
-            leader = world.models[0].drift.value
+            leader = world.cert.drifts[0].value
             mismatch = leader(ff_state, t) - leader(anchor, t)
             assert np.max(np.abs(mismatch)) > 1e-6 or not pinned  # the leader's tube is there
             w = own_disturbance(world, i + 1, t)
@@ -206,7 +206,7 @@ class TestDeviationDynamics:
         g_sel = np.zeros((nd, 2))
         g_sel[-2:] = np.eye(2)
         for i, x, dx, ddx, *_ in self.deviation_rates(world, t):
-            drive = world.models[i + 1].drift.value(x, t) + own_disturbance(world, i + 1, t)
+            drive = world.cert.drifts[i + 1].value(x, t) + own_disturbance(world, i + 1, t)
             assert np.max(np.abs(drive)) > 1e-3  # the uncancelled term is really there
             expected = acl @ dx + g_sel @ drive
             assert np.max(np.abs(ddx - expected)) < 1e-9
@@ -268,7 +268,7 @@ class TestLeaderFeedforward:
             np.testing.assert_allclose(stacked[i], single, rtol=1e-13, atol=1e-13)
         # the first sample is the leader drift at the anchor itself
         np.testing.assert_allclose(
-            stacked[:, 0], world.models[0].drift.value(anchors, 0.7), rtol=0, atol=0
+            stacked[:, 0], world.cert.drifts[0].value(anchors, 0.7), rtol=0, atol=0
         )
 
 
@@ -375,8 +375,8 @@ class TestStageRecords:
         world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
         assert world.cert.tubes.hops.tolist() == [0, 1]
         plan, fs, k = world.leader_plan, cfg.sim.fine_substeps, 3
-        f0, h = world.models[0].drift.value, cfg.sim.ts / fs
-        stack = DisturbanceStack([m.disturbance for m in world.models], world.d, cfg.sim.seed, h)
+        f0, h = world.cert.drifts[0].value, cfg.sim.ts / fs
+        stack = DisturbanceStack([s.disturbance for s in (cfg.leader, *cfg.agents)], world.d, cfg.sim.seed, h)
         record = plan.exogenous[k]
         assert record.shape == (4 * fs, 3, world.n, world.d)
 
@@ -501,8 +501,8 @@ class TestWorldDrift:
         t, x = 10.37 * cfg.sim.ts, followers_at(world, 10)[:, 0]
         team = world._drift.value(x, t)
         assert team.shape == (world.n, world.d)
-        for i, model in enumerate(world.models[1:]):
-            alone = model.drift.value(x[i], t)
+        for i, drift in enumerate(world.cert.drifts[1:]):
+            alone = drift.value(x[i], t)
             np.testing.assert_allclose(team[i], alone, rtol=1e-14, atol=1e-14)
 
 
