@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTightenedSet, InfeasibleLeaderTube, NotHurwitz, ScenarioError
-from .linalg import eig_sym, is_hurwitz, solve_continuous_lyapunov, sym_inv_sqrt
+from .linalg import is_hurwitz, solve_continuous_lyapunov, sym_inv_sqrt
 from .models import BrunovskyDims, DriftTable, LyapunovPair, chain_matrices, sinusoid
 from .scenario import FollowerConfig, GainSpec, LeaderConfig
 
@@ -61,8 +61,8 @@ def build_lyapunov_pair(
         raise NotHurwitz("closed-loop matrix is not Hurwitz")
     q = np.eye(dims.nd) if lyapunov_q is None else np.asarray(lyapunov_q, dtype=float)
     p = solve_continuous_lyapunov(acl, q)
-    wp, _ = eig_sym(p)
-    wq, _ = eig_sym(q)
+    wp, _ = np.linalg.eigh(p)  # solve_continuous_lyapunov returns P symmetrized
+    wq, _ = np.linalg.eigh(q)
     if wp[0] <= 0.0:
         raise NotHurwitz("Lyapunov solution is not positive definite")
     return LyapunovPair(
@@ -190,9 +190,7 @@ def check_lipschitz(
 
 def input_margin(lyap: LyapunovPair, r: float) -> float:
     """eta = r * smax(K P^{-1/2}), the ancillary feedback's worst-case draw."""
-    m = lyap.gain @ sym_inv_sqrt(lyap.p)
-    w, _ = eig_sym(m @ m.T)
-    return r * float(np.sqrt(max(0.0, w[-1])))
+    return r * float(np.linalg.norm(lyap.gain @ sym_inv_sqrt(lyap.p), 2))
 
 
 def input_tightening(lyap: LyapunovPair, r: float | np.ndarray, u_max: float, ids: np.ndarray) -> tuple:

@@ -13,10 +13,6 @@ class SingularSystem(TubeformError):
     """A linear system arising in a solver is numerically singular."""
 
 
-class NotSymmetric(TubeformError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
 class NonFiniteState(TubeformError):
     """An integration step produced NaN or Inf components."""
 

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra kernel: symmetric eigensolver, Lyapunov solve, RK4.
+"""Small dense linear-algebra kernel: Hurwitz test, P^{-1/2}, Lyapunov solve, RK4.
 
 Everything here operates on matrices of size <= ~12, so simple dense
 algorithms (numpy's symmetric eigensolver, Kronecker vectorization) suffice.
@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteState, NotHurwitz, NotSymmetric, SingularSystem
-
-SYM_TOL = 1e-10
+from .errors import NonFiniteState, NotHurwitz, SingularSystem
 
 
 def is_hurwitz(a: np.ndarray) -> bool:
@@ -18,25 +16,9 @@ def is_hurwitz(a: np.ndarray) -> bool:
     return bool(np.max(np.linalg.eigvals(a).real) < 0.0)
 
 
-def eig_sym(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix (``np.linalg.eigh``).
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Raises NotSymmetric if ``m`` deviates from symmetry beyond 1e-10
-    relative to its magnitude.
-    """
-    m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric(f"expected square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.T)) > SYM_TOL * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-10")
-    return np.linalg.eigh(0.5 * (m + m.T))
-
-
 def sym_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """P^{-1/2} for symmetric positive definite ``m`` via eig_sym."""
-    w, v = eig_sym(m)
+    """P^{-1/2} for symmetric positive definite ``m`` via ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(m)
     if w[0] <= 0.0:
         raise SingularSystem("matrix is not positive definite")
     return (v / np.sqrt(w)) @ v.T

@@ -254,7 +254,7 @@ class SimWorld:
         self._drift = DriftTable.stack(cert.drifts, np.arange(1, self.n + 1))
         self._terminal_gains = np.stack([spec.terminal_gain for spec in self.specs])
         tube_r2 = tubes.r**2
-        self._occ_scale = np.r_[max(cert.leader.r_ball0, 1e-300) ** 2, np.maximum(tube_r2, 1e-300)]
+        self._occ_scale = np.r_[max(cert.leader.r_ball0**2, 1e-300), np.maximum(tube_r2, 1e-300)]
         # monitor limits: the leader tube, then (tube, margin) per follower
         limits = np.r_[cert.leader.r_ball0, np.column_stack([tube_r2, self.margins]).ravel()]
         self._limits = limits * (1.0 + 1e-6)
@@ -688,5 +688,5 @@ def _margin_fractions(trace: SimTrace, followers: int) -> dict[str, float | None
     fractions = {}
     for i, margin in enumerate(map(float, radii.split(";")), 1):
         cols = [j for j, c in enumerate(trace.columns) if c.startswith(f"dx{i}_")]
-        fractions[str(i)] = float(np.max(np.linalg.norm(trace.data[:, cols], axis=1)) / margin)
+        fractions[str(i)] = float(np.max(np.linalg.norm(trace.data[:, cols], axis=1)) / max(margin, 1e-300))
     return fractions

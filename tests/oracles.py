@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the package's own code paths: eigenvalues via
-characteristic-polynomial roots, finite-difference stencils via Fornberg
-weights, QP optima via projected gradient ascent on the dual, horizon
+These deliberately avoid the package's own code paths: the smallest
+singular value by inverse power iteration, finite-difference stencils via
+Fornberg weights, QP optima via projected gradient ascent on the dual, horizon
 trajectories, OCP objectives and the condensed QP's affine maps via the
 explicit step recurrence, barrier values from the position offset alone,
 each agent's disturbance from its own per-agent formula, one fine-step
@@ -30,13 +30,6 @@ from tubeform import ocp as tubeform_ocp
 from tubeform import qp as tubeform_qp
 from tubeform import sim as tubeform_sim
 from tubeform.svgplot import HEIGHT, MARGIN, WIDTH, SvgFigure, _ticks
-
-
-def charpoly_eigvals_sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric eigenvalues as roots of det(M - s I), sorted ascending."""
-    coeffs = np.poly(m)
-    roots = np.roots(coeffs)
-    return np.sort(roots.real)
 
 
 def inverse_power_min_singular(m: np.ndarray, iters: int = 500, seed: int = 0) -> float:

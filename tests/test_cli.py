@@ -16,6 +16,8 @@ from tubeform.errors import DegenerateGradient, ScenarioError
 from tubeform.pipeline import _matches, certify_scenario, check_certificate, load_certificate
 from tubeform.sim import SimTrace
 
+from test_sim import equilibrium_doc
+
 SMOKE = Path("scenarios/smoke_scenario.json")
 
 
@@ -242,6 +244,24 @@ class TestCertify:
             "agent 2's margin 2.94024\n"
         )
         assert not out.exists()
+
+    @pytest.mark.xfail(
+        strict=True, reason="certify never checks the deployment state (ROADMAP item 15)"
+    )
+    def test_follower_deployed_inside_an_obstacle_exit_2(self, tmp_path, capsys):
+        """A smoke copy that deploys follower 1 inside obstacle 0 is refused at certify, in
+        one stderr line naming both, before any certificate is written; today it certifies
+        and its run exits 3 at fine step 0."""
+        doc = json.loads(SMOKE.read_text())
+        doc["obstacles"][0]["center"] = [0.6, -0.3]
+        doc["sim"]["t_end"] = 1.0
+        scen = tmp_path / "inside.json"
+        scen.write_text(json.dumps(doc))
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(scen), "-o", str(cert)]) == 2
+        assert not cert.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "agent 1" in err[0] and "obstacle 0" in err[0]
 
     def test_input_bound_consumed_by_margin_exit_2(self, certified, tmp_path, capsys):
         """An input bound no wider than an ancillary margin is refused at certify, naming the
@@ -596,9 +616,11 @@ class TestRun:
         assert main(args + [str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_absent_clearances_are_null_in_strict_json_summary(self, tmp_path):
         """One follower and no obstacles: the summary writes both clearances as null, so
-        a strict JSON parser reads it; the trace keeps them as inf."""
+        a strict JSON parser reads it; the trace keeps them as inf. A zero leader radius
+        and zero certified margins give an occupancy and margin fractions of 0.0."""
         scen = one_follower_obstacle_free(tmp_path)
         cert = tmp_path / "cert.json"
         assert main(["certify", str(scen), "-o", str(cert)]) == 0
@@ -609,6 +631,25 @@ class TestRun:
         assert summary["min_pairwise_clearance"] is None
         trace = SimTrace.from_csv(run / "trace.csv")
         assert np.all(np.isinf(trace.col("clr_obs"))) and np.all(np.isinf(trace.col("clr_pair")))
+
+        still = json.loads(SMOKE.read_text())  # the leader undisturbed, its tube of radius 0
+        still["leader"].update(disturbance={"kind": "ball", "bound": 0}, disturbance_bound=0)
+        still["leader"]["tube"]["r_ball"] = 0
+        parked = equilibrium_doc()  # no disturbance anywhere: the certified margins are 0
+        for agent in parked["agents"]:
+            del agent["margin_radius"]
+        for name, doc in (("still_leader", still), ("zero_margins", parked)):
+            scen, cert, run = (tmp_path / name / leaf for leaf in ("scen.json", "cert.json", "run"))
+            scen.parent.mkdir()
+            scen.write_text(json.dumps(doc))
+            assert main(["certify", str(scen), "-o", str(cert)]) == 0
+            assert main(["run", str(scen), "--cert", str(cert), "-o", str(run)]) == 0
+            summary = _strict_json((run / "summary.json").read_text())
+            if name == "still_leader":
+                occ0 = summary["max_tube_occupancy"]["occ0"]
+                assert occ0 == summary["max_leader_occupancy_pre_anchor"] == 0.0
+            else:
+                assert summary["max_margin_fraction"] == {"1": 0.0, "2": 0.0}
 
     def test_determinism_byte_identical(self, certified, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

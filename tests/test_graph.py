@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubeform.errors import GraphNotRooted
-from tubeform.graph import CommGraph, global_bound, min_singular_value
+from tubeform.graph import CommGraph, global_bound
 
 from oracles import inverse_power_min_singular
 
@@ -89,23 +91,42 @@ class TestSpanningTree:
                 arr[0] = 7
 
 
+def sv_min(g):
+    """sigma_min(M) as the global bound computes it."""
+    return global_bound(g, np.zeros(g.n_followers), 0.0).sv_min
+
+
 class TestMinSingularValue:
     def test_identity(self):
-        assert min_singular_value(np.eye(3)) == pytest.approx(1.0)
+        """Every follower pinned and no follower edge: M = I."""
+        assert sv_min(CommGraph(adjacency=np.zeros((3, 3)), b0=np.ones(3))) == 1.0
 
     def test_spd_2x2(self):
-        assert min_singular_value(np.array([[2.0, -1.0], [-1.0, 2.0]])) == pytest.approx(1.0)
+        """Two pinned followers listening to each other: M = [[2, -1], [-1, 2]]."""
+        assert abs(sv_min(chain_graph(2, pinned=(0, 1))) - 1.0) <= 4 * math.ulp(1.0)
+
+    def test_all_pinned_path_is_exactly_one(self):
+        """The ablation graph, five followers on a path, all pinned: M = L + I, whose
+        smallest eigenvalue is the Laplacian's 0 plus 1."""
+        assert sv_min(chain_graph(5, pinned=range(5))) == 1.0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_end_pinned_path_matches_closed_form(self, n):
+        """The paper graph: M is tridiagonal with diagonal (2, ..., 2, 1), whose smallest
+        eigenvalue is 4 sin^2(pi / (2 (2N + 1)))."""
+        exact = 4.0 * math.sin(math.pi / (2 * (2 * n + 1))) ** 2
+        assert abs(sv_min(chain_graph(n)) - exact) <= 64 * math.ulp(exact)
 
     def test_random_vs_inverse_power(self):
+        """A weighted digraph with one pinned follower; M is not symmetric."""
         rng = np.random.default_rng(42)
-        m = rng.normal(size=(5, 5)) + 3.0 * np.eye(5)
-        assert min_singular_value(m) == pytest.approx(
-            inverse_power_min_singular(m), abs=1e-8
-        )
+        adjacency = rng.uniform(0.1, 2.0, size=(5, 5)) * (rng.random((5, 5)) < 0.6)
+        np.fill_diagonal(adjacency, 0.0)
+        g = CommGraph(adjacency=adjacency, b0=np.array([1.5, 0.0, 0.0, 0.0, 0.0]))
+        assert sv_min(g) == pytest.approx(inverse_power_min_singular(g.m), abs=1e-8)
 
     def test_rooted_graph_gives_positive_sv(self):
-        g = chain_graph()
-        assert min_singular_value(g.m) > 0.0
+        assert sv_min(chain_graph()) > 0.0
 
 
 def neighbor_sum_sync_error(i, states, g, offsets):

@@ -5,48 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from tubeform.errors import NonFiniteState, NotHurwitz, NotSymmetric
-from tubeform.linalg import eig_sym, rk4_step, solve_continuous_lyapunov
-
-from oracles import charpoly_eigvals_sym
-
-
-class TestEigSym:
-    def test_identity(self):
-        w, v = eig_sym(np.eye(3))
-        assert np.allclose(w, [1.0, 1.0, 1.0])
-        assert np.allclose(v @ v.T, np.eye(3), atol=1e-12)
-
-    def test_diagonal_sorted(self):
-        w, _ = eig_sym(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-
-    def test_rank_one_shift(self):
-        w, _ = eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [1.0, 3.0])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
-            eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_eigenpair_residuals(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.normal(size=(5, 5))
-            m = m + m.T
-            w, v = eig_sym(m)
-            scale = np.linalg.norm(m, 2)
-            for k in range(5):
-                assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-9 * scale
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 3), st.integers(0, 10_000))
-    def test_matches_charpoly_roots(self, n, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, n))
-        m = m + m.T
-        w, _ = eig_sym(m)
-        assert np.allclose(w, charpoly_eigvals_sym(m), atol=1e-8)
+from tubeform.errors import NonFiniteState, NotHurwitz
+from tubeform.linalg import rk4_step, solve_continuous_lyapunov
 
 
 class TestLyapunov:
