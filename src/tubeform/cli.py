@@ -119,6 +119,8 @@ def cmd_run(
         str(agent): "baseline" if sim_cfg.baseline_margins else str(mode)
         for agent, mode in zip(tubes.id.tolist(), tubes.margin_mode)
     }
+    for key in ("capped_solves", "capped_own_row_failures"):
+        metrics[key] = dict(zip(map(str, tubes.id.tolist()), getattr(sim_result.world, key).tolist()))
     metrics["violations"] = [
         {"kind": v.kind, "fine_step": v.step, "t": v.t, "agent": v.agent, "other": v.other,
          "value": v.value}

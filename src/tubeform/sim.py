@@ -32,15 +32,17 @@ are one ``barrier.RowGrid`` per step over its obstacles and neighbors
 (``SimWorld._row_grid``), whose ``rows`` each SQP pass calls.
 
 The trace's state rows are the run's one record of states. The leader pass
-fills the leader's rows; step k measures every agent at row k fs, and its
-interval integrates the followers' true and nominal states from that row,
-writing each RK4 substep and its time into the row it reaches. The feedforward
-cancels a follower's own nonlinearity, so each RK4 stage reads, besides its
-state, only the leader pass's exogenous record there, in call order: the drift
-it cancels toward (the true leader's if pinned, else its anchor's), its
-anchor's drift and its disturbance. Every step writes its held values into its
-interval's rows. One array pass at the end of the run builds the safety
-violations and the state-derived columns.
+fills the leader's rows and the times; step k measures every agent at row
+k fs, and its interval writes the followers' RK4 substeps into the rows they
+reach. With the feedforward, a follower's deviation obeys dx' = Acl dx +
+G (cancel + w - anchor) and its nominal xb' = A0 xb + G (v0 + anchor), read in
+RK4 call order from the leader pass's exogenous record: the drift cancelled
+toward (the true leader's if pinned, else the anchor's), the anchor's drift
+and the disturbance. An interval is then one product with a linear map of
+(dx, xb, v0, records), built once per run by a ``_substeps`` walk over the
+identity; no follower drift is evaluated. Every step writes its held values
+into its interval's rows. One array pass at the end of the run builds the
+safety violations and the state-derived columns.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .certify import error_box_tightening
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
-from .ocp import OcpSpec, rollout, solve_ocp
+from .ocp import SQP_MAX_PASSES, OcpSpec, rollout, solve_ocp
 from .pipeline import CertificationResult
 from .protocol import initial_broadcast, relayed_estimates, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
@@ -266,6 +268,7 @@ class SimWorld:
         # (reader, sender) per directed edge
         self._edges = np.nonzero(self.graph.adjacency > 0.0)
         self.infeasible_streak = [0] * self.n
+        self.capped_solves, self.capped_own_row_failures = np.zeros(self.n, int), np.zeros(self.n, int)
         self.violations: list[SafetyViolation] = []
         self.leader_occupancy_peak = math.nan  # set by the end-of-run pass
 
@@ -284,7 +287,7 @@ class SimWorld:
         One ``_substeps`` walk over the step starts gives the run's (steps, 4 fs) RK4 stage times in
         call order, and one ``DisturbanceStack.evaluate`` call every agent's disturbance there, the
         followers' into slot 2 of ``exogenous``. The leader is integrated alone into the trace's
-        leader rows with the world's substeps, times and drift arithmetic, each stage adding its
+        leader rows and times with the world's substeps and drift arithmetic, each stage adding its
         own disturbance and writing its drift into slot 0. One ``_leader_ff_samples``
         call propagates each distinct (step, hop count) anchor from its own start time,
         bit-equal per row to propagating every (step, follower) anchor. Its first period gives
@@ -313,8 +316,8 @@ class SimWorld:
 
         x = rows[:1, 0]
         for k in range(n_steps):
-            for j, (x, _) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
-                rows[j, 0] = x[0]
+            for j, (x, t) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
+                rows[j, 0], self._times[j] = x[0], t
         hop_counts, column = np.unique(self.cert.tubes.hops, return_inverse=True)
         hops = len(hop_counts)
         estimates = relayed_estimates(rows[:-1:fs, 0], hop_counts)  # (steps, hop counts, nd)
@@ -407,6 +410,15 @@ class SimWorld:
             self.cfg.barriers.activation_range,
         )
 
+    @staticmethod
+    def _breaks_own_rows(grid: RowGrid, states: np.ndarray, inputs: np.ndarray) -> bool:
+        """Whether a plan's eCBF rows a . v_step + b at its own ``states`` are degenerate or below -1e-6."""
+        try:
+            rows = grid.rows(states)
+        except DegenerateGradient:
+            return True
+        return np.min(np.sum(rows.a * inputs[rows.step], axis=1) + rows.b, initial=math.inf) < -1e-6
+
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
         ff_samples = self.leader_plan.ff_samples[k]
@@ -434,6 +446,11 @@ class SimWorld:
                 )
             except DegenerateGradient:
                 sol = None
+            if sol is not None and sol.sqp_passes == SQP_MAX_PASSES and not sol.converged:
+                self.capped_solves[i] += 1
+                if sol.slack <= 1e-6:
+                    states = rollout(spec, measured[i + 1, 1], sol.inputs + ff_samples[i])
+                    self.capped_own_row_failures[i] += self._breaks_own_rows(grid, states, sol.inputs)
             if sol is None or not math.isfinite(sol.slack):
                 self.infeasible_streak[i] += 1
                 if self.infeasible_streak[i] >= self.horizon:
@@ -464,32 +481,53 @@ class SimWorld:
     # --- fine integration ---
 
     def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray, stages) -> np.ndarray:
-        """RHS of the world ODE on the followers' (N, 2, nd) true and nominal states at the next RK4
-        stage of ``stages``: the (N, d) leader drift each follower cancels toward, its anchor's drift
-        and its disturbance. The input is the held nominal one, the ancillary feedback and, with the
-        feedforward on, the cancellation of the own drift by the leader's."""
-        cancel, anchor, w = next(stages)
+        """RHS of the world ODE without the feedforward on the followers' (N, 2, nd) true and nominal
+        states, reading the disturbance of the next RK4 stage record of ``stages``: the own drift, the
+        held nominal input, the ancillary feedback and w drive the true state, the held input the nominal."""
+        w = next(stages)[2]
         x, xb = state[:, 0], state[:, 1]
-        own = self._drift.value(x, t)
         u = v0 - (x - xb) @ self.gain.T
-        if self.sim.feedforward_on:
-            u = u + cancel - own
-        top = np.empty((self.n, 2, self.d))
-        top[:, 0] = own + u + w
-        top[:, 1] = v0 + anchor if self.sim.feedforward_on else v0
-        return chain_derivative(self.dims, state, top)
+        return chain_derivative(self.dims, state, np.stack([self._drift.value(x, t) + u + w, v0], axis=1))
+
+    def _deviation_walk(self, params: np.ndarray, t0: float) -> np.ndarray:
+        """(fs, rows, 2, nd): (dx, xb) after each RK4 substep of dx' = Acl dx + G drive,
+        xb' = A0 xb + G (v0 + anchor) from t0, per ``params`` row: the start (dx, xb), v0,
+        then per stage in call order drive = cancel + w - anchor and the anchor drift."""
+        nd, d, fs = self.nd, self.d, self.sim.fine_substeps
+        v0 = params[:, 2 * nd : 2 * nd + d]
+        stages = iter(params[:, 2 * nd + d :].reshape(len(params), 2, 4 * fs, d).transpose(2, 1, 0, 3))
+
+        def rhs(z, t):
+            drive, anchor = next(stages)
+            return chain_derivative(self.dims, z, np.stack([drive - z[:, 0] @ self.gain.T, v0 + anchor], 1))
+
+        return np.array([z for z, _ in self._substeps(rhs, params[:, : 2 * nd].reshape(-1, 2, nd), t0)])
+
+    @functools.cached_property
+    def _interval_maps(self) -> np.ndarray:
+        """(P, fs 2 nd): ``_deviation_walk`` as a linear map of its P parameters, walked over the identity."""
+        p = 2 * self.nd + self.d + 8 * self.sim.fine_substeps * self.d
+        return self._deviation_walk(np.eye(p), 0.0).swapaxes(0, 1).reshape(p, -1)
 
     def _integrate_interval(self, k: int) -> None:
-        """Integrate one sampling interval from the followers' row k fs, writing each RK4 substep into
-        the row it reaches. Its stages read the leader pass's records in call order: k2 and k3 share
-        a time, not a state."""
-        fs = self.sim.fine_substeps
-        stages = iter(self.leader_plan.exogenous[k])
-        rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=stages)
-        substeps = self._substeps(rhs, self._states[k * fs, 1:, :2], k * self.sim.ts)
-        for j, (state, t) in enumerate(substeps, k * fs + 1):
-            self._states[j, 1:, :2] = state
-            self._times[j] = t
+        """Integrate one sampling interval from the followers' row k fs into the rows its RK4 substeps reach,
+        the stages reading the leader pass's records in call order (k2 and k3 share a time, not a state).
+        With the feedforward: one product with ``_interval_maps``, walked if non-finite (rk4_step names t)."""
+        fs, ts = self.sim.fine_substeps, self.sim.ts
+        rows = self._states[k * fs : (k + 1) * fs + 1, 1:, :2]
+        if not self.sim.feedforward_on:
+            stages = iter(self.leader_plan.exogenous[k])
+            rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=stages)
+            rows[1:] = [state for state, _ in self._substeps(rhs, rows[0], k * ts)]
+            return
+        cancel, anchor, w = self.leader_plan.exogenous[k].transpose(1, 2, 0, 3).reshape(3, self.n, -1)
+        dx, xb = rows[0, :, 0] - rows[0, :, 1], rows[0, :, 1]
+        params = np.concatenate([dx, xb, self.plans[:, 0], cancel + w - anchor, anchor], axis=1)
+        dev = (params @ self._interval_maps).reshape(self.n, fs, 2, self.nd).swapaxes(0, 1)
+        if not np.all(np.isfinite(dev)):
+            dev = self._deviation_walk(params, k * ts)
+        rows[1:, :, 1] = dev[:, :, 1]
+        rows[1:, :, 0] = rows[1:, :, 1] + dev[:, :, 0]
 
     # --- the run's record: trace columns and safety monitors ---
 

@@ -349,6 +349,15 @@ class TestRun:
         # read before re-anchoring, so never below what the trace logs
         assert summary["max_leader_occupancy_pre_anchor"] >= summary["max_tube_occupancy"]["occ0"]
 
+    def test_capped_solves_are_counted_in_summary(self, run_dir):
+        """Per follower, smoke's solves that hit the SQP pass cap unconverged, and of those the
+        zero-slack plans that break their own eCBF rows (ROADMAP item 1), as integers."""
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["capped_solves"] == {"1": 19, "2": 19}
+        assert summary["capped_own_row_failures"] == {"1": 18, "2": 19}
+        counts = [*summary["capped_solves"].values(), *summary["capped_own_row_failures"].values()]
+        assert all(type(count) is int for count in counts)
+
     @pytest.mark.parametrize(
         "kind, named, other",
         [("obstacle_clearance", "obstacle 0", 0), ("pairwise_clearance", "other agent 2", 2)],

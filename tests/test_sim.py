@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from tubeform.protocol import relayed_estimates, shift_plan
 from tubeform.scenario import initial_states, load_scenario, parse_scenario
 from tubeform.sim import (
     FINAL_WINDOW_S,
+    LeaderPlan,
     SimConfig,
     SimTrace,
     SimWorld,
@@ -182,21 +184,42 @@ class TestDeviationDynamics:
             yield i, x, x - xb, deriv[i, 0] - deriv[i, 1], anchors[i], leader[3]
 
     def test_closed_loop_matches_linear_form(self):
-        """Fine-integrated deviation dynamics match the certified linear form:
-        d(dx)/dt = Acl dx + G (leader-drift mismatch + w)."""
-        world, acl, t = self.stepped_world(True)
-        nd = world.nd
-        g_sel = np.zeros((nd, 2))
-        g_sel[-2:] = np.eye(2)
-        for i, _, dx, ddx, anchor, x_leader in self.deviation_rates(world, t):
-            pinned = world.graph.b0[i] > 0
-            ff_state = x_leader if pinned else anchor
-            leader = world.cert.drifts[0].value
-            mismatch = leader(ff_state, t) - leader(anchor, t)
-            assert np.max(np.abs(mismatch)) > 1e-6 or not pinned  # the leader's tube is there
-            w = own_disturbance(world, i + 1, t)
-            expected = acl @ dx + g_sel @ (mismatch + w)
-            assert np.max(np.abs(ddx - expected)) < 1e-9
+        """With the feedforward on, step 2's fine-integrated deviations match an independent
+        ``rk4_step`` integration of the certified linear form within 1e-9:
+        d(dx)/dt = Acl dx + G (leader-drift mismatch + w), integrated beside the leader and step
+        2's anchors, the mismatch being the leader model at the true leader (pinned) or at the
+        anchor (relayed) minus the model at the anchor."""
+        world, acl, _ = self.stepped_world(True)
+        ts, fs, n = world.sim.ts, world.sim.fine_substeps, world.n
+        _, g_sel = models.chain_matrices(world.dims)
+        f0 = world.cert.drifts[0].value
+        leader = leader_oracle(world, 3)
+        pinned = (world.graph.b0 > 0)[:, None]
+        mismatches = []
+
+        def rhs(z, t):
+            """The leader, the N anchors and the N deviations, stacked (1 + 2N, nd)."""
+            x0, anchors, dx = z[0], z[1 : n + 1], z[n + 1 :]
+            f_anchor = f0(anchors, t)
+            mismatches.append(np.where(pinned, f0(x0, t), f_anchor) - f_anchor)
+            w = np.array([own_disturbance(world, i + 1, t) for i in range(n)])
+            out = np.empty_like(z)
+            out[0] = chain_derivative(world.dims, x0, f0(x0, t) + own_disturbance(world, 0, t))
+            out[1 : n + 1] = chain_derivative(world.dims, anchors, f_anchor)
+            out[n + 1 :] = dx @ acl.T + (mismatches[-1] + w) @ g_sel.T
+            return out
+
+        start = followers_at(world, 2)
+        z = np.vstack([leader[2], relayed_estimates(leader, world.cert.tubes.hops)[2], start[:, 0] - start[:, 1]])
+        t = 2 * ts
+        for j in range(2 * fs + 1, 3 * fs + 1):
+            z, t = rk4_step(rhs, z, t, ts / fs), t + ts / fs
+            dx = world._states[j, 1:, 0] - world._states[j, 1:, 1]
+            assert np.max(np.abs(dx)) > 1e-6  # the deviations are really there
+            assert np.max(np.abs(dx - z[n + 1 :])) < 1e-9
+        mismatch = np.abs(mismatches)
+        assert np.max(mismatch[:, pinned[:, 0]]) > 1e-6  # the leader's tube is there
+        assert np.max(mismatch[:, ~pinned[:, 0]]) == 0.0
 
     def test_feedforward_off_matches_linear_form(self):
         """Without feedforward the own drift is not cancelled and the nominal
@@ -363,14 +386,15 @@ class TestFeedforwardPerHopCount:
 
 
 class TestStageRecords:
-    def test_world_reads_the_anchor_drifts_of_a_direct_replay_in_call_order(self, monkeypatch):
+    def test_world_reads_the_anchor_drifts_of_a_direct_replay_in_call_order(self):
         """On smoke (follower 1 pinned, follower 2 relayed one hop), step k's exogenous record
         holds, per RK4 stage of a direct ``rk4_step`` replay, bit for bit: in slot 1 the leader
         model at the relayed anchor's stage states; in slot 0 the true leader's drift for
         follower 1 and slot 1 for follower 2; in slot 2 the followers' disturbances at the
-        stage times. The world's interval consumes exactly those 4 fs records, in call order:
-        k2 and k3 of a substep share a stage time but not a drift, so no table keyed by stage
-        time could hold them."""
+        stage times. The world's interval consumes those 4 fs records in call order: an
+        ``rk4_step`` replay of the world ODE that reads them so reproduces it, and swapping one
+        substep's k2 and k3 records, which share a stage time but not a drift (so no table keyed
+        by stage time could hold them), changes it."""
         cfg = load_scenario(SMOKE)
         world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
         assert world.cert.tubes.hops.tolist() == [0, 1]
@@ -408,18 +432,120 @@ class TestStageRecords:
         assert np.array_equal(stage_times[:, 1], stage_times[:, 2])
         assert np.all(np.any(stage_drifts[:, 1] != stage_drifts[:, 2], axis=-1))
 
-        reads = []
-        derivative = world._world_derivative
-
-        def reading(state, t, v0, stages):
-            reads.append(next(stages))
-            return derivative(state, t, v0, iter(reads[-1:]))
-
-        monkeypatch.setattr(world, "_world_derivative", reading)
+        # the world's interval consumes those 4 fs records in call order: a replay that reads them
+        # so reproduces it, and swapping one substep's k2 and k3 records changes it
         for step in range(k + 1):
             world.step(step)
-        assert len(reads) == 4 * fs * (k + 1)
-        assert np.array_equal(np.array(reads[-4 * fs :]), record)
+        rows = world._states[k * fs : (k + 1) * fs + 1, 1:, :2].copy()
+
+        def replayed(records):
+            """Interval k from row k fs by ``rk4_step``, stage records read in call order."""
+            stages, v0 = iter(records), world.plans[:, 0]
+
+            def rhs(state, t):
+                cancel, anchor, w = next(stages)
+                x, xb = state[:, 0], state[:, 1]
+                top = np.stack([v0 - (x - xb) @ world.gain.T + cancel + w, v0 + anchor], axis=1)
+                return chain_derivative(world.dims, state, top)
+
+            states = [rows[0]]
+            for _ in range(fs):
+                states.append(rk4_step(rhs, states[-1], 0.0, h))
+            return np.array(states)
+
+        assert np.max(np.abs(replayed(record) - rows)) < 1e-14  # 3.3e-16 here
+        swapped = record.copy()
+        swapped[[5, 6]] = record[[6, 5]]  # the second substep's k2 and k3
+        world.leader_plan.exogenous[k] = swapped
+        world._integrate_interval(k)
+        moved = world._states[k * fs : (k + 1) * fs + 1, 1:, :2]
+        assert np.array_equal(moved[:2], rows[:2])
+        assert np.max(np.abs(moved[2:] - rows[2:])) > 1e-13  # 6.0e-13 here
+        assert np.max(np.abs(replayed(swapped) - moved)) < 1e-14
+
+
+class TestIntervalMaps:
+    """With the feedforward on, a sampling interval of the followers is one product with
+    ``SimWorld._interval_maps``, built once per run by one walk over the identity."""
+
+    @staticmethod
+    def planted_world(path, k, seed):
+        """A world whose interval k starts from random (x, xb), holds a random v0 and reads random
+        stage records."""
+        cfg = load_scenario(path)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=1.0))
+        rng, fs, n, d = np.random.default_rng(seed), cfg.sim.fine_substeps, world.n, world.d
+        world._states[k * fs, 1:, :2] = rng.normal(size=(n, 2, world.nd))
+        world.plans[:, 0] = rng.normal(size=(n, d))
+        world.leader_plan = LeaderPlan(None, rng.normal(size=(world.n_steps, 4 * fs, 3, n, d)))
+        return world
+
+    @staticmethod
+    def deviation_oracle(world, k):
+        """(fs, N, 2, nd) (dx, xb) after each substep of interval k by ``rk4_step``, each stage reading
+        its record in call order: dx' = Acl dx + G (cancel + w - anchor), xb' = A0 xb + G (v0 + anchor)."""
+        a0, g = models.chain_matrices(world.dims)
+        acl, v0 = world.cert.pair.acl, world.plans[:, 0]
+        records, h = iter(world.leader_plan.exogenous[k]), world.sim.ts / world.sim.fine_substeps
+
+        def rhs(z, t):
+            cancel, anchor, w = next(records)
+            return np.stack([z[:, 0] @ acl.T + (cancel + w - anchor) @ g.T, z[:, 1] @ a0.T + (v0 + anchor) @ g.T], 1)
+
+        start = world._states[k * world.sim.fine_substeps, 1:, :2]
+        z = [np.stack([start[:, 0] - start[:, 1], start[:, 1]], axis=1)]
+        for _ in range(world.sim.fine_substeps):
+            z.append(rk4_step(rhs, z[-1], 0.0, h))
+        return np.array(z[1:])
+
+    @pytest.mark.parametrize("path", [SMOKE, PAPER])
+    def test_interval_matches_rk4_on_the_deviation_form(self, path):
+        """Random (dx, xb), v0 and stage records on smoke's 2 and paper's 5 followers: every substep
+        row's xb and dx = x - xb within 1e-13 of the oracle (at most 2.7e-15 here)."""
+        k = 3
+        world = self.planted_world(path, k, seed=len(path))
+        expected = self.deviation_oracle(world, k)
+        world._integrate_interval(k)
+        fs = world.sim.fine_substeps
+        rows = world._states[k * fs + 1 : (k + 1) * fs + 1, 1:]
+        got = np.stack([rows[..., 0, :] - rows[..., 1, :], rows[..., 1, :]], axis=2)
+        assert np.max(np.abs(expected)) > 1.0
+        assert np.max(np.abs(got - expected)) < 1e-13
+
+    def test_zero_deviation_and_drive_keep_the_deviation_exactly_zero(self):
+        """x = xb at the start, every cancel equal to its anchor and no disturbance, as in an undisturbed
+        run: x stays bit-equal to xb while both move."""
+        k, world = 2, self.planted_world(SMOKE, 2, seed=4)
+        fs = world.sim.fine_substeps
+        world._states[k * fs, 1:, 0] = world._states[k * fs, 1:, 1]
+        record = world.leader_plan.exogenous[k]
+        record[:, 0], record[:, 2] = record[:, 1], 0.0
+        world._integrate_interval(k)
+        rows = world._states[k * fs : (k + 1) * fs + 1, 1:]
+        assert np.array_equal(rows[..., 0, :], rows[..., 1, :])
+        assert np.max(np.abs(rows[1:, :, 1] - rows[:1, :, 1])) > 1e-3  # the nominal moved
+
+    def test_a_run_evaluates_no_follower_drift(self):
+        """With the feedforward on, a smoke run never calls the followers' own drift table."""
+        cfg = load_scenario(SMOKE)
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg, t_end=0.5))
+        world._drift = SimpleNamespace(value=lambda *args: pytest.fail("a follower's own drift was evaluated"))
+        assert world.run().trace.data.shape[0] == 51
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_an_infinite_stage_record_names_its_substep(self):
+        """An inf in substep 6's k3 record (and another in substep 9's) raises rk4_step's error at
+        substep 6's time, accumulated from k ts as ``_substeps`` does. The inf times the maps' zeros
+        is NaN, so numpy warns."""
+        k, world = 3, self.planted_world(SMOKE, 3, seed=5)
+        world.leader_plan.exogenous[k, 4 * 5 + 2, 2, 1] = np.inf  # follower 2's disturbance
+        world.leader_plan.exogenous[k, 4 * 8, 1, 0] = np.inf  # follower 1's anchor drift
+        h, t = world.sim.ts / world.sim.fine_substeps, k * world.sim.ts
+        for _ in range(6):
+            t = t + h
+        with pytest.raises(NonFiniteState, match=re.escape(f"non-finite state after RK4 step at t={t:.6g}")):
+            world._integrate_interval(k)
 
 
 class TestStateRecord:
