@@ -34,15 +34,15 @@ are one ``barrier.RowGrid`` per step over its obstacles and neighbors
 The trace's state rows are the run's one record of states. The leader pass
 fills the leader's rows and the times; step k measures every agent at row
 k fs, and its interval writes the followers' RK4 substeps into the rows they
-reach. With the feedforward, a follower's deviation obeys dx' = Acl dx +
-G (cancel + w - anchor) and its nominal xb' = A0 xb + G (v0 + anchor), read in
-RK4 call order from the leader pass's exogenous record: the drift cancelled
-toward (the true leader's if pinned, else the anchor's), the anchor's drift
-and the disturbance. An interval is then one product with a linear map of
-(dx, xb, v0, records), built once per run by a ``_substeps`` walk over the
-identity; no follower drift is evaluated. Every step writes its held values
-into its interval's rows. One array pass at the end of the run builds the
-safety violations and the state-derived columns.
+reach. A follower's deviation obeys dx' = Acl dx + G drive and its nominal
+xb' = A0 xb + G (v0 + anchor), read per RK4 stage from the leader pass's
+record. With the feedforward, drive = (cancel + w) - anchor, cancelling toward
+the true leader's drift if pinned, else the anchor's, and an interval is one
+product with a linear map of (dx, xb, v0, record) built once per run by a
+``_substeps`` walk over the identity. Without it, drive = w + f_i(xb + dx),
+anchor = 0, and that walk integrates each interval. Every step writes its
+held values into its interval's rows. One array pass at the end of the run
+builds the safety violations and the state-derived columns.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class LeaderPlan(NamedTuple):
     """The exogenous inputs of one run, led by the sampling step k; the RK4 stages in call order."""
 
     ff_samples: np.ndarray  # (steps, N, H, d) each follower's feedforward from its relayed estimate
-    exogenous: np.ndarray  # (steps, 4 fs, 3, N, d) per stage: cancel, anchor drift, disturbance
+    exogenous: np.ndarray  # (steps, N, 2 4 fs d) every stage's drive, then every stage's anchor drift
 
 
 class SimWorld:
@@ -282,17 +282,18 @@ class SimWorld:
 
     @functools.cached_property
     def leader_plan(self) -> LeaderPlan:
-        """The leader, its followers' feedforward and every RK4 stage's exogenous record, once per run.
+        """The leader, its followers' feedforward and every interval's stage inputs, once per run.
 
         One ``_substeps`` walk over the step starts gives the run's (steps, 4 fs) RK4 stage times in
         call order, and one ``DisturbanceStack.evaluate`` call every agent's disturbance there, the
-        followers' into slot 2 of ``exogenous``. The leader is integrated alone into the trace's
-        leader rows and times with the world's substeps and drift arithmetic, each stage adding its
-        own disturbance and writing its drift into slot 0. One ``_leader_ff_samples``
-        call propagates each distinct (step, hop count) anchor from its own start time,
-        bit-equal per row to propagating every (step, follower) anchor. Its first period gives
-        the leader's nominal (hop count 0: a rooted graph pins one) and the anchors' stage
-        drifts, gathered per follower into slot 1 and, for the followers not pinned, slot 0.
+        followers' into the drives. The leader is integrated alone into the trace's leader rows and
+        times with the world's substeps and drift arithmetic, each stage adding its own disturbance.
+        One ``_leader_ff_samples`` call propagates each distinct (step, hop count) anchor from its own
+        start time, bit-equal per row to propagating every (step, follower) anchor. Its first period
+        gives the leader's nominal (hop count 0: a rooted graph pins one) and the anchors' stage drifts.
+        With the feedforward, these fill the anchor blocks per follower and each drive becomes
+        (cancel + w) - anchor in place, cancelling toward the leader's stage drift if pinned, else the
+        anchor's; without it, the drive stays w and the anchor drift 0.
         """
         ts, n_steps, fs, nd, d = self.sim.ts, self.n_steps, self.sim.fine_substeps, self.nd, self.d
         step_starts, times = np.arange(n_steps) * ts, []  # times: per RK4 stage, in call order
@@ -301,23 +302,26 @@ class SimWorld:
         configs = [section.disturbance for section in (self.cfg.leader, *self.cfg.agents)]
         disturbance = DisturbanceStack(configs, d, self.sim.seed, ts / fs)
         w = disturbance.evaluate(np.stack(times, axis=1))  # (steps, 4 fs, N+1, d)
+        exogenous = np.zeros((n_steps, self.n, 2, 4 * fs, d))
+        drive, anchor = exogenous[:, :, 0], exogenous[:, :, 1]  # (steps, N, 4 fs, d) each
+        drive[...] = w[:, :, 1:].swapaxes(1, 2)
         # the row-stack path, for speed: a one-row stack's value beats the leader's own table's
         drift = DriftTable.stack(self.cert.drifts, np.zeros(1, int))
         rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
-        exogenous = np.empty((n_steps, 4 * fs, 3, self.n, d))
-        exogenous[:, :, 2] = w[:, :, 1:]
-        stages = zip(exogenous.reshape(-1, 3, self.n, d), w[:, :, :1].reshape(-1, 1, d))
+        leader_drifts = np.empty((n_steps, 4 * fs, d))
+        stages = zip(leader_drifts.reshape(-1, d), w[:, :, :1].reshape(-1, 1, d))
 
         def rhs(x, time):
             f = drift.value(x, time)
-            slots, own = next(stages)
-            slots[0] = f[0]
+            slot, own = next(stages)
+            slot[...] = f[0]
             return chain_derivative(self.dims, x, f + own)
 
         x = rows[:1, 0]
         for k in range(n_steps):
             for j, (x, t) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
                 rows[j, 0], self._times[j] = x[0], t
+        del w, stages  # the drives hold the followers' disturbances
         hop_counts, column = np.unique(self.cert.tubes.hops, return_inverse=True)
         hops = len(hop_counts)
         estimates = relayed_estimates(rows[:-1:fs, 0], hop_counts)  # (steps, hop counts, nd)
@@ -325,10 +329,13 @@ class SimWorld:
         ff = self._leader_ff_samples(estimates.reshape(-1, nd), np.repeat(step_starts, hops), record)
         ff = ff.reshape(n_steps, hops, self.horizon, d)[:, column]
         rows[1:, 1] = record[0][:, ::hops].swapaxes(0, 1).reshape(-1, nd)
-        exogenous[:, :, 1] = record[1].reshape(4 * fs, n_steps, hops, d).swapaxes(0, 1)[:, :, column]
-        relayed = self.cert.tubes.hops > 0
-        exogenous[:, :, 0, relayed] = exogenous[:, :, 1, relayed]
-        return LeaderPlan(ff, exogenous)
+        if self.sim.feedforward_on:
+            stage_drifts = record[1].reshape(4 * fs, n_steps, hops, d).swapaxes(0, 1)
+            for i, (c, relayed) in enumerate(zip(column, self.cert.tubes.hops > 0)):
+                anchor[:, i] = stage_drifts[:, :, c]
+                drive[:, i] += anchor[:, i] if relayed else leader_drifts  # cancel + w
+            drive -= anchor
+        return LeaderPlan(ff, exogenous.reshape(n_steps, self.n, -1))
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray, record=None) -> np.ndarray:
         """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor; a ``record``
@@ -480,52 +487,42 @@ class SimWorld:
 
     # --- fine integration ---
 
-    def _world_derivative(self, state: np.ndarray, t: float, v0: np.ndarray, stages) -> np.ndarray:
-        """RHS of the world ODE without the feedforward on the followers' (N, 2, nd) true and nominal
-        states, reading the disturbance of the next RK4 stage record of ``stages``: the own drift, the
-        held nominal input, the ancillary feedback and w drive the true state, the held input the nominal."""
-        w = next(stages)[2]
-        x, xb = state[:, 0], state[:, 1]
-        u = v0 - (x - xb) @ self.gain.T
-        return chain_derivative(self.dims, state, np.stack([self._drift.value(x, t) + u + w, v0], axis=1))
-
     def _deviation_walk(self, params: np.ndarray, t0: float) -> np.ndarray:
         """(fs, rows, 2, nd): (dx, xb) after each RK4 substep of dx' = Acl dx + G drive,
-        xb' = A0 xb + G (v0 + anchor) from t0, per ``params`` row: the start (dx, xb), v0,
-        then per stage in call order drive = cancel + w - anchor and the anchor drift."""
+        xb' = A0 xb + G (v0 + anchor) from t0, per ``params`` row: the start (dx, xb), v0, then
+        every stage's drive and every stage's anchor drift, in call order. Without the feedforward,
+        each stage's drive also takes the followers' own drift at x = xb + dx, one N-row call."""
         nd, d, fs = self.nd, self.d, self.sim.fine_substeps
         v0 = params[:, 2 * nd : 2 * nd + d]
         stages = iter(params[:, 2 * nd + d :].reshape(len(params), 2, 4 * fs, d).transpose(2, 1, 0, 3))
 
         def rhs(z, t):
             drive, anchor = next(stages)
+            if not self.sim.feedforward_on:
+                drive = drive + self._drift.value(z[:, 1] + z[:, 0], t)
             return chain_derivative(self.dims, z, np.stack([drive - z[:, 0] @ self.gain.T, v0 + anchor], 1))
 
         return np.array([z for z, _ in self._substeps(rhs, params[:, : 2 * nd].reshape(-1, 2, nd), t0)])
 
     @functools.cached_property
     def _interval_maps(self) -> np.ndarray:
-        """(P, fs 2 nd): ``_deviation_walk`` as a linear map of its P parameters, walked over the identity."""
+        """(P, fs 2 nd): ``_deviation_walk``, with the feedforward, as a linear map of its P parameters."""
         p = 2 * self.nd + self.d + 8 * self.sim.fine_substeps * self.d
         return self._deviation_walk(np.eye(p), 0.0).swapaxes(0, 1).reshape(p, -1)
 
     def _integrate_interval(self, k: int) -> None:
         """Integrate one sampling interval from the followers' row k fs into the rows its RK4 substeps reach,
-        the stages reading the leader pass's records in call order (k2 and k3 share a time, not a state).
-        With the feedforward: one product with ``_interval_maps``, walked if non-finite (rk4_step names t)."""
-        fs, ts = self.sim.fine_substeps, self.sim.ts
+        the stages reading step k's inputs from the leader pass in call order (k2 and k3 share a time, not a
+        state). With the feedforward, one product with ``_interval_maps``; without it, or if the product is
+        non-finite (so rk4_step names the substep's t), ``_deviation_walk``."""
+        fs = self.sim.fine_substeps
         rows = self._states[k * fs : (k + 1) * fs + 1, 1:, :2]
-        if not self.sim.feedforward_on:
-            stages = iter(self.leader_plan.exogenous[k])
-            rhs = functools.partial(self._world_derivative, v0=self.plans[:, 0], stages=stages)
-            rows[1:] = [state for state, _ in self._substeps(rhs, rows[0], k * ts)]
-            return
-        cancel, anchor, w = self.leader_plan.exogenous[k].transpose(1, 2, 0, 3).reshape(3, self.n, -1)
         dx, xb = rows[0, :, 0] - rows[0, :, 1], rows[0, :, 1]
-        params = np.concatenate([dx, xb, self.plans[:, 0], cancel + w - anchor, anchor], axis=1)
-        dev = (params @ self._interval_maps).reshape(self.n, fs, 2, self.nd).swapaxes(0, 1)
-        if not np.all(np.isfinite(dev)):
-            dev = self._deviation_walk(params, k * ts)
+        params = np.concatenate([dx, xb, self.plans[:, 0], self.leader_plan.exogenous[k]], axis=1)
+        if self.sim.feedforward_on:
+            dev = (params @ self._interval_maps).reshape(self.n, fs, 2, self.nd).swapaxes(0, 1)
+        if not self.sim.feedforward_on or not np.all(np.isfinite(dev)):
+            dev = self._deviation_walk(params, k * self.sim.ts)
         rows[1:, :, 1] = dev[:, :, 1]
         rows[1:, :, 0] = rows[1:, :, 1] + dev[:, :, 0]
 

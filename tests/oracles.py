@@ -6,12 +6,14 @@ Fornberg weights, QP optima via projected gradient ascent on the dual, horizon
 trajectories, OCP objectives and the condensed QP's affine maps via the
 explicit step recurrence, barrier values from the position offset alone,
 each agent's disturbance from its own per-agent formula, one fine-step
-index at a time, the leader relay from one message-passing round per
-sampling step, trace CSV text from ``np.savetxt``, and SVG markup from a
-per-point loop over each series. The dual active-set loop as first written
-(``reference_solve_qp``) is the reference that the solver must match bit for
-bit, and ``recorded_solves`` copies every OCP solve a run makes, with its
-row grid and every QP it solves, so a test can replay them.
+index at a time, the followers' world without the feedforward in the plant
+form (x, xb) with each follower's own model, the leader relay from one
+message-passing round per sampling step, trace CSV text from
+``np.savetxt``, and SVG markup from a per-point loop over each series. The
+dual active-set loop as first written (``reference_solve_qp``) is the
+reference that the solver must match bit for bit, and ``recorded_solves``
+copies every OCP solve a run makes, with its row grid and every QP it
+solves, so a test can replay them.
 """
 
 from __future__ import annotations
@@ -356,6 +358,16 @@ def _ball_stream(seed: int, agent: int, b: int, block: int, d: int):
     normals.setflags(write=False)
     uniforms.setflags(write=False)
     return normals, uniforms
+
+
+def plant_derivative(world, state: np.ndarray, t: float, v0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d/dt of the followers' (N, 2, nd) true and nominal states without the feedforward, in the plant
+    form: each follower's own model at its true state x, the held nominal input v0, the ancillary
+    feedback -K (x - xb) and its disturbance w drive the true chain, v0 alone the nominal chain."""
+    x, xb = state[:, 0], state[:, 1]
+    own = np.array([drift.value(x_i, t) for drift, x_i in zip(world.cert.drifts[1:], x)])
+    top = np.stack([own + v0 - (x - xb) @ world.gain.T + w, v0], axis=1)
+    return np.concatenate([state[..., world.d :], top], axis=-1)
 
 
 def relay_round(adjacency, b0, leader_state, previous, ages):

@@ -31,7 +31,7 @@ from tubeform.sim import (
     trace_metrics,
 )
 
-from oracles import agent_disturbance, chain_recurrence, recorded_solves, savetxt_trace
+from oracles import agent_disturbance, chain_recurrence, plant_derivative, recorded_solves, savetxt_trace
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
@@ -154,6 +154,21 @@ def anchor_rhs(world):
     return lambda x, t: chain_derivative(world.dims, x, f0(x, t))
 
 
+def rk4_interval(world, k, rhs, z):
+    """(fs, ...) states after each substep of interval k by ``rk4_step`` from z, the clock restarting
+    at k ts and accumulating as the world's does."""
+    h, t, states = world.sim.ts / world.sim.fine_substeps, k * world.sim.ts, []
+    for _ in range(world.sim.fine_substeps):
+        z, t = rk4_step(rhs, z, t, h), t + h
+        states.append(z)
+    return np.array(states)
+
+
+def disturbances(world, t):
+    """The followers' (N, d) disturbances at t, each from its own formula."""
+    return np.array([own_disturbance(world, i + 1, t) for i in range(world.n)])
+
+
 class TestDeviationDynamics:
     @staticmethod
     def stepped_world(feedforward_on):
@@ -162,26 +177,7 @@ class TestDeviationDynamics:
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, feedforward_on=feedforward_on))
         for k in range(3):
             world.step(k)
-        return world, cert.pair.acl, 3 * cfg.sim.ts
-
-    @staticmethod
-    def deviation_rates(world, t):
-        """Per follower: (state, dx, d(dx)/dt, anchor, leader) read off the world ODE at t = 3 ts,
-        the drifts at an independent leader and at step 2's anchors propagated to 3 ts, and
-        each follower's disturbance from its own formula."""
-        leader, h = leader_oracle(world, 3), world.sim.ts / world.sim.fine_substeps
-        f0 = world.cert.drifts[0].value
-        anchors, s = relayed_estimates(leader, world.cert.tubes.hops)[2], 2 * world.sim.ts
-        for _ in range(world.sim.fine_substeps):
-            anchors, s = rk4_step(anchor_rhs(world), anchors, s, h), s + h
-        cancel = np.where((world.cert.tubes.hops == 0)[:, None], f0(leader[3], t), f0(anchors, t))
-        w = np.array([own_disturbance(world, i + 1, t) for i in range(world.n)])
-        stage = iter([(cancel, f0(anchors, t), w)])
-        state = followers_at(world, 3)
-        deriv = world._world_derivative(state, t, world.plans[:, 0], stage)
-        for i in range(world.n):
-            x, xb = state[i]
-            yield i, x, x - xb, deriv[i, 0] - deriv[i, 1], anchors[i], leader[3]
+        return world, cert.pair.acl
 
     def test_closed_loop_matches_linear_form(self):
         """With the feedforward on, step 2's fine-integrated deviations match an independent
@@ -189,7 +185,7 @@ class TestDeviationDynamics:
         d(dx)/dt = Acl dx + G (leader-drift mismatch + w), integrated beside the leader and step
         2's anchors, the mismatch being the leader model at the true leader (pinned) or at the
         anchor (relayed) minus the model at the anchor."""
-        world, acl, _ = self.stepped_world(True)
+        world, acl = self.stepped_world(True)
         ts, fs, n = world.sim.ts, world.sim.fine_substeps, world.n
         _, g_sel = models.chain_matrices(world.dims)
         f0 = world.cert.drifts[0].value
@@ -222,17 +218,40 @@ class TestDeviationDynamics:
         assert np.max(mismatch[:, ~pinned[:, 0]]) == 0.0
 
     def test_feedforward_off_matches_linear_form(self):
-        """Without feedforward the own drift is not cancelled and the nominal
-        ignores the leader: d(dx)/dt = Acl dx + G (f_i(x) + w)."""
-        world, acl, t = self.stepped_world(False)
-        nd = world.nd
-        g_sel = np.zeros((nd, 2))
-        g_sel[-2:] = np.eye(2)
-        for i, x, dx, ddx, *_ in self.deviation_rates(world, t):
-            drive = world.cert.drifts[i + 1].value(x, t) + own_disturbance(world, i + 1, t)
-            assert np.max(np.abs(drive)) > 1e-3  # the uncancelled term is really there
-            expected = acl @ dx + g_sel @ drive
-            assert np.max(np.abs(ddx - expected)) < 1e-9
+        """Without feedforward the own drift is not cancelled and the nominal ignores the leader:
+        step 2's fine-integrated (dx, xb) match an ``rk4_step`` integration of d(dx)/dt =
+        Acl dx + G (f_i(x) + w), xb' = A0 xb + G v0 with each follower's own model and disturbance
+        formula within 1e-14 (5.1e-17 here)."""
+        world, acl = self.stepped_world(False)
+        a0, g = models.chain_matrices(world.dims)
+        k, fs, v0 = 2, world.sim.fine_substeps, world.plans[:, 0]
+        drives = []
+
+        def rhs(z, t):
+            dx, xb = z[:, 0], z[:, 1]
+            own = [drift.value(x, t) for drift, x in zip(world.cert.drifts[1:], xb + dx)]
+            drives.append(np.array(own) + disturbances(world, t))
+            return np.stack([dx @ acl.T + drives[-1] @ g.T, xb @ a0.T + v0 @ g.T], axis=1)
+
+        start = followers_at(world, k)
+        expected = rk4_interval(world, k, rhs, np.stack([start[:, 0] - start[:, 1], start[:, 1]], axis=1))
+        rows = world._states[k * fs + 1 : (k + 1) * fs + 1, 1:]
+        got = np.stack([rows[:, :, 0] - rows[:, :, 1], rows[:, :, 1]], axis=2)
+        assert np.max(np.abs(drives)) > 1e-3  # the uncancelled term is really there
+        assert np.max(np.abs(got - expected)) < 1e-14
+
+    def test_feedforward_off_interval_matches_the_plant_form(self):
+        """Without feedforward, step 2's fine-integrated (x, xb) match an ``rk4_step`` integration of
+        the plant form in (x, xb), ``oracles.plant_derivative``, from the same row within 1e-14
+        (1.7e-16 here)."""
+        world, _ = self.stepped_world(False)
+        k, fs, v0 = 2, world.sim.fine_substeps, world.plans[:, 0]
+        expected = rk4_interval(
+            world, k, lambda state, t: plant_derivative(world, state, t, v0, disturbances(world, t)),
+            followers_at(world, k),
+        )
+        got = world._states[k * fs + 1 : (k + 1) * fs + 1, 1:, :2]
+        assert np.max(np.abs(got - expected)) < 1e-14
 
 
 def smoke_trace(doc=None):
@@ -385,24 +404,30 @@ class TestFeedforwardPerHopCount:
         assert np.array_equal(plan.ff_samples, every.reshape(plan.ff_samples.shape))
 
 
+def stage_inputs(world, k):
+    """Step k's record as a writable (N, 2, 4 fs, d) view: per follower, every stage's drive, then
+    every stage's anchor drift."""
+    return world.leader_plan.exogenous[k].reshape(world.n, 2, 4 * world.sim.fine_substeps, world.d)
+
+
 class TestStageRecords:
     def test_world_reads_the_anchor_drifts_of_a_direct_replay_in_call_order(self):
-        """On smoke (follower 1 pinned, follower 2 relayed one hop), step k's exogenous record
-        holds, per RK4 stage of a direct ``rk4_step`` replay, bit for bit: in slot 1 the leader
-        model at the relayed anchor's stage states; in slot 0 the true leader's drift for
-        follower 1 and slot 1 for follower 2; in slot 2 the followers' disturbances at the
-        stage times. The world's interval consumes those 4 fs records in call order: an
-        ``rk4_step`` replay of the world ODE that reads them so reproduces it, and swapping one
-        substep's k2 and k3 records, which share a stage time but not a drift (so no table keyed
-        by stage time could hold them), changes it."""
+        """On smoke (follower 1 pinned, follower 2 relayed one hop), step k's record holds, per RK4
+        stage of a direct ``rk4_step`` replay, bit for bit: in each follower's anchor block the
+        leader model at its anchor's stage states; in its drive block (cancel + w) - anchor, the
+        cancel being the true leader's drift for follower 1 and its anchor drift for follower 2,
+        and w its disturbance at the stage time. The world's interval consumes those 4 fs stages
+        in call order: an ``rk4_step`` replay of the deviation form that reads them so reproduces
+        it, and swapping one substep's k2 and k3 stages, which share a stage time but not a drift
+        (so no table keyed by stage time could hold them), changes it."""
         cfg = load_scenario(SMOKE)
         world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
         assert world.cert.tubes.hops.tolist() == [0, 1]
         plan, fs, k = world.leader_plan, cfg.sim.fine_substeps, 3
         f0, h = world.cert.drifts[0].value, cfg.sim.ts / fs
         stack = DisturbanceStack([s.disturbance for s in (cfg.leader, *cfg.agents)], world.d, cfg.sim.seed, h)
-        record = plan.exogenous[k]
-        assert record.shape == (4 * fs, 3, world.n, world.d)
+        assert plan.exogenous.shape == (world.n_steps, world.n, 8 * fs * world.d)
+        record = stage_inputs(world, k)
 
         def replay(x0, disturbed):
             """Step k of the leader's chain from x0, with the leader's own disturbance or none:
@@ -421,47 +446,66 @@ class TestStageRecords:
             return np.array(drifts), times
 
         samples = leader_samples(world)
-        anchor, times = replay(relayed_estimates(samples, world.cert.tubes.hops)[k, 1], False)
-        leader, leader_times = replay(samples[k], True)
-        assert leader_times == times
-        assert np.array_equal(record[:, 1, 1], anchor)
-        assert np.array_equal(record[:, 0, 0], leader)  # follower 1 is pinned
-        assert np.array_equal(record[:, 0, 1], record[:, 1, 1])  # follower 2 is relayed
-        assert np.array_equal(record[:, 2], [stack.evaluate(t)[1:] for t in times])
-        stage_times, stage_drifts = np.reshape(times, (fs, 4)), anchor.reshape(fs, 4, world.d)
+        anchors = [replay(x0, False) for x0 in relayed_estimates(samples, world.cert.tubes.hops)[k]]
+        leader, times = replay(samples[k], True)
+        w = np.array([stack.evaluate(t)[1:] for t in times])
+        for i, cancel in enumerate([leader, anchors[1][0]]):  # follower 1 is pinned, follower 2 relayed
+            anchor, anchor_times = anchors[i]
+            assert anchor_times == times
+            assert np.array_equal(record[i, 1], anchor), i
+            assert np.array_equal(record[i, 0], (cancel + w[:, i]) - anchor), i
+        stage_times, stage_drifts = np.reshape(times, (fs, 4)), anchors[1][0].reshape(fs, 4, world.d)
         assert np.array_equal(stage_times[:, 1], stage_times[:, 2])
         assert np.all(np.any(stage_drifts[:, 1] != stage_drifts[:, 2], axis=-1))
 
-        # the world's interval consumes those 4 fs records in call order: a replay that reads them
-        # so reproduces it, and swapping one substep's k2 and k3 records changes it
+        # the world's interval consumes those 4 fs stages in call order: a replay that reads them
+        # so reproduces it, and swapping one substep's k2 and k3 stages changes it
         for step in range(k + 1):
             world.step(step)
         rows = world._states[k * fs : (k + 1) * fs + 1, 1:, :2].copy()
 
-        def replayed(records):
-            """Interval k from row k fs by ``rk4_step``, stage records read in call order."""
-            stages, v0 = iter(records), world.plans[:, 0]
+        def replayed(inputs):
+            """Interval k's (x, xb) from row k fs by ``rk4_step`` on dx' = Acl dx + G drive,
+            xb' = A0 xb + G (v0 + anchor), the (N, 2, 4 fs, d) stage inputs read in call order."""
+            stages, v0 = iter(inputs.transpose(2, 1, 0, 3)), world.plans[:, 0]
 
-            def rhs(state, t):
-                cancel, anchor, w = next(stages)
-                x, xb = state[:, 0], state[:, 1]
-                top = np.stack([v0 - (x - xb) @ world.gain.T + cancel + w, v0 + anchor], axis=1)
-                return chain_derivative(world.dims, state, top)
+            def rhs(z, t):
+                drive, anchor = next(stages)
+                top = np.stack([drive - z[:, 0] @ world.gain.T, v0 + anchor], axis=1)
+                return chain_derivative(world.dims, z, top)
 
-            states = [rows[0]]
+            z = [np.stack([rows[0, :, 0] - rows[0, :, 1], rows[0, :, 1]], axis=1)]
             for _ in range(fs):
-                states.append(rk4_step(rhs, states[-1], 0.0, h))
-            return np.array(states)
+                z.append(rk4_step(rhs, z[-1], 0.0, h))
+            z = np.array(z)
+            return np.stack([z[:, :, 1] + z[:, :, 0], z[:, :, 1]], axis=2)
 
-        assert np.max(np.abs(replayed(record) - rows)) < 1e-14  # 3.3e-16 here
+        assert np.max(np.abs(replayed(record) - rows)) < 1e-14  # 2.2e-16 here
         swapped = record.copy()
-        swapped[[5, 6]] = record[[6, 5]]  # the second substep's k2 and k3
-        world.leader_plan.exogenous[k] = swapped
+        swapped[:, :, [5, 6]] = record[:, :, [6, 5]]  # the second substep's k2 and k3
+        record[...] = swapped
         world._integrate_interval(k)
         moved = world._states[k * fs : (k + 1) * fs + 1, 1:, :2]
         assert np.array_equal(moved[:2], rows[:2])
         assert np.max(np.abs(moved[2:] - rows[2:])) > 1e-13  # 6.0e-13 here
         assert np.max(np.abs(replayed(swapped) - moved)) < 1e-14
+
+    @pytest.mark.parametrize("ball", [False, True], ids=["smoke", "ball"])
+    def test_feedforward_off_record_holds_the_disturbances_and_no_anchor_drift(self, ball):
+        """With the feedforward off, every step's anchor blocks are 0 and its drive blocks hold the
+        followers' disturbances at a direct ``_substeps`` walk's stage times, bit for bit."""
+        cfg = parse_scenario(json.dumps(ball_smoke_doc())) if ball else load_scenario(SMOKE)
+        cert = certify_scenario(cfg, spot_checks=False)
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, feedforward_on=False))
+        h = cfg.sim.ts / cfg.sim.fine_substeps
+        stack = DisturbanceStack([s.disturbance for s in (cfg.leader, *cfg.agents)], world.d, cfg.sim.seed, h)
+        for k in range(world.n_steps):
+            times = []
+            for _ in world._substeps(lambda x, t: times.append(t) or x, np.zeros(1), k * cfg.sim.ts):
+                pass
+            record = stage_inputs(world, k)
+            assert np.array_equal(record[:, 0], np.swapaxes([stack.evaluate(t)[1:] for t in times], 0, 1)), k
+            assert np.array_equal(record[:, 1], np.zeros_like(record[:, 1])), k
 
 
 class TestIntervalMaps:
@@ -478,20 +522,20 @@ class TestIntervalMaps:
         rng, fs, n, d = np.random.default_rng(seed), cfg.sim.fine_substeps, world.n, world.d
         world._states[k * fs, 1:, :2] = rng.normal(size=(n, 2, world.nd))
         world.plans[:, 0] = rng.normal(size=(n, d))
-        world.leader_plan = LeaderPlan(None, rng.normal(size=(world.n_steps, 4 * fs, 3, n, d)))
+        world.leader_plan = LeaderPlan(None, rng.normal(size=(world.n_steps, n, 8 * fs * d)))
         return world
 
     @staticmethod
     def deviation_oracle(world, k):
         """(fs, N, 2, nd) (dx, xb) after each substep of interval k by ``rk4_step``, each stage reading
-        its record in call order: dx' = Acl dx + G (cancel + w - anchor), xb' = A0 xb + G (v0 + anchor)."""
+        its inputs in call order: dx' = Acl dx + G drive, xb' = A0 xb + G (v0 + anchor)."""
         a0, g = models.chain_matrices(world.dims)
         acl, v0 = world.cert.pair.acl, world.plans[:, 0]
-        records, h = iter(world.leader_plan.exogenous[k]), world.sim.ts / world.sim.fine_substeps
+        stages, h = iter(stage_inputs(world, k).transpose(2, 1, 0, 3)), world.sim.ts / world.sim.fine_substeps
 
         def rhs(z, t):
-            cancel, anchor, w = next(records)
-            return np.stack([z[:, 0] @ acl.T + (cancel + w - anchor) @ g.T, z[:, 1] @ a0.T + (v0 + anchor) @ g.T], 1)
+            drive, anchor = next(stages)
+            return np.stack([z[:, 0] @ acl.T + drive @ g.T, z[:, 1] @ a0.T + (v0 + anchor) @ g.T], 1)
 
         start = world._states[k * world.sim.fine_substeps, 1:, :2]
         z = [np.stack([start[:, 0] - start[:, 1], start[:, 1]], axis=1)]
@@ -501,7 +545,7 @@ class TestIntervalMaps:
 
     @pytest.mark.parametrize("path", [SMOKE, PAPER])
     def test_interval_matches_rk4_on_the_deviation_form(self, path):
-        """Random (dx, xb), v0 and stage records on smoke's 2 and paper's 5 followers: every substep
+        """Random (dx, xb), v0 and stage inputs on smoke's 2 and paper's 5 followers: every substep
         row's xb and dx = x - xb within 1e-13 of the oracle (at most 2.7e-15 here)."""
         k = 3
         world = self.planted_world(path, k, seed=len(path))
@@ -514,13 +558,12 @@ class TestIntervalMaps:
         assert np.max(np.abs(got - expected)) < 1e-13
 
     def test_zero_deviation_and_drive_keep_the_deviation_exactly_zero(self):
-        """x = xb at the start, every cancel equal to its anchor and no disturbance, as in an undisturbed
-        run: x stays bit-equal to xb while both move."""
+        """x = xb at the start and every drive 0 (each cancel equal to its anchor, no disturbance), as in
+        an undisturbed run: x stays bit-equal to xb while both move."""
         k, world = 2, self.planted_world(SMOKE, 2, seed=4)
         fs = world.sim.fine_substeps
         world._states[k * fs, 1:, 0] = world._states[k * fs, 1:, 1]
-        record = world.leader_plan.exogenous[k]
-        record[:, 0], record[:, 2] = record[:, 1], 0.0
+        stage_inputs(world, k)[:, 0] = 0.0
         world._integrate_interval(k)
         rows = world._states[k * fs : (k + 1) * fs + 1, 1:]
         assert np.array_equal(rows[..., 0, :], rows[..., 1, :])
@@ -535,12 +578,12 @@ class TestIntervalMaps:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_an_infinite_stage_record_names_its_substep(self):
-        """An inf in substep 6's k3 record (and another in substep 9's) raises rk4_step's error at
+        """An inf in substep 6's k3 inputs (and another in substep 9's) raises rk4_step's error at
         substep 6's time, accumulated from k ts as ``_substeps`` does. The inf times the maps' zeros
         is NaN, so numpy warns."""
         k, world = 3, self.planted_world(SMOKE, 3, seed=5)
-        world.leader_plan.exogenous[k, 4 * 5 + 2, 2, 1] = np.inf  # follower 2's disturbance
-        world.leader_plan.exogenous[k, 4 * 8, 1, 0] = np.inf  # follower 1's anchor drift
+        stage_inputs(world, k)[1, 0, 4 * 5 + 2] = np.inf  # follower 2's drive
+        stage_inputs(world, k)[0, 1, 4 * 8] = np.inf  # follower 1's anchor drift
         h, t = world.sim.ts / world.sim.fine_substeps, k * world.sim.ts
         for _ in range(6):
             t = t + h
