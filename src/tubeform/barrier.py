@@ -99,7 +99,7 @@ def lie_derivatives(
     if (gram[..., 0, 0] < DEGENERATE_TOL**2).any():
         raise DegenerateGradient("barrier gradient undefined at zero offset")
     orders = gram.reshape(gram.shape[:-2] + (n * n,)) @ _leibniz_weights(n)
-    values = orders[..., :n].copy()
+    values = orders[..., :n]  # the product is this call's own array: h is written into it
     values[..., 0] -= keep_out * keep_out
     d0 = blocks[..., 0, :]
     drift = 2.0 * np.einsum("...i,...i->...", d0, top_exo) + orders[..., n]
@@ -160,17 +160,21 @@ class RowGrid(NamedTuple):
     margin: float  # the own tube radius
     radius_other: np.ndarray  # (cells,) 0 per obstacle, then each neighbor's broadcast radius
     group: np.ndarray  # (cells,) 0 per obstacle, then 1 per neighbor
-    centers: np.ndarray  # (obstacles, d) the obstacle centers, the grid's first cells
+    obstacles: int  # the grid's first cells are this many obstacles
     activation: float  # an obstacle cell is a row only within this distance of its center
 
     def rows(self, states: np.ndarray) -> BarrierRows:
         """The rows at the (H+1, nd) nominal ``states``, the active cells in row-major order:
-        per step, the obstacles within the activation range, then every neighbor."""
+        per step, the obstacles within the activation range, then every neighbor.
+
+        An obstacle cell's input row is a = 2 (x - center), so ||a|| <= 2 activation is the
+        distance test, bit for bit: doubling scales each square and their sum by exactly 4.
+        """
         xs = states[: len(self.x_other), None]
         ops = self.x_other, self.keep_out, self.margin, self.radius_other, self.top_exo
         a, b = assemble_row(self.kappa, self.dims, xs, *ops)
         active = np.ones(b.shape, dtype=bool)
-        offsets = xs[..., : self.dims.d] - self.centers
-        active[:, : len(self.centers)] = np.linalg.norm(offsets, axis=-1) <= self.activation
+        reach = np.linalg.norm(a[:, : self.obstacles], axis=-1)
+        active[:, : self.obstacles] = reach <= 2.0 * self.activation
         step, col = active.nonzero()
         return BarrierRows(step, a[step, col], b[step, col], self.group[col])

@@ -144,7 +144,17 @@ class DriftTable(NamedTuple):
         return cls(*fields)
 
     def value(self, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-        """Drift (..., d) at the states x (..., nd), at one time t or at times t (...) per state.
+        """Drift (..., d) at the states x (..., nd), at one time t or at times t (...) per state."""
+        return self.at(x, self.sines(t))
+
+    def sines(self, t: float | np.ndarray) -> np.ndarray:
+        """The time factors sin(freq t + phase) at the times t (...): (..., K), or a stack's (..., R, K)."""
+        angle = self.freq * np.asarray(t)[..., None]
+        angle += self.phase
+        return np.sin(angle, out=angle)
+
+    def at(self, x: np.ndarray, sines: np.ndarray) -> np.ndarray:
+        """Drift (..., d) at the states x (..., nd) with time factors ``sines`` that broadcast against them.
 
         The projections are one matrix-vector product per state, so a state's
         value does not depend on the other states (one matrix product over
@@ -152,16 +162,21 @@ class DriftTable(NamedTuple):
         A one-model table raises to a power only the entries whose exponent is
         2 or 3: x^0 = 1 and x^1 = x hold bit for bit (also for -0.0, inf and
         NaN), and ``pow`` gives each entry the same bits wherever it sits.
+        Every offset is 0 or 1, so where all are 1 the table has no tanh term
+        and the factor (offset + tanh(v.x)) is exactly 1 at a finite state: it
+        is skipped. A state term still makes the value non-finite at a
+        non-finite state, through its projection.
         """
-        ux, vx = (self.u @ x[..., None])[..., 0], (self.v @ x[..., None])[..., 0]
+        ux = (self.u @ x[..., None])[..., 0]
         if self.expo.ndim == 1:
             power = np.where(self.expo == 1.0, ux, 1.0)
             high = self.expo >= 2.0
             power[..., high] = ux[..., high] ** self.expo[high]
         else:  # a row stack: masking each row's exponents costs more than it saves
             power = ux**self.expo
-        angle = self.freq * np.asarray(t)[..., None] + self.phase
-        terms = power * (self.offset + np.tanh(vx)) * np.sin(angle)
+        if not self.offset.all():
+            power = power * (self.offset + np.tanh((self.v @ x[..., None])[..., 0]))
+        terms = power * sines
         return (terms[..., None, :] @ self.scatter)[..., 0, :]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:

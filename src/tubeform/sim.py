@@ -245,6 +245,7 @@ class SimWorld:
         else:
             self.margins = tubes.margin_radius
         self.radius_table = initial_broadcast(self.margins, self.graph)
+        self._init_cells()
 
         # certify checked the box against the certified margins, this run checks its own
         error_boxes = error_box_tightening(cfg.ocp.error_box, self.margins, tubes.id)
@@ -278,6 +279,22 @@ class SimWorld:
         # the readers' one-step predictions of their senders; at deployment, the measurements
         self._prev_preds = self._states[0, 1:, 0][self._edges[1]]
 
+    def _init_cells(self) -> None:
+        """The per-run eCBF cell table: per agent, (neighbors, keep-outs, other radii, groups) at
+        deployment (the obstacles only) and after it (the obstacles, then its neighbors), and
+        every grid's obstacle cells, their constant chains and zero tops over the free steps."""
+        steps, n_obs = self.horizon - 1, len(self._obstacle_keep_out)
+        self._obstacle_cells = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
+        self._obstacle_tops = np.zeros((steps, n_obs, self.d))
+
+        def cells(i: int, nbrs: list[int]) -> tuple:
+            nbrs = np.array(nbrs, dtype=int)
+            keep_out = np.concatenate([self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)])
+            radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]])
+            return nbrs, keep_out, radius_other, np.repeat([0, 1], [n_obs, len(nbrs)])
+
+        self._cells = [(cells(i, []), cells(i, self.graph.neighbors(i))) for i in range(self.n)]
+
     # --- leader feedforward ---
 
     @functools.cached_property
@@ -285,12 +302,14 @@ class SimWorld:
         """The leader, its followers' feedforward and every interval's stage inputs, once per run.
 
         One ``_substeps`` walk over the step starts gives the run's (steps, 4 fs) RK4 stage times in
-        call order, and one ``DisturbanceStack.evaluate`` call every agent's disturbance there, the
-        followers' into the drives. The leader is integrated alone into the trace's leader rows and
-        times with the world's substeps and drift arithmetic, each stage adding its own disturbance.
-        One ``_leader_ff_samples`` call propagates each distinct (step, hop count) anchor from its own
-        start time, bit-equal per row to propagating every (step, follower) anchor. Its first period
-        gives the leader's nominal (hop count 0: a rooted graph pins one) and the anchors' stage drifts.
+        call order; one ``DisturbanceStack.evaluate`` call gives every agent's disturbance there, the
+        followers' into the drives, and one ``DriftTable.sines`` call the leader's time factors. The
+        leader is integrated alone into the trace's leader rows and times with the world's substeps
+        and drift arithmetic, each stage adding its own disturbance. One ``_leader_ff_samples`` call
+        propagates the (steps, hop counts) grid of relayed anchors from the (steps, 1) step starts,
+        bit-equal per anchor to propagating every (step, follower) anchor. Its first period gives the
+        leader's nominal (the hop-0 column: a rooted graph pins one), written straight into the trace's
+        leader rows, and the anchors' stage drifts.
         With the feedforward, these fill the anchor blocks per follower and each drive becomes
         (cancel + w) - anchor in place, cancelling toward the leader's stage drift if pinned, else the
         anchor's; without it, the drive stays w and the anchor drift 0.
@@ -299,21 +318,24 @@ class SimWorld:
         step_starts, times = np.arange(n_steps) * ts, []  # times: per RK4 stage, in call order
         for _ in self._substeps(lambda x, t: times.append(t) or x, np.empty((n_steps, 0)), step_starts):
             pass
+        times = np.stack(times, axis=1)  # (steps, 4 fs)
         configs = [section.disturbance for section in (self.cfg.leader, *self.cfg.agents)]
         disturbance = DisturbanceStack(configs, d, self.sim.seed, ts / fs)
-        w = disturbance.evaluate(np.stack(times, axis=1))  # (steps, 4 fs, N+1, d)
+        w = disturbance.evaluate(times)  # (steps, 4 fs, N+1, d)
         exogenous = np.zeros((n_steps, self.n, 2, 4 * fs, d))
         drive, anchor = exogenous[:, :, 0], exogenous[:, :, 1]  # (steps, N, 4 fs, d) each
         drive[...] = w[:, :, 1:].swapaxes(1, 2)
+        w = w[:, :, :1].reshape(-1, 1, d).copy()  # the leader's own, per stage in call order
         # the row-stack path, for speed: a one-row stack's value beats the leader's own table's
         drift = DriftTable.stack(self.cert.drifts, np.zeros(1, int))
+        sines = drift.sines(times.reshape(-1, 1))  # (4 fs steps, 1, K), in call order
         rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
         leader_drifts = np.empty((n_steps, 4 * fs, d))
-        stages = zip(leader_drifts.reshape(-1, d), w[:, :, :1].reshape(-1, 1, d))
+        stages = zip(leader_drifts.reshape(-1, d), w, sines)
 
-        def rhs(x, time):
-            f = drift.value(x, time)
-            slot, own = next(stages)
+        def rhs(x, _):
+            slot, own, factors = next(stages)
+            f = drift.at(x, factors)
             slot[...] = f[0]
             return chain_derivative(self.dims, x, f + own)
 
@@ -321,16 +343,14 @@ class SimWorld:
         for k in range(n_steps):
             for j, (x, t) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
                 rows[j, 0], self._times[j] = x[0], t
-        del w, stages  # the drives hold the followers' disturbances
+        del w, stages, sines  # the drives hold the followers' disturbances
         hop_counts, column = np.unique(self.cert.tubes.hops, return_inverse=True)
-        hops = len(hop_counts)
         estimates = relayed_estimates(rows[:-1:fs, 0], hop_counts)  # (steps, hop counts, nd)
-        record = np.empty((fs, n_steps * hops, nd)), np.empty((4 * fs, n_steps * hops, d))
-        ff = self._leader_ff_samples(estimates.reshape(-1, nd), np.repeat(step_starts, hops), record)
-        ff = ff.reshape(n_steps, hops, self.horizon, d)[:, column]
-        rows[1:, 1] = record[0][:, ::hops].swapaxes(0, 1).reshape(-1, nd)
+        substeps = [rows[j::fs, 1] for j in range(1, fs + 1)]  # views: substep j of every step
+        record = substeps, np.empty((4 * fs, *estimates.shape[:2], d))
+        ff = self._leader_ff_samples(estimates, step_starts[:, None], record)[:, column]
         if self.sim.feedforward_on:
-            stage_drifts = record[1].reshape(4 * fs, n_steps, hops, d).swapaxes(0, 1)
+            stage_drifts = record[1].swapaxes(0, 1)  # (steps, 4 fs, hop counts, d)
             for i, (c, relayed) in enumerate(zip(column, self.cert.tubes.hops > 0)):
                 anchor[:, i] = stage_drifts[:, :, c]
                 drive[:, i] += anchor[:, i] if relayed else leader_drifts  # cancel + w
@@ -338,24 +358,26 @@ class SimWorld:
         return LeaderPlan(ff, exogenous.reshape(n_steps, self.n, -1))
 
     def _leader_ff_samples(self, anchors: np.ndarray, t0: float | np.ndarray, record=None) -> np.ndarray:
-        """(R, horizon, d) feedforward from the (R, nd) anchors, from t0 or one t0 per anchor; a ``record``
-        of (fs, R, nd) and (4 fs, R, d) gets the first period's substeps and stage drifts, in call order."""
-        drift = self.cert.drifts[0].value
-        samples = np.zeros((len(anchors), self.horizon, self.d))
+        """(..., horizon, d) feedforward from the (..., nd) anchors, from t0 or from times t0 that broadcast
+        against their rows; each stage evaluates its time factors once, at t0's shape. For an (R, H, nd)
+        anchor grid, a ``record`` of fs (R, nd) slots and a (4 fs, R, H, d) array gets the first period's
+        substeps of anchor column 0 and every stage drift, in call order."""
+        drift = self.cert.drifts[0]
+        samples = np.zeros((*anchors.shape[:-1], self.horizon, self.d))
         states, stages = map(iter, record or ((), ()))  # past the record, a write lands on itself
         state = anchors
         t = t0
 
         def nominal(x, time):
-            top = drift(x, time)
+            top = drift.at(x, drift.sines(time))
             next(stages, top)[...] = top
             return chain_derivative(self.dims, x, top)
 
-        samples[:, 0] = drift(state, t)
+        samples[..., 0, :] = drift.value(state, t)
         for l in range(1, self.horizon):
             for state, t in self._substeps(nominal, state, t):
-                next(states, state)[...] = state
-            samples[:, l] = drift(state, t)
+                next(states, state[..., 0, :])[...] = state[..., 0, :]
+            samples[..., l, :] = drift.value(state, t)
         return samples
 
     def _substeps(self, f, x: np.ndarray, t: float | np.ndarray):
@@ -399,22 +421,18 @@ class SimWorld:
         The cells are the obstacles, then agent i's neighbors, none at
         deployment (k = 0). A neighbor cell's chain is reader i's prediction of
         it, its top derivative its shifted plan plus i's feedforward, and its
-        radius the broadcast radius table's entry.
+        radius the broadcast radius table's entry. Everything but the
+        predicted chains and tops comes from the per-run ``_cells`` table.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        nbrs = self.graph.neighbors(i) if k > 0 else []
-        n_obs = len(self._obstacle_chains)
+        nbrs, keep_out, radius_other, group = self._cells[i][k > 0]
         ff = ff_seq[:steps, None]
-        obstacles = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
-        x_other = np.concatenate([obstacles, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
+        x_other = np.concatenate([self._obstacle_cells, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
         top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
-        top_exo = ff - np.concatenate([np.zeros((steps, n_obs, self.d)), top_other], axis=1)
-        keep_out = np.concatenate([self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)])
-        radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]])
+        top_exo = ff - np.concatenate([self._obstacle_tops, top_other], axis=1)
         return RowGrid(
-            self.kappa, self.dims, x_other, top_exo, keep_out, self.margins[i], radius_other,
-            np.repeat([0, 1], [n_obs, len(nbrs)]), self._obstacle_chains[:, : self.d],
-            self.cfg.barriers.activation_range,
+            self.kappa, self.dims, x_other, top_exo, keep_out, self.margins[i], radius_other, group,
+            len(self._obstacle_keep_out), self.cfg.barriers.activation_range,
         )
 
     @staticmethod

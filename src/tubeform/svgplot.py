@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class SvgFigure:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(self.title)}</text>',
+            f'font-family="sans-serif" font-size="16">{escape(self.title, quote=False)}</text>',
         ]
         for tx in _ticks(x0, x1):
             parts.append(
@@ -169,12 +169,12 @@ class SvgFigure:
                 )
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(self.xlabel)}</text>'
+            f'font-family="sans-serif" font-size="13">{escape(self.xlabel, quote=False)}</text>'
         )
         parts.append(
             f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{escape(self.ylabel)}</text>'
+            f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{escape(self.ylabel, quote=False)}</text>'
         )
         ly = MARGIN + 14
         for label, color in self._legend:
@@ -185,7 +185,7 @@ class SvgFigure:
             )
             parts.append(
                 f'<text x="{WIDTH - MARGIN - 120}" y="{ly}" '
-                f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+                f'font-family="sans-serif" font-size="11">{escape(label, quote=False)}</text>'
             )
             ly += 16
         parts.append("</svg>")

@@ -321,6 +321,22 @@ def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):
     return np.sum(offset * offset, axis=-1) - np.square(keep_out)
 
 
+def drift_product(table, x: np.ndarray, t) -> np.ndarray:
+    """A ``DriftTable``'s drift at the states x, every factor of every term taken: the full product
+    power (offset + tanh(v.x)) sin(freq t + phase), scattered; the power masked as the table masks
+    it, a one-model table raising only its exponents 2 and 3."""
+    ux, vx = (table.u @ x[..., None])[..., 0], (table.v @ x[..., None])[..., 0]
+    if table.expo.ndim == 1:
+        power = np.where(table.expo == 1.0, ux, 1.0)
+        high = table.expo >= 2.0
+        power[..., high] = ux[..., high] ** table.expo[high]
+    else:
+        power = ux**table.expo
+    angle = table.freq * np.asarray(t)[..., None] + table.phase
+    terms = power * (table.offset + np.tanh(vx)) * np.sin(angle)
+    return (terms[..., None, :] @ table.scatter)[..., 0, :]
+
+
 def fine_step_index(t: float, step_duration: float) -> int:
     """The fine-step index whose ball draw holds at time t, up to the clock's rounding."""
     return math.floor(t / step_duration + 1e-6)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubeform.barrier import EcbfCoefficients, assemble_row, lie_derivatives
+from tubeform.barrier import EcbfCoefficients, RowGrid, assemble_row, lie_derivatives
 from tubeform.errors import DegenerateGradient, NotHurwitz
 from tubeform.models import BrunovskyDims, chain_derivative
 
@@ -305,3 +305,30 @@ class TestAssembleRow:
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             h_min = min(h_min, barrier_value(x, center, 1.0, 2))
         assert h_min >= -1e-9
+
+
+class TestRowGridActivation:
+    def test_a_cell_exactly_at_the_activation_range_is_a_row_one_just_beyond_is_not(self):
+        """The obstacle activation test reads the input row's norm, ||2 (x - c)|| <= 2 activation:
+        at step 0 one obstacle lies exactly 5 from the state and one an ulp beyond, with
+        activation 5; every step keeps the neighbor cell, and step 1 is out of every range. The
+        kept rows are ``assemble_row``'s, bit for bit."""
+        at, beyond = (3.0, 4.0), (3.0, np.nextafter(4.0, 5.0))
+        assert np.linalg.norm(at) == 5.0 < np.linalg.norm(beyond)
+        chains = np.array([center_chain(at), center_chain(beyond), center_chain((-1.0, 0.0)) + 0.5])
+        x_other = np.broadcast_to(chains, (2, 3, 6))
+        top_exo = np.full((2, 3, 2), 0.25)
+        keep_out, radius_other = np.array([1.0, 1.0, 0.4]), np.array([0.0, 0.0, 0.1])
+        grid = RowGrid(KAPPA, DIMS, x_other, top_exo, keep_out, 0.2, radius_other, np.array([0, 0, 1]), 2, 5.0)
+        states = np.zeros((3, 6))
+        states[1, :2] = (-20.0, 0.0)
+        rows = grid.rows(states)
+        assert list(zip(rows.step.tolist(), rows.group.tolist())) == [(0, 0), (0, 1), (1, 1)]
+        for r, (step, cell) in enumerate([(0, 0), (0, 2), (1, 2)]):
+            a, b = assemble_row(KAPPA, DIMS, states[step], chains[cell], keep_out[cell], 0.2,
+                                radius_other[cell], top_exo[step, cell])
+            assert np.array_equal(rows.a[r], a) and rows.b[r] == b
+        # a range just below 5 drops the cell at 5 too; one just above keeps both
+        assert grid._replace(activation=np.nextafter(5.0, 0.0)).rows(states).step.tolist() == [0, 1]
+        wider = grid._replace(activation=5.0 + 4 * np.spacing(5.0)).rows(states)
+        assert list(zip(wider.step.tolist(), wider.group.tolist())) == [(0, 0), (0, 0), (0, 1), (1, 1)]

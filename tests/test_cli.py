@@ -756,6 +756,17 @@ class TestRun:
         assert not out.exists()
 
 
+def test_importing_the_cli_loads_no_network_modules():
+    """The report's text escaping loads no URL, HTTP, e-mail or TLS module, each of which the
+    process would carry for the whole pipeline: ``import tubeform.cli`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, tubeform.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    unwanted = ["urllib.request", "http.client", "email", "ssl"]
+    proc = subprocess.run([sys.executable, "-c", code, *unwanted], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _smoke_copy(tmp_path: Path, edit) -> Path:
     doc = json.loads(SMOKE.read_text())
     edit(doc)

@@ -17,7 +17,7 @@ from tubeform.models import (
 from tubeform.pipeline import certify_scenario
 from tubeform.scenario import load_scenario
 
-from oracles import agent_disturbance, fine_step_index
+from oracles import agent_disturbance, drift_product, fine_step_index
 
 DIMS = BrunovskyDims(n=3, d=2, followers=5)
 
@@ -168,6 +168,70 @@ class TestDrift:
             expected = np.stack(pads)[rows]
             got = getattr(stacked, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("scenario", ["smoke", "paper", "ablation"])
+    def test_shipped_tables_and_stacks_equal_the_full_product(self, scenario):
+        """Every agent's table, the world's follower stack and the leader pass's one-row stack,
+        bit for bit against the product with every factor taken: the shipped leaders have time
+        terms and no tanh term, so ``at`` skips their tanh factor."""
+        cfg = load_scenario(f"scenarios/{scenario}_scenario.json")
+        tables = list(certify_scenario(cfg, spot_checks=False).drifts)
+        assert tables[0].freq.any() and tables[0].offset.all()
+        n = len(tables) - 1
+        stacks = [DriftTable.stack(tables, np.arange(1, n + 1)), DriftTable.stack(tables, np.zeros(1, int))]
+        rng = np.random.default_rng(11)
+        for table in tables:
+            xs = rng.normal(size=(3, 7, 6)) * 2.0
+            for t in (0.7, rng.uniform(0.0, 30.0, size=(3, 7))):
+                assert np.array_equal(table.value(xs, t), drift_product(table, xs, t))
+            assert np.array_equal(table.value(xs[0, 0], 0.7), drift_product(table, xs[0, 0], 0.7))
+        for table in stacks:
+            xs = rng.normal(size=(4, len(table.expo), 6))
+            for t in (0.7, rng.uniform(0.0, 30.0, size=(4, len(table.expo)))):
+                assert np.array_equal(table.value(xs, t), drift_product(table, xs, t))
+            sines = table.sines(np.array([[0.7], [1.9]]))  # one time per stack, shared by its rows
+            assert np.array_equal(table.at(xs[:2], sines), drift_product(table, xs[:2], [[0.7], [1.9]]))
+
+    @pytest.mark.parametrize(
+        "table",
+        [all_forms_drift, cubic_damped_drift, lambda: one_term(DriftTerm(form="tanh", coeff=2.0, scale=0.0))],
+        ids=["all_forms", "tanh", "tanh_scale_0"],
+    )
+    def test_tables_with_a_tanh_term_equal_the_full_product(self, table):
+        """With a tanh term the factor is taken, also where its scale is 0 (the factor 0)."""
+        table = table()
+        assert not table.offset.all()
+        xs = np.random.default_rng(12).normal(size=(5, 6, 6)) * 3.0
+        for t in (1.3, np.linspace(0.0, 9.0, 30).reshape(5, 6)):
+            assert np.array_equal(table.value(xs, t), drift_product(table, xs, t))
+
+    def test_an_empty_table_is_zero(self):
+        """K = 0 (a leader without drift terms): zeros, one state or a stack, one time or per state;
+        its time factors have K = 0 columns at any time shape."""
+        table = DriftTable.compile(DIMS, 1.0, ((), ()))
+        xs = np.random.default_rng(13).normal(size=(4, 3, 6))
+        assert table.sines(np.zeros((4, 3))).shape == (4, 3, 0)
+        for x, t in ((xs, 0.4), (xs, np.ones((4, 3))), (xs[0, 0], 0.4)):
+            got = table.value(x, t)
+            assert got.shape == x.shape[:-1] + (2,) and np.array_equal(got, drift_product(table, x, t))
+            assert not got.any()
+        stack = DriftTable.stack([table], np.zeros(1, int))
+        assert stack.sines(np.zeros((5, 1))).shape == (5, 1, 0)
+        assert np.array_equal(stack.value(xs[0, :1], 0.4), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("scenario", ["smoke", "paper", "ablation"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_state_gives_a_non_finite_value(self, scenario, bad):
+        """Where the tanh factor is skipped, a non-finite entry of the state still reaches every
+        axis of the value, through the state terms' projections, as it does in the full product."""
+        cfg = load_scenario(f"scenarios/{scenario}_scenario.json")
+        tables = [*certify_scenario(cfg, spot_checks=False).drifts, all_forms_drift()]
+        xs = np.ones((6, 6))
+        xs[np.arange(6), np.arange(6)] = bad
+        with np.errstate(invalid="ignore"):  # 0 * inf in the projections
+            for table in tables:
+                got, full = table.value(xs, 0.7), drift_product(table, xs, 0.7)
+                assert not np.isfinite(got).any() and not np.isfinite(full).any()
 
     def test_jacobian_matches_finite_differences(self):
         """The stacked Jacobian of every form against central differences."""

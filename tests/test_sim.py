@@ -380,24 +380,24 @@ class TestFeedforwardPerHopCount:
         [("smoke", 2), ("smoke_pinned", 1), ("ablation", 1)],
     )
     def test_one_row_per_step_and_hop_count(self, monkeypatch, scenario, distinct):
-        """The plan propagates one anchor per (step, hop count), and every follower's feedforward
-        equals propagating every (step, follower) anchor, bit for bit: the all-pinned teams
-        propagate one row per step instead of one per follower."""
+        """The plan propagates one (steps, hop counts) grid of anchors, and every follower's
+        feedforward equals propagating every (step, follower) anchor as its own row, bit for bit:
+        the all-pinned teams propagate one anchor per step instead of one per follower."""
         cfg = {"smoke": lambda: load_scenario(SMOKE), "smoke_pinned": pinned_smoke_cfg,
                "ablation": lambda: load_scenario(ABLATION)}[scenario]()
         cert = certify_scenario(cfg, spot_checks=False)
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg, t_end=2.0))
         assert len(set(cert.tubes.hops.tolist())) == distinct
-        rows = []
+        grids = []
         propagate = world._leader_ff_samples
 
         def counting(anchors, t0, *record):
-            rows.append(len(anchors))
+            grids.append(anchors.shape[:-1])
             return propagate(anchors, t0, *record)
 
         monkeypatch.setattr(world, "_leader_ff_samples", counting)
         plan = world.leader_plan
-        assert rows == [world.n_steps * distinct]
+        assert grids == [(world.n_steps, distinct)]
         starts = np.repeat(np.arange(world.n_steps) * cfg.sim.ts, world.n)
         estimates = relayed_estimates(leader_samples(world), cert.tubes.hops)
         every = propagate(estimates.reshape(-1, world.nd), starts)

@@ -79,6 +79,18 @@ class TestAgainstReference:
         assert new.count('stroke-dasharray="6,4"') == 2
 
 
+def test_markup_characters_in_the_text_render_as_the_reference():
+    """A title, axis labels and a legend label holding & < > " ' escape the first three only,
+    as the reference's ``xml.sax.saxutils.escape`` does."""
+    text = "a&b<c>d\"e'f"
+    figures = [cls(text, text, text) for cls in (SvgFigure, ReferenceSvgFigure)]
+    for fig in figures:
+        fig.add_line([0.0, 1.0], [1.0, 0.0], label=text)
+    new, ref = (fig.render() for fig in figures)
+    assert new == ref
+    assert new.count(">a&amp;b&lt;c&gt;d\"e'f</text>") == 4
+
+
 def test_write_is_utf8_bytes(tmp_path):
     fig = SvgFigure("Ω", "x", "y")
     fig.add_line([0.0, 1.0], [1.0, 0.0], label="agent Ω")
