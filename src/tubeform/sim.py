@@ -13,10 +13,12 @@ instant and propagated through the disturbance-free leader model.
 The leader takes no input, so its trajectory, every step's relayed estimates
 and every step's feedforward samples are fixed before the first solve.
 ``SimWorld.leader_plan`` computes them once per run, on first use: the leader
-integrated alone with the world's substeps and disturbance draws, the relayed
+integrated alone with the world's substeps and disturbance draws, its drift's
+time factors evaluated in one call over every stage time, the relayed
 estimates as one gather of its samples by the certificate's hop counts (one
-step of delay per hop), and one propagation of each distinct (step, hop count)
-anchor, gathered per follower. Step k reads slice k. The controller still
+step of delay per hop), and one propagation of that (steps, hop counts) grid
+of anchors, each stage's time factors evaluated once per step, gathered per
+follower. Step k reads slice k. The controller still
 sees only step k's causal relayed estimates; computing them ahead is a batch
 on the simulator's side. The leader, its feedforward and the world advance
 through one sampling period with the same RK4 substeps (``SimWorld._substeps``).
@@ -29,7 +31,9 @@ broadcast's plans, one ``rollout`` call gives all readers' predictions of all
 agents, the synchronization errors are -M q with the augmented Laplacian M,
 the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
 are one ``barrier.RowGrid`` per step over its obstacles and neighbors
-(``SimWorld._row_grid``), whose ``rows`` each SQP pass calls.
+(``SimWorld._row_grid``), whose ``rows`` each SQP pass calls. What a grid's
+cells hold besides the predicted chains and tops is fixed for the run, one
+table built at construction.
 
 The trace's state rows are the run's one record of states. The leader pass
 fills the leader's rows and the times; step k measures every agent at row
@@ -325,25 +329,26 @@ class SimWorld:
         exogenous = np.zeros((n_steps, self.n, 2, 4 * fs, d))
         drive, anchor = exogenous[:, :, 0], exogenous[:, :, 1]  # (steps, N, 4 fs, d) each
         drive[...] = w[:, :, 1:].swapaxes(1, 2)
-        w = w[:, :, :1].reshape(-1, 1, d).copy()  # the leader's own, per stage in call order
+        own = w[:, :, :1].reshape(-1, 1, d).copy()  # the leader's own, per stage in call order
+        del w  # before the time factors: the drives hold the followers' disturbances
         # the row-stack path, for speed: a one-row stack's value beats the leader's own table's
         drift = DriftTable.stack(self.cert.drifts, np.zeros(1, int))
         sines = drift.sines(times.reshape(-1, 1))  # (4 fs steps, 1, K), in call order
         rows = self._states[:, 0]  # the leader's (x, xb, dx) per fine step
         leader_drifts = np.empty((n_steps, 4 * fs, d))
-        stages = zip(leader_drifts.reshape(-1, d), w, sines)
+        stages = zip(leader_drifts.reshape(-1, d), own, sines)
 
         def rhs(x, _):
-            slot, own, factors = next(stages)
+            slot, w, factors = next(stages)
             f = drift.at(x, factors)
             slot[...] = f[0]
-            return chain_derivative(self.dims, x, f + own)
+            return chain_derivative(self.dims, x, f + w)
 
         x = rows[:1, 0]
         for k in range(n_steps):
             for j, (x, t) in enumerate(self._substeps(rhs, x, k * ts), k * fs + 1):
                 rows[j, 0], self._times[j] = x[0], t
-        del w, stages, sines  # the drives hold the followers' disturbances
+        del own, stages, sines
         hop_counts, column = np.unique(self.cert.tubes.hops, return_inverse=True)
         estimates = relayed_estimates(rows[:-1:fs, 0], hop_counts)  # (steps, hop counts, nd)
         substeps = [rows[j::fs, 1] for j in range(1, fs + 1)]  # views: substep j of every step
@@ -362,22 +367,22 @@ class SimWorld:
         against their rows; each stage evaluates its time factors once, at t0's shape. For an (R, H, nd)
         anchor grid, a ``record`` of fs (R, nd) slots and a (4 fs, R, H, d) array gets the first period's
         substeps of anchor column 0 and every stage drift, in call order."""
-        drift = self.cert.drifts[0]
+        drift = self.cert.drifts[0].value
         samples = np.zeros((*anchors.shape[:-1], self.horizon, self.d))
         states, stages = map(iter, record or ((), ()))  # past the record, a write lands on itself
         state = anchors
         t = t0
 
         def nominal(x, time):
-            top = drift.at(x, drift.sines(time))
+            top = drift(x, time)
             next(stages, top)[...] = top
             return chain_derivative(self.dims, x, top)
 
-        samples[..., 0, :] = drift.value(state, t)
+        samples[..., 0, :] = drift(state, t)
         for l in range(1, self.horizon):
             for state, t in self._substeps(nominal, state, t):
                 next(states, state[..., 0, :])[...] = state[..., 0, :]
-            samples[..., l, :] = drift.value(state, t)
+            samples[..., l, :] = drift(state, t)
         return samples
 
     def _substeps(self, f, x: np.ndarray, t: float | np.ndarray):
