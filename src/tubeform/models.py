@@ -133,11 +133,13 @@ class DriftTable(NamedTuple):
 
     @classmethod
     def stack(cls, tables: Sequence["DriftTable"], rows: np.ndarray) -> "DriftTable":
-        """Row r evaluates with ``tables[rows[r]]``; all-zero terms pad the shorter tables."""
+        """Row r evaluates with ``tables[rows[r]]``; zero terms pad the shorter tables, with offset 1
+        and phase pi/2 as ``compile`` marks absent factors, so tanh-free tables skip tanh in ``at``."""
         width = max(len(t.expo) for t in tables)
+        pads = {"offset": 1.0, "phase": 0.5 * math.pi}
         fields = []
-        for field in zip(*tables):
-            stacked = np.zeros((len(tables), width, *field[0].shape[1:]))
+        for name, field in zip(cls._fields, zip(*tables)):
+            stacked = np.full((len(tables), width, *field[0].shape[1:]), pads.get(name, 0.0))
             for table, a in zip(stacked, field):
                 table[: len(a)] = a
             fields.append(stacked[rows])

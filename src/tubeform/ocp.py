@@ -24,16 +24,16 @@ every reader's neighbor predictions come from the same two arrays.
 
 The condensed QP is parametric too (``OcpSpec.condensing``): with the free
 inputs z and one parameter vector p = (e0, drive sequence, previous input),
-the full inputs, the errors, the cost and the input-box rows are fixed
-affine maps of (z, p), built once per spec from one weighted least-squares
-stack, together with the error-box rows and the Hessian and its inverse for
-each slack count. p is fixed within a solve, so ``solve_ocp`` evaluates the
-maps at it once (``qp_parameters``); each SQP pass's ``build_qp`` call adds
-only that pass's barrier rows and terminal cut. The barrier rows arrive from
-the caller's ``row_builder`` (in a run, ``barrier.RowGrid.rows``) as one
-``barrier.BarrierRows`` block (step, a, b, group) over every step and barrier
-kind, and their steps are free inputs, so they are scattered straight into z
-by fancy indexing.
+the full inputs, the errors, the cost and the hard rows (the input box and
+the error box, one block) are fixed affine maps of (z, p), built once per
+spec from one weighted least-squares stack, together with the Hessian and
+its inverse for each slack count. p is fixed within a solve, so
+``solve_ocp`` evaluates the maps at it once (``qp_parameters``); each SQP
+pass's ``build_qp`` call adds only that pass's barrier rows and terminal
+cut. The barrier rows arrive from the caller's ``row_builder`` (in a run,
+``barrier.RowGrid.rows``) as one ``barrier.BarrierRows`` block (step, a, b,
+group) over every step and barrier kind, and their steps are free inputs, so
+they are scattered straight into z by fancy indexing.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class _Condensing:
     p = (e0, s flattened, v_prev) stacks everything a QP moves with apart
     from its rows and its linearization inputs. The arrays depend only on the
     spec and are read-only: ``build_qp`` hands some of them out in the
-    problems it returns.
+    problems it returns. The input box and the error box are one block of hard rows.
     """
 
     t_map: np.ndarray  # (H d, n_free): the full inputs are t_map z + t_par p
@@ -220,13 +220,11 @@ class _Condensing:
     hessian_invs: tuple[np.ndarray, ...]
     lin_par: np.ndarray  # (n_free, n_p)
     const_par: np.ndarray  # (n_p, n_p)
-    box_a: np.ndarray  # hard input-box rows box_a z >= -input_bound - box_par p
-    box_par: np.ndarray
-    # hard error-box rows per step and finite entry, e <= bound then e >= -bound:
-    # error_box_a z >= outer(e_off[error_box_keep], (1, -1)) flattened - error_box_bound
-    error_box_keep: np.ndarray
-    error_box_a: np.ndarray
-    error_box_bound: np.ndarray
+    # hard rows hard_a z + hard_par p >= hard_const: the input box per step and axis (v >= -bound,
+    # then -v >= -bound), then the error box per step 1..H and finite entry (e <= bound, then e >= -bound)
+    hard_a: np.ndarray
+    hard_par: np.ndarray
+    hard_const: np.ndarray
 
     @classmethod
     def build(cls, spec: OcpSpec) -> _Condensing:
@@ -270,10 +268,11 @@ class _Condensing:
 
         slack_counts = range(len(SLACK_PENALTY) + 1)
         hess_f_inv = np.linalg.inv(hess_f)
-        # the input box per step and axis: v >= -bound, then -v >= -bound
-        sign = [[1.0], [-1.0]] if np.isfinite(spec.input_bound) else np.zeros((0, 1))
-        bound = np.tile(spec.error_box, h) if spec.error_box is not None else np.zeros(0)
-        keep = np.flatnonzero(np.isfinite(bound))
+        # the hard rows sign (map z + par p) >= -bound per finite bound, sign 1 then -1: the
+        # input box on the full inputs, then the error box on the negated errors
+        error_box = np.inf if spec.error_box is None else spec.error_box
+        bound = np.r_[np.full(n_z, spec.input_bound), np.broadcast_to(error_box, (h, nd)).ravel()]
+        keep, sign = np.isfinite(bound), [[1.0], [-1.0]]
         parts = dict(
             t_map=t_map,
             t_par=t_par,
@@ -284,11 +283,9 @@ class _Condensing:
             hessian_invs=tuple(with_slacks(hess_f_inv, n_sig) for n_sig in slack_counts),
             lin_par=2.0 * sum(m_z.T @ w @ m_p for m_z, m_p, w in stack),
             const_par=sum(m_p.T @ w @ m_p for _, m_p, w in stack),
-            box_a=np.kron(t_map, sign),
-            box_par=np.kron(t_par, sign),
-            error_box_keep=keep,
-            error_box_a=np.kron(e_map[keep], [[-1.0], [1.0]]),
-            error_box_bound=np.repeat(bound[keep], 2),
+            hard_a=np.kron(np.vstack([t_map, -e_map])[keep], sign),
+            hard_par=np.kron(np.vstack([t_par, -e_par])[keep], sign),
+            hard_const=np.repeat(-bound[keep], 2),
         )
         for value in parts.values():
             for arr in value if isinstance(value, tuple) else (value,):
@@ -305,8 +302,7 @@ class QpParameters(NamedTuple):
 
     t_off: np.ndarray  # (H d,): the full inputs are t_map z + t_off
     e_off: np.ndarray  # (H nd,): the errors at steps 1..H are e_map z + e_off
-    box_b: np.ndarray  # the input-box rows' right-hand sides
-    error_box_b: np.ndarray  # the error-box rows' right-hand sides
+    hard_b: np.ndarray  # the hard rows' right-hand sides hard_const - hard_par p
     linear: np.ndarray  # (n_free,) the cost's linear term lin_par p
     constant: float  # the cost's constant p' const_par p
 
@@ -314,19 +310,17 @@ class QpParameters(NamedTuple):
 def qp_parameters(
     spec: OcpSpec, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarray
 ) -> QpParameters:
-    """One solve's ``QpParameters``, from its initial error, drive sequence and previous input."""
+    """One solve's ``QpParameters`` (offsets, hard right-hand sides and cost terms, each one
+    product with p), from its initial error, drive sequence and previous input."""
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
     if e0.shape != (nd,) or s_seq.shape != (h, d):
         raise DimensionMismatch("bad e0 or exogenous sequence shape")
     cond = spec.condensing
     p = np.concatenate([e0, s_seq.reshape(-1), v_prev])
-    e_off = cond.e_par @ p
-    error_box_off = np.outer(e_off[cond.error_box_keep], (1.0, -1.0)).ravel()
     return QpParameters(
         t_off=cond.t_par @ p,
-        e_off=e_off,
-        box_b=-spec.input_bound - cond.box_par @ p,
-        error_box_b=error_box_off - cond.error_box_bound,
+        e_off=cond.e_par @ p,
+        hard_b=cond.hard_const - cond.hard_par @ p,
         linear=cond.lin_par @ p,
         constant=float(p @ cond.const_par @ p),
     )
@@ -348,12 +342,12 @@ def build_qp(
     error they reach anchors the supporting-hyperplane row of the terminal
     ellipsoid.
 
-    The rows ``a . z >= b`` are the input box, the barrier rows, the error
-    box, the terminal cut and the slacks' signs, in that order. Barrier and
-    terminal-set rows get one nonnegative slack variable per
-    ``SLACK_PENALTY`` group in use, penalized linearly: a feasible problem
-    still returns zero slack, an infeasible one returns the minimally
-    violating plan. Input-box and error-box rows stay hard.
+    The rows ``a . z >= b`` are the hard block (the input box, then the
+    error box), the barrier rows, the terminal cut and the slacks' signs, in
+    that order. Barrier and terminal-set rows get one nonnegative slack
+    variable per ``SLACK_PENALTY`` group in use, penalized linearly: a
+    feasible problem still returns zero slack, an infeasible one returns the
+    minimally violating plan. The hard block gets none.
     """
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
     cond = spec.condensing
@@ -374,17 +368,15 @@ def build_qp(
     used = sorted(groups)  # one slack per penalty group in use, ascending: the cut's is last
     n_sig = len(used)
 
-    m, n_box, n_ebox = barrier_rows.b.size, cond.box_a.shape[0], cond.error_box_a.shape[0]
-    n_rows = n_box + m + n_ebox + (cut is not None)
+    m, n_hard = barrier_rows.b.size, cond.hard_a.shape[0]
+    n_rows = n_hard + m + (cut is not None)
     a = np.zeros((n_rows + n_sig, n_free + n_sig))
     b = np.zeros(n_rows + n_sig)
-    a[:n_box, :n_free], b[:n_box] = cond.box_a, params.box_b
-    rows = n_box + np.arange(m)
+    a[:n_hard, :n_free], b[:n_hard] = cond.hard_a, params.hard_b
+    rows = n_hard + np.arange(m)
     a[rows[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
     a[rows, n_free + np.array(used).searchsorted(barrier_rows.group)] = 1.0
     b[rows] = -barrier_rows.b
-    ebox = slice(n_box + m, n_box + m + n_ebox)
-    a[ebox, :n_free], b[ebox] = cond.error_box_a, params.error_box_b
     if cut is not None:
         a[n_rows - 1, :n_free], b[n_rows - 1] = cut
         a[n_rows - 1, -1] = 1.0

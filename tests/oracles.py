@@ -486,9 +486,9 @@ def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs) -> HardRowQp:
     The cost is the sum, step by step, of the quadratic terms that
     ``rollout_objective`` adds up, each an affine map of z with its weight.
     The rows, in ``build_qp``'s order, are the input box (per step and axis
-    v >= -bound, then -v >= -bound), the barrier ``rows`` (``a . v_step + b >=
-    0``), the error box (per step 1..H and finite entry, e <= bound, then
-    e >= -bound) and the terminal ellipsoid's supporting hyperplane at the
+    v >= -bound, then -v >= -bound), the error box (per step 1..H and finite
+    entry, e <= bound, then e >= -bound), the barrier ``rows`` (``a . v_step +
+    b >= 0``) and the terminal ellipsoid's supporting hyperplane at the
     terminal error ``lin_inputs`` reach: the exact-penalty QP without its
     slack variables.
     """
@@ -516,15 +516,15 @@ def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs) -> HardRowQp:
                 for sign in (1.0, -1.0):
                     a_in.append(sign * v_map[step, ax])
                     b_in.append(-spec.input_bound - sign * v_off[step, ax])
-    for step, a, b in zip(rows.step, rows.a, rows.b):
-        a_in.append(a @ v_map[step])
-        b_in.append(-b - a @ v_off[step])
     if spec.error_box is not None:
         for step in range(1, h + 1):
             for j in np.flatnonzero(np.isfinite(spec.error_box)):
                 for sign in (-1.0, 1.0):
                     a_in.append(sign * cp.err_map[step, j])
                     b_in.append(-spec.error_box[j] - sign * cp.err_off[step, j])
+    for step, a, b in zip(rows.step, rows.a, rows.b):
+        a_in.append(a @ v_map[step])
+        b_in.append(-b - a @ v_off[step])
     e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
     level = float(e_ref @ spec.pr @ e_ref)
     if np.isfinite(spec.terminal_level) and level > 1e-12:

@@ -156,7 +156,8 @@ class TestDrift:
 
     def test_stack_equals_padded_per_model_tables(self):
         """Paper's six tables of 8 or 10 terms, stacked as the world stacks them: bit-equal
-        to each table zero-padded to the widest, then gathered by row."""
+        to each table padded to the widest, then gathered by row. The pad terms are zero
+        but for an offset of 1 and a phase of pi/2, the values marking an absent factor."""
         cfg = load_scenario("scenarios/paper_scenario.json")
         tables = list(certify_scenario(cfg, spot_checks=False).drifts)
         widths = [len(table.expo) for table in tables]
@@ -164,7 +165,11 @@ class TestDrift:
         rows = np.outer(np.arange(6), [1, 0]).ravel()
         stacked = DriftTable.stack(tables, rows)
         for name, field in zip(DriftTable._fields, zip(*tables)):
-            pads = [np.pad(a, [(0, max(widths) - len(a))] + [(0, 0)] * (a.ndim - 1)) for a in field]
+            value = {"offset": 1.0, "phase": 0.5 * np.pi}.get(name, 0.0)
+            pads = [
+                np.pad(a, [(0, max(widths) - len(a))] + [(0, 0)] * (a.ndim - 1), constant_values=value)
+                for a in field
+            ]
             expected = np.stack(pads)[rows]
             got = getattr(stacked, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from tubeform.ocp import (
 )
 from tubeform.pipeline import certify_scenario
 from tubeform.qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
-from tubeform.scenario import load_scenario
+from tubeform.scenario import load_scenario, parse_scenario
 from tubeform.sim import run_simulation
 
 from oracles import chain_recurrence, condensed_plan, hard_row_qp, recorded_solves, rollout_objective
@@ -256,7 +257,7 @@ class TestBuildQp:
             ref = hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs)
             n_free, n_rows = ref.hessian.shape[0], ref.b_in.size
             assert n_rows == qp.b_in.size - n_slack(spec, qp)  # all but the slacks' signs
-            # input box 2 H d, six barrier rows, the error box, and the cut (random e_ref)
+            # input box 2 H d, the error box, six barrier rows, and the cut (random e_ref)
             assert n_rows == 20 + 6 + (40 if error_box else 0) + terminal_set
             pairs = [
                 (qp.hessian[:n_free, :n_free], ref.hessian),
@@ -331,8 +332,8 @@ class TestCondensingCache:
             np.testing.assert_array_equal(spec.condensing.t_map, fresh.condensing.t_map)
             np.testing.assert_array_equal(t_off, fresh_t_off)
         assert spec.condensing is spec.condensing
-        # input box 2 H d, five barrier rows, the finite error-box entries
-        # twice per step, and the terminal cut
+        # input box 2 H d, the finite error-box entries twice per step,
+        # five barrier rows, and the terminal cut
         n_box = 2 * 4 * 5 if with_error_box else 0
         n_rows = 2 * 5 * 2 + 5 + n_box + 1
         assert qp.a_in.shape[0] == n_rows + n_slack(spec, qp)
@@ -549,3 +550,32 @@ class TestSmokeCorpus:
             "was (38, 37, -1.8006, {'Optimal'}): ROADMAP item 1 is meant to move these"
         )
         assert recording_s + time.perf_counter() - started < 1.0
+
+
+class TestBindingErrorBoxRun:
+    def test_every_plan_keeps_its_predicted_errors_in_the_tightened_box(self):
+        """The smoke copy with ``ocp.error_box`` [6, 6, 4, 4, 1, 1] through the closed loop.
+
+        Its trace differs from smoke's, so the error-box rows bind; every
+        plan with finite slack keeps its predicted errors e_1..e_H inside the
+        tightened box, since those rows stay hard in every pass.
+        """
+        doc = json.loads(SMOKE.read_text(encoding="utf-8"))
+        doc["ocp"]["error_box"] = [6.0, 6.0, 4.0, 4.0, 1.0, 1.0]
+        cfg = parse_scenario(json.dumps(doc))
+        with recorded_solves() as solves:
+            boxed = run_simulation(cfg, certify_scenario(cfg, spot_checks=False))
+        assert len(solves) == 40 and not boxed.violations
+        touching = 0
+        for record in solves:
+            spec, e0, s_seq, sol = record.args[0], record.args[1], record.args[3], record.solution
+            if math.isfinite(sol.slack):
+                errors = rollout(spec, e0, s_seq - spec.coupling * sol.inputs)[1:]
+                excess = float(np.max(np.abs(errors) - spec.error_box))
+                assert excess <= 1e-9, (record.args, excess)
+                touching += excess > -1e-9
+        assert touching > 0  # some plans ride the box
+
+        plain_cfg = load_scenario(SMOKE)
+        plain = run_simulation(plain_cfg, certify_scenario(plain_cfg, spot_checks=False))
+        assert not np.array_equal(boxed.trace.data, plain.trace.data)
