@@ -1,9 +1,9 @@
 """Exponential CBF rows for the quadratic barrier on integrator chains.
 
-Every eCBF row, obstacle or neighbor, tightens one barrier: the squared
+Every eCBF row, obstacle or follower pair, tightens one barrier: the squared
 position offset minus a squared keep-out radius, h = ||D^0||^2 - R^2, on the
-offset chain D = x_i - x_other. ``x_other`` is a neighbor's predicted chain
-or, for an obstacle, the constant chain (c, 0, ..., 0). The barrier is
+offset chain D = x_i - x_other. ``x_other`` is another follower's predicted
+chain or, for an obstacle, the constant chain (c, 0, ..., 0). The barrier is
 position-level and quadratic, so every Lie derivative along the chain flow is
 available in closed form through the Leibniz rule: with D^m the m-th
 derivative chain block and D^n the top-order derivative (own input plus the
@@ -15,9 +15,14 @@ Only the k = n derivative contains the input, entering through 2 <D^0, v>.
 The tube tightening is r_i ||grad h|| + r_j ||grad h|| with the other
 chain's broadcast radius r_j, which is 0 for an obstacle.
 
+``assemble_row`` also returns each tightened row's gradient in the own state,
+in closed form, so the OCP can linearize a row in the state its plan
+reaches as well as in the input.
+
 One agent's rows at one sampling step are data, a ``RowGrid`` of operands
-per (step, obstacle + neighbor) cell: ``RowGrid.rows`` evaluates them with
-one ``assemble_row`` call into the ``BarrierRows`` block the OCP solves.
+per (step, obstacle + other follower) cell: ``RowGrid.rows`` evaluates them
+with one ``assemble_row`` call into the ``BarrierRows`` block the OCP solves,
+keeping the cells within the activation range by one rule for every cell.
 """
 
 from __future__ import annotations
@@ -92,9 +97,19 @@ def lie_derivatives(
     nominal input v.
     Raises DegenerateGradient when a position offset is numerically zero.
     """
+    return _lie_terms(dims, _offset_blocks(dims, x_self, x_other), keep_out, top_exo)
+
+
+def _offset_blocks(dims: BrunovskyDims, x_self: np.ndarray, x_other: np.ndarray) -> np.ndarray:
+    """(..., n, d) derivative blocks D^m of the offset chain D = x_self - x_other."""
     n, d = dims.n, dims.d
     x_self, x_other = np.asarray(x_self), np.asarray(x_other)
-    blocks = x_self.reshape(*x_self.shape[:-1], n, d) - x_other.reshape(*x_other.shape[:-1], n, d)
+    return x_self.reshape(*x_self.shape[:-1], n, d) - x_other.reshape(*x_other.shape[:-1], n, d)
+
+
+def _lie_terms(dims: BrunovskyDims, blocks: np.ndarray, keep_out, top_exo: np.ndarray) -> tuple:
+    """``lie_derivatives`` on the offset chain's (..., n, d) derivative ``blocks``."""
+    n = dims.n
     gram = blocks @ blocks.swapaxes(-1, -2)  # G[m, j] = <D^m, D^j>
     if (gram[..., 0, 0] < DEGENERATE_TOL**2).any():
         raise DegenerateGradient("barrier gradient undefined at zero offset")
@@ -106,6 +121,17 @@ def lie_derivatives(
     return values, 2.0 * d0, drift
 
 
+@functools.lru_cache(maxsize=None)
+def _state_weights(kappa: tuple[float, ...]) -> np.ndarray:
+    """(n, n) Omega + Omega' with Omega = sum_k kappa_k W_k + W_n (kappa_n = 1), W_k the Leibniz
+    weights of L^k h: the tightened row's quadratic part is D' (Omega (x) I_d) D on the offset chain."""
+    n = len(kappa)
+    omega = (_leibniz_weights(n) @ np.r_[kappa, 1.0]).reshape(n, n)
+    out = omega + omega.T
+    out.setflags(write=False)
+    return out
+
+
 def assemble_row(
     kappa: EcbfCoefficients,
     dims: BrunovskyDims,
@@ -115,41 +141,55 @@ def assemble_row(
     radius_self: float | np.ndarray,
     radius_other: float | np.ndarray,
     top_exo: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    inputs: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tightened eCBF row(s) ``a . v + b >= 0`` at the given nominal linearization state(s).
 
     The operands are those of ``lie_derivatives`` plus both chains' tube
     radii; ``kappa`` must hold one coefficient per chain order. Returns
-    ``(a, b)``: ``a`` (..., d) and ``b`` carry the operands' stack axes.
+    ``(a, b, grad)``: ``a`` (..., d), ``b`` and ``grad`` (..., nd) carry the
+    operands' stack axes. ``grad`` is the gradient of ``a . v + b`` in the own
+    state at the own nominal ``inputs`` v (..., d), zero when omitted: on the
+    offset chain it is (Omega + Omega') D, plus 2 (top_exo + v) - 2 kappa_0
+    (r_self + r_other) D^0 / ||D^0|| on the position block.
     """
-    values, a, b = lie_derivatives(dims, x_self, x_other, keep_out, top_exo)
+    blocks = _offset_blocks(dims, x_self, x_other)
+    values, a, b = _lie_terms(dims, blocks, keep_out, top_exo)
     grad_norm = np.linalg.norm(a, axis=-1)
+    radii = radius_self + radius_other
     margin = radius_self * grad_norm + radius_other * grad_norm
     for q in range(1, dims.n):
         b = b + kappa.kappa[q] * values[..., q]
     b = b + kappa.kappa[0] * (values[..., 0] - margin)
-    return a, b
+    grad = _state_weights(kappa.kappa) @ blocks
+    top = top_exo if inputs is None else top_exo + inputs
+    grad[..., 0, :] += 2.0 * top - (2.0 * kappa.kappa[0] * radii / grad_norm)[..., None] * a
+    return a, b, grad.reshape(*a.shape[:-1], dims.nd)
 
 
 class BarrierRows(NamedTuple):
-    """One block of affine barrier rows ``a[r] . v_step[r] + b[r] >= 0`` on the nominal inputs.
+    """One block of barrier rows ``a[r] . v_step[r] + b[r] >= 0`` on the nominal inputs.
 
     ``step`` is in 0..H-2, the freely optimized inputs: the last input
     follows the terminal law. ``group`` tags each row with its entry of
-    ``ocp.SLACK_PENALTY``: 0 for an obstacle row, 1 for a neighbor row.
+    ``ocp.SLACK_PENALTY``: 0 for an obstacle row, 1 for an inter-agent row.
+    ``grad`` is each row's gradient in the own nominal state at that step,
+    at the inputs the block was evaluated with: ``ocp.build_qp`` linearizes
+    the row there in both the input and the state it reaches.
     """
 
     step: np.ndarray  # (m,) int
     a: np.ndarray  # (m, d)
     b: np.ndarray  # (m,)
     group: np.ndarray  # (m,) int
+    grad: np.ndarray  # (m, nd)
 
 
 class RowGrid(NamedTuple):
-    """One agent's ``assemble_row`` operands over the (step, obstacle + neighbor) grid of one solve.
+    """One agent's ``assemble_row`` operands over the (step, obstacle + other follower) grid of one solve.
 
     The steps are the free inputs 0..H-2; the cells are the obstacles, as
-    constant center chains, then the neighbors, as predicted chains, by index.
+    constant center chains, then the other followers, as predicted chains, by index.
     """
 
     kappa: EcbfCoefficients
@@ -158,23 +198,20 @@ class RowGrid(NamedTuple):
     top_exo: np.ndarray  # (H-1, cells, d) own feedforward minus the other chain's top derivative
     keep_out: np.ndarray  # (cells,)
     margin: float  # the own tube radius
-    radius_other: np.ndarray  # (cells,) 0 per obstacle, then each neighbor's broadcast radius
-    group: np.ndarray  # (cells,) 0 per obstacle, then 1 per neighbor
-    obstacles: int  # the grid's first cells are this many obstacles
-    activation: float  # an obstacle cell is a row only within this distance of its center
+    radius_other: np.ndarray  # (cells,) 0 per obstacle, then each other follower's broadcast radius
+    group: np.ndarray  # (cells,) 0 per obstacle, then 1 per other follower
+    activation: float  # a cell is a row only within this distance of the other chain's position
 
-    def rows(self, states: np.ndarray) -> BarrierRows:
-        """The rows at the (H+1, nd) nominal ``states``, the active cells in row-major order:
-        per step, the obstacles within the activation range, then every neighbor.
+    def rows(self, states: np.ndarray, inputs: np.ndarray) -> BarrierRows:
+        """The rows at the (H+1, nd) nominal ``states`` and their (H, d) ``inputs``, the active
+        cells in row-major order: per step, the cells within the activation range.
 
-        An obstacle cell's input row is a = 2 (x - center), so ||a|| <= 2 activation is the
-        distance test, bit for bit: doubling scales each square and their sum by exactly 4.
+        A cell's input row is a = 2 (x - x_other) on the position block, so ||a|| <= 2 activation
+        is the distance test, bit for bit: doubling scales each square and their sum by exactly 4.
         """
-        xs = states[: len(self.x_other), None]
-        ops = self.x_other, self.keep_out, self.margin, self.radius_other, self.top_exo
-        a, b = assemble_row(self.kappa, self.dims, xs, *ops)
-        active = np.ones(b.shape, dtype=bool)
-        reach = np.linalg.norm(a[:, : self.obstacles], axis=-1)
-        active[:, : self.obstacles] = reach <= 2.0 * self.activation
-        step, col = active.nonzero()
-        return BarrierRows(step, a[step, col], b[step, col], self.group[col])
+        steps = len(self.x_other)
+        xs, vs = states[:steps, None], inputs[:steps, None]
+        ops = self.x_other, self.keep_out, self.margin, self.radius_other, self.top_exo, vs
+        a, b, grad = assemble_row(self.kappa, self.dims, xs, *ops)
+        step, col = (np.linalg.norm(a, axis=-1) <= 2.0 * self.activation).nonzero()
+        return BarrierRows(step, a[step, col], b[step, col], self.group[col], grad[step, col])

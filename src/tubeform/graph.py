@@ -37,9 +37,6 @@ class CommGraph:
     def n_followers(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighbors(self, i: int) -> list[int]:
-        return [j for j in range(self.n_followers) if self.adjacency[i, j] > 0.0]
-
     @functools.cached_property
     def m(self) -> np.ndarray:
         """M = nu1 L + nu2 B0; m[i, i] = nu1 d_i + nu2 b_i0 is the gain on agent i's own input."""

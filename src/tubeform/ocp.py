@@ -9,12 +9,18 @@ series, which is exact.
 
 The QP is condensed onto the input sequence. The terminal control law is
 always substituted for the last input, so the free inputs are steps
-0..H-2; the terminal ellipsoid enters as one supporting hyperplane per
-linearization pass, and barrier rows are affine in the per-step input at a
-frozen linearization trajectory. The barrier rows and the terminal cut are
-relaxed by an l1 exact penalty (Nocedal & Wright, Numerical Optimization,
-2nd ed., 2006, section 17.2), so every pass has a QP solution; the input
-box and the error box stay hard.
+0..H-2; the terminal ellipsoid enters as one supporting hyperplane at the
+linearization plan's terminal error. Each barrier row a(x_l) . v_l + b(x_l)
+is linearized at a plan in both its input and the nominal state x_l it
+reaches (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006, section
+18.1): the row block carries each row's state gradient, and x_l responds to
+the free inputs through constant blocks of the horizon map. The barrier
+rows and the terminal cut are relaxed by an l1 exact penalty (ibid.,
+section 17.2), so every QP has a solution unless its hard rows, the input
+box and the error box, have none. ``solve_ocp`` solves one QP at the
+shifted previous plan and a second one only where the first plan's own
+rows are broken, real-time iteration (Diehl, Bock & Schloeder, SIAM J.
+Control Optim. 43(5), 2005).
 
 The chain recurrence over the horizon is one linear map, built once per
 spec (``OcpSpec.horizon_maps``): the trajectory's response to its initial
@@ -28,12 +34,12 @@ the full inputs, the errors, the cost and the hard rows (the input box and
 the error box, one block) are fixed affine maps of (z, p), built once per
 spec from one weighted least-squares stack, together with the Hessian and
 its inverse for each slack count. p is fixed within a solve, so
-``solve_ocp`` evaluates the maps at it once (``qp_parameters``); each SQP
-pass's ``build_qp`` call adds only that pass's barrier rows and terminal
-cut. The barrier rows arrive from the caller's ``row_builder`` (in a run,
+``solve_ocp`` evaluates the maps at it once (``qp_parameters``); each
+``build_qp`` call adds only its barrier rows and terminal cut. The barrier
+rows arrive from the caller's ``row_builder`` (in a run,
 ``barrier.RowGrid.rows``) as one ``barrier.BarrierRows`` block (step, a, b,
-group) over every step and barrier kind, and their steps are free inputs, so
-they are scattered straight into z by fancy indexing.
+group, state gradient) over every step and barrier kind; their steps are
+free inputs, so they are scattered straight into z by fancy indexing.
 """
 
 from __future__ import annotations
@@ -46,14 +52,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .barrier import BarrierRows
-from .errors import DimensionMismatch, RiccatiDiverged
+from .errors import DegenerateGradient, DimensionMismatch, RiccatiDiverged
 from .models import BrunovskyDims, chain_matrices
-from .qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
+from .qp import INFEASIBLE, QpProblem, solve_qp
 
-SQP_TOL = 1e-5
-SQP_MAX_PASSES = 5
-SQP_DAMPING = 0.5  # relaxation applied after the first pass to stop zigzag
 QP_TOL = 1e-8
+ROW_TOL = 1e-6  # a slack or an own-row shortfall above this makes a plan relaxed
 RICCATI_TOL = 1e-10  # Frobenius step that ends the discrete Riccati iteration
 RICCATI_MAX_ITER = 10_000
 # exact-penalty weight per row group: 0 is obstacle rows, 1 inter-agent rows,
@@ -195,7 +199,7 @@ class OcpSolution:
     sqp_passes: int
     status: str
     slack: float = 0.0  # exact-penalty violation; inf when the QP itself failed
-    converged: bool = False  # input change fell below tolerance within the pass cap
+    converged: bool = False  # the plan holds the rows at its own trajectory with zero slack
 
 
 @dataclass(frozen=True)
@@ -213,6 +217,7 @@ class _Condensing:
     e_map: np.ndarray  # (H nd, n_free): the errors at steps 1..H are e_map z + e_par p
     e_par: np.ndarray  # (H nd, n_p)
     e_term: np.ndarray  # (nd, H d): the terminal error's response to the full inputs
+    x_free: np.ndarray  # (H-1, nd, n_free): the nominal state at steps 0..H-2, its response to z
     # cost 0.5 z' hess_f z + (lin_par p)' z + p' const_par p; entry s of ``hessians`` is
     # hess_f with s unit-curvature slacks appended, which keeps it SPD, and of
     # ``hessian_invs`` its inverse, block-diagonal too: each is handed to the solver as is
@@ -279,6 +284,7 @@ class _Condensing:
             e_map=e_map,
             e_par=e_par,
             e_term=e_full[-nd:],
+            x_free=spec.horizon_maps[1].reshape(h + 1, nd, n_z)[: h - 1, :, :n_free],
             hessians=tuple(with_slacks(hess_f, n_sig) for n_sig in slack_counts),
             hessian_invs=tuple(with_slacks(hess_f_inv, n_sig) for n_sig in slack_counts),
             lin_par=2.0 * sum(m_z.T @ w @ m_p for m_z, m_p, w in stack),
@@ -294,10 +300,10 @@ class _Condensing:
 
 
 class QpParameters(NamedTuple):
-    """What every SQP pass of one solve shares: the condensing's maps at that solve's p.
+    """What every QP of one solve shares: the condensing's maps at that solve's p.
 
     p = (e0, s flattened, v_prev) is fixed for a solve, so these are formed
-    once per solve (``qp_parameters``); ``build_qp`` adds each pass's rows.
+    once per solve (``qp_parameters``); ``build_qp`` adds each QP's rows.
     """
 
     t_off: np.ndarray  # (H d,): the full inputs are t_map z + t_off
@@ -329,17 +335,20 @@ def qp_parameters(
 def build_qp(
     spec: OcpSpec, params: QpParameters, barrier_rows: BarrierRows, lin_inputs: np.ndarray
 ) -> QpProblem:
-    """One SQP pass's exact-penalty QP on the free inputs and the slacks.
+    """One linearized exact-penalty QP on the free inputs and the slacks.
 
-    ``params`` holds everything the solve's passes share; the full input
-    stack of a QP solution ``z`` is ``condensing.t_map @ z[:n_free] +
+    ``params`` holds everything a solve's QPs share; the full input stack
+    of a QP solution ``z`` is ``condensing.t_map @ z[:n_free] +
     params.t_off``, and ``z[n_free:]`` are the slacks.
 
-    ``barrier_rows`` is one row block: row r is the constraint
-    ``a[r] . v_step[r] + b[r] >= 0`` evaluated at the caller's linearization
-    trajectory. Its steps are free inputs, so it is scattered straight into
-    them. ``lin_inputs`` (H, d) are that trajectory's inputs: the terminal
-    error they reach anchors the supporting-hyperplane row of the terminal
+    ``lin_inputs`` (H, d) is the linearization plan and ``barrier_rows``
+    the row block at its nominal trajectory: row r is ``a[r] . v_step[r] +
+    b[r] >= 0`` with state gradient ``grad[r]``. Each row is linearized in
+    the input and in the state it reaches: with x_step's response to the
+    free inputs (``condensing.x_free``, constant blocks of the horizon map)
+    the row reads a . v_step + grad . x_free[step] (z - z_lin) + b >= 0, so
+    it equals the exact row at the linearization plan. The terminal error
+    that plan reaches anchors the supporting-hyperplane row of the terminal
     ellipsoid.
 
     The rows ``a . z >= b`` are the hard block (the input box, then the
@@ -374,9 +383,11 @@ def build_qp(
     b = np.zeros(n_rows + n_sig)
     a[:n_hard, :n_free], b[:n_hard] = cond.hard_a, params.hard_b
     rows = n_hard + np.arange(m)
-    a[rows[:, None], barrier_rows.step[:, None] * d + np.arange(d)] = barrier_rows.a
+    through_state = np.matmul(barrier_rows.grad[:, None], cond.x_free[barrier_rows.step])[:, 0]
+    a[n_hard : n_hard + m, :n_free] = through_state
+    a[rows[:, None], barrier_rows.step[:, None] * d + np.arange(d)] += barrier_rows.a
     a[rows, n_free + np.array(used).searchsorted(barrier_rows.group)] = 1.0
-    b[rows] = -barrier_rows.b
+    b[rows] = through_state @ lin_inputs.reshape(-1)[:n_free] - barrier_rows.b
     if cut is not None:
         a[n_rows - 1, :n_free], b[n_rows - 1] = cut
         a[n_rows - 1, -1] = 1.0
@@ -412,17 +423,22 @@ def solve_ocp(
     warm_inputs: np.ndarray,
     row_builder,
 ) -> OcpSolution:
-    """Successive linearization around the predicted nominal trajectory.
+    """At most two linearized QPs, each checked at the plan it returns (real-time iteration).
 
-    Each pass rolls the nominal states from the current input iterate,
-    assembles the barrier row block at the states through
-    ``row_builder(states)`` (a ``BarrierRows``), solves the condensed QP with
-    the terminal cut at the terminal error the iterate reaches (read off the
-    condensed error map), and repeats until the input change drops below
-    1e-5 or five passes elapse. Updates after the first pass are damped to
-    suppress linearization zigzag. The first pass's QP starts cold; each
-    later one starts from the active set of the pass before it when the row
-    count is unchanged.
+    The first QP is linearized at the warm start, the shifted previous plan:
+    its nominal states are rolled out, ``row_builder(states, inputs)`` (a
+    ``BarrierRows``, in a run ``RowGrid.rows``) gives the barrier rows with
+    their state gradients there, and ``build_qp`` linearizes them in the
+    input and the state. A guard then evaluates the rows at the returned
+    plan's own trajectory. The plan is kept when its QP needed no slack and
+    it breaks no row by more than ``ROW_TOL``; otherwise one more QP is
+    linearized at that plan, from the guard's own rows. A second plan that
+    still needs slack or breaks a row is returned ``Infeasible`` (relaxed)
+    with its QP's finite slack. A guard whose rows raise
+    ``DegenerateGradient`` counts as a broken row; it leaves nothing to
+    linearize at, so that plan is returned relaxed. ``converged`` is True
+    exactly when the returned plan holds its own rows with zero slack, and
+    ``sqp_passes`` counts the QPs, 1 or 2.
 
     The terminal law is always substituted for the last input. Barrier rows
     are enforced on the freely optimized inputs (steps 0..H-2); the last
@@ -430,55 +446,40 @@ def solve_ocp(
     offline design property, so re-imposing the row there would only create
     artificial conflicts with far-from-terminal errors.
 
-    The passes solve the exact-penalty QP, so the method can route around
-    linearizations whose rows are momentarily inconsistent. The returned
-    status is Infeasible whenever the final pass needed nonzero slack
-    (infinite when its QP had no solution: then the solve has no plan, and
-    the caller falls back).
+    Each QP is the exact-penalty QP, so it has a solution unless the hard
+    rows (the input box and the error box) have none: then the solve has no
+    plan, its slack is infinite and its status Infeasible, and the caller
+    falls back.
     """
     h, d = spec.horizon, spec.dims.d
     t_map = spec.condensing.t_map
     n_free = t_map.shape[1]
     params = qp_parameters(spec, e0, s_seq, v_prev)
     inputs = warm_inputs.copy()
+    rows = row_builder(rollout(spec, x0_nominal, inputs + ff_seq), inputs)
     iterations = 0
-    status = OPTIMAL
-    passes = 0
-    slack_used = 0.0
-    converged = False
-    guess = np.zeros(0, dtype=bool)  # so the first pass starts cold
-    for passes in range(1, SQP_MAX_PASSES + 1):
-        states = rollout(spec, x0_nominal, inputs + ff_seq)
-        qp = build_qp(spec, params, row_builder(states), inputs)
-        sol = solve_qp(qp, tol=QP_TOL, active=guess if guess.size == qp.b_in.size else None)
-        guess = sol.active
+    holds = False
+    for passes in (1, 2):
+        sol = solve_qp(build_qp(spec, params, rows, inputs), tol=QP_TOL)
         iterations += sol.iterations
-        status = sol.status
-        if status == INFEASIBLE:  # no plan from this pass: keep the iterate
-            slack_used = math.inf
+        if sol.status == INFEASIBLE:  # the hard rows leave no plan: keep the linearization plan
+            return OcpSolution(inputs, math.inf, iterations, passes, INFEASIBLE, math.inf)
+        slack = float(sol.z[n_free:].max(initial=0.0))
+        inputs = (t_map @ sol.z[:n_free] + params.t_off).reshape(h, d)
+        try:
+            rows = row_builder(rollout(spec, x0_nominal, inputs + ff_seq), inputs)
+        except DegenerateGradient:
             break
-        slack_used = float(sol.z[n_free:].max(initial=0.0))
-        z = t_map @ sol.z[:n_free] + params.t_off
-        new_inputs = z.reshape(h, d)
-        delta = float(np.abs(new_inputs - inputs).max())
-        if passes == 1:
-            inputs = new_inputs
-        else:
-            inputs = inputs + SQP_DAMPING * (new_inputs - inputs)
-        if delta < SQP_TOL:
-            inputs = new_inputs
-            converged = True
+        own = np.sum(rows.a * inputs[rows.step], axis=1) + rows.b  # each row at the plan's own states
+        holds = slack <= ROW_TOL and np.min(own, initial=math.inf) >= -ROW_TOL
+        if holds:
             break
-    objective = math.inf if status == INFEASIBLE else sol.objective  # the last pass's, formed once
-    if slack_used > 1e-6:
-        status = INFEASIBLE
-
     return OcpSolution(
         inputs=inputs,
-        objective=objective,
+        objective=sol.objective,
         iterations=iterations,
         sqp_passes=passes,
-        status=status,
-        slack=slack_used,
-        converged=converged,
+        status=sol.status if holds else INFEASIBLE,
+        slack=slack,
+        converged=holds,
     )

@@ -27,6 +27,7 @@ from .certify import (
 from .errors import NotHurwitz, ScenarioError
 from .graph import CommGraph, GlobalBoundCertificate, global_bound
 from .models import DriftTable, LyapunovPair
+from .protocol import protected_pairs
 from .scenario import ScenarioConfig, build_graph, read_text
 
 SPOT_CHECK_SEED = 0x5EED
@@ -68,6 +69,7 @@ class CertificationResult:
     drifts: tuple[DriftTable, ...]  # each agent's compiled drift, leader first
     graph: CommGraph
     kappa: EcbfCoefficients
+    protected: np.ndarray  # (N(N-1), 2) follower indices (i, j): i keeps an eCBF row against j
 
 
 def leader_linearized_pair(cfg: ScenarioConfig, leader_drift: DriftTable):
@@ -153,6 +155,7 @@ def certify_scenario(cfg: ScenarioConfig, spot_checks: bool = True) -> Certifica
         drifts=drifts,
         graph=g,
         kappa=kappa,
+        protected=protected_pairs(len(cfg.agents)),
     )
 
 
@@ -178,6 +181,7 @@ def certificate_to_dict(res: CertificationResult) -> dict:
         "scenario_sha256": res.scenario_sha256,
         "sv_min": res.bound_cert.sv_min,
         "formation_error_bound": res.bound_cert.bound,
+        "protected_pairs": res.tubes.id[res.protected].tolist(),
         "leader": {
             "mode": res.leader.mode,
             "rho0": res.leader.rho0,

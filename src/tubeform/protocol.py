@@ -1,11 +1,12 @@
 """Non-iterative plan exchange: radius broadcast, plan shift, leader relay.
 
-Three pure functions over arrays of all followers: ``initial_broadcast``
-builds the one-time radius table; ``shift_plan`` shifts all senders' last
-plans ``(N, H, d)`` by their terminal errors ``(N, nd)`` in one call; the
-leader relay is one sampling step of delay per hop, so a whole run's
-``(steps, N, nd)`` leader estimates are one gather over the leader's samples
-by hop count. ``sim.SimWorld`` holds the last broadcast and builds the
+Pure functions over arrays of all followers: ``protected_pairs`` lists the
+ordered follower pairs that an eCBF row protects, every pair, and
+``initial_broadcast`` builds the one-time radius table over them;
+``shift_plan`` shifts all senders' last plans ``(N, H, d)`` by their
+terminal errors ``(N, nd)`` in one call; the leader relay is one sampling
+step of delay per hop, so a whole run's ``(steps, N, nd)`` leader estimates
+are one gather over the leader's samples by hop count. ``sim.SimWorld`` holds the last broadcast and builds the
 neighbor predictions from the shifted plans, one batched ``ocp.rollout``
 over all (reader, sender) pairs.
 
@@ -18,16 +19,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import CommGraph
+
+def protected_pairs(followers: int) -> np.ndarray:
+    """(N(N-1), 2) follower indices (i, j), i != j, in row-major order: reader i keeps a pair row
+    against j's predicted chain. Every ordered pair is protected, graph neighbors or not."""
+    return np.argwhere(~np.eye(followers, dtype=bool))
 
 
-def initial_broadcast(margin_radii: np.ndarray, g: CommGraph) -> np.ndarray:
-    """One-time scalar radius exchange: table[i, j] = r_j for j in N_i, else 0.
+def initial_broadcast(margin_radii: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """One-time scalar radius exchange: table[i, j] = r_j for each protected pair (i, j), else 0.
 
-    ``margin_radii`` holds r_1 .. r_N. Executed once; the number of scalar
-    messages equals the number of directed edges of the follower graph.
+    ``margin_radii`` holds r_1 .. r_N and ``pairs`` the ``protected_pairs``.
+    Executed once; the number of scalar messages is the number of pairs, N(N-1).
     """
-    return np.where(g.adjacency > 0.0, np.asarray(margin_radii, dtype=float), 0.0)
+    radii = np.asarray(margin_radii, dtype=float)
+    table = np.zeros((radii.size, radii.size))
+    table[pairs[:, 0], pairs[:, 1]] = radii[pairs[:, 1]]
+    return table
 
 
 def shift_plan(inputs: np.ndarray, terminal: np.ndarray, gains: np.ndarray) -> np.ndarray:

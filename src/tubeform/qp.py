@@ -5,8 +5,7 @@ Problems here have at most ~10 decision variables and ~60 inequality rows
 (Goldfarb-Idnani) is entirely adequate: it starts from the unconstrained
 minimizer, adds one violated row at a time while keeping dual feasibility,
 and certifies infeasibility exactly through a Farkas-type unbounded dual
-step. Any dual-feasible start is valid, so it may also start from a guessed
-active set, such as the one a neighbouring problem ended with.
+step.
 
     minimize 0.5 z' H z + g' z + const
     s.t.     A_in z >= b_in
@@ -59,7 +58,7 @@ class QpSolution:
 
     @functools.cached_property
     def objective(self) -> float:
-        """``problem.objective(z)``, formed on first read: a caller may keep only one pass's."""
+        """``problem.objective(z)``, formed on first read: a caller may keep only one QP's."""
         return self.problem.objective(self.z)
 
 
@@ -76,46 +75,10 @@ def kkt_residuals(qp: QpProblem, z: np.ndarray, duals: np.ndarray) -> tuple[floa
     return float(np.max(np.abs(stat))), feas, comp
 
 
-def _equality_start(h_inv, z, a, b, guess, tol):
-    """(z, active, multipliers, solves) from the ``guess`` rows held as equalities, or None.
+def _dual_active_set(h_inv, g, a, b, tol):
+    """Goldfarb-Idnani loop from the unconstrained minimizer.
 
-    Drops the row of the most negative multiplier until none is negative.
-    Rows the loop would treat as dependent (a pivot below ``tol`` |a|^2) or
-    non-finite multipliers reject the guess. Until a row is dropped, the
-    block solved is the whole Gram matrix.
-    """
-    rows = np.flatnonzero(guess)
-    a_g = a[rows]
-    step = h_inv @ a_g.T
-    gram = a_g @ step
-    try:
-        pivots = np.linalg.cholesky(gram).diagonal() ** 2
-    except np.linalg.LinAlgError:
-        return None
-    if (pivots <= tol * np.maximum(1.0, (a_g**2).sum(axis=1))).any():
-        return None
-    rhs = b[rows] - a_g @ z
-    keep = list(range(rows.size))
-    block, block_rhs = gram, rhs
-    solves = 0
-    while keep:
-        solves += 1
-        lam = np.linalg.solve(block, block_rhs)
-        if not np.isfinite(lam).all():
-            return None
-        worst = int(lam.argmin())
-        if lam[worst] >= 0.0:
-            # the gathered columns are Fortran-ordered, which sets the product's rounding
-            return z + step[:, keep] @ lam, rows[keep].tolist(), lam.tolist(), solves
-        del keep[worst]
-        block, block_rhs = gram[np.ix_(keep, keep)], rhs[keep]
-    return z, [], [], solves
-
-
-def _dual_active_set(h_inv, g, a, b, tol, guess=None):
-    """Goldfarb-Idnani loop from the ``guess`` row mask or cold.
-
-    Returns (z, duals, status, iterations, active); start-up solves count as iterations.
+    Returns (z, duals, status, iterations, active).
     The scalar decisions (termination, ratio test, multiplier updates) run on
     Python floats, the active rows' multipliers held as a list beside
     ``active``: both are IEEE doubles, so every value is the one numpy scalars
@@ -127,10 +90,6 @@ def _dual_active_set(h_inv, g, a, b, tol, guess=None):
     active: list[int] = []
     lams: list[float] = []  # the active rows' multipliers, in ``active`` order
     iterations = 0
-    if guess is not None and np.any(guess):
-        start = _equality_start(h_inv, z, a, b, guess, tol)
-        if start is not None:
-            z, active, lams, iterations = start
 
     def result(status):
         duals = np.zeros(n_rows)
@@ -194,15 +153,10 @@ def _dual_active_set(h_inv, g, a, b, tol, guess=None):
     return result(MAX_ITER)
 
 
-def solve_qp(
-    qp: QpProblem, tol: float = 1e-10, active: np.ndarray | None = None
-) -> QpSolution:
+def solve_qp(qp: QpProblem, tol: float = 1e-10) -> QpSolution:
     """Solve a strictly convex QP by the dual active-set method.
 
-    ``active`` is an optional (rows,) bool mask, a guess of the active set
-    (typically a neighbouring problem's ``QpSolution.active``); a guess that
-    gives no dual-feasible start falls back to the cold start. The returned
-    ``active`` mask holds the rows active at the returned point.
+    The returned ``active`` mask holds the rows active at the returned point.
 
     On OPTIMAL every row holds to within ``tol`` (the termination test),
     every multiplier is nonnegative and zero off the active set, and z
@@ -218,9 +172,7 @@ def solve_qp(
     a = qp.a_in if qp.a_in.size else np.zeros((0, qp.linear.shape[0]))
     b = qp.b_in if qp.a_in.size else np.zeros(0)
     h_inv = np.linalg.inv(qp.hessian) if qp.hessian_inv is None else qp.hessian_inv
-    z, duals, status, iterations, rows = _dual_active_set(
-        h_inv, qp.linear, a, b, tol, active
-    )
+    z, duals, status, iterations, rows = _dual_active_set(h_inv, qp.linear, a, b, tol)
     mask = np.zeros(b.size, dtype=bool)
     mask[rows] = True
     return QpSolution(

@@ -30,10 +30,17 @@ horizon map and one graph matrix: one ``shift_plan`` call shifts the last
 broadcast's plans, one ``rollout`` call gives all readers' predictions of all
 agents, the synchronization errors are -M q with the augmented Laplacian M,
 the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
-are one ``barrier.RowGrid`` per step over its obstacles and neighbors
-(``SimWorld._row_grid``), whose ``rows`` each SQP pass calls. What a grid's
-cells hold besides the predicted chains and tops is fixed for the run, one
-table built at construction.
+are one ``barrier.RowGrid`` per step over its obstacles and, after
+deployment, every other follower (``SimWorld._row_grid``): the certificate's
+protected pairs are every ordered follower pair, graph neighbors or not, so
+a pair cell reads the reader's prediction of that follower, and the radius
+table broadcast once holds every follower's radius. ``solve_ocp`` calls the
+grid's ``rows`` at its linearization plans and at the plans it returns.
+What a grid's cells hold besides the predicted chains and tops is fixed for
+the run, one table built at construction. Two things are out of scope and
+unmeasured: a margin for the error of the neighbor predictions (a neighbor
+may deviate from its shifted broadcast), and rows from sensed, rather than
+broadcast, neighbor positions.
 
 The trace's state rows are the run's one record of states. The leader pass
 fills the leader's rows and the times; step k measures every agent at row
@@ -64,7 +71,7 @@ from .certify import error_box_tightening
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
-from .ocp import SQP_MAX_PASSES, OcpSpec, rollout, solve_ocp
+from .ocp import ROW_TOL, OcpSpec, rollout, solve_ocp
 from .pipeline import CertificationResult
 from .protocol import initial_broadcast, relayed_estimates, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
@@ -248,7 +255,7 @@ class SimWorld:
             self.margins = tubes.baseline_r_ball
         else:
             self.margins = tubes.margin_radius
-        self.radius_table = initial_broadcast(self.margins, self.graph)
+        self.radius_table = initial_broadcast(self.margins, cert.protected)
         self._init_cells()
 
         # certify checked the box against the certified margins, this run checks its own
@@ -284,20 +291,22 @@ class SimWorld:
         self._prev_preds = self._states[0, 1:, 0][self._edges[1]]
 
     def _init_cells(self) -> None:
-        """The per-run eCBF cell table: per agent, (neighbors, keep-outs, other radii, groups) at
-        deployment (the obstacles only) and after it (the obstacles, then its neighbors), and
-        every grid's obstacle cells, their constant chains and zero tops over the free steps."""
+        """The per-run eCBF cell table: per agent, (others, keep-outs, other radii, groups) at
+        deployment (the obstacles only) and after it (the obstacles, then every follower it keeps
+        a pair row against, the certificate's protected pairs), and every grid's obstacle cells,
+        their constant chains and zero tops over the free steps."""
         steps, n_obs = self.horizon - 1, len(self._obstacle_keep_out)
         self._obstacle_cells = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
         self._obstacle_tops = np.zeros((steps, n_obs, self.d))
 
-        def cells(i: int, nbrs: list[int]) -> tuple:
-            nbrs = np.array(nbrs, dtype=int)
-            keep_out = np.concatenate([self._obstacle_keep_out, np.full(len(nbrs), self.cfg.barriers.d_safe)])
-            radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, nbrs]])
-            return nbrs, keep_out, radius_other, np.repeat([0, 1], [n_obs, len(nbrs)])
+        def cells(i: int, others: list[int]) -> tuple:
+            others = np.array(others, dtype=int)
+            keep_out = np.concatenate([self._obstacle_keep_out, np.full(len(others), self.cfg.barriers.d_safe)])
+            radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, others]])
+            return others, keep_out, radius_other, np.repeat([0, 1], [n_obs, len(others)])
 
-        self._cells = [(cells(i, []), cells(i, self.graph.neighbors(i))) for i in range(self.n)]
+        readers, others = self.cert.protected.T
+        self._cells = [(cells(i, []), cells(i, others[readers == i])) for i in range(self.n)]
 
     # --- leader feedforward ---
 
@@ -423,31 +432,23 @@ class SimWorld:
     def _row_grid(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
         """Agent i's eCBF row grid at step k, over the steps before the terminal law.
 
-        The cells are the obstacles, then agent i's neighbors, none at
-        deployment (k = 0). A neighbor cell's chain is reader i's prediction of
-        it, its top derivative its shifted plan plus i's feedforward, and its
-        radius the broadcast radius table's entry. Everything but the
-        predicted chains and tops comes from the per-run ``_cells`` table.
+        The cells are the obstacles, then every other follower that agent i
+        keeps a pair row against, none at deployment (k = 0). A pair cell's
+        chain is reader i's prediction of it, its top derivative its shifted
+        plan plus i's feedforward, and its radius the broadcast radius table's
+        entry. Everything but the predicted chains and tops comes from the
+        per-run ``_cells`` table.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        nbrs, keep_out, radius_other, group = self._cells[i][k > 0]
+        others, keep_out, radius_other, group = self._cells[i][k > 0]
         ff = ff_seq[:steps, None]
-        x_other = np.concatenate([self._obstacle_cells, preds[i, nbrs, :steps].swapaxes(0, 1)], axis=1)
-        top_other = shifted[nbrs, :steps].swapaxes(0, 1) + ff
+        x_other = np.concatenate([self._obstacle_cells, preds[i, others, :steps].swapaxes(0, 1)], axis=1)
+        top_other = shifted[others, :steps].swapaxes(0, 1) + ff
         top_exo = ff - np.concatenate([self._obstacle_tops, top_other], axis=1)
         return RowGrid(
             self.kappa, self.dims, x_other, top_exo, keep_out, self.margins[i], radius_other, group,
-            len(self._obstacle_keep_out), self.cfg.barriers.activation_range,
+            self.cfg.barriers.activation_range,
         )
-
-    @staticmethod
-    def _breaks_own_rows(grid: RowGrid, states: np.ndarray, inputs: np.ndarray) -> bool:
-        """Whether a plan's eCBF rows a . v_step + b at its own ``states`` are degenerate or below -1e-6."""
-        try:
-            rows = grid.rows(states)
-        except DegenerateGradient:
-            return True
-        return np.min(np.sum(rows.a * inputs[rows.step], axis=1) + rows.b, initial=math.inf) < -1e-6
 
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
@@ -476,11 +477,9 @@ class SimWorld:
                 )
             except DegenerateGradient:
                 sol = None
-            if sol is not None and sol.sqp_passes == SQP_MAX_PASSES and not sol.converged:
-                self.capped_solves[i] += 1
-                if sol.slack <= 1e-6:
-                    states = rollout(spec, measured[i + 1, 1], sol.inputs + ff_samples[i])
-                    self.capped_own_row_failures[i] += self._breaks_own_rows(grid, states, sol.inputs)
+            if sol is not None:  # the solves that took the second QP, and the zero-slack relaxed ones
+                self.capped_solves[i] += sol.sqp_passes == 2
+                self.capped_own_row_failures[i] += not sol.converged and sol.slack <= ROW_TOL
             if sol is None or not math.isfinite(sol.slack):
                 self.infeasible_streak[i] += 1
                 if self.infeasible_streak[i] >= self.horizon:

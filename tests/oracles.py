@@ -152,35 +152,7 @@ def random_feasible_qp(rng: np.random.Generator, n_vars: int, n_rows: int):
     return hessian, linear, a_in, b_in
 
 
-def reference_equality_start(h_inv, z, a, b, guess, tol):
-    """The solver's warm start as first written, one numpy call per scalar decision."""
-    rows = np.flatnonzero(guess)
-    a_g = a[rows]
-    step = h_inv @ a_g.T
-    gram = a_g @ step
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(pivots <= tol * np.maximum(1.0, np.sum(a_g**2, axis=1))):
-        return None
-    rhs = b[rows] - a_g @ z
-    duals = np.zeros(a.shape[0])
-    keep = np.arange(rows.size)
-    solves = 0
-    while keep.size:
-        solves += 1
-        lam = np.linalg.solve(gram[np.ix_(keep, keep)], rhs[keep])
-        if not np.all(np.isfinite(lam)):
-            return None
-        if np.min(lam) >= 0.0:
-            duals[rows[keep]] = lam
-            return z + step[:, keep] @ lam, duals, rows[keep].tolist(), solves
-        keep = np.delete(keep, np.argmin(lam))
-    return z, duals, [], solves
-
-
-def reference_dual_active_set(h_inv, g, a, b, tol, guess=None):
+def reference_dual_active_set(h_inv, g, a, b, tol):
     """The Goldfarb-Idnani loop as first written: numpy scalars, every product per inner step.
 
     Reads ``tubeform.qp.MAX_ITERATIONS`` at call time, so a test that patches
@@ -191,10 +163,6 @@ def reference_dual_active_set(h_inv, g, a, b, tol, guess=None):
     duals = np.zeros(n_rows)
     active: list[int] = []
     iterations = 0
-    if guess is not None and np.any(guess):
-        start = reference_equality_start(h_inv, z, a, b, guess, tol)
-        if start is not None:
-            z, duals, active, iterations = start
     while iterations < tubeform_qp.MAX_ITERATIONS:
         iterations += 1
         slack = a @ z - b if n_rows else np.zeros(0)
@@ -246,23 +214,22 @@ def reference_dual_active_set(h_inv, g, a, b, tol, guess=None):
     return z, duals, tubeform_qp.MAX_ITER, iterations, active
 
 
-def reference_solve_qp(qp, tol: float = 1e-10, active=None):
+def reference_solve_qp(qp, tol: float = 1e-10):
     """``solve_qp`` through the reference loop: (z, duals, status, iterations, active mask)."""
     a = qp.a_in if qp.a_in.size else np.zeros((0, qp.linear.shape[0]))
     b = qp.b_in if qp.a_in.size else np.zeros(0)
     h_inv = np.linalg.inv(qp.hessian) if qp.hessian_inv is None else qp.hessian_inv
-    z, duals, status, iterations, rows = reference_dual_active_set(h_inv, qp.linear, a, b, tol, active)
+    z, duals, status, iterations, rows = reference_dual_active_set(h_inv, qp.linear, a, b, tol)
     mask = np.zeros(b.size, dtype=bool)
     mask[rows] = True
     return z, duals, status, iterations, mask
 
 
 class RecordedQp(NamedTuple):
-    """One ``solve_qp`` call of a run: its problem, tolerance and active-set guess, all copies."""
+    """One ``solve_qp`` call of a run: its problem, a copy, and its tolerance."""
 
     qp: object
     tol: float
-    active: np.ndarray | None
 
 
 @dataclass
@@ -303,10 +270,9 @@ def recorded_solves():
         record.solution = solve_ocp(spec, *arrays, row_builder=row_builder)
         return record.solution
 
-    def recording_qp(qp, tol=1e-10, active=None):
-        guess = None if active is None else active.copy()
-        records[-1].qps.append(RecordedQp(copy.deepcopy(qp), tol, guess))
-        return solve_qp(qp, tol=tol, active=active)
+    def recording_qp(qp, tol=1e-10):
+        records[-1].qps.append(RecordedQp(copy.deepcopy(qp), tol))
+        return solve_qp(qp, tol=tol)
 
     tubeform_sim.solve_ocp, tubeform_ocp.solve_qp = recording_ocp, recording_qp
     try:
@@ -488,9 +454,10 @@ def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs) -> HardRowQp:
     The rows, in ``build_qp``'s order, are the input box (per step and axis
     v >= -bound, then -v >= -bound), the error box (per step 1..H and finite
     entry, e <= bound, then e >= -bound), the barrier ``rows`` (``a . v_step +
-    b >= 0``) and the terminal ellipsoid's supporting hyperplane at the
-    terminal error ``lin_inputs`` reach: the exact-penalty QP without its
-    slack variables.
+    grad . (x_step - x_lin_step) + b >= 0``, the nominal states x from the
+    explicit recurrence and x_lin those that ``lin_inputs`` reach) and the
+    terminal ellipsoid's supporting hyperplane at the terminal error
+    ``lin_inputs`` reach: the exact-penalty QP without its slack variables.
     """
     h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
     cp = condensed_plan(spec, e0, s_seq)
@@ -522,9 +489,14 @@ def hard_row_qp(spec, e0, s_seq, v_prev, rows, lin_inputs) -> HardRowQp:
                 for sign in (-1.0, 1.0):
                     a_in.append(sign * cp.err_map[step, j])
                     b_in.append(-spec.error_box[j] - sign * cp.err_off[step, j])
-    for step, a, b in zip(rows.step, rows.a, rows.b):
-        a_in.append(a @ v_map[step])
-        b_in.append(-b - a @ v_off[step])
+    # a row linearized at ``lin_inputs`` in its state too: grad . (x_step - x_step at lin_inputs)
+    x_off = chain_recurrence(spec.ad, spec.bd, np.zeros(nd), v_off - lin_inputs)
+    x_map = np.stack(
+        [chain_recurrence(spec.ad, spec.bd, np.zeros(nd), v_map[..., j]) for j in range(n_free)], axis=-1
+    )
+    for step, a, b, grad in zip(rows.step, rows.a, rows.b, rows.grad):
+        a_in.append(a @ v_map[step] + grad @ x_map[step])
+        b_in.append(-b - a @ v_off[step] - grad @ x_off[step])
     e_ref = chain_recurrence(spec.ad, spec.bd, e0, s_seq - spec.coupling * lin_inputs)[-1]
     level = float(e_ref @ spec.pr @ e_ref)
     if np.isfinite(spec.terminal_level) and level > 1e-12:

@@ -143,9 +143,10 @@ class TestStackedRows:
     def assert_same_rows(lie, row, single_lie, single_row, idx):
         for stacked, single in zip(lie, single_lie):  # values, input row, drift
             np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-13)
-        (a, b), (single_a, single_b) = row, single_row
+        (a, b, grad), (single_a, single_b, single_grad) = row, single_row
         np.testing.assert_allclose(a[idx], single_a, rtol=1e-13, atol=1e-13)
         assert b[idx] == pytest.approx(single_b, rel=1e-13, abs=1e-13)
+        np.testing.assert_allclose(grad[idx], single_grad, rtol=1e-13, atol=1e-13)
 
     def test_obstacle_stack_matches_row_by_row(self):
         rng = np.random.default_rng(21)
@@ -291,7 +292,7 @@ class TestAssembleRow:
         h_min = np.inf
         dt = 1e-3
         for step in range(8000):
-            a, b = assemble_row(KAPPA, DIMS, x, center, 1.0, 0.0, 0.0, ZERO_TOP)
+            a, b, _ = assemble_row(KAPPA, DIMS, x, center, 1.0, 0.0, 0.0, ZERO_TOP)
             # least-norm input satisfying a.v + b >= 0
             viol = -b
             if viol > 0.0:
@@ -309,26 +310,62 @@ class TestAssembleRow:
 
 class TestRowGridActivation:
     def test_a_cell_exactly_at_the_activation_range_is_a_row_one_just_beyond_is_not(self):
-        """The obstacle activation test reads the input row's norm, ||2 (x - c)|| <= 2 activation:
-        at step 0 one obstacle lies exactly 5 from the state and one an ulp beyond, with
-        activation 5; every step keeps the neighbor cell, and step 1 is out of every range. The
-        kept rows are ``assemble_row``'s, bit for bit."""
+        """One rule for every cell reads the input row's norm, ||2 (x - x_other)|| <= 2 activation:
+        at step 0 an obstacle and a pair cell lie exactly 5 from the state and one of each an ulp
+        beyond, with activation 5; at step 1 only the second pair cell's predicted chain is in range.
+        The kept rows and gradients are ``assemble_row``'s, bit for bit."""
         at, beyond = (3.0, 4.0), (3.0, np.nextafter(4.0, 5.0))
         assert np.linalg.norm(at) == 5.0 < np.linalg.norm(beyond)
-        chains = np.array([center_chain(at), center_chain(beyond), center_chain((-1.0, 0.0)) + 0.5])
-        x_other = np.broadcast_to(chains, (2, 3, 6))
-        top_exo = np.full((2, 3, 2), 0.25)
-        keep_out, radius_other = np.array([1.0, 1.0, 0.4]), np.array([0.0, 0.0, 0.1])
-        grid = RowGrid(KAPPA, DIMS, x_other, top_exo, keep_out, 0.2, radius_other, np.array([0, 0, 1]), 2, 5.0)
+        pair_at = np.r_[-4.0, 3.0, 0.5, -0.25, 0.1, 0.2]
+        pair_beyond = np.r_[np.nextafter(-4.0, -5.0), 3.0, 0.5, -0.25, 0.1, 0.2]
+        assert np.linalg.norm(pair_at[:2]) == 5.0 < np.linalg.norm(pair_beyond[:2])
+        x_other = np.stack([[center_chain(at), center_chain(beyond), pair_at, pair_beyond]] * 2)
+        x_other[1, 3, :2] = (-19.0, 0.5)
+        top_exo = np.full((2, 4, 2), 0.25)
+        keep_out, radius_other = np.array([1.0, 1.0, 0.3, 0.3]), np.array([0.0, 0.0, 0.1, 0.15])
+        group = np.array([0, 0, 1, 1])
+        grid = RowGrid(KAPPA, DIMS, x_other, top_exo, keep_out, 0.2, radius_other, group, 5.0)
         states = np.zeros((3, 6))
         states[1, :2] = (-20.0, 0.0)
-        rows = grid.rows(states)
+        inputs = np.arange(6.0).reshape(3, 2)
+        rows = grid.rows(states, inputs)
         assert list(zip(rows.step.tolist(), rows.group.tolist())) == [(0, 0), (0, 1), (1, 1)]
-        for r, (step, cell) in enumerate([(0, 0), (0, 2), (1, 2)]):
-            a, b = assemble_row(KAPPA, DIMS, states[step], chains[cell], keep_out[cell], 0.2,
-                                radius_other[cell], top_exo[step, cell])
-            assert np.array_equal(rows.a[r], a) and rows.b[r] == b
-        # a range just below 5 drops the cell at 5 too; one just above keeps both
-        assert grid._replace(activation=np.nextafter(5.0, 0.0)).rows(states).step.tolist() == [0, 1]
-        wider = grid._replace(activation=5.0 + 4 * np.spacing(5.0)).rows(states)
-        assert list(zip(wider.step.tolist(), wider.group.tolist())) == [(0, 0), (0, 0), (0, 1), (1, 1)]
+        for r, (step, cell) in enumerate([(0, 0), (0, 2), (1, 3)]):
+            a, b, grad = assemble_row(KAPPA, DIMS, states[step], x_other[step, cell], keep_out[cell], 0.2,
+                                      radius_other[cell], top_exo[step, cell], inputs[step])
+            assert np.array_equal(rows.a[r], a) and rows.b[r] == b and np.array_equal(rows.grad[r], grad)
+        # a range just below 5 drops both cells at 5 too; one just above keeps all four
+        assert grid._replace(activation=np.nextafter(5.0, 0.0)).rows(states, inputs).step.tolist() == [1]
+        wider = grid._replace(activation=5.0 + 4 * np.spacing(5.0)).rows(states, inputs)
+        assert list(zip(wider.step.tolist(), wider.group.tolist())) == [(0, 0), (0, 0), (0, 1), (0, 1), (1, 1)]
+
+
+class TestRowGradient:
+    """``assemble_row``'s ``grad`` against central differences of a . v + b in the own state."""
+
+    @pytest.mark.parametrize("kind", ["obstacle", "pair"])
+    def test_gradient_matches_central_differences(self, kind):
+        rng = np.random.default_rng(31 if kind == "obstacle" else 32)
+        for _ in range(20):
+            x = rng.normal(size=6) * 1.5
+            other = center_chain(rng.normal(size=2)) if kind == "obstacle" else rng.normal(size=6)
+            keep_out, r_self = rng.uniform(0.2, 0.8), rng.uniform(0.0, 0.3)
+            r_other = 0.0 if kind == "obstacle" else rng.uniform(0.0, 0.3)
+            top_exo, v = rng.normal(size=2), rng.normal(size=2)
+
+            def row(state):
+                a, b, _ = assemble_row(KAPPA, DIMS, state, other, keep_out, r_self, r_other, top_exo, v)
+                return float(a @ v + b)
+
+            _, _, grad = assemble_row(KAPPA, DIMS, x, other, keep_out, r_self, r_other, top_exo, v)
+            step = 1e-5
+            for comp in range(6):
+                bump = np.zeros(6)
+                bump[comp] = step
+                fd = (row(x + bump) - row(x - bump)) / (2 * step)
+                assert grad[comp] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_omitted_inputs_are_zero_inputs(self):
+        x, other = np.r_[1.0, -0.5, 0.2, 0.3, -0.1, 0.4], center_chain((0.3, 0.2))
+        args = (KAPPA, DIMS, x, other, 0.5, 0.1, 0.0, np.r_[0.2, -0.3])
+        np.testing.assert_array_equal(assemble_row(*args)[2], assemble_row(*args, np.zeros(2))[2])

@@ -65,12 +65,13 @@ class TestCertify:
         assert doc["scenario_sha256"]
 
     def test_certificate_key_order(self, certified):
-        """Each section keeps its key order, so certificates written before still load and check."""
+        """Each section keeps its key order; the protected pairs follow the bound, as follower ids."""
         doc = json.loads(certified.read_text())
         assert list(doc) == [
-            "scenario_name", "scenario_sha256", "sv_min", "formation_error_bound", "leader",
-            "agents",
+            "scenario_name", "scenario_sha256", "sv_min", "formation_error_bound", "protected_pairs",
+            "leader", "agents",
         ]
+        assert doc["protected_pairs"] == [[1, 2], [2, 1]]
         assert list(doc["leader"]) == [
             "mode", "rho0", "r_ball", "lyapunov_residual", "lambda_min_p", "lambda_max_p", "p",
         ]
@@ -350,11 +351,12 @@ class TestRun:
         assert summary["max_leader_occupancy_pre_anchor"] >= summary["max_tube_occupancy"]["occ0"]
 
     def test_capped_solves_are_counted_in_summary(self, run_dir):
-        """Per follower, smoke's solves that hit the SQP pass cap unconverged, and of those the
-        zero-slack plans that break their own eCBF rows (ROADMAP item 1), as integers."""
+        """Per follower, smoke's solves that took the second QP, and the solves reported relaxed
+        because their zero-slack plan still breaks its own eCBF rows, as integers: on smoke every
+        first plan holds its own rows, so both read 0."""
         summary = json.loads((run_dir / "summary.json").read_text())
-        assert summary["capped_solves"] == {"1": 19, "2": 19}
-        assert summary["capped_own_row_failures"] == {"1": 18, "2": 19}
+        assert summary["capped_solves"] == {"1": 0, "2": 0}
+        assert summary["capped_own_row_failures"] == {"1": 0, "2": 0}
         counts = [*summary["capped_solves"].values(), *summary["capped_own_row_failures"].values()]
         assert all(type(count) is int for count in counts)
 
@@ -525,6 +527,8 @@ class TestRun:
                 "agents[1].margin_mode is 'certified', recertified 'declared'",
             ),
             (lambda doc: doc.update(note="extra"), "unknown entry note"),
+            (lambda doc: doc.pop("protected_pairs"), "missing protected_pairs[0]"),
+            (lambda doc: doc.update(protected_pairs=[[2, 1]]), "protected_pairs[0] is [2, 1], recertified [1, 2]"),
             (
                 lambda doc: doc["agents"][0].update(lyapunov_residual=1.0),
                 "agents[0].lyapunov_residual is 1.0",
@@ -534,7 +538,7 @@ class TestRun:
             "margin_radius", "formation_error_bound", "no_agents", "gain", "p_shape", "r",
             "input_bound_tightened", "baseline_r_ball", "leader_r_ball", "hops",
             "sv_min", "scenario_name", "w_eff", "zbar", "q", "id", "leader_p", "margin_mode",
-            "extra_key", "lyapunov_residual",
+            "extra_key", "no_protected_pairs", "protected_pairs", "lyapunov_residual",
         ],
     )
     def test_edited_certificate_exit_1(self, certified, tmp_path, capsys, edit, field):

@@ -133,7 +133,7 @@ def neighbor_sum_sync_error(i, states, g, offsets):
     """Explicit e^i = -sum_j nu1 a_ij (q_i - q_j) - nu2 b_i0 (q_i - q_0), q = x - psi."""
     own = states[i + 1] - offsets[i + 1]
     err = np.zeros_like(own)
-    for j in g.neighbors(i):
+    for j in np.flatnonzero(g.adjacency[i] > 0.0):
         err -= g.nu1 * g.adjacency[i, j] * (own - (states[j + 1] - offsets[j + 1]))
     if g.b0[i] > 0.0:
         err -= g.nu2 * g.b0[i] * (own - (states[0] - offsets[0]))
@@ -143,7 +143,7 @@ def neighbor_sum_sync_error(i, states, g, offsets):
 def neighbor_sum_zbar(i, radii, r0, g):
     """Explicit zbar_i = (nu1 d_i + nu2 b_i0) r_i + sum_j nu1 a_ij r_j + nu2 b_i0 r0."""
     out = (g.nu1 * float(np.sum(g.adjacency[i])) + g.nu2 * float(g.b0[i])) * radii[i]
-    for j in g.neighbors(i):
+    for j in np.flatnonzero(g.adjacency[i] > 0.0):
         out += g.nu1 * g.adjacency[i, j] * radii[j]
     return out + g.nu2 * float(g.b0[i]) * r0
 

@@ -7,7 +7,7 @@ from tubeform.errors import GraphNotRooted
 from tubeform.graph import CommGraph
 from tubeform.models import BrunovskyDims
 from tubeform.ocp import OcpSpec, rollout, terminal_ingredients
-from tubeform.protocol import initial_broadcast, relayed_estimates, shift_plan
+from tubeform.protocol import initial_broadcast, protected_pairs, relayed_estimates, shift_plan
 
 from oracles import relay_round
 
@@ -30,24 +30,26 @@ def minimal_spec(dims, ts=0.1, horizon=5):
 
 class TestInitialBroadcast:
     def test_no_edges(self):
-        g = CommGraph(adjacency=np.zeros((1, 1)), b0=np.array([1.0]))
-        assert np.array_equal(initial_broadcast([0.1], g), np.zeros((1, 1)))
+        """One follower has no pair to protect: no message, an all-zero table."""
+        assert protected_pairs(1).shape == (0, 2)
+        assert np.array_equal(initial_broadcast([0.1], protected_pairs(1)), np.zeros((1, 1)))
 
     def test_complete_graph(self):
-        adjacency = np.ones((3, 3)) - np.eye(3)
-        g = CommGraph(adjacency=adjacency, b0=np.array([1.0, 0.0, 0.0]))
-        table = initial_broadcast([0.1, 0.2, 0.3], g)
+        table = initial_broadcast([0.1, 0.2, 0.3], protected_pairs(3))
         assert table.tolist() == [[0.0, 0.2, 0.3], [0.1, 0.0, 0.3], [0.1, 0.2, 0.0]]
 
     def test_message_count_is_edge_count(self):
-        """Row i holds r_j exactly on i's in-neighbors j, one scalar per directed edge."""
+        """Row i holds r_j exactly on the protected pairs (i, j), one scalar per directed edge of the
+        complete follower graph, N(N-1), whatever the communication graph: here a path."""
         g = chain_graph()
         radii = 0.1 * np.arange(1, 6)
-        table = initial_broadcast(radii, g)
-        assert np.count_nonzero(table) == int(np.sum(g.adjacency > 0))
+        pairs = protected_pairs(g.n_followers)
+        assert pairs.tolist() == [[i, j] for i in range(5) for j in range(5) if i != j]
+        table = initial_broadcast(radii, pairs)
+        assert np.count_nonzero(table) == len(pairs) == 20 > int(np.sum(g.adjacency > 0))
         for i in range(5):
             for j in range(5):
-                assert table[i, j] == (radii[j] if j in g.neighbors(i) else 0.0)
+                assert table[i, j] == (radii[j] if j != i else 0.0)
 
 
 class TestShiftPlan:

@@ -591,6 +591,28 @@ class TestIntervalMaps:
             world._integrate_interval(k)
 
 
+class TestSolveCounts:
+    def test_capped_counts_read_the_returned_solutions(self):
+        """Over a 3 s ablation run with ``--baseline-margins``, each follower's ``capped_solves``
+        counts its solves that took the second QP, and ``capped_own_row_failures`` those returned
+        relaxed with zero slack, whose plan still breaks its own rows; both occur there."""
+        cfg = load_scenario(ABLATION)
+        cert = certify_scenario(cfg, spot_checks=False)
+        with recorded_solves() as solves:
+            world = run_simulation(cfg, cert, t_end=3.0, baseline_margins=True).world
+        second, own_row = np.zeros(world.n, int), np.zeros(world.n, int)
+        for index, record in enumerate(solves):
+            sol, i = record.solution, index % world.n
+            second[i] += sol.sqp_passes == 2
+            if sol.status == "Infeasible" and sol.slack <= 1e-6:
+                spec, x0, ff = record.args[0], record.args[2], record.args[4]
+                rows = record.grid.rows(rollout(spec, x0, sol.inputs + ff), sol.inputs)
+                assert np.min(np.sum(rows.a * sol.inputs[rows.step], axis=1) + rows.b) < -1e-6
+                own_row[i] += 1
+        assert world.capped_solves.tolist() == second.tolist() and second.sum() > 0
+        assert world.capped_own_row_failures.tolist() == own_row.tolist() and own_row.sum() > 0
+
+
 class TestStateRecord:
     def test_each_solve_starts_from_its_step_row_of_the_trace(self):
         """Over a smoke run, solve (k, i) reads the trace's row k fs: its nominal state is bit for
@@ -675,41 +697,43 @@ class TestWorldDrift:
             np.testing.assert_allclose(team[i], alone, rtol=1e-14, atol=1e-14)
 
 
-def oracle_rows(world, i, k, ff_seq, preds, shifted, states):
-    """One assemble_row call per (step, obstacle) and (step, neighbor) row; no neighbors at k = 0."""
-    margin_i = world.margins[i]
+def oracle_rows(world, i, k, ff_seq, preds, shifted, states, inputs):
+    """One assemble_row call per (step, obstacle) and (step, other follower) cell within the
+    activation range of the state, at the plan ``inputs``; no follower cells at k = 0."""
+    margin_i, d = world.margins[i], world.d
     out = []
     for l in range(world.horizon - 1):
         xl = states[l]
+        cells = []
         for obstacle in world.cfg.obstacles:
-            dist = np.linalg.norm(xl[: world.d] - np.asarray(obstacle.center))
-            if dist > world.cfg.barriers.activation_range:
-                continue
             chain = np.zeros(world.nd)
-            chain[: world.d] = obstacle.center
-            a, b = assemble_row(
-                world.kappa, world.dims, xl, chain, obstacle.effective_radius,
-                margin_i, 0.0, ff_seq[l],
+            chain[:d] = obstacle.center
+            cells.append((chain, obstacle.effective_radius, 0.0, ff_seq[l], 0))
+        for j in range(world.n) if k > 0 else []:
+            if j != i:
+                top_exo = ff_seq[l] - (shifted[j][l] + ff_seq[l])
+                cells.append((preds[i, j, l], world.cfg.barriers.d_safe, world.margins[j], top_exo, 1))
+        for chain, keep_out, radius_other, top_exo, group in cells:
+            if np.linalg.norm(xl[:d] - chain[:d]) > world.cfg.barriers.activation_range:
+                continue
+            a, b, grad = assemble_row(
+                world.kappa, world.dims, xl, chain, keep_out, margin_i, radius_other, top_exo, inputs[l]
             )
-            out.append((l, a, b, 0))
-        for j in world.graph.neighbors(i) if k > 0 else []:
-            a, b = assemble_row(
-                world.kappa, world.dims, xl, preds[i, j, l], world.cfg.barriers.d_safe,
-                margin_i, world.radius_table[i, j], ff_seq[l] - (shifted[j][l] + ff_seq[l]),
-            )
-            out.append((l, a, b, 1))
+            out.append((l, a, b, group, grad))
     return out
 
 
-def assert_rows_match_oracle(world, i, k, ff, preds, shifted, states):
-    """Agent i's grid rows at ``states`` are the oracle's, in its order; returns them."""
-    rows = world._row_grid(i, k, ff[i], preds, shifted).rows(states)
-    expected = oracle_rows(world, i, k, ff[i], preds, shifted, states)
+def assert_rows_match_oracle(world, i, k, ff, preds, shifted, states, inputs):
+    """Agent i's grid rows at ``states`` and ``inputs`` are the oracle's, in its order; returns them."""
+    rows = world._row_grid(i, k, ff[i], preds, shifted).rows(states, inputs)
+    expected = oracle_rows(world, i, k, ff[i], preds, shifted, states, inputs)
     assert list(zip(rows.step.tolist(), rows.group.tolist())) == [(r[0], r[3]) for r in expected]
     assert np.all(rows.step < world.horizon - 1)
     ref_a = np.reshape([r[1] for r in expected], (-1, world.d))
     np.testing.assert_allclose(rows.a, ref_a, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(rows.b, [r[2] for r in expected], rtol=1e-12, atol=1e-12)
+    ref_grad = np.reshape([r[4] for r in expected], (-1, world.nd))
+    np.testing.assert_allclose(rows.grad, ref_grad, rtol=1e-12, atol=1e-12)
     return rows
 
 
@@ -754,15 +778,16 @@ class TestRowBuilder:
             warm = shift_plan(world.plans[i], world.terminal[i], world.specs[i].terminal_gain)
             np.testing.assert_array_equal(shifted[i], warm)
             states = rollout(world.specs[i], followers_at(world, k)[i, 1], warm + ff[i])
-            rows = assert_rows_match_oracle(world, i, k, ff, preds, shifted, states)
+            rows = assert_rows_match_oracle(world, i, k, ff, preds, shifted, states, warm)
             n_obstacle = int(np.sum(rows.group == 0))
             kept += n_obstacle
             filtered += (world.horizon - 1) * len(world.cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
 
     def test_neighbor_radii_are_the_radius_table_entries(self):
-        """After deployment each neighbor cell carries d_safe and the neighbor's broadcast
-        radius, in neighbor order: a paper copy whose followers' margins all differ."""
+        """After deployment each agent has a pair cell for every other follower, graph neighbor
+        or not, in index order, carrying d_safe and that follower's broadcast radius: a paper
+        copy whose followers' margins all differ."""
         doc = json.loads(open(PAPER).read())
         margins = [0.10, 0.11, 0.12, 0.13, 0.14]
         for agent, margin in zip(doc["agents"], margins):
@@ -774,7 +799,7 @@ class TestRowBuilder:
         shifted, preds, _ = world._neighbor_data(1, ff)
         n_obs = len(cfg.obstacles)
         for i in range(world.n):
-            nbrs = world.graph.neighbors(i)
+            nbrs = [j for j in range(world.n) if j != i]
             grid = world._row_grid(i, 1, ff[i], preds, shifted)
             assert grid.x_other.shape == (world.horizon - 1, n_obs + len(nbrs), world.nd)
             assert grid.radius_other[n_obs:].tolist() == world.radius_table[i, nbrs].tolist()
@@ -813,7 +838,7 @@ class TestRowBuilder:
             shifted, preds, _ = world._neighbor_data(k, ff)
             for i in range(world.n):
                 states = rollout(world.specs[i], followers_at(world, k)[i, 1], shifted[i] + ff[i])
-                assert_rows_match_oracle(world, i, k, ff, preds, shifted, states)
+                assert_rows_match_oracle(world, i, k, ff, preds, shifted, states, shifted[i])
             world.step(k)
 
     @pytest.mark.parametrize("activation_range", [5.0, -1.0])
@@ -828,11 +853,11 @@ class TestRowBuilder:
         ff = world.leader_plan.ff_samples[0]
         shifted, preds, _ = world._neighbor_data(0, ff)
         grid = world._row_grid(0, 0, ff[0], preds, shifted)  # obstacles only at deployment
-        states = np.ones((world.horizon + 1, world.nd))
-        assert grid.rows(states).step.size == (world.horizon - 1) * (activation_range > 0)
+        states, inputs = np.ones((world.horizon + 1, world.nd)), np.ones((world.horizon, world.d))
+        assert grid.rows(states, inputs).step.size == (world.horizon - 1) * (activation_range > 0)
         states[2, : world.d] = cfg.obstacles[0].center
         with pytest.raises(DegenerateGradient):
-            grid.rows(states)
+            grid.rows(states, inputs)
 
 
 class TestNeighborPredictions:
@@ -849,14 +874,14 @@ class TestNeighborPredictions:
         ff = world.leader_plan.ff_samples[k]
         shifted, preds, s_seqs = world._neighbor_data(k, ff)
         spec = world.specs[0]
-        edges = [(i, j) for i in range(world.n) for j in world.graph.neighbors(i)]
+        edges = [(i, j) for i in range(world.n) for j in np.flatnonzero(world.graph.adjacency[i] > 0.0)]
         assert len(edges) == np.count_nonzero(world.graph.adjacency)
         for i, j in edges:
             ref = chain_recurrence(spec.ad, spec.bd, followers_at(world, k)[j, 0], shifted[j] + ff[i])
             np.testing.assert_allclose(preds[i, j], ref, rtol=1e-12, atol=1e-12)
         g = world.graph
         for i in range(world.n):
-            ref = sum(g.nu1 * g.adjacency[i, j] * shifted[j] for j in g.neighbors(i))
+            ref = sum(g.nu1 * g.adjacency[i, j] * shifted[j] for j in np.flatnonzero(g.adjacency[i] > 0.0))
             np.testing.assert_allclose(s_seqs[i], ref, rtol=1e-12, atol=1e-15)
 
     def test_non_finite_prediction_raises(self):
@@ -1037,7 +1062,7 @@ class TestShiftedPlans:
             warm = shift_plan(world.plans[j], world.terminal[j], world.specs[j].terminal_gain)
             np.testing.assert_array_equal(shifted[j], warm)
         s_seq = np.zeros_like(shifted[0])
-        for j in world.graph.neighbors(0):
+        for j in np.flatnonzero(world.graph.adjacency[0] > 0.0):
             s_seq += world.graph.nu1 * world.graph.adjacency[0, j] * shifted[j]
 
         stats = world.step(k_fail)
@@ -1208,9 +1233,6 @@ class TestTubeMonitoring:
             named.setdefault(v.kind, (v.agent, v.other))
         assert named["obstacle_clearance"] == (4, 0) and named["pairwise_clearance"] == (3, 5)
 
-    @pytest.mark.xfail(
-        strict=True, reason="followers 1 and 4 share no inter-agent row and collide (ROADMAP item 18)"
-    )
     def test_ball_paper_copy_keeps_every_pair_apart(self):
         """The paper scenario with every disturbance a seeded ball of its declared bound, seed 0,
         as the benchmark builds its ball workload: a 2 s run violates no pairwise clearance."""
