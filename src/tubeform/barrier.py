@@ -17,12 +17,15 @@ chain's broadcast radius r_j, which is 0 for an obstacle.
 
 ``assemble_row`` also returns each tightened row's gradient in the own state,
 in closed form, so the OCP can linearize a row in the state its plan
-reaches as well as in the input.
+reaches as well as in the input. ``row_values`` gives the same rows without
+the gradient, for a check that only reads their values.
 
-One agent's rows at one sampling step are data, a ``RowGrid`` of operands
-per (step, obstacle + other follower) cell: ``RowGrid.rows`` evaluates them
-with one ``assemble_row`` call into the ``BarrierRows`` block the OCP solves,
-keeping the cells within the activation range by one rule for every cell.
+The team's rows at one sampling step are data, a ``RowGrid`` of operands
+per (agent, step, obstacle + other follower) cell: ``RowGrid.team_rows``
+evaluates them with one ``assemble_row`` call into one ``BarrierRows`` block
+per agent, keeping the cells within the activation range by one rule for
+every cell. One agent's grid (``RowGrid.agent``) evaluates its rows at
+another plan (``rows``) or only their least value (``guard``).
 """
 
 from __future__ import annotations
@@ -132,6 +135,25 @@ def _state_weights(kappa: tuple[float, ...]) -> np.ndarray:
     return out
 
 
+def _tightened(kappa: EcbfCoefficients, dims: BrunovskyDims, blocks: np.ndarray, keep_out, radius_self,
+               radius_other, top_exo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``row_values`` on the offset chain's (..., n, d) derivative ``blocks``."""
+    values, a, b = _lie_terms(dims, blocks, keep_out, top_exo)
+    grad_norm = np.linalg.norm(a, axis=-1)
+    margin = radius_self * grad_norm + radius_other * grad_norm
+    for q in range(1, dims.n):
+        b = b + kappa.kappa[q] * values[..., q]
+    b = b + kappa.kappa[0] * (values[..., 0] - margin)
+    return a, b, grad_norm
+
+
+def row_values(kappa: EcbfCoefficients, dims: BrunovskyDims, x_self, x_other, keep_out, radius_self, radius_other,
+               top_exo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``assemble_row``'s rows ``a . v + b >= 0``, bit for bit, without the state gradient: ``(a, b, norm)``
+    with ``norm`` = ||a|| (...), twice the position offset's length, which the tightening already forms."""
+    return _tightened(kappa, dims, _offset_blocks(dims, x_self, x_other), keep_out, radius_self, radius_other, top_exo)
+
+
 def assemble_row(
     kappa: EcbfCoefficients,
     dims: BrunovskyDims,
@@ -154,13 +176,8 @@ def assemble_row(
     (r_self + r_other) D^0 / ||D^0|| on the position block.
     """
     blocks = _offset_blocks(dims, x_self, x_other)
-    values, a, b = _lie_terms(dims, blocks, keep_out, top_exo)
-    grad_norm = np.linalg.norm(a, axis=-1)
+    a, b, grad_norm = _tightened(kappa, dims, blocks, keep_out, radius_self, radius_other, top_exo)
     radii = radius_self + radius_other
-    margin = radius_self * grad_norm + radius_other * grad_norm
-    for q in range(1, dims.n):
-        b = b + kappa.kappa[q] * values[..., q]
-    b = b + kappa.kappa[0] * (values[..., 0] - margin)
     grad = _state_weights(kappa.kappa) @ blocks
     top = top_exo if inputs is None else top_exo + inputs
     grad[..., 0, :] += 2.0 * top - (2.0 * kappa.kappa[0] * radii / grad_norm)[..., None] * a
@@ -186,32 +203,84 @@ class BarrierRows(NamedTuple):
 
 
 class RowGrid(NamedTuple):
-    """One agent's ``assemble_row`` operands over the (step, obstacle + other follower) grid of one solve.
+    """``assemble_row`` operands over the (step, obstacle + other follower) grid of one solve.
 
     The steps are the free inputs 0..H-2; the cells are the obstacles, as
-    constant center chains, then the other followers, as predicted chains, by index.
+    constant center chains, then the other followers, as predicted chains, by
+    index. A team grid carries a leading agent axis on every per-agent field
+    (N, H-1, cells, ...) for one sampling step: ``team_rows`` evaluates every
+    agent's rows at once and ``agent`` is one agent's grid, the fields at its index.
     """
 
     kappa: EcbfCoefficients
     dims: BrunovskyDims
-    x_other: np.ndarray  # (H-1, cells, nd) the other chains
-    top_exo: np.ndarray  # (H-1, cells, d) own feedforward minus the other chain's top derivative
-    keep_out: np.ndarray  # (cells,)
-    margin: float  # the own tube radius
-    radius_other: np.ndarray  # (cells,) 0 per obstacle, then each other follower's broadcast radius
-    group: np.ndarray  # (cells,) 0 per obstacle, then 1 per other follower
+    x_other: np.ndarray  # ([N,] H-1, cells, nd) the other chains
+    top_exo: np.ndarray  # ([N,] H-1, cells, d) own feedforward minus the other chain's top derivative
+    keep_out: np.ndarray  # ([N,] cells)
+    margin: float | np.ndarray  # ([N]) the own tube radius
+    radius_other: np.ndarray  # ([N,] cells) 0 per obstacle, then each other follower's broadcast radius
+    group: np.ndarray  # ([N,] cells) 0 per obstacle, then 1 per other follower
     activation: float  # a cell is a row only within this distance of the other chain's position
 
-    def rows(self, states: np.ndarray, inputs: np.ndarray) -> BarrierRows:
-        """The rows at the (H+1, nd) nominal ``states`` and their (H, d) ``inputs``, the active
-        cells in row-major order: per step, the cells within the activation range.
+    def agent(self, i: int) -> RowGrid:
+        """Agent i's grid of a team grid: its per-agent fields at index i, views."""
+        return self._replace(
+            x_other=self.x_other[i], top_exo=self.top_exo[i], keep_out=self.keep_out[i],
+            margin=self.margin[i], radius_other=self.radius_other[i], group=self.group[i],
+        )
 
-        A cell's input row is a = 2 (x - x_other) on the position block, so ||a|| <= 2 activation
-        is the distance test, bit for bit: doubling scales each square and their sum by exactly 4.
-        """
-        steps = len(self.x_other)
-        xs, vs = states[:steps, None], inputs[:steps, None]
-        ops = self.x_other, self.keep_out, self.margin, self.radius_other, self.top_exo, vs
-        a, b, grad = assemble_row(self.kappa, self.dims, xs, *ops)
-        step, col = (np.linalg.norm(a, axis=-1) <= 2.0 * self.activation).nonzero()
+    def _operands(self, states: np.ndarray) -> tuple:
+        """``assemble_row``'s operands after the coefficients, at the ([N,] H+1, nd) ``states``: the states
+        over a cell axis, the per-cell fields over a step axis, the own radius over both."""
+        steps = self.x_other.shape[-3]
+        return (
+            states[..., :steps, None, :], self.x_other, self.keep_out[..., None, :],
+            np.asarray(self.margin)[..., None, None], self.radius_other[..., None, :], self.top_exo,
+        )
+
+    def _assemble(self, states: np.ndarray, inputs: np.ndarray) -> tuple:
+        """Every cell's (a, b, grad) and whether it is active: its input row is a = 2 (x - x_other) on
+        the position block, so ||a|| <= 2 activation is the distance test, bit for bit (doubling scales
+        each square and their sum by exactly 4)."""
+        vs = inputs[..., : self.x_other.shape[-3], None, :]
+        a, b, grad = assemble_row(self.kappa, self.dims, *self._operands(states), vs)
+        return a, b, grad, np.linalg.norm(a, axis=-1) <= 2.0 * self.activation
+
+    def rows(self, states: np.ndarray, inputs: np.ndarray) -> BarrierRows:
+        """One agent's rows at its (H+1, nd) nominal ``states`` and their (H, d) ``inputs``, the active
+        cells in row-major order: per step, the cells within the activation range."""
+        a, b, grad, active = self._assemble(states, inputs)
+        step, col = active.nonzero()
         return BarrierRows(step, a[step, col], b[step, col], self.group[col], grad[step, col])
+
+    def team_rows(self, states: np.ndarray, inputs: np.ndarray) -> list[BarrierRows | None]:
+        """Every agent's ``rows`` of a team grid at the (N, H+1, nd) ``states`` and (N, H, d) ``inputs``,
+        bit for bit, from one ``assemble_row`` call: agent i's block is a slice of the gathered rows.
+
+        Where some agent's position offset to a cell is zero, each agent is evaluated alone, and an
+        agent whose own rows raise ``DegenerateGradient`` gets None; the others' rows are unchanged.
+        """
+        try:
+            a, b, grad, active = self._assemble(states, inputs)
+        except DegenerateGradient:
+            return [_or_none(self.agent(i).rows, states[i], inputs[i]) for i in range(len(states))]
+        agent, step, col = active.nonzero()
+        a, b, grad, group = a[agent, step, col], b[agent, step, col], grad[agent, step, col], self.group[agent, col]
+        bounds = np.searchsorted(agent, np.arange(len(states) + 1))
+        return [BarrierRows(step[s], a[s], b[s], group[s], grad[s]) for s in map(slice, bounds[:-1], bounds[1:])]
+
+    def guard(self, states: np.ndarray, inputs: np.ndarray) -> float:
+        """The least active row ``a . v_step + b`` of one agent at its nominal ``states`` and their
+        ``inputs``, inf without any: ``rows``' values and activity, bit for bit, by ``row_values``,
+        without the state gradient."""
+        a, b, norm = row_values(self.kappa, self.dims, *self._operands(states))
+        step, col = (norm <= 2.0 * self.activation).nonzero()
+        return float(np.min(np.sum(a[step, col] * inputs[step], axis=1) + b[step, col], initial=math.inf))
+
+
+def _or_none(rows, *args) -> BarrierRows | None:
+    """``rows(*args)``, None where it raises ``DegenerateGradient``."""
+    try:
+        return rows(*args)
+    except DegenerateGradient:
+        return None

@@ -36,10 +36,11 @@ spec from one weighted least-squares stack, together with the Hessian and
 its inverse for each slack count. p is fixed within a solve, so
 ``solve_ocp`` evaluates the maps at it once (``qp_parameters``); each
 ``build_qp`` call adds only its barrier rows and terminal cut. The barrier
-rows arrive from the caller's ``row_builder`` (in a run,
-``barrier.RowGrid.rows``) as one ``barrier.BarrierRows`` block (step, a, b,
-group, state gradient) over every step and barrier kind; their steps are
-free inputs, so they are scattered straight into z by fancy indexing.
+rows arrive as one ``barrier.BarrierRows`` block (step, a, b, group, state
+gradient) over every step and barrier kind: at the warm start from the
+caller (in a run, the team's one evaluation), at a second linearization
+from the agent's ``barrier.RowGrid``. Their steps are free inputs, so they
+are scattered straight into z by fancy indexing.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierRows
+from .barrier import BarrierRows, RowGrid
 from .errors import DegenerateGradient, DimensionMismatch, RiccatiDiverged
 from .models import BrunovskyDims, chain_matrices
 from .qp import INFEASIBLE, QpProblem, solve_qp
@@ -421,24 +422,26 @@ def solve_ocp(
     ff_seq: np.ndarray,
     v_prev: np.ndarray,
     warm_inputs: np.ndarray,
-    row_builder,
+    grid: RowGrid,
+    rows: BarrierRows | None = None,
 ) -> OcpSolution:
     """At most two linearized QPs, each checked at the plan it returns (real-time iteration).
 
     The first QP is linearized at the warm start, the shifted previous plan:
-    its nominal states are rolled out, ``row_builder(states, inputs)`` (a
-    ``BarrierRows``, in a run ``RowGrid.rows``) gives the barrier rows with
-    their state gradients there, and ``build_qp`` linearizes them in the
-    input and the state. A guard then evaluates the rows at the returned
-    plan's own trajectory. The plan is kept when its QP needed no slack and
-    it breaks no row by more than ``ROW_TOL``; otherwise one more QP is
-    linearized at that plan, from the guard's own rows. A second plan that
-    still needs slack or breaks a row is returned ``Infeasible`` (relaxed)
-    with its QP's finite slack. A guard whose rows raise
-    ``DegenerateGradient`` counts as a broken row; it leaves nothing to
-    linearize at, so that plan is returned relaxed. ``converged`` is True
-    exactly when the returned plan holds its own rows with zero slack, and
-    ``sqp_passes`` counts the QPs, 1 or 2.
+    ``rows`` are the barrier rows with their state gradients at its nominal
+    states (in a run, the agent's block of the team's ``RowGrid.team_rows``);
+    without them, the agent's ``grid`` evaluates them at the warm start's
+    rollout. ``build_qp`` linearizes them in the input and the state. A guard
+    (``grid.guard``, the rows' values without their gradients) then
+    evaluates the rows at the returned plan's own trajectory. The plan is
+    kept when its QP needed no slack and it breaks no row by more than
+    ``ROW_TOL``; otherwise one more QP is linearized at that plan, from
+    ``grid.rows`` there. A second plan that still needs slack or breaks a
+    row is returned ``Infeasible`` (relaxed) with its QP's finite slack. A
+    guard that raises ``DegenerateGradient`` counts as a broken row; it
+    leaves nothing to linearize at, so that plan is returned relaxed.
+    ``converged`` is True exactly when the returned plan holds its own rows
+    with zero slack, and ``sqp_passes`` counts the QPs, 1 or 2.
 
     The terminal law is always substituted for the last input. Barrier rows
     are enforced on the freely optimized inputs (steps 0..H-2); the last
@@ -456,7 +459,8 @@ def solve_ocp(
     n_free = t_map.shape[1]
     params = qp_parameters(spec, e0, s_seq, v_prev)
     inputs = warm_inputs.copy()
-    rows = row_builder(rollout(spec, x0_nominal, inputs + ff_seq), inputs)
+    if rows is None:
+        rows = grid.rows(rollout(spec, x0_nominal, inputs + ff_seq), inputs)
     iterations = 0
     holds = False
     for passes in (1, 2):
@@ -466,14 +470,15 @@ def solve_ocp(
             return OcpSolution(inputs, math.inf, iterations, passes, INFEASIBLE, math.inf)
         slack = float(sol.z[n_free:].max(initial=0.0))
         inputs = (t_map @ sol.z[:n_free] + params.t_off).reshape(h, d)
+        states = rollout(spec, x0_nominal, inputs + ff_seq)
         try:
-            rows = row_builder(rollout(spec, x0_nominal, inputs + ff_seq), inputs)
+            own = grid.guard(states, inputs)  # the least row at the plan's own states
         except DegenerateGradient:
             break
-        own = np.sum(rows.a * inputs[rows.step], axis=1) + rows.b  # each row at the plan's own states
-        holds = slack <= ROW_TOL and np.min(own, initial=math.inf) >= -ROW_TOL
-        if holds:
+        holds = slack <= ROW_TOL and own >= -ROW_TOL
+        if holds or passes == 2:
             break
+        rows = grid.rows(states, inputs)
     return OcpSolution(
         inputs=inputs,
         objective=sol.objective,

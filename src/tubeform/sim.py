@@ -29,15 +29,19 @@ holds ``plans[:, 0]`` over its interval. The round is array algebra over one
 horizon map and one graph matrix: one ``shift_plan`` call shifts the last
 broadcast's plans, one ``rollout`` call gives all readers' predictions of all
 agents, the synchronization errors are -M q with the augmented Laplacian M,
-the error drives are nu1 A on the shifted plans, and each agent's eCBF rows
-are one ``barrier.RowGrid`` per step over its obstacles and, after
-deployment, every other follower (``SimWorld._row_grid``): the certificate's
-protected pairs are every ordered follower pair, graph neighbors or not, so
-a pair cell reads the reader's prediction of that follower, and the radius
-table broadcast once holds every follower's radius. ``solve_ocp`` calls the
-grid's ``rows`` at its linearization plans and at the plans it returns.
-What a grid's cells hold besides the predicted chains and tops is fixed for
-the run, one table built at construction. Two things are out of scope and
+the error drives are nu1 A on the shifted plans, and the team's eCBF rows
+are one ``barrier.RowGrid`` per step with a leading agent axis, over each
+agent's obstacles and, after deployment, every other follower
+(``SimWorld._team_grid``): the certificate's protected pairs are every
+ordered follower pair, graph neighbors or not, so a pair cell reads the
+reader's prediction of that follower, and the radius table broadcast once
+holds every follower's radius. One rollout of all shifted plans and one
+``RowGrid.team_rows`` call give every agent's rows at its warm start
+(``SimWorld._warm_rows``); each agent's ``solve_ocp`` receives its block and
+its own grid, whose ``guard`` checks the plans it returns and whose ``rows``
+linearize a second QP. What a grid's cells hold besides the predicted chains
+and tops is fixed for the run, one team table built at construction. Two
+things are out of scope and
 unmeasured: a margin for the error of the neighbor predictions (a neighbor
 may deviate from its shifted broadcast), and rows from sensed, rather than
 broadcast, neighbor positions.
@@ -291,22 +295,25 @@ class SimWorld:
         self._prev_preds = self._states[0, 1:, 0][self._edges[1]]
 
     def _init_cells(self) -> None:
-        """The per-run eCBF cell table: per agent, (others, keep-outs, other radii, groups) at
-        deployment (the obstacles only) and after it (the obstacles, then every follower it keeps
-        a pair row against, the certificate's protected pairs), and every grid's obstacle cells,
-        their constant chains and zero tops over the free steps."""
-        steps, n_obs = self.horizon - 1, len(self._obstacle_keep_out)
-        self._obstacle_cells = np.broadcast_to(self._obstacle_chains, (steps, n_obs, self.nd))
-        self._obstacle_tops = np.zeros((steps, n_obs, self.d))
+        """The per-run team eCBF cell table: (others, keep-outs, other radii, groups), one row per agent,
+        at deployment (the obstacles only) and after it (the obstacles, then every follower the agent
+        keeps a pair row against, the certificate's protected pairs: all the others, by index), and the
+        team grid's obstacle cells, their constant chains and zero tops over the free steps."""
+        n, steps, n_obs = self.n, self.horizon - 1, len(self._obstacle_keep_out)
+        self._obstacle_cells = np.broadcast_to(self._obstacle_chains, (n, steps, n_obs, self.nd))
+        self._obstacle_tops = np.zeros((n, steps, n_obs, self.d))
 
-        def cells(i: int, others: list[int]) -> tuple:
-            others = np.array(others, dtype=int)
-            keep_out = np.concatenate([self._obstacle_keep_out, np.full(len(others), self.cfg.barriers.d_safe)])
-            radius_other = np.concatenate([np.zeros(n_obs), self.radius_table[i, others]])
-            return others, keep_out, radius_other, np.repeat([0, 1], [n_obs, len(others)])
+        def cells(others: np.ndarray) -> tuple:
+            keep_out = np.full((n, n_obs + others.shape[1]), self.cfg.barriers.d_safe)
+            keep_out[:, :n_obs] = self._obstacle_keep_out
+            radius_other = np.zeros(keep_out.shape)
+            radius_other[:, n_obs:] = self.radius_table[np.arange(n)[:, None], others]
+            group = np.broadcast_to(np.repeat([0, 1], [n_obs, others.shape[1]]), keep_out.shape)
+            return others, keep_out, radius_other, group
 
         readers, others = self.cert.protected.T
-        self._cells = [(cells(i, []), cells(i, others[readers == i])) for i in range(self.n)]
+        others = np.stack([others[readers == i] for i in range(n)])
+        self._cells = cells(others[:, :0]), cells(others)
 
     # --- leader feedforward ---
 
@@ -429,10 +436,10 @@ class SimWorld:
         s_seqs = np.tensordot(self._drive_map, shifted, axes=1)
         return shifted, preds, s_seqs
 
-    def _row_grid(self, i: int, k: int, ff_seq: np.ndarray, preds: np.ndarray, shifted: np.ndarray):
-        """Agent i's eCBF row grid at step k, over the steps before the terminal law.
+    def _team_grid(self, k: int, ff_samples: np.ndarray, preds: np.ndarray, shifted: np.ndarray) -> RowGrid:
+        """The team's eCBF row grid at step k, over the steps before the terminal law.
 
-        The cells are the obstacles, then every other follower that agent i
+        Agent i's cells are the obstacles, then every other follower that it
         keeps a pair row against, none at deployment (k = 0). A pair cell's
         chain is reader i's prediction of it, its top derivative its shifted
         plan plus i's feedforward, and its radius the broadcast radius table's
@@ -440,15 +447,30 @@ class SimWorld:
         per-run ``_cells`` table.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        others, keep_out, radius_other, group = self._cells[i][k > 0]
-        ff = ff_seq[:steps, None]
-        x_other = np.concatenate([self._obstacle_cells, preds[i, others, :steps].swapaxes(0, 1)], axis=1)
-        top_other = shifted[others, :steps].swapaxes(0, 1) + ff
-        top_exo = ff - np.concatenate([self._obstacle_tops, top_other], axis=1)
+        others, keep_out, radius_other, group = self._cells[k > 0]
+        ff = ff_samples[:, :steps, None]
+        x_pairs = preds[np.arange(self.n)[:, None], others, :steps].swapaxes(1, 2)
+        x_other = np.concatenate([self._obstacle_cells, x_pairs], axis=2)
+        top_other = shifted[others, :steps].swapaxes(1, 2) + ff
+        top_exo = ff - np.concatenate([self._obstacle_tops, top_other], axis=2)
         return RowGrid(
-            self.kappa, self.dims, x_other, top_exo, keep_out, self.margins[i], radius_other, group,
+            self.kappa, self.dims, x_other, top_exo, keep_out, self.margins, radius_other, group,
             self.cfg.barriers.activation_range,
         )
+
+    def _warm_rows(self, k: int, ff_samples: np.ndarray, preds: np.ndarray, shifted: np.ndarray) -> tuple:
+        """Step k's team grid and every agent's rows at its warm start, the shifted plan.
+
+        One rollout of all shifted plans from the followers' nominal states,
+        each x0 as a (1, nd) row so that every agent's product stays a
+        matrix-vector product, and one ``RowGrid.team_rows`` call: bit for bit
+        each agent's ``rows`` at its own rollout. An agent with a zero position
+        offset to a cell has None.
+        """
+        x0 = self._states[k * self.sim.fine_substeps, 1:, 1, None]  # (N, 1, nd)
+        states = rollout(self.specs[0], x0, (shifted + ff_samples)[:, None])[:, 0]
+        grid = self._team_grid(k, ff_samples, preds, shifted)
+        return grid, grid.team_rows(states, shifted)
 
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
@@ -468,12 +490,12 @@ class SimWorld:
         # an agent without a plan rides its shifted previous plan, logged as a fallback
         plans = shifted.copy()
         solver = np.tile([2.0, 0.0, 0.0, math.inf], (self.n, 1))  # status, QP iters, passes, obj
+        grid, warm_rows = self._warm_rows(k, ff_samples, preds, shifted)
         for i, spec in enumerate(self.specs):
-            grid = self._row_grid(i, k, ff_samples[i], preds, shifted)
             try:
                 sol = solve_ocp(
                     spec, e0s[i], measured[i + 1, 1], s_seqs[i], ff_samples[i], self.plans[i, 0],
-                    shifted[i], row_builder=grid.rows,
+                    shifted[i], grid.agent(i), warm_rows[i],
                 )
             except DegenerateGradient:
                 sol = None

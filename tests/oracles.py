@@ -31,6 +31,7 @@ import numpy as np
 from tubeform import ocp as tubeform_ocp
 from tubeform import qp as tubeform_qp
 from tubeform import sim as tubeform_sim
+from tubeform.barrier import BarrierRows
 from tubeform.svgplot import HEIGHT, MARGIN, WIDTH, SvgFigure, _ticks
 
 
@@ -237,19 +238,21 @@ class RecordedSolve:
     """One ``solve_ocp`` call of a run.
 
     ``args`` are its positional arguments (spec, e0, x0_nominal, s_seq,
-    ff_seq, v_prev, warm_inputs), the arrays copied; ``grid`` is the
-    ``RowGrid`` whose ``rows`` it was handed; ``qps`` are the QPs it solved,
-    and ``solution`` its ``OcpSolution``, None when it raised.
+    ff_seq, v_prev, warm_inputs), the arrays copied; ``grid`` is the agent's
+    ``RowGrid`` it was handed and ``rows`` the ``BarrierRows`` at its warm
+    start, copied, None where the solve evaluated them itself; ``qps`` are
+    the QPs it solved, and ``solution`` its ``OcpSolution``, None when it raised.
     """
 
     args: tuple
     grid: object
+    rows: object
     qps: list[RecordedQp] = field(default_factory=list)
     solution: object = None
 
     def replay(self):
-        """``solve_ocp`` again on the recorded arguments and grid."""
-        return tubeform_ocp.solve_ocp(*self.args, row_builder=self.grid.rows)
+        """``solve_ocp`` again on the recorded arguments, grid and warm-start rows."""
+        return tubeform_ocp.solve_ocp(*self.args, self.grid, self.rows)
 
 
 @contextlib.contextmanager
@@ -257,17 +260,19 @@ def recorded_solves():
     """Record every ``solve_ocp`` call a run makes, and each QP it hands to ``solve_qp``.
 
     Yields the list the ``RecordedSolve`` records are appended to. The
-    arguments and the problems are copied: the caller's arrays may be views
-    of the run's own, as ``x0_nominal`` is of the trace's row at the step.
-    The grid is kept as built, since every step builds its own.
+    arguments, the warm-start rows and the problems are copied: the caller's
+    arrays may be views of the run's own, as ``x0_nominal`` is of the trace's
+    row at the step. The grid is kept as built, since every step builds its own.
     """
     records: list[RecordedSolve] = []
     solve_ocp, solve_qp = tubeform_sim.solve_ocp, tubeform_ocp.solve_qp
 
-    def recording_ocp(spec, *arrays, row_builder):
-        record = RecordedSolve((spec, *(np.array(a) for a in arrays)), row_builder.__self__)
+    def recording_ocp(spec, *arrays):
+        *arrays, grid, rows = arrays
+        copied = None if rows is None else BarrierRows(*(np.array(a) for a in rows))
+        record = RecordedSolve((spec, *(np.array(a) for a in arrays)), grid, copied)
         records.append(record)
-        record.solution = solve_ocp(spec, *arrays, row_builder=row_builder)
+        record.solution = solve_ocp(spec, *arrays, grid, rows)
         return record.solution
 
     def recording_qp(qp, tol=1e-10):

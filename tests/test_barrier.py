@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubeform.barrier import EcbfCoefficients, RowGrid, assemble_row, lie_derivatives
+from tubeform.barrier import EcbfCoefficients, RowGrid, assemble_row, lie_derivatives, row_values
 from tubeform.errors import DegenerateGradient, NotHurwitz
 from tubeform.models import BrunovskyDims, chain_derivative
 
@@ -313,7 +313,8 @@ class TestRowGridActivation:
         """One rule for every cell reads the input row's norm, ||2 (x - x_other)|| <= 2 activation:
         at step 0 an obstacle and a pair cell lie exactly 5 from the state and one of each an ulp
         beyond, with activation 5; at step 1 only the second pair cell's predicted chain is in range.
-        The kept rows and gradients are ``assemble_row``'s, bit for bit."""
+        The kept rows and gradients are ``assemble_row``'s, bit for bit, and the guard is the least
+        kept row's value a . v + b, bit for bit, inf where no cell is kept."""
         at, beyond = (3.0, 4.0), (3.0, np.nextafter(4.0, 5.0))
         assert np.linalg.norm(at) == 5.0 < np.linalg.norm(beyond)
         pair_at = np.r_[-4.0, 3.0, 0.5, -0.25, 0.1, 0.2]
@@ -338,6 +339,12 @@ class TestRowGridActivation:
         assert grid._replace(activation=np.nextafter(5.0, 0.0)).rows(states, inputs).step.tolist() == [1]
         wider = grid._replace(activation=5.0 + 4 * np.spacing(5.0)).rows(states, inputs)
         assert list(zip(wider.step.tolist(), wider.group.tolist())) == [(0, 0), (0, 0), (0, 1), (0, 1), (1, 1)]
+        for activation in (5.0, np.nextafter(5.0, 0.0), 5.0 + 4 * np.spacing(5.0), -1.0):
+            kept = grid._replace(activation=activation)
+            r = kept.rows(states, inputs)
+            least = np.min(np.sum(r.a * inputs[r.step], axis=1) + r.b, initial=np.inf)
+            assert kept.guard(states, inputs) == least
+        assert grid._replace(activation=-1.0).guard(states, inputs) == np.inf
 
 
 class TestRowGradient:
@@ -369,3 +376,15 @@ class TestRowGradient:
         x, other = np.r_[1.0, -0.5, 0.2, 0.3, -0.1, 0.4], center_chain((0.3, 0.2))
         args = (KAPPA, DIMS, x, other, 0.5, 0.1, 0.0, np.r_[0.2, -0.3])
         np.testing.assert_array_equal(assemble_row(*args)[2], assemble_row(*args, np.zeros(2))[2])
+
+    def test_row_values_are_the_rows_without_the_gradient(self):
+        """``row_values`` gives ``assemble_row``'s a and b bit for bit over a stack, and ||a||."""
+        rng = np.random.default_rng(33)
+        xs, others = rng.normal(size=(4, 1, 6)), rng.normal(size=(4, 3, 6))
+        args = (KAPPA, DIMS, xs, others, np.array([0.4, 0.5, 0.6]), 0.1, np.array([0.0, 0.2, 0.3]),
+                rng.normal(size=(4, 3, 2)))
+        a, b, norm = row_values(*args)
+        want_a, want_b, _ = assemble_row(*args, rng.normal(size=(4, 1, 2)))
+        np.testing.assert_array_equal(a, want_a)
+        np.testing.assert_array_equal(b, want_b)
+        np.testing.assert_array_equal(norm, np.linalg.norm(want_a, axis=-1))

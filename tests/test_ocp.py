@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubeform.barrier import BarrierRows, EcbfCoefficients, RowGrid, assemble_row
+from tubeform.barrier import BarrierRows, EcbfCoefficients, RowGrid
 from tubeform.errors import DegenerateGradient
 from tubeform.linalg import rk4_step
 from tubeform.models import BrunovskyDims, chain_matrices
@@ -33,10 +33,12 @@ NO_ROWS = BarrierRows(
     np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 6))
 )
 ZERO_INPUTS = np.zeros((5, 2))
-
-
-def no_rows(states, inputs):
-    return NO_ROWS
+KAPPA = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
+# a one-agent grid without any cell, over the 4 free steps of a horizon-5 chain with n = 3, d = 2
+NO_CELLS = RowGrid(
+    KAPPA, BrunovskyDims(n=3, d=2, followers=1), np.zeros((4, 0, 6)), np.zeros((4, 0, 2)), np.zeros(0), 0.0,
+    np.zeros(0), np.zeros(0, dtype=int), 1.0,
+)
 
 
 def build(spec, e0, s_seq, v_prev, rows, lin_inputs):
@@ -155,20 +157,15 @@ def own_row_min(rows, inputs):
     return float(np.min(np.sum(rows.a * inputs[rows.step], axis=1) + rows.b, initial=math.inf))
 
 
-def obstacle_rows(dims, center, keep_out, r_ball):
-    """Row builder with one obstacle row per free input (steps 0..H-2), tightened by
-    the own tube radius ``r_ball``: the obstacle is the constant chain (center, 0, 0)."""
-    kappa = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
+def obstacle_grid(dims, center, keep_out, r_ball, steps=4):
+    """A one-agent grid with one obstacle cell and no activation limit: one obstacle row per free
+    input (steps 0..H-2), tightened by the own tube radius ``r_ball``; the obstacle is the
+    constant chain (center, 0, 0)."""
     chain = np.zeros(dims.nd)
     chain[: dims.d] = center
-
-    def rows(states, inputs):
-        xs = states[:-2]
-        a, b, grad = assemble_row(kappa, dims, xs, chain, keep_out, r_ball, 0.0, np.zeros(dims.d), inputs[:-1])
-        steps = np.arange(len(xs))
-        return BarrierRows(steps, a, b, np.zeros_like(steps), grad)
-
-    return rows
+    x_other = np.broadcast_to(chain, (steps, 1, dims.nd))
+    return RowGrid(KAPPA, dims, x_other, np.zeros((steps, 1, dims.d)), np.array([keep_out]), r_ball,
+                   np.zeros(1), np.zeros(1, dtype=int), math.inf)
 
 
 class TestLinearizedRows:
@@ -408,7 +405,7 @@ class TestSolveOcp:
             ff_seq=np.zeros((5, 2)),
             v_prev=np.zeros(2),
             warm_inputs=np.zeros((5, 2)),
-            row_builder=no_rows,
+            grid=NO_CELLS,
         )
         assert sol.status == OPTIMAL
         assert np.allclose(sol.inputs, 0.0, atol=1e-10)
@@ -423,7 +420,7 @@ class TestSolveOcp:
         v_prev = np.zeros(2)
         sol = solve_ocp(
             spec, e0, np.zeros(6), s_seq, np.zeros((5, 2)), v_prev,
-            np.zeros((5, 2)), no_rows,
+            np.zeros((5, 2)), NO_CELLS,
         )
         qp, t_off = build(spec, e0, s_seq, v_prev, NO_ROWS, ZERO_INPUTS)
         assert qp.a_in.shape[0] == 0
@@ -437,14 +434,14 @@ class TestSolveOcp:
         spec = make_spec(dims=dims, coupling=1.0)
         x0 = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])  # heading at the obstacle
         e0 = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(dims, (2.0, 0.0), 0.8, r_ball=0.1)
+        grid = obstacle_grid(dims, (2.0, 0.0), 0.8, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
-            np.zeros((5, 2)), row_builder=rows,
+            np.zeros((5, 2)), grid,
         )
         assert sol.status == OPTIMAL
-        own = rows(rollout(spec, x0, sol.inputs), sol.inputs)  # the feedforward is zero
+        own = grid.rows(rollout(spec, x0, sol.inputs), sol.inputs)  # the feedforward is zero
         assert np.min(np.sum(own.a * sol.inputs[own.step], axis=1) + own.b) >= -1e-6
 
     def test_adverse_error_conflict_is_infeasible(self):
@@ -455,11 +452,11 @@ class TestSolveOcp:
         spec = make_spec(dims=dims, coupling=1.0)
         x0 = np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0])
         e0 = np.array([4.0, 0.0, 2.0, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(dims, (2.0, 0.0), 0.8, r_ball=0.1)
+        grid = obstacle_grid(dims, (2.0, 0.0), 0.8, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
-            np.zeros((5, 2)), row_builder=rows,
+            np.zeros((5, 2)), grid,
         )
         assert sol.status == INFEASIBLE
         assert 1e-6 < sol.slack < np.inf
@@ -472,13 +469,13 @@ class TestSolveOcp:
         spec = make_spec(dims=dims, coupling=1.0)
         x0 = np.array([0.0, 0.0, 1.5, 0.0, 0.0, 0.0])
         e0 = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(dims, (2.0, 0.0), 0.8, r_ball=0.1)
+        grid = obstacle_grid(dims, (2.0, 0.0), 0.8, r_ball=0.1)
 
         sol = solve_ocp(
             spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2),
-            np.zeros((5, 2)), row_builder=rows,
+            np.zeros((5, 2)), grid,
         )
-        holds = own_row_min(rows(rollout(spec, x0, sol.inputs), sol.inputs), sol.inputs) >= -1e-6
+        holds = own_row_min(grid.rows(rollout(spec, x0, sol.inputs), sol.inputs), sol.inputs) >= -1e-6
         assert holds or sol.status == INFEASIBLE
         assert sol.converged == (holds and sol.slack <= 1e-6)
 
@@ -488,20 +485,25 @@ class TestSolveOcp:
         its QP's finite slack, after one QP."""
         dims = BrunovskyDims(n=3, d=2, followers=1)
         spec = make_spec(dims=dims, coupling=1.0)
-        rows = obstacle_rows(dims, (2.0, 0.0), 0.8, r_ball=0.1)
+        grid = obstacle_grid(dims, (2.0, 0.0), 0.8, r_ball=0.1)
         calls = []
 
-        def degenerate_at_the_plan(states, inputs):
-            calls.append(len(calls))
-            if len(calls) > 1:
+        class DegenerateAtThePlan:
+            """The grid's rows at the warm start; a guard at the returned plan that raises."""
+
+            def rows(self, states, inputs):
+                calls.append("rows")
+                return grid.rows(states, inputs)
+
+            def guard(self, states, inputs):
+                calls.append("guard")
                 raise DegenerateGradient("barrier gradient undefined at zero offset")
-            return rows(states, inputs)
 
         args = (spec, np.array([0.5, 0.0, 0.2, 0.0, 0.0, 0.0]), np.zeros(6), ZERO_INPUTS, ZERO_INPUTS)
-        sol = solve_ocp(*args, np.zeros(2), ZERO_INPUTS, row_builder=degenerate_at_the_plan)
-        assert len(calls) == 2 and sol.sqp_passes == 1
+        sol = solve_ocp(*args, np.zeros(2), ZERO_INPUTS, DegenerateAtThePlan())
+        assert calls == ["rows", "guard"] and sol.sqp_passes == 1
         assert sol.status == INFEASIBLE and not sol.converged and sol.slack == 0.0
-        held = solve_ocp(*args, np.zeros(2), ZERO_INPUTS, row_builder=rows)
+        held = solve_ocp(*args, np.zeros(2), ZERO_INPUTS, grid)
         assert held.status == OPTIMAL and held.converged
         np.testing.assert_array_equal(sol.inputs, held.inputs)
 
@@ -512,22 +514,22 @@ class TestSolveOcp:
         spec = make_spec(dims=dims, coupling=1.0)
         x0 = np.array([0.0, 0.0, 1.2, 0.2, 0.0, 0.0])
         e0 = np.array([1.5, 0.5, 0.8, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(dims, (1.5, 0.2), 0.6, r_ball=0.02)
+        grid = obstacle_grid(dims, (1.5, 0.2), 0.6, r_ball=0.02)
         args = (spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2))
 
         warm = np.zeros((5, 2))
         for _ in range(8):  # chain warm starts until the pass loop converges
-            sol = solve_ocp(*args, warm, rows)
+            sol = solve_ocp(*args, warm, grid)
             warm = sol.inputs
             if sol.converged:
                 break
         # from the converged plan the first pass converges: one QP, linearized at ``warm``
-        sol = solve_ocp(*args, warm, rows)
+        sol = solve_ocp(*args, warm, grid)
         assert sol.converged and sol.sqp_passes == 1
         assert sol.status == OPTIMAL and sol.slack <= 1e-9
 
         ref = hard_row_qp(
-            spec, e0, np.zeros((5, 2)), np.zeros(2), rows(rollout(spec, x0, warm), warm), warm
+            spec, e0, np.zeros((5, 2)), np.zeros(2), grid.rows(rollout(spec, x0, warm), warm), warm
         )
         hard = solve_qp(QpProblem(hessian=ref.hessian, linear=ref.linear, a_in=ref.a_in, b_in=ref.b_in))
         assert hard.status == OPTIMAL
@@ -541,13 +543,13 @@ class TestSolveOcp:
         spec = make_spec(terminal_set=False)
         e0 = np.array([1.5, -1.0, 0.6, 0.4, 0.0, 0.0])
         s_seq = np.zeros((5, 2))
-        free = solve_ocp(spec, e0, np.zeros(6), s_seq, s_seq, np.zeros(2), s_seq, no_rows)
+        free = solve_ocp(spec, e0, np.zeros(6), s_seq, s_seq, np.zeros(2), s_seq, NO_CELLS)
         free_errors = chain_recurrence(spec.ad, spec.bd, e0, -spec.coupling * free.inputs)
         box = np.array([np.inf, np.inf, 0.45, 0.45, np.inf, np.inf])
         assert np.max(np.abs(free_errors[1:, 2:4])) > 0.5  # the free plan leaves the box
         spec = dataclasses.replace(spec, error_box=box)
 
-        sol = solve_ocp(spec, e0, np.zeros(6), s_seq, s_seq, np.zeros(2), s_seq, no_rows)
+        sol = solve_ocp(spec, e0, np.zeros(6), s_seq, s_seq, np.zeros(2), s_seq, NO_CELLS)
         assert sol.converged and sol.status == OPTIMAL and sol.slack == 0.0
         errors = chain_recurrence(spec.ad, spec.bd, e0, -spec.coupling * sol.inputs)
         assert np.all(np.abs(errors[1:]) <= box + 1e-9)
@@ -566,19 +568,19 @@ class TestSolveOcp:
         spec = make_spec(dims=dims, coupling=1.0)
         x0 = np.array([0.0, 0.0, 1.2, 0.2, 0.0, 0.0])
         e0 = np.array([1.5, 0.5, 0.8, 0.0, 0.0, 0.0])
-        rows = obstacle_rows(dims, (1.5, 0.2), 0.6, r_ball=0.02)
+        grid = obstacle_grid(dims, (1.5, 0.2), 0.6, r_ball=0.02)
         args = (spec, e0, x0, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2))
 
         warm, changes = np.zeros((5, 2)), []
         for _ in range(40):
-            sol = solve_ocp(*args, warm, row_builder=rows)
+            sol = solve_ocp(*args, warm, grid)
             changes.append(float(np.max(np.abs(sol.inputs - warm))))
             warm = sol.inputs
             if changes[-1] < 1e-7:
                 break
         assert changes[-1] < 1e-7 and sol.converged
         assert all(later < earlier for earlier, later in zip(changes[1:], changes[2:]))
-        again = solve_ocp(*args, sol.inputs, row_builder=rows)
+        again = solve_ocp(*args, sol.inputs, grid)
         assert again.sqp_passes == 1 and again.converged
         assert np.max(np.abs(again.inputs - sol.inputs)) < 1e-6
 

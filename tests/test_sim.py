@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import tubeform.sim
 from tubeform import models, ocp
-from tubeform.barrier import assemble_row
+from tubeform.barrier import BarrierRows, assemble_row
 from tubeform.cli import REPORT_COLUMNS, main
 from tubeform.errors import DegenerateGradient, NonFiniteState, ScenarioError
 from tubeform.graph import CommGraph
@@ -725,7 +726,7 @@ def oracle_rows(world, i, k, ff_seq, preds, shifted, states, inputs):
 
 def assert_rows_match_oracle(world, i, k, ff, preds, shifted, states, inputs):
     """Agent i's grid rows at ``states`` and ``inputs`` are the oracle's, in its order; returns them."""
-    rows = world._row_grid(i, k, ff[i], preds, shifted).rows(states, inputs)
+    rows = world._team_grid(k, ff, preds, shifted).agent(i).rows(states, inputs)
     expected = oracle_rows(world, i, k, ff[i], preds, shifted, states, inputs)
     assert list(zip(rows.step.tolist(), rows.group.tolist())) == [(r[0], r[3]) for r in expected]
     assert np.all(rows.step < world.horizon - 1)
@@ -735,6 +736,23 @@ def assert_rows_match_oracle(world, i, k, ff, preds, shifted, states, inputs):
     ref_grad = np.reshape([r[4] for r in expected], (-1, world.nd))
     np.testing.assert_allclose(rows.grad, ref_grad, rtol=1e-12, atol=1e-12)
     return rows
+
+
+def assert_rows_equal(got, want):
+    """Two ``BarrierRows`` blocks, bit for bit in every field."""
+    for name in BarrierRows._fields:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def assert_team_rows_are_agent_rows(world, k, ff, preds, shifted):
+    """Step k's one team evaluation at the warm starts (``_warm_rows``) is, bit for bit, each
+    agent's own grid's rows at its own rollout of its shifted plan; returns the team's rows."""
+    grid, team = world._warm_rows(k, ff, preds, shifted)
+    assert len(team) == world.n
+    for i in range(world.n):
+        states = rollout(world.specs[i], followers_at(world, k)[i, 1], shifted[i] + ff[i])
+        assert_rows_equal(team[i], grid.agent(i).rows(states, shifted[i]))
+    return team
 
 
 @pytest.fixture(scope="module")
@@ -784,6 +802,23 @@ class TestRowBuilder:
             filtered += (world.horizon - 1) * len(world.cfg.obstacles) - n_obstacle
         assert kept > 0 and filtered > 0  # the activation range really selects
 
+    def test_team_rows_are_each_agents_rows_mid_run(self, paper_mid_run):
+        """Paper at k = 20: the team's rows, obstacle and pair rows both, are every agent's own."""
+        world, k, ff, shifted, preds = paper_mid_run
+        team = assert_team_rows_are_agent_rows(world, k, ff, preds, shifted)
+        groups = set(np.concatenate([rows.group for rows in team]).tolist())
+        assert groups == {0, 1}
+
+    def test_team_rows_are_each_agents_rows_at_deployment(self, paper_mid_run):
+        """Paper at k = 0: obstacle cells only, the team's rows every agent's own."""
+        cfg, cert = paper_mid_run[0].cfg, paper_mid_run[0].cert
+        world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
+        ff = world.leader_plan.ff_samples[0]
+        shifted, preds, _ = world._neighbor_data(0, ff)
+        team = assert_team_rows_are_agent_rows(world, 0, ff, preds, shifted)
+        assert sum(rows.b.size for rows in team) > 0
+        assert all(rows.group.tolist() == [0] * rows.b.size for rows in team)
+
     def test_neighbor_radii_are_the_radius_table_entries(self):
         """After deployment each agent has a pair cell for every other follower, graph neighbor
         or not, in index order, carrying d_safe and that follower's broadcast radius: a paper
@@ -800,7 +835,7 @@ class TestRowBuilder:
         n_obs = len(cfg.obstacles)
         for i in range(world.n):
             nbrs = [j for j in range(world.n) if j != i]
-            grid = world._row_grid(i, 1, ff[i], preds, shifted)
+            grid = world._team_grid(1, ff, preds, shifted).agent(i)
             assert grid.x_other.shape == (world.horizon - 1, n_obs + len(nbrs), world.nd)
             assert grid.radius_other[n_obs:].tolist() == world.radius_table[i, nbrs].tolist()
             assert grid.radius_other[n_obs:].tolist() == world.margins[nbrs].tolist()
@@ -814,7 +849,7 @@ class TestRowBuilder:
         ff = world.leader_plan.ff_samples[0]
         shifted, preds, _ = world._neighbor_data(0, ff)
         for i in range(world.n):
-            grid = world._row_grid(i, 0, ff[i], preds, shifted)
+            grid = world._team_grid(0, ff, preds, shifted).agent(i)
             assert grid.group.tolist() == [0] * len(cfg.obstacles)
             assert grid.radius_other.tolist() == [0.0] * len(cfg.obstacles)
 
@@ -823,7 +858,8 @@ class TestRowBuilder:
     )
     def test_degenerate_grids_certify_run_and_match_oracle(self, edit, tmp_path):
         """Grids with no obstacle cells, one step, or no neighbor cells: the copy certifies
-        and runs with exit 0, and each of the first steps' grids gives the oracle's rows."""
+        and runs with exit 0, and each of the first steps' grids gives the oracle's rows, the
+        team's rows bit for bit each agent's own (the one-follower copy's grid has no cell)."""
         doc = json.loads(open(SMOKE).read())
         edit(doc)
         scenario, cert_path = tmp_path / "scenario.json", tmp_path / "cert.json"
@@ -839,11 +875,14 @@ class TestRowBuilder:
             for i in range(world.n):
                 states = rollout(world.specs[i], followers_at(world, k)[i, 1], shifted[i] + ff[i])
                 assert_rows_match_oracle(world, i, k, ff, preds, shifted, states, shifted[i])
+            assert_team_rows_are_agent_rows(world, k, ff, preds, shifted)
             world.step(k)
 
     @pytest.mark.parametrize("activation_range", [5.0, -1.0])
     def test_zero_obstacle_offset_raises(self, activation_range):
-        """A state on an obstacle center is degenerate even where the cell is out of range."""
+        """A state on an obstacle center is degenerate even where the cell is out of range. In the
+        team grid only that agent's rows are: it gets None, the other agent its own rows, bit for
+        bit, and no warning is raised."""
         cfg = load_scenario(SMOKE)
         cfg = dataclasses.replace(
             cfg, barriers=dataclasses.replace(cfg.barriers, activation_range=activation_range)
@@ -852,12 +891,57 @@ class TestRowBuilder:
         world = SimWorld(cfg, cert, SimConfig.from_scenario(cfg))
         ff = world.leader_plan.ff_samples[0]
         shifted, preds, _ = world._neighbor_data(0, ff)
-        grid = world._row_grid(0, 0, ff[0], preds, shifted)  # obstacles only at deployment
+        team = world._team_grid(0, ff, preds, shifted)  # obstacles only at deployment
+        grid = team.agent(0)
         states, inputs = np.ones((world.horizon + 1, world.nd)), np.ones((world.horizon, world.d))
         assert grid.rows(states, inputs).step.size == (world.horizon - 1) * (activation_range > 0)
+        team_states = np.stack([states, 2.0 * states])
+        team_inputs = np.stack([inputs, inputs])
         states[2, : world.d] = cfg.obstacles[0].center
         with pytest.raises(DegenerateGradient):
             grid.rows(states, inputs)
+
+        team_states[0] = states
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = team.team_rows(team_states, team_inputs)
+        assert rows[0] is None
+        assert_rows_equal(rows[1], team.agent(1).rows(team_states[1], team_inputs[1]))
+        assert rows[1].step.size == (world.horizon - 1) * (activation_range > 0)
+
+    def test_agent_on_an_obstacle_center_gets_one_raising_solve(self, monkeypatch):
+        """A smoke copy deploying follower 1 on the obstacle's center: step 0 still makes one
+        ``solve_ocp`` call per agent; agent 1's, handed no warm-start rows, raises
+        ``DegenerateGradient`` and falls back, and agent 2's is handed its own rows."""
+        doc = json.loads(open(SMOKE).read())
+        doc["initial_states"]["followers"][0][:2] = doc["obstacles"][0]["center"]
+        cfg = parse_scenario(json.dumps(doc))
+        world = SimWorld(cfg, certify_scenario(cfg, spot_checks=False), SimConfig.from_scenario(cfg))
+        real_solve, calls = tubeform.sim.solve_ocp, []
+
+        def recording(spec, *args):
+            try:
+                sol = real_solve(spec, *args)
+            except DegenerateGradient:
+                calls.append((spec, args[-1], None))
+                raise
+            calls.append((spec, args[-1], sol))
+            return sol
+
+        monkeypatch.setattr(tubeform.sim, "solve_ocp", recording)
+        ff = world.leader_plan.ff_samples[0]
+        shifted, preds, _ = world._neighbor_data(0, ff)
+        states = rollout(world.specs[1], followers_at(world, 0)[1, 1], shifted[1] + ff[1])
+        own = world._team_grid(0, ff, preds, shifted).agent(1).rows(states, shifted[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = world.step(0)
+        assert [spec for spec, _, _ in calls] == world.specs
+        (_, rows_1, sol_1), (_, rows_2, sol_2) = calls
+        assert rows_1 is None and sol_1 is None
+        assert_rows_equal(rows_2, own)
+        assert sol_2 is not None and world.infeasible_streak == [1, 0]
+        assert stats["solver"][0].tolist() == [2.0, 0.0, 0.0, math.inf]
 
 
 class TestNeighborPredictions:
