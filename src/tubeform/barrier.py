@@ -18,14 +18,17 @@ chain's broadcast radius r_j, which is 0 for an obstacle.
 ``assemble_row`` also returns each tightened row's gradient in the own state,
 in closed form, so the OCP can linearize a row in the state its plan
 reaches as well as in the input. ``row_values`` gives the same rows without
-the gradient, for a check that only reads their values.
+the gradient, for a check that only reads their values, from the offset
+chain's derivative blocks.
 
 The team's rows at one sampling step are data, a ``RowGrid`` of operands
-per (agent, step, obstacle + other follower) cell: ``RowGrid.team_rows``
-evaluates them with one ``assemble_row`` call into one ``BarrierRows`` block
-per agent, keeping the cells within the activation range by one rule for
-every cell. One agent's grid (``RowGrid.agent``) evaluates its rows at
-another plan (``rows``) or only their least value (``guard``).
+per (agent, step, obstacle + other follower) cell, held in the shapes the
+evaluation reads (the cell chains as derivative blocks, the keep-outs
+squared): ``RowGrid.team_rows`` evaluates them with ``assemble_row``'s
+arithmetic in one pass into one ``TeamRows`` block, every agent's rows by
+agent, keeping the cells within the activation range by one rule for every
+cell. One agent's grid (``RowGrid.agent``) evaluates its rows at another
+plan (``rows``) or only their least value (``guard``, from ``row_values``).
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def lie_derivatives(
     nominal input v.
     Raises DegenerateGradient when a position offset is numerically zero.
     """
-    return _lie_terms(dims, _offset_blocks(dims, x_self, x_other), keep_out, top_exo)
+    return _lie_terms(dims, _offset_blocks(dims, x_self, x_other), keep_out * keep_out, top_exo)
 
 
 def _offset_blocks(dims: BrunovskyDims, x_self: np.ndarray, x_other: np.ndarray) -> np.ndarray:
@@ -110,15 +113,15 @@ def _offset_blocks(dims: BrunovskyDims, x_self: np.ndarray, x_other: np.ndarray)
     return x_self.reshape(*x_self.shape[:-1], n, d) - x_other.reshape(*x_other.shape[:-1], n, d)
 
 
-def _lie_terms(dims: BrunovskyDims, blocks: np.ndarray, keep_out, top_exo: np.ndarray) -> tuple:
-    """``lie_derivatives`` on the offset chain's (..., n, d) derivative ``blocks``."""
+def _lie_terms(dims: BrunovskyDims, blocks: np.ndarray, keep_out_sq, top_exo: np.ndarray) -> tuple:
+    """``lie_derivatives`` on the offset chain's (..., n, d) derivative ``blocks``, with the squared keep-out."""
     n = dims.n
     gram = blocks @ blocks.swapaxes(-1, -2)  # G[m, j] = <D^m, D^j>
     if (gram[..., 0, 0] < DEGENERATE_TOL**2).any():
         raise DegenerateGradient("barrier gradient undefined at zero offset")
     orders = gram.reshape(gram.shape[:-2] + (n * n,)) @ _leibniz_weights(n)
     values = orders[..., :n]  # the product is this call's own array: h is written into it
-    values[..., 0] -= keep_out * keep_out
+    values[..., 0] -= keep_out_sq
     d0 = blocks[..., 0, :]
     drift = 2.0 * np.einsum("...i,...i->...", d0, top_exo) + orders[..., n]
     return values, 2.0 * d0, drift
@@ -135,23 +138,19 @@ def _state_weights(kappa: tuple[float, ...]) -> np.ndarray:
     return out
 
 
-def _tightened(kappa: EcbfCoefficients, dims: BrunovskyDims, blocks: np.ndarray, keep_out, radius_self,
+def row_values(kappa: EcbfCoefficients, dims: BrunovskyDims, blocks: np.ndarray, keep_out_sq, radius_self,
                radius_other, top_exo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``row_values`` on the offset chain's (..., n, d) derivative ``blocks``."""
-    values, a, b = _lie_terms(dims, blocks, keep_out, top_exo)
+    """``assemble_row``'s rows ``a . v + b >= 0``, bit for bit, without the state gradient, on the offset
+    chain's (..., n, d) derivative ``blocks`` (x_self - x_other, block by block) with the squared keep-out:
+    ``(a, b, norm)`` with ``norm`` = ||a|| (...), twice the position offset's length, which the tightening
+    already forms."""
+    values, a, b = _lie_terms(dims, blocks, keep_out_sq, top_exo)
     grad_norm = np.linalg.norm(a, axis=-1)
     margin = radius_self * grad_norm + radius_other * grad_norm
     for q in range(1, dims.n):
         b = b + kappa.kappa[q] * values[..., q]
     b = b + kappa.kappa[0] * (values[..., 0] - margin)
     return a, b, grad_norm
-
-
-def row_values(kappa: EcbfCoefficients, dims: BrunovskyDims, x_self, x_other, keep_out, radius_self, radius_other,
-               top_exo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``assemble_row``'s rows ``a . v + b >= 0``, bit for bit, without the state gradient: ``(a, b, norm)``
-    with ``norm`` = ||a|| (...), twice the position offset's length, which the tightening already forms."""
-    return _tightened(kappa, dims, _offset_blocks(dims, x_self, x_other), keep_out, radius_self, radius_other, top_exo)
 
 
 def assemble_row(
@@ -176,7 +175,13 @@ def assemble_row(
     (r_self + r_other) D^0 / ||D^0|| on the position block.
     """
     blocks = _offset_blocks(dims, x_self, x_other)
-    a, b, grad_norm = _tightened(kappa, dims, blocks, keep_out, radius_self, radius_other, top_exo)
+    return _gradient_rows(kappa, dims, blocks, keep_out * keep_out, radius_self, radius_other, top_exo, inputs)
+
+
+def _gradient_rows(kappa: EcbfCoefficients, dims: BrunovskyDims, blocks: np.ndarray, keep_out_sq, radius_self,
+                   radius_other, top_exo: np.ndarray, inputs: np.ndarray | None) -> tuple:
+    """``assemble_row`` on the offset chain's (..., n, d) derivative ``blocks``, with the squared keep-out."""
+    a, b, grad_norm = row_values(kappa, dims, blocks, keep_out_sq, radius_self, radius_other, top_exo)
     radii = radius_self + radius_other
     grad = _state_weights(kappa.kappa) @ blocks
     top = top_exo if inputs is None else top_exo + inputs
@@ -202,48 +207,85 @@ class BarrierRows(NamedTuple):
     grad: np.ndarray  # (m, nd)
 
 
+class TeamRows(NamedTuple):
+    """Every agent's ``BarrierRows`` as one block, ordered by agent: ``rows`` and each row's ``agent``.
+
+    ``evaluated[i]`` is False for an agent without rows, whose own evaluation
+    raised ``DegenerateGradient``.
+    """
+
+    rows: BarrierRows
+    agent: np.ndarray  # (m,) int, ascending
+    evaluated: np.ndarray  # (N,) bool
+
+    @classmethod
+    def of(cls, blocks: list[BarrierRows | None], dims: BrunovskyDims) -> TeamRows:
+        """Agent i's block is ``blocks[i]``, None for an agent without rows."""
+        empty = BarrierRows(
+            np.zeros(0, dtype=int), np.zeros((0, dims.d)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, dims.nd))
+        )
+        present = [block for block in blocks if block is not None]
+        agent = np.repeat(np.arange(len(blocks)), [0 if block is None else block.b.size for block in blocks])
+        rows = BarrierRows(*(np.concatenate(field) for field in zip(empty, *present)))
+        return cls(rows, agent, np.array([block is not None for block in blocks]))
+
+
 class RowGrid(NamedTuple):
-    """``assemble_row`` operands over the (step, obstacle + other follower) grid of one solve.
+    """``assemble_row``'s operands over the (step, obstacle + other follower) grid of one solve.
 
     The steps are the free inputs 0..H-2; the cells are the obstacles, as
     constant center chains, then the other followers, as predicted chains, by
     index. A team grid carries a leading agent axis on every per-agent field
     (N, H-1, cells, ...) for one sampling step: ``team_rows`` evaluates every
     agent's rows at once and ``agent`` is one agent's grid, the fields at its index.
+    The fields are held in the shapes the evaluation reads, the keep-outs
+    squared (``of`` forms them from the operands' own shapes); a run keeps
+    the per-run ones in that form (``SimWorld._init_cells``).
     """
 
     kappa: EcbfCoefficients
     dims: BrunovskyDims
-    x_other: np.ndarray  # ([N,] H-1, cells, nd) the other chains
+    x_other: np.ndarray  # ([N,] H-1, cells, n, d) the other chains' derivative blocks
     top_exo: np.ndarray  # ([N,] H-1, cells, d) own feedforward minus the other chain's top derivative
-    keep_out: np.ndarray  # ([N,] cells)
-    margin: float | np.ndarray  # ([N]) the own tube radius
-    radius_other: np.ndarray  # ([N,] cells) 0 per obstacle, then each other follower's broadcast radius
+    keep_out_sq: np.ndarray  # ([N,] 1, cells) the squared keep-out radii
+    margin: np.ndarray  # ([N,] 1, 1) the own tube radius
+    radius_other: np.ndarray  # ([N,] 1, cells) 0 per obstacle, then each other follower's broadcast radius
     group: np.ndarray  # ([N,] cells) 0 per obstacle, then 1 per other follower
     activation: float  # a cell is a row only within this distance of the other chain's position
+
+    @classmethod
+    def of(cls, kappa: EcbfCoefficients, dims: BrunovskyDims, x_other: np.ndarray, top_exo: np.ndarray,
+           keep_out: np.ndarray, margin: float | np.ndarray, radius_other: np.ndarray, group: np.ndarray,
+           activation: float) -> RowGrid:
+        """The grid of ([N,] H-1, cells, nd) chains ``x_other``, ([N,] cells) keep-outs and other radii
+        and a float or (N,) own radius ``margin``."""
+        chains = x_other.reshape(*x_other.shape[:-1], dims.n, dims.d)
+        return cls(
+            kappa, dims, chains, top_exo, (keep_out * keep_out)[..., None, :], np.asarray(margin)[..., None, None],
+            radius_other[..., None, :], group, activation,
+        )
 
     def agent(self, i: int) -> RowGrid:
         """Agent i's grid of a team grid: its per-agent fields at index i, views."""
         return self._replace(
-            x_other=self.x_other[i], top_exo=self.top_exo[i], keep_out=self.keep_out[i],
+            x_other=self.x_other[i], top_exo=self.top_exo[i], keep_out_sq=self.keep_out_sq[i],
             margin=self.margin[i], radius_other=self.radius_other[i], group=self.group[i],
         )
 
-    def _operands(self, states: np.ndarray) -> tuple:
-        """``assemble_row``'s operands after the coefficients, at the ([N,] H+1, nd) ``states``: the states
-        over a cell axis, the per-cell fields over a step axis, the own radius over both."""
-        steps = self.x_other.shape[-3]
-        return (
-            states[..., :steps, None, :], self.x_other, self.keep_out[..., None, :],
-            np.asarray(self.margin)[..., None, None], self.radius_other[..., None, :], self.top_exo,
-        )
+    def _blocks(self, states: np.ndarray) -> np.ndarray:
+        """The offset chains' ([N,] H-1, cells, n, d) derivative blocks at the ([N,] H+1, nd) ``states``."""
+        own = states[..., : self.x_other.shape[-4], None, :]
+        return own.reshape(*own.shape[:-1], self.dims.n, self.dims.d) - self.x_other
 
     def _assemble(self, states: np.ndarray, inputs: np.ndarray) -> tuple:
         """Every cell's (a, b, grad) and whether it is active: its input row is a = 2 (x - x_other) on
         the position block, so ||a|| <= 2 activation is the distance test, bit for bit (doubling scales
         each square and their sum by exactly 4)."""
-        vs = inputs[..., : self.x_other.shape[-3], None, :]
-        a, b, grad = assemble_row(self.kappa, self.dims, *self._operands(states), vs)
+        vs = inputs[..., : self.x_other.shape[-4], None, :]
+        a, b, grad = _gradient_rows(
+            self.kappa, self.dims, self._blocks(states), self.keep_out_sq, self.margin, self.radius_other,
+            self.top_exo, vs,
+        )
         return a, b, grad, np.linalg.norm(a, axis=-1) <= 2.0 * self.activation
 
     def rows(self, states: np.ndarray, inputs: np.ndarray) -> BarrierRows:
@@ -253,29 +295,33 @@ class RowGrid(NamedTuple):
         step, col = active.nonzero()
         return BarrierRows(step, a[step, col], b[step, col], self.group[col], grad[step, col])
 
-    def team_rows(self, states: np.ndarray, inputs: np.ndarray) -> list[BarrierRows | None]:
+    def team_rows(self, states: np.ndarray, inputs: np.ndarray) -> TeamRows:
         """Every agent's ``rows`` of a team grid at the (N, H+1, nd) ``states`` and (N, H, d) ``inputs``,
-        bit for bit, from one ``assemble_row`` call: agent i's block is a slice of the gathered rows.
+        bit for bit, from one evaluation of every cell: one block of the gathered rows, by agent.
 
         Where some agent's position offset to a cell is zero, each agent is evaluated alone, and an
-        agent whose own rows raise ``DegenerateGradient`` gets None; the others' rows are unchanged.
+        agent whose own rows raise ``DegenerateGradient`` has none; the others' rows are unchanged.
         """
         try:
             a, b, grad, active = self._assemble(states, inputs)
         except DegenerateGradient:
-            return [_or_none(self.agent(i).rows, states[i], inputs[i]) for i in range(len(states))]
+            blocks = [_or_none(self.agent(i).rows, states[i], inputs[i]) for i in range(len(states))]
+            return TeamRows.of(blocks, self.dims)
         agent, step, col = active.nonzero()
-        a, b, grad, group = a[agent, step, col], b[agent, step, col], grad[agent, step, col], self.group[agent, col]
-        bounds = np.searchsorted(agent, np.arange(len(states) + 1))
-        return [BarrierRows(step[s], a[s], b[s], group[s], grad[s]) for s in map(slice, bounds[:-1], bounds[1:])]
+        cells = agent, step, col
+        rows = BarrierRows(step, a[cells], b[cells], self.group[agent, col], grad[cells])
+        return TeamRows(rows, agent, np.ones(len(states), dtype=bool))
 
     def guard(self, states: np.ndarray, inputs: np.ndarray) -> float:
         """The least active row ``a . v_step + b`` of one agent at its nominal ``states`` and their
-        ``inputs``, inf without any: ``rows``' values and activity, bit for bit, by ``row_values``,
-        without the state gradient."""
-        a, b, norm = row_values(self.kappa, self.dims, *self._operands(states))
-        step, col = (norm <= 2.0 * self.activation).nonzero()
-        return float(np.min(np.sum(a[step, col] * inputs[step], axis=1) + b[step, col], initial=math.inf))
+        ``inputs``, inf without any: ``rows``' values and activity, bit for bit, without the state
+        gradient. Each cell's value is formed and the least active one kept."""
+        a, b, norm = row_values(
+            self.kappa, self.dims, self._blocks(states), self.keep_out_sq, self.margin, self.radius_other,
+            self.top_exo,
+        )
+        values = np.sum(a * inputs[: len(a), None, :], axis=-1) + b
+        return float(np.min(values, where=norm <= 2.0 * self.activation, initial=math.inf))
 
 
 def _or_none(rows, *args) -> BarrierRows | None:

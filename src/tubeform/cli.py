@@ -154,10 +154,9 @@ def cmd_run(
     return 0
 
 
-# the trace columns the figures below and trace_metrics read; report parses no other
-REPORT_COLUMNS = re.compile(
-    r"t|k|clr_.*|ferr.*|occ.*|u.*|dx.*|.*_status|.*_iters|x\d+_1[01]"
-).fullmatch
+# the trace columns the figures below and the metrics that report writes read; report parses no other,
+# so trace_metrics gives null for the margin fractions and QP iterations it has no columns for
+REPORT_COLUMNS = re.compile(r"t|k|clr_.*|ferr.*|occ.*|u.*|.*_status|x\d+_1[01]").fullmatch
 
 
 def _agent_ids(trace: SimTrace) -> list[int]:

@@ -17,6 +17,7 @@ evaluates one time or an array of times and draws its ball rows a block of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -53,12 +54,16 @@ def chain_matrices(dims: BrunovskyDims) -> tuple[np.ndarray, np.ndarray]:
     return a0, g
 
 
-def chain_derivative(dims: BrunovskyDims, x: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """dx/dt for the chain (or a stack of chains) with the given top-order block derivative."""
+def chain_derivative(dims: BrunovskyDims, x: np.ndarray, top: np.ndarray, exo: np.ndarray | None = None) -> np.ndarray:
+    """dx/dt for the chain (or a stack of chains) with the given top-order block derivative, or
+    with ``top + exo`` there, added straight into the derivative."""
     d = dims.d
     out = np.empty_like(x)
     out[..., :-d] = x[..., d:]
-    out[..., -d:] = top
+    if exo is None:
+        out[..., -d:] = top
+    else:
+        np.add(top, exo, out=out[..., -d:])
     return out
 
 
@@ -84,15 +89,7 @@ class DriftTerm:
     sq_axis: int = 0
 
 
-class DriftTable(NamedTuple):
-    """K terms ``(u.x)^expo (offset + tanh(v.x)) sin(freq t + phase)``, each scattered to its axis.
-
-    ``scatter`` (K, d) holds -outer_gain * coeff; ``offset`` is 1 and ``phase`` pi/2
-    where a term lacks that factor. A one-model table evaluates one ``(nd,)`` state
-    or any ``(..., nd)`` stack; a ``stack`` (arrays led by R rows) evaluates
-    ``(R, nd)`` rows, each by its model.
-    """
-
+class _DriftArrays(NamedTuple):
     u: np.ndarray
     expo: np.ndarray
     v: np.ndarray
@@ -100,6 +97,17 @@ class DriftTable(NamedTuple):
     freq: np.ndarray
     phase: np.ndarray
     scatter: np.ndarray
+
+
+class DriftTable(_DriftArrays):
+    """K terms ``(u.x)^expo (offset + tanh(v.x)) sin(freq t + phase)``, each scattered to its axis.
+
+    ``scatter`` (K, d) holds -outer_gain * coeff; ``offset`` is 1 and ``phase`` pi/2
+    where a term lacks that factor. A one-model table evaluates one ``(nd,)`` state
+    or any ``(..., nd)`` stack; a ``stack`` (arrays led by R rows) evaluates
+    ``(R, nd)`` rows, each by its model. The arrays are the table's only fields;
+    what ``at`` derives from them is formed on first use and kept.
+    """
 
     @classmethod
     def compile(
@@ -169,17 +177,27 @@ class DriftTable(NamedTuple):
         is skipped. A state term still makes the value non-finite at a
         non-finite state, through its projection.
         """
+        tanh_free, linear, high, high_expo = self._at_constants
         ux = (self.u @ x[..., None])[..., 0]
-        if self.expo.ndim == 1:
-            power = np.where(self.expo == 1.0, ux, 1.0)
-            high = self.expo >= 2.0
-            power[..., high] = ux[..., high] ** self.expo[high]
+        if linear is not None:
+            power = np.where(linear, ux, 1.0)
+            power[..., high] = ux[..., high] ** high_expo
         else:  # a row stack: masking each row's exponents costs more than it saves
             power = ux**self.expo
-        if not self.offset.all():
+        if not tanh_free:
             power = power * (self.offset + np.tanh((self.v @ x[..., None])[..., 0]))
         terms = power * sines
         return (terms[..., None, :] @ self.scatter)[..., 0, :]
+
+    @functools.cached_property
+    def _at_constants(self) -> tuple:
+        """What ``at`` reads of the table besides its arrays: whether no term has a tanh factor
+        and, for a one-model table, its exponent-1 mask, its mask of exponents 2 and 3 and those
+        exponents (None for a row stack)."""
+        if self.expo.ndim != 1:
+            return bool(self.offset.all()), None, None, None
+        high = self.expo >= 2.0
+        return bool(self.offset.all()), self.expo == 1.0, high, self.expo[high]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Drift Jacobian (..., d, nd) at the states x (..., nd); time-only terms drop out."""

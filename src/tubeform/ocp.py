@@ -33,14 +33,22 @@ inputs z and one parameter vector p = (e0, drive sequence, previous input),
 the full inputs, the errors, the cost and the hard rows (the input box and
 the error box, one block) are fixed affine maps of (z, p), built once per
 spec from one weighted least-squares stack, together with the Hessian and
-its inverse for each slack count. p is fixed within a solve, so
-``solve_ocp`` evaluates the maps at it once (``qp_parameters``); each
-``build_qp`` call adds only its barrier rows and terminal cut. The barrier
-rows arrive as one ``barrier.BarrierRows`` block (step, a, b, group, state
-gradient) over every step and barrier kind: at the warm start from the
-caller (in a run, the team's one evaluation), at a second linearization
-from the agent's ``barrier.RowGrid``. Their steps are free inputs, so they
-are scattered straight into z by fancy indexing.
+its inverse for each slack count. ``build_qp`` builds a team's QPs in one
+call from a ``QpTeam``, the specs' maps stacked on a leading agent axis:
+the parameters are one product per map with the (N, n_p) stack of p, and
+the terminal cuts, the barrier rows through the states they reach, their
+right-hand sides and the slack columns are formed for every agent at once;
+each agent's QP holds views of one zero-padded team array. The barrier
+rows arrive as one ``barrier.TeamRows`` block (step, a, b, group, state
+gradient, and each row's agent) over every step and barrier kind. In a
+run, each step's one ``build_qp`` call at every agent's warm start, from
+the team's one row evaluation, hands each ``solve_ocp`` call its first QP;
+a second QP is ``build_qp`` on the agent's one-member team
+(``OcpSpec.team``) and its ``barrier.RowGrid``'s rows at the first plan.
+Each agent's products keep the one-agent operands' shapes and layout, so a
+team's QPs equal the one-agent builds bit for bit; only the rows'
+right-hand sides stay one matrix-vector product per agent, since such a
+product rounds each row by its place in the matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierRows, RowGrid
+from .barrier import RowGrid, TeamRows
 from .errors import DegenerateGradient, DimensionMismatch, RiccatiDiverged
 from .models import BrunovskyDims, chain_matrices
 from .qp import INFEASIBLE, QpProblem, solve_qp
@@ -65,6 +73,7 @@ RICCATI_MAX_ITER = 10_000
 # the last entry the terminal cut. Violating an obstacle row is far more
 # expensive than an inter-agent row, which outranks the terminal cut.
 SLACK_PENALTY = (1e6, 3e4, 1e4)
+_PENALTIES = np.array(SLACK_PENALTY)
 
 
 def discretize_error_dynamics(dims: BrunovskyDims, ts: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +200,11 @@ class OcpSpec:
         """The spec-only part of the condensed QP, built on first use."""
         return _Condensing.build(self)
 
+    @functools.cached_property
+    def team(self) -> QpTeam:
+        """This spec as a one-member ``QpTeam``, for ``build_qp`` on its agent alone, built on first use."""
+        return QpTeam.stack([self])
+
 
 @dataclass
 class OcpSolution:
@@ -300,107 +314,152 @@ class _Condensing:
         return cls(**parts)
 
 
-class QpParameters(NamedTuple):
-    """What every QP of one solve shares: the condensing's maps at that solve's p.
+class QpTeam(NamedTuple):
+    """Several specs' condensing maps, each stacked on a leading agent axis, for ``build_qp``.
 
-    p = (e0, s flattened, v_prev) is fixed for a solve, so these are formed
-    once per solve (``qp_parameters``); ``build_qp`` adds each QP's rows.
+    Built once per run from the run's specs (``stack``); a spec's own
+    one-member team (``OcpSpec.team``) builds its one-agent QPs. The specs
+    share the dimensions, the horizon and the hard block's row count. Every
+    stacked item keeps its spec's memory layout, so each agent's products
+    with it are the one-agent products, bit for bit.
     """
 
-    t_off: np.ndarray  # (H d,): the full inputs are t_map z + t_off
-    e_off: np.ndarray  # (H nd,): the errors at steps 1..H are e_map z + e_off
-    hard_b: np.ndarray  # the hard rows' right-hand sides hard_const - hard_par p
-    linear: np.ndarray  # (n_free,) the cost's linear term lin_par p
-    constant: float  # the cost's constant p' const_par p
+    specs: tuple[OcpSpec, ...]
+    t_par: np.ndarray  # (N, H d, n_p)
+    e_par: np.ndarray  # (N, H nd, n_p)
+    lin_par: np.ndarray  # (N, n_free, n_p)
+    const_par: np.ndarray  # (N, n_p, n_p)
+    hard_a: np.ndarray  # (N, hard rows, n_free)
+    hard_par: np.ndarray  # (N, hard rows, n_p)
+    hard_const: np.ndarray  # (N, hard rows)
+    e_term: np.ndarray  # (N, nd, H d)
+    cut_map: np.ndarray  # (N, nd, n_free): minus the terminal error's map on z; the cut is its transpose times P y
+    pr: np.ndarray  # (N, nd, nd)
+    level: np.ndarray  # (N,) the terminal levels, inf for no cut
+    x_free: np.ndarray  # (N, H-1, nd, n_free)
+
+    @classmethod
+    def stack(cls, specs: list[OcpSpec]) -> QpTeam:
+        """The specs' team, their condensings built where they are not yet."""
+        conds = [spec.condensing for spec in specs]
+        nd = specs[0].dims.nd
+        term = slice(specs[0].horizon * nd - nd, None)
+        fields = {
+            name: np.stack([getattr(c, name) for c in conds])
+            for name in ("t_par", "e_par", "lin_par", "const_par", "hard_a", "hard_par", "hard_const",
+                         "e_term", "x_free")
+        }
+        return cls(
+            specs=tuple(specs), **fields, cut_map=np.stack([-c.e_map[term] for c in conds]),
+            pr=np.stack([spec.pr for spec in specs]), level=np.array([spec.terminal_level for spec in specs]),
+        )
 
 
-def qp_parameters(
-    spec: OcpSpec, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarray
-) -> QpParameters:
-    """One solve's ``QpParameters`` (offsets, hard right-hand sides and cost terms, each one
-    product with p), from its initial error, drive sequence and previous input."""
-    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
-    if e0.shape != (nd,) or s_seq.shape != (h, d):
-        raise DimensionMismatch("bad e0 or exogenous sequence shape")
-    cond = spec.condensing
-    p = np.concatenate([e0, s_seq.reshape(-1), v_prev])
-    return QpParameters(
-        t_off=cond.t_par @ p,
-        e_off=cond.e_par @ p,
-        hard_b=cond.hard_const - cond.hard_par @ p,
-        linear=cond.lin_par @ p,
-        constant=float(p @ cond.const_par @ p),
-    )
+class CondensedQp(NamedTuple):
+    """One agent's QP and its input offset: a solution z's full input stack is
+    ``condensing.t_map @ z[:n_free] + t_off``, and ``z[n_free:]`` are the slacks."""
+
+    qp: QpProblem
+    t_off: np.ndarray  # (H d,)
 
 
 def build_qp(
-    spec: OcpSpec, params: QpParameters, barrier_rows: BarrierRows, lin_inputs: np.ndarray
-) -> QpProblem:
-    """One linearized exact-penalty QP on the free inputs and the slacks.
+    team: QpTeam, e0: np.ndarray, s_seq: np.ndarray, v_prev: np.ndarray, barrier_rows: TeamRows,
+    lin_inputs: np.ndarray,
+) -> list[CondensedQp | None]:
+    """Each agent's linearized exact-penalty QP on its free inputs and slacks, a team at a time.
 
-    ``params`` holds everything a solve's QPs share; the full input stack
-    of a QP solution ``z`` is ``condensing.t_map @ z[:n_free] +
-    params.t_off``, and ``z[n_free:]`` are the slacks.
-
-    ``lin_inputs`` (H, d) is the linearization plan and ``barrier_rows``
-    the row block at its nominal trajectory: row r is ``a[r] . v_step[r] +
-    b[r] >= 0`` with state gradient ``grad[r]``. Each row is linearized in
-    the input and in the state it reaches: with x_step's response to the
-    free inputs (``condensing.x_free``, constant blocks of the horizon map)
-    the row reads a . v_step + grad . x_free[step] (z - z_lin) + b >= 0, so
-    it equals the exact row at the linearization plan. The terminal error
-    that plan reaches anchors the supporting-hyperplane row of the terminal
-    ellipsoid.
+    Agent i's parameter p = (e0[i], s_seq[i] flattened, v_prev[i]) fixes
+    its offsets, hard right-hand sides and cost terms, one product per map
+    over the (N, n_p) stack. ``lin_inputs[i]`` (H, d) is its linearization
+    plan and ``barrier_rows[i]`` the row block at that plan's nominal
+    trajectory (an agent without rows gets None): row r is ``a[r] .
+    v_step[r] + b[r] >= 0`` with state gradient ``grad[r]``. Each row is
+    linearized in the input and in the state it reaches: with x_step's
+    response to the free inputs (``condensing.x_free``, constant blocks of
+    the horizon map) the row reads a . v_step + grad . x_free[step] (z -
+    z_lin) + b >= 0, so it equals the exact row at the linearization plan.
+    The terminal error that plan reaches anchors the supporting-hyperplane
+    row of the terminal ellipsoid.
 
     The rows ``a . z >= b`` are the hard block (the input box, then the
     error box), the barrier rows, the terminal cut and the slacks' signs, in
     that order. Barrier and terminal-set rows get one nonnegative slack
     variable per ``SLACK_PENALTY`` group in use, penalized linearly: a
     feasible problem still returns zero slack, an infeasible one returns the
-    minimally violating plan. The hard block gets none.
+    minimally violating plan. The hard block gets none. Every agent's rows
+    go into one zero-padded team array, and its QP holds views of it. Only
+    the barrier rows' right-hand sides are one product per agent: a
+    matrix-vector product rounds each row by its place in the matrix.
     """
-    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
-    cond = spec.condensing
-    n_free = cond.t_map.shape[1]
-    cut = None  # the terminal cut's (a, b) on the free inputs
-    if math.isfinite(spec.terminal_level):
-        blk = slice((h - 1) * nd, h * nd)
-        e_ref = params.e_off[blk] + cond.e_term @ (lin_inputs.reshape(-1) - params.t_off)
-        level = float(e_ref @ spec.pr @ e_ref)
-        if level > 1e-12:
-            y = e_ref * math.sqrt(spec.terminal_level / level)
-            py = spec.pr @ y
-            cut = -cond.e_map[blk].T @ py, float(py @ params.e_off[blk]) - spec.terminal_level
+    n, h, dims = len(team.specs), team.specs[0].horizon, team.specs[0].dims
+    nd, d = dims.nd, dims.d
+    if e0.shape != (n, nd) or s_seq.shape != (n, h, d):
+        raise DimensionMismatch("bad e0 or exogenous sequence shape")
+    p = np.concatenate([e0, s_seq.reshape(n, -1), v_prev], axis=1)[..., None]
+    t_off = (team.t_par @ p)[..., 0]
+    e_last = (team.e_par @ p)[:, (h - 1) * nd :]  # the terminal error's offset
+    constant = (p.swapaxes(1, 2) @ team.const_par @ p)[:, 0, 0].tolist()
+    n_hard, n_free = team.hard_a.shape[1:]
 
-    groups = set(barrier_rows.group.tolist())
-    if cut is not None:
-        groups.add(len(SLACK_PENALTY) - 1)
-    used = sorted(groups)  # one slack per penalty group in use, ascending: the cut's is last
-    n_sig = len(used)
+    # the terminal cut: the ellipsoid's supporting hyperplane where the ray to the plan's terminal error leaves it
+    e_ref = e_last + team.e_term @ (lin_inputs.reshape(n, -1) - t_off)[..., None]
+    level = (e_ref.swapaxes(1, 2) @ team.pr @ e_ref)[:, 0, 0]
+    cut = np.isfinite(team.level) & (level > 1e-12)
+    py = team.pr @ (e_ref * np.sqrt(np.divide(team.level, level, out=np.zeros(n), where=cut))[:, None, None])
+    cut_a = (team.cut_map.swapaxes(1, 2) @ py)[..., 0]
+    cut_b = (py.swapaxes(1, 2) @ e_last)[:, 0, 0] - team.level
 
-    m, n_hard = barrier_rows.b.size, cond.hard_a.shape[0]
-    n_rows = n_hard + m + (cut is not None)
-    a = np.zeros((n_rows + n_sig, n_free + n_sig))
-    b = np.zeros(n_rows + n_sig)
-    a[:n_hard, :n_free], b[:n_hard] = cond.hard_a, params.hard_b
-    rows = n_hard + np.arange(m)
-    through_state = np.matmul(barrier_rows.grad[:, None], cond.x_free[barrier_rows.step])[:, 0]
-    a[n_hard : n_hard + m, :n_free] = through_state
-    a[rows[:, None], barrier_rows.step[:, None] * d + np.arange(d)] += barrier_rows.a
-    a[rows, n_free + np.array(used).searchsorted(barrier_rows.group)] = 1.0
-    b[rows] = through_state @ lin_inputs.reshape(-1)[:n_free] - barrier_rows.b
-    if cut is not None:
-        a[n_rows - 1, :n_free], b[n_rows - 1] = cut
-        a[n_rows - 1, -1] = 1.0
-    a[n_rows:, n_free:] = np.eye(n_sig)  # slack nonnegativity
-    return QpProblem(
-        hessian=cond.hessians[n_sig],
-        linear=np.concatenate([params.linear, [SLACK_PENALTY[g] for g in used]]),
-        a_in=a,
-        b_in=b,
-        constant=params.constant,
-        hessian_inv=cond.hessian_invs[n_sig],
-    )
+    # every agent's barrier rows, one block: the rows through the states they reach, then their inputs
+    step, row_a, row_b, group, grad = barrier_rows.rows
+    agent = barrier_rows.agent
+    counts = np.bincount(agent, minlength=n)
+    ends = np.cumsum(counts)
+    through_state = np.matmul(grad[:, None], team.x_free[agent, step])[:, 0]
+    lin_free = lin_inputs.reshape(n, -1)[:, :n_free]
+    rhs = [through_state[end - m : end] @ free for m, end, free in zip(counts.tolist(), ends.tolist(), lin_free)]
+    through_state.reshape(agent.size, h - 1, d)[np.arange(agent.size), step] += row_a
+
+    # one slack per penalty group in use, ascending: the cut's is last
+    uses = np.zeros((n, len(SLACK_PENALTY)), dtype=bool)
+    uses[agent, group] = True
+    uses[:, -1] = cut
+    slot = np.cumsum(uses, axis=1) - 1
+    n_sig = slot[:, -1] + 1
+    n_rows = n_hard + counts + cut
+
+    a = np.zeros((n, (n_rows + n_sig).max(), n_free + n_sig.max()))
+    b = np.zeros(a.shape[:2])
+    a[:, :n_hard, :n_free], b[:, :n_hard] = team.hard_a, team.hard_const - (team.hard_par @ p)[..., 0]
+    row = n_hard + np.arange(agent.size) - (ends - counts)[agent]
+    a[agent, row, :n_free] = through_state
+    a[agent, row, n_free + slot[agent, group]] = 1.0
+    b[agent, row] = np.concatenate(rhs) - row_b
+    at = np.flatnonzero(cut)
+    cut_row = n_rows[at] - 1
+    a[at, cut_row, :n_free], b[at, cut_row] = cut_a[at], cut_b[at]
+    a[at, cut_row, n_free + n_sig[at] - 1] = 1.0
+    owner, groups = uses.nonzero()
+    sig = slot[owner, groups]
+    a[owner, n_rows[owner] + sig, n_free + sig] = 1.0  # slack nonnegativity
+    linear = np.zeros((n, a.shape[2]))
+    linear[:, :n_free], linear[owner, n_free + sig] = (team.lin_par @ p)[..., 0], _PENALTIES[groups]
+    return [
+        CondensedQp(
+            QpProblem(
+                hessian=spec.condensing.hessians[s],
+                linear=linear[i, : n_free + s],
+                a_in=a[i, : r + s, : n_free + s],
+                b_in=b[i, : r + s],
+                constant=constant[i],
+                hessian_inv=spec.condensing.hessian_invs[s],
+            ),
+            t_off[i],
+        ) if ok else None
+        for i, (spec, ok, r, s) in enumerate(
+            zip(team.specs, barrier_rows.evaluated.tolist(), n_rows.tolist(), n_sig.tolist())
+        )
+    ]
 
 
 def rollout(spec: OcpSpec, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
@@ -423,23 +482,23 @@ def solve_ocp(
     v_prev: np.ndarray,
     warm_inputs: np.ndarray,
     grid: RowGrid,
-    rows: BarrierRows | None = None,
+    first: CondensedQp | None = None,
 ) -> OcpSolution:
     """At most two linearized QPs, each checked at the plan it returns (real-time iteration).
 
     The first QP is linearized at the warm start, the shifted previous plan:
-    ``rows`` are the barrier rows with their state gradients at its nominal
-    states (in a run, the agent's block of the team's ``RowGrid.team_rows``);
-    without them, the agent's ``grid`` evaluates them at the warm start's
-    rollout. ``build_qp`` linearizes them in the input and the state. A guard
-    (``grid.guard``, the rows' values without their gradients) then
-    evaluates the rows at the returned plan's own trajectory. The plan is
-    kept when its QP needed no slack and it breaks no row by more than
-    ``ROW_TOL``; otherwise one more QP is linearized at that plan, from
-    ``grid.rows`` there. A second plan that still needs slack or breaks a
-    row is returned ``Infeasible`` (relaxed) with its QP's finite slack. A
-    guard that raises ``DegenerateGradient`` counts as a broken row; it
-    leaves nothing to linearize at, so that plan is returned relaxed.
+    ``first`` is that QP (in a run, the agent's entry of the team's one
+    ``build_qp`` call, from its block of ``RowGrid.team_rows``); without it,
+    the agent's ``grid`` evaluates the rows at the warm start's rollout and
+    ``build_qp`` builds it for this agent alone. A guard (``grid.guard``,
+    the rows' values without their gradients) then evaluates the rows at
+    the returned plan's own trajectory. The plan is kept when its QP needed
+    no slack and it breaks no row by more than ``ROW_TOL``; otherwise one
+    more QP is linearized at that plan, from ``grid.rows`` there, built for
+    this agent alone. A second plan that still needs slack or breaks a row is
+    returned ``Infeasible`` (relaxed) with its QP's finite slack. A guard
+    that raises ``DegenerateGradient`` counts as a broken row; it leaves
+    nothing to linearize at, so that plan is returned relaxed.
     ``converged`` is True exactly when the returned plan holds its own rows
     with zero slack, and ``sqp_passes`` counts the QPs, 1 or 2.
 
@@ -457,19 +516,22 @@ def solve_ocp(
     h, d = spec.horizon, spec.dims.d
     t_map = spec.condensing.t_map
     n_free = t_map.shape[1]
-    params = qp_parameters(spec, e0, s_seq, v_prev)
+
+    def alone(states: np.ndarray, inputs: np.ndarray) -> CondensedQp:
+        rows = TeamRows.of([grid.rows(states, inputs)], spec.dims)
+        return build_qp(spec.team, e0[None], s_seq[None], v_prev[None], rows, inputs[None])[0]
+
     inputs = warm_inputs.copy()
-    if rows is None:
-        rows = grid.rows(rollout(spec, x0_nominal, inputs + ff_seq), inputs)
+    condensed = alone(rollout(spec, x0_nominal, inputs + ff_seq), inputs) if first is None else first
     iterations = 0
     holds = False
     for passes in (1, 2):
-        sol = solve_qp(build_qp(spec, params, rows, inputs), tol=QP_TOL)
+        sol = solve_qp(condensed.qp, tol=QP_TOL)
         iterations += sol.iterations
         if sol.status == INFEASIBLE:  # the hard rows leave no plan: keep the linearization plan
             return OcpSolution(inputs, math.inf, iterations, passes, INFEASIBLE, math.inf)
         slack = float(sol.z[n_free:].max(initial=0.0))
-        inputs = (t_map @ sol.z[:n_free] + params.t_off).reshape(h, d)
+        inputs = (t_map @ sol.z[:n_free] + condensed.t_off).reshape(h, d)
         states = rollout(spec, x0_nominal, inputs + ff_seq)
         try:
             own = grid.guard(states, inputs)  # the least row at the plan's own states
@@ -478,7 +540,7 @@ def solve_ocp(
         holds = slack <= ROW_TOL and own >= -ROW_TOL
         if holds or passes == 2:
             break
-        rows = grid.rows(states, inputs)
+        condensed = alone(states, inputs)
     return OcpSolution(
         inputs=inputs,
         objective=sol.objective,

@@ -37,11 +37,13 @@ ordered follower pair, graph neighbors or not, so a pair cell reads the
 reader's prediction of that follower, and the radius table broadcast once
 holds every follower's radius. One rollout of all shifted plans and one
 ``RowGrid.team_rows`` call give every agent's rows at its warm start
-(``SimWorld._warm_rows``); each agent's ``solve_ocp`` receives its block and
-its own grid, whose ``guard`` checks the plans it returns and whose ``rows``
-linearize a second QP. What a grid's cells hold besides the predicted chains
-and tops is fixed for the run, one team table built at construction. Two
-things are out of scope and
+(``SimWorld._warm_rows``), and one ``ocp.build_qp`` call over the specs'
+``QpTeam`` (built on first use, inside ``run``) gives every agent's first QP
+from them; each agent's ``solve_ocp`` receives its QP and its own grid, whose
+``guard`` checks the plans it returns and whose ``rows`` linearize a second
+QP. What a grid's cells hold besides the predicted chains and tops is fixed
+for the run, one team table built at construction in the shapes the grid
+holds, the keep-outs squared. Two things are out of scope and
 unmeasured: a margin for the error of the neighbor predictions (a neighbor
 may deviate from its shifted broadcast), and rows from sensed, rather than
 broadcast, neighbor positions.
@@ -75,7 +77,7 @@ from .certify import error_box_tightening
 from .errors import CascadedInfeasibility, DegenerateGradient, NonFiniteState, ScenarioError
 from .linalg import rk4_step
 from .models import DisturbanceStack, DriftTable, chain_derivative
-from .ocp import ROW_TOL, OcpSpec, rollout, solve_ocp
+from .ocp import ROW_TOL, OcpSpec, QpTeam, build_qp, rollout, solve_ocp
 from .pipeline import CertificationResult
 from .protocol import initial_broadcast, relayed_estimates, shift_plan
 from .scenario import ScenarioConfig, SimConfig, initial_states
@@ -148,9 +150,9 @@ class SimTrace:
         sees a line (text from ``#`` on is a comment, an empty line is no
         row): one comma count per line checks that before any cell is parsed,
         whatever ``keep`` selects. Only the kept columns' cells are parsed.
-        ``report`` keeps what its figures and ``trace_metrics`` read (89 of
-        paper's 246 columns), so a non-numeric cell in a column it never reads
-        no longer fails it; every other caller parses every cell.
+        ``report`` keeps what its figures and the metrics it writes read (48
+        of paper's 246 columns), so a non-numeric cell in a column it never
+        reads no longer fails it; every other caller parses every cell.
         """
         metadata: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
@@ -295,21 +297,23 @@ class SimWorld:
         self._prev_preds = self._states[0, 1:, 0][self._edges[1]]
 
     def _init_cells(self) -> None:
-        """The per-run team eCBF cell table: (others, keep-outs, other radii, groups), one row per agent,
-        at deployment (the obstacles only) and after it (the obstacles, then every follower the agent
-        keeps a pair row against, the certificate's protected pairs: all the others, by index), and the
-        team grid's obstacle cells, their constant chains and zero tops over the free steps."""
+        """The per-run team eCBF cell table, in the shapes ``RowGrid`` holds: (others, squared keep-outs,
+        other radii, groups), one row per agent, at deployment (the obstacles only) and after it (the
+        obstacles, then every follower the agent keeps a pair row against, the certificate's protected
+        pairs: all the others, by index); the own radii; and the team grid's obstacle cells, their constant
+        chains and zero tops over the free steps."""
         n, steps, n_obs = self.n, self.horizon - 1, len(self._obstacle_keep_out)
         self._obstacle_cells = np.broadcast_to(self._obstacle_chains, (n, steps, n_obs, self.nd))
         self._obstacle_tops = np.zeros((n, steps, n_obs, self.d))
+        self._margin_cells = self.margins[:, None, None]
 
         def cells(others: np.ndarray) -> tuple:
-            keep_out = np.full((n, n_obs + others.shape[1]), self.cfg.barriers.d_safe)
-            keep_out[:, :n_obs] = self._obstacle_keep_out
+            keep_out = np.full((n, 1, n_obs + others.shape[1]), self.cfg.barriers.d_safe)
+            keep_out[..., :n_obs] = self._obstacle_keep_out
             radius_other = np.zeros(keep_out.shape)
-            radius_other[:, n_obs:] = self.radius_table[np.arange(n)[:, None], others]
-            group = np.broadcast_to(np.repeat([0, 1], [n_obs, others.shape[1]]), keep_out.shape)
-            return others, keep_out, radius_other, group
+            radius_other[:, 0, n_obs:] = self.radius_table[np.arange(n)[:, None], others]
+            group = np.broadcast_to(np.repeat([0, 1], [n_obs, others.shape[1]]), (n, keep_out.shape[2]))
+            return others, keep_out * keep_out, radius_other, group
 
         readers, others = self.cert.protected.T
         others = np.stack([others[readers == i] for i in range(n)])
@@ -325,11 +329,11 @@ class SimWorld:
         call order; one ``DisturbanceStack.evaluate`` call gives every agent's disturbance there, the
         followers' into the drives, and one ``DriftTable.sines`` call the leader's time factors. The
         leader is integrated alone into the trace's leader rows and times with the world's substeps
-        and drift arithmetic, each stage adding its own disturbance. One ``_leader_ff_samples`` call
-        propagates the (steps, hop counts) grid of relayed anchors from the (steps, 1) step starts,
-        bit-equal per anchor to propagating every (step, follower) anchor. Its first period gives the
-        leader's nominal (the hop-0 column: a rooted graph pins one), written straight into the trace's
-        leader rows, and the anchors' stage drifts.
+        and drift arithmetic, each stage adding its own disturbance straight into its derivative. One
+        ``_leader_ff_samples`` call propagates the (steps, hop counts) grid of relayed anchors from the
+        (steps, 1) step starts, bit-equal per anchor to propagating every (step, follower) anchor. Its
+        first period gives the leader's nominal (the hop-0 column: a rooted graph pins one), written
+        straight into the trace's leader rows, and the anchors' stage drifts.
         With the feedforward, these fill the anchor blocks per follower and each drive becomes
         (cancel + w) - anchor in place, cancelling toward the leader's stage drift if pinned, else the
         anchor's; without it, the drive stays w and the anchor drift 0.
@@ -358,7 +362,7 @@ class SimWorld:
             slot, w, factors = next(stages)
             f = drift.at(x, factors)
             slot[...] = f[0]
-            return chain_derivative(self.dims, x, f + w)
+            return chain_derivative(self.dims, x, f, w)
 
         x = rows[:1, 0]
         for k in range(n_steps):
@@ -447,15 +451,15 @@ class SimWorld:
         per-run ``_cells`` table.
         """
         steps = self.horizon - 1  # the last input follows the terminal law
-        others, keep_out, radius_other, group = self._cells[k > 0]
+        others, keep_out_sq, radius_other, group = self._cells[k > 0]
         ff = ff_samples[:, :steps, None]
         x_pairs = preds[np.arange(self.n)[:, None], others, :steps].swapaxes(1, 2)
         x_other = np.concatenate([self._obstacle_cells, x_pairs], axis=2)
         top_other = shifted[others, :steps].swapaxes(1, 2) + ff
         top_exo = ff - np.concatenate([self._obstacle_tops, top_other], axis=2)
         return RowGrid(
-            self.kappa, self.dims, x_other, top_exo, keep_out, self.margins, radius_other, group,
-            self.cfg.barriers.activation_range,
+            self.kappa, self.dims, x_other.reshape(*x_other.shape[:-1], self.dims.n, self.d), top_exo, keep_out_sq,
+            self._margin_cells, radius_other, group, self.cfg.barriers.activation_range,
         )
 
     def _warm_rows(self, k: int, ff_samples: np.ndarray, preds: np.ndarray, shifted: np.ndarray) -> tuple:
@@ -471,6 +475,11 @@ class SimWorld:
         states = rollout(self.specs[0], x0, (shifted + ff_samples)[:, None])[:, 0]
         grid = self._team_grid(k, ff_samples, preds, shifted)
         return grid, grid.team_rows(states, shifted)
+
+    @functools.cached_property
+    def _qp_team(self) -> QpTeam:
+        """The specs' ``QpTeam``, built on first use: in ``run``, not at construction."""
+        return QpTeam.stack(self.specs)
 
     def step(self, k: int) -> dict:
         """One sampling instant: measure, read the leader plan, predict, solve, broadcast, apply."""
@@ -491,11 +500,13 @@ class SimWorld:
         plans = shifted.copy()
         solver = np.tile([2.0, 0.0, 0.0, math.inf], (self.n, 1))  # status, QP iters, passes, obj
         grid, warm_rows = self._warm_rows(k, ff_samples, preds, shifted)
+        v_prev = self.plans[:, 0]
+        first = build_qp(self._qp_team, e0s, s_seqs, v_prev, warm_rows, shifted)
         for i, spec in enumerate(self.specs):
             try:
                 sol = solve_ocp(
-                    spec, e0s[i], measured[i + 1, 1], s_seqs[i], ff_samples[i], self.plans[i, 0],
-                    shifted[i], grid.agent(i), warm_rows[i],
+                    spec, e0s[i], measured[i + 1, 1], s_seqs[i], ff_samples[i], v_prev[i],
+                    shifted[i], grid.agent(i), first[i],
                 )
             except DegenerateGradient:
                 sol = None
@@ -733,9 +744,8 @@ def trace_metrics(trace: SimTrace) -> dict:
         "relaxed_steps": int(
             sum(np.sum(trace.col(c)[step_rows] == 2.0) for c in status_cols)
         ),
-        "mean_qp_iterations": float(
-            np.mean([np.mean(trace.col(c)[step_rows]) for c in iters_cols]) if iters_cols else 0.0
-        ),
+        "mean_qp_iterations": float(np.mean([np.mean(trace.col(c)[step_rows]) for c in iters_cols]))
+        if iters_cols else None,
         "followers": followers,
         "max_margin_fraction": _margin_fractions(trace, followers),
         "max_interval_dip": {
@@ -760,12 +770,16 @@ def _max_interval_dip(trace: SimTrace, col: str) -> dict | None:
 
 
 def _margin_fractions(trace: SimTrace, followers: int) -> dict[str, float | None]:
-    """Per follower, the run maximum of ||dx_i|| / margin_i; null without ``margin_radii``."""
+    """Per follower, the run maximum of ||dx_i|| / margin_i; null without ``margin_radii`` (a trace
+    written before the metadata existed) and for a follower whose ``dx`` columns were not read."""
     radii = trace.metadata.get("margin_radii")
-    if not radii:  # a trace written before the metadata existed
+    if not radii:
         return {str(i): None for i in range(1, followers + 1)}
     fractions = {}
     for i, margin in enumerate(map(float, radii.split(";")), 1):
         cols = [j for j, c in enumerate(trace.columns) if c.startswith(f"dx{i}_")]
+        if not cols:
+            fractions[str(i)] = None
+            continue
         fractions[str(i)] = float(np.max(np.linalg.norm(trace.data[:, cols], axis=1)) / max(margin, 1e-300))
     return fractions

@@ -11,7 +11,10 @@ form (x, xb) with each follower's own model, the leader relay from one
 message-passing round per sampling step, trace CSV text from
 ``np.savetxt``, and SVG markup from a per-point loop over each series. The
 dual active-set loop as first written (``reference_solve_qp``) is the
-reference that the solver must match bit for bit, and ``recorded_solves``
+reference that the solver must match bit for bit, as is the one-agent QP
+assembly as first written (``reference_qp``) for the team QP builder, and
+the per-call drift expression (``per_call_drift``) for ``DriftTable.at``;
+``recorded_solves``
 copies every OCP solve a run makes, with its row grid and every QP it
 solves, so a test can replay them.
 """
@@ -239,20 +242,20 @@ class RecordedSolve:
 
     ``args`` are its positional arguments (spec, e0, x0_nominal, s_seq,
     ff_seq, v_prev, warm_inputs), the arrays copied; ``grid`` is the agent's
-    ``RowGrid`` it was handed and ``rows`` the ``BarrierRows`` at its warm
-    start, copied, None where the solve evaluated them itself; ``qps`` are
-    the QPs it solved, and ``solution`` its ``OcpSolution``, None when it raised.
+    ``RowGrid`` it was handed and ``first`` the ``CondensedQp`` it was handed
+    for its warm start, copied, None where the solve built it itself; ``qps``
+    are the QPs it solved, and ``solution`` its ``OcpSolution``, None when it raised.
     """
 
     args: tuple
     grid: object
-    rows: object
+    first: object
     qps: list[RecordedQp] = field(default_factory=list)
     solution: object = None
 
     def replay(self):
-        """``solve_ocp`` again on the recorded arguments, grid and warm-start rows."""
-        return tubeform_ocp.solve_ocp(*self.args, self.grid, self.rows)
+        """``solve_ocp`` again on the recorded arguments, grid and first QP."""
+        return tubeform_ocp.solve_ocp(*self.args, self.grid, self.first)
 
 
 @contextlib.contextmanager
@@ -260,7 +263,7 @@ def recorded_solves():
     """Record every ``solve_ocp`` call a run makes, and each QP it hands to ``solve_qp``.
 
     Yields the list the ``RecordedSolve`` records are appended to. The
-    arguments, the warm-start rows and the problems are copied: the caller's
+    arguments, the first QP and the problems are copied: the caller's
     arrays may be views of the run's own, as ``x0_nominal`` is of the trace's
     row at the step. The grid is kept as built, since every step builds its own.
     """
@@ -268,11 +271,10 @@ def recorded_solves():
     solve_ocp, solve_qp = tubeform_sim.solve_ocp, tubeform_ocp.solve_qp
 
     def recording_ocp(spec, *arrays):
-        *arrays, grid, rows = arrays
-        copied = None if rows is None else BarrierRows(*(np.array(a) for a in rows))
-        record = RecordedSolve((spec, *(np.array(a) for a in arrays)), grid, copied)
+        *arrays, grid, first = arrays
+        record = RecordedSolve((spec, *(np.array(a) for a in arrays)), grid, copy.deepcopy(first))
         records.append(record)
-        record.solution = solve_ocp(spec, *arrays, grid, rows)
+        record.solution = solve_ocp(spec, *arrays, grid, first)
         return record.solution
 
     def recording_qp(qp, tol=1e-10):
@@ -284,6 +286,56 @@ def recorded_solves():
         yield records
     finally:
         tubeform_sim.solve_ocp, tubeform_ocp.solve_qp = solve_ocp, solve_qp
+
+
+def reference_qp(spec, e0, s_seq, v_prev, rows, lin_inputs):
+    """One agent's first QP and its input offset (``ocp.CondensedQp``'s fields) as one agent's
+    ``qp_parameters`` and ``build_qp`` formed them: each condensing map times the agent's own p,
+    the cut and the row block from its own arrays, every row placed into its own zero array."""
+    h, nd, d = spec.horizon, spec.dims.nd, spec.dims.d
+    cond = spec.condensing
+    p = np.concatenate([e0, s_seq.reshape(-1), v_prev])
+    t_off, e_off = cond.t_par @ p, cond.e_par @ p
+    hard_b, linear, constant = cond.hard_const - cond.hard_par @ p, cond.lin_par @ p, float(p @ cond.const_par @ p)
+    n_free = cond.t_map.shape[1]
+    cut = None
+    if math.isfinite(spec.terminal_level):
+        blk = slice((h - 1) * nd, h * nd)
+        e_ref = e_off[blk] + cond.e_term @ (lin_inputs.reshape(-1) - t_off)
+        level = float(e_ref @ spec.pr @ e_ref)
+        if level > 1e-12:
+            py = spec.pr @ (e_ref * math.sqrt(spec.terminal_level / level))
+            cut = -cond.e_map[blk].T @ py, float(py @ e_off[blk]) - spec.terminal_level
+    groups = set(rows.group.tolist()) | ({len(tubeform_ocp.SLACK_PENALTY) - 1} if cut is not None else set())
+    used = sorted(groups)
+    n_sig, m, n_hard = len(used), rows.b.size, cond.hard_a.shape[0]
+    n_rows = n_hard + m + (cut is not None)
+    a, b = np.zeros((n_rows + n_sig, n_free + n_sig)), np.zeros(n_rows + n_sig)
+    a[:n_hard, :n_free], b[:n_hard] = cond.hard_a, hard_b
+    index = n_hard + np.arange(m)
+    through_state = np.matmul(rows.grad[:, None], cond.x_free[rows.step])[:, 0]
+    a[n_hard : n_hard + m, :n_free] = through_state
+    a[index[:, None], rows.step[:, None] * d + np.arange(d)] += rows.a
+    a[index, n_free + np.array(used).searchsorted(rows.group)] = 1.0
+    b[index] = through_state @ lin_inputs.reshape(-1)[:n_free] - rows.b
+    if cut is not None:
+        a[n_rows - 1, :n_free], b[n_rows - 1] = cut
+        a[n_rows - 1, -1] = 1.0
+    a[n_rows:, n_free:] = np.eye(n_sig)
+    qp = tubeform_qp.QpProblem(
+        hessian=cond.hessians[n_sig],
+        linear=np.concatenate([linear, [tubeform_ocp.SLACK_PENALTY[g] for g in used]]),
+        a_in=a, b_in=b, constant=constant, hessian_inv=cond.hessian_invs[n_sig],
+    )
+    return tubeform_ocp.CondensedQp(qp, t_off)
+
+
+def condensed_qp_differences(got, want) -> list[str]:
+    """The fields in which two ``ocp.CondensedQp`` differ, compared bit for bit (``np.array_equal``
+    on the arrays, ``==`` on the constant, the shapes included)."""
+    pairs = [(f"qp.{name}", getattr(got.qp, name), getattr(want.qp, name)) for name in
+             ("hessian", "linear", "a_in", "b_in", "constant", "hessian_inv")] + [("t_off", got.t_off, want.t_off)]
+    return [name for name, x, y in pairs if np.shape(x) != np.shape(y) or not np.array_equal(x, y)]
 
 
 def barrier_value(x_self: np.ndarray, x_other: np.ndarray, keep_out, d: int):
@@ -305,6 +357,22 @@ def drift_product(table, x: np.ndarray, t) -> np.ndarray:
         power = ux**table.expo
     angle = table.freq * np.asarray(t)[..., None] + table.phase
     terms = power * (table.offset + np.tanh(vx)) * np.sin(angle)
+    return (terms[..., None, :] @ table.scatter)[..., 0, :]
+
+
+def per_call_drift(table, x: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """``DriftTable.at`` as first written: every call derives the tanh-free flag and the exponent
+    masks from the table's arrays."""
+    ux = (table.u @ x[..., None])[..., 0]
+    if table.expo.ndim == 1:
+        power = np.where(table.expo == 1.0, ux, 1.0)
+        high = table.expo >= 2.0
+        power[..., high] = ux[..., high] ** table.expo[high]
+    else:
+        power = ux**table.expo
+    if not table.offset.all():
+        power = power * (table.offset + np.tanh((table.v @ x[..., None])[..., 0]))
+    terms = power * sines
     return (terms[..., None, :] @ table.scatter)[..., 0, :]
 
 

@@ -325,7 +325,7 @@ class TestRowGridActivation:
         top_exo = np.full((2, 4, 2), 0.25)
         keep_out, radius_other = np.array([1.0, 1.0, 0.3, 0.3]), np.array([0.0, 0.0, 0.1, 0.15])
         group = np.array([0, 0, 1, 1])
-        grid = RowGrid(KAPPA, DIMS, x_other, top_exo, keep_out, 0.2, radius_other, group, 5.0)
+        grid = RowGrid.of(KAPPA, DIMS, x_other, top_exo, keep_out, 0.2, radius_other, group, 5.0)
         states = np.zeros((3, 6))
         states[1, :2] = (-20.0, 0.0)
         inputs = np.arange(6.0).reshape(3, 2)
@@ -378,13 +378,15 @@ class TestRowGradient:
         np.testing.assert_array_equal(assemble_row(*args)[2], assemble_row(*args, np.zeros(2))[2])
 
     def test_row_values_are_the_rows_without_the_gradient(self):
-        """``row_values`` gives ``assemble_row``'s a and b bit for bit over a stack, and ||a||."""
+        """``row_values`` on the offset chains' derivative blocks with the squared keep-outs gives
+        ``assemble_row``'s a and b bit for bit over a stack, and ||a||."""
         rng = np.random.default_rng(33)
         xs, others = rng.normal(size=(4, 1, 6)), rng.normal(size=(4, 3, 6))
-        args = (KAPPA, DIMS, xs, others, np.array([0.4, 0.5, 0.6]), 0.1, np.array([0.0, 0.2, 0.3]),
-                rng.normal(size=(4, 3, 2)))
-        a, b, norm = row_values(*args)
-        want_a, want_b, _ = assemble_row(*args, rng.normal(size=(4, 1, 2)))
+        keep_out, radius_other, top_exo = np.array([0.4, 0.5, 0.6]), np.array([0.0, 0.2, 0.3]), rng.normal(size=(4, 3, 2))
+        blocks = (xs - others).reshape(4, 3, 3, 2)
+        a, b, norm = row_values(KAPPA, DIMS, blocks, keep_out * keep_out, 0.1, radius_other, top_exo)
+        want_a, want_b, _ = assemble_row(KAPPA, DIMS, xs, others, keep_out, 0.1, radius_other, top_exo,
+                                         rng.normal(size=(4, 1, 2)))
         np.testing.assert_array_equal(a, want_a)
         np.testing.assert_array_equal(b, want_b)
         np.testing.assert_array_equal(norm, np.linalg.norm(want_a, axis=-1))

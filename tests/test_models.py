@@ -17,7 +17,7 @@ from tubeform.models import (
 from tubeform.pipeline import certify_scenario
 from tubeform.scenario import load_scenario
 
-from oracles import agent_disturbance, drift_product, fine_step_index
+from oracles import agent_disturbance, drift_product, fine_step_index, per_call_drift
 
 DIMS = BrunovskyDims(n=3, d=2, followers=5)
 
@@ -237,6 +237,36 @@ class TestDrift:
             for table in tables:
                 got, full = table.value(xs, 0.7), drift_product(table, xs, 0.7)
                 assert not np.isfinite(got).any() and not np.isfinite(full).any()
+
+    @pytest.mark.parametrize(
+        "make, tanh_free",
+        [
+            (lambda: certify_scenario(load_scenario("scenarios/paper_scenario.json"), spot_checks=False).drifts[0],
+             True),
+            (cubic_damped_drift, False),
+            (lambda: one_term(DriftTerm(form="cubic", coeff=0.3, order=2, weights=(0.6, -0.8))), True),
+            (lambda: DriftTable.compile(DIMS, 1.0, ((), ())), True),
+        ],
+        ids=["tanh_free_leader", "tanh", "two_weight_cubic", "empty_leader"],
+    )
+    def test_kept_constants_equal_the_per_call_expression(self, make, tanh_free):
+        """A compiled table and its one-row and three-row stacks, bit for bit against ``at`` as first
+        written, which derives its flag and masks at every call: at ordinary states, zeros, -0.0 and
+        non-finite entries, at one time and at a time per state; the constants are formed once."""
+        table = make()
+        assert table._at_constants[0] == tanh_free
+        stacks = [DriftTable.stack([table], [0]), DriftTable.stack([table, cubic_damped_drift()], [0, 1, 0])]
+        xs = np.random.default_rng(14).normal(size=(4, 3, 6)) * 3.0
+        xs[0, 0], xs[0, 1] = 0.0, -0.0
+        xs[1, 0, 2], xs[1, 1, 0], xs[1, 2, 1] = np.inf, np.nan, -np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf in the projections
+            for tab in (table, *stacks):
+                for t in (0.7, np.linspace(0.0, 9.0, 12).reshape(4, 3)):
+                    sines = tab.sines(t)
+                    got, want = tab.at(xs, sines), per_call_drift(tab, xs, sines)
+                    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert tab._at_constants is tab._at_constants
 
     def test_jacobian_matches_finite_differences(self):
         """The stacked Jacobian of every form against central differences."""

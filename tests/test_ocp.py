@@ -7,15 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubeform.barrier import BarrierRows, EcbfCoefficients, RowGrid
+from tubeform.barrier import BarrierRows, EcbfCoefficients, RowGrid, TeamRows
 from tubeform.errors import DegenerateGradient
 from tubeform.linalg import rk4_step
 from tubeform.models import BrunovskyDims, chain_matrices
 from tubeform.ocp import (
+    CondensedQp,
     OcpSpec,
+    QpTeam,
     build_qp,
     discretize_error_dynamics,
-    qp_parameters,
     rollout,
     solve_ocp,
     terminal_ingredients,
@@ -25,9 +26,13 @@ from tubeform.qp import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
 from tubeform.scenario import load_scenario, parse_scenario
 from tubeform.sim import run_simulation
 
-from oracles import chain_recurrence, condensed_plan, hard_row_qp, recorded_solves, rollout_objective
+from oracles import (
+    chain_recurrence, condensed_plan, condensed_qp_differences, hard_row_qp, recorded_solves, reference_qp,
+    rollout_objective,
+)
 
 SMOKE = Path(__file__).resolve().parents[1] / "scenarios" / "smoke_scenario.json"
+ABLATION = SMOKE.with_name("ablation_scenario.json")
 
 NO_ROWS = BarrierRows(
     np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 6))
@@ -35,16 +40,16 @@ NO_ROWS = BarrierRows(
 ZERO_INPUTS = np.zeros((5, 2))
 KAPPA = EcbfCoefficients.from_poles((-1.5, -2.5, -3.5))
 # a one-agent grid without any cell, over the 4 free steps of a horizon-5 chain with n = 3, d = 2
-NO_CELLS = RowGrid(
+NO_CELLS = RowGrid.of(
     KAPPA, BrunovskyDims(n=3, d=2, followers=1), np.zeros((4, 0, 6)), np.zeros((4, 0, 2)), np.zeros(0), 0.0,
     np.zeros(0), np.zeros(0, dtype=int), 1.0,
 )
 
 
 def build(spec, e0, s_seq, v_prev, rows, lin_inputs):
-    """One pass's QP and its input offset ``t_off``, as ``solve_ocp`` builds them."""
-    params = qp_parameters(spec, e0, s_seq, v_prev)
-    return build_qp(spec, params, rows, lin_inputs), params.t_off
+    """One pass's QP and its input offset ``t_off``, as ``solve_ocp`` builds one for its agent alone."""
+    rows = TeamRows.of([rows], spec.dims)
+    return build_qp(spec.team, e0[None], s_seq[None], v_prev[None], rows, lin_inputs[None])[0]
 
 
 def plan(spec, t_off, z):
@@ -164,7 +169,7 @@ def obstacle_grid(dims, center, keep_out, r_ball, steps=4):
     chain = np.zeros(dims.nd)
     chain[: dims.d] = center
     x_other = np.broadcast_to(chain, (steps, 1, dims.nd))
-    return RowGrid(KAPPA, dims, x_other, np.zeros((steps, 1, dims.d)), np.array([keep_out]), r_ball,
+    return RowGrid.of(KAPPA, dims, x_other, np.zeros((steps, 1, dims.d)), np.array([keep_out]), r_ball,
                    np.zeros(1), np.zeros(1, dtype=int), math.inf)
 
 
@@ -182,7 +187,7 @@ class TestLinearizedRows:
         x_other = np.repeat(chains[None], 4, axis=0)
         x_other[:, 2] = rng.normal(size=(4, 6)) * 2.0  # a predicted follower chain
         top_exo = rng.normal(size=(4, 3, 2)) * 0.3
-        grid = RowGrid(kappa, dims, x_other, top_exo, np.array([0.6, 0.5, 0.3]), 0.1,
+        grid = RowGrid.of(kappa, dims, x_other, top_exo, np.array([0.6, 0.5, 0.3]), 0.1,
                        np.array([0.0, 0.0, 0.12]), np.array([0, 0, 1]), 1e6)
         x0, ff, e0 = rng.normal(size=6), rng.normal(size=(5, 2)) * 0.2, rng.normal(size=6)
         return spec, grid, x0, ff, e0, rng
@@ -655,3 +660,80 @@ class TestBindingErrorBoxRun:
         plain_cfg = load_scenario(SMOKE)
         plain = run_simulation(plain_cfg, certify_scenario(plain_cfg, spot_checks=False))
         assert not np.array_equal(boxed.trace.data, plain.trace.data)
+
+
+def random_rows(rng, count, steps=4):
+    """``count`` random barrier rows of both groups on a horizon-5 chain with n = 3, d = 2, in random step order."""
+    return BarrierRows(
+        rng.integers(0, steps, size=count), rng.normal(size=(count, 2)), rng.normal(size=count),
+        rng.integers(0, 2, size=count), rng.normal(size=(count, 6)),
+    )
+
+
+@pytest.fixture(scope="module")
+def ablation_baseline_corpus():
+    """Every solve of a 3 s ablation run with ``--baseline-margins``, recorded: some take a second QP."""
+    cfg = load_scenario(ABLATION)
+    with recorded_solves() as solves:
+        run_simulation(cfg, certify_scenario(cfg, spot_checks=False), t_end=3.0, baseline_margins=True)
+    return solves
+
+
+class TestTeamBuild:
+    @pytest.mark.parametrize("corpus", ["smoke_corpus", "ablation_baseline_corpus"])
+    def test_run_qps_equal_one_agent_builds(self, corpus, request):
+        """Every first QP a run's team build hands ``solve_ocp`` equals, bit for bit, the agent's QP
+        built alone from its own rows at its warm start, and the one-agent assembly as first written;
+        every second QP equals that assembly at the first plan's rows."""
+        solves = request.getfixturevalue(corpus)
+        solves = solves[0] if corpus == "smoke_corpus" else solves
+        seconds = 0
+        for record in solves:
+            spec, e0, x0, s_seq, ff, v_prev, warm = record.args
+            rows = record.grid.rows(rollout(spec, x0, warm + ff), warm)
+            assert condensed_qp_differences(record.first, build(spec, e0, s_seq, v_prev, rows, warm)) == []
+            assert condensed_qp_differences(record.first, reference_qp(spec, e0, s_seq, v_prev, rows, warm)) == []
+            if len(record.qps) == 2:
+                seconds += 1
+                inputs = plan(spec, record.first.t_off, solve_qp(record.qps[0].qp, tol=record.qps[0].tol).z)
+                inputs = inputs.reshape(warm.shape)
+                own = record.grid.rows(rollout(spec, x0, inputs + ff), inputs)
+                want = reference_qp(spec, e0, s_seq, v_prev, own, inputs)
+                assert condensed_qp_differences(CondensedQp(record.qps[1].qp, want.t_off), want) == []
+        assert seconds > 0 if corpus == "ablation_baseline_corpus" else seconds == 0
+
+    def test_team_equals_the_formula_on_random_draws(self):
+        """A team of three specs (couplings 1, 2, 3, one without a terminal set, all with an error
+        box) on random (e0, s, v_prev, rows, linearization plan) draws: each agent's QP equals the
+        one-agent assembly as first written, bit for bit, and its build alone; an agent handed no
+        rows gets None, and the agent without a terminal set no cut."""
+        box = TestCondensingCache.ERROR_BOX
+        specs = [
+            dataclasses.replace(make_spec(coupling=c, terminal_set=c != 2.0), error_box=box) for c in (1.0, 2.0, 3.0)
+        ]
+        team = QpTeam.stack(specs)
+        rng = np.random.default_rng(44)
+        cuts = set()
+        for draw in range(200):
+            e0, s_seq = rng.normal(size=(3, 6)) * 2.0, rng.normal(size=(3, 5, 2)) * 0.3
+            v_prev, lin = rng.normal(size=(3, 2)), rng.normal(size=(3, 5, 2))
+            blocks = [random_rows(rng, int(rng.integers(0, 8))) for _ in specs]
+            if draw % 4 == 0:
+                blocks[draw % 3] = None
+            built = build_qp(team, e0, s_seq, v_prev, TeamRows.of(blocks, specs[0].dims), lin)
+            for i, (spec, rows, got) in enumerate(zip(specs, blocks, built)):
+                if rows is None:
+                    assert got is None
+                    continue
+                want = reference_qp(spec, e0[i], s_seq[i], v_prev[i], rows, lin[i])
+                assert condensed_qp_differences(got, want) == [], (draw, i)
+                assert condensed_qp_differences(got, build(spec, e0[i], s_seq[i], v_prev[i], rows, lin[i])) == []
+                n_rows = want.qp.b_in.size - n_slack(spec, want.qp)
+                cuts.add((i, n_rows - 40 - 20 - rows.b.size))
+        assert cuts == {(0, 1), (1, 0), (2, 1)}
+
+    def test_team_without_rows_builds_nothing(self):
+        specs = [make_spec(), make_spec(coupling=3.0)]
+        none = TeamRows.of([None, None], specs[0].dims)
+        z = np.zeros((2, 5, 2))
+        assert build_qp(QpTeam.stack(specs), np.zeros((2, 6)), z, np.zeros((2, 2)), none, z) == [None, None]

@@ -11,13 +11,13 @@ import pytest
 
 import tubeform.sim
 from tubeform import models, ocp
-from tubeform.barrier import BarrierRows, assemble_row
+from tubeform.barrier import BarrierRows, TeamRows, assemble_row
 from tubeform.cli import REPORT_COLUMNS, main
 from tubeform.errors import DegenerateGradient, NonFiniteState, ScenarioError
 from tubeform.graph import CommGraph
 from tubeform.linalg import rk4_step
 from tubeform.models import BALL_BLOCK, DisturbanceStack, chain_derivative
-from tubeform.ocp import OcpSpec, rollout
+from tubeform.ocp import OcpSpec, build_qp, rollout
 from tubeform.pipeline import certify_scenario
 from tubeform.protocol import relayed_estimates, shift_plan
 from tubeform.scenario import initial_states, load_scenario, parse_scenario
@@ -32,7 +32,9 @@ from tubeform.sim import (
     trace_metrics,
 )
 
-from oracles import agent_disturbance, chain_recurrence, plant_derivative, recorded_solves, savetxt_trace
+from oracles import (
+    agent_disturbance, chain_recurrence, condensed_qp_differences, plant_derivative, recorded_solves, savetxt_trace,
+)
 
 SMOKE = "scenarios/smoke_scenario.json"
 PAPER = "scenarios/paper_scenario.json"
@@ -744,10 +746,20 @@ def assert_rows_equal(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
+def agent_blocks(team):
+    """A ``TeamRows``'s block per agent, a ``BarrierRows`` slice, None for an agent without rows."""
+    bounds = np.searchsorted(team.agent, np.arange(len(team.evaluated) + 1))
+    return [
+        BarrierRows(*(field[lo:hi] for field in team.rows)) if evaluated else None
+        for evaluated, lo, hi in zip(team.evaluated, bounds[:-1], bounds[1:])
+    ]
+
+
 def assert_team_rows_are_agent_rows(world, k, ff, preds, shifted):
     """Step k's one team evaluation at the warm starts (``_warm_rows``) is, bit for bit, each
     agent's own grid's rows at its own rollout of its shifted plan; returns the team's rows."""
     grid, team = world._warm_rows(k, ff, preds, shifted)
+    team = agent_blocks(team)
     assert len(team) == world.n
     for i in range(world.n):
         states = rollout(world.specs[i], followers_at(world, k)[i, 1], shifted[i] + ff[i])
@@ -836,10 +848,10 @@ class TestRowBuilder:
         for i in range(world.n):
             nbrs = [j for j in range(world.n) if j != i]
             grid = world._team_grid(1, ff, preds, shifted).agent(i)
-            assert grid.x_other.shape == (world.horizon - 1, n_obs + len(nbrs), world.nd)
-            assert grid.radius_other[n_obs:].tolist() == world.radius_table[i, nbrs].tolist()
-            assert grid.radius_other[n_obs:].tolist() == world.margins[nbrs].tolist()
-            assert grid.keep_out[n_obs:].tolist() == [cfg.barriers.d_safe] * len(nbrs)
+            assert grid.x_other.shape == (world.horizon - 1, n_obs + len(nbrs), world.dims.n, world.d)
+            assert grid.radius_other[0, n_obs:].tolist() == world.radius_table[i, nbrs].tolist()
+            assert grid.radius_other[0, n_obs:].tolist() == world.margins[nbrs].tolist()
+            assert grid.keep_out_sq[0, n_obs:].tolist() == [cfg.barriers.d_safe**2] * len(nbrs)
             assert grid.group.tolist() == [0] * n_obs + [1] * len(nbrs)
             assert grid.margin == world.margins[i] == margins[i]
 
@@ -851,7 +863,7 @@ class TestRowBuilder:
         for i in range(world.n):
             grid = world._team_grid(0, ff, preds, shifted).agent(i)
             assert grid.group.tolist() == [0] * len(cfg.obstacles)
-            assert grid.radius_other.tolist() == [0.0] * len(cfg.obstacles)
+            assert grid.radius_other.tolist() == [[0.0] * len(cfg.obstacles)]
 
     @pytest.mark.parametrize(
         "edit", [smoke_without_obstacles, smoke_with_one_free_step, smoke_with_one_follower]
@@ -904,15 +916,15 @@ class TestRowBuilder:
         team_states[0] = states
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = team.team_rows(team_states, team_inputs)
+            rows = agent_blocks(team.team_rows(team_states, team_inputs))
         assert rows[0] is None
         assert_rows_equal(rows[1], team.agent(1).rows(team_states[1], team_inputs[1]))
         assert rows[1].step.size == (world.horizon - 1) * (activation_range > 0)
 
     def test_agent_on_an_obstacle_center_gets_one_raising_solve(self, monkeypatch):
         """A smoke copy deploying follower 1 on the obstacle's center: step 0 still makes one
-        ``solve_ocp`` call per agent; agent 1's, handed no warm-start rows, raises
-        ``DegenerateGradient`` and falls back, and agent 2's is handed its own rows."""
+        ``solve_ocp`` call per agent; agent 1's, handed no first QP, raises ``DegenerateGradient``
+        and falls back, and agent 2's is handed the QP built from its own rows alone."""
         doc = json.loads(open(SMOKE).read())
         doc["initial_states"]["followers"][0][:2] = doc["obstacles"][0]["center"]
         cfg = parse_scenario(json.dumps(doc))
@@ -923,9 +935,9 @@ class TestRowBuilder:
             try:
                 sol = real_solve(spec, *args)
             except DegenerateGradient:
-                calls.append((spec, args[-1], None))
+                calls.append((spec, args, None))
                 raise
-            calls.append((spec, args[-1], sol))
+            calls.append((spec, args, sol))
             return sol
 
         monkeypatch.setattr(tubeform.sim, "solve_ocp", recording)
@@ -937,9 +949,11 @@ class TestRowBuilder:
             warnings.simplefilter("error")
             stats = world.step(0)
         assert [spec for spec, _, _ in calls] == world.specs
-        (_, rows_1, sol_1), (_, rows_2, sol_2) = calls
-        assert rows_1 is None and sol_1 is None
-        assert_rows_equal(rows_2, own)
+        (_, args_1, sol_1), (spec_2, args_2, sol_2) = calls
+        assert args_1[-1] is None and sol_1 is None
+        e0, _, s_seq, _, v_prev, warm, _, first = args_2
+        alone = build_qp(spec_2.team, e0[None], s_seq[None], v_prev[None], TeamRows.of([own], world.dims), warm[None])
+        assert condensed_qp_differences(first, alone[0]) == []
         assert sol_2 is not None and world.infeasible_streak == [1, 0]
         assert stats["solver"][0].tolist() == [2.0, 0.0, 0.0, math.inf]
 
@@ -1457,6 +1471,16 @@ class TestTraceRoundTrip:
         assert part.metadata == full.metadata
         picked = full.data[:, [full.columns.index(name) for name in part.columns]]
         np.testing.assert_array_equal(part.data.view(np.int64), picked.view(np.int64))
+
+    def test_report_read_gives_null_for_metrics_without_columns(self, smoke_csv):
+        """The report's read leaves out the deviation and QP-iteration columns: its margin fractions and
+        mean QP iterations are null, not 0, and each metric that report writes equals the full read's."""
+        full, part = (trace_metrics(SimTrace.from_csv(smoke_csv[1], keep)) for keep in (None, REPORT_COLUMNS))
+        assert part["max_margin_fraction"] == {"1": None, "2": None} and part["mean_qp_iterations"] is None
+        assert None not in full["max_margin_fraction"].values() and full["mean_qp_iterations"] > 0.0
+        written = ("min_obstacle_clearance", "min_pairwise_clearance", "final_mean_stacked_error",
+                   "max_stacked_error", "bound", "relaxed_steps")
+        assert [part[key] for key in written] == [full[key] for key in written]
 
     def test_unloaded_column_is_missing(self, smoke_csv):
         part = SimTrace.from_csv(smoke_csv[1], REPORT_COLUMNS)
